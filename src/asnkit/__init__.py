@@ -45,7 +45,6 @@ from .network import (
     reverse,
     to_dot,
     to_graphml,
-    to_networkx,
 )
 from .hierarchy import (
     HierarchyLevels,
@@ -158,7 +157,6 @@ __all__ = [
     "summarize",
     "to_dot",
     "to_graphml",
-    "to_networkx",
     "track",
     "tree_depth",
     "tree_violations",

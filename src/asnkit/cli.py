@@ -40,7 +40,13 @@ from .diachrony import (
     phase_space,
     track,
 )
-from .hierarchy import HierarchyLevels, hierarchy_levels, hierarchy_stats, level_csv
+from .hierarchy import (
+    HierarchyLevels,
+    HierarchyStats,
+    hierarchy_levels,
+    hierarchy_stats,
+    level_csv,
+)
 from .network import Asn, NodeKey, aggregate, edge_csv, to_dot, to_graphml
 from .powerlaw import (
     DegenerateDataError,
@@ -49,7 +55,7 @@ from .powerlaw import (
     fit_power_law,
     lrt,
 )
-from .stats import degree_sequences, depth_vs_diameter, summarize
+from .stats import NetworkSummary, degree_sequences, depth_vs_diameter, summarize
 
 __all__ = ["RunConfig", "UsageError", "build_parser", "main"]
 
@@ -296,8 +302,9 @@ def cmd_export(cfg: RunConfig) -> int:
     return 0
 
 
-def _summary_payload(cfg: RunConfig, century: int, asn: Asn) -> dict:
-    summary = summarize(asn)
+def _summary_payload(
+    cfg: RunConfig, century: int, asn: Asn, summary: NetworkSummary
+) -> dict:
     return {
         "century": century,
         "seed": cfg.seed,
@@ -308,15 +315,14 @@ def _summary_payload(cfg: RunConfig, century: int, asn: Asn) -> dict:
     }
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    slices, _ = _load_filtered(cfg)
-    out = Path(cfg.out)
-    pairs = _networks(slices)
-    for corpus_slice, asn in pairs:
-        path = out / f"summary_{corpus_slice.century}.json"
-        _write(path, _json_text(_summary_payload(cfg, corpus_slice.century, asn)))
-        print(f"wrote {path}")
-    rows = depth_vs_diameter(pairs)
+def _depth_vs_diameter_csv(
+    cfg: RunConfig,
+    slices: Sequence[CorpusSlice],
+    summaries: Sequence[NetworkSummary],
+) -> str:
+    rows = depth_vs_diameter(
+        slices, {s.century: summary for s, summary in zip(slices, summaries)}
+    )
     lines = [_meta_comment(cfg)]
     lines.append("century,max_tree_depth,diameter,average_path_length\n")
     for row in rows:
@@ -324,14 +330,43 @@ def cmd_stats(cfg: RunConfig) -> int:
             f"{row['century']},{row['max_tree_depth']},{row['diameter']},"
             f"{_float_cell(row['average_path_length'])}\n"
         )
+    return "".join(lines)
+
+
+def cmd_stats(cfg: RunConfig) -> int:
+    slices, _ = _load_filtered(cfg)
+    out = Path(cfg.out)
+    summaries = []
+    for corpus_slice, asn in _networks(slices):
+        summary = summarize(asn)
+        summaries.append(summary)
+        path = out / f"summary_{corpus_slice.century}.json"
+        payload = _summary_payload(cfg, corpus_slice.century, asn, summary)
+        _write(path, _json_text(payload))
+        print(f"wrote {path}")
     path = out / "depth_vs_diameter.csv"
-    _write(path, "".join(lines))
+    _write(path, _depth_vs_diameter_csv(cfg, slices, summaries))
     print(f"wrote {path}")
     return 0
 
 
+def _hierarchy_stats(
+    cfg: RunConfig, asn: Asn, levels: HierarchyLevels
+) -> tuple[HierarchyStats | None, str | None]:
+    """Hierarchy statistics, or ``None`` and the reason they are undefined."""
+    try:
+        return hierarchy_stats(asn, levels, weighted=not cfg.unweighted), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
 def _hierarchy_outputs(
-    cfg: RunConfig, century: int, asn: Asn, levels: HierarchyLevels
+    cfg: RunConfig,
+    century: int,
+    asn: Asn,
+    levels: HierarchyLevels,
+    stats: HierarchyStats | None,
+    error: str | None,
 ) -> tuple[str, str]:
     table = level_csv(
         asn,
@@ -339,25 +374,20 @@ def _hierarchy_outputs(
         metadata={"seed": cfg.seed, "century": century,
                   "weighted": not cfg.unweighted},
     )
-    try:
-        stats = hierarchy_stats(asn, levels, weighted=not cfg.unweighted)
-        stats_payload = {
-            "century": century,
-            "seed": cfg.seed,
-            "conventions": _CONVENTIONS,
-            "weighted": not cfg.unweighted,
-            "democracy": stats.democracy,
-            "incoherence": stats.incoherence,
-            "residual": levels.residual,
-        }
-    except ValueError as exc:
-        stats_payload = {
-            "century": century,
-            "seed": cfg.seed,
-            "conventions": _CONVENTIONS,
-            "weighted": not cfg.unweighted,
-            "error": str(exc),
-        }
+    stats_payload = {
+        "century": century,
+        "seed": cfg.seed,
+        "conventions": _CONVENTIONS,
+        "weighted": not cfg.unweighted,
+    }
+    if stats is None:
+        stats_payload["error"] = error
+    else:
+        stats_payload.update(
+            democracy=stats.democracy,
+            incoherence=stats.incoherence,
+            residual=levels.residual,
+        )
     return table, _json_text(stats_payload)
 
 
@@ -367,7 +397,10 @@ def cmd_hierarchy(cfg: RunConfig) -> int:
     for corpus_slice, asn in _networks(slices):
         century = corpus_slice.century
         levels = hierarchy_levels(asn, weighted=not cfg.unweighted)
-        table, stats_json = _hierarchy_outputs(cfg, century, asn, levels)
+        stats, error = _hierarchy_stats(cfg, asn, levels)
+        table, stats_json = _hierarchy_outputs(
+            cfg, century, asn, levels, stats, error
+        )
         table_path = out / f"hierarchy_{century}.csv"
         stats_path = out / f"hierarchy_stats_{century}.json"
         _write(table_path, table)
@@ -395,7 +428,11 @@ def _powerlaw_payload(cfg: RunConfig, century: int, asn: Asn):
     except (ValueError, DegenerateDataError) as exc:
         payload["error"] = str(exc)
         return payload, None, data
-    fit = bootstrap_pvalue(fit, data, replicates=cfg.replicates, seed=cfg.seed)
+    try:
+        fit = bootstrap_pvalue(fit, data, replicates=cfg.replicates, seed=cfg.seed)
+    except RuntimeError as exc:  # too many degenerate replicates
+        payload["error"] = str(exc)
+        return payload, None, data
     payload.update(
         {
             "alpha": fit.alpha,
@@ -444,24 +481,12 @@ def cmd_powerlaw(cfg: RunConfig) -> int:
     return 0
 
 
-def _diachrony_outputs(cfg: RunConfig, pairs) -> dict[str, str]:
+def _diachrony_outputs(
+    cfg: RunConfig,
+    records: Sequence[CenturyRecord],
+    levels: Sequence[tuple[Asn, HierarchyLevels]],
+) -> dict[str, str]:
     """All cross-century artifacts as filename -> text."""
-    levels = [
-        (asn, hierarchy_levels(asn, weighted=not cfg.unweighted))
-        for _s, asn in pairs
-    ]
-    records = []
-    for (corpus_slice, asn), (_, lv) in zip(pairs, levels):
-        summary = summarize(asn)
-        try:
-            stats = hierarchy_stats(asn, lv, weighted=not cfg.unweighted)
-        except ValueError:
-            stats = None
-        records.append(
-            CenturyRecord(
-                century=corpus_slice.century, summary=summary, hierarchy=stats
-            )
-        )
     series = DiachronicSeries(records=tuple(records))
 
     outputs: dict[str, str] = {}
@@ -514,7 +539,19 @@ def _diachrony_outputs(cfg: RunConfig, pairs) -> dict[str, str]:
 def cmd_diachrony(cfg: RunConfig) -> int:
     slices, _ = _load_filtered(cfg)
     out = Path(cfg.out)
-    for name, text in _diachrony_outputs(cfg, _networks(slices)).items():
+    records = []
+    levels = []
+    for corpus_slice, asn in _networks(slices):
+        lv = hierarchy_levels(asn, weighted=not cfg.unweighted)
+        levels.append((asn, lv))
+        records.append(
+            CenturyRecord(
+                century=corpus_slice.century,
+                summary=summarize(asn),
+                hierarchy=_hierarchy_stats(cfg, asn, lv)[0],
+            )
+        )
+    for name, text in _diachrony_outputs(cfg, records, levels).items():
         path = out / name
         _write(path, text)
         print(f"wrote {path}")
@@ -526,6 +563,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     pairs = _networks(slices)
     written: list[str] = []
+    records: list[CenturyRecord] = []
+    levels: list[tuple[Asn, HierarchyLevels]] = []
 
     writers = {"csv": edge_csv, "dot": to_dot, "graphml": to_graphml}
     for corpus_slice, asn in pairs:
@@ -536,12 +575,18 @@ def cmd_analyze(cfg: RunConfig) -> int:
             _write(out / name, writers[fmt](asn, metadata=meta))
             written.append(name)
 
+        summary = summarize(asn)
         name = f"summary_{century}.json"
-        _write(out / name, _json_text(_summary_payload(cfg, century, asn)))
+        _write(out / name, _json_text(_summary_payload(cfg, century, asn, summary)))
         written.append(name)
 
-        levels = hierarchy_levels(asn, weighted=not cfg.unweighted)
-        table, stats_json = _hierarchy_outputs(cfg, century, asn, levels)
+        lv = hierarchy_levels(asn, weighted=not cfg.unweighted)
+        levels.append((asn, lv))
+        stats, error = _hierarchy_stats(cfg, asn, lv)
+        records.append(
+            CenturyRecord(century=century, summary=summary, hierarchy=stats)
+        )
+        table, stats_json = _hierarchy_outputs(cfg, century, asn, lv, stats, error)
         _write(out / f"hierarchy_{century}.csv", table)
         _write(out / f"hierarchy_stats_{century}.json", stats_json)
         written += [f"hierarchy_{century}.csv", f"hierarchy_stats_{century}.json"]
@@ -553,18 +598,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
             _write(out / f"ccdf_{century}.csv", _ccdf_csv(cfg, century, data, fit))
             written.append(f"ccdf_{century}.csv")
 
-    rows = depth_vs_diameter(pairs)
-    lines = [_meta_comment(cfg)]
-    lines.append("century,max_tree_depth,diameter,average_path_length\n")
-    for row in rows:
-        lines.append(
-            f"{row['century']},{row['max_tree_depth']},{row['diameter']},"
-            f"{_float_cell(row['average_path_length'])}\n"
-        )
-    _write(out / "depth_vs_diameter.csv", "".join(lines))
+    _write(
+        out / "depth_vs_diameter.csv",
+        _depth_vs_diameter_csv(cfg, slices, [r.summary for r in records]),
+    )
     written.append("depth_vs_diameter.csv")
 
-    for name, text in _diachrony_outputs(cfg, pairs).items():
+    for name, text in _diachrony_outputs(cfg, records, levels).items():
         _write(out / name, text)
         written.append(name)
 

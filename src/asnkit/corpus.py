@@ -517,8 +517,10 @@ def _iter_drafts(text: str, provenance: str) -> Iterator[_Draft]:
             yield draft
             draft = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    # Only "\n" ends a line: str.splitlines() would also break at U+2028,
+    # U+0085 or a form feed, which are legal inside a lemma.
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw[:-1] if raw.endswith("\r") else raw
         if line.startswith("## "):
             continue
         if not line.strip():

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-import networkx as nx
-
 from .corpus import DependencyTree, GrammaticalRole
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "heads",
     "induced_subnetwork",
     "reverse",
-    "to_networkx",
     "edge_csv",
     "to_dot",
     "to_graphml",
@@ -201,24 +198,6 @@ def reverse(asn: Asn) -> Asn:
             sentences=set(data.sentences),
         )
     return rev
-
-
-def to_networkx(asn: Asn) -> nx.DiGraph:
-    """Convert to a networkx DiGraph with node and edge attributes."""
-    graph = nx.DiGraph(century=asn.century)
-    for key in asn.nodes():
-        graph.add_node(
-            key, lemma=key.lemma, role=key.role_code, frequency=asn.frequency[key]
-        )
-    for u, v in asn.sorted_edges():
-        data = asn.edges[(u, v)]
-        graph.add_edge(
-            u, v,
-            weight=data.weight,
-            rules=",".join(sorted(data.rules)),
-            sentences=",".join(sorted(data.sentences)),
-        )
-    return graph
 
 
 def _metadata_line(metadata: Mapping[str, object] | None, prefix: str) -> str:

@@ -399,8 +399,13 @@ def _lognormal_tail_loglik(tail: np.ndarray, xmin: float) -> np.ndarray:
         options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": 5000},
     )
     best = per_point(result.x)
-    if best is None:  # pragma: no cover - optimizer stays feasible from start
+    if best is None:
         best = per_point(start)
+    if best is None:
+        raise ValueError(
+            "lognormal fit is infeasible: the discretised lognormal gives "
+            "zero mass to some tail value"
+        )
     return best
 
 
@@ -414,7 +419,8 @@ def lrt(data, fit: PowerLawFit, alternative: str = "exponential") -> LrtResult:
     Raises
     ------
     ValueError
-        On an unknown alternative or a tail smaller than 10 observations.
+        On an unknown alternative, a tail smaller than 10 observations, or
+        a lognormal that gives some tail value zero discretised mass.
     """
     if alternative not in ("exponential", "lognormal"):
         raise ValueError(f"unknown alternative {alternative!r}")

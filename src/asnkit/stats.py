@@ -5,6 +5,16 @@ usual small-world conventions: they are computed on the undirected simple
 projection of the network (direction, weights, parallel arcs, and self-loops
 discarded), with path metrics restricted to the largest connected component.
 Degree sequences, by contrast, describe the directed simple graph.
+
+The projection is one symmetric 0/1 CSR matrix ``A`` over the nodes in
+``asn.frequency`` order, and everything else is ``scipy.sparse.csgraph``
+and sparse algebra: components come from ``connected_components``, the
+distances inside the largest component from breadth-first
+``shortest_path`` runs over fixed blocks of source rows (so memory stays
+bounded on large networks), and each node's triangle count from the row
+sums of ``A * (A @ A)``.  Distances, path-length sums and triangle counts
+are integers, so the float results equal the textbook definitions to the
+last bit.
 """
 
 from __future__ import annotations
@@ -12,10 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import networkx as nx
+import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .corpus import CorpusSlice, tree_depth
-from .network import Asn, NodeKey
+from .network import Asn
 
 __all__ = [
     "NetworkSummary",
@@ -23,6 +35,10 @@ __all__ = [
     "degree_sequences",
     "depth_vs_diameter",
 ]
+
+#: Source rows per ``shortest_path`` call; a block holds this many rows of
+#: float64 distances over the largest component.
+_DISTANCE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -45,30 +61,77 @@ class NetworkSummary:
     lcc_fraction: float
 
 
-def _undirected_projection(asn: Asn) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(asn.frequency)
-    for (u, v) in asn.edges:
-        if u != v:
-            graph.add_edge(u, v)
-    return graph
+def _projection(asn: Asn) -> sparse.csr_matrix:
+    """Symmetric 0/1 adjacency of the undirected simple projection."""
+    index = {key: i for i, key in enumerate(asn.frequency)}
+    arcs = np.array(
+        [(index[u], index[v]) for (u, v) in asn.edges if u != v], dtype=np.int64
+    ).reshape(-1, 2)
+    rows = np.concatenate([arcs[:, 0], arcs[:, 1]])
+    cols = np.concatenate([arcs[:, 1], arcs[:, 0]])
+    n = len(index)
+    # The constructor sums duplicate entries, so a 2-cycle shows up as a 2.
+    adjacency = sparse.csr_matrix(
+        (np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n)
+    )
+    adjacency.data[:] = 1
+    return adjacency
 
 
-def _largest_component(graph: nx.Graph) -> set[NodeKey]:
-    """Largest connected component; size ties broken by smallest node key.
+def _clustering(adjacency: sparse.csr_matrix) -> float:
+    """Mean local clustering, every node counted (zero below degree 2).
 
-    Components are disjoint, so the minimum (role, lemma) key in each one is
-    a deterministic tie-breaker.
+    ``t`` is twice the node's triangle count.  The per-node ratios are
+    Python floats summed in node order, as networkx's
+    ``average_clustering`` sums them, so the mean is the same to the bit.
     """
-    best: set[NodeKey] | None = None
-    best_rank: tuple | None = None
-    for component in nx.connected_components(graph):
-        rank = (-len(component), min(k.sort_key for k in component))
-        if best_rank is None or rank < best_rank:
-            best = component
-            best_rank = rank
-    assert best is not None
-    return best
+    degrees = np.diff(adjacency.indptr).tolist()
+    twice_triangles = np.asarray(
+        adjacency.multiply(adjacency @ adjacency).sum(axis=1)
+    ).ravel().tolist()
+    local = [
+        0 if t == 0 else t / (d * (d - 1))
+        for d, t in zip(degrees, twice_triangles)
+    ]
+    return sum(local) / len(local)
+
+
+def _largest_component(
+    asn: Asn, adjacency: sparse.csr_matrix
+) -> tuple[int, np.ndarray]:
+    """Component count and the node indices of the largest component.
+
+    Size ties go to the component holding the smallest (role, lemma) key;
+    components are disjoint, so that choice is deterministic.
+    """
+    count, labels = csgraph.connected_components(adjacency, directed=False)
+    sizes = np.bincount(labels)
+    tied = set(np.flatnonzero(sizes == sizes.max()).tolist())
+    smallest: dict[int, tuple[str, str]] = {}
+    for key, label in zip(asn.frequency, labels.tolist()):
+        if label in tied and (
+            label not in smallest or key.sort_key < smallest[label]
+        ):
+            smallest[label] = key.sort_key
+    best = min(smallest, key=smallest.__getitem__)
+    return int(count), np.flatnonzero(labels == best)
+
+
+def _path_lengths(component: sparse.csr_matrix) -> tuple[int, int]:
+    """Sum of all pairwise hop distances and the largest one."""
+    m = component.shape[0]
+    total = 0
+    diameter = 0
+    for start in range(0, m, _DISTANCE_ROWS):
+        block = csgraph.shortest_path(
+            component,
+            unweighted=True,
+            directed=False,
+            indices=np.arange(start, min(start + _DISTANCE_ROWS, m)),
+        ).astype(np.int64)
+        total += int(block.sum())
+        diameter = max(diameter, int(block.max()))
+    return total, diameter
 
 
 def summarize(asn: Asn) -> NetworkSummary:
@@ -81,35 +144,25 @@ def summarize(asn: Asn) -> NetworkSummary:
     """
     if asn.node_count == 0:
         raise ValueError("cannot summarize a network with no nodes")
-    graph = _undirected_projection(asn)
-    n = graph.number_of_nodes()
-    e = graph.number_of_edges()
-    average_degree = 2.0 * e / n
-    clustering = float(nx.average_clustering(graph)) if n else 0.0
-
-    components = list(nx.connected_components(graph))
-    lcc = _largest_component(graph)
-    sub = graph.subgraph(lcc)
-    m = sub.number_of_nodes()
+    adjacency = _projection(asn)
+    n = asn.node_count
+    e = adjacency.nnz // 2
+    component_count, lcc = _largest_component(asn, adjacency)
+    m = lcc.size
     if m <= 1:
         average_path_length = 0.0
         diameter = 0
     else:
-        total = 0
-        diameter = 0
-        for source in sub.nodes:
-            lengths = nx.single_source_shortest_path_length(sub, source)
-            total += sum(lengths.values())
-            diameter = max(diameter, max(lengths.values()))
+        total, diameter = _path_lengths(adjacency[lcc][:, lcc])
         average_path_length = total / (m * (m - 1))
     return NetworkSummary(
         node_count=n,
         edge_count=e,
-        average_degree=average_degree,
-        clustering=clustering,
+        average_degree=2.0 * e / n,
+        clustering=_clustering(adjacency),
         average_path_length=average_path_length,
         diameter=diameter,
-        component_count=len(components),
+        component_count=component_count,
         lcc_fraction=m / n,
     )
 
@@ -135,32 +188,32 @@ def degree_sequences(asn: Asn) -> dict[str, list[int]]:
 
 
 def depth_vs_diameter(
-    pairs: Sequence[tuple[CorpusSlice, Asn]]
+    slices: Sequence[CorpusSlice], summaries: Mapping[int, NetworkSummary]
 ) -> list[dict[str, object]]:
     """Per-century comparison of tree depth with network path metrics.
 
-    For each (slice, network) pair, reports the maximum dependency-tree
-    depth next to the network diameter and average path length.  A diameter
-    exceeding the maximum tree depth signals paths that no single sentence
-    contains, i.e. lemma sharing across sentences.
+    For each slice, reports the maximum dependency-tree depth next to the
+    diameter and average path length of its century's summary (as
+    :func:`summarize` returns it).  A diameter exceeding the maximum tree
+    depth signals paths that no single sentence contains, i.e. lemma
+    sharing across sentences.
 
     Raises
     ------
     ValueError
-        If a slice is empty or a pair disagrees on the century.
+        If a slice is empty or its century has no summary.
     """
     rows: list[dict[str, object]] = []
-    for corpus_slice, asn in pairs:
+    for corpus_slice in slices:
         if not corpus_slice.trees:
             raise ValueError(
                 f"century {corpus_slice.century}: empty slice has no tree depth"
             )
-        if asn.century != corpus_slice.century:
+        summary = summaries.get(corpus_slice.century)
+        if summary is None:
             raise ValueError(
-                f"slice century {corpus_slice.century} does not match "
-                f"network century {asn.century}"
+                f"slice century {corpus_slice.century} has no network summary"
             )
-        summary = summarize(asn)
         rows.append(
             {
                 "century": corpus_slice.century,

@@ -160,7 +160,8 @@ def test_criterion_05_crosslinks_lift_diameter_past_tree_depth():
     """
     start = time.perf_counter()
     slices = parse_corpus(crosslink_corpus())
-    rows = depth_vs_diameter([(s, aggregate(s.trees)) for s in slices])
+    summaries = {s.century: summarize(aggregate(s.trees)) for s in slices}
+    rows = depth_vs_diameter(slices, summaries)
     assert [row["century"] for row in rows] == [14, 15, 16, 17]
     for row in rows:
         if row["century"] < 16:  # before any cross-links exist

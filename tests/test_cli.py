@@ -83,6 +83,25 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
+    def test_degenerate_bootstrap_is_recorded_not_raised(self, tmp_path):
+        # 48 two-token and 2 three-token sentences with unique lemmas: the
+        # total degrees are almost all 1, so too many replicates degenerate
+        blocks = ["# century = 14"]
+        blocks += [f"1\tn{i}\tn{i}\tN\t2\t_\n2\tv{i}\tv{i}\tV\t0\t_"
+                   for i in range(48)]
+        blocks += [f"1\ta{i}\ta{i}\tN\t2\t_\n2\tw{i}\tw{i}\tV\t0\t_\n"
+                   f"3\tb{i}\tb{i}\tN\t2\t_" for i in range(2)]
+        path = tmp_path / "flat.tb"
+        path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("analyze", str(path), "--out", str(out),
+                   "--replicates", "100") == 0
+        payload = json.loads((out / "powerlaw_14.json").read_text())
+        assert "bootstrap replicates were degenerate" in payload["error"]
+        assert "p_value" not in payload
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "powerlaw_14.json" in manifest["files"]
+
 
 class TestArtifacts:
     def test_build_writes_one_csv_per_century(self, tmp_path):

@@ -224,6 +224,16 @@ class TestParsing:
     def test_accepts_bytes_and_file_objects(self):
         assert parse_corpus(MINI.encode()) == parse_corpus(io.StringIO(MINI))
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\x0c"])
+    def test_only_newline_ends_a_line(self, separator, tmp_path):
+        lemma = f"ab{separator}c"
+        text = MINI + f"\n# century = 12\n1\t{lemma}\t{lemma}\tN\t0\t_\n"
+        path = tmp_path / "t.tb"
+        path.write_text(text, encoding="utf-8", newline="")
+        loaded = load_corpus(path)
+        assert loaded[0].trees[0].tokens[0].lemma == lemma
+        assert parse_corpus(text.replace("\n", "\r\n")) == parse_corpus(text)
+
     def test_centuries_sorted_ascending(self):
         text = MINI + "\n# century = 12\n1\tdaz\tdaz\tAR\t0\t_\n"
         slices = parse_corpus(text)

@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import networkx as nx
-
 from asnkit import (
     GrammaticalRole,
     NodeKey,
@@ -24,7 +22,6 @@ from asnkit import (
     reverse,
     to_dot,
     to_graphml,
-    to_networkx,
     validate_tree,
 )
 from oracles import make_asn, nkey, random_tree_heads
@@ -194,18 +191,6 @@ class TestSubnetworkAndReverse:
 
 
 class TestExports:
-    def test_networkx_graph_attributes(self):
-        asn = aggregate([DOG, MAN])
-        graph = to_networkx(asn)
-        assert isinstance(graph, nx.DiGraph)
-        assert graph.graph["century"] == 14
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 4
-        v, h = nkey("louft", R.VERB), nkey("hunt", R.NOUN)
-        assert graph.nodes[v]["frequency"] == 2
-        assert graph.nodes[v]["role"] == "V"
-        assert graph.edges[v, h]["weight"] == 1
-
     def test_edge_csv_parses_back(self):
         asn = aggregate([DOG, MAN])
         text = edge_csv(asn, metadata={"seed": 0})

@@ -220,6 +220,13 @@ class TestLrt:
         assert result.favored == "indeterminate"
         assert result.p_value > 0.1
 
+    def test_infeasible_lognormal_fit_raises_value_error(self):
+        # a far tail value gets zero discretised lognormal mass at the start
+        data = sample_discrete_powerlaw(2.5, 1, 5000, seed=1)
+        fit = fit_power_law(data)
+        with pytest.raises(ValueError, match="lognormal fit is infeasible"):
+            lrt(data, fit, "lognormal")
+
     def test_unknown_alternative(self):
         data = sample_discrete_powerlaw(2.0, 1, 100, seed=1)
         fit = fit_power_law(data)

@@ -10,6 +10,7 @@ from asnkit import (
     parse_corpus,
     summarize,
 )
+from asnkit.stats import _DISTANCE_ROWS
 from asnkit.synth import crosslink_corpus
 from oracles import make_asn, random_asn, summary_oracle
 
@@ -103,6 +104,40 @@ class TestSummarize:
                 expected["average_path_length"], abs=1e-12)
 
 
+    def test_path_longer_than_two_distance_blocks(self):
+        # the largest component is a path whose distances span three
+        # shortest-path blocks; a self-loop and a 2-cycle sit on it, and a
+        # second component and two isolated nodes sit beside it
+        m = 2 * _DISTANCE_ROWS + 7
+        path = [(f"p{i}", f"p{i + 1}", 1) for i in range(m - 1)]
+        extras = [("p1", "p0", 3), ("p5", "p5", 2), ("x", "y", 1), ("y", "z", 1)]
+        s = summarize(make_asn(path + extras, isolated=["i1", "i2"]))
+        n = m + 5
+        assert s.node_count == n
+        assert s.edge_count == (m - 1) + 2
+        assert s.diameter == m - 1
+        assert s.average_path_length == (m + 1) / 3
+        assert s.component_count == 4
+        assert s.lcc_fraction == m / n
+        assert s.clustering == 0.0
+
+    def test_matches_brute_force_oracle_on_larger_random_graphs(self):
+        rng = np.random.default_rng(60)
+        for _ in range(25):
+            n = int(rng.integers(26, 61))
+            asn = random_asn(rng, n, p=float(rng.uniform(0.005, 0.08)))
+            s = summarize(asn)
+            expected = summary_oracle(asn)
+            assert s.node_count == expected["node_count"]
+            assert s.edge_count == expected["edge_count"]
+            assert s.component_count == expected["component_count"]
+            assert s.diameter == expected["diameter"]
+            assert s.average_degree == expected["average_degree"]
+            for field in ("clustering", "average_path_length", "lcc_fraction"):
+                assert getattr(s, field) == pytest.approx(
+                    expected[field], abs=1e-12), field
+
+
 class TestDegreeSequences:
     def test_small_example(self):
         asn = make_asn([("a", "b", 9), ("a", "c", 1), ("b", "c", 1)])
@@ -127,20 +162,20 @@ class TestDegreeSequences:
 
 class TestDepthVsDiameter:
     @staticmethod
-    def _pairs(text):
+    def _inputs(text):
         slices = parse_corpus(text)
-        return [(s, aggregate(s.trees)) for s in slices]
+        return slices, {s.century: summarize(aggregate(s.trees)) for s in slices}
 
     def test_rows_sorted_by_century_with_expected_columns(self):
-        pairs = self._pairs(crosslink_corpus())
-        rows = depth_vs_diameter(pairs)
+        slices, summaries = self._inputs(crosslink_corpus())
+        rows = depth_vs_diameter(slices[::-1], summaries)
         assert [r["century"] for r in rows] == [14, 15, 16, 17]
         assert set(rows[0]) == {
             "century", "max_tree_depth", "diameter", "average_path_length"
         }
 
     def test_crosslinking_sends_diameter_past_tree_depth(self):
-        rows = depth_vs_diameter(self._pairs(crosslink_corpus()))
+        rows = depth_vs_diameter(*self._inputs(crosslink_corpus()))
         by_century = {r["century"]: r for r in rows}
         for century in (14, 15):
             row = by_century[century]
@@ -151,13 +186,21 @@ class TestDepthVsDiameter:
             assert row["diameter"] > row["max_tree_depth"]
             assert row["average_path_length"] > row["max_tree_depth"]
 
+    def test_rows_carry_the_given_summaries(self):
+        slices, summaries = self._inputs(crosslink_corpus())
+        for row in depth_vs_diameter(slices, summaries):
+            summary = summaries[row["century"]]
+            assert row["diameter"] == summary.diameter
+            assert row["average_path_length"] == summary.average_path_length
+
     def test_century_mismatch_rejected(self):
-        (s14, asn14), (_s15, asn15) = self._pairs(crosslink_corpus())[:2]
+        slices, summaries = self._inputs(crosslink_corpus())
         with pytest.raises(ValueError, match="century"):
-            depth_vs_diameter([(s14, asn15)])
+            depth_vs_diameter(slices[:1], {15: summaries[15]})
 
     def test_empty_slice_rejected(self):
-        (s14, asn14) = self._pairs(crosslink_corpus())[0]
+        slices, summaries = self._inputs(crosslink_corpus())
+        s14 = slices[0]
         hollow = type(s14)(century=14, trees=(), provenance=s14.provenance)
         with pytest.raises(ValueError, match="empty"):
-            depth_vs_diameter([(hollow, asn14)])
+            depth_vs_diameter([hollow], summaries)
