@@ -41,8 +41,6 @@ from .network import (
     aggregate,
     edge_csv,
     heads,
-    induced_subnetwork,
-    reverse,
     to_dot,
     to_graphml,
 )
@@ -56,7 +54,6 @@ from .hierarchy import (
     hierarchy_stats,
     influence_ranking,
     level_csv,
-    level_histogram,
 )
 from .stats import (
     NetworkSummary,
@@ -76,8 +73,6 @@ from .powerlaw import (
     sample_discrete_powerlaw,
 )
 from .diachrony import (
-    CenturyRecord,
-    DiachronicSeries,
     EmergenceEvent,
     HeadTrajectory,
     TrajectoryPoint,
@@ -96,13 +91,11 @@ def demo_corpus_path() -> str:
 
 __all__ = [
     "Asn",
-    "CenturyRecord",
     "CorpusFormatError",
     "CorpusIssue",
     "CorpusSlice",
     "DegenerateDataError",
     "DependencyTree",
-    "DiachronicSeries",
     "EdgeData",
     "EmergenceEvent",
     "FilterDecision",
@@ -143,16 +136,13 @@ __all__ = [
     "hierarchy_levels",
     "hierarchy_stats",
     "hurwitz_zeta",
-    "induced_subnetwork",
     "influence_ranking",
     "level_csv",
-    "level_histogram",
     "load_corpus",
     "lrt",
     "parse_corpus",
     "phase_space",
     "render_corpus",
-    "reverse",
     "sample_discrete_powerlaw",
     "summarize",
     "to_dot",

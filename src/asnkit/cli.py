@@ -4,9 +4,10 @@ Subcommands cover the whole pipeline: ``validate`` audits treebank files,
 ``build``/``export`` construct and serialize per-century networks,
 ``stats``/``hierarchy``/``powerlaw`` compute per-century reports,
 ``diachrony`` compares centuries, and ``analyze`` runs everything into one
-output bundle with a manifest.  All outputs are deterministic: rerunning a
-command with the same inputs, configuration, and seed writes byte-identical
-files.
+output bundle with a manifest.  Every subcommand but ``validate`` is a
+selection of stages from one table, so ``analyze`` writes exactly the files
+of the others.  All outputs are deterministic: rerunning a command with the
+same inputs, configuration, and seed writes byte-identical files.
 
 Exit codes: 0 success, 1 domain failure (invalid trees, empty corpus),
 2 usage or I/O failure.
@@ -19,27 +20,20 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .corpus import (
-    CorpusFormatError,
     CorpusSlice,
     GrammaticalRole,
     MissingPolicy,
-    TreeValidationError,
     audit_corpus,
     filter_slice,
     load_corpus,
 )
-from .diachrony import (
-    CenturyRecord,
-    DiachronicSeries,
-    detect_emergent_heads,
-    phase_space,
-    track,
-)
+from .diachrony import detect_emergent_heads, phase_space, track
 from .hierarchy import (
     HierarchyLevels,
     HierarchyStats,
@@ -47,7 +41,15 @@ from .hierarchy import (
     hierarchy_stats,
     level_csv,
 )
-from .network import Asn, NodeKey, aggregate, edge_csv, to_dot, to_graphml
+from .network import (
+    Asn,
+    NodeKey,
+    _metadata_line,
+    aggregate,
+    edge_csv,
+    to_dot,
+    to_graphml,
+)
 from .powerlaw import (
     DegenerateDataError,
     bootstrap_pvalue,
@@ -216,11 +218,8 @@ def _float_cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _meta_comment(cfg: RunConfig, **extra) -> str:
-    fields = {"seed": cfg.seed, "tool": f"asnkit-{__version__}"}
-    fields.update(extra)
-    body = " ".join(f"{k}={fields[k]}" for k in sorted(fields))
-    return f"# {body}\n"
+def _meta(cfg: RunConfig, **extra) -> dict:
+    return {"seed": cfg.seed, "tool": f"asnkit-{__version__}", **extra}
 
 
 def _load_filtered(cfg: RunConfig) -> tuple[list[CorpusSlice], list[str]]:
@@ -248,166 +247,112 @@ def _load_filtered(cfg: RunConfig) -> tuple[list[CorpusSlice], list[str]]:
     return kept, drop_lines
 
 
-def _networks(slices: Sequence[CorpusSlice]) -> list[tuple[CorpusSlice, Asn]]:
-    return [(s, aggregate(s.trees)) for s in slices]
+class _Century:
+    """One century's slice and network, with its results computed on demand.
+
+    Each result is computed at most once, and only if a selected stage reads
+    it: ``diachrony`` never runs ``summarize``, ``build`` runs nothing but
+    the aggregation.
+    """
+
+    def __init__(self, cfg: RunConfig, corpus_slice: CorpusSlice) -> None:
+        self.cfg = cfg
+        self.slice = corpus_slice
+        self.century = corpus_slice.century
+        self.asn = aggregate(corpus_slice.trees)
+
+    @cached_property
+    def summary(self) -> NetworkSummary:
+        return summarize(self.asn)
+
+    @cached_property
+    def levels(self) -> HierarchyLevels:
+        return hierarchy_levels(self.asn, weighted=not self.cfg.unweighted)
+
+    @cached_property
+    def hierarchy(self) -> tuple[HierarchyStats | None, str | None]:
+        """Hierarchy statistics, or ``None`` and the reason they are undefined."""
+        try:
+            stats = hierarchy_stats(
+                self.asn, self.levels, weighted=not self.cfg.unweighted
+            )
+        except ValueError as exc:
+            return None, str(exc)
+        return stats, None
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Stages: each maps the run config and the century records to
+# ``{filename: text}``.
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    if not cfg.inputs:
-        raise UsageError("no input files given")
-    issue_count = 0
-    for path in cfg.inputs:
-        text = Path(path).read_text(encoding="utf-8")
-        issues = audit_corpus(text, provenance=str(path))
-        for issue in issues:
-            print(str(issue))
-        issue_count += len(issues)
-    if issue_count:
-        print(f"FAIL: {issue_count} issue(s) found")
-        return 1
-    print(f"OK: {len(cfg.inputs)} file(s) valid")
-    return 0
-
-
-def cmd_build(cfg: RunConfig) -> int:
-    slices, drop_lines = _load_filtered(cfg)
-    out = Path(cfg.out)
-    for corpus_slice, asn in _networks(slices):
-        century = corpus_slice.century
-        meta = {"seed": cfg.seed, "century": century, "tool": f"asnkit-{__version__}"}
-        path = out / f"asn_{century}.csv"
-        _write(path, edge_csv(asn, metadata=meta))
-        print(f"wrote {path} ({asn.node_count} nodes, {asn.edge_count} edges)")
-    for line in drop_lines:
-        print(f"dropped {line}")
-    return 0
-
-
-def cmd_export(cfg: RunConfig) -> int:
-    slices, _ = _load_filtered(cfg)
-    out = Path(cfg.out)
+def _networks(
+    cfg: RunConfig, records: Sequence[_Century], formats: Sequence[str] | None = None
+) -> dict[str, str]:
+    """``asn_<c>.<fmt>`` for every format, ``cfg.formats`` by default."""
     writers = {"csv": edge_csv, "dot": to_dot, "graphml": to_graphml}
-    for corpus_slice, asn in _networks(slices):
-        century = corpus_slice.century
-        meta = {"seed": cfg.seed, "century": century, "tool": f"asnkit-{__version__}"}
-        for fmt in cfg.formats:
-            path = out / f"asn_{century}.{fmt}"
-            _write(path, writers[fmt](asn, metadata=meta))
-            print(f"wrote {path}")
-    return 0
+    files = {}
+    for r in records:
+        meta = _meta(cfg, century=r.century)
+        for fmt in cfg.formats if formats is None else formats:
+            files[f"asn_{r.century}.{fmt}"] = writers[fmt](r.asn, metadata=meta)
+    return files
 
 
-def _summary_payload(
-    cfg: RunConfig, century: int, asn: Asn, summary: NetworkSummary
-) -> dict:
-    return {
-        "century": century,
-        "seed": cfg.seed,
-        "conventions": _CONVENTIONS,
-        "directed_edge_count": asn.edge_count,
-        "total_edge_weight": asn.total_weight(),
-        "summary": dataclasses.asdict(summary),
-    }
-
-
-def _depth_vs_diameter_csv(
-    cfg: RunConfig,
-    slices: Sequence[CorpusSlice],
-    summaries: Sequence[NetworkSummary],
-) -> str:
+def _stats(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
+    files = {}
+    for r in records:
+        files[f"summary_{r.century}.json"] = _json_text(
+            {
+                "century": r.century,
+                "seed": cfg.seed,
+                "conventions": _CONVENTIONS,
+                "directed_edge_count": r.asn.edge_count,
+                "total_edge_weight": r.asn.total_weight(),
+                "summary": dataclasses.asdict(r.summary),
+            }
+        )
     rows = depth_vs_diameter(
-        slices, {s.century: summary for s, summary in zip(slices, summaries)}
+        [r.slice for r in records], {r.century: r.summary for r in records}
     )
-    lines = [_meta_comment(cfg)]
+    lines = [_metadata_line(_meta(cfg), "# ")]
     lines.append("century,max_tree_depth,diameter,average_path_length\n")
     for row in rows:
         lines.append(
             f"{row['century']},{row['max_tree_depth']},{row['diameter']},"
             f"{_float_cell(row['average_path_length'])}\n"
         )
-    return "".join(lines)
+    files["depth_vs_diameter.csv"] = "".join(lines)
+    return files
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    slices, _ = _load_filtered(cfg)
-    out = Path(cfg.out)
-    summaries = []
-    for corpus_slice, asn in _networks(slices):
-        summary = summarize(asn)
-        summaries.append(summary)
-        path = out / f"summary_{corpus_slice.century}.json"
-        payload = _summary_payload(cfg, corpus_slice.century, asn, summary)
-        _write(path, _json_text(payload))
-        print(f"wrote {path}")
-    path = out / "depth_vs_diameter.csv"
-    _write(path, _depth_vs_diameter_csv(cfg, slices, summaries))
-    print(f"wrote {path}")
-    return 0
-
-
-def _hierarchy_stats(
-    cfg: RunConfig, asn: Asn, levels: HierarchyLevels
-) -> tuple[HierarchyStats | None, str | None]:
-    """Hierarchy statistics, or ``None`` and the reason they are undefined."""
-    try:
-        return hierarchy_stats(asn, levels, weighted=not cfg.unweighted), None
-    except ValueError as exc:
-        return None, str(exc)
-
-
-def _hierarchy_outputs(
-    cfg: RunConfig,
-    century: int,
-    asn: Asn,
-    levels: HierarchyLevels,
-    stats: HierarchyStats | None,
-    error: str | None,
-) -> tuple[str, str]:
-    table = level_csv(
-        asn,
-        levels,
-        metadata={"seed": cfg.seed, "century": century,
-                  "weighted": not cfg.unweighted},
-    )
-    stats_payload = {
-        "century": century,
-        "seed": cfg.seed,
-        "conventions": _CONVENTIONS,
-        "weighted": not cfg.unweighted,
-    }
-    if stats is None:
-        stats_payload["error"] = error
-    else:
-        stats_payload.update(
-            democracy=stats.democracy,
-            incoherence=stats.incoherence,
-            residual=levels.residual,
+def _hierarchy(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
+    weighted = not cfg.unweighted
+    files = {}
+    for r in records:
+        files[f"hierarchy_{r.century}.csv"] = level_csv(
+            r.asn,
+            r.levels,
+            metadata={"seed": cfg.seed, "century": r.century, "weighted": weighted},
         )
-    return table, _json_text(stats_payload)
-
-
-def cmd_hierarchy(cfg: RunConfig) -> int:
-    slices, _ = _load_filtered(cfg)
-    out = Path(cfg.out)
-    for corpus_slice, asn in _networks(slices):
-        century = corpus_slice.century
-        levels = hierarchy_levels(asn, weighted=not cfg.unweighted)
-        stats, error = _hierarchy_stats(cfg, asn, levels)
-        table, stats_json = _hierarchy_outputs(
-            cfg, century, asn, levels, stats, error
-        )
-        table_path = out / f"hierarchy_{century}.csv"
-        stats_path = out / f"hierarchy_stats_{century}.json"
-        _write(table_path, table)
-        _write(stats_path, stats_json)
-        print(f"wrote {table_path}")
-        print(f"wrote {stats_path}")
-    return 0
+        payload = {
+            "century": r.century,
+            "seed": cfg.seed,
+            "conventions": _CONVENTIONS,
+            "weighted": weighted,
+        }
+        stats, error = r.hierarchy
+        if stats is None:
+            payload["error"] = error
+        else:
+            payload.update(
+                democracy=stats.democracy,
+                incoherence=stats.incoherence,
+                residual=r.levels.residual,
+            )
+        files[f"hierarchy_stats_{r.century}.json"] = _json_text(payload)
+    return files
 
 
 def _powerlaw_payload(cfg: RunConfig, century: int, asn: Asn):
@@ -454,53 +399,39 @@ def _powerlaw_payload(cfg: RunConfig, century: int, asn: Asn):
     return payload, fit, data
 
 
-def _ccdf_csv(cfg: RunConfig, century: int, data, fit) -> str:
-    lines = [_meta_comment(cfg, century=century)]
-    lines.append("x,empirical_ccdf,fitted_ccdf\n")
-    for row in ccdf_rows(data, fit):
-        lines.append(
-            f"{row['x']},{_float_cell(row['empirical_ccdf'])},"
-            f"{_float_cell(row['fitted_ccdf'])}\n"
-        )
-    return "".join(lines)
+def _powerlaw(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
+    files = {}
+    for r in records:
+        payload, fit, data = _powerlaw_payload(cfg, r.century, r.asn)
+        files[f"powerlaw_{r.century}.json"] = _json_text(payload)
+        if not data:
+            continue
+        lines = [_metadata_line(_meta(cfg, century=r.century), "# ")]
+        lines.append("x,empirical_ccdf,fitted_ccdf\n")
+        for row in ccdf_rows(data, fit):
+            lines.append(
+                f"{row['x']},{_float_cell(row['empirical_ccdf'])},"
+                f"{_float_cell(row['fitted_ccdf'])}\n"
+            )
+        files[f"ccdf_{r.century}.csv"] = "".join(lines)
+    return files
 
 
-def cmd_powerlaw(cfg: RunConfig) -> int:
-    slices, _ = _load_filtered(cfg)
-    out = Path(cfg.out)
-    for corpus_slice, asn in _networks(slices):
-        century = corpus_slice.century
-        payload, fit, data = _powerlaw_payload(cfg, century, asn)
-        json_path = out / f"powerlaw_{century}.json"
-        _write(json_path, _json_text(payload))
-        print(f"wrote {json_path}")
-        if data:
-            ccdf_path = out / f"ccdf_{century}.csv"
-            _write(ccdf_path, _ccdf_csv(cfg, century, data, fit))
-            print(f"wrote {ccdf_path}")
-    return 0
+def _diachrony(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
+    files = {}
+    levels = [(r.asn, r.levels) for r in records]
 
-
-def _diachrony_outputs(
-    cfg: RunConfig,
-    records: Sequence[CenturyRecord],
-    levels: Sequence[tuple[Asn, HierarchyLevels]],
-) -> dict[str, str]:
-    """All cross-century artifacts as filename -> text."""
-    series = DiachronicSeries(records=tuple(records))
-
-    outputs: dict[str, str] = {}
-
-    lines = [_meta_comment(cfg)]
+    lines = [_metadata_line(_meta(cfg), "# ")]
     lines.append("century,democracy,incoherence\n")
-    for century, democracy, incoherence in phase_space(series):
+    points = phase_space([(r.century, r.hierarchy[0]) for r in records])
+    for century, democracy, incoherence in points:
         lines.append(
             f"{century},{_float_cell(democracy)},{_float_cell(incoherence)}\n"
         )
-    outputs["phase_space.csv"] = "".join(lines)
+    files["phase_space.csv"] = "".join(lines)
 
     events = detect_emergent_heads(levels, band=cfg.band, min_gain=cfg.min_gain)
-    outputs["emergent_heads.json"] = _json_text(
+    files["emergent_heads.json"] = _json_text(
         {
             "seed": cfg.seed,
             "band": cfg.band,
@@ -520,7 +451,7 @@ def _diachrony_outputs(
     )
 
     keys = [_parse_node_key(text) for text in cfg.track]
-    lines = [_meta_comment(cfg)]
+    lines = [_metadata_line(_meta(cfg), "# ")]
     lines.append(
         "role,lemma,century,present,forward_level,level_rank,frequency,is_head\n"
     )
@@ -532,81 +463,65 @@ def _diachrony_outputs(
                 f"{p.century},{int(p.present)},{_float_cell(p.level)},"
                 f"{rank},{p.frequency},{int(p.is_head)}\n"
             )
-    outputs["trajectories.csv"] = "".join(lines)
-    return outputs
+    files["trajectories.csv"] = "".join(lines)
+    return files
 
 
-def cmd_diachrony(cfg: RunConfig) -> int:
-    slices, _ = _load_filtered(cfg)
-    out = Path(cfg.out)
-    records = []
-    levels = []
-    for corpus_slice, asn in _networks(slices):
-        lv = hierarchy_levels(asn, weighted=not cfg.unweighted)
-        levels.append((asn, lv))
-        records.append(
-            CenturyRecord(
-                century=corpus_slice.century,
-                summary=summarize(asn),
-                hierarchy=_hierarchy_stats(cfg, asn, lv)[0],
-            )
-        )
-    for name, text in _diachrony_outputs(cfg, records, levels).items():
-        path = out / name
-        _write(path, text)
-        print(f"wrote {path}")
+#: Subcommand -> (help text, stages).  ``analyze`` runs every stage and adds
+#: a manifest of what they wrote.
+_COMMANDS = {
+    "build": (
+        "aggregate per-century networks to CSV edge lists",
+        (partial(_networks, formats=("csv",)),),
+    ),
+    "export": ("serialize per-century networks (csv/dot/graphml)", (_networks,)),
+    "stats": ("topology summaries and depth-vs-diameter table", (_stats,)),
+    "hierarchy": ("hierarchical levels and hierarchy statistics", (_hierarchy,)),
+    "powerlaw": ("degree power-law fits with bootstrap p-values", (_powerlaw,)),
+    "diachrony": ("trajectories, emergent heads, phase space", (_diachrony,)),
+    "analyze": (
+        "full pipeline into one output bundle",
+        (_networks, _stats, _hierarchy, _powerlaw, _diachrony),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+# ---------------------------------------------------------------------------
+
+
+def cmd_validate(cfg: RunConfig) -> int:
+    if not cfg.inputs:
+        raise UsageError("no input files given")
+    issue_count = 0
+    for path in cfg.inputs:
+        text = Path(path).read_text(encoding="utf-8")
+        issues = audit_corpus(text, provenance=str(path))
+        for issue in issues:
+            print(str(issue))
+        issue_count += len(issues)
+    if issue_count:
+        print(f"FAIL: {issue_count} issue(s) found")
+        return 1
+    print(f"OK: {len(cfg.inputs)} file(s) valid")
     return 0
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def _run(command: str, cfg: RunConfig) -> int:
+    """Run ``command``'s stages over every century and write their files."""
     slices, drop_lines = _load_filtered(cfg)
+    records = [_Century(cfg, s) for s in slices]
     out = Path(cfg.out)
-    pairs = _networks(slices)
     written: list[str] = []
-    records: list[CenturyRecord] = []
-    levels: list[tuple[Asn, HierarchyLevels]] = []
-
-    writers = {"csv": edge_csv, "dot": to_dot, "graphml": to_graphml}
-    for corpus_slice, asn in pairs:
-        century = corpus_slice.century
-        meta = {"seed": cfg.seed, "century": century, "tool": f"asnkit-{__version__}"}
-        for fmt in cfg.formats:
-            name = f"asn_{century}.{fmt}"
-            _write(out / name, writers[fmt](asn, metadata=meta))
+    for stage in _COMMANDS[command][1]:
+        for name, text in stage(cfg, records).items():
+            _write(out / name, text)
             written.append(name)
-
-        summary = summarize(asn)
-        name = f"summary_{century}.json"
-        _write(out / name, _json_text(_summary_payload(cfg, century, asn, summary)))
-        written.append(name)
-
-        lv = hierarchy_levels(asn, weighted=not cfg.unweighted)
-        levels.append((asn, lv))
-        stats, error = _hierarchy_stats(cfg, asn, lv)
-        records.append(
-            CenturyRecord(century=century, summary=summary, hierarchy=stats)
-        )
-        table, stats_json = _hierarchy_outputs(cfg, century, asn, lv, stats, error)
-        _write(out / f"hierarchy_{century}.csv", table)
-        _write(out / f"hierarchy_stats_{century}.json", stats_json)
-        written += [f"hierarchy_{century}.csv", f"hierarchy_stats_{century}.json"]
-
-        payload, fit, data = _powerlaw_payload(cfg, century, asn)
-        _write(out / f"powerlaw_{century}.json", _json_text(payload))
-        written.append(f"powerlaw_{century}.json")
-        if data:
-            _write(out / f"ccdf_{century}.csv", _ccdf_csv(cfg, century, data, fit))
-            written.append(f"ccdf_{century}.csv")
-
-    _write(
-        out / "depth_vs_diameter.csv",
-        _depth_vs_diameter_csv(cfg, slices, [r.summary for r in records]),
-    )
-    written.append("depth_vs_diameter.csv")
-
-    for name, text in _diachrony_outputs(cfg, records, levels).items():
-        _write(out / name, text)
-        written.append(name)
+            if command != "analyze":
+                print(f"wrote {out / name}")
+    if command != "analyze":
+        return 0
 
     # The output directory is wherever the manifest sits; recording it would
     # make otherwise-identical bundles differ byte-wise.
@@ -617,7 +532,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "command": "analyze",
         "config": config,
         "conventions": _CONVENTIONS,
-        "centuries": [s.century for s, _ in pairs],
+        "centuries": [r.century for r in records],
         "dropped_sentences": drop_lines,
         "files": sorted(written),
     }
@@ -680,18 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text in (
-        ("validate", cmd_validate, "audit treebank files for format and tree errors"),
-        ("build", cmd_build, "aggregate per-century networks to CSV edge lists"),
-        ("export", cmd_export, "serialize per-century networks (csv/dot/graphml)"),
-        ("stats", cmd_stats, "topology summaries and depth-vs-diameter table"),
-        ("hierarchy", cmd_hierarchy, "hierarchical levels and hierarchy statistics"),
-        ("powerlaw", cmd_powerlaw, "degree power-law fits with bootstrap p-values"),
-        ("diachrony", cmd_diachrony, "trajectories, emergent heads, phase space"),
-        ("analyze", cmd_analyze, "full pipeline into one output bundle"),
-    ):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.set_defaults(func=func)
+    sub.add_parser("validate", parents=[common],
+                   help="audit treebank files for format and tree errors")
+    for name, (help_text, _stages) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -699,13 +606,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return args.func(cfg)
+        if args.command == "validate":
+            return cmd_validate(cfg)
+        return _run(args.command, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusFormatError, TreeValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,12 +14,8 @@ from typing import Iterable, Sequence
 
 from .hierarchy import HierarchyLevels, HierarchyStats, influence_ranking
 from .network import Asn, NodeKey, heads
-from .powerlaw import PowerLawFit
-from .stats import NetworkSummary
 
 __all__ = [
-    "CenturyRecord",
-    "DiachronicSeries",
     "TrajectoryPoint",
     "HeadTrajectory",
     "EmergenceEvent",
@@ -27,35 +23,6 @@ __all__ = [
     "detect_emergent_heads",
     "phase_space",
 ]
-
-
-@dataclass(frozen=True)
-class CenturyRecord:
-    """All per-century analysis results bundled together.
-
-    ``hierarchy`` is ``None`` for edgeless networks (their statistics are
-    undefined) and ``fit`` is ``None`` when the degree data cannot support a
-    power-law fit.
-    """
-
-    century: int
-    summary: NetworkSummary
-    hierarchy: HierarchyStats | None = None
-    fit: PowerLawFit | None = None
-
-
-@dataclass(frozen=True)
-class DiachronicSeries:
-    """Century records in strictly increasing century order."""
-
-    records: tuple[CenturyRecord, ...]
-
-    def __post_init__(self) -> None:
-        centuries = [r.century for r in self.records]
-        if any(b <= a for a, b in zip(centuries, centuries[1:])):
-            raise ValueError(
-                f"centuries must be strictly increasing, got {centuries}"
-            )
 
 
 @dataclass(frozen=True)
@@ -206,21 +173,25 @@ def detect_emergent_heads(
     return events
 
 
-def phase_space(series: DiachronicSeries) -> list[tuple[int, float, float]]:
-    """(century, democracy, incoherence) points for the whole series.
+def phase_space(
+    series: Sequence[tuple[int, HierarchyStats | None]]
+) -> list[tuple[int, float | None, float | None]]:
+    """(century, democracy, incoherence) points for (century, stats) pairs.
+
+    A century without hierarchy statistics (an edgeless network) yields
+    ``(century, None, None)``.
 
     Raises
     ------
     ValueError
-        When any record lacks hierarchy statistics.
+        When the centuries are not strictly increasing.
     """
-    points = []
-    for record in series.records:
-        if record.hierarchy is None:
-            raise ValueError(
-                f"century {record.century} has no hierarchy statistics"
-            )
-        points.append(
-            (record.century, record.hierarchy.democracy, record.hierarchy.incoherence)
-        )
-    return points
+    centuries = [century for century, _stats in series]
+    if any(b <= a for a, b in zip(centuries, centuries[1:])):
+        raise ValueError(f"centuries must be strictly increasing, got {centuries}")
+    return [
+        (century, None, None)
+        if stats is None
+        else (century, stats.democracy, stats.incoherence)
+        for century, stats in series
+    ]

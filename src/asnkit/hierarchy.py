@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import lsqr
 
-from .network import Asn, NodeKey
+from .network import Asn, NodeKey, _csv_quote, _metadata_line
 
 __all__ = [
     "LevelSolution",
@@ -33,7 +33,6 @@ __all__ = [
     "hierarchy_levels",
     "hierarchy_stats",
     "influence_ranking",
-    "level_histogram",
     "level_csv",
 ]
 
@@ -286,23 +285,6 @@ def influence_ranking(asn: Asn, levels) -> list[tuple[NodeKey, float, int]]:
     return ranked
 
 
-def level_histogram(levels, bin_width: float) -> dict[float, int]:
-    """Histogram of levels with left-closed bins anchored at 0.
-
-    ``levels`` is a node -> level mapping (pass ``.forward`` or
-    ``.backward``).  Keys of the result are bin lower edges; counts sum to
-    the number of nodes.
-    """
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
-    values = _forward_map(levels) if isinstance(levels, HierarchyLevels) else levels
-    hist: dict[float, int] = {}
-    for value in values.values():
-        edge = float(int(np.floor(value / bin_width)) * bin_width)
-        hist[edge] = hist.get(edge, 0) + 1
-    return dict(sorted(hist.items()))
-
-
 def level_csv(
     asn: Asn, levels: HierarchyLevels, metadata: Mapping[str, object] | None = None
 ) -> str:
@@ -316,8 +298,7 @@ def level_csv(
     meta = {"axis": "inverted", "levels": "min0"}
     if metadata:
         meta.update(metadata)
-    body = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-    out = [f"# {body}\n"]
+    out = [_metadata_line(meta, "# ")]
     out.append(
         "role,lemma,forward_level,backward_level,frequency,in_weight,out_weight\n"
     )
@@ -339,9 +320,3 @@ def level_csv(
             + "\n"
         )
     return "".join(out)
-
-
-def _csv_quote(value: str) -> str:
-    if any(c in value for c in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value

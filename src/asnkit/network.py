@@ -9,7 +9,7 @@ sum of all edge weights equals the number of non-root tokens aggregated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import DependencyTree, GrammaticalRole
@@ -20,8 +20,6 @@ __all__ = [
     "Asn",
     "aggregate",
     "heads",
-    "induced_subnetwork",
-    "reverse",
     "edge_csv",
     "to_dot",
     "to_graphml",
@@ -54,7 +52,6 @@ class EdgeData:
 
     weight: int = 0
     rules: set[str] = field(default_factory=set)
-    sentences: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -114,7 +111,7 @@ def aggregate(
 
     The result does not depend on tree order.  Node frequency counts token
     occurrences; each head -> dependent pair adds one unit of edge weight and
-    records the dependent's rule tag and the sentence id.
+    records the dependent's rule tag.
 
     Raises
     ------
@@ -144,7 +141,6 @@ def aggregate(
                 data = asn.edges[edge] = EdgeData()
             data.weight += 1
             data.rules.add(token.rule)
-            data.sentences.add(tree.sentence_id)
     return asn
 
 
@@ -162,49 +158,17 @@ def heads(asn: Asn) -> list[NodeKey]:
     return result
 
 
-def induced_subnetwork(
-    asn: Asn,
-    node_pred: Callable[[NodeKey], bool] | None = None,
-    edge_pred: Callable[[NodeKey, NodeKey, EdgeData], bool] | None = None,
-) -> Asn:
-    """Restrict a network to nodes and edges satisfying the predicates.
-
-    Weights and frequencies are preserved; edges whose endpoints were
-    filtered out are dropped regardless of ``edge_pred``.
-    """
-    keep_node = node_pred if node_pred is not None else (lambda _k: True)
-    keep_edge = edge_pred if edge_pred is not None else (lambda _u, _v, _d: True)
-    sub = Asn(century=asn.century)
-    for key, freq in asn.frequency.items():
-        if keep_node(key):
-            sub.frequency[key] = freq
-    for (u, v), data in asn.edges.items():
-        if u in sub.frequency and v in sub.frequency and keep_edge(u, v, data):
-            sub.edges[(u, v)] = EdgeData(
-                weight=data.weight,
-                rules=set(data.rules),
-                sentences=set(data.sentences),
-            )
-    return sub
-
-
-def reverse(asn: Asn) -> Asn:
-    """The same network with every edge direction flipped."""
-    rev = Asn(century=asn.century, frequency=dict(asn.frequency))
-    for (u, v), data in asn.edges.items():
-        rev.edges[(v, u)] = EdgeData(
-            weight=data.weight,
-            rules=set(data.rules),
-            sentences=set(data.sentences),
-        )
-    return rev
-
-
-def _metadata_line(metadata: Mapping[str, object] | None, prefix: str) -> str:
+def _metadata_line(
+    metadata: Mapping[str, object] | None,
+    prefix: str,
+    suffix: str = "",
+    quote: Callable[[str], str] = str,
+) -> str:
+    """``key=value`` pairs in key order as one comment line ("" if none)."""
     if not metadata:
         return ""
     body = " ".join(f"{k}={metadata[k]}" for k in sorted(metadata))
-    return f"{prefix}{body}\n"
+    return f"{prefix}{quote(body)}{suffix}\n"
 
 
 def _csv_quote(value: str) -> str:
@@ -265,9 +229,7 @@ def to_dot(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
 def to_graphml(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     """Deterministic GraphML rendering readable by standard graph tools."""
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
-    if metadata:
-        body = " ".join(f"{k}={metadata[k]}" for k in sorted(metadata))
-        out.append(f"<!-- {escape(body)} -->\n")
+    out.append(_metadata_line(metadata, "<!-- ", " -->", escape))
     out.append(
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
         '  <key id="d0" for="node" attr.name="lemma" attr.type="string"/>\n'

@@ -43,6 +43,14 @@ def make_asn(edges, isolated=(), century=None) -> Asn:
     return asn
 
 
+def reverse(asn: Asn) -> Asn:
+    """The same network with every edge direction flipped."""
+    rev = Asn(century=asn.century, frequency=dict(asn.frequency))
+    for (u, v), data in asn.edges.items():
+        rev.edges[(v, u)] = EdgeData(weight=data.weight, rules=set(data.rules))
+    return rev
+
+
 def random_asn(rng: np.random.Generator, n: int, p: float = 0.35,
                max_weight: int = 5) -> Asn:
     """Random weighted digraph on lemmas n0..n{n-1}; cycles and 2-cycles allowed."""

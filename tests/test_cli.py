@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import asnkit.cli
 from asnkit import demo_corpus_path
 from asnkit.cli import main
 from asnkit.synth import takeover_corpus
@@ -151,6 +152,35 @@ class TestArtifacts:
         assert len(rows) == 2 + 2 * 4  # metadata + header + 2 keys x 4 slices
         assert (out / "phase_space.csv").exists()
 
+    def test_diachrony_computes_no_topology_summary(self, tmp_path,
+                                                    monkeypatch):
+        def refuse(asn):
+            raise AssertionError("diachrony must not summarize")
+
+        monkeypatch.setattr(asnkit.cli, "summarize", refuse)
+        assert run("diachrony", DEMO, "--out", str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize("command", ["analyze", "diachrony"])
+    def test_edgeless_century_has_empty_phase_point(self, tmp_path, command):
+        # century 14 holds only one-token sentences, so its network has no
+        # edges and its hierarchy statistics are undefined
+        text = ("# century = 14\n1\ta\ta\tN\t0\t_\n\n"
+                "# century = 15\n1\ta\ta\tN\t2\t_\n2\tv\tv\tV\t0\t_\n\n"
+                "1\tb\tb\tN\t2\t_\n2\tv\tv\tV\t0\t_\n")
+        path = tmp_path / "edgeless.tb"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(command, str(path), "--out", str(out),
+                   "--replicates", "100") == 0
+        rows = (out / "phase_space.csv").read_text().splitlines()
+        assert rows[2] == "14,,"
+        assert rows[3].startswith("15,")
+        if command == "analyze":
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert "phase_space.csv" in manifest["files"]
+            stats = json.loads((out / "hierarchy_stats_14.json").read_text())
+            assert "edgeless" in stats["error"]
+
     def test_unweighted_flag_changes_hierarchy_output(self, tmp_path):
         text = ("# century = 14\n"
                 "1\tb\tb\tN\t3\t_\n2\tb\tb\tN\t3\t_\n3\ta\ta\tN\t0\t_\n"
@@ -191,6 +221,21 @@ class TestDeterminismAndConfig:
         on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         assert manifest["files"] == on_disk
         assert manifest["config"]["seed"] == 0
+
+    def test_subcommands_write_exactly_the_analyze_bundle(
+        self, takeover_file, tmp_path
+    ):
+        args = ("--replicates", "100", "--track", "MV konnen")
+        bundle, parts = tmp_path / "bundle", tmp_path / "parts"
+        assert run("analyze", takeover_file, "--out", str(bundle), *args) == 0
+        for command in ("build", "export", "stats", "hierarchy", "powerlaw",
+                        "diachrony"):
+            assert run(command, takeover_file, "--out", str(parts), *args) == 0
+        expected = sorted(p.name for p in bundle.iterdir()
+                          if p.name != "manifest.json")
+        assert sorted(p.name for p in parts.iterdir()) == expected
+        for name in expected:
+            assert (parts / name).read_bytes() == (bundle / name).read_bytes(), name
 
     def test_config_file_supplies_defaults_cli_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -3,8 +3,6 @@
 import pytest
 
 from asnkit import (
-    CenturyRecord,
-    DiachronicSeries,
     GrammaticalRole,
     NodeKey,
     aggregate,
@@ -13,7 +11,6 @@ from asnkit import (
     hierarchy_stats,
     parse_corpus,
     phase_space,
-    summarize,
     track,
 )
 from asnkit.synth import takeover_corpus
@@ -193,31 +190,23 @@ class TestTrackAlignment:
 
 
 class TestPhaseSpace:
-    def _record(self, asn, century=None):
-        levels = hierarchy_levels(asn)
-        return CenturyRecord(
-            century=century if century is not None else asn.century,
-            summary=summarize(asn),
-            hierarchy=hierarchy_stats(asn, levels),
-        )
+    def _point(self, asn, century):
+        return century, hierarchy_stats(asn, hierarchy_levels(asn))
 
     def test_points_in_series_order(self):
         layered = make_asn([("a", "b", 1), ("b", "c", 1)])
         loopy = make_asn([("a", "b", 1), ("b", "a", 1)])
-        series = DiachronicSeries(records=(
-            self._record(layered, 14), self._record(loopy, 15)))
-        points = phase_space(series)
+        points = phase_space([self._point(layered, 14), self._point(loopy, 15)])
         assert points[0] == (14, 0.0, 0.0)
         assert points[1] == (15, 1.0, 0.0)
 
-    def test_missing_hierarchy_rejected(self):
+    def test_missing_hierarchy_gives_empty_point(self):
         asn = make_asn([("a", "b", 1)])
-        record = CenturyRecord(century=14, summary=summarize(asn))
-        with pytest.raises(ValueError, match="hierarchy"):
-            phase_space(DiachronicSeries(records=(record,)))
+        points = phase_space([(14, None), self._point(asn, 15)])
+        assert points[0] == (14, None, None)
+        assert points[1] == (15, 0.0, 0.0)
 
     def test_series_orders_strictly(self):
         asn = make_asn([("a", "b", 1)])
         with pytest.raises(ValueError, match="strictly increasing"):
-            DiachronicSeries(records=(
-                self._record(asn, 15), self._record(asn, 15)))
+            phase_space([self._point(asn, 15), self._point(asn, 15)])

@@ -18,8 +18,6 @@ from asnkit import (
     hierarchy_stats,
     influence_ranking,
     level_csv,
-    level_histogram,
-    reverse,
     validate_tree,
 )
 from oracles import (
@@ -30,6 +28,7 @@ from oracles import (
     nkey,
     random_asn,
     random_tree_heads,
+    reverse,
 )
 
 
@@ -218,22 +217,6 @@ class TestRankingAndHistogram:
         asn = make_asn([("a", "b", 3), ("b", "c", 1)])
         ranked = influence_ranking(asn, hierarchy_levels(asn))
         assert ranked[0][0] in set(heads(asn))
-
-    def test_histogram_bins_are_left_closed(self):
-        levels = {nkey(f"n{i}"): v for i, v in
-                  enumerate([0.0, 0.49, 0.5, 1.2])}
-        assert level_histogram(levels, 0.5) == {0.0: 2, 0.5: 1, 1.0: 1}
-
-    def test_histogram_accepts_bundle_and_counts_everything(self):
-        asn = make_asn([("a", "b", 1), ("b", "c", 1)])
-        bundle = hierarchy_levels(asn)
-        hist = level_histogram(bundle, 1.0)
-        assert hist == {0.0: 1, 1.0: 1, 2.0: 1}
-        assert sum(hist.values()) == asn.node_count
-
-    def test_histogram_rejects_bad_width(self):
-        with pytest.raises(ValueError, match="positive"):
-            level_histogram({nkey("a"): 0.0}, 0.0)
 
 
 class TestLevelCsv:
