@@ -807,6 +807,17 @@ def load_corpus(paths: str | Path | Iterable[str | Path]) -> list[CorpusSlice]:
     return _group_slices(trees, tuple(provenance))
 
 
+def _header_line(tree: DependencyTree, key: str, value) -> str:
+    text = str(value)
+    if "\n" in text or text != text.strip():
+        raise ValueError(
+            f"sentence {tree.sentence_id!r}: header {key} = {text!r} cannot be "
+            "written: a header value ends at a newline and loses surrounding "
+            "whitespace"
+        )
+    return f"# {key} = {text}"
+
+
 def render_corpus(slices: Iterable[CorpusSlice]) -> str:
     """Render slices back to the canonical treebank text.
 
@@ -814,6 +825,14 @@ def render_corpus(slices: Iterable[CorpusSlice]) -> str:
     ``_``, emits ``# sent_id`` before every sentence, and repeats the other
     headers only when their value changes.  ``render_corpus`` after
     :func:`parse_corpus` is byte-identical on canonical files.
+
+    Raises
+    ------
+    ValueError
+        For what the format cannot carry: a surface or lemma that is empty or
+        holds a tab or newline, a header value with a newline or surrounding
+        whitespace, or a dialect or target that is unset after a sentence
+        that set it (headers carry over and cannot be cleared).
     """
     lines: list[str] = []
     prev: dict = {"century": None, "doc_id": "", "dialect": None, "target": None}
@@ -830,11 +849,24 @@ def render_corpus(slices: Iterable[CorpusSlice]) -> str:
                 "target": tree.target_lemma,
             }
             for key in ("century", "doc_id", "dialect", "target"):
-                if current[key] != prev[key] and current[key] not in (None, ""):
-                    lines.append(f"# {key} = {current[key]}")
+                if current[key] == prev[key]:
+                    continue
+                if current[key] is None:
+                    raise ValueError(
+                        f"sentence {tree.sentence_id!r}: {key} cannot be unset "
+                        f"after a sentence with {key} = {prev[key]!r}"
+                    )
+                lines.append(_header_line(tree, key, current[key]))
             prev = current
-            lines.append(f"# sent_id = {tree.sentence_id}")
+            lines.append(_header_line(tree, "sent_id", tree.sentence_id))
             for t in tree.tokens:
+                for name, text in (("surface", t.surface), ("lemma", t.lemma)):
+                    if not text or "\t" in text or "\n" in text:
+                        raise ValueError(
+                            f"sentence {tree.sentence_id!r}, token {t.index}: "
+                            f"{name} {text!r} cannot be written: it must be "
+                            "non-empty and hold no tab or newline"
+                        )
                 role = t.role.code if t.role is not None else "_"
                 lines.append(
                     f"{t.index}\t{t.surface}\t{t.lemma}\t{role}\t{t.head}\t{t.rule}"

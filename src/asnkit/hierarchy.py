@@ -15,6 +15,7 @@ measuring distance from the bottom of the hierarchy instead of the top.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,6 +24,8 @@ from scipy import sparse
 from scipy.sparse.linalg import lsqr
 
 from .network import Asn, NodeKey, _csv_quote, _metadata_line
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "LevelSolution",
@@ -184,11 +187,26 @@ def _residual_norm(levels, n, src, dst, wgt, w_in) -> float:
     return float(np.linalg.norm(matrix @ levels - b))
 
 
+def _lsqr_solve(matrix, rhs, iter_lim) -> np.ndarray:
+    """One LSQR solve; logs its stop code and warns if it hit ``iter_lim``."""
+    x, istop, itn = lsqr(
+        matrix, rhs, atol=0.0, btol=0.0, conlim=0.0, iter_lim=iter_lim
+    )[:3]
+    logger.debug("LSQR stopped with istop=%d after %d iterations", istop, itn)
+    if istop == 7:
+        logger.warning(
+            "LSQR reached its iteration limit (%d iterations) before converging; "
+            "levels may be inaccurate",
+            itn,
+        )
+    return x
+
+
 def _lsqr_min_norm(n, src, dst, wgt, w_in) -> np.ndarray:
     """Minimum-norm least-squares levels via sparse LSQR with refinement."""
     matrix, b = _system_matrix(n, src, dst, wgt, w_in)
     iter_lim = max(1000, 30 * n)
-    x = lsqr(matrix, b, atol=0.0, btol=0.0, conlim=0.0, iter_lim=iter_lim)[0]
+    x = _lsqr_solve(matrix, b, iter_lim)
     # Iterative refinement drives the normal-equation residual toward zero;
     # corrections from LSQR stay orthogonal to the null space, preserving
     # the minimum-norm property.
@@ -197,7 +215,7 @@ def _lsqr_min_norm(n, src, dst, wgt, w_in) -> np.ndarray:
         grad = matrix.T @ r
         if np.linalg.norm(grad) <= 1e-13 * max(1.0, np.linalg.norm(b)):
             break
-        dx = lsqr(matrix, r, atol=0.0, btol=0.0, conlim=0.0, iter_lim=iter_lim)[0]
+        dx = _lsqr_solve(matrix, r, iter_lim)
         if not np.any(dx):
             break
         x = x + dx

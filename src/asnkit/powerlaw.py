@@ -1,14 +1,21 @@
 """Discrete power-law fitting with KS model selection and bootstrap p-values.
 
 The model is ``p(x) = x^-alpha / zeta(alpha, xmin)`` on integers x >= xmin.
-Fitting follows the standard tail-selection recipe: for every candidate xmin
-(each distinct data value except the largest, keeping at least 10 tail
-observations) the exponent is estimated by maximizing the tail
-log-likelihood, and the candidate with the smallest Kolmogorov-Smirnov
-distance between the empirical and fitted tail CDFs wins.  Goodness of fit
-comes from a semi-parametric bootstrap; model comparison against
-exponential and lognormal alternatives uses a normalized (Vuong-style)
-likelihood-ratio test.
+Fitting follows the standard tail-selection recipe (Clauset, Shalizi &
+Newman, SIAM Rev. 51, 2009): for every candidate xmin (each distinct data
+value except the largest, keeping at least 10 tail observations) the
+exponent maximizes the tail log-likelihood, and the candidate with the
+smallest Kolmogorov-Smirnov distance between the empirical and fitted tail
+CDFs wins.
+
+The log-likelihood is strictly concave in alpha, so every candidate's
+exponent is the unique root of its score, found by safeguarded Newton steps
+with zeta and its first two alpha-derivatives from one summation.  The KS
+distance is evaluated only where the supremum can sit, at each observed
+value and one below the next, so a fit costs O(candidates x distinct values)
+however far the tail reaches.  Goodness of fit comes from a semi-parametric
+bootstrap; model comparison against exponential and lognormal alternatives
+uses a normalized (Vuong-style) likelihood-ratio test.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Exponent search bracket and golden-section tolerance.
+#: Exponent bracket, and the Newton step size at which a candidate's
+#: exponent counts as converged.
 ALPHA_LO = 1.01
 ALPHA_HI = 6.0
 ALPHA_TOL = 1e-6
@@ -55,20 +63,70 @@ class DegenerateDataError(ValueError):
     """Raised when the data cannot identify a tail (all values equal)."""
 
 
-def _em_tail(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin estimate of sum_{k>=0} (a+k)^-s for large a."""
+def _em_tail(
+    s: np.ndarray, a: np.ndarray, derivatives: bool = False
+) -> list[np.ndarray]:
+    """Euler-Maclaurin estimate of sum_{k>=0} (a+k)^-s for large a.
+
+    Returns ``[value]``, or ``[value, d/ds, d2/ds2]`` with ``derivatives``.
+    """
     inv = 1.0 / a
     a_pow = a ** (-s)
-    total = a * a_pow / (s - 1.0) + 0.5 * a_pow
+    head = a * a_pow / (s - 1.0)
+    total = head + 0.5 * a_pow
     term = s * a_pow * inv
-    total = total + term / 12.0
-    term = term * (s + 1.0) * (s + 2.0) * inv * inv
-    total = total - term / 720.0
-    term = term * (s + 3.0) * (s + 4.0) * inv * inv
-    total = total + term / 30240.0
-    term = term * (s + 5.0) * (s + 6.0) * inv * inv
-    total = total - term / 1209600.0
-    return total
+    bernoulli = []
+    for step, denom in enumerate((12.0, -720.0, 30240.0, -1209600.0)):
+        if step:
+            term = term * (s + (2 * step - 1)) * (s + 2 * step) * inv * inv
+        bernoulli.append(term / denom)
+        total = total + bernoulli[-1]
+    if not derivatives:
+        return [total]
+
+    # Every term is c(s) * a^-(s+j), so its first s-derivative is the term
+    # times r = (log c)' - log a and its second the term times r^2 + (log c)''.
+    # c is a / (s-1) for the head, constant for the half term, and
+    # const * s (s+1) ... (s+2 step) for the Bernoulli terms.
+    log_a = np.log(a)
+    head_rate = -1.0 / (s - 1.0) - log_a
+    first = head * head_rate - 0.5 * a_pow * log_a
+    second = head * (head_rate**2 + 1.0 / (s - 1.0) ** 2) + 0.5 * a_pow * log_a**2
+    recip = 1.0 / (s + np.arange(7.0).reshape((7,) + (1,) * np.ndim(s)))
+    rates = np.cumsum(recip, axis=0)[::2] - log_a
+    bends = -np.cumsum(recip * recip, axis=0)[::2]
+    bernoulli = np.stack(bernoulli)
+    first = first + (bernoulli * rates).sum(axis=0)
+    second = second + (bernoulli * (rates * rates + bends)).sum(axis=0)
+    return [total, first, second]
+
+
+def _zeta_sums(
+    s: np.ndarray, q: np.ndarray, derivatives: bool = False
+) -> list[np.ndarray]:
+    """Hurwitz zeta of broadcast float arrays, with its first two s-derivatives
+    when ``derivatives`` is set (see :func:`_em_tail`).
+
+    One direct sum up to a fixed horizon, every ``k^-s`` term also weighted
+    by ``-log k`` and ``log^2 k`` for the derivatives, plus the
+    Euler-Maclaurin tail beyond it.
+    """
+    horizon = max(_ZETA_HORIZON, 3.0 * float(s.max()))
+    n_terms = np.maximum(0.0, np.ceil(horizon - q))
+    sums = _em_tail(s, q + n_terms, derivatives)
+    kmax = int(n_terms.max())
+    if kmax > 0:
+        k = np.arange(kmax, dtype=np.float64)
+        base = q[..., None] + k
+        powers = base ** (-s[..., None])
+        powers *= k < n_terms[..., None]
+        sums[0] = powers.sum(axis=-1) + sums[0]
+        if derivatives:
+            neg_logs = -np.log(base)
+            for d in (1, 2):
+                powers = powers * neg_logs
+                sums[d] = sums[d] + powers.sum(axis=-1)
+    return sums
 
 
 def hurwitz_zeta(s, q):
@@ -91,21 +149,7 @@ def hurwitz_zeta(s, q):
         raise ValueError("hurwitz_zeta requires q > 0")
     scalar = s_in.ndim == 0 and q_in.ndim == 0
     s_b, q_b = np.broadcast_arrays(np.atleast_1d(s_in), np.atleast_1d(q_in))
-    s_b = s_b.astype(np.float64)
-    q_b = q_b.astype(np.float64)
-
-    horizon = max(_ZETA_HORIZON, 3.0 * float(s_b.max()))
-    n_terms = np.maximum(0.0, np.ceil(horizon - q_b))
-    kmax = int(n_terms.max())
-    if kmax > 0:
-        k = np.arange(kmax, dtype=np.float64)
-        base = q_b[..., None] + k
-        powers = base ** (-s_b[..., None])
-        powers *= k < n_terms[..., None]
-        direct = powers.sum(axis=-1)
-    else:
-        direct = np.zeros_like(q_b)
-    result = direct + _em_tail(s_b, q_b + n_terms)
+    result = _zeta_sums(s_b.astype(np.float64), q_b.astype(np.float64))[0]
     if scalar:
         return float(result[0])
     return result.reshape(np.broadcast_shapes(s_in.shape, q_in.shape))
@@ -173,92 +217,106 @@ def _as_positive_ints(data) -> np.ndarray:
     return x
 
 
-def _tail_loglik(alphas, xmins, ntails, sumlogs):
-    return -ntails * np.log(hurwitz_zeta(alphas, xmins)) - alphas * sumlogs
+def _score(alphas, xmins, mean_logs):
+    """Score of the tail log-likelihood per observation, and its slope.
+
+    The log-likelihood ``-n log zeta(alpha, xmin) - alpha sum(log x)`` has
+    derivative ``-n * g`` with ``g = zeta'/zeta + mean(log x)``.  g rises
+    strictly with alpha (its slope is the variance of log k under the fitted
+    law), so the likelihood is strictly concave and g has at most one root.
+    """
+    z, dz, d2z = _zeta_sums(alphas, xmins, derivatives=True)
+    ratio = dz / z
+    return ratio + mean_logs, d2z / z - ratio * ratio
 
 
-def _golden_alphas(xmins, ntails, sumlogs):
-    """Per-candidate MLE exponents, all brackets iterated in lockstep."""
+def _mle_alphas(xmins, ntails, sumlogs):
+    """Per-candidate MLE exponents in ``[ALPHA_LO, ALPHA_HI]``.
+
+    A candidate whose score does not change sign over the bracket is pinned
+    at the end where its likelihood peaks.  The others run safeguarded Newton
+    steps on the score in lockstep, from the continuous-data MLE: a step that
+    would leave the bracket of the root is replaced by bisection, and a
+    candidate stops once its step is below ``ALPHA_TOL``.
+    """
     m = xmins.size
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    mean_logs = sumlogs / ntails
+    start = 1.0 + ntails / (sumlogs - ntails * np.log(xmins - 0.5))
+    alphas = np.clip(start, ALPHA_LO, ALPHA_HI)
+    # One pass scores both bracket ends and the starting points.
+    g, slope = _score(
+        np.concatenate([np.full(m, ALPHA_LO), np.full(m, ALPHA_HI), alphas]),
+        np.tile(xmins, 3),
+        np.tile(mean_logs, 3),
+    )
+    at_lo = g[:m] >= 0.0
+    at_hi = ~at_lo & (g[m : 2 * m] <= 0.0)
+    alphas[at_lo] = ALPHA_LO
+    alphas[at_hi] = ALPHA_HI
     lo = np.full(m, ALPHA_LO)
     hi = np.full(m, ALPHA_HI)
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = _tail_loglik(x1, xmins, ntails, sumlogs)
-    f2 = _tail_loglik(x2, xmins, ntails, sumlogs)
-    width = ALPHA_HI - ALPHA_LO
-    iters = int(np.ceil(np.log(ALPHA_TOL / width) / np.log(invphi)))
-    for _ in range(iters):
-        left = f1 >= f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        old_x1, old_f1 = x1, f1
-        old_x2, old_f2 = x2, f2
-        x1 = np.where(left, hi - invphi * (hi - lo), old_x2)
-        x2 = np.where(left, old_x1, lo + invphi * (hi - lo))
-        probe = np.where(left, x1, x2)
-        f_probe = _tail_loglik(probe, xmins, ntails, sumlogs)
-        f1 = np.where(left, f_probe, old_f2)
-        f2 = np.where(left, old_f1, f_probe)
-    return (lo + hi) / 2.0
+    active = np.flatnonzero(~(at_lo | at_hi))
+    g, slope = g[2 * m :][active], slope[2 * m :][active]
+    while active.size:
+        current = alphas[active]
+        below = g < 0.0
+        lo[active] = np.where(below, current, lo[active])
+        hi[active] = np.where(below, hi[active], current)
+        step = current - g / slope
+        inside = (step > lo[active]) & (step < hi[active])
+        step = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
+        alphas[active] = step
+        active = active[np.abs(step - current) >= ALPHA_TOL]
+        if active.size:
+            g, slope = _score(alphas[active], xmins[active], mean_logs[active])
+    return alphas
+
+
+def _zeta_at_integers(alphas, values):
+    """``zeta(alphas[i], values[j])`` for integer values >= 1, shape (m, len).
+
+    Values below the summation horizon read a reverse cumulative sum of
+    ``k^-alpha`` over the integers up to it; values above use the
+    Euler-Maclaurin expansion directly.
+    """
+    alphas = alphas[:, None]
+    out = np.empty((alphas.shape[0], values.size))
+    horizon = int(np.ceil(max(_ZETA_HORIZON, 3.0 * float(alphas.max()))))
+    near = values < horizon
+    far = ~near
+    out[:, far] = _em_tail(alphas, values[far].astype(np.float64))[0]
+    if np.any(near):
+        first = int(values[near].min())
+        k = np.arange(first, horizon, dtype=np.float64)
+        suffix = np.cumsum((k ** -alphas)[:, ::-1], axis=1)[:, ::-1]
+        suffix += _em_tail(alphas, np.float64(horizon))[0]
+        out[:, near] = suffix[:, values[near] - first]
+    return out
 
 
 def _ks_distances(uniq, counts, cand, alphas, ntails):
     """KS distance between empirical and fitted tail CDFs per candidate.
 
-    Both CDFs are step functions jumping only at integers, so the supremum
-    is attained on the integer grid [xmin, xmax]; it is evaluated exactly
-    there.  The fitted CDF uses cumulative sums of the probability mass,
-    which avoids cancellation entirely.
+    Between consecutive observed values u_j < u_{j+1} the empirical CDF is
+    flat and the fitted one rises, so the supremum over the integers is
+    attained at some u_j or u_{j+1} - 1.  Both sides are compared as
+    survival functions there: the fitted ``P(X > x) =
+    zeta(alpha, x+1) / zeta(alpha, xmin)`` against the fraction of the tail
+    above u_j, which keeps the far tail free of cancellation.
     """
-    lo_val = int(uniq[cand[0]])
-    hi_val = int(uniq[-1])
-    grid_size = hi_val - lo_val + 1
     m = cand.size
-    xmins = uniq[cand].astype(np.float64)
-
-    if m * grid_size > 8_000_000:
-        # Memory guard: process candidates one by one.
-        return np.array(
-            [
-                _ks_single(uniq, counts, int(uniq[c]), hi_val, alphas[i], ntails[i])
-                for i, c in enumerate(cand)
-            ]
-        )
-
-    grid = np.arange(lo_val, hi_val + 1, dtype=np.float64)
-    grid_counts = np.zeros(grid_size)
-    sel = uniq >= lo_val
-    grid_counts[uniq[sel] - lo_val] = counts[sel]
-    csum = np.cumsum(grid_counts)
-
-    powers = np.exp(np.outer(-alphas, np.log(grid)))
-    mask = grid[None, :] >= xmins[:, None]
-    powers *= mask
-    cs = np.cumsum(powers, axis=1)
-    z_tail = hurwitz_zeta(alphas, np.full(m, float(hi_val + 1)))
-    z_total = cs[:, -1] + z_tail
-    cdf_fit = cs / z_total[:, None]
-
-    start = (uniq[cand] - lo_val).astype(np.int64)
-    below = np.where(start > 0, csum[np.maximum(start - 1, 0)], 0.0)
-    ecdf = (csum[None, :] - below[:, None]) / ntails[:, None].astype(np.float64)
-
-    return np.abs(cdf_fit - ecdf).max(axis=1, initial=0.0, where=mask)
-
-
-def _ks_single(uniq, counts, xmin, xmax, alpha, n_tail):
-    grid = np.arange(xmin, xmax + 1, dtype=np.float64)
-    pmf = grid ** (-alpha)
-    cs = np.cumsum(pmf)
-    z_total = cs[-1] + hurwitz_zeta(alpha, float(xmax + 1))
-    cdf_fit = cs / z_total
-    tail_counts = np.zeros(grid.size)
-    sel = uniq >= xmin
-    tail_counts[uniq[sel] - xmin] = counts[sel]
-    ecdf = np.cumsum(tail_counts) / n_tail
-    return float(np.abs(cdf_fit - ecdf).max())
+    above = counts[::-1].cumsum()[::-1]
+    above = np.append(above[1:], 0) / ntails[:, None].astype(np.float64)
+    # Each u_j + 1 directly follows u_j among the points.
+    points = np.union1d(uniq, uniq + 1)
+    at = np.searchsorted(points, uniq)
+    z = _zeta_at_integers(alphas, points)
+    survival = z / z[np.arange(m), at[cand]][:, None]
+    # Distance at u_j, then at u_{j+1} - 1 (the largest value has no next).
+    gap = np.abs(survival[:, at + 1] - above)
+    gap[:, :-1] = np.maximum(gap[:, :-1], np.abs(survival[:, at[1:]] - above[:, :-1]))
+    in_tail = np.arange(uniq.size) >= cand[:, None]
+    return gap.max(axis=1, initial=0.0, where=in_tail)
 
 
 def fit_power_law(data) -> PowerLawFit:
@@ -290,7 +348,7 @@ def fit_power_law(data) -> PowerLawFit:
             f"no candidate xmin keeps {MIN_TAIL} tail observations"
         )
 
-    alphas = _golden_alphas(
+    alphas = _mle_alphas(
         uniq[cand].astype(np.float64), ntails[cand], sumlogs[cand]
     )
     distances = _ks_distances(uniq, counts, cand, alphas, ntails[cand])
@@ -367,29 +425,35 @@ def _lognormal_tail_loglik(tail: np.ndarray, xmin: float) -> np.ndarray:
 
     The continuous lognormal is discretized by integrating its density over
     ``[x - 0.5, x + 0.5]`` and renormalizing by the mass above
-    ``xmin - 0.5``; both parameters are then fitted numerically.
+    ``xmin - 0.5``; both parameters are then fitted numerically.  Masses of
+    cells above the median, and the renormalizing mass, are differences of
+    the survival function: there ``ndtr`` rounds to 1 and its differences
+    would cancel to 0.  Each distinct value's mass is computed once.
     """
     logs = np.log(tail)
-    upper_edges = np.log(tail + 0.5)
-    lower_edges = np.log(tail - 0.5)
+    values, inverse, counts = np.unique(tail, return_inverse=True, return_counts=True)
+    upper_edges = np.log(values + 0.5)
+    lower_edges = np.log(values - 0.5)
     trunc_edge = np.log(xmin - 0.5) if xmin > 0.5 else -np.inf
 
-    def per_point(params):
+    def per_value(params):
         mu, log_sigma = params
         sigma = np.exp(log_sigma)
-        top = ndtr((upper_edges - mu) / sigma)
-        bottom = ndtr((lower_edges - mu) / sigma)
-        surv = 1.0 - ndtr((trunc_edge - mu) / sigma) if np.isfinite(trunc_edge) else 1.0
-        mass = top - bottom
+        upper = (upper_edges - mu) / sigma
+        lower = (lower_edges - mu) / sigma
+        mass = np.where(
+            lower > 0.0, ndtr(-lower) - ndtr(-upper), ndtr(upper) - ndtr(lower)
+        )
+        surv = ndtr((mu - trunc_edge) / sigma)
         if surv <= 0.0 or np.any(mass <= 0.0):
             return None
         return np.log(mass) - np.log(surv)
 
     def objective(params):
-        pp = per_point(params)
-        if pp is None:
+        pv = per_value(params)
+        if pv is None:
             return 1e12
-        return -pp.sum()
+        return -(counts * pv).sum()
 
     start = np.array([logs.mean(), np.log(logs.std() + 1e-3)])
     result = minimize(
@@ -398,15 +462,15 @@ def _lognormal_tail_loglik(tail: np.ndarray, xmin: float) -> np.ndarray:
         method="Nelder-Mead",
         options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": 5000},
     )
-    best = per_point(result.x)
+    best = per_value(result.x)
     if best is None:
-        best = per_point(start)
+        best = per_value(start)
     if best is None:
         raise ValueError(
             "lognormal fit is infeasible: the discretised lognormal gives "
             "zero mass to some tail value"
         )
-    return best
+    return best[inverse]
 
 
 def lrt(data, fit: PowerLawFit, alternative: str = "exponential") -> LrtResult:

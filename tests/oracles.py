@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy import optimize, special
 
-from asnkit import Asn, GrammaticalRole, NodeKey
+from asnkit import Asn, GrammaticalRole, NodeKey, hurwitz_zeta
 from asnkit.network import EdgeData
 
 # ---------------------------------------------------------------------------
@@ -281,3 +281,108 @@ def fit_oracle(data, min_tail: int = 10):
     if best is None:
         raise ValueError("no candidate xmin leaves a large enough tail")
     return best
+
+
+def jump_ks_oracle(tail, alpha: float, xmin: int) -> float:
+    """KS distance from ``scipy.special.zeta`` at every observed value and
+    the integer just below it, the only places the supremum can sit.
+
+    Unlike :func:`ks_oracle` this never walks the integers between observed
+    values, so it stays cheap on tails that reach into the millions.
+    """
+    tail = np.sort(np.asarray(tail))
+    values = np.unique(tail)
+    points = np.union1d(values, values - 1)
+    points = points[points >= xmin].astype(np.float64)
+    cdf = 1.0 - special.zeta(alpha, points + 1.0) / special.zeta(alpha, xmin)
+    ecdf = np.searchsorted(tail, points, side="right") / tail.size
+    return float(np.abs(cdf - ecdf).max())
+
+
+# The power-law fitter asnkit shipped before its Newton solver and jump-point
+# KS: golden-section search on the likelihood and the KS distance over the
+# dense integer grid.  Kept as the reference the fast fitter must match.
+
+#: Exponent bracket and golden-section tolerance of the reference fitter.
+GOLDEN_LO, GOLDEN_HI, GOLDEN_TOL = 1.01, 6.0, 1e-6
+
+
+def _tail_loglik(alphas, xmins, ntails, sumlogs):
+    return -ntails * np.log(hurwitz_zeta(alphas, xmins)) - alphas * sumlogs
+
+
+def golden_alphas(xmins, ntails, sumlogs):
+    """Per-candidate MLE exponents, all brackets iterated in lockstep."""
+    m = xmins.size
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    lo = np.full(m, GOLDEN_LO)
+    hi = np.full(m, GOLDEN_HI)
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1 = _tail_loglik(x1, xmins, ntails, sumlogs)
+    f2 = _tail_loglik(x2, xmins, ntails, sumlogs)
+    width = GOLDEN_HI - GOLDEN_LO
+    iters = int(np.ceil(np.log(GOLDEN_TOL / width) / np.log(invphi)))
+    for _ in range(iters):
+        left = f1 >= f2
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        old_x1, old_f1 = x1, f1
+        old_x2, old_f2 = x2, f2
+        x1 = np.where(left, hi - invphi * (hi - lo), old_x2)
+        x2 = np.where(left, old_x1, lo + invphi * (hi - lo))
+        probe = np.where(left, x1, x2)
+        f_probe = _tail_loglik(probe, xmins, ntails, sumlogs)
+        f1 = np.where(left, f_probe, old_f2)
+        f2 = np.where(left, old_f1, f_probe)
+    return (lo + hi) / 2.0
+
+
+def grid_ks_distances(uniq, counts, cand, alphas, ntails):
+    """KS distance per candidate over the dense integer grid [xmin, xmax].
+
+    ``uniq``/``counts`` are the distinct values and their counts, ``cand``
+    the indices of the candidate xmins in ``uniq``.  Memory is
+    candidates x (xmax - xmin), so keep the largest value modest.
+    """
+    lo_val = int(uniq[cand[0]])
+    hi_val = int(uniq[-1])
+    m = cand.size
+    xmins = uniq[cand].astype(np.float64)
+
+    grid = np.arange(lo_val, hi_val + 1, dtype=np.float64)
+    grid_counts = np.zeros(grid.size)
+    sel = uniq >= lo_val
+    grid_counts[uniq[sel] - lo_val] = counts[sel]
+    csum = np.cumsum(grid_counts)
+
+    powers = np.exp(np.outer(-alphas, np.log(grid)))
+    mask = grid[None, :] >= xmins[:, None]
+    powers *= mask
+    cs = np.cumsum(powers, axis=1)
+    z_tail = hurwitz_zeta(alphas, np.full(m, float(hi_val + 1)))
+    cdf_fit = cs / (cs[:, -1] + z_tail)[:, None]
+
+    start = (uniq[cand] - lo_val).astype(np.int64)
+    below = np.where(start > 0, csum[np.maximum(start - 1, 0)], 0.0)
+    ecdf = (csum[None, :] - below[:, None]) / ntails[:, None].astype(np.float64)
+    return np.abs(cdf_fit - ecdf).max(axis=1, initial=0.0, where=mask)
+
+
+def tail_candidates(data, min_tail: int = 10):
+    """(uniq, counts, cand, ntails, sumlogs) exactly as the fitter sets them up."""
+    uniq, counts = np.unique(np.asarray(data, dtype=np.int64), return_counts=True)
+    ntails = counts[::-1].cumsum()[::-1]
+    sumlogs = (counts * np.log(uniq))[::-1].cumsum()[::-1]
+    cand = np.flatnonzero(ntails[:-1] >= min_tail)
+    return uniq, counts, cand, ntails[cand], sumlogs[cand]
+
+
+def grid_fit(data):
+    """Golden-section exponents and grid KS; returns (alpha, xmin, ks, n_tail)."""
+    uniq, counts, cand, ntails, sumlogs = tail_candidates(data)
+    alphas = golden_alphas(uniq[cand].astype(np.float64), ntails, sumlogs)
+    distances = grid_ks_distances(uniq, counts, cand, alphas, ntails)
+    best = int(np.argmin(distances))
+    return (float(alphas[best]), int(uniq[cand[best]]), float(distances[best]),
+            int(ntails[best]))

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asnkit import (
+    MISSING_LEMMAS,
+    PHRASE_RULES,
     CorpusFormatError,
+    CorpusSlice,
     GrammaticalRole,
     MissingPolicy,
     Token,
@@ -439,3 +442,94 @@ class TestRoundTrip:
         assert _structure(parse_corpus(text)) == _structure(slices)
         # canonical text is a fixed point even though MINI itself is not
         assert render_corpus(parse_corpus(text)) == text
+
+
+# Any Unicode but what the format cannot carry: a tab or "\n" inside a
+# field, and (in headers) surrounding whitespace, which the parser strips.
+_FIELD_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n")
+_LEMMAS = st.one_of(st.sampled_from(sorted(MISSING_LEMMAS)),
+                    st.text(_FIELD_CHARS, min_size=1))
+_HEADER_VALUES = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n")
+).filter(lambda v: v == v.strip())
+
+
+@st.composite
+def treebanks(draw):
+    """Treebank text with arbitrary lemmas and header values, and the
+    (headers, lemmas) each sentence should parse to, in file order.
+
+    Centuries never decrease, so parsing keeps the sentences in file order.
+    """
+    lines, expected = [], []
+    meta = {"century": None, "doc_id": "", "dialect": None, "target": None}
+    century = draw(st.integers(min_value=-20, max_value=20))
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        if i == 0 or draw(st.booleans()):
+            century += draw(st.integers(min_value=0, max_value=2))
+            lines.append(f"# century = {century}")
+            meta["century"] = century
+        for key in ("doc_id", "dialect", "target"):
+            if draw(st.booleans()):
+                meta[key] = draw(_HEADER_VALUES)
+                lines.append(f"# {key} = {meta[key]}")
+        sent_id = f"{i}:{draw(_HEADER_VALUES)}"
+        lines.append(f"# sent_id = {sent_id}")
+        lemmas = draw(st.lists(_LEMMAS, min_size=1, max_size=4))
+        for index, lemma in enumerate(lemmas, start=1):
+            surface = draw(st.text(_FIELD_CHARS, min_size=1))
+            missing = lemma in MISSING_LEMMAS
+            role = draw(st.sampled_from(ALL_CODES + ["_"] * missing))
+            head = 0
+            if index > 1:
+                head = draw(st.integers(min_value=1, max_value=index - 1))
+            rule = draw(st.sampled_from(("_",) + PHRASE_RULES))
+            lines.append(f"{index}\t{surface}\t{lemma}\t{role}\t{head}\t{rule}")
+        lines.append("")
+        expected.append((dict(meta, sent_id=sent_id), lemmas))
+    return "\n".join(lines), expected
+
+
+class TestRoundTripProperty:
+    @given(treebanks())
+    @settings(max_examples=300, deadline=None)
+    def test_render_after_parse_keeps_every_field(self, case):
+        text, expected = case
+        slices = parse_corpus(text)
+        trees = [tree for s in slices for tree in s.trees]
+        assert [
+            ({"century": t.century, "doc_id": t.doc_id, "dialect": t.dialect,
+              "target": t.target_lemma, "sent_id": t.sentence_id},
+             [tok.lemma for tok in t.tokens])
+            for t in trees
+        ] == expected
+        rendered = render_corpus(slices)
+        assert _structure(parse_corpus(rendered)) == _structure(slices)
+        assert render_corpus(parse_corpus(rendered)) == rendered
+
+    @pytest.mark.parametrize("lemma", ["a\tb", "a\nb", "\n", ""])
+    def test_unwritable_lemma_is_rejected(self, lemma):
+        token = Token(index=1, surface="w", lemma=lemma,
+                      role=GrammaticalRole.NOUN, head=0)
+        tree = validate_tree([token], sentence_id="s1", century=14)
+        slices = [CorpusSlice(century=14, trees=(tree,))]
+        with pytest.raises(ValueError, match="token 1: lemma .* cannot be written"):
+            render_corpus(slices)
+
+    @pytest.mark.parametrize("doc_id", ["a\nb", " a", "a\u2028"])
+    def test_unwritable_header_value_is_rejected(self, doc_id):
+        tree = validate_tree(toks([0]), sentence_id="s1", century=14, doc_id=doc_id)
+        slices = [CorpusSlice(century=14, trees=(tree,))]
+        with pytest.raises(ValueError, match="header doc_id = .* cannot be written"):
+            render_corpus(slices)
+
+    def test_header_that_would_need_clearing_is_rejected(self):
+        # Grouping by century puts the 14th-century sentence, which set a
+        # dialect, before the 15th-century one that had none: the rendered
+        # file would hand that dialect on to it.
+        slices = parse_corpus(
+            "# century = 15\n# sent_id = a\n1\tx\tx\tN\t0\t_\n\n"
+            "# century = 14\n# dialect = bair\n# sent_id = b\n1\ty\ty\tN\t0\t_\n"
+        )
+        with pytest.raises(ValueError, match="'a': dialect cannot be unset"):
+            render_corpus(slices)

@@ -1,12 +1,15 @@
 """Hierarchical level solving and hierarchy statistics."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import lsqr
 
+import asnkit.hierarchy
 from asnkit import (
     GrammaticalRole,
     Token,
@@ -131,6 +134,23 @@ class TestLeastSquares:
         assert both.forward == forward_levels(asn).levels
         assert both.backward == backward_levels(asn).levels
         assert both.residual >= 0.0
+
+    def test_iteration_limit_is_logged_as_a_warning(self, monkeypatch, caplog):
+        asn = make_asn([("h", "a", 2), ("a", "b", 1), ("b", "c", 3),
+                        ("c", "a", 1), ("c", "d", 1), ("d", "b", 2)])
+        with caplog.at_level(logging.WARNING, logger="asnkit.hierarchy"):
+            forward_levels(asn)
+        assert not caplog.records
+
+        def starved(*args, **kwargs):
+            return lsqr(*args, **{**kwargs, "iter_lim": 2})
+
+        monkeypatch.setattr(asnkit.hierarchy, "lsqr", starved)
+        with caplog.at_level(logging.WARNING, logger="asnkit.hierarchy"):
+            forward_levels(asn)
+        assert caplog.records
+        assert all("iteration limit (2 iterations)" in r.getMessage()
+                   for r in caplog.records)
 
     def test_empty_network_has_no_levels(self):
         asn = make_asn([])

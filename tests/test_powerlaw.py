@@ -1,6 +1,7 @@
 """Discrete power-law fitting, bootstrap, likelihood ratios, and sampling."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -16,7 +17,16 @@ from asnkit import (
     lrt,
     sample_discrete_powerlaw,
 )
-from oracles import fit_oracle, ks_oracle
+from asnkit.powerlaw import ALPHA_HI, ALPHA_TOL, LrtResult, PowerLawFit, _ks_distances
+from oracles import (
+    fit_oracle,
+    golden_alphas,
+    grid_fit,
+    grid_ks_distances,
+    jump_ks_oracle,
+    ks_oracle,
+    tail_candidates,
+)
 
 
 def tail_with_noise(alpha=2.5, xmin=4, n_tail=300, n_noise=120, seeds=(42, 43)):
@@ -125,6 +135,89 @@ class TestFit:
             fit_power_law([0] * 10 + [1] * 10)
 
 
+def rounded_lognormal(mean, sigma, size, seed):
+    raw = np.random.default_rng(seed).lognormal(mean=mean, sigma=sigma, size=size)
+    return np.maximum(np.rint(raw).astype(int), 1)
+
+
+def bootstrap_samples(fit, data, count, seed):
+    """The synthetic data sets ``bootstrap_pvalue`` fits, drawn the same way."""
+    x = np.asarray(data)
+    below = x[x < fit.xmin]
+    samples = []
+    for child in np.random.SeedSequence(seed).spawn(count):
+        rng = np.random.Generator(np.random.PCG64(child))
+        k = int(rng.binomial(x.size, fit.n_tail / x.size))
+        parts = [rng.choice(below, size=x.size - k, replace=True)] if x.size > k else []
+        if k:
+            parts.append(sample_discrete_powerlaw(fit.alpha, fit.xmin, k, rng))
+        samples.append(np.concatenate(parts))
+    return samples
+
+
+GRID_SAMPLES = {
+    "powerlaw-xmin1": lambda: sample_discrete_powerlaw(2.5, 1, 5000, seed=3),
+    "powerlaw-xmin5": lambda: sample_discrete_powerlaw(2.5, 5, 10_000, seed=0),
+    "tail-with-noise": tail_with_noise,
+    "lognormal": lambda: rounded_lognormal(2.5, 0.25, 5000, seed=0),
+}
+
+
+class TestMatchesGridFitter:
+    """The Newton/jump-point fitter against golden-section search and the
+    dense-grid KS it replaced (``oracles.grid_fit``)."""
+
+    @staticmethod
+    def assert_matches(data):
+        fit = fit_power_law(data)
+        alpha, xmin, _, n_tail = grid_fit(data)
+        assert (fit.xmin, fit.n_tail) == (xmin, n_tail)
+        assert abs(fit.alpha - alpha) <= ALPHA_TOL
+        uniq, counts, cand, ntails, _ = tail_candidates(data)
+        chosen = cand[uniq[cand] == fit.xmin]
+        grid_ks = grid_ks_distances(
+            uniq, counts, chosen, np.array([fit.alpha]), np.array([fit.n_tail]))
+        assert fit.ks == pytest.approx(grid_ks[0], abs=1e-9)
+        return fit
+
+    @pytest.mark.parametrize("name", sorted(GRID_SAMPLES))
+    def test_same_fit_as_grid_fitter(self, name):
+        self.assert_matches(GRID_SAMPLES[name]())
+
+    def test_lognormal_exponent_is_pinned_at_the_upper_end(self):
+        # The likelihood still rises at ALPHA_HI, so the fitter returns the
+        # bracket end itself; golden-section search stopped 3e-7 below it.
+        fit = self.assert_matches(GRID_SAMPLES["lognormal"]())
+        assert fit.alpha == ALPHA_HI
+
+    def test_bootstrap_replicates(self):
+        data = GRID_SAMPLES["powerlaw-xmin1"]()
+        fit = fit_power_law(data)
+        for replicate in bootstrap_samples(fit, data, 40, seed=7):
+            self.assert_matches(replicate)
+
+    @pytest.mark.parametrize("name", sorted(GRID_SAMPLES))
+    def test_ks_kernel_matches_grid_on_every_candidate(self, name):
+        uniq, counts, cand, ntails, sumlogs = tail_candidates(GRID_SAMPLES[name]())
+        alphas = golden_alphas(uniq[cand].astype(np.float64), ntails, sumlogs)
+        assert _ks_distances(uniq, counts, cand, alphas, ntails) == pytest.approx(
+            grid_ks_distances(uniq, counts, cand, alphas, ntails), abs=1e-9)
+
+    def test_heavy_tail_fits_within_budget(self):
+        # The largest of these draws is 3,110,602: the dense grid needed 43 s.
+        data = sample_discrete_powerlaw(1.5, 1, 5000, seed=0)
+        start = time.perf_counter()
+        fit = fit_power_law(data)
+        assert time.perf_counter() - start < 2.0
+        tail = data[data >= fit.xmin]
+        (golden,) = golden_alphas(
+            np.array([float(fit.xmin)]), np.array([tail.size]),
+            np.array([np.log(tail).sum()]))
+        assert abs(fit.alpha - golden) <= ALPHA_TOL
+        assert fit.ks == pytest.approx(
+            jump_ks_oracle(tail, fit.alpha, fit.xmin), abs=1e-9)
+
+
 class TestSampler:
     def test_deterministic_for_a_seed(self):
         one = sample_discrete_powerlaw(2.5, 1, 1000, seed=77)
@@ -220,10 +313,23 @@ class TestLrt:
         assert result.favored == "indeterminate"
         assert result.p_value > 0.1
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 9])
+    def test_far_tail_keeps_lognormal_mass(self, seed):
+        # On seed 1 the value 178 sits 8.4 sigma above the starting mean,
+        # where both ndtr terms of its cell round to 1.0; its mass must come
+        # from the survival side instead of cancelling to 0.
+        data = sample_discrete_powerlaw(2.5, 1, 5000, seed=seed)
+        result = lrt(data, fit_power_law(data), "lognormal")
+        assert isinstance(result, LrtResult)
+        assert math.isfinite(result.log_likelihood_ratio)
+        assert 0.0 <= result.p_value <= 1.0
+
     def test_infeasible_lognormal_fit_raises_value_error(self):
-        # a far tail value gets zero discretised lognormal mass at the start
-        data = sample_discrete_powerlaw(2.5, 1, 5000, seed=1)
-        fit = fit_power_law(data)
+        # 10**9 sits ~45 sigma above the mean of 2,000 tens: its cell has no
+        # mass on the distribution side or the survival side, at the start
+        # and everywhere Nelder-Mead looks.
+        data = [10] * 2000 + [10**9]
+        fit = PowerLawFit(alpha=2.0, xmin=10, ks=0.5, n_tail=len(data))
         with pytest.raises(ValueError, match="lognormal fit is infeasible"):
             lrt(data, fit, "lognormal")
 
