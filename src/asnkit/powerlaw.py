@@ -16,12 +16,20 @@ value and one below the next, so a fit costs O(candidates x distinct values)
 however far the tail reaches.  Goodness of fit comes from a semi-parametric
 bootstrap; model comparison against exponential and lognormal alternatives
 uses a normalized (Vuong-style) likelihood-ratio test.
+
+One kernel fits many samples in lockstep: their candidates share one Newton
+solve and one KS evaluation, and every sum is formed per sample, so a
+sample's fit does not depend on the samples beside it.  ``fit_power_law``
+is the one-sample case.  The bootstrap draws its replicates a small batch
+at a time, from one shared inverse-CDF table, and fits each batch at once;
+its results do not depend on the batch size.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -55,8 +63,13 @@ MIN_TAIL = 10
 #: ~1e-13 relative for the exponents used here.
 _ZETA_HORIZON = 36.0
 
-#: Largest inverse-CDF table before falling back to per-sample bisection.
-_MAX_TABLE = 1 << 24
+#: Largest inverse-CDF table of the sampler (8 MB); draws beyond it are
+#: inverted by bisection on the zeta function.
+_MAX_TABLE = 1 << 20
+
+#: Work budget of one lockstep batch of bootstrap fits, in candidate-by-
+#: tail-value cells (see :func:`_replicate_batches`).
+_BATCH_CELLS = 16_384
 
 
 class DegenerateDataError(ValueError):
@@ -79,8 +92,10 @@ def _em_tail(
     for step, denom in enumerate((12.0, -720.0, 30240.0, -1209600.0)):
         if step:
             term = term * (s + (2 * step - 1)) * (s + 2 * step) * inv * inv
-        bernoulli.append(term / denom)
-        total = total + bernoulli[-1]
+        part = term / denom
+        total = total + part
+        if derivatives:
+            bernoulli.append(part)
     if not derivatives:
         return [total]
 
@@ -102,30 +117,41 @@ def _em_tail(
 
 
 def _zeta_sums(
-    s: np.ndarray, q: np.ndarray, derivatives: bool = False
+    s: np.ndarray, q: np.ndarray, derivatives: bool = False, groups=None
 ) -> list[np.ndarray]:
     """Hurwitz zeta of broadcast float arrays, with its first two s-derivatives
     when ``derivatives`` is set (see :func:`_em_tail`).
 
     One direct sum up to a fixed horizon, every ``k^-s`` term also weighted
     by ``-log k`` and ``log^2 k`` for the derivatives, plus the
-    Euler-Maclaurin tail beyond it.
+    Euler-Maclaurin tail beyond it.  The direct sums are rows as long as
+    the longest one needed, which sets their rounding.  ``groups``, integer
+    labels of 1-d input, makes that length per group, so each group's values
+    are the ones a call on that group alone returns.
     """
     horizon = max(_ZETA_HORIZON, 3.0 * float(s.max()))
     n_terms = np.maximum(0.0, np.ceil(horizon - q))
     sums = _em_tail(s, q + n_terms, derivatives)
-    kmax = int(n_terms.max())
-    if kmax > 0:
+    if groups is None:
+        blocks = [(int(n_terms.max()), Ellipsis)]
+    else:
+        longest = np.zeros(groups.max() + 1)
+        np.maximum.at(longest, groups, n_terms)
+        width = longest[groups]
+        blocks = [(int(w), width == w) for w in np.unique(width)]
+    for kmax, sel in blocks:
+        if kmax == 0:
+            continue
         k = np.arange(kmax, dtype=np.float64)
-        base = q[..., None] + k
-        powers = base ** (-s[..., None])
-        powers *= k < n_terms[..., None]
-        sums[0] = powers.sum(axis=-1) + sums[0]
+        base = q[sel][..., None] + k
+        powers = base ** (-s[sel][..., None])
+        powers *= k < n_terms[sel][..., None]
+        sums[0][sel] = powers.sum(axis=-1) + sums[0][sel]
         if derivatives:
-            neg_logs = -np.log(base)
+            neg_logs = np.negative(np.log(base, out=base), out=base)
             for d in (1, 2):
-                powers = powers * neg_logs
-                sums[d] = sums[d] + powers.sum(axis=-1)
+                powers *= neg_logs
+                sums[d][sel] = sums[d][sel] + powers.sum(axis=-1)
     return sums
 
 
@@ -217,7 +243,7 @@ def _as_positive_ints(data) -> np.ndarray:
     return x
 
 
-def _score(alphas, xmins, mean_logs):
+def _score(alphas, xmins, mean_logs, groups):
     """Score of the tail log-likelihood per observation, and its slope.
 
     The log-likelihood ``-n log zeta(alpha, xmin) - alpha sum(log x)`` has
@@ -225,13 +251,17 @@ def _score(alphas, xmins, mean_logs):
     strictly with alpha (its slope is the variance of log k under the fitted
     law), so the likelihood is strictly concave and g has at most one root.
     """
-    z, dz, d2z = _zeta_sums(alphas, xmins, derivatives=True)
+    z, dz, d2z = _zeta_sums(alphas, xmins, derivatives=True, groups=groups)
     ratio = dz / z
     return ratio + mean_logs, d2z / z - ratio * ratio
 
 
-def _mle_alphas(xmins, ntails, sumlogs):
+def _mle_alphas(xmins, ntails, sumlogs, groups):
     """Per-candidate MLE exponents in ``[ALPHA_LO, ALPHA_HI]``.
+
+    ``groups`` labels the sample of each candidate; zeta sums are formed
+    per sample, so a candidate's exponent does not depend on the
+    other samples solved with it.
 
     A candidate whose score does not change sign over the bracket is pinned
     at the end where its likelihood peaks.  The others run safeguarded Newton
@@ -248,6 +278,7 @@ def _mle_alphas(xmins, ntails, sumlogs):
         np.concatenate([np.full(m, ALPHA_LO), np.full(m, ALPHA_HI), alphas]),
         np.tile(xmins, 3),
         np.tile(mean_logs, 3),
+        np.tile(groups, 3),
     )
     at_lo = g[:m] >= 0.0
     at_hi = ~at_lo & (g[m : 2 * m] <= 0.0)
@@ -268,55 +299,143 @@ def _mle_alphas(xmins, ntails, sumlogs):
         alphas[active] = step
         active = active[np.abs(step - current) >= ALPHA_TOL]
         if active.size:
-            g, slope = _score(alphas[active], xmins[active], mean_logs[active])
+            g, slope = _score(
+                alphas[active], xmins[active], mean_logs[active], groups[active]
+            )
     return alphas
 
 
-def _zeta_at_integers(alphas, values):
-    """``zeta(alphas[i], values[j])`` for integer values >= 1, shape (m, len).
+def _zeta_at_integers(alphas, which, values):
+    """``zeta(alphas[which[i]], values[i])`` for integer values >= 1.
 
-    Values below the summation horizon read a reverse cumulative sum of
-    ``k^-alpha`` over the integers up to it; values above use the
-    Euler-Maclaurin expansion directly.
+    Values below the summation horizon read a per-exponent reverse
+    cumulative sum of ``k^-alpha`` over the integers up to it; values above
+    use the Euler-Maclaurin expansion directly.  Every value is computed the
+    same way whatever else is in the batch, because the reverse sum runs
+    from the horizon down.
     """
-    alphas = alphas[:, None]
-    out = np.empty((alphas.shape[0], values.size))
+    out = np.empty(values.size)
     horizon = int(np.ceil(max(_ZETA_HORIZON, 3.0 * float(alphas.max()))))
     near = values < horizon
     far = ~near
-    out[:, far] = _em_tail(alphas, values[far].astype(np.float64))[0]
+    out[far] = _em_tail(alphas[which[far]], values[far].astype(np.float64))[0]
     if np.any(near):
-        first = int(values[near].min())
-        k = np.arange(first, horizon, dtype=np.float64)
-        suffix = np.cumsum((k ** -alphas)[:, ::-1], axis=1)[:, ::-1]
-        suffix += _em_tail(alphas, np.float64(horizon))[0]
-        out[:, near] = suffix[:, values[near] - first]
+        k = np.arange(1, horizon, dtype=np.float64)
+        column = alphas[:, None]
+        suffix = np.cumsum((k**-column)[:, ::-1], axis=1)[:, ::-1]
+        suffix += _em_tail(column, np.float64(horizon))[0]
+        out[near] = suffix[which[near], values[near] - 1]
     return out
 
 
-def _ks_distances(uniq, counts, cand, alphas, ntails):
+def _ks_distances(uniq, ntails, cand, ends, alphas):
     """KS distance between empirical and fitted tail CDFs per candidate.
+
+    ``uniq`` and ``ntails`` are flat tables of distinct values and their
+    tail counts, in which the slot after every sample's largest value holds
+    0.  Candidate i has xmin ``uniq[cand[i]]``, and its tail runs to slot
+    ``ends[i] - 1``.
 
     Between consecutive observed values u_j < u_{j+1} the empirical CDF is
     flat and the fitted one rises, so the supremum over the integers is
     attained at some u_j or u_{j+1} - 1.  Both sides are compared as
     survival functions there: the fitted ``P(X > x) =
     zeta(alpha, x+1) / zeta(alpha, xmin)`` against the fraction of the tail
-    above u_j, which keeps the far tail free of cancellation.
+    above u_j, which keeps the far tail free of cancellation.  Each
+    candidate's cells (its tail values) are laid end to end, and its
+    distance is their maximum.
     """
     m = cand.size
-    above = counts[::-1].cumsum()[::-1]
-    above = np.append(above[1:], 0) / ntails[:, None].astype(np.float64)
-    # Each u_j + 1 directly follows u_j among the points.
-    points = np.union1d(uniq, uniq + 1)
-    at = np.searchsorted(points, uniq)
-    z = _zeta_at_integers(alphas, points)
-    survival = z / z[np.arange(m), at[cand]][:, None]
-    # Distance at u_j, then at u_{j+1} - 1 (the largest value has no next).
-    gap = np.abs(survival[:, at + 1] - above)
-    gap[:, :-1] = np.maximum(gap[:, :-1], np.abs(survival[:, at[1:]] - above[:, :-1]))
-    in_tail = np.arange(uniq.size) >= cand[:, None]
-    return gap.max(axis=1, initial=0.0, where=in_tail)
+    lengths = ends - cand
+    first = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(m), lengths)
+    slot = np.repeat(cand - first, lengths) + np.arange(owner.size)
+    cells = owner.size
+    following = uniq[slot + 1]
+    above = ntails[slot + 1] / ntails[cand].astype(np.float64)[owner]
+    inner = np.flatnonzero(following)  # every cell but a tail's largest value
+    z = _zeta_at_integers(
+        alphas,
+        np.concatenate([np.arange(m), owner, owner[inner]]),
+        np.concatenate([uniq[cand], uniq[slot] + 1, following[inner]]),
+    )
+    norm = z[:m][owner]
+    # Distance at u_j, then at u_{j+1} - 1.
+    gap = np.abs(z[m : m + cells] / norm - above)
+    gap[inner] = np.maximum(
+        gap[inner], np.abs(z[m + cells :] / norm[inner] - above[inner])
+    )
+    return np.maximum.reduceat(gap, first)
+
+
+class _RowFits(NamedTuple):
+    """Best fit per sample row; ``n_tail`` is 0 where all values are equal."""
+
+    alpha: np.ndarray
+    xmin: np.ndarray
+    ks: np.ndarray
+    n_tail: np.ndarray
+
+
+def _fit_rows(rows: np.ndarray) -> _RowFits:
+    """Fit every row of ``rows``, a (B, n) array of sorted samples, in lockstep.
+
+    Row r's distinct values fill row r of zero-padded (B, width) tables, so
+    the reverse cumulative sums over a row start with exact zeros and give
+    the values a fit of that row alone would.  The candidates of all rows
+    then go through one Newton solve and one KS evaluation, and each row
+    keeps its candidate of smallest KS distance (ties to the smallest xmin).
+    """
+    b, n = rows.shape
+    new = np.empty(rows.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
+    starts = np.flatnonzero(new)
+    row = starts // n
+    distinct = np.bincount(row, minlength=b)
+    width = int(distinct.max()) + 1
+    slot = row * width + np.arange(starts.size)
+    slot -= np.repeat(np.cumsum(distinct) - distinct, distinct)
+    counts = np.diff(starts, append=b * n)
+
+    uniq = np.zeros(b * width, dtype=np.int64)
+    uniq[slot] = rows.ravel()[starts]
+    tally = np.zeros((b, width), dtype=np.int64)
+    tally.ravel()[slot] = counts
+    logs = np.zeros((b, width))
+    logs.ravel()[slot] = counts * np.log(uniq[slot])
+    ntails = tally[:, ::-1].cumsum(axis=1)[:, ::-1].ravel()
+    sumlogs = logs[:, ::-1].cumsum(axis=1)[:, ::-1].ravel()
+
+    # A candidate keeps MIN_TAIL observations and is not its row's largest,
+    # so with n >= MIN_TAIL only a row of equal values has none.
+    cand = np.flatnonzero((ntails[:-1] >= MIN_TAIL) & (ntails[1:] > 0))
+    fits = _RowFits(
+        np.full(b, np.nan), np.zeros(b, np.int64), np.full(b, np.nan),
+        np.zeros(b, np.int64),
+    )
+    if cand.size == 0:
+        return fits
+    owner = cand // width
+    alphas = _mle_alphas(
+        uniq[cand].astype(np.float64), ntails[cand], sumlogs[cand], owner
+    )
+    distances = _ks_distances(
+        uniq, ntails, cand, owner * width + distinct[owner], alphas
+    )
+
+    # Each row keeps its first candidate of least distance.
+    firsts = np.flatnonzero(np.diff(owner, prepend=-1))
+    least = np.minimum.reduceat(distances, firsts)
+    least = np.repeat(least, np.diff(firsts, append=cand.size))
+    ties = np.flatnonzero(distances == least)
+    best = ties[np.diff(owner[ties], prepend=-1) != 0]
+    fitted = owner[best]
+    fits.alpha[fitted] = alphas[best]
+    fits.xmin[fitted] = uniq[cand[best]]
+    fits.ks[fitted] = distances[best]
+    fits.n_tail[fitted] = ntails[cand[best]]
+    return fits
 
 
 def fit_power_law(data) -> PowerLawFit:
@@ -336,29 +455,48 @@ def fit_power_law(data) -> PowerLawFit:
     x = _as_positive_ints(data)
     if x.size < 10:
         raise ValueError(f"too few observations: {x.size} < 10")
-    uniq, counts = np.unique(x, return_counts=True)
-    if uniq.size < 2:
+    fits = _fit_rows(np.sort(x)[None, :])
+    if fits.n_tail[0] == 0:
         raise DegenerateDataError("degenerate data: all observations are equal")
-
-    ntails = counts[::-1].cumsum()[::-1]
-    sumlogs = (counts * np.log(uniq))[::-1].cumsum()[::-1]
-    cand = np.flatnonzero(ntails[:-1] >= MIN_TAIL)
-    if cand.size == 0:
-        raise DegenerateDataError(
-            f"no candidate xmin keeps {MIN_TAIL} tail observations"
-        )
-
-    alphas = _mle_alphas(
-        uniq[cand].astype(np.float64), ntails[cand], sumlogs[cand]
-    )
-    distances = _ks_distances(uniq, counts, cand, alphas, ntails[cand])
-    best = int(np.argmin(distances))
     return PowerLawFit(
-        alpha=float(alphas[best]),
-        xmin=int(uniq[cand[best]]),
-        ks=float(distances[best]),
-        n_tail=int(ntails[cand[best]]),
+        alpha=float(fits.alpha[0]),
+        xmin=int(fits.xmin[0]),
+        ks=float(fits.ks[0]),
+        n_tail=int(fits.n_tail[0]),
     )
+
+
+def _replicate_batches(fit: PowerLawFit, x: np.ndarray, replicates: int, seed: int):
+    """The bootstrap's synthetic samples, sorted, as (B, n) arrays.
+
+    Replicate i draws from its own ``SeedSequence(seed).spawn`` child, and
+    all of them share one inverse-CDF table.  A replicate with U distinct
+    values counts U (U + 1) / 2 cells, a bound on its candidate-by-tail-value
+    pairs; a batch takes replicates while they fit in ``_BATCH_CELLS``.
+    """
+    n = x.size
+    below = x[x < fit.xmin]
+    p_tail = fit.n_tail / n
+    sampler = _Sampler(fit.alpha, fit.xmin)
+    batch: list[np.ndarray] = []
+    cells = 0
+    for child in np.random.SeedSequence(seed).spawn(replicates):
+        rng = np.random.Generator(np.random.PCG64(child))
+        k = int(rng.binomial(n, p_tail))
+        parts = []
+        if n - k > 0:
+            parts.append(rng.choice(below, size=n - k, replace=True))
+        if k > 0:
+            parts.append(sampler.draw(rng.random(k)))
+        row = np.sort(np.concatenate(parts))
+        distinct = 1 + int(np.count_nonzero(row[1:] != row[:-1]))
+        cost = distinct * (distinct + 1) // 2
+        if batch and cells + cost > _BATCH_CELLS:
+            yield np.stack(batch)
+            batch, cells = [], 0
+        batch.append(row)
+        cells += cost
+    yield np.stack(batch)
 
 
 def bootstrap_pvalue(
@@ -370,14 +508,21 @@ def bootstrap_pvalue(
     fitted power law, otherwise uniformly from the observed values below
     xmin.  The full fitting procedure (xmin re-selection included) runs on
     every replicate; the p-value is the fraction of replicate KS distances
-    at least as large as the observed one.  Identical seed and inputs give a
-    bit-identical p-value regardless of scheduling, because every replicate
-    derives its generator from ``SeedSequence(seed).spawn``.
+    at least as large as the observed one.  A replicate whose values are all
+    equal is degenerate and discarded.
+
+    Replicates are drawn a small batch at a time and each batch is fitted
+    in lockstep, through the kernel :func:`fit_power_law` runs on one
+    sample.  Every replicate derives its generator from
+    ``SeedSequence(seed).spawn``, and a replicate's fit does not depend on
+    the others in its batch, so identical seed and inputs give a
+    bit-identical p-value whatever the batch size.
 
     Raises
     ------
     ValueError
-        If ``replicates < 100`` or no seed is provided.
+        If ``replicates < 100``, no seed is provided, or the data hold
+        fewer than 10 observations.
     RuntimeError
         If more than 10% of replicates are degenerate.
     """
@@ -386,31 +531,25 @@ def bootstrap_pvalue(
     if seed is None:
         raise ValueError("bootstrap_pvalue requires an explicit seed")
     x = _as_positive_ints(data)
-    n = x.size
-    below = x[x < fit.xmin]
-    p_tail = fit.n_tail / n
+    if x.size < 10:
+        raise ValueError(f"too few observations: {x.size} < 10")
 
-    exceed = 0
-    kept = 0
-    discarded = 0
-    for child in np.random.SeedSequence(seed).spawn(replicates):
-        rng = np.random.Generator(np.random.PCG64(child))
-        k = int(rng.binomial(n, p_tail))
-        parts = []
-        if n - k > 0:
-            parts.append(rng.choice(below, size=n - k, replace=True))
-        if k > 0:
-            parts.append(sample_discrete_powerlaw(fit.alpha, fit.xmin, k, rng))
-        synthetic = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        try:
-            replicate = fit_power_law(synthetic)
-        except DegenerateDataError as exc:
-            discarded += 1
-            logger.warning("discarding degenerate bootstrap replicate: %s", exc)
-            continue
-        kept += 1
-        if replicate.ks >= fit.ks:
-            exceed += 1
+    exceed = kept = batches = 0
+    for rows in _replicate_batches(fit, x, replicates, seed):
+        fits = _fit_rows(rows)
+        fitted = fits.n_tail > 0
+        kept += int(np.count_nonzero(fitted))
+        exceed += int(np.count_nonzero(fits.ks[fitted] >= fit.ks))
+        batches += 1
+    discarded = replicates - kept
+    if discarded:
+        logger.warning(
+            "discarded %d of %d degenerate replicates", discarded, replicates
+        )
+    logger.debug(
+        "bootstrap: %d replicates kept, %d discarded, %d batches",
+        kept, discarded, batches,
+    )
     if discarded > 0.1 * replicates:
         raise RuntimeError(
             f"{discarded} of {replicates} bootstrap replicates were degenerate"
@@ -521,21 +660,56 @@ def lrt(data, fit: PowerLawFit, alternative: str = "exponential") -> LrtResult:
     return LrtResult(alternative, ratio, p_value, favored)
 
 
-def _invert_tail_sample(alpha: float, xmin: int, z: float, u: float) -> int:
-    """Exact inverse CDF for a single uniform beyond the table horizon."""
+def _invert_beyond(alpha: float, z: float, u: np.ndarray, lo: int) -> np.ndarray:
+    """Exact inverse CDF for uniforms beyond the table, by bisection in lockstep.
+
+    Returns, for every u, the smallest x in (``lo``, 2^62] with
+    ``zeta(alpha, x + 1) <= (1 - u) z``, or 2^62 where there is none.
+    """
     target = (1.0 - u) * z
-    lo = xmin + _MAX_TABLE - 1
-    hi = lo * 2
-    while hurwitz_zeta(alpha, float(hi + 1)) > target:
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if hurwitz_zeta(alpha, float(mid + 1)) <= target:
-            hi = mid
-        else:
-            lo = mid
+    s = np.full(u.size, float(alpha))
+    lo = np.full(u.size, lo, dtype=np.int64)
+    hi = np.full(u.size, 1 << 62)
+    while np.any(open_ := hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        done = _zeta_sums(s, mid + 1.0)[0] <= target
+        hi = np.where(open_ & done, mid, hi)
+        lo = np.where(open_ & ~done, mid, lo)
     return hi
+
+
+class _Sampler:
+    """Inverse-CDF draws from one discrete power law.
+
+    The CDF table over consecutive integers from xmin starts at 1,024
+    entries and doubles whenever a batch of uniforms reaches past it, up to
+    ``_MAX_TABLE``.  ``np.cumsum`` adds in order, so a longer table starts
+    with the same values as a shorter one and the draws do not depend on
+    how far it has grown.  Draws beyond the cap are inverted on the zeta
+    function.
+    """
+
+    def __init__(self, alpha: float, xmin: int) -> None:
+        self.alpha = alpha
+        self.xmin = xmin
+        self.z = hurwitz_zeta(alpha, float(xmin))
+        self.cdf = self._table(1024)
+
+    def _table(self, length: int) -> np.ndarray:
+        cdf = np.arange(self.xmin, self.xmin + length, dtype=np.float64)
+        np.power(cdf, -self.alpha, out=cdf)
+        cdf /= self.z
+        return np.cumsum(cdf, out=cdf)
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        while self.cdf[-1] < u.max() and self.cdf.size < _MAX_TABLE:
+            self.cdf = self._table(2 * self.cdf.size)
+        end = self.xmin + self.cdf.size
+        draws = self.xmin + np.searchsorted(self.cdf, u, side="right")
+        beyond = np.flatnonzero(draws >= end)
+        if beyond.size:
+            draws[beyond] = _invert_beyond(self.alpha, self.z, u[beyond], end - 1)
+        return draws
 
 
 def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, seed) -> np.ndarray:
@@ -543,8 +717,8 @@ def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, seed) -> np.nda
 
     ``seed`` may be an integer or a ``numpy.random.Generator``; equal seeds
     give identical output.  The CDF table over consecutive integers grows
-    adaptively to cover every uniform draw; the (astronomically rare) draws
-    beyond the table cap are inverted by bisection on the zeta function.
+    to cover the uniform draws, up to ``_MAX_TABLE`` entries; the rare draws
+    beyond it are inverted by bisection on the zeta function.
 
     Raises
     ------
@@ -559,21 +733,7 @@ def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, seed) -> np.nda
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
-    u = rng.random(size)
-    z = hurwitz_zeta(alpha, float(xmin))
-
-    length = 1024
-    while True:
-        grid = np.arange(xmin, xmin + length, dtype=np.float64)
-        cdf = np.cumsum(grid ** (-alpha) / z)
-        if cdf[-1] >= u.max() or length >= _MAX_TABLE:
-            break
-        length *= 2
-    draws = xmin + np.searchsorted(cdf, u, side="right")
-    overflow = np.flatnonzero(draws >= xmin + length)
-    for pos in overflow:  # pragma: no cover - ~1e-10 probability per draw
-        draws[pos] = _invert_tail_sample(alpha, xmin, z, float(u[pos]))
-    return draws.astype(np.int64)
+    return _Sampler(alpha, xmin).draw(rng.random(size))
 
 
 def ccdf_rows(data, fit: PowerLawFit | None = None) -> list[dict]:

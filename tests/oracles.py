@@ -8,11 +8,20 @@ code is checked against a genuinely separate route to the same numbers.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import optimize, special
 
-from asnkit import Asn, GrammaticalRole, NodeKey, hurwitz_zeta
+from asnkit import (
+    Asn,
+    DegenerateDataError,
+    GrammaticalRole,
+    NodeKey,
+    fit_power_law,
+    hurwitz_zeta,
+    sample_discrete_powerlaw,
+)
 from asnkit.network import EdgeData
 
 # ---------------------------------------------------------------------------
@@ -386,3 +395,49 @@ def grid_fit(data):
     best = int(np.argmin(distances))
     return (float(alphas[best]), int(uniq[cand[best]]), float(distances[best]),
             int(ntails[best]))
+
+
+# The bootstrap asnkit ran before it fitted replicates in lockstep batches:
+# draw one synthetic sample, fit it alone, repeat.
+
+
+def bootstrap_samples(fit, data, count, seed):
+    """The synthetic data sets of a bootstrap, one replicate at a time.
+
+    Each draws from its own ``SeedSequence(seed).spawn`` child: a binomial
+    tail size, points resampled from below xmin, then the power-law tail.
+    """
+    x = np.asarray(data, dtype=np.int64)
+    below = x[x < fit.xmin]
+    samples = []
+    for child in np.random.SeedSequence(seed).spawn(count):
+        rng = np.random.Generator(np.random.PCG64(child))
+        k = int(rng.binomial(x.size, fit.n_tail / x.size))
+        parts = [rng.choice(below, size=x.size - k, replace=True)] if x.size > k else []
+        if k:
+            parts.append(sample_discrete_powerlaw(fit.alpha, fit.xmin, k, rng))
+        samples.append(np.concatenate(parts))
+    return samples
+
+
+def reference_bootstrap(fit, data, replicates, seed):
+    """Per-replicate bootstrap p-value; returns (fit with p-value, fits).
+
+    ``fits`` holds every replicate's ``fit_power_law`` result, or None for a
+    degenerate replicate.  More than 10% degenerate raises RuntimeError.
+    """
+    fits = []
+    for sample in bootstrap_samples(fit, data, replicates, seed):
+        try:
+            fits.append(fit_power_law(sample))
+        except DegenerateDataError:
+            fits.append(None)
+    kept = [f for f in fits if f is not None]
+    if replicates - len(kept) > 0.1 * replicates:
+        raise RuntimeError(
+            f"{replicates - len(kept)} of {replicates} bootstrap replicates "
+            "were degenerate"
+        )
+    exceed = sum(f.ks >= fit.ks for f in kept)
+    result = replace(fit, p_value=exceed / len(kept), replicates=len(kept), seed=seed)
+    return result, fits

@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Compare ``asnkit analyze`` bundles of a git revision with the working tree.
+
+Usage::
+
+    python3 tools/bundle_diff.py <git-rev>
+
+Runs ``python -m asnkit.cli analyze`` from a temporary ``git worktree`` of
+<git-rev> and from the working tree on three corpora:
+
+* ``demo``: the bundled demo corpus, ``--seed 0``;
+* ``takeover``: ``asnkit.synth.takeover_corpus()``, ``--seed 7 --replicates 100``;
+* ``zipf-300``: ``perfbench/gen.py`` ``zipf_corpus(300, (13, 14, 15, 16),
+  sentences=40, vocab=150, planted_from=2, planted_sentences=15,
+  adjacent=3, distant=3, exponent=0.6, tag=1)``,
+  ``--seed 300 --replicates 100``.
+
+Both sides read the same corpus files, written from the working tree.  The
+script prints ``diff -r`` of the two bundles per corpus and exits 0 when
+every bundle is byte-identical, 1 when any differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def corpora() -> dict[str, tuple[str, list[str]]]:
+    """Corpus name -> (treebank text, extra ``analyze`` arguments)."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import gen
+    from asnkit import demo_corpus_path
+    from asnkit.synth import takeover_corpus
+
+    zipf, _ = gen.zipf_corpus(
+        300, (13, 14, 15, 16), sentences=40, vocab=150, planted_from=2,
+        planted_sentences=15, adjacent=3, distant=3, exponent=0.6, tag=1,
+    )
+    return {
+        "demo": (Path(demo_corpus_path()).read_text(encoding="utf-8"), ["--seed", "0"]),
+        "takeover": (takeover_corpus(), ["--seed", "7", "--replicates", "100"]),
+        "zipf-300": (zipf, ["--seed", "300", "--replicates", "100"]),
+    }
+
+
+def analyze(tree: Path, treebank: Path, out: Path, args: list[str]) -> None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    subprocess.run(
+        [sys.executable, "-m", "asnkit.cli", "analyze", str(treebank),
+         "--out", str(out), *args],
+        env=env, cwd=treebank.parent, check=True, stdout=subprocess.DEVNULL,
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~")
+    rev = parser.parse_args(argv).rev
+
+    scratch = Path(tempfile.mkdtemp(prefix="bundle-diff-"))
+    base = scratch / "base"
+    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                    str(base), rev], check=True)
+    identical = True
+    try:
+        for name, (text, args) in corpora().items():
+            treebank = scratch / f"{name}.tb"
+            treebank.write_text(text, encoding="utf-8")
+            bundles = {side: scratch / f"{name}-{side}" for side in ("base", "work")}
+            analyze(base, treebank, bundles["base"], args)
+            analyze(ROOT, treebank, bundles["work"], args)
+            result = subprocess.run(
+                ["diff", "-r", str(bundles["base"]), str(bundles["work"])],
+                capture_output=True, text=True,
+            )
+            verdict = "identical" if result.returncode == 0 else "DIFFERENT"
+            print(f"{name}: {verdict} ({rev} vs working tree)")
+            if result.returncode:
+                identical = False
+                print(result.stdout, end="")
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                        str(base)], check=False)
+        shutil.rmtree(scratch, ignore_errors=True)
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
