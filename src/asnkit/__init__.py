@@ -36,7 +36,6 @@ from .corpus import (
 )
 from .network import (
     Asn,
-    EdgeData,
     NodeKey,
     aggregate,
     edge_csv,
@@ -96,7 +95,6 @@ __all__ = [
     "CorpusSlice",
     "DegenerateDataError",
     "DependencyTree",
-    "EdgeData",
     "EmergenceEvent",
     "FilterDecision",
     "GrammaticalRole",

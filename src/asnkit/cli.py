@@ -44,6 +44,7 @@ from .hierarchy import (
 from .network import (
     Asn,
     NodeKey,
+    _csv_quote,
     _metadata_line,
     aggregate,
     edge_csv,
@@ -459,7 +460,7 @@ def _diachrony(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
         for p in trajectory.points:
             rank = "" if p.level_rank is None else str(p.level_rank)
             lines.append(
-                f"{trajectory.key.role_code},{trajectory.key.lemma},"
+                f"{trajectory.key.role_code},{_csv_quote(trajectory.key.lemma)},"
                 f"{p.century},{int(p.present)},{_float_cell(p.level)},"
                 f"{rank},{p.frequency},{int(p.is_head)}\n"
             )

@@ -791,7 +791,8 @@ def load_corpus(paths: str | Path | Iterable[str | Path]) -> list[CorpusSlice]:
     for path in paths:
         path = Path(path)
         provenance.append(str(path))
-        with io.open(path, "r", encoding="utf-8") as handle:
+        # newline="" hands the parser every "\r": only "\n" ends a line.
+        with io.open(path, "r", encoding="utf-8", newline="") as handle:
             slices = parse_corpus(handle, provenance=str(path))
         for corpus_slice in slices:
             for tree in corpus_slice.trees:

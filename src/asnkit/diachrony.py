@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .hierarchy import HierarchyLevels, HierarchyStats, influence_ranking
-from .network import Asn, NodeKey, heads
+import numpy as np
+
+from .hierarchy import HierarchyLevels, HierarchyStats, _level_order
+from .network import Asn, NodeKey
 
 __all__ = [
     "TrajectoryPoint",
@@ -75,15 +77,13 @@ def _validate_slices(
     return centuries
 
 
-def _rank_maps(
-    slices: Sequence[tuple[Asn, HierarchyLevels]]
-) -> list[dict[NodeKey, int]]:
-    """1-based level rank of every node, per slice."""
-    maps = []
-    for asn, levels in slices:
-        ranking = influence_ranking(asn, levels)
-        maps.append({key: pos for pos, (key, _, _) in enumerate(ranking, start=1)})
-    return maps
+def _level_ranks(asn: Asn, levels: HierarchyLevels) -> np.ndarray:
+    """1-based level rank of every node, aligned with ``asn.keys``."""
+    ranks = np.empty(asn.node_count, dtype=np.int64)
+    ranks[_level_order(levels.forward, asn.out_weight())] = np.arange(
+        1, asn.node_count + 1
+    )
+    return ranks
 
 
 def track(
@@ -97,22 +97,23 @@ def track(
     ``present=False`` and frequency 0, keeping trajectories aligned.
     """
     centuries = _validate_slices(slices)
-    ranks = _rank_maps(slices)
-    head_sets = [set(heads(asn)) for asn, _levels in slices]
+    ranks = [_level_ranks(asn, levels) for asn, levels in slices]
+    no_in = [asn.in_weight() == 0 for asn, _levels in slices]
 
     trajectories = []
     for key in keys:
         points = []
         for i, (asn, levels) in enumerate(slices):
-            if key in asn.frequency:
+            node = asn.index.get(key)
+            if node is not None:
                 points.append(
                     TrajectoryPoint(
                         century=centuries[i],
                         present=True,
-                        level=levels.forward[key],
-                        level_rank=ranks[i][key],
-                        frequency=asn.frequency[key],
-                        is_head=key in head_sets[i],
+                        level=float(levels.forward[node]),
+                        level_rank=int(ranks[i][node]),
+                        frequency=int(asn.frequency[node]),
+                        is_head=bool(no_in[i][node]),
                     )
                 )
             else:
@@ -150,22 +151,25 @@ def detect_emergent_heads(
     if min_gain < 0:
         raise ValueError(f"min_gain must be >= 0, got {min_gain}")
     centuries = _validate_slices(slices)
-    ranks = _rank_maps(slices)
+    ranks = [_level_ranks(asn, levels) for asn, levels in slices]
 
     events = []
     flagged: set[NodeKey] = set()
     for i in range(1, len(slices)):
-        for key, rank in ranks[i].items():
-            if rank > band or key in flagged:
+        asn, prev = slices[i][0], slices[i - 1][0]
+        for node in np.flatnonzero(ranks[i] <= band).tolist():
+            key = asn.keys[node]
+            if key in flagged:
                 continue
-            prior = ranks[i - 1].get(key)
+            before = prev.index.get(key)
+            prior = None if before is None else int(ranks[i - 1][before])
             if prior is None or prior >= band + min_gain:
                 events.append(
                     EmergenceEvent(
                         key=key,
                         century=centuries[i],
                         prior_rank=prior,
-                        new_rank=rank,
+                        new_rank=int(ranks[i][node]),
                     )
                 )
                 flagged.add(key)

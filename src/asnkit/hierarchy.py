@@ -42,9 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevelSolution:
-    """Levels for one direction plus the least-squares residual norm."""
+    """Levels for one direction plus the least-squares residual norm.
 
-    levels: dict[NodeKey, float]
+    ``levels`` is a float array aligned with ``asn.keys``.
+    """
+
+    levels: np.ndarray
     residual: float
 
 
@@ -52,13 +55,14 @@ class LevelSolution:
 class HierarchyLevels:
     """Forward and backward levels of one network.
 
+    ``forward`` and ``backward`` are float arrays aligned with ``asn.keys``.
     ``residual`` is the larger of the two directional solve residuals; on
     graphs whose reachability from the pinned nodes is acyclic and complete
     it is tiny (the equations hold exactly).
     """
 
-    forward: dict[NodeKey, float]
-    backward: dict[NodeKey, float]
+    forward: np.ndarray
+    backward: np.ndarray
     residual: float
 
 
@@ -75,25 +79,13 @@ class HierarchyStats:
 
     democracy: float
     incoherence: float
-    edge_differences: dict[tuple[NodeKey, NodeKey], float]
 
 
 def _edge_arrays(asn: Asn, direction: str, weighted: bool):
-    """Node order plus (source, target, weight) arrays for the solver."""
-    nodes = asn.nodes()
-    index = {k: i for i, k in enumerate(nodes)}
-    m = len(asn.edges)
-    src = np.empty(m, dtype=np.int64)
-    dst = np.empty(m, dtype=np.int64)
-    wgt = np.empty(m, dtype=np.float64)
-    for pos, (u, v) in enumerate(asn.sorted_edges()):
-        data = asn.edges[(u, v)]
-        if direction == "backward":
-            u, v = v, u
-        src[pos] = index[u]
-        dst[pos] = index[v]
-        wgt[pos] = 1.0 if not weighted else float(data.weight)
-    return nodes, src, dst, wgt
+    """(source, target, weight) arrays for the solver, in edge order."""
+    src, dst = (asn.src, asn.dst) if direction == "forward" else (asn.dst, asn.src)
+    wgt = asn.weight.astype(np.float64) if weighted else np.ones(asn.edge_count)
+    return src, dst, wgt
 
 
 def _propagate_exact(
@@ -111,9 +103,9 @@ def _propagate_exact(
     preds: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     succs: list[list[int]] = [[] for _ in range(n)]
     unresolved = np.zeros(n, dtype=np.int64)
-    for u, v, w in zip(src, dst, wgt):
-        preds[v].append((int(u), float(w)))
-        succs[int(u)].append(int(v))
+    for u, v, w in zip(src.tolist(), dst.tolist(), wgt.tolist()):
+        preds[v].append((u, w))
+        succs[u].append(v)
         unresolved[v] += 1
 
     levels = np.zeros(n)
@@ -142,10 +134,10 @@ def _propagate_exact(
 
 
 def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
-    nodes, src, dst, wgt = _edge_arrays(asn, direction, weighted)
-    n = len(nodes)
+    src, dst, wgt = _edge_arrays(asn, direction, weighted)
+    n = asn.node_count
     if n == 0:
-        return LevelSolution(levels={}, residual=0.0)
+        return LevelSolution(levels=np.zeros(0), residual=0.0)
 
     w_in = np.zeros(n)
     np.add.at(w_in, dst, wgt)
@@ -158,11 +150,7 @@ def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
     # moves pinned rows off their s=0 target but does not change edge
     # differences).
     residual = _residual_norm(levels, n, src, dst, wgt, w_in)
-    levels = levels - levels.min()
-    return LevelSolution(
-        levels={k: float(levels[i]) for i, k in enumerate(nodes)},
-        residual=float(residual),
-    )
+    return LevelSolution(levels=levels - levels.min(), residual=float(residual))
 
 
 def _system_matrix(n, src, dst, wgt, w_in):
@@ -248,45 +236,47 @@ def hierarchy_levels(asn: Asn, weighted: bool = True) -> HierarchyLevels:
     )
 
 
-def _forward_map(levels) -> Mapping[NodeKey, float]:
+def _forward_levels(asn: Asn, levels) -> np.ndarray:
+    """Forward levels aligned with ``asn.keys`` from any accepted form."""
     if isinstance(levels, HierarchyLevels):
         return levels.forward
     if isinstance(levels, LevelSolution):
         return levels.levels
-    return levels
+    if isinstance(levels, Mapping):
+        return np.array([levels[key] for key in asn.keys], dtype=np.float64)
+    return np.asarray(levels, dtype=np.float64)
 
 
 def hierarchy_stats(asn: Asn, levels, weighted: bool = True) -> HierarchyStats:
     """Democracy coefficient and hierarchical incoherence of a network.
 
     ``levels`` may be a :class:`HierarchyLevels`, a :class:`LevelSolution`,
-    or a plain node -> level mapping; forward levels are used.  Statistics
-    are invariant to a uniform shift of the levels.
+    an array aligned with ``asn.keys``, or a node -> level mapping; forward
+    levels are used.  Statistics are invariant to a uniform shift of the
+    levels.
 
     Raises
     ------
     ValueError
         On a network with no edges, where edge differences are undefined.
     """
-    if not asn.edges:
+    if not asn.edge_count:
         raise ValueError("hierarchy statistics are undefined on an edgeless network")
-    fwd = _forward_map(levels)
-    edges = asn.sorted_edges()
-    h = np.empty(len(edges))
-    w = np.empty(len(edges))
-    diffs: dict[tuple[NodeKey, NodeKey], float] = {}
-    for i, (u, v) in enumerate(edges):
-        h[i] = fwd[v] - fwd[u]
-        w[i] = asn.edges[(u, v)].weight if weighted else 1.0
-        diffs[(u, v)] = float(h[i])
+    fwd = _forward_levels(asn, levels)
+    h = fwd[asn.dst] - fwd[asn.src]
+    w = asn.weight.astype(np.float64) if weighted else np.ones(asn.edge_count)
     total = w.sum()
     mean = float((w * h).sum() / total)
     incoherence = float((w * (h - mean) ** 2).sum() / total)
-    return HierarchyStats(
-        democracy=1.0 - mean,
-        incoherence=incoherence,
-        edge_differences=diffs,
-    )
+    return HierarchyStats(democracy=1.0 - mean, incoherence=incoherence)
+
+
+def _level_order(fwd: np.ndarray, out_w: np.ndarray) -> np.ndarray:
+    """Node indices by forward level ascending, then out-weight descending,
+    then index, which is (role, lemma) order: position ``r`` holds the node
+    of level rank ``r + 1``.
+    """
+    return np.lexsort((np.arange(fwd.size), -out_w, fwd))
 
 
 def influence_ranking(asn: Asn, levels) -> list[tuple[NodeKey, float, int]]:
@@ -296,11 +286,13 @@ def influence_ranking(asn: Asn, levels) -> list[tuple[NodeKey, float, int]]:
     (role, lemma).  Returns (key, forward level, out-weight) triples, so the
     1-based position in the list is a node's level rank.
     """
-    fwd = _forward_map(levels)
+    fwd = _forward_levels(asn, levels)
     out_w = asn.out_weight()
-    ranked = [(k, float(fwd[k]), out_w[k]) for k in asn.frequency]
-    ranked.sort(key=lambda row: (row[1], -row[2], row[0].sort_key))
-    return ranked
+    order = _level_order(fwd, out_w)
+    return [
+        (asn.keys[i], f, w)
+        for i, f, w in zip(order.tolist(), fwd[order].tolist(), out_w[order].tolist())
+    ]
 
 
 def level_csv(
@@ -320,21 +312,16 @@ def level_csv(
     out.append(
         "role,lemma,forward_level,backward_level,frequency,in_weight,out_weight\n"
     )
-    in_w = asn.in_weight()
-    out_w = asn.out_weight()
-    for key in asn.nodes():
-        out.append(
-            ",".join(
-                (
-                    key.role_code,
-                    _csv_quote(key.lemma),
-                    repr(levels.forward[key]),
-                    repr(levels.backward[key]),
-                    str(asn.frequency[key]),
-                    str(in_w[key]),
-                    str(out_w[key]),
-                )
-            )
-            + "\n"
-        )
+    columns = (
+        [f"{k.role_code},{_csv_quote(k.lemma)}" for k in asn.keys],
+        levels.forward.tolist(),
+        levels.backward.tolist(),
+        asn.frequency.tolist(),
+        asn.in_weight().tolist(),
+        asn.out_weight().tolist(),
+    )
+    out += [
+        f"{node},{fwd!r},{bwd!r},{freq},{in_w},{out_w}\n"
+        for node, fwd, bwd, freq, in_w, out_w in zip(*columns)
+    ]
     return "".join(out)

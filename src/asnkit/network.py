@@ -4,19 +4,37 @@ Nodes are (lemma, role) pairs, so the same lemma in two grammatical
 functions yields two nodes.  Every head -> dependent relation of every tree
 contributes one unit of weight to the corresponding directed edge, hence the
 sum of all edge weights equals the number of non-root tokens aggregated.
+
+An :class:`Asn` is one immutable record of arrays, and :func:`aggregate` is
+its only builder.  Its invariants, which every later layer relies on:
+
+* ``keys`` holds each node once, sorted by (role code, lemma), so a node's
+  position in ``keys`` is its index everywhere else;
+* ``frequency`` is aligned with ``keys``;
+* ``src``, ``dst``, ``weight`` and ``rules`` describe each edge once, sorted
+  by (src, dst), which is (source, target) key order;
+* bit ``i`` of an edge's ``rules`` mask is set when some token on that edge
+  carried the phrase rule ``PHRASE_RULES[i]``;
+* ``first_seen`` lists the node indices in the order the nodes first
+  appeared in the trees (the order floating-point sums over nodes follow).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 from xml.sax.saxutils import escape, quoteattr
 
-from .corpus import DependencyTree, GrammaticalRole
+import numpy as np
+
+from .corpus import PHRASE_RULES, DependencyTree, GrammaticalRole
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "NodeKey",
-    "EdgeData",
     "Asn",
     "aggregate",
     "heads",
@@ -46,62 +64,98 @@ class NodeKey:
         return (self.role_code, self.lemma)
 
 
-@dataclass
-class EdgeData:
-    """Aggregated payload of one directed edge."""
-
-    weight: int = 0
-    rules: set[str] = field(default_factory=set)
+_ARRAYS = ("frequency", "src", "dst", "weight", "rules", "first_seen")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Asn:
     """A weighted directed aggregated syntactic network for one century.
 
-    ``frequency`` doubles as the node registry: nodes with no incident edges
-    (single-token sentences) still appear there.  ``century`` is ``None``
-    only for networks aggregated from no trees.
+    See the module docstring for the invariants of the arrays.  Nodes with
+    no incident edges (single-token sentences) are still in ``keys``.
+    ``century`` is ``None`` only for networks aggregated from no trees.
+    Equality compares the network, not ``first_seen``: aggregating the same
+    trees in another order gives an equal network.
     """
 
     century: int | None
-    frequency: dict[NodeKey, int] = field(default_factory=dict)
-    edges: dict[tuple[NodeKey, NodeKey], EdgeData] = field(default_factory=dict)
+    keys: tuple[NodeKey, ...]
+    frequency: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    rules: np.ndarray
+    first_seen: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in _ARRAYS:
+            array = np.array(
+                getattr(self, name), dtype=np.uint8 if name == "rules" else np.int64
+            )
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        n, m = len(self.keys), self.src.size
+        if self.frequency.size != n or self.first_seen.size != n:
+            raise ValueError("frequency and first_seen must align with keys")
+        if not self.dst.size == self.weight.size == self.rules.size == m:
+            raise ValueError("src, dst, weight and rules must have equal lengths")
+        packed = self.src * n + self.dst
+        if m and (
+            min(self.src.min(), self.dst.min()) < 0
+            or max(self.src.max(), self.dst.max()) >= n
+            or np.any(packed[1:] <= packed[:-1])
+        ):
+            raise ValueError("edges must be unique node pairs sorted by (src, dst)")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Asn):
+            return NotImplemented
+        return (
+            self.century == other.century
+            and self.keys == other.keys
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("frequency", "src", "dst", "weight", "rules")
+            )
+        )
 
     @property
     def node_count(self) -> int:
-        return len(self.frequency)
+        return len(self.keys)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.src.size
 
-    def nodes(self) -> list[NodeKey]:
-        """All nodes in deterministic (role, lemma) order."""
-        return sorted(self.frequency, key=lambda k: k.sort_key)
+    @cached_property
+    def index(self) -> dict[NodeKey, int]:
+        """Key -> node index, built on first use."""
+        return {key: i for i, key in enumerate(self.keys)}
 
-    def sorted_edges(self) -> list[tuple[NodeKey, NodeKey]]:
-        return sorted(self.edges, key=lambda e: (e[0].sort_key, e[1].sort_key))
-
-    def in_weight(self) -> dict[NodeKey, int]:
+    def in_weight(self) -> np.ndarray:
         """Total incoming edge weight per node (self-loops included)."""
-        w = {k: 0 for k in self.frequency}
-        for (_, v), data in self.edges.items():
-            w[v] += data.weight
-        return w
+        return self._weight_sums(self.dst)
 
-    def out_weight(self) -> dict[NodeKey, int]:
+    def out_weight(self) -> np.ndarray:
         """Total outgoing edge weight per node (self-loops included)."""
-        w = {k: 0 for k in self.frequency}
-        for (u, _), data in self.edges.items():
-            w[u] += data.weight
-        return w
+        return self._weight_sums(self.src)
+
+    def _weight_sums(self, ends: np.ndarray) -> np.ndarray:
+        # Float sums of integer weights are exact below 2**53.
+        sums = np.bincount(ends, weights=self.weight, minlength=self.node_count)
+        return sums.astype(np.int64)
 
     def total_weight(self) -> int:
-        return sum(d.weight for d in self.edges.values())
+        return int(self.weight.sum())
 
 
-def _node_key(token) -> NodeKey:
-    return NodeKey(lemma=token.lemma, role=token.role)
+#: Bit of each phrase rule in an edge's ``rules`` mask.
+_RULE_BITS = {rule: 1 << i for i, rule in enumerate(PHRASE_RULES)}
+
+_ROLE_BY_CODE: dict[str, GrammaticalRole | None] = {
+    role.code: role for role in GrammaticalRole
+}
+_ROLE_BY_CODE["_"] = None
 
 
 def aggregate(
@@ -119,28 +173,65 @@ def aggregate(
         If the trees span more than one century, or disagree with an
         explicitly passed ``century``.
     """
-    asn = Asn(century=century)
+    ids: dict[tuple[str, str], int] = {}  # (role code, lemma) -> order seen
+    tokens_seen: list[int] = []
+    edge_heads: list[int] = []
+    edge_deps: list[int] = []
+    edge_bits: list[int] = []
+    tree_count = 0
     for tree in trees:
-        if asn.century is None:
-            asn.century = tree.century
-        elif tree.century != asn.century:
+        tree_count += 1
+        if century is None:
+            century = tree.century
+        elif tree.century != century:
             raise ValueError(
                 f"cannot aggregate across centuries: {tree.sentence_id!r} "
-                f"has {tree.century}, expected {asn.century}"
+                f"has {tree.century}, expected {century}"
             )
-        by_index = {t.index: t for t in tree.tokens}
-        for token in tree.tokens:
-            key = _node_key(token)
-            asn.frequency[key] = asn.frequency.get(key, 0) + 1
-        for token in tree.tokens:
-            if token.head == 0:
-                continue
-            edge = (_node_key(by_index[token.head]), _node_key(token))
-            data = asn.edges.get(edge)
-            if data is None:
-                data = asn.edges[edge] = EdgeData()
-            data.weight += 1
-            data.rules.add(token.rule)
+        # Validated trees number their tokens 1..n, so token i sits at i - 1.
+        local = [
+            ids.setdefault(
+                ("_" if t.role is None else t.role.value, t.lemma), len(ids)
+            )
+            for t in tree.tokens
+        ]
+        tokens_seen += local
+        for t, dep in zip(tree.tokens, local):
+            if t.head:
+                edge_heads.append(local[t.head - 1])
+                edge_deps.append(dep)
+                edge_bits.append(_RULE_BITS[t.rule])
+
+    # Python's sort, not numpy's: numpy "U" arrays drop trailing NULs.
+    distinct = sorted(ids)
+    n = len(distinct)
+    order = np.fromiter((ids[k] for k in distinct), dtype=np.int64, count=n)
+    rank = np.empty(n, dtype=np.int64)  # order seen -> node index
+    rank[order] = np.arange(n)
+    frequency = np.bincount(np.asarray(tokens_seen, dtype=np.int64), minlength=n)
+    packed = rank[np.asarray(edge_heads, dtype=np.int64)] * n + rank[
+        np.asarray(edge_deps, dtype=np.int64)
+    ]
+    pairs, edge_of, weight = np.unique(
+        packed, return_inverse=True, return_counts=True
+    )
+    rules = np.zeros(pairs.size, dtype=np.uint8)
+    np.bitwise_or.at(rules, edge_of, np.asarray(edge_bits, dtype=np.uint8))
+    src, dst = np.divmod(pairs, max(n, 1))
+    asn = Asn(
+        century=century,
+        keys=tuple(NodeKey(lemma, _ROLE_BY_CODE[code]) for code, lemma in distinct),
+        frequency=frequency[order],
+        src=src,
+        dst=dst,
+        weight=weight,
+        rules=rules,
+        first_seen=rank,
+    )
+    logger.debug(
+        "century %s: %d trees, %d nodes, %d edges, total weight %d",
+        century, tree_count, asn.node_count, asn.edge_count, asn.total_weight(),
+    )
     return asn
 
 
@@ -151,11 +242,9 @@ def heads(asn: Asn) -> list[NodeKey]:
     (role, lemma).  A node whose only incoming edge is a self-loop has an
     in-neighbour (itself) and is therefore not a head.
     """
-    in_w = asn.in_weight()
-    out_w = asn.out_weight()
-    result = [k for k in asn.frequency if in_w[k] == 0]
-    result.sort(key=lambda k: (-out_w[k], k.sort_key))
-    return result
+    found = np.flatnonzero(asn.in_weight() == 0)
+    out_w = asn.out_weight()[found]
+    return [asn.keys[i] for i in found[np.lexsort((found, -out_w))].tolist()]
 
 
 def _metadata_line(
@@ -172,9 +261,14 @@ def _metadata_line(
 
 
 def _csv_quote(value: str) -> str:
-    if any(c in value for c in ',"\n'):
+    if any(c in value for c in ',"\r\n'):
         return '"' + value.replace('"', '""') + '"'
     return value
+
+
+def _edge_columns(asn: Asn):
+    """``(src, dst, weight)`` as Python lists, for row formatting."""
+    return asn.src.tolist(), asn.dst.tolist(), asn.weight.tolist()
 
 
 def edge_csv(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
@@ -184,22 +278,12 @@ def edge_csv(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     rows sorted by (source, target) node sort keys.  An optional metadata
     mapping is recorded in a leading ``#`` comment line.
     """
+    cells = [f"{_csv_quote(k.role_code)},{_csv_quote(k.lemma)}" for k in asn.keys]
     out = [_metadata_line(metadata, "# ")]
     out.append("source_role,source_lemma,target_role,target_lemma,weight\n")
-    for u, v in asn.sorted_edges():
-        weight = asn.edges[(u, v)].weight
-        out.append(
-            ",".join(
-                (
-                    _csv_quote(u.role_code),
-                    _csv_quote(u.lemma),
-                    _csv_quote(v.role_code),
-                    _csv_quote(v.lemma),
-                    str(weight),
-                )
-            )
-            + "\n"
-        )
+    out += [
+        f"{cells[u]},{cells[v]},{w}\n" for u, v, w in zip(*_edge_columns(asn))
+    ]
     return "".join(out)
 
 
@@ -209,25 +293,31 @@ def _dot_quote(value: str) -> str:
 
 def to_dot(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     """Deterministic Graphviz DOT rendering with weights and frequencies."""
+    names = [_dot_quote(k.display()) for k in asn.keys]
     out = [_metadata_line(metadata, "// ")]
     out.append("digraph asn {\n")
-    for key in asn.nodes():
-        out.append(
-            f"  {_dot_quote(key.display())} "
-            f"[frequency={asn.frequency[key]}];\n"
-        )
-    for u, v in asn.sorted_edges():
-        data = asn.edges[(u, v)]
-        out.append(
-            f"  {_dot_quote(u.display())} -> {_dot_quote(v.display())} "
-            f"[weight={data.weight}];\n"
-        )
+    out += [
+        f"  {name} [frequency={f}];\n"
+        for name, f in zip(names, asn.frequency.tolist())
+    ]
+    out += [
+        f"  {names[u]} -> {names[v]} [weight={w}];\n"
+        for u, v, w in zip(*_edge_columns(asn))
+    ]
     out.append("}\n")
     return "".join(out)
 
 
+#: Escaped GraphML text of every rules mask: the set rules, sorted, comma-joined.
+_RULE_TEXT = [
+    escape(",".join(sorted(r for r, bit in _RULE_BITS.items() if mask & bit)))
+    for mask in range(1 << len(PHRASE_RULES))
+]
+
+
 def to_graphml(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     """Deterministic GraphML rendering readable by standard graph tools."""
+    ids = [quoteattr(k.display()) for k in asn.keys]
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
     out.append(_metadata_line(metadata, "<!-- ", " -->", escape))
     out.append(
@@ -239,22 +329,20 @@ def to_graphml(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
         '  <key id="d4" for="edge" attr.name="rules" attr.type="string"/>\n'
         '  <graph id="G" edgedefault="directed">\n'
     )
-    for key in asn.nodes():
-        node_id = quoteattr(key.display())
-        out.append(f"    <node id={node_id}>\n")
-        out.append(f'      <data key="d0">{escape(key.lemma)}</data>\n')
-        out.append(f'      <data key="d1">{escape(key.role_code)}</data>\n')
-        out.append(f'      <data key="d2">{asn.frequency[key]}</data>\n')
-        out.append("    </node>\n")
-    for u, v in asn.sorted_edges():
-        data = asn.edges[(u, v)]
-        rules = escape(",".join(sorted(data.rules)))
-        out.append(
-            f"    <edge source={quoteattr(u.display())} "
-            f"target={quoteattr(v.display())}>\n"
-        )
-        out.append(f'      <data key="d3">{data.weight}</data>\n')
-        out.append(f'      <data key="d4">{rules}</data>\n')
-        out.append("    </edge>\n")
+    out += [
+        f"    <node id={node_id}>\n"
+        f'      <data key="d0">{escape(key.lemma)}</data>\n'
+        f'      <data key="d1">{escape(key.role_code)}</data>\n'
+        f'      <data key="d2">{f}</data>\n'
+        "    </node>\n"
+        for node_id, key, f in zip(ids, asn.keys, asn.frequency.tolist())
+    ]
+    out += [
+        f"    <edge source={ids[u]} target={ids[v]}>\n"
+        f'      <data key="d3">{w}</data>\n'
+        f'      <data key="d4">{_RULE_TEXT[r]}</data>\n'
+        "    </edge>\n"
+        for u, v, w, r in zip(*_edge_columns(asn), asn.rules.tolist())
+    ]
     out.append("  </graph>\n</graphml>\n")
     return "".join(out)

@@ -7,7 +7,7 @@ discarded), with path metrics restricted to the largest connected component.
 Degree sequences, by contrast, describe the directed simple graph.
 
 The projection is one symmetric 0/1 CSR matrix ``A`` over the nodes in
-``asn.frequency`` order, and everything else is ``scipy.sparse.csgraph``
+``asn.keys`` order, and everything else is ``scipy.sparse.csgraph``
 and sparse algebra: components come from ``connected_components``, the
 distances inside the largest component from breadth-first
 ``shortest_path`` runs over fixed blocks of source rows (so memory stays
@@ -63,13 +63,11 @@ class NetworkSummary:
 
 def _projection(asn: Asn) -> sparse.csr_matrix:
     """Symmetric 0/1 adjacency of the undirected simple projection."""
-    index = {key: i for i, key in enumerate(asn.frequency)}
-    arcs = np.array(
-        [(index[u], index[v]) for (u, v) in asn.edges if u != v], dtype=np.int64
-    ).reshape(-1, 2)
-    rows = np.concatenate([arcs[:, 0], arcs[:, 1]])
-    cols = np.concatenate([arcs[:, 1], arcs[:, 0]])
-    n = len(index)
+    arcs = asn.src != asn.dst
+    src, dst = asn.src[arcs], asn.dst[arcs]
+    rows = np.concatenate([src, dst])
+    cols = np.concatenate([dst, src])
+    n = asn.node_count
     # The constructor sums duplicate entries, so a 2-cycle shows up as a 2.
     adjacency = sparse.csr_matrix(
         (np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n)
@@ -78,12 +76,13 @@ def _projection(asn: Asn) -> sparse.csr_matrix:
     return adjacency
 
 
-def _clustering(adjacency: sparse.csr_matrix) -> float:
+def _clustering(asn: Asn, adjacency: sparse.csr_matrix) -> float:
     """Mean local clustering, every node counted (zero below degree 2).
 
     ``t`` is twice the node's triangle count.  The per-node ratios are
-    Python floats summed in node order, as networkx's
-    ``average_clustering`` sums them, so the mean is the same to the bit.
+    Python floats summed in the order the nodes were first seen, as
+    networkx's ``average_clustering`` sums them over a graph built in that
+    order, so the mean is the same to the bit.
     """
     degrees = np.diff(adjacency.indptr).tolist()
     twice_triangles = np.asarray(
@@ -93,27 +92,19 @@ def _clustering(adjacency: sparse.csr_matrix) -> float:
         0 if t == 0 else t / (d * (d - 1))
         for d, t in zip(degrees, twice_triangles)
     ]
-    return sum(local) / len(local)
+    return sum(local[i] for i in asn.first_seen.tolist()) / len(local)
 
 
-def _largest_component(
-    asn: Asn, adjacency: sparse.csr_matrix
-) -> tuple[int, np.ndarray]:
+def _largest_component(adjacency: sparse.csr_matrix) -> tuple[int, np.ndarray]:
     """Component count and the node indices of the largest component.
 
-    Size ties go to the component holding the smallest (role, lemma) key;
-    components are disjoint, so that choice is deterministic.
+    Size ties go to the component holding the smallest (role, lemma) key,
+    which is the smallest node index; components are disjoint, so that
+    choice is deterministic.
     """
     count, labels = csgraph.connected_components(adjacency, directed=False)
     sizes = np.bincount(labels)
-    tied = set(np.flatnonzero(sizes == sizes.max()).tolist())
-    smallest: dict[int, tuple[str, str]] = {}
-    for key, label in zip(asn.frequency, labels.tolist()):
-        if label in tied and (
-            label not in smallest or key.sort_key < smallest[label]
-        ):
-            smallest[label] = key.sort_key
-    best = min(smallest, key=smallest.__getitem__)
+    best = labels[np.argmax(sizes[labels] == sizes.max())]
     return int(count), np.flatnonzero(labels == best)
 
 
@@ -147,7 +138,7 @@ def summarize(asn: Asn) -> NetworkSummary:
     adjacency = _projection(asn)
     n = asn.node_count
     e = adjacency.nnz // 2
-    component_count, lcc = _largest_component(asn, adjacency)
+    component_count, lcc = _largest_component(adjacency)
     m = lcc.size
     if m <= 1:
         average_path_length = 0.0
@@ -159,7 +150,7 @@ def summarize(asn: Asn) -> NetworkSummary:
         node_count=n,
         edge_count=e,
         average_degree=2.0 * e / n,
-        clustering=_clustering(adjacency),
+        clustering=_clustering(asn, adjacency),
         average_path_length=average_path_length,
         diameter=diameter,
         component_count=component_count,
@@ -174,16 +165,12 @@ def degree_sequences(asn: Asn) -> dict[str, list[int]]:
     node.  Each multiset is returned sorted ascending; the in and out lists
     both sum to the number of directed edges.
     """
-    in_deg = {k: 0 for k in asn.frequency}
-    out_deg = {k: 0 for k in asn.frequency}
-    for (u, v) in asn.edges:
-        out_deg[u] += 1
-        in_deg[v] += 1
-    total = {k: in_deg[k] + out_deg[k] for k in asn.frequency}
+    in_deg = np.bincount(asn.dst, minlength=asn.node_count)
+    out_deg = np.bincount(asn.src, minlength=asn.node_count)
     return {
-        "in": sorted(in_deg.values()),
-        "out": sorted(out_deg.values()),
-        "total": sorted(total.values()),
+        "in": np.sort(in_deg).tolist(),
+        "out": np.sort(out_deg).tolist(),
+        "total": np.sort(in_deg + out_deg).tolist(),
     }
 
 

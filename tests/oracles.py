@@ -8,12 +8,14 @@ code is checked against a genuinely separate route to the same numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 from scipy import optimize, special
 
 from asnkit import (
+    PHRASE_RULES,
     Asn,
     DegenerateDataError,
     GrammaticalRole,
@@ -22,7 +24,6 @@ from asnkit import (
     hurwitz_zeta,
     sample_discrete_powerlaw,
 )
-from asnkit.network import EdgeData
 
 # ---------------------------------------------------------------------------
 # Builders
@@ -33,31 +34,68 @@ def nkey(lemma: str, role: GrammaticalRole | None = GrammaticalRole.NOUN) -> Nod
     return NodeKey(lemma=lemma, role=role)
 
 
+def _record(century, frequency: dict, edges: dict) -> Asn:
+    """The array record of a node -> frequency and edge -> (weight, rules)
+    dict pair; ``frequency`` insertion order is the order nodes were seen."""
+    keys = sorted(frequency, key=lambda k: k.sort_key)
+    index = {k: i for i, k in enumerate(keys)}
+    pairs = sorted(edges, key=lambda e: (index[e[0]], index[e[1]]))
+    return Asn(
+        century=century,
+        keys=tuple(keys),
+        frequency=[frequency[k] for k in keys],
+        src=[index[u] for u, _ in pairs],
+        dst=[index[v] for _, v in pairs],
+        weight=[edges[e][0] for e in pairs],
+        rules=[
+            sum(1 << i for i, r in enumerate(PHRASE_RULES) if r in edges[e][1])
+            for e in pairs
+        ],
+        first_seen=[index[k] for k in frequency],
+    )
+
+
 def make_asn(edges, isolated=(), century=None) -> Asn:
     """Build a network directly from (src_lemma, dst_lemma, weight) triples.
 
     All nodes get the noun role; ``isolated`` adds edgeless lemmas.  Node
     frequencies are irrelevant to topology-level code, so every node gets
-    frequency 1.
+    frequency 1.  Edges carry no rules.
     """
-    asn = Asn(century=century)
+    frequency: dict[NodeKey, int] = {}
+    merged: dict[tuple[NodeKey, NodeKey], list] = {}
     for lemma in isolated:
-        asn.frequency.setdefault(nkey(lemma), 1)
+        frequency.setdefault(nkey(lemma), 1)
     for src, dst, weight in edges:
         u, v = nkey(src), nkey(dst)
-        asn.frequency.setdefault(u, 1)
-        asn.frequency.setdefault(v, 1)
-        data = asn.edges.setdefault((u, v), EdgeData())
-        data.weight += weight
-    return asn
+        frequency.setdefault(u, 1)
+        frequency.setdefault(v, 1)
+        merged.setdefault((u, v), [0, set()])[0] += weight
+    return _record(century, frequency, merged)
+
+
+def frequency_map(asn: Asn) -> dict[NodeKey, int]:
+    """Node -> token frequency."""
+    return {k: int(f) for k, f in zip(asn.keys, asn.frequency)}
+
+
+def edge_map(asn: Asn) -> dict[tuple[NodeKey, NodeKey], tuple[int, set]]:
+    """(source, target) -> (weight, set of rule names), one entry per edge."""
+    return {
+        (asn.keys[int(u)], asn.keys[int(v)]): (
+            int(w),
+            {rule for i, rule in enumerate(PHRASE_RULES) if int(mask) >> i & 1},
+        )
+        for u, v, w, mask in zip(asn.src, asn.dst, asn.weight, asn.rules)
+    }
 
 
 def reverse(asn: Asn) -> Asn:
     """The same network with every edge direction flipped."""
-    rev = Asn(century=asn.century, frequency=dict(asn.frequency))
-    for (u, v), data in asn.edges.items():
-        rev.edges[(v, u)] = EdgeData(weight=data.weight, rules=set(data.rules))
-    return rev
+    edges = {(v, u): data for (u, v), data in edge_map(asn).items()}
+    frequency = frequency_map(asn)
+    seen = [asn.keys[int(i)] for i in asn.first_seen]
+    return _record(asn.century, {k: frequency[k] for k in seen}, edges)
 
 
 def random_asn(rng: np.random.Generator, n: int, p: float = 0.35,
@@ -83,6 +121,151 @@ def random_tree_heads(rng: np.random.Generator, n: int) -> list[int]:
         pos = int(position[label])
         heads[pos] = 0 if parent[label] < 0 else int(position[parent[label]]) + 1
     return heads
+
+
+# ---------------------------------------------------------------------------
+# Reference network: the dict-based aggregation and writers asnkit shipped
+# before its array record, kept as the route the array code must match.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RefEdge:
+    weight: int = 0
+    rules: set = field(default_factory=set)
+
+
+@dataclass
+class RefAsn:
+    """Node -> frequency in first-seen order, (u, v) -> :class:`RefEdge`."""
+
+    century: int | None
+    frequency: dict = field(default_factory=dict)
+    edges: dict = field(default_factory=dict)
+
+    def nodes(self):
+        return sorted(self.frequency, key=lambda k: k.sort_key)
+
+    def sorted_edges(self):
+        return sorted(self.edges, key=lambda e: (e[0].sort_key, e[1].sort_key))
+
+    def in_weight(self):
+        w = {k: 0 for k in self.frequency}
+        for (_, v), data in self.edges.items():
+            w[v] += data.weight
+        return w
+
+    def out_weight(self):
+        w = {k: 0 for k in self.frequency}
+        for (u, _), data in self.edges.items():
+            w[u] += data.weight
+        return w
+
+
+def reference_aggregate(trees) -> RefAsn:
+    """Token by token, one dict entry per node and per edge."""
+    asn = RefAsn(century=None)
+    for tree in trees:
+        asn.century = tree.century
+        by_index = {t.index: t for t in tree.tokens}
+        for token in tree.tokens:
+            key = NodeKey(token.lemma, token.role)
+            asn.frequency[key] = asn.frequency.get(key, 0) + 1
+        for token in tree.tokens:
+            if token.head == 0:
+                continue
+            head = by_index[token.head]
+            edge = (NodeKey(head.lemma, head.role), NodeKey(token.lemma, token.role))
+            data = asn.edges.setdefault(edge, RefEdge())
+            data.weight += 1
+            data.rules.add(token.rule)
+    return asn
+
+
+def _ref_metadata(metadata, prefix, suffix="", quote=str):
+    if not metadata:
+        return ""
+    body = " ".join(f"{k}={metadata[k]}" for k in sorted(metadata))
+    return f"{prefix}{quote(body)}{suffix}\n"
+
+
+def _ref_csv_quote(value):
+    if any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _ref_dot_quote(value):
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_edge_csv(asn: RefAsn, metadata=None) -> str:
+    out = [_ref_metadata(metadata, "# ")]
+    out.append("source_role,source_lemma,target_role,target_lemma,weight\n")
+    for u, v in asn.sorted_edges():
+        cells = (u.role_code, u.lemma, v.role_code, v.lemma)
+        out.append(",".join(_ref_csv_quote(c) for c in cells)
+                   + f",{asn.edges[(u, v)].weight}\n")
+    return "".join(out)
+
+
+def reference_to_dot(asn: RefAsn, metadata=None) -> str:
+    out = [_ref_metadata(metadata, "// "), "digraph asn {\n"]
+    for key in asn.nodes():
+        out.append(f"  {_ref_dot_quote(key.display())} "
+                   f"[frequency={asn.frequency[key]}];\n")
+    for u, v in asn.sorted_edges():
+        out.append(f"  {_ref_dot_quote(u.display())} -> "
+                   f"{_ref_dot_quote(v.display())} "
+                   f"[weight={asn.edges[(u, v)].weight}];\n")
+    out.append("}\n")
+    return "".join(out)
+
+
+def reference_to_graphml(asn: RefAsn, metadata=None) -> str:
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n',
+           _ref_metadata(metadata, "<!-- ", " -->", escape)]
+    out.append(
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        '  <key id="d0" for="node" attr.name="lemma" attr.type="string"/>\n'
+        '  <key id="d1" for="node" attr.name="role" attr.type="string"/>\n'
+        '  <key id="d2" for="node" attr.name="frequency" attr.type="long"/>\n'
+        '  <key id="d3" for="edge" attr.name="weight" attr.type="long"/>\n'
+        '  <key id="d4" for="edge" attr.name="rules" attr.type="string"/>\n'
+        '  <graph id="G" edgedefault="directed">\n'
+    )
+    for key in asn.nodes():
+        out.append(f"    <node id={quoteattr(key.display())}>\n")
+        out.append(f'      <data key="d0">{escape(key.lemma)}</data>\n')
+        out.append(f'      <data key="d1">{escape(key.role_code)}</data>\n')
+        out.append(f'      <data key="d2">{asn.frequency[key]}</data>\n')
+        out.append("    </node>\n")
+    for u, v in asn.sorted_edges():
+        data = asn.edges[(u, v)]
+        out.append(f"    <edge source={quoteattr(u.display())} "
+                   f"target={quoteattr(v.display())}>\n")
+        out.append(f'      <data key="d3">{data.weight}</data>\n')
+        out.append(f'      <data key="d4">{escape(",".join(sorted(data.rules)))}</data>\n')
+        out.append("    </edge>\n")
+    out.append("  </graph>\n</graphml>\n")
+    return "".join(out)
+
+
+def reference_level_csv(asn: RefAsn, forward: dict, backward: dict,
+                        metadata=None) -> str:
+    """``forward``/``backward``: node -> level dicts."""
+    meta = {"axis": "inverted", "levels": "min0", **(metadata or {})}
+    out = [_ref_metadata(meta, "# ")]
+    out.append("role,lemma,forward_level,backward_level,frequency,"
+               "in_weight,out_weight\n")
+    in_w, out_w = asn.in_weight(), asn.out_weight()
+    for key in asn.nodes():
+        out.append(",".join((
+            key.role_code, _ref_csv_quote(key.lemma), repr(forward[key]),
+            repr(backward[key]), str(asn.frequency[key]), str(in_w[key]),
+            str(out_w[key]),
+        )) + "\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +316,13 @@ def dense_levels(asn: Asn, weighted: bool = True, backward: bool = False):
 
     Returns levels as a dict over node keys, shifted so the minimum is 0.
     """
-    nodes = asn.nodes()
+    nodes = sorted(asn.keys, key=lambda k: k.sort_key)
     index = {k: i for i, k in enumerate(nodes)}
     n = len(nodes)
     win = np.zeros(n)
     triples = []
-    for (u, v), data in asn.edges.items():
-        w = float(data.weight) if weighted else 1.0
+    for (u, v), (weight, _rules) in edge_map(asn).items():
+        w = float(weight) if weighted else 1.0
         if backward:
             u, v = v, u
         win[index[v]] += w
@@ -153,12 +336,16 @@ def dense_levels(asn: Asn, weighted: bool = True, backward: bool = False):
     return {k: float(levels[i]) for k, i in index.items()}
 
 
-def hierarchy_stats_oracle(asn: Asn, forward: dict, weighted: bool = True):
-    """Weighted mean/variance of edge level differences, by explicit loop."""
+def hierarchy_stats_oracle(asn: Asn, forward, weighted: bool = True):
+    """Weighted mean/variance of edge level differences, by explicit loop.
+
+    ``forward`` holds the levels aligned with ``asn.keys``.
+    """
+    forward = dict(zip(asn.keys, forward))
     diffs, weights = [], []
-    for (u, v), data in asn.edges.items():
+    for (u, v), (weight, _rules) in edge_map(asn).items():
         diffs.append(forward[v] - forward[u])
-        weights.append(float(data.weight) if weighted else 1.0)
+        weights.append(float(weight) if weighted else 1.0)
     total = sum(weights)
     mean = sum(d * w for d, w in zip(diffs, weights)) / total
     var = sum(w * (d - mean) ** 2 for d, w in zip(diffs, weights)) / total
@@ -172,9 +359,9 @@ def hierarchy_stats_oracle(asn: Asn, forward: dict, weighted: bool = True):
 
 def summary_oracle(asn: Asn):
     """Brute-force undirected statistics: BFS distances, triangle counting."""
-    nodes = asn.nodes()
+    nodes = sorted(asn.keys, key=lambda k: k.sort_key)
     adjacency = {k: set() for k in nodes}
-    for u, v in asn.edges:
+    for u, v in edge_map(asn):
         if u != v:
             adjacency[u].add(v)
             adjacency[v].add(u)

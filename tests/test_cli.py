@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, determinism, configuration."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -196,6 +198,39 @@ class TestArtifacts:
         weighted = (out_w / "hierarchy_14.csv").read_text()
         unweighted = (out_u / "hierarchy_14.csv").read_text()
         assert weighted != unweighted
+
+
+    def test_every_csv_row_matches_its_header(self, tmp_path):
+        # lemmas holding a comma, a quote and a carriage return, each of
+        # which must be quoted for a CSV reader to keep the row whole
+        lemmas = ("a,b", 'sa"gt', "x\ry")
+        sentence = (f"1\t{lemmas[0]}\t{lemmas[0]}\tN\t2\t_\n"
+                    f"2\t{lemmas[1]}\t{lemmas[1]}\tV\t0\t_\n"
+                    f"3\t{lemmas[2]}\t{lemmas[2]}\tN\t2\t_\n")
+        text = "".join(f"# century = {c}\n{sentence}\n" for c in (14, 15))
+        path = tmp_path / "awkward.tb"
+        path.write_text(text, encoding="utf-8", newline="")
+        out = tmp_path / "o"
+        track = ["--track", f"N {lemmas[0]}", "--track", f"V {lemmas[1]}",
+                 "--track", f"N {lemmas[2]}"]
+        assert run("analyze", str(path), "--out", str(out),
+                   "--replicates", "100", *track) == 0
+        csv_files = sorted(out.glob("*.csv"))
+        assert {p.name for p in csv_files} >= {
+            "asn_14.csv", "hierarchy_14.csv", "trajectories.csv"
+        }
+        for csv_path in csv_files:
+            with open(csv_path, encoding="utf-8", newline="") as handle:
+                body = handle.read()
+            if body.startswith("#"):
+                body = body.split("\n", 1)[1]
+            header, *rows = csv.reader(io.StringIO(body, newline=""))
+            assert rows, csv_path.name
+            for row in rows:
+                assert len(row) == len(header), (csv_path.name, row)
+        with open(out / "trajectories.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[2:]
+        assert sorted({row[1] for row in rows}) == sorted(lemmas)
 
 
 class TestDeterminismAndConfig:

@@ -1,5 +1,7 @@
 """Cross-century tracking, emergence detection, and phase-space series."""
 
+from dataclasses import replace
+
 import pytest
 
 from asnkit import (
@@ -34,10 +36,7 @@ def shifted_series(pairs, base_century):
     """Same networks relabelled to consecutive centuries from base."""
     out = []
     for i, (asn, levels) in enumerate(pairs):
-        clone = type(asn)(century=base_century + i,
-                          frequency=dict(asn.frequency),
-                          edges=dict(asn.edges))
-        out.append((clone, levels))
+        out.append((replace(asn, century=base_century + i), levels))
     return out
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import logging
 from xml.dom import minidom
 
 import numpy as np
@@ -10,18 +11,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asnkit import (
+    MISSING_LEMMAS,
+    PHRASE_RULES,
+    Asn,
     GrammaticalRole,
     NodeKey,
     Token,
     aggregate,
     edge_csv,
     heads,
+    hierarchy_levels,
+    level_csv,
     parse_corpus,
     to_dot,
     to_graphml,
     validate_tree,
 )
-from oracles import make_asn, nkey, random_tree_heads, reverse
+from oracles import (
+    edge_map,
+    frequency_map,
+    make_asn,
+    nkey,
+    random_tree_heads,
+    reference_aggregate,
+    reference_edge_csv,
+    reference_level_csv,
+    reference_to_dot,
+    reference_to_graphml,
+    reverse,
+)
 
 R = GrammaticalRole
 
@@ -51,28 +69,28 @@ class TestAggregate:
         d = nkey("der", R.ARTICLE)
         h = nkey("hunt", R.NOUN)
         m = nkey("man", R.NOUN)
-        assert asn.frequency == {v: 2, d: 2, h: 1, m: 1}
-        weights = {e: data.weight for e, data in asn.edges.items()}
+        assert frequency_map(asn) == {v: 2, d: 2, h: 1, m: 1}
+        weights = {e: weight for e, (weight, _rules) in edge_map(asn).items()}
         assert weights == {(v, h): 1, (v, m): 1, (h, d): 1, (m, d): 1}
-        assert asn.in_weight()[d] == 2
-        assert asn.out_weight()[v] == 2
+        assert asn.in_weight()[asn.index[d]] == 2
+        assert asn.out_weight()[asn.index[v]] == 2
 
     def test_same_sentence_twice_doubles_weights(self):
         twin = sentence([("der", R.ARTICLE, 2), ("hunt", R.NOUN, 3),
                          ("louft", R.VERB, 0)], sentence_id="dog2")
         asn = aggregate([DOG, twin])
-        for data in asn.edges.values():
-            assert data.weight == 2
-        assert asn.frequency[nkey("louft", R.VERB)] == 2
+        for weight, _rules in edge_map(asn).values():
+            assert weight == 2
+        assert frequency_map(asn)[nkey("louft", R.VERB)] == 2
 
     def test_repeated_lemma_inside_one_sentence_merges(self):
         biter = sentence([("hunt", R.NOUN, 2), ("bizt", R.VERB, 0),
                           ("hunt", R.NOUN, 2)], sentence_id="bite")
         asn = aggregate([biter])
         assert asn.node_count == 2
-        assert asn.frequency[nkey("hunt", R.NOUN)] == 2
-        assert asn.edges[(nkey("bizt", R.VERB),
-                          nkey("hunt", R.NOUN))].weight == 2
+        assert frequency_map(asn)[nkey("hunt", R.NOUN)] == 2
+        assert edge_map(asn)[(nkey("bizt", R.VERB),
+                              nkey("hunt", R.NOUN))][0] == 2
 
     def test_same_lemma_different_role_is_a_different_node(self):
         wit = sentence([("wil", R.MODAL_VERB, 0), ("wil", R.NOUN, 1)],
@@ -108,8 +126,22 @@ class TestAggregate:
                 "2\thunt\thunt\tN\t3\t_\n"
                 "3\tlouft\tlouft\tV\t0\t_\n")
         asn = aggregate(parse_corpus(text)[0].trees)
-        data = asn.edges[(nkey("hunt", R.NOUN), nkey("der", R.ARTICLE))]
-        assert data.rules == {"NP"}  # article hanging off a noun
+        _weight, rules = edge_map(asn)[(nkey("hunt", R.NOUN), nkey("der", R.ARTICLE))]
+        assert rules == {"NP"}  # article hanging off a noun
+
+    def test_logs_one_debug_line_per_network(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="asnkit.network"):
+            aggregate([DOG, MAN])
+        assert [r.getMessage() for r in caplog.records] == [
+            "century 14: 2 trees, 4 nodes, 4 edges, total weight 4"
+        ]
+
+    def test_record_rejects_unsorted_or_duplicate_edges(self):
+        keys = (nkey("a"), nkey("b"))
+        for src, dst in (([1, 0], [0, 1]), ([0, 0], [1, 1])):
+            with pytest.raises(ValueError, match="sorted"):
+                Asn(century=14, keys=keys, frequency=[1, 1], src=src, dst=dst,
+                    weight=[1, 1], rules=[0, 0], first_seen=[0, 1])
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -124,7 +156,7 @@ class TestAggregate:
         tree = validate_tree(tokens, sentence_id="s", century=14)
         asn = aggregate([tree])
         assert asn.total_weight() == len(tokens) - 1
-        assert sum(asn.frequency.values()) == len(tokens)
+        assert sum(frequency_map(asn).values()) == len(tokens)
 
 
 class TestHeads:
@@ -158,8 +190,8 @@ class TestSubnetworkAndReverse:
     def test_reverse_swaps_weights(self):
         asn = make_asn([("a", "b", 3)])
         rev = reverse(asn)
-        assert rev.edges[(nkey("b"), nkey("a"))].weight == 3
-        assert rev.in_weight()[nkey("a")] == 3
+        assert edge_map(rev)[(nkey("b"), nkey("a"))][0] == 3
+        assert rev.in_weight()[rev.index[nkey("a")]] == 3
 
 
 class TestExports:
@@ -222,4 +254,75 @@ class TestNodeKey:
                 "1\tunbekannt\tunbekannt\t_\t2\t_\n"
                 "2\tkumt\tkumen\tV\t0\t_\n")
         asn = aggregate(parse_corpus(text)[0].trees)
-        assert NodeKey(lemma="unbekannt", role=None) in asn.frequency
+        assert NodeKey(lemma="unbekannt", role=None) in asn.keys
+
+
+#: Characters that every writer must escape or quote, plus a line separator
+#: and a character outside the Basic Multilingual Plane.
+AWKWARD = 'ab,"\\<>&\'\r\u2028\U0001F600'
+ROLES = (R.NOUN, R.VERB, R.ARTICLE, None)
+
+
+@st.composite
+def treebanks(draw):
+    """A few valid trees of one century over a small pool of awkward lemmas.
+
+    The small pools make self-loops (one lemma and role heading itself) and
+    edges that collect several rules common; ``None`` roles give sentinel
+    tokens with missing annotation.
+    """
+    pool = draw(st.lists(st.text(AWKWARD, min_size=1, max_size=3),
+                         min_size=1, max_size=4))
+    trees = []
+    for number in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(1, 7))
+        parent = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, size)]
+        position = draw(st.permutations(range(size)))
+        head_of = [0] * size
+        for label in range(size):
+            if parent[label] >= 0:
+                head_of[position[label]] = position[parent[label]] + 1
+        tokens = []
+        for index, head in enumerate(head_of, start=1):
+            role = draw(st.sampled_from(ROLES))
+            if role is None:
+                lemma = draw(st.sampled_from(sorted(MISSING_LEMMAS)))
+            else:
+                lemma = draw(st.sampled_from(pool))
+            tokens.append(Token(index=index, surface=lemma, lemma=lemma, role=role,
+                                head=head, rule=draw(st.sampled_from(PHRASE_RULES)),
+                                missing=role is None))
+        trees.append(validate_tree(tokens, sentence_id=f"s{number}", century=14))
+    return trees
+
+
+class TestArrayCoreMatchesReference:
+    """The array record and its writers against the dict-based reference."""
+
+    @given(treebanks())
+    @settings(max_examples=150, deadline=None)
+    def test_writers_and_weights_match(self, trees):
+        asn = aggregate(trees)
+        ref = reference_aggregate(trees)
+        meta = {"century": 14, "seed": 3}
+        assert edge_csv(asn, metadata=meta) == reference_edge_csv(ref, meta)
+        assert to_dot(asn, metadata=meta) == reference_to_dot(ref, meta)
+        assert to_graphml(asn, metadata=meta) == reference_to_graphml(ref, meta)
+        levels = hierarchy_levels(asn)
+        forward = dict(zip(asn.keys, levels.forward.tolist()))
+        backward = dict(zip(asn.keys, levels.backward.tolist()))
+        assert level_csv(asn, levels, metadata=meta) == reference_level_csv(
+            ref, forward, backward, meta
+        )
+        assert frequency_map(asn) == ref.frequency
+        assert [asn.keys[i] for i in asn.first_seen.tolist()] == list(ref.frequency)
+        assert edge_map(asn) == {
+            edge: (data.weight, data.rules) for edge, data in ref.edges.items()
+        }
+        assert dict(zip(asn.keys, asn.in_weight().tolist())) == ref.in_weight()
+        assert dict(zip(asn.keys, asn.out_weight().tolist())) == ref.out_weight()
+
+    def test_edge_csv_row_survives_a_carriage_return(self):
+        tricky = sentence([("a\rb", R.NOUN, 2), ("c", R.NOUN, 0)], sentence_id="cr")
+        rows = list(csv.reader(io.StringIO(edge_csv(aggregate([tricky])), newline="")))
+        assert rows[1:] == [["N", "c", "N", "a\rb", "1"]]

@@ -6,14 +6,22 @@ Usage::
     python3 tools/bundle_diff.py <git-rev>
 
 Runs ``python -m asnkit.cli analyze`` from a temporary ``git worktree`` of
-<git-rev> and from the working tree on three corpora:
+<git-rev> and from the working tree on these cases:
 
 * ``demo``: the bundled demo corpus, ``--seed 0``;
 * ``takeover``: ``asnkit.synth.takeover_corpus()``, ``--seed 7 --replicates 100``;
+* ``takeover-track``: the same, plus ``--track "MV konnen" --track "N man"``
+  (without ``--track``, ``trajectories.csv`` is only a header);
 * ``zipf-300``: ``perfbench/gen.py`` ``zipf_corpus(300, (13, 14, 15, 16),
   sentences=40, vocab=150, planted_from=2, planted_sentences=15,
   adjacent=3, distant=3, exponent=0.6, tag=1)``,
-  ``--seed 300 --replicates 100``.
+  ``--seed 300 --replicates 100``;
+* ``zipf-300-track``: the same, plus ``--track "MV planthead"``;
+* ``zipf-300-unweighted``: the same, plus ``--unweighted``;
+* ``ingest-large``: ``zipf_corpus(0, (14, 15, 16, 17), sentences=1000,
+  vocab=2500, planted_from=2, planted_sentences=40, adjacent=10,
+  distant=10, tag=5)`` (about 2,000 nodes per century),
+  ``--seed 0 --replicates 100``.
 
 Both sides read the same corpus files, written from the working tree.  The
 script prints ``diff -r`` of the two bundles per corpus and exits 0 when
@@ -34,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def corpora() -> dict[str, tuple[str, list[str]]]:
-    """Corpus name -> (treebank text, extra ``analyze`` arguments)."""
+    """Case name -> (treebank text, extra ``analyze`` arguments)."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import gen
     from asnkit import demo_corpus_path
@@ -44,10 +52,23 @@ def corpora() -> dict[str, tuple[str, list[str]]]:
         300, (13, 14, 15, 16), sentences=40, vocab=150, planted_from=2,
         planted_sentences=15, adjacent=3, distant=3, exponent=0.6, tag=1,
     )
+    large, _ = gen.zipf_corpus(
+        0, (14, 15, 16, 17), sentences=1000, vocab=2500, planted_from=2,
+        planted_sentences=40, adjacent=10, distant=10, tag=5,
+    )
+    takeover = ["--seed", "7", "--replicates", "100"]
+    zipf_args = ["--seed", "300", "--replicates", "100"]
     return {
         "demo": (Path(demo_corpus_path()).read_text(encoding="utf-8"), ["--seed", "0"]),
-        "takeover": (takeover_corpus(), ["--seed", "7", "--replicates", "100"]),
-        "zipf-300": (zipf, ["--seed", "300", "--replicates", "100"]),
+        "takeover": (takeover_corpus(), takeover),
+        "takeover-track": (
+            takeover_corpus(),
+            [*takeover, "--track", "MV konnen", "--track", "N man"],
+        ),
+        "zipf-300": (zipf, zipf_args),
+        "zipf-300-track": (zipf, [*zipf_args, "--track", "MV planthead"]),
+        "zipf-300-unweighted": (zipf, [*zipf_args, "--unweighted"]),
+        "ingest-large": (large, ["--seed", "0", "--replicates", "100"]),
     }
 
 
