@@ -26,10 +26,14 @@ from typing import Sequence
 
 from . import __version__
 from .corpus import (
+    _ROLES,
+    CorpusFormatError,
     CorpusSlice,
-    GrammaticalRole,
     MissingPolicy,
-    audit_corpus,
+    _issues,
+    _read_lines,
+    _sentences,
+    _unknown_role,
     filter_slice,
     load_corpus,
 )
@@ -96,7 +100,10 @@ class RunConfig:
     track: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        MissingPolicy.from_name(self.missing)
+        try:
+            MissingPolicy.from_name(self.missing)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if self.degree not in ("in", "out", "total"):
             raise UsageError(f"degree must be in/out/total, got {self.degree!r}")
         if self.replicates < 100:
@@ -145,8 +152,11 @@ def _parse_bool(value: str) -> bool:
 def _parse_config_file(path: str) -> dict:
     """Parse ``key = value`` configuration text; unknown keys are rejected."""
     values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    try:
+        lines = _read_lines(Path(path), path)
+    except CorpusFormatError as exc:
+        raise UsageError(str(exc)) from None
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -198,12 +208,9 @@ def _parse_node_key(text: str) -> NodeKey:
             f"node keys are written 'ROLE lemma', got {text!r}"
         )
     role_code, lemma = parts
-    if role_code == "_":
-        return NodeKey(lemma=lemma, role=None)
-    try:
-        return NodeKey(lemma=lemma, role=GrammaticalRole.from_code(role_code))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if role_code not in _ROLES:
+        raise UsageError(_unknown_role(role_code))
+    return NodeKey(lemma=lemma, role=_ROLES[role_code])
 
 
 def _write(path: Path, text: str) -> None:
@@ -495,15 +502,15 @@ _COMMANDS = {
 def cmd_validate(cfg: RunConfig) -> int:
     if not cfg.inputs:
         raise UsageError("no input files given")
-    issue_count = 0
-    for path in cfg.inputs:
-        text = Path(path).read_text(encoding="utf-8")
-        issues = audit_corpus(text, provenance=str(path))
-        for issue in issues:
-            print(str(issue))
-        issue_count += len(issues)
-    if issue_count:
-        print(f"FAIL: {issue_count} issue(s) found")
+    # The loop that loads a corpus for every other subcommand, run to the end.
+    found = list(_sentences((Path(p), str(p)) for p in cfg.inputs))
+    issues = [str(issue) for issue in _issues(found)]
+    if not found:
+        issues.append("empty corpus: no sentences found")
+    for issue in issues:
+        print(issue)
+    if issues:
+        print(f"FAIL: {len(issues)} issue(s) found")
         return 1
     print(f"OK: {len(cfg.inputs)} file(s) valid")
     return 0

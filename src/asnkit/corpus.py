@@ -15,15 +15,19 @@ lines, and each token line has exactly six tab-separated columns::
 ``RULE`` may be ``_`` to request classification from the head token's role.
 Missing annotations in the sources are marked by the sentinel lemmas ``!`` or
 ``unbekannt``; only such tokens may carry ``_`` in the ROLE column.
+
+One reader serves :func:`parse_corpus`, :func:`load_corpus`,
+:func:`audit_corpus` and ``asnkit validate``: one decode step, then one
+sentence loop over all sources.  Parsing raises its first problem; an audit
+lists them all.
 """
 
 from __future__ import annotations
 
 import enum
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 __all__ = [
     "GrammaticalRole",
@@ -79,14 +83,23 @@ class GrammaticalRole(enum.Enum):
     @classmethod
     def from_code(cls, code: str) -> "GrammaticalRole":
         """Parse a role code; any string outside the 19 codes is rejected."""
-        try:
-            return cls(code)
-        except ValueError:
-            raise ValueError(f"unknown grammatical role code {code!r}") from None
+        role = _ROLES.get(code)
+        if role is None:  # "_" is in the table but names no role
+            raise ValueError(_unknown_role(code))
+        return role
 
     @property
     def code(self) -> str:
         return self.value
+
+
+#: The one code -> role table; ``_`` stands for a missing role.
+_ROLES: dict[str, GrammaticalRole | None] = {r.value: r for r in GrammaticalRole}
+_ROLES["_"] = None
+
+
+def _unknown_role(code: str) -> str:
+    return f"unknown grammatical role code {code!r}"
 
 
 #: Pronoun roles; together with nouns they head nominal phrases.
@@ -133,6 +146,14 @@ def classify_phrase_rule(head_role: GrammaticalRole) -> str:
     if head_role is GrammaticalRole.PREPOSITION:
         return "PP"
     return "OTHER"
+
+
+#: The rule a ``_`` RULE resolves to, by head role; ``None`` (no head, or a
+#: head without a role) gives ``OTHER``.
+_RULE_BY_ROLE: dict[GrammaticalRole | None, str] = {
+    role: classify_phrase_rule(role) for role in GrammaticalRole
+}
+_RULE_BY_ROLE[None] = "OTHER"
 
 
 @dataclass(frozen=True)
@@ -312,17 +333,17 @@ def validate_tree(
         raise ValueError(
             f"sentence {sentence_id!r}: token indices must be contiguous 1..n"
         )
-    violations = tree_violations(tokens)
+    return _checked(DependencyTree(
+        sentence_id, century, tuple(tokens), doc_id, dialect, target_lemma
+    ))
+
+
+def _checked(tree: DependencyTree) -> DependencyTree:
+    """``tree`` itself once its tokens, numbered 1..n, meet the constraints."""
+    violations = tree_violations(tree.tokens)
     if violations:
-        raise TreeValidationError(sentence_id, violations)
-    return DependencyTree(
-        sentence_id=sentence_id,
-        century=century,
-        tokens=tuple(tokens),
-        doc_id=doc_id,
-        dialect=dialect,
-        target_lemma=target_lemma,
-    )
+        raise TreeValidationError(tree.sentence_id, violations)
+    return tree
 
 
 def tree_depth(tree: DependencyTree) -> int:
@@ -462,6 +483,7 @@ class CorpusFormatError(ValueError):
     def __init__(self, provenance: str, line: int, message: str):
         self.provenance = provenance
         self.line = line
+        self.message = message
         super().__init__(f"{provenance}:{line}: {message}")
 
 
@@ -493,38 +515,46 @@ class _Draft:
     rows: list = field(default_factory=list)  # (line_no, Token-ready fields)
 
 
-def _decode(source: str | bytes | TextIO) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
+def _read_lines(source: str | bytes | TextIO | Path, provenance: str) -> list[str]:
+    """Decode a file (a ``Path``), bytes or text into lines: the one decode step.
+
+    Bytes are UTF-8 and a leading BOM is dropped; bytes that are not UTF-8
+    raise :class:`CorpusFormatError` at their line.  Only ``"\\n"`` ends a
+    line, minus one trailing ``"\\r"``: a lone ``"\\r"``, U+2028 or a form
+    feed stays inside its field, where ``str.splitlines`` would break.
+    """
+    if isinstance(source, Path):
+        data = source.read_bytes()
+    elif isinstance(source, (str, bytes)):
+        data = source
+    else:
+        data = source.read()
     if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+        try:
+            data = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(
+                provenance, exc.object.count(b"\n", 0, exc.start) + 1,
+                f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})",
+            ) from None
+    else:
+        data = data.removeprefix("\ufeff")
+    return [line[:-1] if line.endswith("\r") else line for line in data.split("\n")]
 
 
-def _iter_drafts(text: str, provenance: str) -> Iterator[_Draft]:
+def _iter_drafts(lines: list[str], provenance: str) -> Iterator[_Draft]:
     """Yield raw sentences with resolved metadata; structural errors raise."""
     meta: dict = {"century": None, "doc_id": "", "dialect": None, "target": None}
     pending_sent_id: str | None = None
     auto_counter: dict[str, int] = {}
     draft: _Draft | None = None
-
-    def flush() -> Iterator[_Draft]:
-        nonlocal draft
-        if draft is not None:
-            yield draft
-            draft = None
-
-    # Only "\n" ends a line: str.splitlines() would also break at U+2028,
-    # U+0085 or a form feed, which are legal inside a lemma.
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
+    for line_no, line in enumerate(lines, start=1):
         if line.startswith("## "):
             continue
         if not line.strip():
-            yield from flush()
+            if draft is not None:
+                yield draft
+                draft = None
             continue
         if line.startswith("#"):
             if draft is not None:
@@ -609,18 +639,14 @@ def _iter_drafts(text: str, provenance: str) -> Iterator[_Draft]:
                 provenance, line_no, "SURFACE and LEMMA must be non-empty"
             )
         missing = lemma in MISSING_LEMMAS
-        if role_s == "_":
-            if not missing:
-                raise CorpusFormatError(
-                    provenance, line_no,
-                    "ROLE '_' is only allowed for missing-annotation lemmas",
-                )
-            role: GrammaticalRole | None = None
-        else:
-            try:
-                role = GrammaticalRole.from_code(role_s)
-            except ValueError as exc:
-                raise CorpusFormatError(provenance, line_no, str(exc)) from None
+        if role_s not in _ROLES:
+            raise CorpusFormatError(provenance, line_no, _unknown_role(role_s))
+        role = _ROLES[role_s]
+        if role is None and not missing:
+            raise CorpusFormatError(
+                provenance, line_no,
+                "ROLE '_' is only allowed for missing-annotation lemmas",
+            )
         if rule_s != "_" and rule_s not in PHRASE_RULES:
             raise CorpusFormatError(
                 provenance, line_no,
@@ -630,57 +656,99 @@ def _iter_drafts(text: str, provenance: str) -> Iterator[_Draft]:
         draft.rows.append(
             (line_no, idx, surface, lemma, role, head, rule_s, missing)
         )
-
-    yield from flush()
-
-
-def _resolve_rules(draft: _Draft) -> list[str]:
-    """Resolve '_' rule markers from each token's head role."""
-    roles = {idx: role for (_, idx, _, _, role, _, _, _) in draft.rows}
-    rules: list[str] = []
-    for (_, _, _, _, _, head, rule_s, _) in draft.rows:
-        if rule_s != "_":
-            rules.append(rule_s)
-        elif head in roles and roles[head] is not None:
-            rules.append(classify_phrase_rule(roles[head]))
-        else:
-            # The root has no head to classify from; a missing or dangling
-            # head cannot be classified either.
-            rules.append("OTHER")
-    return rules
+    if draft is not None:
+        yield draft
 
 
-def _draft_tokens(draft: _Draft, provenance: str) -> list[Token]:
-    """Turn raw rows into Token objects; self-heads surface as format errors."""
-    rules = _resolve_rules(draft)
+def _draft_tree(draft: _Draft, provenance: str) -> DependencyTree:
+    """Turn raw rows into an unchecked tree; self-heads are format errors.
+
+    A ``_`` rule is classified from the head token's role; the root, and a
+    token whose head is out of range, get ``OTHER``.
+    """
+    rows = draft.rows
     tokens: list[Token] = []
-    for (line_no, idx, surface, lemma, role, head, _, missing), rule in zip(
-        draft.rows, rules
-    ):
+    for line_no, idx, surface, lemma, role, head, rule, missing in rows:
         if head == idx:
             raise CorpusFormatError(
                 provenance, line_no, f"token {idx} points at itself as head"
             )
-        tokens.append(
-            Token(
-                index=idx,
-                surface=surface,
-                lemma=lemma,
-                role=role,
-                head=head,
-                rule=rule,
-                missing=missing,
-            )
-        )
-    return tokens
+        if rule == "_":
+            rule = _RULE_BY_ROLE[rows[head - 1][4] if 0 < head <= len(rows) else None]
+        tokens.append(Token(idx, surface, lemma, role, head, rule, missing))
+    meta = draft.meta
+    return DependencyTree(draft.sent_id, meta["century"], tuple(tokens),
+                          meta["doc_id"], meta["dialect"], meta["target"])
 
 
-def _group_slices(
-    trees: list[DependencyTree], provenance: tuple[str, ...]
-) -> list[CorpusSlice]:
+class _Problem(NamedTuple):
+    """One problem of a source: what parsing raises, what an audit lists."""
+
+    error: ValueError
+    issues: list[CorpusIssue]
+
+
+def _sentences(
+    sources: Iterable[tuple[str | bytes | TextIO | Path, str]]
+) -> Iterator[DependencyTree | _Problem]:
+    """The one sentence loop: every check of every sentence of every source.
+
+    ``sources`` holds (source, provenance) pairs, read through
+    :func:`_read_lines`.  Sentence ids are unique per document across all
+    sources.  A line that cannot be read ends its source, since the rest
+    cannot be interpreted reliably; a bad sentence does not hide the next.
+    """
+    seen: dict[tuple[str, str], tuple[int, str, int]] = {}
+    for number, (source, provenance) in enumerate(sources):
+        try:
+            for draft in _iter_drafts(_read_lines(source, provenance), provenance):
+                meta = draft.meta
+                key = (meta["doc_id"], draft.sent_id)
+                if key in seen:
+                    number0, provenance0, line0 = seen[key]
+                    where = (f"first seen at line {line0}" if number0 == number
+                             else f"also in {provenance0}")
+                    yield _Problem(CorpusFormatError(
+                        provenance, draft.first_line,
+                        f"duplicate sentence id {draft.sent_id!r} in "
+                        f"document {meta['doc_id']!r} ({where})",
+                    ), [CorpusIssue(provenance, draft.first_line, draft.sent_id,
+                                    "duplicate sentence id", where)])
+                    continue
+                seen[key] = (number, provenance, draft.first_line)
+                try:
+                    tree = _checked(_draft_tree(draft, provenance))
+                except CorpusFormatError as exc:
+                    yield _Problem(exc, [CorpusIssue(
+                        provenance, exc.line, draft.sent_id,
+                        "malformed token", exc.message,
+                    )])
+                except TreeValidationError as exc:
+                    yield _Problem(exc, [
+                        CorpusIssue(provenance, draft.first_line, draft.sent_id,
+                                    v.constraint, v.message)
+                        for v in exc.violations
+                    ])
+                else:
+                    yield tree
+        except CorpusFormatError as exc:
+            yield _Problem(exc, [CorpusIssue(
+                provenance, exc.line, None, "format error", exc.message
+            )])
+
+
+def _issues(found: Iterable[DependencyTree | _Problem]) -> list[CorpusIssue]:
+    return [i for item in found if isinstance(item, _Problem) for i in item.issues]
+
+
+def _parse(sources: Sequence[tuple[object, str]]) -> list[CorpusSlice]:
+    """Trees of every source grouped by century; the first problem raises."""
     by_century: dict[int, list[DependencyTree]] = {}
-    for tree in trees:
-        by_century.setdefault(tree.century, []).append(tree)
+    for item in _sentences(sources):
+        if isinstance(item, _Problem):
+            raise item.error
+        by_century.setdefault(item.century, []).append(item)
+    provenance = tuple(p for _, p in sources)
     return [
         CorpusSlice(century=c, trees=tuple(by_century[c]), provenance=provenance)
         for c in sorted(by_century)
@@ -698,35 +766,13 @@ def parse_corpus(
     Raises
     ------
     CorpusFormatError
-        On malformed lines, unknown role codes or header keys, and duplicate
-        sentence ids within a document (all with source line numbers).
+        On malformed lines, bytes that are not UTF-8, unknown role codes or
+        header keys, and duplicate sentence ids within a document (all with
+        source line numbers).
     TreeValidationError
         When a sentence violates the tree constraints.
     """
-    text = _decode(source)
-    trees: list[DependencyTree] = []
-    seen_ids: dict[tuple[str, str], int] = {}
-    for draft in _iter_drafts(text, provenance):
-        key = (draft.meta["doc_id"], draft.sent_id)
-        if key in seen_ids:
-            raise CorpusFormatError(
-                provenance, draft.first_line,
-                f"duplicate sentence id {draft.sent_id!r} in document "
-                f"{draft.meta['doc_id']!r} (first seen at line {seen_ids[key]})",
-            )
-        seen_ids[key] = draft.first_line
-        tokens = _draft_tokens(draft, provenance)
-        trees.append(
-            validate_tree(
-                tokens,
-                sentence_id=draft.sent_id,
-                century=draft.meta["century"],
-                doc_id=draft.meta["doc_id"],
-                dialect=draft.meta["dialect"],
-                target_lemma=draft.meta["target"],
-            )
-        )
-    return _group_slices(trees, (provenance,))
+    return _parse([(source, provenance)])
 
 
 def audit_corpus(
@@ -738,74 +784,14 @@ def audit_corpus(
     cannot be interpreted reliably), but sentence-level tree violations are
     collected per sentence so one bad sentence does not hide the next.
     """
-    text = _decode(source)
-    issues: list[CorpusIssue] = []
-    seen_ids: dict[tuple[str, str], int] = {}
-    try:
-        for draft in _iter_drafts(text, provenance):
-            key = (draft.meta["doc_id"], draft.sent_id)
-            if key in seen_ids:
-                issues.append(
-                    CorpusIssue(
-                        provenance, draft.first_line, draft.sent_id,
-                        "duplicate sentence id",
-                        f"first seen at line {seen_ids[key]}",
-                    )
-                )
-                continue
-            seen_ids[key] = draft.first_line
-            try:
-                tokens = _draft_tokens(draft, provenance)
-            except CorpusFormatError as exc:
-                issues.append(
-                    CorpusIssue(
-                        provenance, exc.line, draft.sent_id,
-                        "malformed token", str(exc).split(": ", 1)[1],
-                    )
-                )
-                continue
-            for violation in tree_violations(tokens):
-                issues.append(
-                    CorpusIssue(
-                        provenance, draft.first_line, draft.sent_id,
-                        violation.constraint, violation.message,
-                    )
-                )
-    except CorpusFormatError as exc:
-        issues.append(
-            CorpusIssue(
-                provenance, exc.line, None,
-                "format error", str(exc).split(": ", 1)[1],
-            )
-        )
-    return issues
+    return _issues(_sentences([(source, provenance)]))
 
 
 def load_corpus(paths: str | Path | Iterable[str | Path]) -> list[CorpusSlice]:
     """Parse one or more treebank files and merge their slices by century."""
     if isinstance(paths, (str, Path)):
         paths = [paths]
-    trees: list[DependencyTree] = []
-    seen_ids: dict[tuple[str, str], str] = {}
-    provenance: list[str] = []
-    for path in paths:
-        path = Path(path)
-        provenance.append(str(path))
-        # newline="" hands the parser every "\r": only "\n" ends a line.
-        with io.open(path, "r", encoding="utf-8", newline="") as handle:
-            slices = parse_corpus(handle, provenance=str(path))
-        for corpus_slice in slices:
-            for tree in corpus_slice.trees:
-                key = (tree.doc_id, tree.sentence_id)
-                if key in seen_ids:
-                    raise CorpusFormatError(
-                        str(path), 0,
-                        f"duplicate sentence id {tree.sentence_id!r} in "
-                        f"document {tree.doc_id!r} (also in {seen_ids[key]})",
-                    )
-                seen_ids[key] = str(path)
-                trees.append(tree)
-    return _group_slices(trees, tuple(provenance))
+    return _parse([(Path(p), str(Path(p))) for p in paths])
 
 
 def _header_line(tree: DependencyTree, key: str, value) -> str:

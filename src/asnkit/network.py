@@ -29,7 +29,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from .corpus import PHRASE_RULES, DependencyTree, GrammaticalRole
+from .corpus import _ROLES, PHRASE_RULES, DependencyTree, GrammaticalRole
 
 logger = logging.getLogger(__name__)
 
@@ -152,11 +152,6 @@ class Asn:
 #: Bit of each phrase rule in an edge's ``rules`` mask.
 _RULE_BITS = {rule: 1 << i for i, rule in enumerate(PHRASE_RULES)}
 
-_ROLE_BY_CODE: dict[str, GrammaticalRole | None] = {
-    role.code: role for role in GrammaticalRole
-}
-_ROLE_BY_CODE["_"] = None
-
 
 def aggregate(
     trees: Iterable[DependencyTree], century: int | None = None
@@ -220,7 +215,7 @@ def aggregate(
     src, dst = np.divmod(pairs, max(n, 1))
     asn = Asn(
         century=century,
-        keys=tuple(NodeKey(lemma, _ROLE_BY_CODE[code]) for code, lemma in distinct),
+        keys=tuple(NodeKey(lemma, _ROLES[code]) for code, lemma in distinct),
         frequency=frequency[order],
         src=src,
         dst=dst,

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field, replace
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import optimize, special
 
 from asnkit import (
+    MISSING_LEMMAS,
     PHRASE_RULES,
     Asn,
     DegenerateDataError,
@@ -121,6 +123,60 @@ def random_tree_heads(rng: np.random.Generator, n: int) -> list[int]:
         pos = int(position[label])
         heads[pos] = 0 if parent[label] < 0 else int(position[parent[label]]) + 1
     return heads
+
+
+# Noisy treebanks.  int() accepts Unicode digits, "+1" and " 1".
+_WORDS = ["a", "b", "a b", "!", "unbekannt", "a\rb", "a\u2028b", "a\x0cb"]
+_ROLE_CODES = ["N", "V", "PR", "AX", "PP", "AR"]
+_ODD_FIELDS = [
+    ["\u0663", "+1", " 1", "0", "9", "x", ""],  # index
+    ["", "\r"],  # surface
+    ["", "\r", "!"],  # lemma
+    ["_", "ZZ", "n", ""],  # role
+    ["0", "1", "2", "9", "+1", "\u0662", "-1", "x"],  # head
+    ["XP", "np", ""],  # rule
+]
+_HEADERS = ["# sent_id = s1", "# sent_id = s2", "# doc_id = d", "# century = 15",
+            "# target = a", "## note"] * 3 + ["# century = x", "# bogus = 1", "#"]
+
+
+@st.composite
+def noisy_treebanks(draw) -> bytes:
+    """Treebank bytes: valid sentences, some with one field or line gone bad.
+
+    Fields may hold Unicode digits, ``+1``, ``\\r``, U+2028, sentinels,
+    ``_`` roles and rules, dangling and self heads or a missing column;
+    sentences repeat ``sent_id`` headers.  The file may start with a BOM,
+    end its lines with CRLF or hold a byte that is not UTF-8.
+    """
+    lines = ["# century = 14"] if draw(st.integers(0, 4)) else []
+    for _ in range(draw(st.integers(0, 3))):
+        lines += draw(st.lists(st.sampled_from(_HEADERS), max_size=2))
+        n = draw(st.integers(1, 4))
+        for i in range(1, n + 1):
+            lemma = draw(st.sampled_from(_WORDS))
+            missing = lemma in MISSING_LEMMAS and draw(st.booleans())
+            cols = [
+                str(i),
+                draw(st.sampled_from(_WORDS)),
+                lemma,
+                "_" if missing else draw(st.sampled_from(_ROLE_CODES)),
+                str(draw(st.integers(min(i - 1, 1), i - 1))),
+                draw(st.sampled_from(("_", "_") + PHRASE_RULES)),
+            ]
+            if draw(st.integers(0, 4)) == 0:
+                k = draw(st.integers(0, 5))
+                cols[k] = draw(st.sampled_from(_ODD_FIELDS[k]))
+            if draw(st.integers(0, 30)) == 0:
+                del cols[draw(st.integers(0, 5))]
+            lines.append("\t".join(cols))
+        lines.append(draw(st.sampled_from(["", "", " ", "\r"])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    data = draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf"])) + text.encode()
+    if data and draw(st.integers(0, 19)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
 
 
 # ---------------------------------------------------------------------------

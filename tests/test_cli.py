@@ -5,13 +5,17 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 import asnkit.cli
 from asnkit import demo_corpus_path
 from asnkit.cli import main
 from asnkit.synth import takeover_corpus
+from oracles import noisy_treebanks
 
 DEMO = demo_corpus_path()
 
@@ -42,6 +46,20 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "multiple roots" in out and "FAIL" in out
 
+    def test_validate_reports_bad_bytes_and_goes_on(self, tmp_path, capsys):
+        bad, roots = tmp_path / "bad.tb", tmp_path / "roots.tb"
+        bad.write_bytes(b"# century = 14\n1\ta\ta\xff\tN\t0\t_\n")
+        roots.write_text("# century = 14\n1\ta\ta\tN\t0\t_\n2\tb\tb\tN\t0\t_\n",
+                         encoding="utf-8")
+        assert run("validate", str(bad), str(roots)) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == (
+            f"{bad}:2: format error: not UTF-8: byte 0xff (invalid start byte)"
+        )
+        assert "multiple roots" in out[1] and out[2] == "FAIL: 2 issue(s) found"
+        assert run("build", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
+
     def test_domain_error_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.tb"
         bad.write_text("1\ta\ta\tN\t0\t_\n", encoding="utf-8")
@@ -58,6 +76,14 @@ class TestExitCodes:
         assert run("build", DEMO, "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["missing", "degree"])
+    def test_bad_config_value_is_two(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = bogus\n", encoding="utf-8")
+        assert run("build", DEMO, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+        assert "'bogus'" in capsys.readouterr().err
 
     def test_bad_flag_value_is_two(self, tmp_path, capsys):
         assert run("powerlaw", DEMO, "--replicates", "10",
@@ -284,6 +310,15 @@ class TestDeterminismAndConfig:
         assert payload["seed"] == 99  # flag beats file
         assert payload["replicates"] == 120  # file beats default
 
+    def test_config_lines_end_only_at_newline(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\r\ntrack = N a\u2028b\r\n", encoding="utf-8",
+                       newline="")
+        out = tmp_path / "o"
+        assert run("diachrony", DEMO, "--config", str(cfg), "--out", str(out)) == 0
+        rows = (out / "trajectories.csv").read_text(encoding="utf-8").split("\n")
+        assert rows[2].startswith("N,a\u2028b,14,0,")
+
     def test_strict_flag_tightens_the_threshold(self, tmp_path):
         out_, strict_out = tmp_path / "a", tmp_path / "b"
         assert run("powerlaw", DEMO, "--out", str(out_),
@@ -294,3 +329,24 @@ class TestDeterminismAndConfig:
         strict = json.loads((strict_out / "powerlaw_14.json").read_text())
         assert lax["threshold"] == 0.01
         assert strict["threshold"] == 0.1
+
+
+class TestValidateAgreesWithBuild:
+    """``validate`` passes exactly the inputs ``build`` accepts."""
+
+    @given(noisy_treebanks(), noisy_treebanks())
+    @settings(max_examples=60, deadline=None)
+    # A lone carriage return inside a lemma is lemma text for both.
+    @example(b"# century = 14\n# sent_id = s1\n1\ta\ta\rb\tN\t0\t_\n", b"")
+    # A sentence id repeated in a second file is rejected by both.
+    @example(b"# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n",
+             b"# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n")
+    def test_validate_exits_zero_exactly_when_build_does(self, first, second):
+        with tempfile.TemporaryDirectory() as work:
+            paths = [str(Path(work) / "d1.tb"), str(Path(work) / "d2.tb")]
+            for path, data in zip(paths, (first, second)):
+                Path(path).write_bytes(data)
+            validated = run("validate", *paths) == 0
+            built = run("build", *paths, "--missing", "keep-all",
+                        "--out", str(Path(work) / "o")) == 0
+        assert validated == built

@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asnkit import (
@@ -28,7 +28,12 @@ from asnkit import (
     tree_violations,
     validate_tree,
 )
-from oracles import depth_of_heads, heads_form_tree, random_tree_heads
+from oracles import (
+    depth_of_heads,
+    heads_form_tree,
+    noisy_treebanks,
+    random_tree_heads,
+)
 
 ALL_CODES = [
     "AD", "AJ", "AR", "AX", "CJ", "DM", "IV", "MV", "N", "PK",
@@ -319,6 +324,35 @@ class TestParsing:
             parse_corpus("# century = 14\n1\ta\ta\tN\t0\n", provenance="f.tb")
         assert str(exc.value).startswith("f.tb:2:")
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        data = b"# century = 14\n# sent_id = s1\n1\ta\ta\xff\tN\t0\t_\n"
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_corpus(data, provenance="f.tb")
+        assert str(exc.value) == "f.tb:3: not UTF-8: byte 0xff (invalid start byte)"
+        path = tmp_path / "bad.tb"
+        path.write_bytes(data)
+        with pytest.raises(CorpusFormatError, match=r"bad\.tb:3: not UTF-8"):
+            load_corpus(path)
+
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path):
+        path = tmp_path / "bom.tb"
+        path.write_bytes(b"\xef\xbb\xbf" + MINI.encode())
+        assert load_corpus(path)[0].trees == parse_corpus(MINI)[0].trees
+        assert parse_corpus("\ufeff" + MINI) == parse_corpus(MINI)
+        assert audit_corpus(path.read_bytes()) == []
+
+    def test_duplicate_across_files_names_its_line(self, tmp_path):
+        block = "# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n"
+        first, second = tmp_path / "d1.tb", tmp_path / "d2.tb"
+        first.write_text(block, encoding="utf-8")
+        second.write_text("## note\n" + block, encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus([first, second])
+        assert str(exc.value) == (
+            f"{second}:4: duplicate sentence id 's1' in document '' "
+            f"(also in {first})"
+        )
+
 
 class TestAudit:
     def test_clean_corpus_has_no_issues(self):
@@ -343,6 +377,29 @@ class TestAudit:
         issues = audit_corpus("# century = 14\n1\ta\ta\tN\t0\n")
         assert len(issues) == 1
         assert issues[0].kind == "format error"
+
+    def test_bytes_that_are_not_utf8_are_an_issue(self):
+        issues = audit_corpus(b"# century = 14\n\xff\n", provenance="f.tb")
+        assert [str(i) for i in issues] == [
+            "f.tb:2: format error: not UTF-8: byte 0xff (invalid start byte)"
+        ]
+
+
+class TestAuditAgreesWithParse:
+    """One reader: the audit is clean exactly when parsing succeeds."""
+
+    @given(noisy_treebanks())
+    @settings(max_examples=400, deadline=None)
+    @example(b"# century = 14\n1\ta\ta\rb\tN\t0\t_\n")
+    @example("# century = 14\n1\ta\ta\u2028b\tN\t0\t_\r\n".encode())
+    def test_audit_is_clean_exactly_when_parse_succeeds(self, data):
+        try:
+            parse_corpus(data)
+        except (CorpusFormatError, TreeValidationError):
+            parsed = False
+        else:
+            parsed = True
+        assert (audit_corpus(data) == []) == parsed
 
 
 class TestMissingPolicies:
