@@ -125,28 +125,32 @@ class RunConfig:
         return 0.1 if self.strict else 0.01
 
 
-_CONFIG_COERCERS = {
-    "out": str,
-    "missing": str,
-    "seed": int,
-    "unweighted": None,  # boolean
-    "degree": str,
-    "replicates": int,
-    "strict": None,  # boolean
-    "band": int,
-    "min_gain": int,
-    "formats": None,  # comma list
-    "track": None,  # comma list
-}
-
-
 def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise UsageError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _comma_list(value: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+_CONFIG_COERCERS = {
+    "out": str,
+    "missing": str,
+    "seed": int,
+    "unweighted": _parse_bool,
+    "degree": str,
+    "replicates": int,
+    "strict": _parse_bool,
+    "band": int,
+    "min_gain": int,
+    "formats": _comma_list,
+    "track": _comma_list,
+}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -171,16 +175,8 @@ def _parse_config_file(path: str) -> dict:
                 f"{path}:{line_no}: unknown config key {key!r} "
                 f"(allowed: {allowed})"
             )
-        coercer = _CONFIG_COERCERS[key]
         try:
-            if key in ("unweighted", "strict"):
-                values[key] = _parse_bool(value)
-            elif key in ("formats", "track"):
-                values[key] = tuple(
-                    part.strip() for part in value.split(",") if part.strip()
-                )
-            else:
-                values[key] = coercer(value)
+            values[key] = _CONFIG_COERCERS[key](value)
         except ValueError as exc:
             raise UsageError(f"{path}:{line_no}: {exc}") from None
     return values
@@ -593,8 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--min-gain", dest="min_gain", type=int, default=None,
                         help="rank gain required to call a head emergent")
     common.add_argument(
-        "--formats", default=None,
-        type=lambda s: tuple(p.strip() for p in s.split(",") if p.strip()),
+        "--formats", default=None, type=_comma_list,
         help="comma-separated export formats (csv,dot,graphml)",
     )
     common.add_argument(

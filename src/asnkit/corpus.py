@@ -25,6 +25,7 @@ lists them all.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -542,6 +543,22 @@ def _read_lines(source: str | bytes | TextIO | Path, provenance: str) -> list[st
     return [line[:-1] if line.endswith("\r") else line for line in data.split("\n")]
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str, field: str, provenance: str, line_no: int) -> int:
+    """An ASCII ``-?[0-9]+`` field as an int.
+
+    ``int`` alone would also take a sign, spaces, underscores and non-ASCII
+    digits, none of which the format has.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise CorpusFormatError(
+            provenance, line_no, f"{field} must be an integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _iter_drafts(lines: list[str], provenance: str) -> Iterator[_Draft]:
     """Yield raw sentences with resolved metadata; structural errors raise."""
     meta: dict = {"century": None, "doc_id": "", "dialect": None, "target": None}
@@ -576,13 +593,7 @@ def _iter_drafts(lines: list[str], provenance: str) -> Iterator[_Draft]:
                     f"unknown header key {key!r} (allowed: {allowed})",
                 )
             if key == "century":
-                try:
-                    meta["century"] = int(value)
-                except ValueError:
-                    raise CorpusFormatError(
-                        provenance, line_no,
-                        f"century must be an integer, got {value!r}",
-                    ) from None
+                meta["century"] = _integer(value, "century", provenance, line_no)
             elif key == "sent_id":
                 pending_sent_id = value
             else:
@@ -612,18 +623,8 @@ def _iter_drafts(lines: list[str], provenance: str) -> Iterator[_Draft]:
                 f"expected 6 tab-separated columns, got {len(cols)}",
             )
         idx_s, surface, lemma, role_s, head_s, rule_s = cols
-        try:
-            idx = int(idx_s)
-        except ValueError:
-            raise CorpusFormatError(
-                provenance, line_no, f"token index must be an integer, got {idx_s!r}"
-            ) from None
-        try:
-            head = int(head_s)
-        except ValueError:
-            raise CorpusFormatError(
-                provenance, line_no, f"head must be an integer, got {head_s!r}"
-            ) from None
+        idx = _integer(idx_s, "token index", provenance, line_no)
+        head = _integer(head_s, "head", provenance, line_no)
         if head < 0:
             raise CorpusFormatError(
                 provenance, line_no, f"head must be >= 0, got {head}"

@@ -6,11 +6,14 @@ other node sits one step below the weighted mean of its in-neighbours,
 
     s(v) = 1 + sum_u w(u, v) * s(u) / w_in(v)      for w_in(v) > 0.
 
-On graphs with cycles the equations have no exact solution; the levels are
-then the minimum-norm least-squares solution of the stacked system (pinned
-nodes contribute ``s(v) = 0`` rows).  Levels are shifted so their minimum is
-exactly 0.  Backward levels apply the same construction to out-edges,
-measuring distance from the bottom of the hierarchy instead of the top.
+One rule picks the solver per direction.  An acyclic graph (no self-loop,
+every strong component a single node) is solved exactly by propagation in
+topological order.  Any other graph gets the minimum-norm least-squares
+solution of the stacked system (pinned nodes contribute ``s(v) = 0`` rows)
+from sparse LSQR with iterative refinement.  Levels are shifted so their
+minimum is exactly 0.  Backward levels apply the same construction to
+out-edges, measuring distance from the bottom of the hierarchy instead of
+the top.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Mapping
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import lsqr
 
 from .network import Asn, NodeKey, _csv_quote, _metadata_line
@@ -56,9 +60,10 @@ class HierarchyLevels:
     """Forward and backward levels of one network.
 
     ``forward`` and ``backward`` are float arrays aligned with ``asn.keys``.
-    ``residual`` is the larger of the two directional solve residuals; on
-    graphs whose reachability from the pinned nodes is acyclic and complete
-    it is tiny (the equations hold exactly).
+    ``residual`` is the larger of the two directional solve residuals.  An
+    acyclic graph is solved by exact propagation, so it is at numerical
+    zero; any other graph is solved by minimum-norm LSQR, and it measures
+    how far the equations are from holding.
     """
 
     forward: np.ndarray
@@ -89,51 +94,41 @@ def _edge_arrays(asn: Asn, direction: str, weighted: bool):
 
 
 def _propagate_exact(
-    n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
-) -> np.ndarray | None:
-    """Solve the level equations by topological propagation when possible.
+    n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray, w_in: np.ndarray
+) -> np.ndarray:
+    """Exact levels of an acyclic graph, resolved in topological order.
 
-    Returns exact levels when every node is reachable from the pinned
-    (in-weight 0) set without encountering a cycle, and ``None`` otherwise.
-    Exactness matters: on layered graphs it makes downstream statistics
-    exactly 0 instead of 1e-16-ish.
+    A node is resolved once all its in-neighbours are, starting from the
+    pinned (in-weight 0) set.  Exactness matters: on layered graphs it makes
+    downstream statistics exactly 0 instead of 1e-16-ish.  Each sum adds the
+    in-edges one at a time in edge order; the builtin ``sum`` of floats is
+    compensated from Python 3.12 and would change the bits.
     """
-    w_in = np.zeros(n)
-    np.add.at(w_in, dst, wgt)
     preds: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     succs: list[list[int]] = [[] for _ in range(n)]
-    unresolved = np.zeros(n, dtype=np.int64)
+    waiting = [0] * n
     for u, v, w in zip(src.tolist(), dst.tolist(), wgt.tolist()):
         preds[v].append((u, w))
         succs[u].append(v)
-        unresolved[v] += 1
-
-    levels = np.zeros(n)
-    done = np.zeros(n, dtype=bool)
-    queue = [i for i in range(n) if w_in[i] == 0.0]
-    for i in queue:
-        done[i] = True
-    resolved = len(queue)
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
+        waiting[v] += 1
+    weight_in = w_in.tolist()
+    levels = [0.0] * n
+    order = [i for i in range(n) if not waiting[i]]
+    for node in order:
         for succ in succs[node]:
-            unresolved[succ] -= 1
-            if unresolved[succ] == 0 and not done[succ]:
+            waiting[succ] -= 1
+            if not waiting[succ]:
                 total = 0.0
                 for u, w in preds[succ]:
                     total += w * levels[u]
-                levels[succ] = 1.0 + total / w_in[succ]
-                done[succ] = True
-                queue.append(succ)
-                resolved += 1
-    if resolved != n:
-        return None
-    return levels
+                levels[succ] = 1.0 + total / weight_in[succ]
+                order.append(succ)
+    return np.array(levels)
 
 
 def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
+    """Levels of one direction: exact propagation on an acyclic graph,
+    minimum-norm LSQR otherwise, both from one level system."""
     src, dst, wgt = _edge_arrays(asn, direction, weighted)
     n = asn.node_count
     if n == 0:
@@ -141,16 +136,22 @@ def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
 
     w_in = np.zeros(n)
     np.add.at(w_in, dst, wgt)
-
-    levels = _propagate_exact(n, src, dst, wgt)
-    if levels is None:
-        levels = _lsqr_min_norm(n, src, dst, wgt, w_in)
+    matrix, b = _system_matrix(n, src, dst, wgt, w_in)
+    # Acyclic, self-loops included, exactly when every strong component is
+    # one node and no edge is a self-loop; the matrix holds the reversed
+    # edges, which have the same components.
+    acyclic = (connected_components(matrix, connection="strong")[0] == n
+               and not np.any(src == dst))
+    solver = "exact propagation" if acyclic else "LSQR"
+    logger.debug("%s levels: %s on %d nodes, %d edges", direction, solver, n, src.size)
+    levels = (_propagate_exact(n, src, dst, wgt, w_in) if acyclic
+              else _lsqr_min_norm(matrix, b))
 
     # Residual of the solve itself, before the min-to-zero shift (the shift
     # moves pinned rows off their s=0 target but does not change edge
     # differences).
-    residual = _residual_norm(levels, n, src, dst, wgt, w_in)
-    return LevelSolution(levels=levels - levels.min(), residual=float(residual))
+    residual = float(np.linalg.norm(matrix @ levels - b))
+    return LevelSolution(levels=levels - levels.min(), residual=residual)
 
 
 def _system_matrix(n, src, dst, wgt, w_in):
@@ -170,11 +171,6 @@ def _system_matrix(n, src, dst, wgt, w_in):
     return matrix, b
 
 
-def _residual_norm(levels, n, src, dst, wgt, w_in) -> float:
-    matrix, b = _system_matrix(n, src, dst, wgt, w_in)
-    return float(np.linalg.norm(matrix @ levels - b))
-
-
 def _lsqr_solve(matrix, rhs, iter_lim) -> np.ndarray:
     """One LSQR solve; logs its stop code and warns if it hit ``iter_lim``."""
     x, istop, itn = lsqr(
@@ -190,10 +186,9 @@ def _lsqr_solve(matrix, rhs, iter_lim) -> np.ndarray:
     return x
 
 
-def _lsqr_min_norm(n, src, dst, wgt, w_in) -> np.ndarray:
+def _lsqr_min_norm(matrix, b) -> np.ndarray:
     """Minimum-norm least-squares levels via sparse LSQR with refinement."""
-    matrix, b = _system_matrix(n, src, dst, wgt, w_in)
-    iter_lim = max(1000, 30 * n)
+    iter_lim = max(1000, 30 * matrix.shape[0])
     x = _lsqr_solve(matrix, b, iter_lim)
     # Iterative refinement drives the normal-equation residual toward zero;
     # corrections from LSQR stay orthogonal to the null space, preserving
@@ -213,9 +208,9 @@ def _lsqr_min_norm(n, src, dst, wgt, w_in) -> np.ndarray:
 def forward_levels(asn: Asn, weighted: bool = True) -> LevelSolution:
     """Forward hierarchical levels: distance below the in-degree-0 heads.
 
-    Levels are normalized so the minimum is exactly 0.  On a network whose
-    nodes are all reachable from the head set without cycles the returned
-    residual is at numerical zero and levels equal weighted depths.
+    Levels are normalized so the minimum is exactly 0.  On an acyclic
+    network the levels come from exact propagation, equal weighted depths,
+    and the returned residual is at numerical zero.
     """
     return _solve_direction(asn, "forward", weighted)
 

@@ -46,6 +46,14 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "multiple roots" in out and "FAIL" in out
 
+    @pytest.mark.parametrize("line", ["1\ta\ta\tN\t+0\t_", " 1\ta\ta\tN\t0\t_"])
+    def test_validate_rejects_signed_or_padded_integers(self, tmp_path, capsys,
+                                                        line):
+        bad = tmp_path / "bad.tb"
+        bad.write_text(f"# century = 14\n{line}\n", encoding="utf-8")
+        assert run("validate", str(bad)) == 1
+        assert f"{bad}:2: format error:" in capsys.readouterr().out
+
     def test_validate_reports_bad_bytes_and_goes_on(self, tmp_path, capsys):
         bad, roots = tmp_path / "bad.tb", tmp_path / "roots.tb"
         bad.write_bytes(b"# century = 14\n1\ta\ta\xff\tN\t0\t_\n")
@@ -84,6 +92,16 @@ class TestExitCodes:
         assert run("build", DEMO, "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         assert "'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["strict", "unweighted", "seed"])
+    def test_bad_config_value_names_file_and_line(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# run settings\n{key} = maybe\n", encoding="utf-8")
+        assert run("build", DEMO, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: ")
+        assert "'maybe'" in err
 
     def test_bad_flag_value_is_two(self, tmp_path, capsys):
         assert run("powerlaw", DEMO, "--replicates", "10",

@@ -212,6 +212,20 @@ MINI = """\
 """
 
 
+# INDEX, HEAD and the century header are ASCII ``-?[0-9]+``; ``int`` alone
+# would read each of these.
+NON_FORMAT_INTEGERS = [
+    ("# doc_id = d\n# century = \u0661\u0664\n",
+     "century must be an integer, got '\u0661\u0664'"),
+    ("# century = 14\n1_0\ta\ta\tN\t0\t_\n",
+     "token index must be an integer, got '1_0'"),
+    ("# century = 14\n 1\ta\ta\tN\t0\t_\n",
+     "token index must be an integer, got ' 1'"),
+    ("# century = 14\n1\ta\ta\tN\t+0\t_\n",
+     "head must be an integer, got '+0'"),
+]
+
+
 class TestParsing:
     def test_mini_corpus_shape(self):
         slices = parse_corpus(MINI)
@@ -288,6 +302,15 @@ class TestParsing:
     def test_empty_lemma(self):
         with pytest.raises(CorpusFormatError, match="non-empty"):
             parse_corpus("# century = 14\n1\ta\t\tN\t0\t_\n")
+
+    @pytest.mark.parametrize("text, message", NON_FORMAT_INTEGERS)
+    def test_integers_are_ascii_digits_only(self, text, message):
+        with pytest.raises(CorpusFormatError) as info:
+            parse_corpus(text, provenance="f.tb")
+        assert str(info.value) == f"f.tb:2: {message}"
+        assert [str(i) for i in audit_corpus(text, provenance="f.tb")] == [
+            f"f.tb:2: format error: {message}"
+        ]
 
     def test_role_underscore_requires_missing_lemma(self):
         with pytest.raises(CorpusFormatError, match="missing-annotation"):

@@ -158,6 +158,55 @@ class TestLeastSquares:
         assert both.forward.size == 0 and both.residual == 0.0
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("this solver must not run here")
+
+
+CYCLIC = {
+    "two-cycle": [("h", "a", 1), ("a", "b", 2), ("b", "a", 1), ("b", "c", 1)],
+    "dag-plus-self-loop": [("h", "a", 1), ("a", "b", 2), ("h", "b", 1),
+                           ("b", "b", 1), ("b", "c", 3)],
+}
+
+
+class TestSolverChoice:
+    """Acyclic graphs are propagated exactly, all others go to LSQR."""
+
+    @pytest.mark.parametrize("edges", CYCLIC.values(), ids=CYCLIC)
+    def test_cyclic_graph_is_never_propagated(self, monkeypatch, edges):
+        monkeypatch.setattr(asnkit.hierarchy, "_propagate_exact", refuse)
+        asn = make_asn(edges)
+        both = hierarchy_levels(asn)
+        for backward, levels in ((False, both.forward), (True, both.backward)):
+            for key, level in dense_levels(asn, backward=backward).items():
+                assert levels[asn.index[key]] == pytest.approx(level, abs=1e-8)
+
+    def test_acyclic_graph_never_calls_lsqr(self, monkeypatch):
+        monkeypatch.setattr(asnkit.hierarchy, "lsqr", refuse)
+        asn = make_asn([("a", "b", 2), ("a", "c", 1), ("b", "c", 1),
+                        ("b", "d", 1), ("c", "d", 3)], isolated=["lone"])
+        both = hierarchy_levels(asn)
+        assert both.residual <= 1e-12
+        # b = 1, c = 1 + (0 + 1) / 2, d = 1 + (1 * b + 3 * c) / 4, exactly
+        assert levels_by_lemma(asn, forward_levels(asn))["d"] == 2.375
+
+    def test_each_direction_logs_its_solver(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="asnkit.hierarchy"):
+            hierarchy_levels(make_asn([("a", "b", 1), ("b", "c", 1)],
+                                      isolated=["lone"]))
+            hierarchy_levels(make_asn(CYCLIC["two-cycle"]))
+        lines = [r.getMessage() for r in caplog.records
+                 if " levels: " in r.getMessage()]
+        assert lines == [
+            "forward levels: exact propagation on 4 nodes, 2 edges",
+            "backward levels: exact propagation on 4 nodes, 2 edges",
+            "forward levels: LSQR on 4 nodes, 4 edges",
+            "backward levels: LSQR on 4 nodes, 4 edges",
+        ]
+        assert any(r.getMessage().startswith("LSQR stopped with istop=")
+                   for r in caplog.records)
+
+
 class TestHierarchyStats:
     def test_layered_graph_is_maximally_hierarchical(self):
         asn = make_asn([("a", "b", 2), ("a", "c", 1),

@@ -21,7 +21,12 @@ Runs ``python -m asnkit.cli analyze`` from a temporary ``git worktree`` of
 * ``ingest-large``: ``zipf_corpus(0, (14, 15, 16, 17), sentences=1000,
   vocab=2500, planted_from=2, planted_sentences=40, adjacent=10,
   distant=10, tag=5)`` (about 2,000 nodes per century),
-  ``--seed 0 --replicates 100``.
+  ``--seed 0 --replicates 100``;
+* ``crosslink``: ``asnkit.synth.crosslink_corpus()``,
+  ``--seed 0 --replicates 100``;
+* ``crosslink-large``: ``crosslink_corpus(chains=400, depth=6)``, the same
+  arguments (about 2,800 nodes per century, all acyclic, diameter 2,400
+  from century 16), so exact level propagation runs at scale.
 
 Both sides read the same corpus files, written from the working tree.  The
 script prints ``diff -r`` of the two bundles per corpus and exits 0 when
@@ -46,7 +51,7 @@ def corpora() -> dict[str, tuple[str, list[str]]]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import gen
     from asnkit import demo_corpus_path
-    from asnkit.synth import takeover_corpus
+    from asnkit.synth import crosslink_corpus, takeover_corpus
 
     zipf, _ = gen.zipf_corpus(
         300, (13, 14, 15, 16), sentences=40, vocab=150, planted_from=2,
@@ -58,6 +63,7 @@ def corpora() -> dict[str, tuple[str, list[str]]]:
     )
     takeover = ["--seed", "7", "--replicates", "100"]
     zipf_args = ["--seed", "300", "--replicates", "100"]
+    seed_0 = ["--seed", "0", "--replicates", "100"]
     return {
         "demo": (Path(demo_corpus_path()).read_text(encoding="utf-8"), ["--seed", "0"]),
         "takeover": (takeover_corpus(), takeover),
@@ -68,7 +74,9 @@ def corpora() -> dict[str, tuple[str, list[str]]]:
         "zipf-300": (zipf, zipf_args),
         "zipf-300-track": (zipf, [*zipf_args, "--track", "MV planthead"]),
         "zipf-300-unweighted": (zipf, [*zipf_args, "--unweighted"]),
-        "ingest-large": (large, ["--seed", "0", "--replicates", "100"]),
+        "ingest-large": (large, seed_0),
+        "crosslink": (crosslink_corpus(), seed_0),
+        "crosslink-large": (crosslink_corpus(chains=400, depth=6), seed_0),
     }
 
 
