@@ -6,14 +6,17 @@ other node sits one step below the weighted mean of its in-neighbours,
 
     s(v) = 1 + sum_u w(u, v) * s(u) / w_in(v)      for w_in(v) > 0.
 
-One rule picks the solver per direction.  An acyclic graph (no self-loop,
-every strong component a single node) is solved exactly by propagation in
-topological order.  Any other graph gets the minimum-norm least-squares
-solution of the stacked system (pinned nodes contribute ``s(v) = 0`` rows)
-from sparse LSQR with iterative refinement.  Levels are shifted so their
-minimum is exactly 0.  Backward levels apply the same construction to
-out-edges, measuring distance from the bottom of the hierarchy instead of
-the top.
+Pinned (in-weight 0) nodes contribute ``s(v) = 0`` rows to the square level
+system.  One rule picks the solver per direction from the strong components.
+An acyclic graph (no self-loop, every strong component a single node) is
+solved exactly by propagation in topological order.  A system in which
+every node is reachable from a pinned node is nonsingular, and sparse LU
+gives its unique solution.  Any other system is singular and gets the
+minimum-norm least-squares solution from sparse LSQR with iterative
+refinement.  Pinned levels are exactly 0 on the first two paths; levels are
+shifted so their minimum is exactly 0.  Backward levels apply the same
+construction to out-edges, measuring distance from the bottom of the
+hierarchy instead of the top.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Mapping
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import lsqr
+from scipy.sparse.linalg import lsqr, splu
 
 from .network import Asn, NodeKey, _csv_quote, _metadata_line
 
@@ -46,7 +49,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevelSolution:
-    """Levels for one direction plus the least-squares residual norm.
+    """Levels for one direction plus the residual norm of the level system.
 
     ``levels`` is a float array aligned with ``asn.keys``.
     """
@@ -60,9 +63,9 @@ class HierarchyLevels:
     """Forward and backward levels of one network.
 
     ``forward`` and ``backward`` are float arrays aligned with ``asn.keys``.
-    ``residual`` is the larger of the two directional solve residuals.  An
-    acyclic graph is solved by exact propagation, so it is at numerical
-    zero; any other graph is solved by minimum-norm LSQR, and it measures
+    ``residual`` is the larger of the two directional solve residuals.  It
+    is at numerical zero when the system is nonsingular (exact propagation
+    or LU); on a singular system, solved by minimum-norm LSQR, it measures
     how far the equations are from holding.
     """
 
@@ -127,8 +130,9 @@ def _propagate_exact(
 
 
 def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
-    """Levels of one direction: exact propagation on an acyclic graph,
-    minimum-norm LSQR otherwise, both from one level system."""
+    """Levels of one direction from one level system: exact propagation on
+    an acyclic graph, sparse LU on any other nonsingular system, and
+    minimum-norm LSQR on a singular one."""
     src, dst, wgt = _edge_arrays(asn, direction, weighted)
     n = asn.node_count
     if n == 0:
@@ -137,15 +141,28 @@ def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
     w_in = np.zeros(n)
     np.add.at(w_in, dst, wgt)
     matrix, b = _system_matrix(n, src, dst, wgt, w_in)
-    # Acyclic, self-loops included, exactly when every strong component is
-    # one node and no edge is a self-loop; the matrix holds the reversed
-    # edges, which have the same components.
-    acyclic = (connected_components(matrix, connection="strong")[0] == n
-               and not np.any(src == dst))
-    solver = "exact propagation" if acyclic else "LSQR"
+    # The matrix holds the reversed edges, which have the same strong
+    # components.  Acyclic, self-loops included, exactly when every
+    # component is one node and no edge is a self-loop.  Nonsingular exactly
+    # when every node is reachable from a pinned one, that is when every
+    # component with no in-edge from another component is a pinned node.
+    count, labels = connected_components(matrix, connection="strong")
+    fed = np.zeros(count, dtype=bool)
+    fed[labels[dst][labels[src] != labels[dst]]] = True
+    acyclic = count == n and not np.any(src == dst)
+    nonsingular = acyclic or bool(np.all(fed[labels] | (w_in == 0.0)))
+    solver = "exact propagation" if acyclic else "LU" if nonsingular else "LSQR"
     logger.debug("%s levels: %s on %d nodes, %d edges", direction, solver, n, src.size)
-    levels = (_propagate_exact(n, src, dst, wgt, w_in) if acyclic
-              else _lsqr_min_norm(matrix, b))
+    if acyclic:
+        levels = _propagate_exact(n, src, dst, wgt, w_in)
+    elif nonsingular:
+        # A nonsingular level matrix is an M-matrix, so LU needs no row
+        # exchange; diagonal pivots leave each pinned row alone until its
+        # own pivot, which makes its level exactly 0.
+        lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        levels = lu.solve(b)
+    else:
+        levels = _lsqr_min_norm(matrix, b)
 
     # Residual of the solve itself, before the min-to-zero shift (the shift
     # moves pinned rows off their s=0 target but does not change edge
@@ -209,8 +226,11 @@ def forward_levels(asn: Asn, weighted: bool = True) -> LevelSolution:
     """Forward hierarchical levels: distance below the in-degree-0 heads.
 
     Levels are normalized so the minimum is exactly 0.  On an acyclic
-    network the levels come from exact propagation, equal weighted depths,
-    and the returned residual is at numerical zero.
+    network the levels come from exact propagation and equal weighted
+    depths.  When every node is reachable from an in-degree-0 head they are
+    the unique solution, from sparse LU, and heads sit at exactly 0; in
+    both cases the returned residual is at numerical zero.  Otherwise they
+    are the minimum-norm least-squares solution, from LSQR.
     """
     return _solve_direction(asn, "forward", weighted)
 

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from asnkit import (
     hierarchy_stats,
     influence_ranking,
     level_csv,
+    track,
     validate_tree,
 )
 from oracles import (
+    _record,
     dense_levels,
     depth_of_heads,
     hierarchy_stats_oracle,
@@ -136,8 +139,11 @@ class TestLeastSquares:
         assert both.residual >= 0.0
 
     def test_iteration_limit_is_logged_as_a_warning(self, monkeypatch, caplog):
+        # the closed 2-cycle x <-> y has no pinned ancestor, so the system is
+        # singular and goes to LSQR
         asn = make_asn([("h", "a", 2), ("a", "b", 1), ("b", "c", 3),
-                        ("c", "a", 1), ("c", "d", 1), ("d", "b", 2)])
+                        ("c", "a", 1), ("c", "d", 1), ("d", "b", 2),
+                        ("x", "y", 1), ("y", "x", 1)])
         with caplog.at_level(logging.WARNING, logger="asnkit.hierarchy"):
             forward_levels(asn)
         assert not caplog.records
@@ -162,15 +168,32 @@ def refuse(*args, **kwargs):
     raise AssertionError("this solver must not run here")
 
 
-CYCLIC = {
+CYCLIC = {  # nonsingular: every node is reachable from a pinned head
     "two-cycle": [("h", "a", 1), ("a", "b", 2), ("b", "a", 1), ("b", "c", 1)],
     "dag-plus-self-loop": [("h", "a", 1), ("a", "b", 2), ("h", "b", 1),
                            ("b", "b", 1), ("b", "c", 3)],
 }
 
+SINGULAR = {  # forward: some node is not reachable from a pinned node
+    "closed-two-cycle": [("h", "c", 1), ("a", "b", 2), ("b", "a", 1),
+                         ("b", "c", 1)],
+    "self-loop-source": [("s", "s", 1), ("s", "a", 1), ("a", "b", 2),
+                         ("h", "b", 1)],
+    "no-pinned-node": [("a", "b", 1), ("b", "c", 1), ("c", "a", 1),
+                       ("c", "d", 1)],
+}
+
+
+def counting(calls, name, function):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+    return counted
+
 
 class TestSolverChoice:
-    """Acyclic graphs are propagated exactly, all others go to LSQR."""
+    """Acyclic graphs are propagated exactly, other nonsingular systems are
+    solved by sparse LU, and singular ones go to LSQR."""
 
     @pytest.mark.parametrize("edges", CYCLIC.values(), ids=CYCLIC)
     def test_cyclic_graph_is_never_propagated(self, monkeypatch, edges):
@@ -181,8 +204,45 @@ class TestSolverChoice:
             for key, level in dense_levels(asn, backward=backward).items():
                 assert levels[asn.index[key]] == pytest.approx(level, abs=1e-8)
 
+    @pytest.mark.parametrize("edges", CYCLIC.values(), ids=CYCLIC)
+    def test_nonsingular_cyclic_graph_never_calls_lsqr(self, monkeypatch, caplog,
+                                                       edges):
+        monkeypatch.setattr(asnkit.hierarchy, "lsqr", refuse)
+        asn = make_asn(edges)
+        with caplog.at_level(logging.DEBUG, logger="asnkit.hierarchy"):
+            both = hierarchy_levels(asn)
+        assert both.forward[asn.index[nkey("h")]] == 0.0
+        assert both.backward[asn.index[nkey("c")]] == 0.0
+        size = f"{asn.node_count} nodes, {asn.edge_count} edges"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"forward levels: LU on {size}", f"backward levels: LU on {size}"]
+
+    @pytest.mark.parametrize("edges", SINGULAR.values(), ids=SINGULAR)
+    def test_singular_graph_never_calls_splu(self, monkeypatch, edges):
+        monkeypatch.setattr(asnkit.hierarchy, "splu", refuse)
+        asn = make_asn(edges)
+        fwd = forward_levels(asn)
+        for key, level in dense_levels(asn).items():
+            assert fwd.levels[asn.index[key]] == pytest.approx(level, abs=1e-8)
+
+    def test_criterion_3_graphs_reach_lu_and_lsqr(self, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(asnkit.hierarchy, "splu",
+                            counting(calls, "LU", asnkit.hierarchy.splu))
+        monkeypatch.setattr(asnkit.hierarchy, "_lsqr_min_norm",
+                            counting(calls, "LSQR", asnkit.hierarchy._lsqr_min_norm))
+        rng = np.random.default_rng(913)  # the draws of criterion 3
+        done = 0
+        while done < 200:
+            asn = random_asn(rng, int(rng.integers(2, 9)))
+            if asn.edge_count:
+                done += 1
+                forward_levels(asn)
+        assert calls["LU"] >= 1 and calls["LSQR"] >= 1
+
     def test_acyclic_graph_never_calls_lsqr(self, monkeypatch):
         monkeypatch.setattr(asnkit.hierarchy, "lsqr", refuse)
+        monkeypatch.setattr(asnkit.hierarchy, "splu", refuse)
         asn = make_asn([("a", "b", 2), ("a", "c", 1), ("b", "c", 1),
                         ("b", "d", 1), ("c", "d", 3)], isolated=["lone"])
         both = hierarchy_levels(asn)
@@ -191,10 +251,12 @@ class TestSolverChoice:
         assert levels_by_lemma(asn, forward_levels(asn))["d"] == 2.375
 
     def test_each_direction_logs_its_solver(self, caplog):
+        # a closed 2-cycle and a self-loop-only node: singular both ways
+        singular = [("a", "b", 2), ("b", "a", 1), ("b", "c", 1), ("d", "d", 1)]
         with caplog.at_level(logging.DEBUG, logger="asnkit.hierarchy"):
             hierarchy_levels(make_asn([("a", "b", 1), ("b", "c", 1)],
                                       isolated=["lone"]))
-            hierarchy_levels(make_asn(CYCLIC["two-cycle"]))
+            hierarchy_levels(make_asn(singular))
         lines = [r.getMessage() for r in caplog.records
                  if " levels: " in r.getMessage()]
         assert lines == [
@@ -205,6 +267,47 @@ class TestSolverChoice:
         ]
         assert any(r.getMessage().startswith("LSQR stopped with istop=")
                    for r in caplog.records)
+
+
+def nonsingular_cyclic_edges(rng, n):
+    """Random weighted digraph on n >= 3 lemmas with a 2-cycle, in which every
+    node is reachable from one of 1 to n // 10 + 1 pinned heads."""
+    order = [f"n{i}" for i in rng.permutation(n)]
+    heads = int(rng.integers(1, min(n - 2, n // 10 + 1) + 1))
+    edges = [(order[int(rng.integers(0, i))], order[i], int(rng.integers(1, 6)))
+             for i in range(heads, n)]  # each non-head hears from an earlier node
+    edges += [(order[heads], order[heads + 1], 1), (order[heads + 1], order[heads], 2)]
+    for _ in range(n):  # extra edges, self-loops included, never into a head
+        edges.append((order[int(rng.integers(0, n))],
+                      order[int(rng.integers(heads, n))], int(rng.integers(1, 6))))
+    return edges
+
+
+class TestLuMatchesLsqr:
+    """The LU path gives the levels that minimum-norm LSQR gave it before."""
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_seeded_nonsingular_cyclic_graphs(self, monkeypatch, weighted):
+        calls = Counter()
+        monkeypatch.setattr(asnkit.hierarchy, "splu",
+                            counting(calls, "LU", asnkit.hierarchy.splu))
+        rng = np.random.default_rng(1013)
+        for case in range(40):
+            n = int(rng.integers(3, 12 if case % 2 else 301))
+            asn = make_asn(nonsingular_cyclic_edges(rng, n),
+                           isolated=[f"n{i}" for i in range(n)])
+            fwd = forward_levels(asn, weighted=weighted).levels
+            assert calls["LU"] == case + 1
+
+            src, dst, wgt = asnkit.hierarchy._edge_arrays(asn, "forward", weighted)
+            w_in = np.bincount(dst, weights=wgt, minlength=n)
+            matrix, b = asnkit.hierarchy._system_matrix(n, src, dst, wgt, w_in)
+            lsqr_levels = asnkit.hierarchy._lsqr_min_norm(matrix, b)
+            assert np.abs(fwd - (lsqr_levels - lsqr_levels.min())).max() <= 1e-9
+            assert np.all(fwd[w_in == 0.0] == 0.0)
+            if n <= 40:
+                for key, level in dense_levels(asn, weighted=weighted).items():
+                    assert fwd[asn.index[key]] == pytest.approx(level, abs=1e-9)
 
 
 class TestHierarchyStats:
@@ -282,6 +385,34 @@ class TestRankingAndHistogram:
         assert lemmas[:3] == ["a", "b", "c"]
         assert all(level == 0.0 for _k, level, _w in ranked[:3])
         assert set(lemmas[3:]) == {"w", "x", "y", "z"}
+
+    def test_level_zero_band_is_ordered_by_out_weight_on_a_cyclic_graph(self):
+        # five pinned heads feed a 30-node strongly connected core; the
+        # system is nonsingular, so the heads sit at exactly 0 and their band
+        # is ordered by out-weight, then (role, lemma)
+        rng = np.random.default_rng(0)
+        heads = [(nkey("zeta"), 7), (nkey("alpha", GrammaticalRole.MODAL_VERB), 4),
+                 (nkey("alpha"), 4), (nkey("beta"), 4), (nkey("omega"), 1)]
+        core = [nkey(f"c{i:02d}", GrammaticalRole.VERB) for i in range(30)]
+        edges = {}
+        for i, node in enumerate(core):  # a ring closes the core
+            edges[node, core[(i + 1) % 30]] = [int(rng.integers(1, 6)), set()]
+        for _ in range(60):
+            u, v = rng.choice(30, 2, replace=False)
+            edges.setdefault((core[u], core[v]), [0, set()])[0] += int(rng.integers(1, 6))
+        for head, out in heads:
+            for target in rng.choice(30, out):
+                edges.setdefault((head, core[target]), [0, set()])[0] += 1
+        asn = _record(15, dict.fromkeys([k for k, _ in heads] + core, 1), edges)
+        levels = hierarchy_levels(asn)
+        assert [levels.forward[asn.index[k]] for k, _ in heads] == [0.0] * 5
+
+        ranked = influence_ranking(asn, levels)
+        assert [(k, level, w) for k, level, w in ranked[:5]] == [
+            (k, 0.0, out) for k, out in heads]
+        trajectories = track([k for k, _ in heads], [(asn, levels)])
+        assert [(t.points[0].level, t.points[0].level_rank, t.points[0].is_head)
+                for t in trajectories] == [(0.0, rank, True) for rank in range(1, 6)]
 
     def test_rank_one_is_a_head_on_acyclic_graphs(self):
         asn = make_asn([("a", "b", 3), ("b", "c", 1)])

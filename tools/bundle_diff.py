@@ -5,7 +5,7 @@ Usage::
 
     python3 tools/bundle_diff.py <git-rev>
 
-Runs ``python -m asnkit.cli analyze`` from a temporary ``git worktree`` of
+Runs ``python -m asnkit.cli analyze`` from a ``git archive`` copy of
 <git-rev> and from the working tree on these cases:
 
 * ``demo``: the bundled demo corpus, ``--seed 0``;
@@ -29,13 +29,23 @@ Runs ``python -m asnkit.cli analyze`` from a temporary ``git worktree`` of
   from century 16), so exact level propagation runs at scale.
 
 Both sides read the same corpus files, written from the working tree.  The
-script prints ``diff -r`` of the two bundles per corpus and exits 0 when
-every bundle is byte-identical, 1 when any differs.
+script prints one verdict per case and exits 0 when every bundle is
+byte-identical, 1 when any differs.  A differing bundle is sized file by
+file: for CSV and JSON files, how many float fields changed and the
+largest absolute difference among them, then every other change (an
+integer or text field, a missing key, a row count).  A list of JSON
+objects that differs, such as the events of ``emergent_heads.json``, is
+shown as the objects only the revision has (``-``) and only the working
+tree has (``+``).  Other files are only named.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -89,6 +99,95 @@ def analyze(tree: Path, treebank: Path, out: Path, args: list[str]) -> None:
     )
 
 
+def _float(value) -> float:
+    """A float field's value (a JSON float, or CSV text that reads as a float
+    and is not an integer); NaN for any other field."""
+    if isinstance(value, str) and not value.lstrip("-").isdigit():
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    return value if isinstance(value, float) else math.nan
+
+
+class FileDiff:
+    """What differs between two versions of one bundle file."""
+
+    def __init__(self) -> None:
+        self.floats = 0
+        self.largest = 0.0
+        self.other: list[str] = []
+
+    def value(self, where: str, old, new) -> None:
+        delta = abs(_float(new) - _float(old))
+        if math.isnan(delta):
+            self.other.append(f"{where}: {old!r} -> {new!r}")
+        else:
+            self.floats += 1
+            self.largest = max(self.largest, delta)
+
+    def csv(self, old: str, new: str) -> None:
+        old_rows = list(csv.reader(io.StringIO(old)))
+        new_rows = list(csv.reader(io.StringIO(new)))
+        if len(old_rows) != len(new_rows):
+            self.other.append(f"{len(old_rows)} -> {len(new_rows)} rows")
+        for line, (a, b) in enumerate(zip(old_rows, new_rows), start=1):
+            if len(a) != len(b):
+                self.other.append(f"line {line}: {len(a)} -> {len(b)} fields")
+            for cell, (x, y) in enumerate(zip(a, b), start=1):
+                if x != y:
+                    self.value(f"line {line} field {cell}", x, y)
+
+    def json(self, old, new, where: str = "") -> None:
+        if isinstance(old, dict) and isinstance(new, dict):
+            for key in sorted(old.keys() | new.keys()):
+                if key not in old or key not in new:
+                    self.other.append(f"{where}/{key}: only in "
+                                      + ("the revision" if key in old else "the working tree"))
+                else:
+                    self.json(old[key], new[key], f"{where}/{key}")
+        elif isinstance(old, list) and isinstance(new, list) and old != new and all(
+            isinstance(item, dict) for item in old + new
+        ):
+            self.other += [f"{where}: - {json.dumps(item, sort_keys=True)}"
+                           for item in old if item not in new]
+            self.other += [f"{where}: + {json.dumps(item, sort_keys=True)}"
+                           for item in new if item not in old]
+        elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+            for i, (a, b) in enumerate(zip(old, new)):
+                self.json(a, b, f"{where}[{i}]")
+        elif old != new:
+            self.value(where or "/", old, new)
+
+
+def compare(base: Path, work: Path) -> tuple[list[str], float]:
+    """Report lines for two bundles and the largest float difference."""
+    names = sorted({p.name for p in base.iterdir()} | {p.name for p in work.iterdir()})
+    lines, largest = [], 0.0
+    for name in names:
+        old, new = base / name, work / name
+        if not old.exists() or not new.exists():
+            lines.append(f"  {name}: only in " + ("the revision" if old.exists()
+                                                   else "the working tree"))
+            continue
+        if old.read_bytes() == new.read_bytes():
+            continue
+        diff = FileDiff()
+        if name.endswith(".csv"):
+            diff.csv(old.read_text(encoding="utf-8"), new.read_text(encoding="utf-8"))
+        elif name.endswith(".json"):
+            diff.json(json.loads(old.read_text(encoding="utf-8")),
+                      json.loads(new.read_text(encoding="utf-8")))
+        else:
+            lines.append(f"  {name}: differs (not sized)")
+            continue
+        largest = max(largest, diff.largest)
+        lines.append(f"  {name}: {diff.floats} float fields differ, largest "
+                     f"|delta| {diff.largest:.3g}")
+        lines += [f"    {item}" for item in diff.other]
+    return lines, largest
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~")
@@ -96,28 +195,27 @@ def main(argv: list[str] | None = None) -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="bundle-diff-"))
     base = scratch / "base"
-    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                    str(base), rev], check=True)
-    identical = True
+    base.mkdir()
     try:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        identical = True
         for name, (text, args) in corpora().items():
             treebank = scratch / f"{name}.tb"
             treebank.write_text(text, encoding="utf-8")
             bundles = {side: scratch / f"{name}-{side}" for side in ("base", "work")}
             analyze(base, treebank, bundles["base"], args)
             analyze(ROOT, treebank, bundles["work"], args)
-            result = subprocess.run(
-                ["diff", "-r", str(bundles["base"]), str(bundles["work"])],
-                capture_output=True, text=True,
-            )
-            verdict = "identical" if result.returncode == 0 else "DIFFERENT"
-            print(f"{name}: {verdict} ({rev} vs working tree)")
-            if result.returncode:
+            lines, largest = compare(bundles["base"], bundles["work"])
+            if lines:
                 identical = False
-                print(result.stdout, end="")
+                print(f"{name}: DIFFERENT ({rev} vs working tree), "
+                      f"largest |delta| {largest:.3g}")
+                print("\n".join(lines))
+            else:
+                print(f"{name}: identical ({rev} vs working tree)")
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                        str(base)], check=False)
         shutil.rmtree(scratch, ignore_errors=True)
     return 0 if identical else 1
 
