@@ -48,8 +48,7 @@ from .hierarchy import (
 from .network import (
     Asn,
     NodeKey,
-    _csv_quote,
-    _metadata_line,
+    _csv_table,
     aggregate,
     edge_csv,
     to_dot,
@@ -76,53 +75,11 @@ _CONVENTIONS = {
 }
 
 _FORMATS = ("csv", "dot", "graphml")
+_DEGREES = ("in", "out", "total")
 
 
 class UsageError(Exception):
     """Bad invocation or configuration; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run configuration (defaults < config file < flags)."""
-
-    inputs: tuple[str, ...]
-    out: str = "out"
-    missing: str = MissingPolicy.DROP_ADJACENT_TO_TARGET.value
-    seed: int = 0
-    unweighted: bool = False
-    degree: str = "total"
-    replicates: int = 1000
-    strict: bool = False
-    band: int = 10
-    min_gain: int = 5
-    formats: tuple[str, ...] = _FORMATS
-    track: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        try:
-            MissingPolicy.from_name(self.missing)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if self.degree not in ("in", "out", "total"):
-            raise UsageError(f"degree must be in/out/total, got {self.degree!r}")
-        if self.replicates < 100:
-            raise UsageError(f"replicates must be >= 100, got {self.replicates}")
-        if self.band < 1 or self.min_gain < 0:
-            raise UsageError("band must be >= 1 and min-gain >= 0")
-        for fmt in self.formats:
-            if fmt not in _FORMATS:
-                raise UsageError(
-                    f"unknown format {fmt!r} (choose from {', '.join(_FORMATS)})"
-                )
-
-    @property
-    def policy(self) -> MissingPolicy:
-        return MissingPolicy.from_name(self.missing)
-
-    @property
-    def p_threshold(self) -> float:
-        return 0.1 if self.strict else 0.01
 
 
 def _parse_bool(value: str) -> bool:
@@ -138,19 +95,87 @@ def _comma_list(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-_CONFIG_COERCERS = {
-    "out": str,
-    "missing": str,
-    "seed": int,
-    "unweighted": _parse_bool,
-    "degree": str,
-    "replicates": int,
-    "strict": _parse_bool,
-    "band": int,
-    "min_gain": int,
-    "formats": _comma_list,
-    "track": _comma_list,
-}
+def _option(default, parse, help: str, **flag):
+    """A run option, declared once: its default, the parser of its value in a
+    config file, and its flag's help text.  ``flag`` holds further
+    ``add_argument`` settings (``choices``, ``action``, ``metavar``); a flag
+    with no ``action`` parses its value with ``parse`` too.
+    """
+    return dataclasses.field(
+        default=default, metadata={"parse": parse, "help": help, "flag": flag}
+    )
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully resolved run configuration (defaults < config file < flags).
+
+    Every field but ``inputs`` is an option: the config-file key is the field
+    name and the flag is ``--`` plus the name with ``-`` for ``_``.
+    """
+
+    inputs: tuple[str, ...]
+    out: str = _option("out", str, "output directory")
+    missing: str = _option(
+        MissingPolicy.DROP_ADJACENT_TO_TARGET.value, str, "missing-annotation policy",
+        choices=[p.value for p in MissingPolicy],
+    )
+    seed: int = _option(0, int, "random seed")
+    unweighted: bool = _option(
+        False, _parse_bool, "solve hierarchy levels on unweighted edges",
+        action="store_true",
+    )
+    degree: str = _option(
+        "total", str, "degree variable for power-law fitting", choices=_DEGREES
+    )
+    replicates: int = _option(1000, int, "bootstrap replicates (>= 100)")
+    strict: bool = _option(
+        False, _parse_bool, "use the strict 0.1 p-value threshold instead of 0.01",
+        action="store_true",
+    )
+    band: int = _option(10, int, "top band size for emergence detection")
+    min_gain: int = _option(5, int, "rank gain required to call a head emergent")
+    formats: tuple[str, ...] = _option(
+        _FORMATS, _comma_list, "comma-separated export formats (csv,dot,graphml)"
+    )
+    track: tuple[str, ...] = _option(
+        (), _comma_list, "node key to follow in diachrony (repeatable)",
+        action="append", metavar="'ROLE lemma'",
+    )
+
+    def __post_init__(self) -> None:
+        # ``--track`` collects a list; a config file gives a tuple.
+        object.__setattr__(self, "track", tuple(self.track))
+        try:
+            MissingPolicy.from_name(self.missing)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if self.degree not in _DEGREES:
+            raise UsageError(f"degree must be in/out/total, got {self.degree!r}")
+        if self.replicates < 100:
+            raise UsageError(f"replicates must be >= 100, got {self.replicates}")
+        if self.band < 1 or self.min_gain < 0:
+            raise UsageError("band must be >= 1 and min-gain >= 0")
+        for fmt in self.formats:
+            if fmt not in _FORMATS:
+                raise UsageError(
+                    f"unknown format {fmt!r} (choose from {', '.join(_FORMATS)})"
+                )
+        # Parsed here too, so that a bad key fails before any input is read.
+        for text in self.track:
+            _parse_node_key(text)
+
+    @property
+    def policy(self) -> MissingPolicy:
+        return MissingPolicy.from_name(self.missing)
+
+    @property
+    def p_threshold(self) -> float:
+        return 0.1 if self.strict else 0.01
+
+
+#: The run options, in flag order: config key -> field.
+_OPTIONS = {f.name: f for f in dataclasses.fields(RunConfig) if f.metadata}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -169,31 +194,26 @@ def _parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _CONFIG_COERCERS:
-            allowed = ", ".join(sorted(_CONFIG_COERCERS))
+        if key not in _OPTIONS:
+            allowed = ", ".join(sorted(_OPTIONS))
             raise UsageError(
                 f"{path}:{line_no}: unknown config key {key!r} "
                 f"(allowed: {allowed})"
             )
         try:
-            values[key] = _CONFIG_COERCERS[key](value)
+            values[key] = _OPTIONS[key].metadata["parse"](value)
         except ValueError as exc:
             raise UsageError(f"{path}:{line_no}: {exc}") from None
     return values
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _parse_config_file(args.config) if args.config else {}
-    merged: dict = dict(file_values)
-    for key in _CONFIG_COERCERS:
-        cli_value = getattr(args, key, None)
+    merged = _parse_config_file(args.config) if args.config else {}
+    for key in _OPTIONS:
+        cli_value = getattr(args, key)
         if cli_value is not None:
             merged[key] = cli_value
-    merged["inputs"] = tuple(args.inputs)
-    try:
-        return RunConfig(**merged)
-    except TypeError as exc:  # pragma: no cover - guarded by coercer table
-        raise UsageError(str(exc)) from None
+    return RunConfig(inputs=tuple(args.inputs), **merged)
 
 
 def _parse_node_key(text: str) -> NodeKey:
@@ -216,10 +236,6 @@ def _write(path: Path, text: str) -> None:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _float_cell(value) -> str:
-    return "" if value is None else repr(float(value))
 
 
 def _meta(cfg: RunConfig, **extra) -> dict:
@@ -320,14 +336,10 @@ def _stats(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
     rows = depth_vs_diameter(
         [r.slice for r in records], {r.century: r.summary for r in records}
     )
-    lines = [_metadata_line(_meta(cfg), "# ")]
-    lines.append("century,max_tree_depth,diameter,average_path_length\n")
-    for row in rows:
-        lines.append(
-            f"{row['century']},{row['max_tree_depth']},{row['diameter']},"
-            f"{_float_cell(row['average_path_length'])}\n"
-        )
-    files["depth_vs_diameter.csv"] = "".join(lines)
+    header = "century,max_tree_depth,diameter,average_path_length"
+    files["depth_vs_diameter.csv"] = _csv_table(
+        header, [[row[name] for row in rows] for name in header.split(",")], _meta(cfg)
+    )
     return files
 
 
@@ -410,14 +422,13 @@ def _powerlaw(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
         files[f"powerlaw_{r.century}.json"] = _json_text(payload)
         if not data:
             continue
-        lines = [_metadata_line(_meta(cfg, century=r.century), "# ")]
-        lines.append("x,empirical_ccdf,fitted_ccdf\n")
-        for row in ccdf_rows(data, fit):
-            lines.append(
-                f"{row['x']},{_float_cell(row['empirical_ccdf'])},"
-                f"{_float_cell(row['fitted_ccdf'])}\n"
-            )
-        files[f"ccdf_{r.century}.csv"] = "".join(lines)
+        rows = ccdf_rows(data, fit)
+        header = "x,empirical_ccdf,fitted_ccdf"
+        files[f"ccdf_{r.century}.csv"] = _csv_table(
+            header,
+            [[row[name] for row in rows] for name in header.split(",")],
+            _meta(cfg, century=r.century),
+        )
     return files
 
 
@@ -425,14 +436,10 @@ def _diachrony(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
     files = {}
     levels = [(r.asn, r.levels) for r in records]
 
-    lines = [_metadata_line(_meta(cfg), "# ")]
-    lines.append("century,democracy,incoherence\n")
     points = phase_space([(r.century, r.hierarchy[0]) for r in records])
-    for century, democracy, incoherence in points:
-        lines.append(
-            f"{century},{_float_cell(democracy)},{_float_cell(incoherence)}\n"
-        )
-    files["phase_space.csv"] = "".join(lines)
+    files["phase_space.csv"] = _csv_table(
+        "century,democracy,incoherence", list(zip(*points)), _meta(cfg)
+    )
 
     events = detect_emergent_heads(levels, band=cfg.band, min_gain=cfg.min_gain)
     files["emergent_heads.json"] = _json_text(
@@ -455,19 +462,17 @@ def _diachrony(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
     )
 
     keys = [_parse_node_key(text) for text in cfg.track]
-    lines = [_metadata_line(_meta(cfg), "# ")]
-    lines.append(
-        "role,lemma,century,present,forward_level,level_rank,frequency,is_head\n"
+    rows = [
+        (t.key.role_code, t.key.lemma, p.century, p.present, p.level,
+         p.level_rank, p.frequency, p.is_head)
+        for t in track(keys, levels)
+        for p in t.points
+    ]
+    files["trajectories.csv"] = _csv_table(
+        "role,lemma,century,present,forward_level,level_rank,frequency,is_head",
+        list(zip(*rows)),
+        _meta(cfg),
     )
-    for trajectory in track(keys, levels):
-        for p in trajectory.points:
-            rank = "" if p.level_rank is None else str(p.level_rank)
-            lines.append(
-                f"{trajectory.key.role_code},{_csv_quote(trajectory.key.lemma)},"
-                f"{p.century},{int(p.present)},{_float_cell(p.level)},"
-                f"{rank},{p.frequency},{int(p.is_head)}\n"
-            )
-    files["trajectories.csv"] = "".join(lines)
     return files
 
 
@@ -561,41 +566,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("inputs", nargs="+", metavar="TREEBANK",
                         help="treebank file(s)")
     common.add_argument("--config", help="key = value configuration file")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument(
-        "--missing", default=None,
-        choices=[p.value for p in MissingPolicy],
-        help="missing-annotation policy",
-    )
-    common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument(
-        "--unweighted", action="store_true", default=None,
-        help="solve hierarchy levels on unweighted edges",
-    )
-    common.add_argument(
-        "--degree", default=None, choices=("in", "out", "total"),
-        help="degree variable for power-law fitting",
-    )
-    common.add_argument(
-        "--replicates", type=int, default=None,
-        help="bootstrap replicates (>= 100)",
-    )
-    common.add_argument(
-        "--strict", action="store_true", default=None,
-        help="use the strict 0.1 p-value threshold instead of 0.01",
-    )
-    common.add_argument("--band", type=int, default=None,
-                        help="top band size for emergence detection")
-    common.add_argument("--min-gain", dest="min_gain", type=int, default=None,
-                        help="rank gain required to call a head emergent")
-    common.add_argument(
-        "--formats", default=None, type=_comma_list,
-        help="comma-separated export formats (csv,dot,graphml)",
-    )
-    common.add_argument(
-        "--track", action="append", default=None, metavar="'ROLE lemma'",
-        help="node key to follow in diachrony (repeatable)",
-    )
+    for name, option in _OPTIONS.items():
+        flag = dict(option.metadata["flag"])
+        if "action" not in flag:
+            flag["type"] = option.metadata["parse"]
+        common.add_argument(
+            "--" + name.replace("_", "-"), default=None,
+            help=option.metadata["help"], **flag,
+        )
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common],

@@ -30,7 +30,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import lsqr, splu
 
-from .network import Asn, NodeKey, _csv_quote, _metadata_line
+from .network import Asn, NodeKey, _csv_table
 
 logger = logging.getLogger(__name__)
 
@@ -323,20 +323,16 @@ def level_csv(
     meta = {"axis": "inverted", "levels": "min0"}
     if metadata:
         meta.update(metadata)
-    out = [_metadata_line(meta, "# ")]
-    out.append(
-        "role,lemma,forward_level,backward_level,frequency,in_weight,out_weight\n"
+    return _csv_table(
+        "role,lemma,forward_level,backward_level,frequency,in_weight,out_weight",
+        [
+            [k.role_code for k in asn.keys],
+            [k.lemma for k in asn.keys],
+            levels.forward.tolist(),
+            levels.backward.tolist(),
+            asn.frequency.tolist(),
+            asn.in_weight().tolist(),
+            asn.out_weight().tolist(),
+        ],
+        meta,
     )
-    columns = (
-        [f"{k.role_code},{_csv_quote(k.lemma)}" for k in asn.keys],
-        levels.forward.tolist(),
-        levels.backward.tolist(),
-        asn.frequency.tolist(),
-        asn.in_weight().tolist(),
-        asn.out_weight().tolist(),
-    )
-    out += [
-        f"{node},{fwd!r},{bwd!r},{freq},{in_w},{out_w}\n"
-        for node, fwd, bwd, freq, in_w, out_w in zip(*columns)
-    ]
-    return "".join(out)

@@ -22,9 +22,10 @@ its only builder.  Its invariants, which every later layer relies on:
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -255,10 +256,56 @@ def _metadata_line(
     return f"{prefix}{quote(body)}{suffix}\n"
 
 
+#: Finds a character that forces a CSV cell into double quotes.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
 def _csv_quote(value: str) -> str:
-    if any(c in value for c in ',"\r\n'):
+    if _NEEDS_QUOTES(value):
         return '"' + value.replace('"', '""') + '"'
     return value
+
+
+#: The one CSV cell rule, by the exact type of a value: a string is quoted
+#: as needed, a float keeps every bit in its ``repr``, ``None`` is an empty
+#: cell, a bool is 0 or 1 and an int is written in decimal.
+_CSV_CELL: dict[type, Callable[[object], str]] = {
+    str: _csv_quote,
+    float: repr,
+    type(None): lambda value: "",
+    bool: lambda value: "1" if value else "0",
+    int: str,
+}
+
+
+class _At(NamedTuple):
+    """A CSV column holding the cells of ``values`` taken at positions ``at``."""
+
+    values: Sequence
+    at: Sequence[int]
+
+
+def _csv_table(
+    header: str,
+    columns: Sequence[Sequence | _At],
+    metadata: Mapping[str, object] | None = None,
+) -> str:
+    """A CSV table: the metadata comment line, ``header``, then the rows.
+
+    ``columns`` lists the table left to right, one value per row, as Python
+    scalars.  The table is formatted by column: the values of an :class:`_At`
+    column are formatted once, however many rows or columns gather them.
+    """
+    formatted: dict[int, list[str]] = {}  # id(values) -> cells
+    cells = []
+    for column in columns:
+        values, at = column if isinstance(column, _At) else (column, None)
+        if id(values) not in formatted:
+            formatted[id(values)] = [_CSV_CELL[type(v)](v) for v in values]
+        found = formatted[id(values)]
+        cells.append(found if at is None else [found[i] for i in at])
+    rows = map(",".join, zip(*cells))
+    return _metadata_line(metadata, "# ") + "\n".join([header, *rows, ""])
 
 
 def _edge_columns(asn: Asn):
@@ -273,13 +320,14 @@ def edge_csv(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     rows sorted by (source, target) node sort keys.  An optional metadata
     mapping is recorded in a leading ``#`` comment line.
     """
-    cells = [f"{_csv_quote(k.role_code)},{_csv_quote(k.lemma)}" for k in asn.keys]
-    out = [_metadata_line(metadata, "# ")]
-    out.append("source_role,source_lemma,target_role,target_lemma,weight\n")
-    out += [
-        f"{cells[u]},{cells[v]},{w}\n" for u, v, w in zip(*_edge_columns(asn))
-    ]
-    return "".join(out)
+    roles = [k.role_code for k in asn.keys]
+    lemmas = [k.lemma for k in asn.keys]
+    src, dst, weight = _edge_columns(asn)
+    return _csv_table(
+        "source_role,source_lemma,target_role,target_lemma,weight",
+        [_At(roles, src), _At(lemmas, src), _At(roles, dst), _At(lemmas, dst), weight],
+        metadata,
+    )
 
 
 def _dot_quote(value: str) -> str:
@@ -303,6 +351,10 @@ def to_dot(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     return "".join(out)
 
 
+#: Finds a character that XML 1.0 cannot carry, not even as a reference.
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]").search
+
+
 #: Escaped GraphML text of every rules mask: the set rules, sorted, comma-joined.
 _RULE_TEXT = [
     escape(",".join(sorted(r for r, bit in _RULE_BITS.items() if mask & bit)))
@@ -311,7 +363,23 @@ _RULE_TEXT = [
 
 
 def to_graphml(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
-    """Deterministic GraphML rendering readable by standard graph tools."""
+    """Deterministic GraphML rendering readable by standard graph tools.
+
+    Raises
+    ------
+    ValueError
+        Naming the first node whose lemma holds a character that XML 1.0
+        cannot carry (a control character other than tab, newline and
+        carriage return, a lone surrogate, U+FFFE or U+FFFF).
+    """
+    # As character data; a raw ``\r`` would read back as a line end.
+    lemmas = [escape(k.lemma).replace("\r", "&#13;") for k in asn.keys]
+    if _NOT_XML("".join(lemmas)):
+        key = next(k for k in asn.keys if _NOT_XML(k.lemma))
+        raise ValueError(
+            f"node {key.display()!r} cannot be written to GraphML: its lemma "
+            f"holds {_NOT_XML(key.lemma).group()!r}, which XML 1.0 cannot carry"
+        )
     ids = [quoteattr(k.display()) for k in asn.keys]
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
     out.append(_metadata_line(metadata, "<!-- ", " -->", escape))
@@ -326,11 +394,11 @@ def to_graphml(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     )
     out += [
         f"    <node id={node_id}>\n"
-        f'      <data key="d0">{escape(key.lemma)}</data>\n'
+        f'      <data key="d0">{lemma}</data>\n'
         f'      <data key="d1">{escape(key.role_code)}</data>\n'
         f'      <data key="d2">{f}</data>\n'
         "    </node>\n"
-        for node_id, key, f in zip(ids, asn.keys, asn.frequency.tolist())
+        for node_id, lemma, key, f in zip(ids, lemmas, asn.keys, asn.frequency.tolist())
     ]
     out += [
         f"    <edge source={ids[u]} target={ids[v]}>\n"

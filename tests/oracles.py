@@ -292,7 +292,9 @@ def reference_to_graphml(asn: RefAsn, metadata=None) -> str:
     )
     for key in asn.nodes():
         out.append(f"    <node id={quoteattr(key.display())}>\n")
-        out.append(f'      <data key="d0">{escape(key.lemma)}</data>\n')
+        # A raw carriage return in character data reads back as a newline.
+        lemma = escape(key.lemma).replace("\r", "&#13;")
+        out.append(f'      <data key="d0">{lemma}</data>\n')
         out.append(f'      <data key="d1">{escape(key.role_code)}</data>\n')
         out.append(f'      <data key="d2">{asn.frequency[key]}</data>\n')
         out.append("    </node>\n")

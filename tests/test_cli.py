@@ -113,6 +113,12 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")) == 2
         assert "ROLE lemma" in capsys.readouterr().err
 
+    def test_bad_track_key_fails_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("analyze", DEMO, "--track", "nounspace", "--out", str(out)) == 2
+        assert "ROLE lemma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_corpus_after_policy_is_one(self, tmp_path, capsys):
         text = ("# century = 14\n# target = kumt\n"
                 "1\t!\t!\t_\t2\t_\n2\tkumt\tkumt\tV\t0\t_\n")
@@ -347,6 +353,48 @@ class TestDeterminismAndConfig:
         strict = json.loads((strict_out / "powerlaw_14.json").read_text())
         assert lax["threshold"] == 0.01
         assert strict["threshold"] == 0.1
+
+
+#: Per option: a config-file value, the flags that say the same, and another
+#: config-file value that those flags must beat.
+OPTION_SAMPLES = {
+    "out": ("bundle", ["--out", "bundle"], "elsewhere"),
+    "missing": ("drop-any", ["--missing", "drop-any"], "keep-all"),
+    "seed": ("11", ["--seed", "11"], "12"),
+    "unweighted": ("yes", ["--unweighted"], "no"),
+    "degree": ("in", ["--degree", "in"], "out"),
+    "replicates": ("120", ["--replicates", "120"], "150"),
+    "strict": ("on", ["--strict"], "off"),
+    "band": ("3", ["--band", "3"], "4"),
+    "min_gain": ("7", ["--min-gain", "7"], "8"),
+    "formats": ("csv, dot", ["--formats", "csv,dot"], "graphml"),
+    "track": ("N man, V louft", ["--track", "N man", "--track", "V louft"],
+              "MV konnen"),
+}
+
+
+class TestEveryOption:
+    def test_every_option_has_a_sample(self):
+        assert sorted(OPTION_SAMPLES) == sorted(asnkit.cli._OPTIONS)
+
+    @staticmethod
+    def resolve(tmp_path, config_line=None, flags=()):
+        args = ["analyze", DEMO, *flags]
+        if config_line is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_line + "\n", encoding="utf-8")
+            args += ["--config", str(cfg)]
+        return asnkit.cli._resolve_config(asnkit.cli.build_parser().parse_args(args))
+
+    @pytest.mark.parametrize("name", sorted(asnkit.cli._OPTIONS))
+    def test_config_line_equals_flag_and_flag_beats_file(self, tmp_path, name):
+        value, flags, other = OPTION_SAMPLES[name]
+        from_flag = self.resolve(tmp_path, flags=flags)
+        assert from_flag != self.resolve(tmp_path)  # not the default
+        assert self.resolve(tmp_path, f"{name} = {value}") == from_flag
+        from_other = self.resolve(tmp_path, f"{name} = {other}")
+        assert from_other != from_flag
+        assert self.resolve(tmp_path, f"{name} = {other}", flags) == from_flag
 
 
 class TestValidateAgreesWithBuild:

@@ -3,11 +3,13 @@
 import csv
 import io
 import logging
+import re
 from xml.dom import minidom
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asnkit import (
@@ -257,6 +259,8 @@ class TestNodeKey:
         assert NodeKey(lemma="unbekannt", role=None) in asn.keys
 
 
+GRAPHML = "{http://graphml.graphdrawing.org/xmlns}"
+
 #: Characters that every writer must escape or quote, plus a line separator
 #: and a character outside the Basic Multilingual Plane.
 AWKWARD = 'ab,"\\<>&\'\r\u2028\U0001F600'
@@ -326,3 +330,31 @@ class TestArrayCoreMatchesReference:
         tricky = sentence([("a\rb", R.NOUN, 2), ("c", R.NOUN, 0)], sentence_id="cr")
         rows = list(csv.reader(io.StringIO(edge_csv(aggregate([tricky])), newline="")))
         assert rows[1:] == [["N", "c", "N", "a\rb", "1"]]
+
+
+class TestGraphmlRoundTrip:
+    """GraphML keeps every lemma it writes, or refuses the lemma."""
+
+    @given(treebanks())
+    @example([sentence([("a\rb", R.NOUN, 2), ("c", R.NOUN, 0)], sentence_id="cr")])
+    @settings(max_examples=100, deadline=None)
+    def test_element_tree_reads_back_every_key_and_edge(self, trees):
+        asn = aggregate(trees)
+        graph = ElementTree.fromstring(to_graphml(asn)).find(f"{GRAPHML}graph")
+        nodes = {}
+        for node in graph.iter(f"{GRAPHML}node"):
+            data = {d.get("key"): d.text for d in node.iter(f"{GRAPHML}data")}
+            nodes[node.get("id")] = (data["d1"], data["d0"])
+        assert list(nodes) == [key.display() for key in asn.keys]
+        assert list(nodes.values()) == [key.sort_key for key in asn.keys]
+        edges = [(e.get("source"), e.get("target"))
+                 for e in graph.iter(f"{GRAPHML}edge")]
+        assert edges == [(asn.keys[u].display(), asn.keys[v].display())
+                         for u, v in zip(asn.src.tolist(), asn.dst.tolist())]
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x00", "\ud800", "\ufffe"])
+    def test_a_character_xml_cannot_carry_names_its_node(self, char):
+        tricky = sentence([(f"a{char}b", R.NOUN, 2), ("c", R.NOUN, 0)],
+                          sentence_id="ff")
+        with pytest.raises(ValueError, match=re.escape(repr(f"N a{char}b"))):
+            to_graphml(aggregate([tricky]))

@@ -26,7 +26,12 @@ Runs ``python -m asnkit.cli analyze`` from a ``git archive`` copy of
   ``--seed 0 --replicates 100``;
 * ``crosslink-large``: ``crosslink_corpus(chains=400, depth=6)``, the same
   arguments (about 2,800 nodes per century, all acyclic, diameter 2,400
-  from century 16), so exact level propagation runs at scale.
+  from century 16), so exact level propagation runs at scale;
+* ``awkward``: :func:`awkward_corpus`, two centuries of small trees whose
+  lemmas hold ``,``, ``"``, ``<&>``, ``\\``, U+2028 and a character
+  outside the Basic Multilingual Plane, ``--seed 3 --replicates 100
+  --track "N a,b" --track 'V sa"ge'``, so the quoting and escaping of the
+  CSV, DOT and GraphML writers is compared too.
 
 Both sides read the same corpus files, written from the working tree.  The
 script prints one verdict per case and exits 0 when every bundle is
@@ -54,6 +59,26 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def awkward_corpus() -> str:
+    """Two centuries of three-token trees over lemmas that need quoting.
+
+    Each tree is a head with two dependents, taken from a ring of six nodes;
+    the ring is walked with step 1 in century 14 and step 2 in century 15.
+    """
+    nodes = [("V", 'sa"ge'), ("N", "a,b"), ("AR", "<&>"), ("PP", "back\\slash"),
+             ("N", "line\u2028sep"), ("AX", "\U0001F600")]
+    blocks = []
+    for step, century in enumerate((14, 15), start=1):
+        blocks.append(f"# century = {century}\n# doc_id = awkward{century}")
+        for i in range(len(nodes)):
+            trio = [nodes[(i + k * step) % len(nodes)] for k in range(3)]
+            blocks.append("\n".join(
+                f"{index}\t{lemma}\t{lemma}\t{role}\t{head}\t_"
+                for index, (role, lemma), head in zip((1, 2, 3), trio, (2, 0, 2))
+            ))
+    return "\n\n".join(blocks) + "\n"
 
 
 def corpora() -> dict[str, tuple[str, list[str]]]:
@@ -87,6 +112,11 @@ def corpora() -> dict[str, tuple[str, list[str]]]:
         "ingest-large": (large, seed_0),
         "crosslink": (crosslink_corpus(), seed_0),
         "crosslink-large": (crosslink_corpus(chains=400, depth=6), seed_0),
+        "awkward": (
+            awkward_corpus(),
+            ["--seed", "3", "--replicates", "100",
+             "--track", "N a,b", "--track", 'V sa"ge'],
+        ),
     }
 
 
