@@ -24,14 +24,18 @@ from functools import cached_property, partial
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .corpus import (
     _ROLES,
     CorpusFormatError,
     CorpusSlice,
     MissingPolicy,
-    _issues,
-    _read_lines,
+    CorpusIssue,
+    _Problem,
+    _Read,
+    _read_text,
     _sentences,
     _unknown_role,
     filter_slice,
@@ -46,6 +50,7 @@ from .hierarchy import (
     level_csv,
 )
 from .network import (
+    _NOT_XML,
     Asn,
     NodeKey,
     _csv_table,
@@ -182,7 +187,7 @@ def _parse_config_file(path: str) -> dict:
     """Parse ``key = value`` configuration text; unknown keys are rejected."""
     values: dict = {}
     try:
-        lines = _read_lines(Path(path), path)
+        lines = _read_text(Path(path), path).split("\n")
     except CorpusFormatError as exc:
         raise UsageError(str(exc)) from None
     for line_no, raw in enumerate(lines, start=1):
@@ -500,12 +505,42 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+def _unwritable_lemmas(read: _Read, checked: set[int]) -> list[CorpusIssue]:
+    """An issue for each lemma GraphML cannot carry, at its first token;
+    ``checked`` holds the string ids already looked at."""
+    trees = read.trees
+    ids = [i for i in np.unique(trees.lemma).tolist() if i not in checked]
+    checked.update(ids)
+    if not _NOT_XML("\n".join(trees.strings[i] for i in ids)):
+        return []
+    issues = []
+    for i in ids:
+        lemma = trees.strings[i]
+        found = _NOT_XML(lemma)
+        if found:
+            row = int(np.argmax(trees.lemma == i))
+            sentence = int(np.searchsorted(trees.offsets, row, side="right")) - 1
+            issues.append(CorpusIssue(
+                read.provenance, int(trees.line[row]), trees.sentence_id[sentence],
+                "unwritable lemma",
+                f"lemma {lemma!r} holds {found.group()!r}, which GraphML (XML 1.0) "
+                "cannot carry",
+            ))
+    return sorted(issues, key=lambda issue: issue.line)
+
+
 def cmd_validate(cfg: RunConfig) -> int:
     if not cfg.inputs:
         raise UsageError("no input files given")
     # The loop that loads a corpus for every other subcommand, run to the end.
     found = list(_sentences((Path(p), str(p)) for p in cfg.inputs))
-    issues = [str(issue) for issue in _issues(found)]
+    issues, checked = [], set()
+    for item in found:
+        if isinstance(item, _Problem):
+            issues += item.issues
+        elif "graphml" in cfg.formats:
+            issues += _unwritable_lemmas(item, checked)
+    issues = [str(issue) for issue in issues]
     if not found:
         issues.append("empty corpus: no sentences found")
     for issue in issues:

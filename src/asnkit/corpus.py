@@ -20,15 +20,32 @@ One reader serves :func:`parse_corpus`, :func:`load_corpus`,
 :func:`audit_corpus` and ``asnkit validate``: one decode step, then one
 sentence loop over all sources.  Parsing raises its first problem; an audit
 lists them all.
+
+The reader works in bulk.  One regular expression finds the header, comment
+and blank lines of a source; the token lines between them are split and
+checked a few thousand at a time, column by column, and the tree constraints
+of all their sentences are checked at once by pointer jumping (Wyllie, "The
+complexity of parallel computations", Cornell, 1979), which also yields
+every tree's depth.  Only a line or sentence that fails is looked at on its
+own, to word its message.  What the reader keeps are columns, not tokens:
+:attr:`CorpusSlice.trees` is a lazy ``Sequence[DependencyTree]`` over them,
+with an O(1) ``len``, that builds a tree when it is indexed.
+:func:`filter_slice` and :func:`asnkit.network.aggregate` read the columns
+directly, so ``aggregate(kept.trees)`` builds no :class:`Token` at all.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence as _SequenceABC
+from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+
+import numpy as np
 
 __all__ = [
     "GrammaticalRole",
@@ -94,9 +111,13 @@ class GrammaticalRole(enum.Enum):
         return self.value
 
 
-#: The one code -> role table; ``_`` stands for a missing role.
-_ROLES: dict[str, GrammaticalRole | None] = {r.value: r for r in GrammaticalRole}
-_ROLES["_"] = None
+#: The role of each code, the 19 roles' codes then ``_`` (a missing role);
+#: a role's position here is its index in the token columns.
+_ROLE_OF_CODE: tuple[GrammaticalRole | None, ...] = (*GrammaticalRole, None)
+_ROLE_CODES = tuple("_" if r is None else r.value for r in _ROLE_OF_CODE)
+
+#: The one code -> role table.
+_ROLES = dict(zip(_ROLE_CODES, _ROLE_OF_CODE))
 
 
 def _unknown_role(code: str) -> str:
@@ -149,12 +170,12 @@ def classify_phrase_rule(head_role: GrammaticalRole) -> str:
     return "OTHER"
 
 
-#: The rule a ``_`` RULE resolves to, by head role; ``None`` (no head, or a
-#: head without a role) gives ``OTHER``.
-_RULE_BY_ROLE: dict[GrammaticalRole | None, str] = {
-    role: classify_phrase_rule(role) for role in GrammaticalRole
-}
-_RULE_BY_ROLE[None] = "OTHER"
+#: The rule index in ``PHRASE_RULES`` a ``_`` RULE resolves to, by the role
+#: index of the head; no head, or a head without a role, gives ``OTHER``.
+_RULE_OF_ROLE = np.array([
+    PHRASE_RULES.index("OTHER" if role is None else classify_phrase_rule(role))
+    for role in _ROLE_OF_CODE
+], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -310,6 +331,16 @@ class DependencyTree:
         return out
 
 
+def _check_numbering(tokens: Sequence[Token], sentence_id: str) -> None:
+    """Raise ``ValueError`` unless the tokens are numbered 1..n, n >= 1."""
+    if not tokens:
+        raise ValueError(f"sentence {sentence_id!r} has no tokens")
+    if [t.index for t in tokens] != list(range(1, len(tokens) + 1)):
+        raise ValueError(
+            f"sentence {sentence_id!r}: token indices must be contiguous 1..n"
+        )
+
+
 def validate_tree(
     tokens: Sequence[Token],
     sentence_id: str,
@@ -328,23 +359,13 @@ def validate_tree(
         If any tree constraint is violated; the exception carries the full
         list of violations, each naming the constraint and offending token.
     """
-    if not tokens:
-        raise ValueError(f"sentence {sentence_id!r} has no tokens")
-    if [t.index for t in tokens] != list(range(1, len(tokens) + 1)):
-        raise ValueError(
-            f"sentence {sentence_id!r}: token indices must be contiguous 1..n"
-        )
-    return _checked(DependencyTree(
-        sentence_id, century, tuple(tokens), doc_id, dialect, target_lemma
-    ))
-
-
-def _checked(tree: DependencyTree) -> DependencyTree:
-    """``tree`` itself once its tokens, numbered 1..n, meet the constraints."""
-    violations = tree_violations(tree.tokens)
+    _check_numbering(tokens, sentence_id)
+    violations = tree_violations(tokens)
     if violations:
-        raise TreeValidationError(tree.sentence_id, violations)
-    return tree
+        raise TreeValidationError(sentence_id, violations)
+    return DependencyTree(
+        sentence_id, century, tuple(tokens), doc_id, dialect, target_lemma
+    )
 
 
 def tree_depth(tree: DependencyTree) -> int:
@@ -360,21 +381,249 @@ def tree_depth(tree: DependencyTree) -> int:
     return depth
 
 
+#: The role index of each role code, and of each role.
+_ROLE_INDEX = {code: k for k, code in enumerate(_ROLE_CODES)}
+_INDEX_OF_ROLE = {role: k for k, role in enumerate(_ROLE_OF_CODE)}
+_NO_ROLE = len(GrammaticalRole)
+
+#: Rule index of a RULE value; ``_``, resolved from the head's role, is last.
+_RULE_INDEX = {rule: k for k, rule in enumerate((*PHRASE_RULES, "_"))}
+_RESOLVE = len(PHRASE_RULES)
+
+_SENTENCE_COLUMNS = (
+    "sentence_id", "century", "doc_id", "dialect", "target", "target_id", "depth",
+)
+_TOKEN_COLUMNS = ("head", "role", "rule", "missing", "lemma", "surface", "line")
+
+
+def _offsets(lengths) -> np.ndarray:
+    """Start of each run of the given lengths, then the total."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _sentence_of(offsets: np.ndarray) -> np.ndarray:
+    """The sentence of every token row."""
+    return np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+
+
+def _parents(head: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each token's head row; a root, or a head outside the sentence, gives
+    the token's own row."""
+    lengths = np.diff(offsets)
+    sentence = _sentence_of(offsets)
+    inside = (head > 0) & (head <= lengths[sentence])
+    return np.where(inside, offsets[sentence] + head - 1, np.arange(head.size))
+
+
+def _tree_shape(
+    head: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per token: its head row (see :func:`_parents`), whether its chain of
+    heads ends at a head-0 token, and how many heads it follows to get there.
+
+    Pointer jumping: each round every token adds the distance its pointer
+    spans and then points where its pointer points, so after ``r`` rounds it
+    has followed ``2**r`` heads or stopped at the end of its chain.  A round
+    count whose power of two exceeds the longest sentence ends every chain
+    that does not loop; in a tree the distance is the token's depth.
+    """
+    parent = _parents(head, offsets)
+    top = parent
+    depth = (parent != np.arange(parent.size)).astype(np.int64)
+    for _ in range(int(np.diff(offsets).max(initial=0)).bit_length()):
+        depth += depth[top]
+        top = top[top]
+    return parent, head[top] == 0, depth
+
+
+def _string_id(value: str, strings: list[str], table: dict[str, int]) -> int:
+    if value not in table:
+        table[value] = len(strings)
+        strings.append(value)
+    return table[value]
+
+
+def _intern(column: list[str], strings: list[str], table: dict[str, int]) -> np.ndarray:
+    """The ids of ``column`` in ``strings``; new strings are appended once."""
+    new = [s for s in dict.fromkeys(column) if s not in table]
+    table.update(zip(new, range(len(strings), len(strings) + len(new))))
+    strings += new
+    return np.fromiter(map(table.__getitem__, column), np.int32, len(column))
+
+
+def _sentence_columns(
+    meta: Sequence[tuple], strings: list[str], table: dict[str, int]
+) -> dict[str, np.ndarray]:
+    """The per-sentence columns but ``depth``, from one ``(sentence_id,
+    century, doc_id, dialect, target)`` tuple a sentence."""
+    columns = dict(zip(_SENTENCE_COLUMNS, (
+        np.fromiter(values, dtype=object, count=len(meta))
+        for values in (list(zip(*meta)) or [()] * 5)
+    )))
+    columns["target_id"] = np.array(
+        [-1 if t is None else _string_id(t, strings, table) for t in columns["target"]],
+        dtype=np.int32,
+    )
+    return columns
+
+
+class _TreeColumns(_SequenceABC):
+    """Sentences as columns: the lazy ``Sequence[DependencyTree]`` of a slice.
+
+    Token ``k`` (from 0) of sentence ``i`` is row ``offsets[i] + k`` of the
+    token columns; its index is ``k + 1``.  Per sentence: ``sentence_id``,
+    ``century``, ``doc_id``, ``dialect`` and ``target`` as in
+    :class:`DependencyTree` (Python objects), ``target_id`` (the target's id
+    in ``strings``, -1 for none) and ``depth`` (as :func:`tree_depth` gives
+    it).  Per token: ``head`` as in :class:`Token`, ``role`` (an index into
+    ``_ROLE_OF_CODE``), ``rule`` (into ``PHRASE_RULES``), ``missing``,
+    ``lemma`` and ``surface`` (ids into ``strings``, which columns read
+    together share) and ``line`` (the source line; 0 for trees built by
+    hand).  Indexing builds a :class:`DependencyTree`, slicing gives columns,
+    and equality is that of the sequences of trees.
+    """
+
+    def __init__(self, strings: list[str], offsets: np.ndarray, **columns) -> None:
+        self.strings = strings
+        self.offsets = offsets
+        for name in _SENTENCE_COLUMNS + _TOKEN_COLUMNS:
+            setattr(self, name, columns[name])
+
+    @classmethod
+    def from_trees(cls, trees: Iterable[DependencyTree]) -> "_TreeColumns":
+        """The columns of any trees whose tokens are numbered 1..n.
+
+        Raises
+        ------
+        ValueError
+            For a tree without tokens or with tokens numbered otherwise.
+        """
+        meta, tokens = [], []
+        for tree in trees:
+            _check_numbering(tree.tokens, tree.sentence_id)
+            meta.append((tree.sentence_id, tree.century, tree.doc_id, tree.dialect,
+                         tree.target_lemma))
+            tokens += [
+                (len(meta) - 1, t.head, _INDEX_OF_ROLE[t.role], _RULE_INDEX[t.rule],
+                 t.missing, t.lemma, t.surface)
+                for t in tree.tokens
+            ]
+        sentence, head, role, rule, missing, lemma, surface = (
+            list(zip(*tokens)) or [()] * 7
+        )
+        strings: list[str] = []
+        table: dict[str, int] = {}
+        offsets = _offsets(np.bincount(sentence, minlength=len(meta)))
+        head = np.array(head, dtype=np.int64)
+        depth = _tree_shape(head, offsets)[2]
+        return cls(
+            strings, offsets, **_sentence_columns(meta, strings, table),
+            depth=np.maximum.reduceat(depth, offsets[:-1]) if meta else depth,
+            head=head,
+            role=np.array(role, dtype=np.int8),
+            rule=np.array(rule, dtype=np.int8),
+            missing=np.array(missing, dtype=bool),
+            lemma=_intern(list(lemma), strings, table),
+            surface=_intern(list(surface), strings, table),
+            line=np.zeros(head.size, dtype=np.int32),
+        )
+
+    @staticmethod
+    def concat(parts: Sequence["_TreeColumns"]) -> "_TreeColumns":
+        """The sentences of ``parts``, which share their strings, in order."""
+        return _TreeColumns(
+            parts[0].strings,
+            _offsets(np.concatenate([np.diff(p.offsets) for p in parts])),
+            **{name: np.concatenate([getattr(p, name) for p in parts])
+               for name in _SENTENCE_COLUMNS + _TOKEN_COLUMNS},
+        )
+
+    def take(self, rows) -> "_TreeColumns":
+        """The sentences at positions ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = _offsets(lengths)
+        tokens = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return _TreeColumns(
+            self.strings, offsets,
+            **{name: getattr(self, name)[rows] for name in _SENTENCE_COLUMNS},
+            **{name: getattr(self, name)[tokens] for name in _TOKEN_COLUMNS},
+        )
+
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the tokens whose head is in their sentence, and the
+        rows of those heads."""
+        parent = _parents(self.head, self.offsets)
+        dependent = np.flatnonzero(parent != np.arange(parent.size))
+        return dependent, parent[dependent]
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(np.arange(len(self))[key])
+        i = range(len(self))[key]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        strings = self.strings
+        columns = (
+            getattr(self, name)[lo:hi].tolist()
+            for name in ("surface", "lemma", "role", "head", "rule", "missing")
+        )
+        tokens = tuple(
+            Token(k, strings[surface], strings[lemma], _ROLE_OF_CODE[role], head,
+                  PHRASE_RULES[rule], missing)
+            for k, surface, lemma, role, head, rule, missing
+            in zip(range(1, hi - lo + 1), *columns)
+        )
+        return DependencyTree(self.sentence_id[i], self.century[i], tokens,
+                              self.doc_id[i], self.dialect[i], self.target[i])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _SequenceABC):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class CorpusSlice:
-    """All validated trees of one century, in input order."""
+    """All validated trees of one century, in input order.
+
+    ``trees`` may be any sequence of trees; it is kept as a lazy sequence
+    over token columns, which :func:`filter_slice` and
+    :func:`asnkit.network.aggregate` read directly.
+
+    Raises
+    ------
+    ValueError
+        If a tree is of another century, or its tokens are not numbered 1..n.
+    """
 
     century: int
-    trees: tuple[DependencyTree, ...]
+    trees: Sequence[DependencyTree]
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for t in self.trees:
-            if t.century != self.century:
-                raise ValueError(
-                    f"tree {t.sentence_id!r} has century {t.century}, "
-                    f"slice has {self.century}"
-                )
+        trees = self.trees
+        if not isinstance(trees, _TreeColumns):
+            trees = _TreeColumns.from_trees(trees)
+            object.__setattr__(self, "trees", trees)
+        wrong = np.flatnonzero(trees.century != self.century)
+        if wrong.size:
+            i = wrong[0]
+            raise ValueError(
+                f"tree {trees.sentence_id[i]!r} has century {trees.century[i]}, "
+                f"slice has {self.century}"
+            )
 
 
 class MissingPolicy(enum.Enum):
@@ -460,22 +709,37 @@ def filter_slice(
     """Apply a missing-annotation policy to every tree of a slice.
 
     Returns the surviving slice and the list of dropped trees with the
-    decision that dropped them.
+    decision that dropped them.  The verdicts are those of
+    :func:`filter_missing`, taken over the token columns at once; only the
+    dropped trees are built.
+
+    Raises
+    ------
+    ValueError
+        As :func:`filter_missing` does, for the first tree it raises for.
     """
-    kept: list[DependencyTree] = []
-    dropped: list[tuple[DependencyTree, FilterDecision]] = []
-    for tree in corpus_slice.trees:
-        decision = filter_missing(tree, policy)
-        if decision.keep:
-            kept.append(tree)
-        else:
-            dropped.append((tree, decision))
-    new_slice = CorpusSlice(
-        century=corpus_slice.century,
-        trees=tuple(kept),
-        provenance=corpus_slice.provenance,
-    )
-    return new_slice, dropped
+    trees = corpus_slice.trees
+    sentence = _sentence_of(trees.offsets)
+    drop = np.bincount(sentence[trees.missing], minlength=len(trees)) > 0
+    if policy is MissingPolicy.KEEP_ALL:
+        drop[:] = False
+    elif policy is MissingPolicy.DROP_ADJACENT_TO_TARGET:
+        target = trees.lemma == trees.target_id[sentence]
+        unjudged = drop & (np.bincount(sentence[target], minlength=len(trees)) == 0)
+        if unjudged.any():
+            # No target lemma, or it does not occur: filter_missing raises.
+            filter_missing(trees[int(np.argmax(unjudged))], policy)
+        dependent, head = trees.links()
+        touching = (trees.missing[dependent] & target[head]) | (
+            target[dependent] & trees.missing[head]
+        )
+        drop = np.bincount(sentence[dependent[touching]], minlength=len(trees)) > 0
+    dropped = [
+        (tree, filter_missing(tree, policy))
+        for tree in map(trees.__getitem__, np.flatnonzero(drop).tolist())
+    ]
+    kept = trees.take(np.flatnonzero(~drop)) if dropped else trees
+    return CorpusSlice(corpus_slice.century, kept, corpus_slice.provenance), dropped
 
 
 class CorpusFormatError(ValueError):
@@ -506,23 +770,14 @@ class CorpusIssue:
 _HEADER_KEYS = ("century", "doc_id", "dialect", "target", "sent_id")
 
 
-@dataclass
-class _Draft:
-    """One sentence as read from the file, before validation."""
-
-    meta: dict
-    sent_id: str
-    first_line: int
-    rows: list = field(default_factory=list)  # (line_no, Token-ready fields)
-
-
-def _read_lines(source: str | bytes | TextIO | Path, provenance: str) -> list[str]:
-    """Decode a file (a ``Path``), bytes or text into lines: the one decode step.
+def _read_text(source: str | bytes | TextIO | Path, provenance: str) -> str:
+    """Decode a file (a ``Path``), bytes or text: the one decode step.
 
     Bytes are UTF-8 and a leading BOM is dropped; bytes that are not UTF-8
     raise :class:`CorpusFormatError` at their line.  Only ``"\\n"`` ends a
-    line, minus one trailing ``"\\r"``: a lone ``"\\r"``, U+2028 or a form
-    feed stays inside its field, where ``str.splitlines`` would break.
+    line, and one ``"\\r"`` before it is dropped: a lone ``"\\r"``, U+2028
+    or a form feed stays inside its field, where ``str.splitlines`` would
+    break.
     """
     if isinstance(source, Path):
         data = source.read_bytes()
@@ -540,7 +795,8 @@ def _read_lines(source: str | bytes | TextIO | Path, provenance: str) -> list[st
             ) from None
     else:
         data = data.removeprefix("\ufeff")
-    return [line[:-1] if line.endswith("\r") else line for line in data.split("\n")]
+    data = data.replace("\r\n", "\n")
+    return data[:-1] if data.endswith("\r") else data
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -559,127 +815,159 @@ def _integer(text: str, field: str, provenance: str, line_no: int) -> int:
     return int(text)
 
 
-def _iter_drafts(lines: list[str], provenance: str) -> Iterator[_Draft]:
-    """Yield raw sentences with resolved metadata; structural errors raise."""
+class _Span(NamedTuple):
+    """A sentence as the line scan finds it: its id, the headers in force
+    there, its first line, and the ``(start, end, first line, line count)``
+    runs of its token lines in the text (``## `` lines split a sentence into
+    runs).  The first five fields are the sentence's metadata."""
+
+    sent_id: str
+    century: int
+    doc_id: str
+    dialect: str | None
+    target: str | None
+    first_line: int
+    runs: list[tuple[int, int, int, int]]
+
+
+#: The line break before a line that holds no token: a ``## `` comment
+#: (group 1), a header (group 2) or a blank line.  Only ``"\n"`` ends a line
+#: for ``$`` and ``.``, and ``\s`` is what ``str.strip`` removes.  Starting
+#: with a literal lets the search skip ahead to each line break.
+_NOT_TOKENS = re.compile(r"\n(?:(## .*)|(#.*)|[^\S\n]*$)", re.MULTILINE)
+
+
+def _scan(
+    text: str, provenance: str
+) -> tuple[list[_Span], CorpusFormatError | None, bool]:
+    """The sentences of a source's text, up to its first header or layout
+    error; and that error, and whether the last sentence is cut short by it.
+
+    ``text`` is the source's text after a ``"\\n"`` that the lines are
+    numbered from.  Every non-token line costs a step here; token lines are
+    only counted.
+    """
     meta: dict = {"century": None, "doc_id": "", "dialect": None, "target": None}
     pending_sent_id: str | None = None
     auto_counter: dict[str, int] = {}
-    draft: _Draft | None = None
-    for line_no, line in enumerate(lines, start=1):
-        if line.startswith("## "):
-            continue
-        if not line.strip():
-            if draft is not None:
-                yield draft
-                draft = None
-            continue
-        if line.startswith("#"):
-            if draft is not None:
-                raise CorpusFormatError(
-                    provenance, line_no, "header line inside a sentence"
-                )
-            body = line[1:].strip()
-            if "=" not in body:
-                raise CorpusFormatError(
-                    provenance, line_no, f"malformed header line {line!r}"
-                )
-            key, _, value = body.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _HEADER_KEYS:
-                allowed = ", ".join(_HEADER_KEYS)
-                raise CorpusFormatError(
-                    provenance, line_no,
-                    f"unknown header key {key!r} (allowed: {allowed})",
-                )
-            if key == "century":
-                meta["century"] = _integer(value, "century", provenance, line_no)
-            elif key == "sent_id":
-                pending_sent_id = value
-            else:
-                meta[key] = value
-            continue
-
-        # Token line.
-        if draft is None:
-            if meta["century"] is None:
-                raise CorpusFormatError(
-                    provenance, line_no,
-                    "sentence begins before any '# century = ...' header",
-                )
-            if pending_sent_id is None:
-                doc = meta["doc_id"]
-                auto_counter[doc] = auto_counter.get(doc, 0) + 1
-                sent_id = f"{doc}:{auto_counter[doc]}"
-            else:
-                sent_id = pending_sent_id
-                pending_sent_id = None
-            draft = _Draft(meta=dict(meta), sent_id=sent_id, first_line=line_no)
-
-        cols = line.split("\t")
-        if len(cols) != 6:
-            raise CorpusFormatError(
-                provenance, line_no,
-                f"expected 6 tab-separated columns, got {len(cols)}",
-            )
-        idx_s, surface, lemma, role_s, head_s, rule_s = cols
-        idx = _integer(idx_s, "token index", provenance, line_no)
-        head = _integer(head_s, "head", provenance, line_no)
-        if head < 0:
-            raise CorpusFormatError(
-                provenance, line_no, f"head must be >= 0, got {head}"
-            )
-        if idx != len(draft.rows) + 1:
-            raise CorpusFormatError(
-                provenance, line_no,
-                f"token index {idx} is not contiguous "
-                f"(expected {len(draft.rows) + 1})",
-            )
-        if not surface or not lemma:
-            raise CorpusFormatError(
-                provenance, line_no, "SURFACE and LEMMA must be non-empty"
-            )
-        missing = lemma in MISSING_LEMMAS
-        if role_s not in _ROLES:
-            raise CorpusFormatError(provenance, line_no, _unknown_role(role_s))
-        role = _ROLES[role_s]
-        if role is None and not missing:
-            raise CorpusFormatError(
-                provenance, line_no,
-                "ROLE '_' is only allowed for missing-annotation lemmas",
-            )
-        if rule_s != "_" and rule_s not in PHRASE_RULES:
-            raise CorpusFormatError(
-                provenance, line_no,
-                f"RULE must be one of {', '.join(PHRASE_RULES)} or '_', "
-                f"got {rule_s!r}",
-            )
-        draft.rows.append(
-            (line_no, idx, surface, lemma, role, head, rule_s, missing)
-        )
-    if draft is not None:
-        yield draft
+    spans: list[_Span] = []
+    runs = None  # the token-line runs of the open sentence
+    pos, line_no = 1, 1
+    try:
+        for match in chain(_NOT_TOKENS.finditer(text), [None]):
+            start = len(text) + 1 if match is None else match.start() + 1
+            if start > pos:  # token lines fill text[pos:start - 1]
+                if runs is None:
+                    if meta["century"] is None:
+                        raise CorpusFormatError(
+                            provenance, line_no,
+                            "sentence begins before any '# century = ...' header",
+                        )
+                    if pending_sent_id is None:
+                        doc = meta["doc_id"]
+                        auto_counter[doc] = auto_counter.get(doc, 0) + 1
+                        sent_id = f"{doc}:{auto_counter[doc]}"
+                    else:
+                        sent_id, pending_sent_id = pending_sent_id, None
+                    runs = []
+                    spans.append(_Span(sent_id, meta["century"], meta["doc_id"],
+                                       meta["dialect"], meta["target"], line_no, runs))
+                count = text.count("\n", pos, start - 1) + 1
+                runs.append((pos, start - 1, line_no, count))
+                line_no += count
+            if match is None:
+                break
+            comment, line = match.groups()
+            if line is not None:
+                if runs is not None:
+                    raise CorpusFormatError(
+                        provenance, line_no, "header line inside a sentence"
+                    )
+                body = line[1:].strip()
+                if "=" not in body:
+                    raise CorpusFormatError(
+                        provenance, line_no, f"malformed header line {line!r}"
+                    )
+                key, _, value = body.partition("=")
+                key = key.strip()
+                value = value.strip()
+                if key not in _HEADER_KEYS:
+                    allowed = ", ".join(_HEADER_KEYS)
+                    raise CorpusFormatError(
+                        provenance, line_no,
+                        f"unknown header key {key!r} (allowed: {allowed})",
+                    )
+                if key == "century":
+                    meta["century"] = _integer(value, "century", provenance, line_no)
+                elif key == "sent_id":
+                    pending_sent_id = value
+                else:
+                    meta[key] = value
+            elif comment is None:
+                runs = None
+            pos, line_no = match.end() + 1, line_no + 1
+    except CorpusFormatError as exc:
+        return spans, exc, runs is not None
+    return spans, None, False
 
 
-def _draft_tree(draft: _Draft, provenance: str) -> DependencyTree:
-    """Turn raw rows into an unchecked tree; self-heads are format errors.
+def _check_token_line(line: str, expected: int, provenance: str, line_no: int) -> None:
+    """Raise the error of the first check a token line fails.
 
-    A ``_`` rule is classified from the head token's role; the root, and a
-    token whose head is out of range, get ``OTHER``.
+    ``expected`` is the index its place in the sentence calls for.  Only a
+    chunk that fails the bulk checks in :func:`_read_chunk` comes here.
     """
-    rows = draft.rows
-    tokens: list[Token] = []
-    for line_no, idx, surface, lemma, role, head, rule, missing in rows:
-        if head == idx:
-            raise CorpusFormatError(
-                provenance, line_no, f"token {idx} points at itself as head"
-            )
-        if rule == "_":
-            rule = _RULE_BY_ROLE[rows[head - 1][4] if 0 < head <= len(rows) else None]
-        tokens.append(Token(idx, surface, lemma, role, head, rule, missing))
-    meta = draft.meta
-    return DependencyTree(draft.sent_id, meta["century"], tuple(tokens),
-                          meta["doc_id"], meta["dialect"], meta["target"])
+    cols = line.split("\t")
+    if len(cols) != 6:
+        raise CorpusFormatError(
+            provenance, line_no, f"expected 6 tab-separated columns, got {len(cols)}"
+        )
+    idx_s, surface, lemma, role_s, head_s, rule_s = cols
+    idx = _integer(idx_s, "token index", provenance, line_no)
+    head = _integer(head_s, "head", provenance, line_no)
+    if head < 0:
+        raise CorpusFormatError(provenance, line_no, f"head must be >= 0, got {head}")
+    if idx != expected:
+        raise CorpusFormatError(
+            provenance, line_no,
+            f"token index {idx} is not contiguous (expected {expected})",
+        )
+    if not surface or not lemma:
+        raise CorpusFormatError(
+            provenance, line_no, "SURFACE and LEMMA must be non-empty"
+        )
+    if role_s not in _ROLES:
+        raise CorpusFormatError(provenance, line_no, _unknown_role(role_s))
+    if _ROLES[role_s] is None and lemma not in MISSING_LEMMAS:
+        raise CorpusFormatError(
+            provenance, line_no,
+            "ROLE '_' is only allowed for missing-annotation lemmas",
+        )
+    if rule_s not in _RULE_INDEX:
+        raise CorpusFormatError(
+            provenance, line_no,
+            f"RULE must be one of {', '.join(PHRASE_RULES)} or '_', got {rule_s!r}",
+        )
+
+
+class _BadLine(NamedTuple):
+    """The first token line of a chunk that fails a check."""
+
+    sentence: int  # the line's sentence, counted from the chunk's first
+    error: CorpusFormatError
+
+
+def _first_bad_line(text: str, spans: Sequence[_Span], provenance: str) -> _BadLine:
+    """The first line of the sentences ``spans`` that fails a check."""
+    for number, span in enumerate(spans):
+        expected = 1
+        for start, end, line_no, _ in span.runs:
+            for offset, line in enumerate(text[start:end].split("\n")):
+                try:
+                    _check_token_line(line, expected, provenance, line_no + offset)
+                except CorpusFormatError as exc:
+                    return _BadLine(number, exc)
+                expected += 1
 
 
 class _Problem(NamedTuple):
@@ -689,70 +977,241 @@ class _Problem(NamedTuple):
     issues: list[CorpusIssue]
 
 
+def _format_problem(error: CorpusFormatError) -> _Problem:
+    return _Problem(error, [CorpusIssue(
+        error.provenance, error.line, None, "format error", error.message
+    )])
+
+
+#: Token lines per chunk: enough to spread the cost of each bulk step, few
+#: enough that a chunk's field strings stay small beside the corpus.
+_CHUNK_LINES = 4096
+
+#: A column of :data:`_INTEGER` fields joined by ``"\n"``.
+_INTEGERS = re.compile(r"-?[0-9]+(?:\n-?[0-9]+)*")
+
+#: The value of each integer field written the usual way, up to a length
+#: few sentences reach.
+_NUMERALS = {str(k): k for k in range(1024)}
+
+#: Where integer fields beyond int64 are clamped: past any sentence length.
+_FAR = 2**62
+
+
+def _integers(column: list[str]) -> np.ndarray | None:
+    """The values of a column of integer fields; ``None`` if a field is not
+    an ASCII ``-?[0-9]+``."""
+    values = np.fromiter(map(_NUMERALS.get, column, repeat(-1)), np.int64, len(column))
+    if values.min(initial=0) >= 0:
+        return values
+    if not _INTEGERS.fullmatch("\n".join(column)):
+        return None
+    values = list(map(int, column))
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([max(-_FAR, min(v, _FAR)) for v in values], dtype=np.int64)
+
+
+def _read_chunk(
+    text: str, spans: Sequence[_Span], sizes: Sequence[int], provenance: str,
+    strings: list[str], table: dict[str, int],
+) -> _BadLine | tuple[_TreeColumns, dict[int, _Problem]]:
+    """The columns of the sentences ``spans`` (of ``sizes`` token lines),
+    with the problem of each that has a self-headed token or is no tree; or
+    the first token line that fails a check.
+
+    Every check of every line runs over the whole chunk at once; only a
+    chunk that fails one is read line by line, to find and word the error.
+    """
+    runs = [run for span in spans for run in span.runs]
+    joined = "\n".join([text[start:end] for start, end, _, _ in runs])
+    offsets = _offsets(sizes)
+    n = int(offsets[-1])
+    fields = joined.replace("\n", "\t").split("\t")
+    # Six columns a line: every sixth tab or line break is a line break.
+    breaks = np.frombuffer(joined.encode(), np.uint8)
+    breaks = breaks[(breaks == 9) | (breaks == 10)][5::6]
+    if len(fields) != 6 * n or np.any(breaks != 10):
+        return _first_bad_line(text, spans, provenance)
+    idx_s, surface_s, lemma_s, role_s, head_s, rule_s = (fields[k::6] for k in range(6))
+    index, head = _integers(idx_s), _integers(head_s)
+    if index is None or head is None or "" in surface_s or "" in lemma_s:
+        return _first_bad_line(text, spans, provenance)
+    role = np.fromiter(map(_ROLE_INDEX.get, role_s, repeat(-1)), np.int8, n)
+    rule = np.fromiter(map(_RULE_INDEX.get, rule_s, repeat(-1)), np.int8, n)
+    lemma = _intern(lemma_s, strings, table)
+    missing = lemma < len(MISSING_LEMMAS)  # the sentinels come first
+    sentence = _sentence_of(offsets)
+    if np.any(
+        (head < 0) | (index != np.arange(n) - offsets[sentence] + 1) | (role < 0)
+        | ((role == _NO_ROLE) & ~missing) | (rule < 0)
+    ):
+        return _first_bad_line(text, spans, provenance)
+
+    parent, rooted, depth = _tree_shape(head, offsets)
+    head_role = np.where(parent != np.arange(n), role[parent], _NO_ROLE)
+    rule = np.where(rule == _RESOLVE, _RULE_OF_ROLE[head_role], rule)
+    starts = offsets[:-1]
+    counts = np.array([run[3] for run in runs])
+    first_lines = np.array([run[2] for run in runs])
+    columns = _TreeColumns(
+        strings, offsets, **_sentence_columns([s[:5] for s in spans], strings, table),
+        depth=np.maximum.reduceat(depth, starts),
+        head=head, role=role, rule=rule, missing=missing, lemma=lemma,
+        surface=_intern(surface_s, strings, table),
+        line=(np.repeat(first_lines - _offsets(counts)[:-1], counts)
+              + np.arange(n)).astype(np.int32),
+    )
+
+    self_head = head == index
+    roots = np.bincount(sentence[head == 0], minlength=len(spans))
+    is_tree = (roots == 1) & np.logical_and.reduceat(rooted, starts)
+    problems: dict[int, _Problem] = {}
+    failed = np.logical_or.reduceat(self_head, starts) | ~is_tree
+    for i in np.flatnonzero(failed).tolist():
+        span, lo, hi = spans[i], offsets[i], offsets[i + 1]
+        own = np.flatnonzero(self_head[lo:hi])
+        if own.size:
+            k = int(own[0])
+            error = CorpusFormatError(
+                provenance, int(columns.line[lo + k]),
+                f"token {k + 1} points at itself as head",
+            )
+            issues = [CorpusIssue(provenance, error.line, span.sent_id,
+                                  "malformed token", error.message)]
+        else:
+            # The heads as written: a head beyond int64 was clamped above.
+            tokens = [dataclasses.replace(t, head=int(h))
+                      for t, h in zip(columns[i].tokens, head_s[lo:hi])]
+            error = TreeValidationError(span.sent_id, tree_violations(tokens))
+            issues = [CorpusIssue(provenance, span.first_line, span.sent_id,
+                                  v.constraint, v.message) for v in error.violations]
+        problems[i] = _Problem(error, issues)
+    return columns, problems
+
+
+class _Read(NamedTuple):
+    """Sentences of one source that passed every check."""
+
+    provenance: str
+    trees: _TreeColumns
+
+
+def _in_order(
+    read: tuple[_TreeColumns, dict[int, _Problem]], spans: Sequence[_Span],
+    provenance: str, number: int, seen: dict,
+) -> Iterator[_Read | _Problem]:
+    """The first ``len(spans)`` sentences of a chunk in order: each problem
+    on its own, the sentences between problems as columns.
+
+    A sentence whose id its document already used is a problem before any
+    other; ids are registered here, in reading order.
+    """
+    columns, problems = read
+    good = 0
+    for i, span in enumerate(spans):
+        key = (span.doc_id, span.sent_id)
+        if key in seen:
+            number0, provenance0, line0 = seen[key]
+            where = (f"first seen at line {line0}" if number0 == number
+                     else f"also in {provenance0}")
+            problem = _Problem(CorpusFormatError(
+                provenance, span.first_line,
+                f"duplicate sentence id {span.sent_id!r} in "
+                f"document {span.doc_id!r} ({where})",
+            ), [CorpusIssue(provenance, span.first_line, span.sent_id,
+                            "duplicate sentence id", where)])
+        else:
+            seen[key] = (number, provenance, span.first_line)
+            problem = problems.get(i)
+        if problem is not None:
+            if good < i:
+                yield _Read(provenance, columns[good:i])
+            yield problem
+            good = i + 1
+    if good < len(spans):
+        whole = good == 0 and len(spans) == len(columns)
+        yield _Read(provenance, columns if whole else columns[good:len(spans)])
+
+
+def _read_source(
+    text: str, provenance: str, number: int, seen: dict,
+    strings: list[str], table: dict[str, int],
+) -> Iterator[_Read | _Problem]:
+    """Every sentence and problem of one source, in reading order.
+
+    A sentence's problems surface where it ends; a line that cannot be read
+    ends the source, and the sentence holding it is not reported.
+    """
+    text = "\n" + text
+    spans, error, cut = _scan(text, provenance)
+    sizes = [sum(run[3] for run in span.runs) for span in spans]
+    done = 0
+    while done < len(spans):
+        stop, lines = done, 0
+        while stop < len(spans) and lines < _CHUNK_LINES:
+            lines += sizes[stop]
+            stop += 1
+        part = spans[done:stop]
+        read = _read_chunk(text, part, sizes[done:stop], provenance, strings, table)
+        if isinstance(read, _BadLine):
+            good = part[:read.sentence]
+            if good:
+                read_good = _read_chunk(text, good, sizes[done:done + len(good)],
+                                        provenance, strings, table)
+                yield from _in_order(read_good, good, provenance, number, seen)
+            error = read.error
+            break
+        whole = stop - done - (cut and stop == len(spans))
+        yield from _in_order(read, part[:whole], provenance, number, seen)
+        done = stop
+    if error is not None:
+        yield _format_problem(error)
+
+
 def _sentences(
     sources: Iterable[tuple[str | bytes | TextIO | Path, str]]
-) -> Iterator[DependencyTree | _Problem]:
+) -> Iterator[_Read | _Problem]:
     """The one sentence loop: every check of every sentence of every source.
 
     ``sources`` holds (source, provenance) pairs, read through
-    :func:`_read_lines`.  Sentence ids are unique per document across all
+    :func:`_read_text`.  Sentence ids are unique per document across all
     sources.  A line that cannot be read ends its source, since the rest
     cannot be interpreted reliably; a bad sentence does not hide the next.
+    All sources share one string table.
     """
     seen: dict[tuple[str, str], tuple[int, str, int]] = {}
+    strings = sorted(MISSING_LEMMAS)  # so that a lemma id below 2 is missing
+    table = {s: i for i, s in enumerate(strings)}
     for number, (source, provenance) in enumerate(sources):
         try:
-            for draft in _iter_drafts(_read_lines(source, provenance), provenance):
-                meta = draft.meta
-                key = (meta["doc_id"], draft.sent_id)
-                if key in seen:
-                    number0, provenance0, line0 = seen[key]
-                    where = (f"first seen at line {line0}" if number0 == number
-                             else f"also in {provenance0}")
-                    yield _Problem(CorpusFormatError(
-                        provenance, draft.first_line,
-                        f"duplicate sentence id {draft.sent_id!r} in "
-                        f"document {meta['doc_id']!r} ({where})",
-                    ), [CorpusIssue(provenance, draft.first_line, draft.sent_id,
-                                    "duplicate sentence id", where)])
-                    continue
-                seen[key] = (number, provenance, draft.first_line)
-                try:
-                    tree = _checked(_draft_tree(draft, provenance))
-                except CorpusFormatError as exc:
-                    yield _Problem(exc, [CorpusIssue(
-                        provenance, exc.line, draft.sent_id,
-                        "malformed token", exc.message,
-                    )])
-                except TreeValidationError as exc:
-                    yield _Problem(exc, [
-                        CorpusIssue(provenance, draft.first_line, draft.sent_id,
-                                    v.constraint, v.message)
-                        for v in exc.violations
-                    ])
-                else:
-                    yield tree
+            text = _read_text(source, provenance)
         except CorpusFormatError as exc:
-            yield _Problem(exc, [CorpusIssue(
-                provenance, exc.line, None, "format error", exc.message
-            )])
+            yield _format_problem(exc)
+            continue
+        yield from _read_source(text, provenance, number, seen, strings, table)
 
 
-def _issues(found: Iterable[DependencyTree | _Problem]) -> list[CorpusIssue]:
+def _issues(found: Iterable[_Read | _Problem]) -> list[CorpusIssue]:
     return [i for item in found if isinstance(item, _Problem) for i in item.issues]
 
 
 def _parse(sources: Sequence[tuple[object, str]]) -> list[CorpusSlice]:
     """Trees of every source grouped by century; the first problem raises."""
-    by_century: dict[int, list[DependencyTree]] = {}
+    parts = []
     for item in _sentences(sources):
         if isinstance(item, _Problem):
             raise item.error
-        by_century.setdefault(item.century, []).append(item)
+        parts.append(item.trees)
+    if not parts:
+        return []
+    trees = _TreeColumns.concat(parts)
     provenance = tuple(p for _, p in sources)
     return [
-        CorpusSlice(century=c, trees=tuple(by_century[c]), provenance=provenance)
-        for c in sorted(by_century)
+        CorpusSlice(century=c, trees=trees.take(np.flatnonzero(trees.century == c)),
+                    provenance=provenance)
+        for c in sorted(set(trees.century.tolist()))
     ]
 
 

@@ -30,7 +30,14 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from .corpus import _ROLES, PHRASE_RULES, DependencyTree, GrammaticalRole
+from .corpus import (
+    _ROLE_CODES,
+    _ROLES,
+    PHRASE_RULES,
+    DependencyTree,
+    GrammaticalRole,
+    _TreeColumns,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -161,7 +168,9 @@ def aggregate(
 
     The result does not depend on tree order.  Node frequency counts token
     occurrences; each head -> dependent pair adds one unit of edge weight and
-    records the dependent's rule tag.
+    records the dependent's rule tag.  The trees of a
+    :class:`~asnkit.corpus.CorpusSlice` are read from their token columns;
+    other trees are first converted to such columns.
 
     Raises
     ------
@@ -169,64 +178,54 @@ def aggregate(
         If the trees span more than one century, or disagree with an
         explicitly passed ``century``.
     """
-    ids: dict[tuple[str, str], int] = {}  # (role code, lemma) -> order seen
-    tokens_seen: list[int] = []
-    edge_heads: list[int] = []
-    edge_deps: list[int] = []
-    edge_bits: list[int] = []
-    tree_count = 0
-    for tree in trees:
-        tree_count += 1
+    if not isinstance(trees, _TreeColumns):
+        trees = _TreeColumns.from_trees(trees)
+    if len(trees):
         if century is None:
-            century = tree.century
-        elif tree.century != century:
+            century = trees.century[0]
+        wrong = np.flatnonzero(trees.century != century)
+        if wrong.size:
+            i = wrong[0]
             raise ValueError(
-                f"cannot aggregate across centuries: {tree.sentence_id!r} "
-                f"has {tree.century}, expected {century}"
+                f"cannot aggregate across centuries: {trees.sentence_id[i]!r} "
+                f"has {trees.century[i]}, expected {century}"
             )
-        # Validated trees number their tokens 1..n, so token i sits at i - 1.
-        local = [
-            ids.setdefault(
-                ("_" if t.role is None else t.role.value, t.lemma), len(ids)
-            )
-            for t in tree.tokens
-        ]
-        tokens_seen += local
-        for t, dep in zip(tree.tokens, local):
-            if t.head:
-                edge_heads.append(local[t.head - 1])
-                edge_deps.append(dep)
-                edge_bits.append(_RULE_BITS[t.rule])
-
+    # A node is a (role, lemma) pair; its code packs the two string ids.
+    width = len(trees.strings)
+    codes, first, token_code = np.unique(
+        trees.role.astype(np.int64) * width + trees.lemma,
+        return_index=True, return_inverse=True,
+    )
     # Python's sort, not numpy's: numpy "U" arrays drop trailing NULs.
-    distinct = sorted(ids)
-    n = len(distinct)
-    order = np.fromiter((ids[k] for k in distinct), dtype=np.int64, count=n)
-    rank = np.empty(n, dtype=np.int64)  # order seen -> node index
-    rank[order] = np.arange(n)
-    frequency = np.bincount(np.asarray(tokens_seen, dtype=np.int64), minlength=n)
-    packed = rank[np.asarray(edge_heads, dtype=np.int64)] * n + rank[
-        np.asarray(edge_deps, dtype=np.int64)
+    distinct = [
+        (_ROLE_CODES[c // width], trees.strings[c % width]) for c in codes.tolist()
     ]
+    order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    n = len(order)
+    rank = np.empty(n, dtype=np.int64)  # code position -> node index
+    rank[order] = np.arange(n)
+    node = rank[token_code]
+    dependent, head = trees.links()
     pairs, edge_of, weight = np.unique(
-        packed, return_inverse=True, return_counts=True
+        node[head] * n + node[dependent], return_inverse=True, return_counts=True
     )
     rules = np.zeros(pairs.size, dtype=np.uint8)
-    np.bitwise_or.at(rules, edge_of, np.asarray(edge_bits, dtype=np.uint8))
+    np.bitwise_or.at(rules, edge_of, (1 << trees.rule[dependent]).astype(np.uint8))
     src, dst = np.divmod(pairs, max(n, 1))
     asn = Asn(
         century=century,
-        keys=tuple(NodeKey(lemma, _ROLES[code]) for code, lemma in distinct),
-        frequency=frequency[order],
+        keys=tuple(NodeKey(lemma, _ROLES[code])
+                   for code, lemma in map(distinct.__getitem__, order)),
+        frequency=np.bincount(node, minlength=n),
         src=src,
         dst=dst,
         weight=weight,
         rules=rules,
-        first_seen=rank,
+        first_seen=rank[np.argsort(first)],
     )
     logger.debug(
         "century %s: %d trees, %d nodes, %d edges, total weight %d",
-        century, tree_count, asn.node_count, asn.edge_count, asn.total_weight(),
+        century, len(trees), asn.node_count, asn.edge_count, asn.total_weight(),
     )
     return asn
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .corpus import CorpusSlice, tree_depth
+from .corpus import CorpusSlice
 from .network import Asn
 
 __all__ = [
@@ -204,7 +204,7 @@ def depth_vs_diameter(
         rows.append(
             {
                 "century": corpus_slice.century,
-                "max_tree_depth": max(tree_depth(t) for t in corpus_slice.trees),
+                "max_tree_depth": int(corpus_slice.trees.depth.max()),
                 "diameter": summary.diameter,
                 "average_path_length": summary.average_path_length,
             }

@@ -8,6 +8,7 @@ code is checked against a genuinely separate route to the same numbers.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from xml.sax.saxutils import escape, quoteattr
 
@@ -19,12 +20,21 @@ from asnkit import (
     MISSING_LEMMAS,
     PHRASE_RULES,
     Asn,
+    CorpusFormatError,
+    CorpusIssue,
+    CorpusSlice,
     DegenerateDataError,
+    DependencyTree,
     GrammaticalRole,
     NodeKey,
+    Token,
+    TreeValidationError,
+    classify_phrase_rule,
+    filter_missing,
     fit_power_law,
     hurwitz_zeta,
     sample_discrete_powerlaw,
+    tree_violations,
 )
 
 # ---------------------------------------------------------------------------
@@ -177,6 +187,317 @@ def noisy_treebanks(draw) -> bytes:
         cut = draw(st.integers(0, len(data)))
         data = data[:cut] + b"\xff" + data[cut:]
     return data
+
+
+# ---------------------------------------------------------------------------
+# Reference reader: the line-by-line treebank reader asnkit shipped before
+# its columnar one, kept as the route the bulk reader must match.
+# ---------------------------------------------------------------------------
+
+_REF_ROLES = {role.value: role for role in GrammaticalRole}
+_REF_ROLES["_"] = None
+_REF_HEADER_KEYS = ("century", "doc_id", "dialect", "target", "sent_id")
+_REF_INTEGER = re.compile(r"-?[0-9]+")
+
+
+@dataclass
+class _RefDraft:
+    """One sentence as read from the file, before validation."""
+
+    meta: dict
+    sent_id: str
+    first_line: int
+    rows: list = field(default_factory=list)
+
+
+def _ref_lines(source, provenance: str) -> list[str]:
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(
+                provenance, exc.object.count(b"\n", 0, exc.start) + 1,
+                f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})",
+            ) from None
+    else:
+        source = source.removeprefix("\ufeff")
+    return [line[:-1] if line.endswith("\r") else line for line in source.split("\n")]
+
+
+def _ref_integer(text: str, name: str, provenance: str, line_no: int) -> int:
+    if not _REF_INTEGER.fullmatch(text):
+        raise CorpusFormatError(
+            provenance, line_no, f"{name} must be an integer, got {text!r}"
+        )
+    return int(text)
+
+
+def _ref_drafts(lines: list[str], provenance: str):
+    """Yield raw sentences with resolved metadata; structural errors raise."""
+    meta: dict = {"century": None, "doc_id": "", "dialect": None, "target": None}
+    pending_sent_id = None
+    auto_counter: dict[str, int] = {}
+    draft = None
+    for line_no, line in enumerate(lines, start=1):
+        if line.startswith("## "):
+            continue
+        if not line.strip():
+            if draft is not None:
+                yield draft
+                draft = None
+            continue
+        if line.startswith("#"):
+            if draft is not None:
+                raise CorpusFormatError(provenance, line_no,
+                                        "header line inside a sentence")
+            body = line[1:].strip()
+            if "=" not in body:
+                raise CorpusFormatError(provenance, line_no,
+                                        f"malformed header line {line!r}")
+            key, _, value = body.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key not in _REF_HEADER_KEYS:
+                allowed = ", ".join(_REF_HEADER_KEYS)
+                raise CorpusFormatError(
+                    provenance, line_no,
+                    f"unknown header key {key!r} (allowed: {allowed})",
+                )
+            if key == "century":
+                meta["century"] = _ref_integer(value, "century", provenance, line_no)
+            elif key == "sent_id":
+                pending_sent_id = value
+            else:
+                meta[key] = value
+            continue
+        if draft is None:
+            if meta["century"] is None:
+                raise CorpusFormatError(
+                    provenance, line_no,
+                    "sentence begins before any '# century = ...' header",
+                )
+            if pending_sent_id is None:
+                doc = meta["doc_id"]
+                auto_counter[doc] = auto_counter.get(doc, 0) + 1
+                sent_id = f"{doc}:{auto_counter[doc]}"
+            else:
+                sent_id, pending_sent_id = pending_sent_id, None
+            draft = _RefDraft(meta=dict(meta), sent_id=sent_id, first_line=line_no)
+        cols = line.split("\t")
+        if len(cols) != 6:
+            raise CorpusFormatError(
+                provenance, line_no,
+                f"expected 6 tab-separated columns, got {len(cols)}",
+            )
+        idx_s, surface, lemma, role_s, head_s, rule_s = cols
+        idx = _ref_integer(idx_s, "token index", provenance, line_no)
+        head = _ref_integer(head_s, "head", provenance, line_no)
+        if head < 0:
+            raise CorpusFormatError(provenance, line_no,
+                                    f"head must be >= 0, got {head}")
+        if idx != len(draft.rows) + 1:
+            raise CorpusFormatError(
+                provenance, line_no,
+                f"token index {idx} is not contiguous (expected {len(draft.rows) + 1})",
+            )
+        if not surface or not lemma:
+            raise CorpusFormatError(provenance, line_no,
+                                    "SURFACE and LEMMA must be non-empty")
+        missing = lemma in MISSING_LEMMAS
+        if role_s not in _REF_ROLES:
+            raise CorpusFormatError(
+                provenance, line_no, f"unknown grammatical role code {role_s!r}"
+            )
+        role = _REF_ROLES[role_s]
+        if role is None and not missing:
+            raise CorpusFormatError(
+                provenance, line_no,
+                "ROLE '_' is only allowed for missing-annotation lemmas",
+            )
+        if rule_s != "_" and rule_s not in PHRASE_RULES:
+            raise CorpusFormatError(
+                provenance, line_no,
+                f"RULE must be one of {', '.join(PHRASE_RULES)} or '_', got {rule_s!r}",
+            )
+        draft.rows.append((line_no, idx, surface, lemma, role, head, rule_s, missing))
+    if draft is not None:
+        yield draft
+
+
+def _ref_tree(draft: _RefDraft, provenance: str) -> DependencyTree:
+    """Raw rows as an unchecked tree; self-heads are format errors."""
+    rows = draft.rows
+    tokens = []
+    for line_no, idx, surface, lemma, role, head, rule, missing in rows:
+        if head == idx:
+            raise CorpusFormatError(provenance, line_no,
+                                    f"token {idx} points at itself as head")
+        if rule == "_":
+            head_role = rows[head - 1][4] if 0 < head <= len(rows) else None
+            rule = "OTHER" if head_role is None else classify_phrase_rule(head_role)
+        tokens.append(Token(idx, surface, lemma, role, head, rule, missing))
+    meta = draft.meta
+    return DependencyTree(draft.sent_id, meta["century"], tuple(tokens),
+                          meta["doc_id"], meta["dialect"], meta["target"])
+
+
+def reference_sentences(sources):
+    """Every tree, or ``(error, issues)`` problem, of (bytes, provenance)
+    sources in reading order, one line and one sentence at a time."""
+    seen: dict = {}
+    for number, (source, provenance) in enumerate(sources):
+        try:
+            for draft in _ref_drafts(_ref_lines(source, provenance), provenance):
+                key = (draft.meta["doc_id"], draft.sent_id)
+                if key in seen:
+                    number0, provenance0, line0 = seen[key]
+                    where = (f"first seen at line {line0}" if number0 == number
+                             else f"also in {provenance0}")
+                    yield (CorpusFormatError(
+                        provenance, draft.first_line,
+                        f"duplicate sentence id {draft.sent_id!r} in "
+                        f"document {draft.meta['doc_id']!r} ({where})",
+                    ), [CorpusIssue(provenance, draft.first_line, draft.sent_id,
+                                    "duplicate sentence id", where)])
+                    continue
+                seen[key] = (number, provenance, draft.first_line)
+                try:
+                    tree = _ref_tree(draft, provenance)
+                except CorpusFormatError as exc:
+                    yield (exc, [CorpusIssue(provenance, exc.line, draft.sent_id,
+                                             "malformed token", exc.message)])
+                    continue
+                violations = tree_violations(tree.tokens)
+                if violations:
+                    yield (TreeValidationError(tree.sentence_id, violations), [
+                        CorpusIssue(provenance, draft.first_line, draft.sent_id,
+                                    v.constraint, v.message)
+                        for v in violations
+                    ])
+                else:
+                    yield tree
+        except CorpusFormatError as exc:
+            yield (exc, [CorpusIssue(provenance, exc.line, None, "format error",
+                                     exc.message)])
+
+
+def reference_parse(sources) -> list[CorpusSlice]:
+    """Trees grouped by century, as tuples of trees; the first problem raises."""
+    by_century: dict = {}
+    for item in reference_sentences(sources):
+        if not isinstance(item, DependencyTree):
+            raise item[0]
+        by_century.setdefault(item.century, []).append(item)
+    provenance = tuple(p for _, p in sources)
+    return [CorpusSlice(c, tuple(by_century[c]), provenance)
+            for c in sorted(by_century)]
+
+
+def reference_audit(sources) -> list[CorpusIssue]:
+    return [issue for item in reference_sentences(sources)
+            if not isinstance(item, DependencyTree) for issue in item[1]]
+
+
+def reference_filter_slice(corpus_slice, policy):
+    """Tree by tree through :func:`asnkit.filter_missing`: the kept trees and
+    the dropped ones with their decisions."""
+    kept, dropped = [], []
+    for tree in corpus_slice.trees:
+        decision = filter_missing(tree, policy)
+        if decision.keep:
+            kept.append(tree)
+        else:
+            dropped.append((tree, decision))
+    return kept, dropped
+
+
+#: What :func:`mutated_treebanks` can do to a valid treebank.
+MUTATIONS = ("columns", "integer", "self-head", "cycle", "two roots", "duplicate id",
+             "header inside", "comment inside", "crlf", "no target")
+
+_MUTATED_LEMMAS = ["a", "b", "c", "werden", "a\x0cb"]
+
+
+def mutated_treebanks(rng: np.random.Generator, mutations=()) -> list[bytes]:
+    """One or two treebank files of random valid trees whose sentences
+    interleave centuries, with each of ``mutations`` (names from
+    :data:`MUTATIONS`) applied at a random place.
+
+    Sentences carry a target lemma, which may not occur, and sentinel tokens
+    next to it or elsewhere, so each missing-annotation policy keeps some
+    sentences, drops some and raises on some corpora.  Each file has its own
+    documents, unless a duplicate id is planted, which also puts the first
+    and last sentence of each file into one shared document.
+    """
+    files = []
+    for number in range(int(rng.integers(1, 3))):
+        sentences = []  # (header lines, token lines: a list of columns or a raw line)
+        for s in range(int(rng.integers(1, 8))):
+            headers = [f"# century = {int(rng.integers(14, 17))}"]
+            if s == 0 or rng.random() < 0.3:
+                headers.append(f"# doc_id = f{number}d{int(rng.integers(0, 2))}")
+            target = None
+            if rng.random() < 0.8:
+                target = str(rng.choice(["werden", "werden", "a", "zzz"]))
+                headers.append(f"# target = {target}")
+            if rng.random() < 0.3:
+                headers.append(f"# sent_id = s{s}")
+            tokens = []
+            heads = random_tree_heads(rng, int(rng.integers(1, 7)))
+            for i, head in enumerate(heads, start=1):
+                lemma = str(rng.choice(_MUTATED_LEMMAS))
+                role = str(rng.choice(["N", "V", "PR", "AX", "PP"]))
+                if rng.random() < 0.15:
+                    lemma = str(rng.choice(sorted(MISSING_LEMMAS)))
+                    role = "_" if rng.random() < 0.8 else role
+                elif target and rng.random() < 0.3:
+                    lemma = target
+                rule = str(rng.choice(["_", "_", *PHRASE_RULES]))
+                tokens.append([str(i), lemma, lemma, role, str(head), rule])
+            sentences.append((headers, tokens))
+        newline = "\n"
+        for mutation in mutations:
+            headers, tokens = sentences[int(rng.integers(len(sentences)))]
+            rows = [t for t in tokens if isinstance(t, list)]
+            cols = rows[int(rng.integers(len(rows)))]
+            if mutation == "columns":
+                if rng.random() < 0.5:
+                    del cols[int(rng.integers(len(cols)))]
+                else:
+                    cols.insert(int(rng.integers(len(cols) + 1)), "x")
+            elif mutation == "integer" and len(cols) == 6:
+                k = int(rng.choice([0, 4]))
+                pad = ["+", " ", "0", "-", "0" * 22, "9" * 22]
+                cols[k] = str(rng.choice(pad)) + cols[k]
+            elif mutation == "self-head" and len(cols) == 6:
+                cols[4] = cols[0]
+            elif mutation == "cycle":
+                # The root points at a token below it: no root, and a cycle.
+                root = next((t for t in rows if t[4:5] == ["0"]), None)
+                child = next((t for t in rows if root and t[4:5] == root[:1]), None)
+                if child is not None:
+                    root[4] = child[0]
+            elif mutation == "two roots" and len(cols) == 6:
+                cols[4] = "0"
+            elif mutation == "duplicate id":
+                for headers, _ in (sentences[0], sentences[-1]):
+                    headers += ["# doc_id = shared", "# sent_id = twin"]
+            elif mutation == "header inside":
+                tokens.insert(int(rng.integers(1, len(tokens) + 1)), "# dialect = x")
+            elif mutation == "comment inside":
+                tokens.insert(int(rng.integers(len(tokens) + 1)), "## note")
+            elif mutation == "crlf":
+                newline = "\r\n"
+            elif mutation == "no target":
+                for headers, _ in sentences:
+                    headers[:] = [h for h in headers if not h.startswith("# target")]
+        lines = []
+        for headers, tokens in sentences:
+            lines += headers
+            lines += [t if isinstance(t, str) else "\t".join(t) for t in tokens]
+            lines.append(str(rng.choice(["", "", " "])))
+        files.append(newline.join(lines).encode())
+    return files
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,21 @@ class TestExitCodes:
         assert run("build", str(bad), "--out", str(tmp_path / "o")) == 1
         assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
 
+    def test_validate_names_a_lemma_graphml_cannot_carry(self, tmp_path, capsys):
+        bad = tmp_path / "ff.tb"
+        bad.write_text("# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n"
+                       "2\tb\ta\x0cb\tN\t1\t_\n3\tc\ta\x0cb\tN\t1\t_\n",
+                       encoding="utf-8")
+        assert run("validate", str(bad)) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{bad}:4: sentence 's1' unwritable lemma: lemma 'a\\x0cb' holds "
+            "'\\x0c', which GraphML (XML 1.0) cannot carry",
+            "FAIL: 1 issue(s) found",
+        ]
+        assert run("validate", str(bad), "--formats", "csv,dot") == 0
+        assert run("analyze", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert "cannot be written to GraphML" in capsys.readouterr().err
+
     def test_domain_error_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.tb"
         bad.write_text("1\ta\ta\tN\t0\t_\n", encoding="utf-8")
@@ -398,7 +413,8 @@ class TestEveryOption:
 
 
 class TestValidateAgreesWithBuild:
-    """``validate`` passes exactly the inputs ``build`` accepts."""
+    """``validate`` passes exactly the inputs ``build`` and ``export`` accept,
+    for the formats they write."""
 
     @given(noisy_treebanks(), noisy_treebanks())
     @settings(max_examples=60, deadline=None)
@@ -407,12 +423,15 @@ class TestValidateAgreesWithBuild:
     # A sentence id repeated in a second file is rejected by both.
     @example(b"# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n",
              b"# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n")
+    # A form feed in a lemma: CSV carries it, GraphML cannot.
+    @example(b"# century = 14\n# sent_id = s1\n1\ta\ta\x0cb\tN\t0\t_\n", b"")
     def test_validate_exits_zero_exactly_when_build_does(self, first, second):
         with tempfile.TemporaryDirectory() as work:
             paths = [str(Path(work) / "d1.tb"), str(Path(work) / "d2.tb")]
             for path, data in zip(paths, (first, second)):
                 Path(path).write_bytes(data)
-            validated = run("validate", *paths) == 0
-            built = run("build", *paths, "--missing", "keep-all",
-                        "--out", str(Path(work) / "o")) == 0
-        assert validated == built
+            for command, formats in (("build", "csv"), ("export", "csv,dot,graphml")):
+                validated = run("validate", *paths, "--formats", formats) == 0
+                built = run(command, *paths, "--missing", "keep-all",
+                            "--formats", formats, "--out", str(Path(work) / "o")) == 0
+                assert validated == built, command

@@ -1,38 +1,52 @@
 """Treebank parsing, tree validation, and missing-annotation policies."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import asnkit.corpus
 from asnkit import (
     MISSING_LEMMAS,
     PHRASE_RULES,
     CorpusFormatError,
     CorpusSlice,
+    DependencyTree,
     GrammaticalRole,
     MissingPolicy,
     Token,
     TreeValidationError,
+    aggregate,
     audit_corpus,
     classify_phrase_rule,
     demo_corpus_path,
+    depth_vs_diameter,
     filter_missing,
     filter_slice,
     load_corpus,
     parse_corpus,
     render_corpus,
+    summarize,
     tree_depth,
     tree_violations,
     validate_tree,
 )
 from oracles import (
+    MUTATIONS,
     depth_of_heads,
+    edge_map,
+    frequency_map,
     heads_form_tree,
+    mutated_treebanks,
     noisy_treebanks,
     random_tree_heads,
+    reference_aggregate,
+    reference_audit,
+    reference_filter_slice,
+    reference_parse,
 )
 
 ALL_CODES = [
@@ -195,6 +209,28 @@ class TestValidateAndDepth:
         heads = random_tree_heads(rng, n)
         tree = validate_tree(toks(heads), sentence_id="s", century=15)
         assert tree_depth(tree) == depth_of_heads(heads)
+
+    def test_column_depths_match_the_oracle(self):
+        rng = np.random.default_rng(12)
+        heads = [random_tree_heads(rng, int(rng.integers(1, 40))) for _ in range(60)]
+        built = CorpusSlice(century=15, trees=tuple(
+            validate_tree(toks(h), sentence_id=f"s{i}", century=15)
+            for i, h in enumerate(heads)
+        ))
+        parsed = parse_corpus(render_corpus([built]))[0]
+        want = [depth_of_heads(h) for h in heads]
+        assert built.trees.depth.tolist() == parsed.trees.depth.tolist() == want
+        assert [tree_depth(t) for t in parsed.trees] == want
+
+    def test_a_long_chain_takes_many_jumping_rounds(self):
+        chain = list(range(1500))  # token i + 1 hangs off token i
+        tree = validate_tree(toks(chain), sentence_id="chain", century=15)
+        assert tree_depth(tree) == depth_of_heads(chain) == 1499
+        (parsed,) = parse_corpus(render_corpus([CorpusSlice(15, (tree,))]))
+        assert parsed.trees.depth.tolist() == [1499]
+        summary = summarize(aggregate(parsed.trees))
+        (row,) = depth_vs_diameter([parsed], {15: summary})
+        assert row["max_tree_depth"] == 1499
 
 
 MINI = """\
@@ -425,6 +461,117 @@ class TestAuditAgreesWithParse:
         assert (audit_corpus(data) == []) == parsed
 
 
+def _bulk_read(sources, chunk_lines):
+    """Slices (or the error), and audit issues, of the columnar reader, reading
+    ``chunk_lines`` token lines at a time."""
+    with mock.patch.object(asnkit.corpus, "_CHUNK_LINES", chunk_lines):
+        issues = asnkit.corpus._issues(asnkit.corpus._sentences(sources))
+        try:
+            return asnkit.corpus._parse(sources), None, issues
+        except (CorpusFormatError, TreeValidationError) as exc:
+            return None, exc, issues
+
+
+def _check_filter(corpus_slice, policy):
+    """``filter_slice`` keeps, drops and raises as per-tree ``filter_missing``."""
+    try:
+        want = reference_filter_slice(corpus_slice, policy)
+    except ValueError as exc:
+        want = str(exc)
+    try:
+        kept, dropped = filter_slice(corpus_slice, policy)
+    except ValueError as exc:
+        got = str(exc)
+    else:
+        assert (kept.century, kept.provenance) == (
+            corpus_slice.century, corpus_slice.provenance)
+        got = (list(kept.trees), dropped)
+    assert got == want
+
+
+class TestBulkReaderMatchesReference:
+    """The columnar reader, filter and aggregation against the line-by-line
+    reference reader (``tests/oracles.py``), the per-tree filter and the
+    dict-based aggregation, on valid and mutated treebanks of one or two
+    files; small chunks put sentences and errors in later chunks."""
+
+    @staticmethod
+    def check(files, chunk_lines):
+        sources = [(data, f"f{i}.tb") for i, data in enumerate(files)]
+        slices, error, issues = _bulk_read(sources, chunk_lines)
+        try:
+            want, want_error = reference_parse(sources), None
+        except (CorpusFormatError, TreeValidationError) as exc:
+            want, want_error = None, exc
+        assert (type(error), str(error)) == (type(want_error), str(want_error))
+        assert issues == reference_audit(sources)
+        assert slices == want
+        for got, ref in zip(slices or (), want or ()):
+            trees = list(ref.trees)
+            asn, ref_asn = aggregate(got.trees), reference_aggregate(trees)
+            assert asn == aggregate(trees)
+            assert asn.first_seen.tolist() == aggregate(trees).first_seen.tolist()
+            assert frequency_map(asn) == ref_asn.frequency
+            seen = [asn.keys[i] for i in asn.first_seen.tolist()]
+            assert seen == list(ref_asn.frequency)
+            assert edge_map(asn) == {
+                edge: (data.weight, data.rules) for edge, data in ref_asn.edges.items()
+            }
+            assert got.trees.depth.tolist() == [
+                depth_of_heads([t.head for t in tree.tokens]) for tree in trees
+            ]
+            for policy in MissingPolicy:
+                _check_filter(got, policy)
+
+    @pytest.mark.parametrize("chunk_lines", [1, 3, 4096])
+    @pytest.mark.parametrize("mutation", (None, *MUTATIONS))
+    def test_seeded_mutations(self, mutation, chunk_lines):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            files = mutated_treebanks(rng, [mutation] if mutation else [])
+            self.check(files, chunk_lines)
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(MUTATIONS), max_size=3),
+           st.sampled_from([1, 2, 5, 4096]))
+    @settings(max_examples=120, deadline=None)
+    def test_mutated_treebanks(self, seed, mutations, chunk_lines):
+        files = mutated_treebanks(np.random.default_rng(seed), mutations)
+        self.check(files, chunk_lines)
+
+    @given(noisy_treebanks(), noisy_treebanks(), st.sampled_from([1, 4096]))
+    @settings(max_examples=120, deadline=None)
+    def test_noisy_treebanks(self, first, second, chunk_lines):
+        self.check([first, second], chunk_lines)
+
+    @pytest.mark.parametrize("line, message", [
+        ("1\ta\ta\tN\t0\t_\n2\ta\ta\tN\t" + "9" * 25 + "\t_",
+         "head " + "9" * 25 + " exceeds"),
+        ("0" * 25 + "1\ta\ta\tN\t0\t_", None),
+        ("9" * 25 + "\ta\ta\tN\t0\t_", "token index " + "9" * 25 + " is not"),
+    ])
+    def test_integers_beyond_int64_keep_their_value(self, line, message):
+        data = f"# century = 14\n{line}\n".encode()
+        self.check([data], 4096)
+        issues = audit_corpus(data)
+        expected = [message] if message else []
+        assert [i.message[:len(message)] for i in issues] == expected
+
+    def test_trees_read_back_as_a_lazy_sequence(self):
+        trees = parse_corpus(MINI)[0].trees
+        assert len(trees) == 2 and trees == tuple(trees) == trees[:]
+        assert isinstance(trees[-1], DependencyTree) and trees[-1] == trees[1]
+        assert trees[::-1] == (trees[1], trees[0]) and hash(trees) == hash(tuple(trees))
+        with pytest.raises(IndexError):
+            trees[2]
+
+    def test_hand_built_trees_need_contiguous_indices(self):
+        token = Token(index=2, surface="a", lemma="a",
+                      role=GrammaticalRole.NOUN, head=0)
+        tree = DependencyTree("s1", 14, (token,))
+        with pytest.raises(ValueError, match="'s1': token indices must be contiguous"):
+            CorpusSlice(century=14, trees=(tree,))
+
+
 class TestMissingPolicies:
     def _tree(self, with_adjacent_missing):
         rows = [
@@ -492,6 +639,25 @@ class TestMissingPolicies:
             assert MissingPolicy.from_name(policy.value) is policy
         with pytest.raises(ValueError):
             MissingPolicy.from_name("drop-sometimes")
+
+    def test_filter_slice_raises_for_the_first_unjudged_tree(self):
+        ok = "# century = 14\n# sent_id = ok\n1\ta\ta\tN\t0\t_\n\n"
+        no_target = "# sent_id = bare\n1\t!\t!\t_\t2\t_\n2\tb\tb\tN\t0\t_\n\n"
+        absent = ("# target = zzz\n# sent_id = absent\n"
+                  "1\t!\t!\t_\t2\t_\n2\tb\tb\tN\t0\t_\n")
+        policy = MissingPolicy.DROP_ADJACENT_TO_TARGET
+        for text, message in (
+            (ok + no_target + absent,
+             "sentence 'bare': policy 'drop-adjacent-to-target' needs a target lemma"),
+            (ok + absent + "\n" + no_target,
+             "sentence 'absent': target lemma 'zzz' does not occur"),
+        ):
+            (corpus_slice,) = parse_corpus(text)
+            with pytest.raises(ValueError, match=message):
+                filter_slice(corpus_slice, policy)
+            _check_filter(corpus_slice, policy)
+            for other in (MissingPolicy.DROP_ANY, MissingPolicy.KEEP_ALL):
+                _check_filter(corpus_slice, other)
 
     def test_filter_slice_reports_drops(self):
         slices = load_corpus([demo_corpus_path()])

@@ -31,7 +31,13 @@ Runs ``python -m asnkit.cli analyze`` from a ``git archive`` copy of
   lemmas hold ``,``, ``"``, ``<&>``, ``\\``, U+2028 and a character
   outside the Basic Multilingual Plane, ``--seed 3 --replicates 100
   --track "N a,b" --track 'V sa"ge'``, so the quoting and escaping of the
-  CSV, DOT and GraphML writers is compared too.
+  CSV, DOT and GraphML writers is compared too;
+* ``two-files``: :func:`interleaved_corpus`, the sentences of
+  ``zipf_corpus(21, (14, 15, 16), sentences=60, vocab=200, planted_from=1,
+  planted_sentences=10, adjacent=3, distant=3, exponent=0.8, tag=3)`` dealt
+  over two files in turn, with the centuries interleaved, ``## `` lines
+  inside sentences and CRLF line ends in the second file, ``--seed 21
+  --replicates 100``; the default policy drops 3 sentences per century.
 
 Both sides read the same corpus files, written from the working tree.  The
 script prints one verdict per case and exits 0 when every bundle is
@@ -81,8 +87,37 @@ def awkward_corpus() -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def corpora() -> dict[str, tuple[str, list[str]]]:
-    """Case name -> (treebank text, extra ``analyze`` arguments)."""
+def interleaved_corpus(text: str) -> list[str]:
+    """The sentences of a ``gen.zipf_corpus`` text dealt over two files.
+
+    Sentences are taken from each century in turn, each under its own
+    ``century``, ``doc_id``, ``target`` and ``sent_id`` headers; every third
+    sentence has a ``## `` line after its first token line, and the second
+    file ends its lines with CRLF.
+    """
+    by_century: dict[str, list[str]] = {}
+    for block in text.strip("\n").split("\n\n"):
+        if block.startswith("#"):
+            headers = block
+            sentences = by_century.setdefault(headers, [])
+        else:
+            sentences.append(block)
+    files: list[list[str]] = [[], []]
+    dealt = 0
+    for i in range(max(map(len, by_century.values()))):
+        for headers, sentences in by_century.items():
+            if i < len(sentences):
+                lines = sentences[i].split("\n")
+                if i % 3 == 0:
+                    lines.insert(1, "## note inside a sentence")
+                files[dealt % 2] += [*headers.split("\n"), f"# sent_id = {dealt}",
+                                     *lines, ""]
+                dealt += 1
+    return ["\n".join(files[0]), "\r\n".join(files[1])]
+
+
+def corpora() -> dict[str, tuple[str | list[str], list[str]]]:
+    """Case name -> (treebank text or texts, extra ``analyze`` arguments)."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import gen
     from asnkit import demo_corpus_path
@@ -95,6 +130,10 @@ def corpora() -> dict[str, tuple[str, list[str]]]:
     large, _ = gen.zipf_corpus(
         0, (14, 15, 16, 17), sentences=1000, vocab=2500, planted_from=2,
         planted_sentences=40, adjacent=10, distant=10, tag=5,
+    )
+    interleaved, _ = gen.zipf_corpus(
+        21, (14, 15, 16), sentences=60, vocab=200, planted_from=1,
+        planted_sentences=10, adjacent=3, distant=3, exponent=0.8, tag=3,
     )
     takeover = ["--seed", "7", "--replicates", "100"]
     zipf_args = ["--seed", "300", "--replicates", "100"]
@@ -117,15 +156,19 @@ def corpora() -> dict[str, tuple[str, list[str]]]:
             ["--seed", "3", "--replicates", "100",
              "--track", "N a,b", "--track", 'V sa"ge'],
         ),
+        "two-files": (
+            interleaved_corpus(interleaved),
+            ["--seed", "21", "--replicates", "100"],
+        ),
     }
 
 
-def analyze(tree: Path, treebank: Path, out: Path, args: list[str]) -> None:
+def analyze(tree: Path, treebanks: list[Path], out: Path, args: list[str]) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     subprocess.run(
-        [sys.executable, "-m", "asnkit.cli", "analyze", str(treebank),
+        [sys.executable, "-m", "asnkit.cli", "analyze", *map(str, treebanks),
          "--out", str(out), *args],
-        env=env, cwd=treebank.parent, check=True, stdout=subprocess.DEVNULL,
+        env=env, cwd=treebanks[0].parent, check=True, stdout=subprocess.DEVNULL,
     )
 
 
@@ -231,12 +274,17 @@ def main(argv: list[str] | None = None) -> int:
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         identical = True
-        for name, (text, args) in corpora().items():
-            treebank = scratch / f"{name}.tb"
-            treebank.write_text(text, encoding="utf-8")
+        for name, (texts, args) in corpora().items():
+            if isinstance(texts, str):
+                treebanks = {scratch / f"{name}.tb": texts}
+            else:
+                treebanks = {scratch / f"{name}-{i}.tb": text
+                             for i, text in enumerate(texts, start=1)}
+            for treebank, text in treebanks.items():
+                treebank.write_bytes(text.encode("utf-8"))
             bundles = {side: scratch / f"{name}-{side}" for side in ("base", "work")}
-            analyze(base, treebank, bundles["base"], args)
-            analyze(ROOT, treebank, bundles["work"], args)
+            analyze(base, list(treebanks), bundles["base"], args)
+            analyze(ROOT, list(treebanks), bundles["work"], args)
             lines, largest = compare(bundles["base"], bundles["work"])
             if lines:
                 identical = False
