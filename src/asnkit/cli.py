@@ -35,6 +35,7 @@ from .corpus import (
     CorpusIssue,
     _Problem,
     _Read,
+    _Verdicts,
     _read_text,
     _sentences,
     _unknown_role,
@@ -264,12 +265,14 @@ def _load_filtered(cfg: RunConfig) -> tuple[list[CorpusSlice], list[str]]:
                 f"{tree.sentence_id!r}: {decision.reason}"
             )
         if not filtered.trees:
-            raise ValueError(
-                f"empty corpus: century {corpus_slice.century} has no "
-                f"sentences left under policy {cfg.missing!r}"
-            )
+            raise ValueError(_left_empty(corpus_slice.century, cfg))
         kept.append(filtered)
     return kept, drop_lines
+
+
+def _left_empty(century: int, cfg: RunConfig) -> str:
+    return (f"empty corpus: century {century} has no sentences left under "
+            f"policy {cfg.missing!r}")
 
 
 class _Century:
@@ -532,17 +535,29 @@ def _unwritable_lemmas(read: _Read, checked: set[int]) -> list[CorpusIssue]:
 def cmd_validate(cfg: RunConfig) -> int:
     if not cfg.inputs:
         raise UsageError("no input files given")
-    # The loop that loads a corpus for every other subcommand, run to the end.
+    # The loading loop and missing policy of every other subcommand, run to the end.
     found = list(_sentences((Path(p), str(p)) for p in cfg.inputs))
-    issues, checked = [], set()
+    issues, checked, centuries, left = [], set(), set(), set()
     for item in found:
         if isinstance(item, _Problem):
             issues += item.issues
-        elif "graphml" in cfg.formats:
-            issues += _unwritable_lemmas(item, checked)
+            continue
+        trees, verdicts = item.trees, _Verdicts(item.trees, cfg.policy)
+        issues += [
+            CorpusIssue(item.provenance, int(trees.line[trees.offsets[i]]),
+                        trees.sentence_id[i], "missing policy",
+                        verdicts.unjudged_reason(i))
+            for i in np.flatnonzero(verdicts.unjudged).tolist()
+        ]
+        centuries.update(trees.century.tolist())
+        left.update(trees.century[verdicts.keep | verdicts.unjudged].tolist())
+        if "graphml" in cfg.formats:
+            kept = trees.take(np.flatnonzero(verdicts.keep))
+            issues += _unwritable_lemmas(item._replace(trees=kept), checked)
     issues = [str(issue) for issue in issues]
     if not found:
         issues.append("empty corpus: no sentences found")
+    issues += [_left_empty(c, cfg) for c in sorted(centuries - left)]
     for issue in issues:
         print(issue)
     if issues:

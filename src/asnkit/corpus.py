@@ -23,20 +23,22 @@ lists them all.
 
 The reader works in bulk.  One regular expression finds the header, comment
 and blank lines of a source; the token lines between them are split and
-checked a few thousand at a time, column by column, and the tree constraints
-of all their sentences are checked at once by pointer jumping (Wyllie, "The
-complexity of parallel computations", Cornell, 1979), which also yields
-every tree's depth.  Only a line or sentence that fails is looked at on its
-own, to word its message.  What the reader keeps are columns, not tokens:
-:attr:`CorpusSlice.trees` is a lazy ``Sequence[DependencyTree]`` over them,
-with an O(1) ``len``, that builds a tree when it is indexed.
-:func:`filter_slice` and :func:`asnkit.network.aggregate` read the columns
-directly, so ``aggregate(kept.trees)`` builds no :class:`Token` at all.
+checked a few thousand at a time, column by column.  Only a line that fails
+is looked at on its own, to word its message.  What the reader keeps are
+columns, not tokens: :attr:`CorpusSlice.trees` is a lazy
+``Sequence[DependencyTree]`` over them, with an O(1) ``len``, that builds a
+tree when it is indexed; :func:`asnkit.network.aggregate` reads the columns.
+
+Each corpus rule is one kernel over token columns, which also words its
+results: pointer jumping over the heads (Wyllie, "The complexity of parallel
+computations", Cornell, 1979) decides the tree constraints and every depth,
+and :class:`_Verdicts` the missing-annotation policies.  The reader,
+:func:`filter_slice` and ``asnkit validate`` run them over many sentences;
+:func:`tree_violations`, :func:`tree_depth` and :func:`filter_missing`, on one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import re
 from collections.abc import Sequence as _SequenceABC
@@ -224,7 +226,7 @@ class TreeViolation:
     token_index: int | None
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         where = f" at token {self.token_index}" if self.token_index else ""
         return f"{self.constraint}{where}: {self.message}"
 
@@ -247,59 +249,46 @@ def tree_violations(tokens: Sequence[Token]) -> list[TreeViolation]:
     acyclic, which together with single-headedness makes every token
     reachable from the root).  Token indices are assumed contiguous 1..n.
     """
-    n = len(tokens)
-    violations: list[TreeViolation] = []
+    return _violations([t.head for t in tokens])
 
-    roots = [t.index for t in tokens if t.head == 0]
-    if not roots:
-        violations.append(
-            TreeViolation("no root", None, "no token has head 0")
-        )
-    for extra in roots[1:]:
-        violations.append(
-            TreeViolation(
-                "multiple roots",
-                extra,
-                f"head 0 already claimed by token {roots[0]}",
-            )
-        )
 
-    in_range = {}
-    for t in tokens:
-        if t.head > n:
+def _violations(heads: Sequence[int]) -> list[TreeViolation]:
+    """The tree constraints a sentence whose token ``k + 1`` has head
+    ``heads[k]`` (no self-heads) violates, in this order: no root, each extra
+    root, each head out of range, then each cycle of heads.
+
+    Cycles come in the order of the first token whose chain of heads reaches
+    them; each is listed from where that token's chain enters it and
+    anchored at its smallest index.
+    """
+    n = len(heads)
+    head = np.fromiter((min(h, _FAR) for h in heads), np.int64, n)
+    parent, top, _ = _tree_shape(head, np.array([0, n]))
+    roots = (np.flatnonzero(head == 0) + 1).tolist()
+    violations = [] if roots else [TreeViolation("no root", None, "no token has head 0")]
+    violations += [TreeViolation("multiple roots", extra,
+                                 f"head 0 already claimed by token {roots[0]}")
+                   for extra in roots[1:]]
+    violations += [TreeViolation("head out of range", k + 1,
+                                 f"head {heads[k]} exceeds sentence length {n}")
+                   for k in np.flatnonzero(head > n).tolist()]
+    # A chain that loops has its top on the loop, and the tops of a loop's
+    # rows are all of its rows.
+    looping = parent[top] != top
+    loop = np.bincount(top[looping], minlength=n) > 0  # rows on loops not yet reported
+    parent = parent.tolist()
+    for first in np.flatnonzero(looping).tolist():
+        if loop[top[first]]:
+            entry = first
+            while not loop[entry]:
+                entry = parent[entry]
+            cycle = [entry]
+            while parent[cycle[-1]] != entry:
+                cycle.append(parent[cycle[-1]])
+            loop[cycle] = False
+            pretty = " -> ".join(str(row + 1) for row in cycle + [entry])
             violations.append(
-                TreeViolation(
-                    "head out of range",
-                    t.index,
-                    f"head {t.head} exceeds sentence length {n}",
-                )
-            )
-        else:
-            in_range[t.index] = t.head
-
-    # Walk head chains with the classic three-color scheme; chains either
-    # terminate at head 0 (or an out-of-range pointer, reported above) or
-    # loop back into themselves.
-    state: dict[int, int] = {}  # 0 absent, 1 on current path, 2 done
-    for start in in_range:
-        if state.get(start):
-            continue
-        path: list[int] = []
-        node = start
-        while node in in_range and not state.get(node):
-            state[node] = 1
-            path.append(node)
-            node = in_range[node]
-        if state.get(node) == 1:
-            cycle = path[path.index(node):]
-            anchor = min(cycle)
-            pretty = " -> ".join(str(i) for i in cycle + [cycle[0]])
-            violations.append(
-                TreeViolation("head cycle", anchor, f"cycle {pretty}")
-            )
-        for visited in path:
-            state[visited] = 2
-
+                TreeViolation("head cycle", min(cycle) + 1, f"cycle {pretty}"))
     return violations
 
 
@@ -370,15 +359,7 @@ def validate_tree(
 
 def tree_depth(tree: DependencyTree) -> int:
     """Length in edges of the longest root-to-leaf path."""
-    children = tree.children()
-    depth = 0
-    stack = [(tree.root.index, 0)]
-    while stack:
-        node, d = stack.pop()
-        depth = max(depth, d)
-        for child in children[node]:
-            stack.append((child, d + 1))
-    return depth
+    return int(_TreeColumns.from_trees([tree]).depth[0])
 
 
 #: The role index of each role code, and of each role.
@@ -420,14 +401,17 @@ def _parents(head: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _tree_shape(
     head: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per token: its head row (see :func:`_parents`), whether its chain of
-    heads ends at a head-0 token, and how many heads it follows to get there.
+    """Per token: its head row (see :func:`_parents`); the row its chain of
+    heads ends at (a root, or a token whose head is outside the sentence),
+    or a row on the loop the chain runs into; and how many heads it follows
+    to the end of its chain.
 
     Pointer jumping: each round every token adds the distance its pointer
     spans and then points where its pointer points, so after ``r`` rounds it
     has followed ``2**r`` heads or stopped at the end of its chain.  A round
     count whose power of two exceeds the longest sentence ends every chain
-    that does not loop; in a tree the distance is the token's depth.
+    that does not loop, and puts every other on its loop; in a tree the
+    distance is the token's depth.
     """
     parent = _parents(head, offsets)
     top = parent
@@ -435,14 +419,7 @@ def _tree_shape(
     for _ in range(int(np.diff(offsets).max(initial=0)).bit_length()):
         depth += depth[top]
         top = top[top]
-    return parent, head[top] == 0, depth
-
-
-def _string_id(value: str, strings: list[str], table: dict[str, int]) -> int:
-    if value not in table:
-        table[value] = len(strings)
-        strings.append(value)
-    return table[value]
+    return parent, top, depth
 
 
 def _intern(column: list[str], strings: list[str], table: dict[str, int]) -> np.ndarray:
@@ -462,10 +439,9 @@ def _sentence_columns(
         np.fromiter(values, dtype=object, count=len(meta))
         for values in (list(zip(*meta)) or [()] * 5)
     )))
-    columns["target_id"] = np.array(
-        [-1 if t is None else _string_id(t, strings, table) for t in columns["target"]],
-        dtype=np.int32,
-    )
+    known = np.array([t is not None for t in columns["target"]], dtype=bool)
+    columns["target_id"] = np.full(len(meta), -1, dtype=np.int32)
+    columns["target_id"][known] = _intern(list(columns["target"][known]), strings, table)
     return columns
 
 
@@ -652,6 +628,61 @@ class FilterDecision:
     reason: str
 
 
+class _Verdicts:
+    """A missing-annotation policy over every tree of some columns at once.
+
+    Per tree, ``keep``: the policy keeps it; ``unjudged``: the policy cannot
+    judge it (and does not keep it).  :meth:`decision` words one verdict.
+    """
+
+    def __init__(self, trees: _TreeColumns, policy: MissingPolicy) -> None:
+        self.trees, self.policy, count = trees, policy, len(trees)
+        sentence = _sentence_of(trees.offsets)
+        self.missing = np.bincount(sentence[trees.missing], minlength=count)
+        self.unjudged = np.zeros(count, dtype=bool)
+        self.keep = (self.missing == 0) | (policy is MissingPolicy.KEEP_ALL)
+        if policy is MissingPolicy.DROP_ADJACENT_TO_TARGET:
+            target = trees.lemma == trees.target_id[sentence]
+            absent = np.bincount(sentence[target], minlength=count) == 0
+            self.unjudged = ~self.keep & absent
+            dependent, head = trees.links()
+            up = trees.missing[dependent] & target[head]
+            down = target[dependent] & trees.missing[head]
+            # Each (missing row, target row) pair that a head link joins, as
+            # a key that orders pairs by missing row, then target row.
+            rows = self.rows = trees.head.size
+            keys = np.concatenate([dependent[up] * rows + head[up],
+                                   head[down] * rows + dependent[down]])
+            self.least = np.full(count, rows * rows)
+            np.minimum.at(self.least, sentence[keys // rows], keys)
+            self.keep = (self.least == rows * rows) & ~self.unjudged
+
+    def unjudged_reason(self, i: int) -> str:
+        target = self.trees.target[i]
+        if target is None:
+            return f"policy {self.policy.value!r} needs a target lemma to judge adjacency"
+        return f"target lemma {target!r} does not occur, cannot judge adjacency"
+
+    def decision(self, i: int) -> FilterDecision:
+        """Tree ``i``'s decision; a ``ValueError`` if it is unjudged."""
+        trees, missing = self.trees, int(self.missing[i])
+        if self.unjudged[i]:
+            raise ValueError(
+                f"sentence {trees.sentence_id[i]!r}: {self.unjudged_reason(i)}")
+        if self.policy is MissingPolicy.KEEP_ALL:
+            return FilterDecision(True, "policy keeps every tree")
+        if not missing:
+            return FilterDecision(True, "no missing annotations")
+        if self.policy is MissingPolicy.DROP_ANY:
+            return FilterDecision(False, f"tree contains {missing} missing annotation(s)")
+        if self.keep[i]:
+            return FilterDecision(True, "missing annotations do not touch the target")
+        start = int(trees.offsets[i]) - 1
+        m, t = (row - start for row in divmod(int(self.least[i]), self.rows))
+        return FilterDecision(False, f"missing neighbor of target: token {m} is adjacent "
+                                     f"to {trees.target[i]!r} at token {t}")
+
+
 def filter_missing(tree: DependencyTree, policy: MissingPolicy) -> FilterDecision:
     """Decide whether a tree survives the given missing-annotation policy.
 
@@ -659,7 +690,8 @@ def filter_missing(tree: DependencyTree, policy: MissingPolicy) -> FilterDecisio
     pipeline policy ``drop-adjacent-to-target`` drops a tree only when a
     missing token is the head of, or a direct dependent of, an occurrence of
     the tree's target lemma — missing material elsewhere does not interfere
-    with identifying how the target is used.  ``keep-all`` never drops.
+    with identifying how the target is used; the reason names the least
+    (missing token, target token) pair.  ``keep-all`` never drops.
 
     Raises
     ------
@@ -668,39 +700,7 @@ def filter_missing(tree: DependencyTree, policy: MissingPolicy) -> FilterDecisio
         tokens but carries no target lemma, or the target lemma does not
         occur, so adjacency cannot be judged.
     """
-    missing = [t for t in tree.tokens if t.missing]
-    if policy is MissingPolicy.KEEP_ALL:
-        return FilterDecision(True, "policy keeps every tree")
-    if policy is MissingPolicy.DROP_ANY:
-        if missing:
-            return FilterDecision(
-                False, f"tree contains {len(missing)} missing annotation(s)"
-            )
-        return FilterDecision(True, "no missing annotations")
-
-    # drop-adjacent-to-target
-    if not missing:
-        return FilterDecision(True, "no missing annotations")
-    if tree.target_lemma is None:
-        raise ValueError(
-            f"sentence {tree.sentence_id!r}: policy "
-            f"{policy.value!r} needs a target lemma to judge adjacency"
-        )
-    targets = [t for t in tree.tokens if t.lemma == tree.target_lemma]
-    if not targets:
-        raise ValueError(
-            f"sentence {tree.sentence_id!r}: target lemma "
-            f"{tree.target_lemma!r} does not occur, cannot judge adjacency"
-        )
-    for m in missing:
-        for t in targets:
-            if m.head == t.index or t.head == m.index:
-                return FilterDecision(
-                    False,
-                    f"missing neighbor of target: token {m.index} is "
-                    f"adjacent to {tree.target_lemma!r} at token {t.index}",
-                )
-    return FilterDecision(True, "missing annotations do not touch the target")
+    return _Verdicts(_TreeColumns.from_trees([tree]), policy).decision(0)
 
 
 def filter_slice(
@@ -709,9 +709,8 @@ def filter_slice(
     """Apply a missing-annotation policy to every tree of a slice.
 
     Returns the surviving slice and the list of dropped trees with the
-    decision that dropped them.  The verdicts are those of
-    :func:`filter_missing`, taken over the token columns at once; only the
-    dropped trees are built.
+    decision that dropped them, as :func:`filter_missing` gives it; only
+    the dropped trees are built.
 
     Raises
     ------
@@ -719,26 +718,11 @@ def filter_slice(
         As :func:`filter_missing` does, for the first tree it raises for.
     """
     trees = corpus_slice.trees
-    sentence = _sentence_of(trees.offsets)
-    drop = np.bincount(sentence[trees.missing], minlength=len(trees)) > 0
-    if policy is MissingPolicy.KEEP_ALL:
-        drop[:] = False
-    elif policy is MissingPolicy.DROP_ADJACENT_TO_TARGET:
-        target = trees.lemma == trees.target_id[sentence]
-        unjudged = drop & (np.bincount(sentence[target], minlength=len(trees)) == 0)
-        if unjudged.any():
-            # No target lemma, or it does not occur: filter_missing raises.
-            filter_missing(trees[int(np.argmax(unjudged))], policy)
-        dependent, head = trees.links()
-        touching = (trees.missing[dependent] & target[head]) | (
-            target[dependent] & trees.missing[head]
-        )
-        drop = np.bincount(sentence[dependent[touching]], minlength=len(trees)) > 0
+    verdicts = _Verdicts(trees, policy)
     dropped = [
-        (tree, filter_missing(tree, policy))
-        for tree in map(trees.__getitem__, np.flatnonzero(drop).tolist())
+        (trees[i], verdicts.decision(i)) for i in np.flatnonzero(~verdicts.keep).tolist()
     ]
-    kept = trees.take(np.flatnonzero(~drop)) if dropped else trees
+    kept = trees.take(np.flatnonzero(verdicts.keep)) if dropped else trees
     return CorpusSlice(corpus_slice.century, kept, corpus_slice.provenance), dropped
 
 
@@ -1049,7 +1033,7 @@ def _read_chunk(
     ):
         return _first_bad_line(text, spans, provenance)
 
-    parent, rooted, depth = _tree_shape(head, offsets)
+    parent, top, depth = _tree_shape(head, offsets)
     head_role = np.where(parent != np.arange(n), role[parent], _NO_ROLE)
     rule = np.where(rule == _RESOLVE, _RULE_OF_ROLE[head_role], rule)
     starts = offsets[:-1]
@@ -1066,7 +1050,7 @@ def _read_chunk(
 
     self_head = head == index
     roots = np.bincount(sentence[head == 0], minlength=len(spans))
-    is_tree = (roots == 1) & np.logical_and.reduceat(rooted, starts)
+    is_tree = (roots == 1) & np.logical_and.reduceat(head[top] == 0, starts)
     problems: dict[int, _Problem] = {}
     failed = np.logical_or.reduceat(self_head, starts) | ~is_tree
     for i in np.flatnonzero(failed).tolist():
@@ -1082,9 +1066,8 @@ def _read_chunk(
                                   "malformed token", error.message)]
         else:
             # The heads as written: a head beyond int64 was clamped above.
-            tokens = [dataclasses.replace(t, head=int(h))
-                      for t, h in zip(columns[i].tokens, head_s[lo:hi])]
-            error = TreeValidationError(span.sent_id, tree_violations(tokens))
+            heads = list(map(int, head_s[lo:hi]))
+            error = TreeValidationError(span.sent_id, _violations(heads))
             issues = [CorpusIssue(provenance, span.first_line, span.sent_id,
                                   v.constraint, v.message) for v in error.violations]
         problems[i] = _Problem(error, issues)

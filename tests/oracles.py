@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -25,16 +26,17 @@ from asnkit import (
     CorpusSlice,
     DegenerateDataError,
     DependencyTree,
+    FilterDecision,
     GrammaticalRole,
+    MissingPolicy,
     NodeKey,
     Token,
     TreeValidationError,
+    TreeViolation,
     classify_phrase_rule,
-    filter_missing,
     fit_power_law,
     hurwitz_zeta,
     sample_discrete_powerlaw,
-    tree_violations,
 )
 
 # ---------------------------------------------------------------------------
@@ -341,6 +343,125 @@ def _ref_tree(draft: _RefDraft, provenance: str) -> DependencyTree:
                           meta["doc_id"], meta["dialect"], meta["target"])
 
 
+def reference_tree_violations(tokens: Sequence[Token]) -> list[TreeViolation]:
+    """Check the tree constraints and report every violation found, by a
+    three-colour walk over the head chains: a second route to asnkit's
+    pointer-jumping kernel.
+
+    The constraints: exactly one token has head 0; every head pointer stays
+    inside the sentence; no token is its own ancestor (head pointers are
+    acyclic, which together with single-headedness makes every token
+    reachable from the root).  Token indices are assumed contiguous 1..n.
+    """
+    n = len(tokens)
+    violations: list[TreeViolation] = []
+
+    roots = [t.index for t in tokens if t.head == 0]
+    if not roots:
+        violations.append(
+            TreeViolation("no root", None, "no token has head 0")
+        )
+    for extra in roots[1:]:
+        violations.append(
+            TreeViolation(
+                "multiple roots",
+                extra,
+                f"head 0 already claimed by token {roots[0]}",
+            )
+        )
+
+    in_range = {}
+    for t in tokens:
+        if t.head > n:
+            violations.append(
+                TreeViolation(
+                    "head out of range",
+                    t.index,
+                    f"head {t.head} exceeds sentence length {n}",
+                )
+            )
+        else:
+            in_range[t.index] = t.head
+
+    # Walk head chains with the classic three-color scheme; chains either
+    # terminate at head 0 (or an out-of-range pointer, reported above) or
+    # loop back into themselves.
+    state: dict[int, int] = {}  # 0 absent, 1 on current path, 2 done
+    for start in in_range:
+        if state.get(start):
+            continue
+        path: list[int] = []
+        node = start
+        while node in in_range and not state.get(node):
+            state[node] = 1
+            path.append(node)
+            node = in_range[node]
+        if state.get(node) == 1:
+            cycle = path[path.index(node):]
+            anchor = min(cycle)
+            pretty = " -> ".join(str(i) for i in cycle + [cycle[0]])
+            violations.append(
+                TreeViolation("head cycle", anchor, f"cycle {pretty}")
+            )
+        for visited in path:
+            state[visited] = 2
+
+    return violations
+
+
+def reference_filter_missing(tree: DependencyTree,
+                             policy: MissingPolicy) -> FilterDecision:
+    """Decide whether a tree survives the given missing-annotation policy,
+    token by token: a second route to asnkit's column kernel.
+
+    ``drop-any`` drops every tree containing a missing token.  The default
+    pipeline policy ``drop-adjacent-to-target`` drops a tree only when a
+    missing token is the head of, or a direct dependent of, an occurrence of
+    the tree's target lemma — missing material elsewhere does not interfere
+    with identifying how the target is used.  ``keep-all`` never drops.
+
+    Raises
+    ------
+    ValueError
+        Under ``drop-adjacent-to-target`` when the tree contains missing
+        tokens but carries no target lemma, or the target lemma does not
+        occur, so adjacency cannot be judged.
+    """
+    missing = [t for t in tree.tokens if t.missing]
+    if policy is MissingPolicy.KEEP_ALL:
+        return FilterDecision(True, "policy keeps every tree")
+    if policy is MissingPolicy.DROP_ANY:
+        if missing:
+            return FilterDecision(
+                False, f"tree contains {len(missing)} missing annotation(s)"
+            )
+        return FilterDecision(True, "no missing annotations")
+
+    # drop-adjacent-to-target
+    if not missing:
+        return FilterDecision(True, "no missing annotations")
+    if tree.target_lemma is None:
+        raise ValueError(
+            f"sentence {tree.sentence_id!r}: policy "
+            f"{policy.value!r} needs a target lemma to judge adjacency"
+        )
+    targets = [t for t in tree.tokens if t.lemma == tree.target_lemma]
+    if not targets:
+        raise ValueError(
+            f"sentence {tree.sentence_id!r}: target lemma "
+            f"{tree.target_lemma!r} does not occur, cannot judge adjacency"
+        )
+    for m in missing:
+        for t in targets:
+            if m.head == t.index or t.head == m.index:
+                return FilterDecision(
+                    False,
+                    f"missing neighbor of target: token {m.index} is "
+                    f"adjacent to {tree.target_lemma!r} at token {t.index}",
+                )
+    return FilterDecision(True, "missing annotations do not touch the target")
+
+
 def reference_sentences(sources):
     """Every tree, or ``(error, issues)`` problem, of (bytes, provenance)
     sources in reading order, one line and one sentence at a time."""
@@ -367,7 +488,7 @@ def reference_sentences(sources):
                     yield (exc, [CorpusIssue(provenance, exc.line, draft.sent_id,
                                              "malformed token", exc.message)])
                     continue
-                violations = tree_violations(tree.tokens)
+                violations = reference_tree_violations(tree.tokens)
                 if violations:
                     yield (TreeValidationError(tree.sentence_id, violations), [
                         CorpusIssue(provenance, draft.first_line, draft.sent_id,
@@ -399,11 +520,11 @@ def reference_audit(sources) -> list[CorpusIssue]:
 
 
 def reference_filter_slice(corpus_slice, policy):
-    """Tree by tree through :func:`asnkit.filter_missing`: the kept trees and
-    the dropped ones with their decisions."""
+    """Tree by tree through :func:`reference_filter_missing`: the kept trees
+    and the dropped ones with their decisions."""
     kept, dropped = [], []
     for tree in corpus_slice.trees:
-        decision = filter_missing(tree, policy)
+        decision = reference_filter_missing(tree, policy)
         if decision.keep:
             kept.append(tree)
         else:
@@ -423,11 +544,12 @@ def mutated_treebanks(rng: np.random.Generator, mutations=()) -> list[bytes]:
     interleave centuries, with each of ``mutations`` (names from
     :data:`MUTATIONS`) applied at a random place.
 
-    Sentences carry a target lemma, which may not occur, and sentinel tokens
-    next to it or elsewhere, so each missing-annotation policy keeps some
-    sentences, drops some and raises on some corpora.  Each file has its own
-    documents, unless a duplicate id is planted, which also puts the first
-    and last sentence of each file into one shared document.
+    Sentences carry a target lemma, which may not occur or be a sentinel,
+    and sentinel tokens next to it or elsewhere, so each missing-annotation
+    policy keeps some sentences, drops some and raises on some corpora.
+    Each file has its own documents, unless a duplicate id is planted, which
+    also puts the first and last sentence of each file into one shared
+    document.
     """
     files = []
     for number in range(int(rng.integers(1, 3))):
@@ -438,7 +560,7 @@ def mutated_treebanks(rng: np.random.Generator, mutations=()) -> list[bytes]:
                 headers.append(f"# doc_id = f{number}d{int(rng.integers(0, 2))}")
             target = None
             if rng.random() < 0.8:
-                target = str(rng.choice(["werden", "werden", "a", "zzz"]))
+                target = str(rng.choice(["werden", "werden", "a", "zzz", "!"]))
                 headers.append(f"# target = {target}")
             if rng.random() < 0.3:
                 headers.append(f"# sent_id = s{s}")

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import asnkit.cli
 from asnkit import demo_corpus_path
@@ -82,6 +83,22 @@ class TestExitCodes:
         assert run("validate", str(bad), "--formats", "csv,dot") == 0
         assert run("analyze", str(bad), "--out", str(tmp_path / "o")) == 1
         assert "cannot be written to GraphML" in capsys.readouterr().err
+
+    def test_validate_applies_the_missing_policy(self, tmp_path, capsys):
+        bad = tmp_path / "policy.tb"
+        bad.write_text("# century = 14\n# sent_id = bare\n1\t!\t!\t_\t2\t_\n"
+                       "2\tb\tb\tN\t0\t_\n\n# century = 15\n# target = t\n"
+                       "# sent_id = gone\n1\tt\tt\tN\t0\t_\n2\t!\t!\t_\t1\t_\n",
+                       encoding="utf-8")
+        assert run("validate", str(bad)) == 1
+        policy = "'drop-adjacent-to-target'"
+        assert capsys.readouterr().out.splitlines() == [
+            f"{bad}:3: sentence 'bare' missing policy: policy {policy} needs a "
+            "target lemma to judge adjacency",
+            f"empty corpus: century 15 has no sentences left under policy {policy}",
+            "FAIL: 2 issue(s) found",
+        ]
+        assert run("validate", str(bad), "--missing", "keep-all") == 0
 
     def test_domain_error_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.tb"
@@ -414,24 +431,41 @@ class TestEveryOption:
 
 class TestValidateAgreesWithBuild:
     """``validate`` passes exactly the inputs ``build`` and ``export`` accept,
-    for the formats they write."""
+    for the formats they write, under ``keep-all`` and the default missing
+    policy."""
 
-    @given(noisy_treebanks(), noisy_treebanks())
+    @given(noisy_treebanks(), noisy_treebanks(),
+           st.sampled_from([("--missing", "keep-all"), ()]))
     @settings(max_examples=60, deadline=None)
     # A lone carriage return inside a lemma is lemma text for both.
-    @example(b"# century = 14\n# sent_id = s1\n1\ta\ta\rb\tN\t0\t_\n", b"")
+    @example(b"# century = 14\n# sent_id = s1\n1\ta\ta\rb\tN\t0\t_\n", b"",
+             ("--missing", "keep-all"))
     # A sentence id repeated in a second file is rejected by both.
     @example(b"# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n",
-             b"# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n")
+             b"# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n",
+             ("--missing", "keep-all"))
     # A form feed in a lemma: CSV carries it, GraphML cannot.
-    @example(b"# century = 14\n# sent_id = s1\n1\ta\ta\x0cb\tN\t0\t_\n", b"")
-    def test_validate_exits_zero_exactly_when_build_does(self, first, second):
+    @example(b"# century = 14\n# sent_id = s1\n1\ta\ta\x0cb\tN\t0\t_\n", b"",
+             ("--missing", "keep-all"))
+    # The default policy cannot judge a sentence with a missing token and no
+    # target.
+    @example(b"# century = 14\n# sent_id = a\n1\t!\t!\t_\t2\t_\n2\tb\tb\tN\t0\t_\n",
+             b"", ())
+    # A lemma GraphML cannot carry, only in a sentence the default policy drops.
+    @example(b"# century = 14\n# target = t\n# sent_id = a\n1\tt\tt\tN\t0\t_\n"
+             b"2\t!\t!\t_\t1\t_\n3\tx\ta\x0cb\tN\t1\t_\n\n"
+             b"# sent_id = b\n1\tc\tc\tN\t0\t_\n", b"", ())
+    # The default policy drops every sentence of a century.
+    @example(b"# century = 14\n# target = t\n1\tt\tt\tN\t0\t_\n2\t!\t!\t_\t1\t_\n",
+             b"", ())
+    def test_validate_exits_zero_exactly_when_build_does(self, first, second, policy):
         with tempfile.TemporaryDirectory() as work:
             paths = [str(Path(work) / "d1.tb"), str(Path(work) / "d2.tb")]
             for path, data in zip(paths, (first, second)):
                 Path(path).write_bytes(data)
             for command, formats in (("build", "csv"), ("export", "csv,dot,graphml")):
-                validated = run("validate", *paths, "--formats", formats) == 0
-                built = run(command, *paths, "--missing", "keep-all",
-                            "--formats", formats, "--out", str(Path(work) / "o")) == 0
+                options = [*policy, "--formats", formats]
+                validated = run("validate", *paths, *options) == 0
+                built = run(command, *paths, *options,
+                            "--out", str(Path(work) / "o")) == 0
                 assert validated == built, command

@@ -1,6 +1,7 @@
 """Treebank parsing, tree validation, and missing-annotation policies."""
 
 import io
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -45,8 +46,10 @@ from oracles import (
     random_tree_heads,
     reference_aggregate,
     reference_audit,
+    reference_filter_missing,
     reference_filter_slice,
     reference_parse,
+    reference_tree_violations,
 )
 
 ALL_CODES = [
@@ -155,17 +158,30 @@ class TestTreeViolations:
         assert constraints == ["head cycle", "head out of range",
                                "multiple roots"]
 
-    @given(st.data())
+    def test_messages_match_the_reference_on_every_small_head_vector(self):
+        for n in range(1, 5):
+            for heads in itertools.product(range(n + 2), repeat=n):
+                # Self-heads are rejected at the Token level, not the tree level.
+                if all(h != i for i, h in enumerate(heads, start=1)):
+                    tokens = toks(heads)
+                    assert tree_violations(tokens) == reference_tree_violations(tokens)
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(0, 4))
     @settings(max_examples=150, deadline=None)
-    def test_agrees_with_brute_force_on_arbitrary_head_vectors(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=7))
-        heads = [
-            data.draw(st.integers(min_value=0, max_value=n))
-            for _ in range(n)
-        ]
+    def test_agrees_with_brute_force_on_arbitrary_head_vectors(self, n, seed, cycles):
+        rng = np.random.default_rng(seed)
+        heads = rng.integers(0, n + 2, size=n).tolist()
+        # Plant cycles on disjoint runs of a shuffle of the tokens.
+        order = (rng.permutation(n) + 1).tolist()
+        for length in rng.integers(2, 7, size=cycles).tolist():
+            cycle, order = order[:length], order[length:]
+            for k, token in enumerate(cycle):
+                heads[token - 1] = cycle[(k + 1) % len(cycle)]
         # Self-heads are rejected at the Token level, not the tree level.
         heads = [0 if h == i + 1 else h for i, h in enumerate(heads)]
-        assert (tree_violations(toks(heads)) == []) == heads_form_tree(heads)
+        found = tree_violations(toks(heads))
+        assert found == reference_tree_violations(toks(heads))
+        assert (found == []) == heads_form_tree(heads)
 
 
 class TestValidateAndDepth:
@@ -472,21 +488,28 @@ def _bulk_read(sources, chunk_lines):
             return None, exc, issues
 
 
-def _check_filter(corpus_slice, policy):
-    """``filter_slice`` keeps, drops and raises as per-tree ``filter_missing``."""
+def _outcome(decide, *args):
+    """What ``decide(*args)`` returns, or the text of the ``ValueError`` it raises."""
     try:
-        want = reference_filter_slice(corpus_slice, policy)
+        return decide(*args)
     except ValueError as exc:
-        want = str(exc)
-    try:
-        kept, dropped = filter_slice(corpus_slice, policy)
-    except ValueError as exc:
-        got = str(exc)
-    else:
+        return str(exc)
+
+
+def _check_filter(corpus_slice, policy, each_tree=True):
+    """``filter_slice`` keeps, drops and raises as the per-tree reference,
+    and ``filter_missing`` decides each tree as it does."""
+    want = _outcome(reference_filter_slice, corpus_slice, policy)
+    got = _outcome(filter_slice, corpus_slice, policy)
+    if isinstance(got, tuple):
+        kept, dropped = got
         assert (kept.century, kept.provenance) == (
             corpus_slice.century, corpus_slice.provenance)
         got = (list(kept.trees), dropped)
     assert got == want
+    for tree in corpus_slice.trees if each_tree else ():
+        assert (_outcome(filter_missing, tree, policy)
+                == _outcome(reference_filter_missing, tree, policy))
 
 
 class TestBulkReaderMatchesReference:
@@ -520,8 +543,10 @@ class TestBulkReaderMatchesReference:
             assert got.trees.depth.tolist() == [
                 depth_of_heads([t.head for t in tree.tokens]) for tree in trees
             ]
+            # filter_missing reads a tree, not the reader's columns, so one
+            # chunk size covers it.
             for policy in MissingPolicy:
-                _check_filter(got, policy)
+                _check_filter(got, policy, each_tree=chunk_lines == 4096)
 
     @pytest.mark.parametrize("chunk_lines", [1, 3, 4096])
     @pytest.mark.parametrize("mutation", (None, *MUTATIONS))

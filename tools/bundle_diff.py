@@ -37,7 +37,10 @@ Runs ``python -m asnkit.cli analyze`` from a ``git archive`` copy of
   planted_sentences=10, adjacent=3, distant=3, exponent=0.8, tag=3)`` dealt
   over two files in turn, with the centuries interleaved, ``## `` lines
   inside sentences and CRLF line ends in the second file, ``--seed 21
-  --replicates 100``; the default policy drops 3 sentences per century.
+  --replicates 100``; the default policy drops 3 sentences per century;
+* ``two-files-drop-any``: the same, plus ``--missing drop-any``, which drops
+  every sentence holding a missing token, so the drop reasons listed in
+  ``manifest.json`` are compared too.
 
 Both sides read the same corpus files, written from the working tree.  The
 script prints one verdict per case and exits 0 when every bundle is
@@ -138,6 +141,8 @@ def corpora() -> dict[str, tuple[str | list[str], list[str]]]:
     takeover = ["--seed", "7", "--replicates", "100"]
     zipf_args = ["--seed", "300", "--replicates", "100"]
     seed_0 = ["--seed", "0", "--replicates", "100"]
+    two_files = interleaved_corpus(interleaved)
+    two_files_args = ["--seed", "21", "--replicates", "100"]
     return {
         "demo": (Path(demo_corpus_path()).read_text(encoding="utf-8"), ["--seed", "0"]),
         "takeover": (takeover_corpus(), takeover),
@@ -156,10 +161,8 @@ def corpora() -> dict[str, tuple[str | list[str], list[str]]]:
             ["--seed", "3", "--replicates", "100",
              "--track", "N a,b", "--track", 'V sa"ge'],
         ),
-        "two-files": (
-            interleaved_corpus(interleaved),
-            ["--seed", "21", "--replicates", "100"],
-        ),
+        "two-files": (two_files, two_files_args),
+        "two-files-drop-any": (two_files, [*two_files_args, "--missing", "drop-any"]),
     }
 
 
