@@ -75,7 +75,7 @@ __all__ = ["RunConfig", "UsageError", "build_parser", "main"]
 #: without reading the source.
 _CONVENTIONS = {
     "paths": "undirected,unweighted,lcc",
-    "levels": "forward,min0,heads_at_0",
+    "levels": "forward,min0",
     "level_axis": "inverted",
     "degree_zeros": "dropped_before_fit",
 }
@@ -365,6 +365,9 @@ def _hierarchy(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
             "seed": cfg.seed,
             "conventions": _CONVENTIONS,
             "weighted": weighted,
+            # Singular systems get minimum-norm levels, which can lift the
+            # heads off 0; this records whether that happened.
+            "heads_at_0": bool(np.all(r.levels.forward[r.asn.in_weight() == 0] == 0.0)),
         }
         stats, error = r.hierarchy
         if stats is None:

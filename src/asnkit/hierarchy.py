@@ -11,12 +11,14 @@ system.  One rule picks the solver per direction from the strong components.
 An acyclic graph (no self-loop, every strong component a single node) is
 solved exactly by propagation in topological order.  A system in which
 every node is reachable from a pinned node is nonsingular, and sparse LU
-gives its unique solution.  Any other system is singular and gets the
-minimum-norm least-squares solution from sparse LSQR with iterative
-refinement.  Pinned levels are exactly 0 on the first two paths; levels are
-shifted so their minimum is exactly 0.  Backward levels apply the same
-construction to out-edges, measuring distance from the bottom of the
-hierarchy instead of the top.
+gives its unique solution; the nodes are eliminated in ascending degree
+order, hubs last, which on hub-dominated word networks costs less and
+fills less than SuperLU's own orderings.  Any other system is singular and
+gets the minimum-norm least-squares solution from sparse LSQR with
+iterative refinement.  Pinned levels are exactly 0 on the first two paths;
+levels are shifted so their minimum is exactly 0.  Backward levels apply
+the same construction to out-edges, measuring distance from the bottom of
+the hierarchy instead of the top.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ class HierarchyLevels:
 
     ``forward`` and ``backward`` are float arrays aligned with ``asn.keys``.
     ``residual`` is the larger of the two directional solve residuals.  It
-    is at numerical zero when the system is nonsingular (exact propagation
-    or LU); on a singular system, solved by minimum-norm LSQR, it measures
-    how far the equations are from holding.
+    is at numerical zero when the system is nonsingular (exact propagation,
+    or LU in hubs-last order); on a singular system, solved by minimum-norm
+    LSQR, it measures how far the equations are from holding.
     """
 
     forward: np.ndarray
@@ -151,17 +153,15 @@ def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
     fed[labels[dst][labels[src] != labels[dst]]] = True
     acyclic = count == n and not np.any(src == dst)
     nonsingular = acyclic or bool(np.all(fed[labels] | (w_in == 0.0)))
-    solver = "exact propagation" if acyclic else "LU" if nonsingular else "LSQR"
-    logger.debug("%s levels: %s on %d nodes, %d edges", direction, solver, n, src.size)
+    size = f"on {n} nodes, {src.size} edges"
     if acyclic:
+        logger.debug("%s levels: exact propagation %s", direction, size)
         levels = _propagate_exact(n, src, dst, wgt, w_in)
     elif nonsingular:
-        # A nonsingular level matrix is an M-matrix, so LU needs no row
-        # exchange; diagonal pivots leave each pinned row alone until its
-        # own pivot, which makes its level exactly 0.
-        lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-        levels = lu.solve(b)
+        levels, fill = _lu_hubs_last(matrix, b, src, dst)
+        logger.debug("%s levels: LU %s, fill %d", direction, size, fill)
     else:
+        logger.debug("%s levels: LSQR %s", direction, size)
         levels = _lsqr_min_norm(matrix, b)
 
     # Residual of the solve itself, before the min-to-zero shift (the shift
@@ -169,6 +169,28 @@ def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
     # differences).
     residual = float(np.linalg.norm(matrix @ levels - b))
     return LevelSolution(levels=levels - levels.min(), residual=residual)
+
+
+def _lu_hubs_last(matrix, b, src, dst) -> tuple[np.ndarray, int]:
+    """Sparse LU solve of a nonsingular level system, nodes in ascending
+    degree order; returns the levels and the fill ``L.nnz + U.nnz``.
+
+    Eliminating low-degree nodes first and the hubs last (Tinney & Walker,
+    Proc. IEEE 55(11), 1967, scheme 1) gives a hub-dominated network less
+    fill than SuperLU's minimum degree orderings, at the cost of one sort.
+    A symmetric permutation of the M-matrix is an M-matrix, so diagonal
+    pivots need no row exchange; a pinned row is an identity row, its L row
+    stays empty, and its level is exactly 0.
+    """
+    n = b.size
+    degree = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
+    order = np.argsort(degree, kind="stable")
+    lu = splu(
+        matrix[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
+    )
+    levels = np.empty(n)
+    levels[order] = lu.solve(b[order])
+    return levels, lu.L.nnz + lu.U.nnz
 
 
 def _system_matrix(n, src, dst, wgt, w_in):
@@ -228,9 +250,10 @@ def forward_levels(asn: Asn, weighted: bool = True) -> LevelSolution:
     Levels are normalized so the minimum is exactly 0.  On an acyclic
     network the levels come from exact propagation and equal weighted
     depths.  When every node is reachable from an in-degree-0 head they are
-    the unique solution, from sparse LU, and heads sit at exactly 0; in
-    both cases the returned residual is at numerical zero.  Otherwise they
-    are the minimum-norm least-squares solution, from LSQR.
+    the unique solution, from sparse LU with the nodes in ascending degree
+    order, and heads sit at exactly 0; in both cases the returned residual
+    is at numerical zero.  Otherwise they are the minimum-norm least-squares
+    solution, from LSQR, and the heads need not sit at 0.
     """
     return _solve_direction(asn, "forward", weighted)
 
@@ -326,7 +349,7 @@ def level_csv(
     return _csv_table(
         "role,lemma,forward_level,backward_level,frequency,in_weight,out_weight",
         [
-            [k.role_code for k in asn.keys],
+            asn._role_codes,
             [k.lemma for k in asn.keys],
             levels.forward.tolist(),
             levels.backward.tolist(),

@@ -140,6 +140,16 @@ class Asn:
         """Key -> node index, built on first use."""
         return {key: i for i, key in enumerate(self.keys)}
 
+    @cached_property
+    def _role_codes(self) -> list[str]:
+        """Each node's role code, aligned with ``keys``, for the writers."""
+        return [k.role_code for k in self.keys]
+
+    @cached_property
+    def _labels(self) -> list[str]:
+        """Each node's :meth:`NodeKey.display` text, aligned with ``keys``."""
+        return [k.display() for k in self.keys]
+
     def in_weight(self) -> np.ndarray:
         """Total incoming edge weight per node (self-loops included)."""
         return self._weight_sums(self.dst)
@@ -319,7 +329,7 @@ def edge_csv(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     rows sorted by (source, target) node sort keys.  An optional metadata
     mapping is recorded in a leading ``#`` comment line.
     """
-    roles = [k.role_code for k in asn.keys]
+    roles = asn._role_codes
     lemmas = [k.lemma for k in asn.keys]
     src, dst, weight = _edge_columns(asn)
     return _csv_table(
@@ -335,7 +345,7 @@ def _dot_quote(value: str) -> str:
 
 def to_dot(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     """Deterministic Graphviz DOT rendering with weights and frequencies."""
-    names = [_dot_quote(k.display()) for k in asn.keys]
+    names = [_dot_quote(label) for label in asn._labels]
     out = [_metadata_line(metadata, "// ")]
     out.append("digraph asn {\n")
     out += [
@@ -379,7 +389,7 @@ def to_graphml(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
             f"node {key.display()!r} cannot be written to GraphML: its lemma "
             f"holds {_NOT_XML(key.lemma).group()!r}, which XML 1.0 cannot carry"
         )
-    ids = [quoteattr(k.display()) for k in asn.keys]
+    ids = [quoteattr(label) for label in asn._labels]
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
     out.append(_metadata_line(metadata, "<!-- ", " -->", escape))
     out.append(
@@ -394,10 +404,12 @@ def to_graphml(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     out += [
         f"    <node id={node_id}>\n"
         f'      <data key="d0">{lemma}</data>\n'
-        f'      <data key="d1">{escape(key.role_code)}</data>\n'
+        f'      <data key="d1">{escape(code)}</data>\n'
         f'      <data key="d2">{f}</data>\n'
         "    </node>\n"
-        for node_id, lemma, key, f in zip(ids, lemmas, asn.keys, asn.frequency.tolist())
+        for node_id, lemma, code, f in zip(
+            ids, lemmas, asn._role_codes, asn.frequency.tolist()
+        )
     ]
     out += [
         f"    <edge source={ids[u]} target={ids[v]}>\n"

@@ -15,7 +15,8 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 from hypothesis import strategies as st
-from scipy import optimize, special
+from scipy import optimize, sparse, special
+from scipy.sparse.linalg import splu
 
 from asnkit import (
     MISSING_LEMMAS,
@@ -835,6 +836,24 @@ def dense_levels(asn: Asn, weighted: bool = True, backward: bool = False):
     levels = np.linalg.pinv(matrix) @ b
     levels -= levels.min() if n else 0.0
     return {k: float(levels[i]) for k, i in index.items()}
+
+
+def mmd_lu_levels(asn: Asn, weighted: bool = True, backward: bool = False):
+    """Levels of a nonsingular level system by sparse LU in SuperLU's own
+    minimum-degree order (``MMD_AT_PLUS_A``) on the unpermuted matrix.
+
+    Returns an array aligned with ``asn.keys``, shifted so the minimum is 0.
+    """
+    n = asn.node_count
+    src, dst = (asn.dst, asn.src) if backward else (asn.src, asn.dst)
+    w = asn.weight.astype(float) if weighted else np.ones(asn.edge_count)
+    w_in = np.bincount(dst, weights=w, minlength=n)
+    matrix = sparse.identity(n, format="csc") - sparse.csc_matrix(
+        (w / w_in[dst], (dst, src)), shape=(n, n))
+    b = (w_in > 0).astype(float)
+    lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+    levels = lu.solve(b)
+    return levels - levels.min()
 
 
 def hierarchy_stats_oracle(asn: Asn, forward, weighted: bool = True):

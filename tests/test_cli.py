@@ -215,6 +215,26 @@ class TestArtifacts:
         assert 0.0 <= stats["incoherence"]
         assert stats["weighted"] is True
 
+    def test_hierarchy_stats_record_whether_heads_sit_at_0(self, tmp_path):
+        # one two-token sentence per edge.  Century 14: the closed 2-cycle
+        # a <-> b feeds d, so its minimum-norm levels go below the head h
+        # (singular, LSQR).  Century 15: h reaches the 2-cycle (LU).
+        def century(c, edges):
+            return f"# century = {c}\n" + "\n".join(
+                f"1\t{u}\t{u}\tN\t0\t_\n2\t{v}\t{v}\tN\t1\t_\n"
+                for u, v in edges)
+
+        path = tmp_path / "heads.tb"
+        path.write_text(
+            century(14, ["ab", "ba", "ad", "hc"]) + "\n"
+            + century(15, ["ha", "ab", "ba"]), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("hierarchy", str(path), "--out", str(out)) == 0
+        for c, at_0 in ((14, False), (15, True)):
+            stats = json.loads((out / f"hierarchy_stats_{c}.json").read_text())
+            assert stats["heads_at_0"] is at_0
+            assert stats["conventions"]["levels"] == "forward,min0"
+
     def test_seed_is_recorded_in_artifacts(self, tmp_path):
         out = tmp_path / "o"
         assert run("powerlaw", DEMO, "--out", str(out), "--seed", "33",

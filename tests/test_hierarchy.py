@@ -31,6 +31,7 @@ from oracles import (
     depth_of_heads,
     hierarchy_stats_oracle,
     make_asn,
+    mmd_lu_levels,
     nkey,
     random_asn,
     random_tree_heads,
@@ -191,6 +192,21 @@ def counting(calls, name, function):
     return counted
 
 
+def factor_fills(monkeypatch):
+    """Patch ``splu`` to record each factorization's matrix nnz and fill
+    (``L.nnz + U.nnz``), in call order, in the returned list."""
+    fills = []
+    factor = asnkit.hierarchy.splu
+
+    def recorded(matrix, **options):
+        lu = factor(matrix, **options)
+        fills.append((matrix.nnz, lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(asnkit.hierarchy, "splu", recorded)
+    return fills
+
+
 class TestSolverChoice:
     """Acyclic graphs are propagated exactly, other nonsingular systems are
     solved by sparse LU, and singular ones go to LSQR."""
@@ -208,6 +224,7 @@ class TestSolverChoice:
     def test_nonsingular_cyclic_graph_never_calls_lsqr(self, monkeypatch, caplog,
                                                        edges):
         monkeypatch.setattr(asnkit.hierarchy, "lsqr", refuse)
+        fills = factor_fills(monkeypatch)
         asn = make_asn(edges)
         with caplog.at_level(logging.DEBUG, logger="asnkit.hierarchy"):
             both = hierarchy_levels(asn)
@@ -215,7 +232,8 @@ class TestSolverChoice:
         assert both.backward[asn.index[nkey("c")]] == 0.0
         size = f"{asn.node_count} nodes, {asn.edge_count} edges"
         assert [r.getMessage() for r in caplog.records] == [
-            f"forward levels: LU on {size}", f"backward levels: LU on {size}"]
+            f"forward levels: LU on {size}, fill {fills[0][1]}",
+            f"backward levels: LU on {size}, fill {fills[1][1]}"]
 
     @pytest.mark.parametrize("edges", SINGULAR.values(), ids=SINGULAR)
     def test_singular_graph_never_calls_splu(self, monkeypatch, edges):
@@ -308,6 +326,47 @@ class TestLuMatchesLsqr:
             if n <= 40:
                 for key, level in dense_levels(asn, weighted=weighted).items():
                     assert fwd[asn.index[key]] == pytest.approx(level, abs=1e-9)
+
+
+class TestHubsLastLu:
+    """The LU path orders the nodes hubs last itself: the same levels as
+    SuperLU's minimum-degree order, and little fill around a hub."""
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_matches_the_mmd_ordered_solve(self, monkeypatch, weighted):
+        fills = factor_fills(monkeypatch)
+        rng = np.random.default_rng(1414)
+        for case in range(12):
+            n = int(rng.integers(3, 40 if case % 3 else 2001))
+            asn = make_asn(nonsingular_cyclic_edges(rng, n))
+            # every node of the reversed network reaches a pinned sink, so
+            # its backward direction takes the LU path too
+            for net, backward in ((asn, False), (reverse(asn), True)):
+                solve = backward_levels if backward else forward_levels
+                levels = solve(net, weighted=weighted).levels
+                assert len(fills) == 2 * case + 1 + backward
+                expected = mmd_lu_levels(net, weighted=weighted, backward=backward)
+                assert np.abs(levels - expected).max() <= 1e-10
+                pinned = (net.out_weight() if backward else net.in_weight()) == 0
+                assert np.all(levels[pinned] == 0.0)
+
+    def test_hub_first_star_has_little_fill(self, monkeypatch):
+        # hub "a" is node 0 and trades edges with 1,998 leaves; head "z" is
+        # pinned and feeds the hub.  In node order the hub's row and column
+        # fill in the whole factor (4,000,001 entries).
+        n = 2000
+        leaves = [f"n{i:04d}" for i in range(n - 2)]
+        asn = make_asn([("a", leaf, 1) for leaf in leaves]
+                       + [(leaf, "a", 1) for leaf in leaves] + [("z", "a", 1)])
+        assert asn.node_count == n and asn.keys[0] == nkey("a")
+        fills = factor_fills(monkeypatch)
+        levels = forward_levels(asn).levels
+        [(nnz, fill)] = fills
+        assert fill <= 2 * (nnz + n)
+        # hub: s = 1 + (1998 (1 + s) + 0) / 1999, so s = 3997; leaves 3998
+        assert levels[asn.index[nkey("z")]] == 0.0
+        exact = [3997.0] + [3998.0] * (n - 2)
+        assert levels[:-1].tolist() == pytest.approx(exact, rel=1e-9)
 
 
 class TestHierarchyStats:
