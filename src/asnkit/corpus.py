@@ -633,9 +633,11 @@ class _Verdicts:
 
     Per tree, ``keep``: the policy keeps it; ``unjudged``: the policy cannot
     judge it (and does not keep it).  :meth:`decision` words one verdict.
+    ``policy`` is a member or its name; an unknown name is a ``ValueError``.
     """
 
-    def __init__(self, trees: _TreeColumns, policy: MissingPolicy) -> None:
+    def __init__(self, trees: _TreeColumns, policy: MissingPolicy | str) -> None:
+        policy = MissingPolicy.from_name(policy)
         self.trees, self.policy, count = trees, policy, len(trees)
         sentence = _sentence_of(trees.offsets)
         self.missing = np.bincount(sentence[trees.missing], minlength=count)
@@ -683,7 +685,9 @@ class _Verdicts:
                                      f"to {trees.target[i]!r} at token {t}")
 
 
-def filter_missing(tree: DependencyTree, policy: MissingPolicy) -> FilterDecision:
+def filter_missing(
+    tree: DependencyTree, policy: MissingPolicy | str
+) -> FilterDecision:
     """Decide whether a tree survives the given missing-annotation policy.
 
     ``drop-any`` drops every tree containing a missing token.  The default
@@ -692,10 +696,12 @@ def filter_missing(tree: DependencyTree, policy: MissingPolicy) -> FilterDecisio
     the tree's target lemma — missing material elsewhere does not interfere
     with identifying how the target is used; the reason names the least
     (missing token, target token) pair.  ``keep-all`` never drops.
+    ``policy`` is a :class:`MissingPolicy` or its name.
 
     Raises
     ------
     ValueError
+        On a policy name that is not a :class:`MissingPolicy` value.
         Under ``drop-adjacent-to-target`` when the tree contains missing
         tokens but carries no target lemma, or the target lemma does not
         occur, so adjacency cannot be judged.
@@ -704,7 +710,7 @@ def filter_missing(tree: DependencyTree, policy: MissingPolicy) -> FilterDecisio
 
 
 def filter_slice(
-    corpus_slice: CorpusSlice, policy: MissingPolicy
+    corpus_slice: CorpusSlice, policy: MissingPolicy | str
 ) -> tuple[CorpusSlice, list[tuple[DependencyTree, FilterDecision]]]:
     """Apply a missing-annotation policy to every tree of a slice.
 

@@ -10,19 +10,22 @@ CDFs wins.
 
 The log-likelihood is strictly concave in alpha, so every candidate's
 exponent is the unique root of its score, found by safeguarded Newton steps
-with zeta and its first two alpha-derivatives from one summation.  The KS
-distance is evaluated only where the supremum can sit, at each observed
-value and one below the next, so a fit costs O(candidates x distinct values)
-however far the tail reaches.  Goodness of fit comes from a semi-parametric
-bootstrap; model comparison against exponential and lognormal alternatives
-uses a normalized (Vuong-style) likelihood-ratio test.
+with zeta and its first two alpha-derivatives from one summation; the sign
+of the score at the start names the one bracket end that can pin it.  The
+KS distance is evaluated only where the supremum can sit, at each observed
+value and one below the next, from one zeta evaluation per observed value,
+so a fit costs O(candidates x distinct values) however far the tail
+reaches.  Goodness of fit comes from a semi-parametric bootstrap; model
+comparison against exponential and lognormal alternatives uses a normalized
+(Vuong-style) likelihood-ratio test.
 
 One kernel fits many samples in lockstep: their candidates share one Newton
-solve and one KS evaluation, and every sum is formed per sample, so a
-sample's fit does not depend on the samples beside it.  ``fit_power_law``
-is the one-sample case.  The bootstrap draws its replicates a small batch
-at a time, from one shared inverse-CDF table, and fits each batch at once;
-its results do not depend on the batch size.
+solve and one KS evaluation.  Every zeta value is summed over rows of one
+fixed width, so it depends only on its own arguments, and a sample's fit
+does not depend on the samples beside it.  ``fit_power_law`` is the
+one-sample case.  The bootstrap draws its replicates a small batch at a
+time, from one shared inverse-CDF table, and fits each batch at once; its
+results do not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -67,9 +70,9 @@ _ZETA_HORIZON = 36.0
 #: inverted by bisection on the zeta function.
 _MAX_TABLE = 1 << 20
 
-#: Work budget of one lockstep batch of bootstrap fits, in candidate-by-
-#: tail-value cells (see :func:`_replicate_batches`).
-_BATCH_CELLS = 16_384
+#: Work budget of one lockstep batch of bootstrap fits, in KS cells and
+#: Newton direct-sum terms (see :func:`_replicate_batches`).
+_BATCH_CELLS = 32_768
 
 
 class DegenerateDataError(ValueError):
@@ -78,10 +81,11 @@ class DegenerateDataError(ValueError):
 
 def _em_tail(
     s: np.ndarray, a: np.ndarray, derivatives: bool = False
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Euler-Maclaurin estimate of sum_{k>=0} (a+k)^-s for large a.
 
-    Returns ``[value]``, or ``[value, d/ds, d2/ds2]`` with ``derivatives``.
+    Returns ``a^-s``, the first term of the sum, and ``[value]``, or
+    ``[value, d/ds, d2/ds2]`` with ``derivatives``.
     """
     inv = 1.0 / a
     a_pow = a ** (-s)
@@ -97,7 +101,7 @@ def _em_tail(
         if derivatives:
             bernoulli.append(part)
     if not derivatives:
-        return [total]
+        return a_pow, [total]
 
     # Every term is c(s) * a^-(s+j), so its first s-derivative is the term
     # times r = (log c)' - log a and its second the term times r^2 + (log c)''.
@@ -113,45 +117,35 @@ def _em_tail(
     bernoulli = np.stack(bernoulli)
     first = first + (bernoulli * rates).sum(axis=0)
     second = second + (bernoulli * (rates * rates + bends)).sum(axis=0)
-    return [total, first, second]
+    return a_pow, [total, first, second]
 
 
 def _zeta_sums(
-    s: np.ndarray, q: np.ndarray, derivatives: bool = False, groups=None
+    s: np.ndarray, q: np.ndarray, derivatives: bool = False
 ) -> list[np.ndarray]:
     """Hurwitz zeta of broadcast float arrays, with its first two s-derivatives
     when ``derivatives`` is set (see :func:`_em_tail`).
 
-    One direct sum up to a fixed horizon, every ``k^-s`` term also weighted
-    by ``-log k`` and ``log^2 k`` for the derivatives, plus the
-    Euler-Maclaurin tail beyond it.  The direct sums are rows as long as
-    the longest one needed, which sets their rounding.  ``groups``, integer
-    labels of 1-d input, makes that length per group, so each group's values
-    are the ones a call on that group alone returns.
+    One direct sum of the terms ``(q+k)^-s`` below a fixed horizon, each
+    also weighted by ``-log(q+k)`` and ``log^2(q+k)`` for the derivatives,
+    plus the Euler-Maclaurin tail beyond it.  Every direct sum is a row
+    ``ceil(horizon)`` terms wide, the terms at or past the horizon masked to
+    zero, so the rounding of a value depends on its own (s, q) alone: for
+    ``s <= 12``, the whole fitting bracket, the horizon is fixed.
     """
     horizon = max(_ZETA_HORIZON, 3.0 * float(s.max()))
     n_terms = np.maximum(0.0, np.ceil(horizon - q))
-    sums = _em_tail(s, q + n_terms, derivatives)
-    if groups is None:
-        blocks = [(int(n_terms.max()), Ellipsis)]
-    else:
-        longest = np.zeros(groups.max() + 1)
-        np.maximum.at(longest, groups, n_terms)
-        width = longest[groups]
-        blocks = [(int(w), width == w) for w in np.unique(width)]
-    for kmax, sel in blocks:
-        if kmax == 0:
-            continue
-        k = np.arange(kmax, dtype=np.float64)
-        base = q[sel][..., None] + k
-        powers = base ** (-s[sel][..., None])
-        powers *= k < n_terms[sel][..., None]
-        sums[0][sel] = powers.sum(axis=-1) + sums[0][sel]
-        if derivatives:
-            neg_logs = np.negative(np.log(base, out=base), out=base)
-            for d in (1, 2):
-                powers *= neg_logs
-                sums[d][sel] = sums[d][sel] + powers.sum(axis=-1)
+    _, sums = _em_tail(s, q + n_terms, derivatives)
+    k = np.arange(np.ceil(horizon))
+    base = q[..., None] + k
+    powers = base ** (-s[..., None])
+    powers *= k < n_terms[..., None]
+    sums[0] = powers.sum(axis=-1) + sums[0]
+    if derivatives:
+        neg_logs = np.negative(np.log(base, out=base), out=base)
+        for d in (1, 2):
+            powers *= neg_logs
+            sums[d] = sums[d] + powers.sum(axis=-1)
     return sums
 
 
@@ -243,7 +237,7 @@ def _as_positive_ints(data) -> np.ndarray:
     return x
 
 
-def _score(alphas, xmins, mean_logs, groups):
+def _score(alphas, xmins, mean_logs):
     """Score of the tail log-likelihood per observation, and its slope.
 
     The log-likelihood ``-n log zeta(alpha, xmin) - alpha sum(log x)`` has
@@ -251,43 +245,39 @@ def _score(alphas, xmins, mean_logs, groups):
     strictly with alpha (its slope is the variance of log k under the fitted
     law), so the likelihood is strictly concave and g has at most one root.
     """
-    z, dz, d2z = _zeta_sums(alphas, xmins, derivatives=True, groups=groups)
+    z, dz, d2z = _zeta_sums(alphas, xmins, derivatives=True)
     ratio = dz / z
     return ratio + mean_logs, d2z / z - ratio * ratio
 
 
-def _mle_alphas(xmins, ntails, sumlogs, groups):
+def _mle_alphas(xmins, ntails, sumlogs):
     """Per-candidate MLE exponents in ``[ALPHA_LO, ALPHA_HI]``.
 
-    ``groups`` labels the sample of each candidate; zeta sums are formed
-    per sample, so a candidate's exponent does not depend on the
-    other samples solved with it.
+    Every zeta sum depends only on its own candidate, so a candidate's
+    exponent does not depend on the others solved with it.
 
     A candidate whose score does not change sign over the bracket is pinned
-    at the end where its likelihood peaks.  The others run safeguarded Newton
-    steps on the score in lockstep, from the continuous-data MLE: a step that
-    would leave the bracket of the root is replaced by bisection, and a
+    at the end where its likelihood peaks.  The score rises with alpha, so
+    the sign at the starting point, the continuous-data MLE, names the one
+    end that can pin it, and only that end is scored.  The others run
+    safeguarded Newton steps on the score in lockstep from the start: a step
+    that would leave the bracket of the root is replaced by bisection, and a
     candidate stops once its step is below ``ALPHA_TOL``.
     """
     m = xmins.size
     mean_logs = sumlogs / ntails
     start = 1.0 + ntails / (sumlogs - ntails * np.log(xmins - 0.5))
     alphas = np.clip(start, ALPHA_LO, ALPHA_HI)
-    # One pass scores both bracket ends and the starting points.
-    g, slope = _score(
-        np.concatenate([np.full(m, ALPHA_LO), np.full(m, ALPHA_HI), alphas]),
-        np.tile(xmins, 3),
-        np.tile(mean_logs, 3),
-        np.tile(groups, 3),
-    )
-    at_lo = g[:m] >= 0.0
-    at_hi = ~at_lo & (g[m : 2 * m] <= 0.0)
-    alphas[at_lo] = ALPHA_LO
-    alphas[at_hi] = ALPHA_HI
+    g, slope = _score(alphas, xmins, mean_logs)
+    rising = g >= 0.0
+    ends = np.where(rising, ALPHA_LO, ALPHA_HI)
+    g_end, _ = _score(ends, xmins, mean_logs)
+    pinned = np.where(rising, g_end >= 0.0, g_end <= 0.0)
+    alphas[pinned] = ends[pinned]
     lo = np.full(m, ALPHA_LO)
     hi = np.full(m, ALPHA_HI)
-    active = np.flatnonzero(~(at_lo | at_hi))
-    g, slope = g[2 * m :][active], slope[2 * m :][active]
+    active = np.flatnonzero(~pinned)
+    g, slope = g[active], slope[active]
     while active.size:
         current = alphas[active]
         below = g < 0.0
@@ -299,33 +289,40 @@ def _mle_alphas(xmins, ntails, sumlogs, groups):
         alphas[active] = step
         active = active[np.abs(step - current) >= ALPHA_TOL]
         if active.size:
-            g, slope = _score(
-                alphas[active], xmins[active], mean_logs[active], groups[active]
-            )
+            g, slope = _score(alphas[active], xmins[active], mean_logs[active])
     return alphas
 
 
 def _zeta_at_integers(alphas, which, values):
-    """``zeta(alphas[which[i]], values[i])`` for integer values >= 1.
+    """``zeta(alpha, v)`` and ``zeta(alpha, v + 1)`` with ``alpha =
+    alphas[which[i]]`` and ``v = values[i]``, for integer values >= 1.
 
-    Values below the summation horizon read a per-exponent reverse
-    cumulative sum of ``k^-alpha`` over the integers up to it; values above
-    use the Euler-Maclaurin expansion directly.  Every value is computed the
-    same way whatever else is in the batch, because the reverse sum runs
-    from the horizon down.
+    Values below the summation horizon read both from a per-exponent reverse
+    cumulative sum of ``k^-alpha`` over the integers up to it, which ends in
+    the Euler-Maclaurin value at the horizon.  Values above use the
+    expansion at v and subtract its first term ``v^-alpha`` for v + 1, so
+    either way each value costs one evaluation.  Every value is computed
+    the same way whatever else is in the batch, because the reverse sum
+    runs from the horizon down.
     """
-    out = np.empty(values.size)
+    at = np.empty(values.size)
+    after = np.empty(values.size)
     horizon = int(np.ceil(max(_ZETA_HORIZON, 3.0 * float(alphas.max()))))
     near = values < horizon
     far = ~near
-    out[far] = _em_tail(alphas[which[far]], values[far].astype(np.float64))[0]
+    first, (total,) = _em_tail(alphas[which[far]], values[far].astype(np.float64))
+    at[far] = total
+    after[far] = total - first
     if np.any(near):
         k = np.arange(1, horizon, dtype=np.float64)
         column = alphas[:, None]
+        _, (beyond,) = _em_tail(column, np.float64(horizon))
         suffix = np.cumsum((k**-column)[:, ::-1], axis=1)[:, ::-1]
-        suffix += _em_tail(column, np.float64(horizon))[0]
-        out[near] = suffix[which[near], values[near] - 1]
-    return out
+        suffix = np.concatenate([suffix + beyond, beyond], axis=1)
+        rows, cols = which[near], values[near]
+        at[near] = suffix[rows, cols - 1]
+        after[near] = suffix[rows, cols]
+    return at, after
 
 
 def _ks_distances(uniq, ntails, cand, ends, alphas):
@@ -343,27 +340,23 @@ def _ks_distances(uniq, ntails, cand, ends, alphas):
     zeta(alpha, x+1) / zeta(alpha, xmin)`` against the fraction of the tail
     above u_j, which keeps the far tail free of cancellation.  Each
     candidate's cells (its tail values) are laid end to end, and its
-    distance is their maximum.
+    distance is their maximum.  Cell j needs zeta at u_j + 1 and at u_{j+1},
+    which is the next cell's zeta at u_j, and the first cell's zeta at u_j
+    is the candidate's normalization, so one zeta evaluation per cell
+    serves all three.
     """
-    m = cand.size
     lengths = ends - cand
     first = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(m), lengths)
+    owner = np.repeat(np.arange(cand.size), lengths)
     slot = np.repeat(cand - first, lengths) + np.arange(owner.size)
-    cells = owner.size
-    following = uniq[slot + 1]
     above = ntails[slot + 1] / ntails[cand].astype(np.float64)[owner]
-    inner = np.flatnonzero(following)  # every cell but a tail's largest value
-    z = _zeta_at_integers(
-        alphas,
-        np.concatenate([np.arange(m), owner, owner[inner]]),
-        np.concatenate([uniq[cand], uniq[slot] + 1, following[inner]]),
-    )
-    norm = z[:m][owner]
+    inner = np.flatnonzero(uniq[slot + 1])  # every cell but a tail's largest value
+    at, after = _zeta_at_integers(alphas, owner, uniq[slot])
+    norm = at[first][owner]
     # Distance at u_j, then at u_{j+1} - 1.
-    gap = np.abs(z[m : m + cells] / norm - above)
+    gap = np.abs(after / norm - above)
     gap[inner] = np.maximum(
-        gap[inner], np.abs(z[m + cells :] / norm[inner] - above[inner])
+        gap[inner], np.abs(at[inner + 1] / norm[inner] - above[inner])
     )
     return np.maximum.reduceat(gap, first)
 
@@ -417,9 +410,7 @@ def _fit_rows(rows: np.ndarray) -> _RowFits:
     if cand.size == 0:
         return fits
     owner = cand // width
-    alphas = _mle_alphas(
-        uniq[cand].astype(np.float64), ntails[cand], sumlogs[cand], owner
-    )
+    alphas = _mle_alphas(uniq[cand].astype(np.float64), ntails[cand], sumlogs[cand])
     distances = _ks_distances(
         uniq, ntails, cand, owner * width + distinct[owner], alphas
     )
@@ -471,8 +462,10 @@ def _replicate_batches(fit: PowerLawFit, x: np.ndarray, replicates: int, seed: i
 
     Replicate i draws from its own ``SeedSequence(seed).spawn`` child, and
     all of them share one inverse-CDF table.  A replicate with U distinct
-    values counts U (U + 1) / 2 cells, a bound on its candidate-by-tail-value
-    pairs; a batch takes replicates while they fit in ``_BATCH_CELLS``.
+    values and C candidate xmins counts U (U + 1) / 2 cells, a bound on its
+    candidate-by-tail-value pairs of the KS pass, plus C rows of
+    ``_ZETA_HORIZON`` direct-sum terms for each Newton step; a batch takes
+    replicates while they fit in ``_BATCH_CELLS``.
     """
     n = x.size
     below = x[x < fit.xmin]
@@ -489,8 +482,12 @@ def _replicate_batches(fit: PowerLawFit, x: np.ndarray, replicates: int, seed: i
         if k > 0:
             parts.append(sampler.draw(rng.random(k)))
         row = np.sort(np.concatenate(parts))
-        distinct = 1 + int(np.count_nonzero(row[1:] != row[:-1]))
-        cost = distinct * (distinct + 1) // 2
+        new = row[1:] != row[:-1]
+        distinct = 1 + int(np.count_nonzero(new))
+        # Candidates: the distinct values up to row[-MIN_TAIL], but the largest.
+        candidates = 1 + int(np.count_nonzero(new[: n - MIN_TAIL]))
+        candidates -= int(row[n - MIN_TAIL] == row[-1])
+        cost = distinct * (distinct + 1) // 2 + candidates * int(_ZETA_HORIZON)
         if batch and cells + cost > _BATCH_CELLS:
             yield np.stack(batch)
             batch, cells = [], 0

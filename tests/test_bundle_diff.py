@@ -62,3 +62,30 @@ def test_float_changes_are_sized_and_other_changes_listed(tmp_path):
         "    /name: 'x' -> 'y'",
         "    /nodes: 3 -> 4",
     ]
+
+
+def test_a_list_of_objects_that_differs_only_in_floats_is_sized(tmp_path):
+    def lrt(ratio, p_value, favored="indeterminate"):
+        return {"alternative": "lognormal", "favored": favored,
+                "log_likelihood_ratio": ratio, "p_value": p_value}
+
+    base = write_bundle(tmp_path / "base", {
+        "powerlaw_15.json": json.dumps({"lrt": [lrt(-1.5, 0.25), lrt(3.0, 0.5)]}),
+        "events.json": json.dumps({"lrt": [lrt(-1.5, 0.25)]}),
+    })
+    work = write_bundle(tmp_path / "work", {
+        "powerlaw_15.json": json.dumps(
+            {"lrt": [lrt(-1.5 + 3e-14, 0.25 - 1e-12), lrt(3.0, 0.5)]}),
+        "events.json": json.dumps({"lrt": [lrt(-1.5 + 3e-14, 0.05, "lognormal")]}),
+    })
+    lines, largest = bundle_diff.compare(base, work)
+    assert largest == pytest.approx(1e-12)
+    # A float change beside a text change still shows the whole objects.
+    assert lines == [
+        "  events.json: 0 float fields differ, largest |delta| 0",
+        '    /lrt: - {"alternative": "lognormal", "favored": "indeterminate", '
+        '"log_likelihood_ratio": -1.5, "p_value": 0.25}',
+        '    /lrt: + {"alternative": "lognormal", "favored": "lognormal", '
+        f'"log_likelihood_ratio": {-1.5 + 3e-14!r}, "p_value": 0.05}}',
+        "  powerlaw_15.json: 2 float fields differ, largest |delta| 1e-12",
+    ]

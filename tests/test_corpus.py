@@ -665,6 +665,22 @@ class TestMissingPolicies:
         with pytest.raises(ValueError):
             MissingPolicy.from_name("drop-sometimes")
 
+    def test_policy_names_are_accepted_and_unknown_names_raise(self):
+        tree = self._tree(True)
+        clean = validate_tree(toks([0, 1]), sentence_id="c", century=14)
+        corpus_slice = load_corpus([demo_corpus_path()])[0]
+        for policy in MissingPolicy:
+            for one in (tree, clean):
+                assert (filter_missing(one, policy.value)
+                        == filter_missing(one, policy))
+            assert (filter_slice(corpus_slice, policy.value)
+                    == filter_slice(corpus_slice, policy))
+        for one in (tree, clean):
+            with pytest.raises(ValueError, match="unknown missing policy 'adjacent'"):
+                filter_missing(one, "adjacent")
+        with pytest.raises(ValueError, match="unknown missing policy 'adjacent'"):
+            filter_slice(corpus_slice, "adjacent")
+
     def test_filter_slice_raises_for_the_first_unjudged_tree(self):
         ok = "# century = 14\n# sent_id = ok\n1\ta\ta\tN\t0\t_\n\n"
         no_target = "# sent_id = bare\n1\t!\t!\t_\t2\t_\n2\tb\tb\tN\t0\t_\n\n"

@@ -23,12 +23,15 @@ from asnkit import powerlaw
 from asnkit.powerlaw import (
     _MAX_TABLE,
     ALPHA_HI,
+    ALPHA_LO,
     ALPHA_TOL,
     LrtResult,
     PowerLawFit,
     _fit_rows,
     _ks_distances,
+    _mle_alphas,
     _replicate_batches,
+    _zeta_at_integers,
 )
 from oracles import (
     bootstrap_samples,
@@ -83,6 +86,56 @@ class TestHurwitzZeta:
             hurwitz_zeta(1.0, 1.0)
         with pytest.raises(ValueError, match="q > 0"):
             hurwitz_zeta(2.0, 0.0)
+
+    def test_a_value_does_not_depend_on_the_others_in_its_call(self):
+        # Direct sums of every width round alike: q from below to past the
+        # summation horizon, s over the whole fitting bracket.
+        rng = np.random.default_rng(0)
+        s = rng.uniform(ALPHA_LO, ALPHA_HI, 400)
+        q = np.concatenate([np.arange(1.0, 61.0), rng.uniform(0.1, 80.0, 340)])
+        together = hurwitz_zeta(s, q)
+        alone = np.array([hurwitz_zeta(a, b) for a, b in zip(s, q)])
+        np.testing.assert_array_equal(together, alone)
+        np.testing.assert_array_equal(hurwitz_zeta(s[::-1], q[::-1]), alone[::-1])
+
+
+class TestFitKernels:
+    def test_zeta_at_integers_gives_the_next_value_by_subtraction(self):
+        # Past the horizon zeta(u + 1) is zeta(u) - u^-alpha.
+        alphas = np.linspace(ALPHA_LO, ALPHA_HI, 200)
+        values = np.unique(np.geomspace(36, 1e6, 300).astype(np.int64))
+        which = np.repeat(np.arange(alphas.size), values.size)
+        grid = np.tile(values, alphas.size)
+        at, after = _zeta_at_integers(alphas, which, grid)
+        np.testing.assert_array_equal(at, hurwitz_zeta(alphas[which], grid))
+        np.testing.assert_allclose(
+            after, hurwitz_zeta(alphas[which], grid + 1.0), rtol=1e-14, atol=0)
+
+    def test_zeta_at_integers_near_values_read_one_table(self):
+        alphas = np.array([1.01, 2.5, 6.0])
+        values = np.arange(1, 41)
+        which = np.repeat(np.arange(3), values.size)
+        grid = np.tile(values, 3)
+        at, after = _zeta_at_integers(alphas, which, grid)
+        np.testing.assert_allclose(at, hurwitz_zeta(alphas[which], grid), rtol=1e-13)
+        np.testing.assert_allclose(after, hurwitz_zeta(alphas[which], grid + 1.0),
+                                   rtol=1e-13)
+        # Below the horizon, v's next value is v + 1's value, bit for bit.
+        near = (grid < 35).nonzero()[0]
+        np.testing.assert_array_equal(after[near], at[near + 1])
+
+    def test_mle_alphas_pin_exactly_at_the_bracket_ends(self):
+        # Mean log 150: the likelihood still rises toward ALPHA_LO.
+        low = _mle_alphas(np.array([1.0]), np.array([10]), np.array([1500.0]))
+        # Mean log ln 13.5 from xmin 13: the tail barely leaves xmin, and
+        # the score is still negative at ALPHA_HI.
+        high = _mle_alphas(np.array([13.0]), np.array([2353]),
+                           np.array([2353 * math.log(13.5)]))
+        assert low[0] == ALPHA_LO
+        assert high[0] == ALPHA_HI
+        both = _mle_alphas(np.array([1.0, 13.0]), np.array([10, 2353]),
+                           np.array([1500.0, 2353 * math.log(13.5)]))
+        assert both.tolist() == [ALPHA_LO, ALPHA_HI]
 
 
 class TestFit:

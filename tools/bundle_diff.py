@@ -48,9 +48,12 @@ byte-identical, 1 when any differs.  A differing bundle is sized file by
 file: for CSV and JSON files, how many float fields changed and the
 largest absolute difference among them, then every other change (an
 integer or text field, a missing key, a row count).  A list of JSON
-objects that differs, such as the events of ``emergent_heads.json``, is
-shown as the objects only the revision has (``-``) and only the working
-tree has (``+``).  Other files are only named.
+objects that differs only in float fields of objects at the same position,
+such as the LRT entries of ``powerlaw_<c>.json`` after a float change, has
+those floats counted and sized like any other.  Any other differing list of
+JSON objects, such as the events of ``emergent_heads.json``, is shown as
+the objects only the revision has (``-``) and only the working tree has
+(``+``).  Other files are only named.
 """
 
 from __future__ import annotations
@@ -225,6 +228,14 @@ class FileDiff:
         elif isinstance(old, list) and isinstance(new, list) and old != new and all(
             isinstance(item, dict) for item in old + new
         ):
+            pairs = FileDiff()
+            if len(old) == len(new):
+                for i, (a, b) in enumerate(zip(old, new)):
+                    pairs.json(a, b, f"{where}[{i}]")
+                if not pairs.other:
+                    self.floats += pairs.floats
+                    self.largest = max(self.largest, pairs.largest)
+                    return
             self.other += [f"{where}: - {json.dumps(item, sort_keys=True)}"
                            for item in old if item not in new]
             self.other += [f"{where}: + {json.dumps(item, sort_keys=True)}"
