@@ -23,18 +23,19 @@ lists them all.
 
 The reader works in bulk.  One regular expression finds the header, comment
 and blank lines of a source; the token lines between them are split and
-checked a few thousand at a time, column by column.  Only a line that fails
-is looked at on its own, to word its message.  What the reader keeps are
-columns, not tokens: :attr:`CorpusSlice.trees` is a lazy
+checked a few thousand at a time, column by column.  What the reader keeps
+are columns, not tokens: :attr:`CorpusSlice.trees` is a lazy
 ``Sequence[DependencyTree]`` over them, with an O(1) ``len``, that builds a
 tree when it is indexed; :func:`asnkit.network.aggregate` reads the columns.
 
 Each corpus rule is one kernel over token columns, which also words its
-results: pointer jumping over the heads (Wyllie, "The complexity of parallel
-computations", Cornell, 1979) decides the tree constraints and every depth,
-and :class:`_Verdicts` the missing-annotation policies.  The reader,
-:func:`filter_slice` and ``asnkit validate`` run them over many sentences;
-:func:`tree_violations`, :func:`tree_depth` and :func:`filter_missing`, on one.
+results: an ordered table of row masks in :func:`_read_chunk` decides the
+rules of a token line, pointer jumping over the heads (Wyllie, "The
+complexity of parallel computations", Cornell, 1979) the tree constraints
+and every depth, and :class:`_Verdicts` the missing-annotation policies.
+The reader, :func:`filter_slice` and ``asnkit validate`` run them over many
+sentences; :func:`tree_violations`, :func:`tree_depth` and
+:func:`filter_missing`, on one.
 """
 
 from __future__ import annotations
@@ -901,65 +902,6 @@ def _scan(
     return spans, None, False
 
 
-def _check_token_line(line: str, expected: int, provenance: str, line_no: int) -> None:
-    """Raise the error of the first check a token line fails.
-
-    ``expected`` is the index its place in the sentence calls for.  Only a
-    chunk that fails the bulk checks in :func:`_read_chunk` comes here.
-    """
-    cols = line.split("\t")
-    if len(cols) != 6:
-        raise CorpusFormatError(
-            provenance, line_no, f"expected 6 tab-separated columns, got {len(cols)}"
-        )
-    idx_s, surface, lemma, role_s, head_s, rule_s = cols
-    idx = _integer(idx_s, "token index", provenance, line_no)
-    head = _integer(head_s, "head", provenance, line_no)
-    if head < 0:
-        raise CorpusFormatError(provenance, line_no, f"head must be >= 0, got {head}")
-    if idx != expected:
-        raise CorpusFormatError(
-            provenance, line_no,
-            f"token index {idx} is not contiguous (expected {expected})",
-        )
-    if not surface or not lemma:
-        raise CorpusFormatError(
-            provenance, line_no, "SURFACE and LEMMA must be non-empty"
-        )
-    if role_s not in _ROLES:
-        raise CorpusFormatError(provenance, line_no, _unknown_role(role_s))
-    if _ROLES[role_s] is None and lemma not in MISSING_LEMMAS:
-        raise CorpusFormatError(
-            provenance, line_no,
-            "ROLE '_' is only allowed for missing-annotation lemmas",
-        )
-    if rule_s not in _RULE_INDEX:
-        raise CorpusFormatError(
-            provenance, line_no,
-            f"RULE must be one of {', '.join(PHRASE_RULES)} or '_', got {rule_s!r}",
-        )
-
-
-class _BadLine(NamedTuple):
-    """The first token line of a chunk that fails a check."""
-
-    sentence: int  # the line's sentence, counted from the chunk's first
-    error: CorpusFormatError
-
-
-def _first_bad_line(text: str, spans: Sequence[_Span], provenance: str) -> _BadLine:
-    """The first line of the sentences ``spans`` that fails a check."""
-    for number, span in enumerate(spans):
-        expected = 1
-        for start, end, line_no, _ in span.runs:
-            for offset, line in enumerate(text[start:end].split("\n")):
-                try:
-                    _check_token_line(line, expected, provenance, line_no + offset)
-                except CorpusFormatError as exc:
-                    return _BadLine(number, exc)
-                expected += 1
-
-
 class _Problem(NamedTuple):
     """One problem of a source: what parsing raises, what an audit lists."""
 
@@ -977,9 +919,6 @@ def _format_problem(error: CorpusFormatError) -> _Problem:
 #: enough that a chunk's field strings stay small beside the corpus.
 _CHUNK_LINES = 4096
 
-#: A column of :data:`_INTEGER` fields joined by ``"\n"``.
-_INTEGERS = re.compile(r"-?[0-9]+(?:\n-?[0-9]+)*")
-
 #: The value of each integer field written the usual way, up to a length
 #: few sentences reach.
 _NUMERALS = {str(k): k for k in range(1024)}
@@ -988,74 +927,102 @@ _NUMERALS = {str(k): k for k in range(1024)}
 _FAR = 2**62
 
 
-def _integers(column: list[str]) -> np.ndarray | None:
-    """The values of a column of integer fields; ``None`` if a field is not
-    an ASCII ``-?[0-9]+``."""
+def _integers(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The values of a column of integer fields, clamped to +-``_FAR``, and
+    which fields are not an ASCII ``-?[0-9]+`` (their value is 0)."""
     values = np.fromiter(map(_NUMERALS.get, column, repeat(-1)), np.int64, len(column))
-    if values.min(initial=0) >= 0:
-        return values
-    if not _INTEGERS.fullmatch("\n".join(column)):
-        return None
-    values = list(map(int, column))
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array([max(-_FAR, min(v, _FAR)) for v in values], dtype=np.int64)
+    wrong = np.zeros(len(column), dtype=bool)
+    for k in np.flatnonzero(values < 0).tolist():
+        if _INTEGER.fullmatch(column[k]):
+            values[k] = max(-_FAR, min(int(column[k]), _FAR))
+        else:
+            values[k], wrong[k] = 0, True
+    return values, wrong
 
 
 def _read_chunk(
     text: str, spans: Sequence[_Span], sizes: Sequence[int], provenance: str,
     strings: list[str], table: dict[str, int],
-) -> _BadLine | tuple[_TreeColumns, dict[int, _Problem]]:
-    """The columns of the sentences ``spans`` (of ``sizes`` token lines),
-    with the problem of each that has a self-headed token or is no tree; or
-    the first token line that fails a check.
+) -> tuple[_TreeColumns, dict[int, _Problem], CorpusFormatError | None]:
+    """The sentences ``spans`` (of ``sizes`` token lines) in front of the
+    first token line that breaks a rule: their columns and the problem of
+    each that has a self-headed token or is no tree; and that line's error,
+    or ``None`` when every line keeps the rules.
 
-    Every check of every line runs over the whole chunk at once; only a
-    chunk that fails one is read line by line, to find and word the error.
+    The token-line rules are one ordered table of (row mask, message), each
+    mask computed once over the whole chunk.  The first bad line is the
+    first row where any mask holds, and the first rule that holds there
+    words its error from the line's fields, an integer field by its exact
+    value, not as clamped to int64.
     """
     runs = [run for span in spans for run in span.runs]
     joined = "\n".join([text[start:end] for start, end, _, _ in runs])
     offsets = _offsets(sizes)
-    n = int(offsets[-1])
-    fields = joined.replace("\n", "\t").split("\t")
-    # Six columns a line: every sixth tab or line break is a line break.
-    breaks = np.frombuffer(joined.encode(), np.uint8)
-    breaks = breaks[(breaks == 9) | (breaks == 10)][5::6]
-    if len(fields) != 6 * n or np.any(breaks != 10):
-        return _first_bad_line(text, spans, provenance)
-    idx_s, surface_s, lemma_s, role_s, head_s, rule_s = (fields[k::6] for k in range(6))
-    index, head = _integers(idx_s), _integers(head_s)
-    if index is None or head is None or "" in surface_s or "" in lemma_s:
-        return _first_bad_line(text, spans, provenance)
-    role = np.fromiter(map(_ROLE_INDEX.get, role_s, repeat(-1)), np.int8, n)
-    rule = np.fromiter(map(_RULE_INDEX.get, rule_s, repeat(-1)), np.int8, n)
-    lemma = _intern(lemma_s, strings, table)
-    missing = lemma < len(MISSING_LEMMAS)  # the sentinels come first
     sentence = _sentence_of(offsets)
-    if np.any(
-        (head < 0) | (index != np.arange(n) - offsets[sentence] + 1) | (role < 0)
-        | ((role == _NO_ROLE) & ~missing) | (rule < 0)
-    ):
-        return _first_bad_line(text, spans, provenance)
+    counts = np.array([run[3] for run in runs])
+    first_lines = np.array([run[2] for run in runs])
+    line = (np.repeat(first_lines - _offsets(counts)[:-1], counts)
+            + np.arange(sentence.size)).astype(np.int32)
+    # A line's columns are its separators up to and with its line break.
+    # Tab and line break are ASCII, so "surrogatepass" keeps their places.
+    separators = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
+    separators = separators[(separators == 9) | (separators == 10)]
+    columns = np.diff(np.flatnonzero(separators == 10), prepend=-1, append=separators.size)
+    # The rows in front of the first with another column count split into
+    # six fields each.
+    m = int(np.argmax(np.append(columns != 6, True)))
+    fields = joined.replace("\n", "\t").split("\t")
+    idx_s, surface_s, lemma_s, role_s, head_s, rule_s = (fields[k:6 * m:6] for k in range(6))
+    index, not_index = _integers(idx_s)
+    head, not_head = _integers(head_s)
+    position = np.arange(m) - offsets[sentence[:m]] + 1
+    lemma = _intern(lemma_s, strings, table)
+    surface = _intern(surface_s, strings, table)
+    missing = lemma < len(MISSING_LEMMAS)  # the sentinels come first
+    empty = table.get("", -1)  # the id of an empty field, if there is one
+    role = np.fromiter(map(_ROLE_INDEX.get, role_s, repeat(-1)), np.int8, m)
+    rule = np.fromiter(map(_RULE_INDEX.get, rule_s, repeat(-1)), np.int8, m)
+    # In the order a line is checked; all masks but the first cover only
+    # the first m rows.
+    rules = (
+        (columns != 6, lambda r: f"expected 6 tab-separated columns, got {columns[r]}"),
+        (not_index, lambda r: f"token index must be an integer, got {idx_s[r]!r}"),
+        (not_head, lambda r: f"head must be an integer, got {head_s[r]!r}"),
+        (head < 0, lambda r: f"head must be >= 0, got {int(head_s[r])}"),
+        (index != position, lambda r: (f"token index {int(idx_s[r])} is not "
+                                       f"contiguous (expected {position[r]})")),
+        ((surface == empty) | (lemma == empty),
+         lambda r: "SURFACE and LEMMA must be non-empty"),
+        (role < 0, lambda r: _unknown_role(role_s[r])),
+        ((role == _NO_ROLE) & ~missing,
+         lambda r: "ROLE '_' is only allowed for missing-annotation lemmas"),
+        (rule < 0, lambda r: (f"RULE must be one of {', '.join(PHRASE_RULES)} "
+                              f"or '_', got {rule_s[r]!r}")),
+    )
+    bad = min((int(mask.argmax()) for mask, _ in rules if mask.any()), default=None)
+    line_error, kept = None, len(spans)
+    if bad is not None:
+        word = next(word for mask, word in rules if bad < mask.size and mask[bad])
+        line_error = CorpusFormatError(provenance, int(line[bad]), word(bad))
+        kept = int(sentence[bad])
+    n = int(offsets[kept])
+    offsets, spans, sentence = offsets[:kept + 1], spans[:kept], sentence[:n]
+    head, index, role, rule, lemma, surface, missing = (
+        a[:n] for a in (head, index, role, rule, lemma, surface, missing))
 
     parent, top, depth = _tree_shape(head, offsets)
     head_role = np.where(parent != np.arange(n), role[parent], _NO_ROLE)
     rule = np.where(rule == _RESOLVE, _RULE_OF_ROLE[head_role], rule)
     starts = offsets[:-1]
-    counts = np.array([run[3] for run in runs])
-    first_lines = np.array([run[2] for run in runs])
-    columns = _TreeColumns(
+    trees = _TreeColumns(
         strings, offsets, **_sentence_columns([s[:5] for s in spans], strings, table),
         depth=np.maximum.reduceat(depth, starts),
-        head=head, role=role, rule=rule, missing=missing, lemma=lemma,
-        surface=_intern(surface_s, strings, table),
-        line=(np.repeat(first_lines - _offsets(counts)[:-1], counts)
-              + np.arange(n)).astype(np.int32),
+        head=head, role=role, rule=rule, missing=missing, lemma=lemma, surface=surface,
+        line=line[:n],
     )
 
     self_head = head == index
-    roots = np.bincount(sentence[head == 0], minlength=len(spans))
+    roots = np.bincount(sentence[head == 0], minlength=kept)
     is_tree = (roots == 1) & np.logical_and.reduceat(head[top] == 0, starts)
     problems: dict[int, _Problem] = {}
     failed = np.logical_or.reduceat(self_head, starts) | ~is_tree
@@ -1065,8 +1032,7 @@ def _read_chunk(
         if own.size:
             k = int(own[0])
             error = CorpusFormatError(
-                provenance, int(columns.line[lo + k]),
-                f"token {k + 1} points at itself as head",
+                provenance, int(line[lo + k]), f"token {k + 1} points at itself as head",
             )
             issues = [CorpusIssue(provenance, error.line, span.sent_id,
                                   "malformed token", error.message)]
@@ -1077,7 +1043,7 @@ def _read_chunk(
             issues = [CorpusIssue(provenance, span.first_line, span.sent_id,
                                   v.constraint, v.message) for v in error.violations]
         problems[i] = _Problem(error, issues)
-    return columns, problems
+    return trees, problems, line_error
 
 
 class _Read(NamedTuple):
@@ -1088,7 +1054,7 @@ class _Read(NamedTuple):
 
 
 def _in_order(
-    read: tuple[_TreeColumns, dict[int, _Problem]], spans: Sequence[_Span],
+    trees: _TreeColumns, problems: dict[int, _Problem], spans: Sequence[_Span],
     provenance: str, number: int, seen: dict,
 ) -> Iterator[_Read | _Problem]:
     """The first ``len(spans)`` sentences of a chunk in order: each problem
@@ -1097,7 +1063,6 @@ def _in_order(
     A sentence whose id its document already used is a problem before any
     other; ids are registered here, in reading order.
     """
-    columns, problems = read
     good = 0
     for i, span in enumerate(spans):
         key = (span.doc_id, span.sent_id)
@@ -1116,12 +1081,12 @@ def _in_order(
             problem = problems.get(i)
         if problem is not None:
             if good < i:
-                yield _Read(provenance, columns[good:i])
+                yield _Read(provenance, trees[good:i])
             yield problem
             good = i + 1
     if good < len(spans):
-        whole = good == 0 and len(spans) == len(columns)
-        yield _Read(provenance, columns if whole else columns[good:len(spans)])
+        whole = good == 0 and len(spans) == len(trees)
+        yield _Read(provenance, trees if whole else trees[good:len(spans)])
 
 
 def _read_source(
@@ -1142,18 +1107,16 @@ def _read_source(
         while stop < len(spans) and lines < _CHUNK_LINES:
             lines += sizes[stop]
             stop += 1
-        part = spans[done:stop]
-        read = _read_chunk(text, part, sizes[done:stop], provenance, strings, table)
-        if isinstance(read, _BadLine):
-            good = part[:read.sentence]
-            if good:
-                read_good = _read_chunk(text, good, sizes[done:done + len(good)],
-                                        provenance, strings, table)
-                yield from _in_order(read_good, good, provenance, number, seen)
-            error = read.error
+        trees, problems, line_error = _read_chunk(
+            text, spans[done:stop], sizes[done:stop], provenance, strings, table)
+        # The sentence the scan's error cuts short is not reported; a bad
+        # line ends the chunk in front of it.
+        whole = len(trees) - (line_error is None and cut and stop == len(spans))
+        yield from _in_order(trees, problems, spans[done:done + whole], provenance,
+                             number, seen)
+        if line_error is not None:
+            error = line_error
             break
-        whole = stop - done - (cut and stop == len(spans))
-        yield from _in_order(read, part[:whole], provenance, number, seen)
         done = stop
     if error is not None:
         yield _format_problem(error)

@@ -535,7 +535,15 @@ def reference_filter_slice(corpus_slice, policy):
 
 #: What :func:`mutated_treebanks` can do to a valid treebank.
 MUTATIONS = ("columns", "integer", "self-head", "cycle", "two roots", "duplicate id",
-             "header inside", "comment inside", "crlf", "no target")
+             "header inside", "comment inside", "crlf", "no target", "role",
+             "orphan role", "rule", "empty field", "two faults")
+
+#: Faults that each break one token-line rule, in the order the rules are
+#: checked, as new values by column: INDEX not an integer, HEAD not an
+#: integer, HEAD negative, INDEX not contiguous, an empty SURFACE, an
+#: unknown role, ``_`` on a lemma that is no sentinel, an unknown RULE.
+_FAULTS = ({0: "x"}, {4: "1x"}, {4: "-1"}, {0: "0"}, {1: ""}, {3: "XX"},
+           {2: "a", 3: "_"}, {5: "np"})
 
 _MUTATED_LEMMAS = ["a", "b", "c", "werden", "a\x0cb"]
 
@@ -614,6 +622,21 @@ def mutated_treebanks(rng: np.random.Generator, mutations=()) -> list[bytes]:
             elif mutation == "no target":
                 for headers, _ in sentences:
                     headers[:] = [h for h in headers if not h.startswith("# target")]
+            elif mutation == "role" and len(cols) == 6:
+                cols[3] = str(rng.choice(["XX", "n", "", "__"]))
+            elif mutation == "orphan role" and len(cols) == 6:
+                cols[2:4] = [str(rng.choice(["a", "werden"])), "_"]
+            elif mutation == "rule" and len(cols) == 6:
+                cols[5] = str(rng.choice(["np", "", "X", "__"]))
+            elif mutation == "empty field" and len(cols) == 6:
+                cols[int(rng.integers(1, 3))] = ""
+            elif mutation == "two faults" and len(cols) == 6:
+                # A line breaking two rules checked one after the other.
+                # Faults 1 and 2, and 5 and 6, set the same column: no line
+                # breaks both of those rules.
+                k = int(rng.choice([0, 2, 3, 4, 6]))
+                for column, value in (_FAULTS[k] | _FAULTS[k + 1]).items():
+                    cols[column] = value
         lines = []
         for headers, tokens in sentences:
             lines += headers

@@ -573,6 +573,8 @@ class TestBulkReaderMatchesReference:
          "head " + "9" * 25 + " exceeds"),
         ("0" * 25 + "1\ta\ta\tN\t0\t_", None),
         ("9" * 25 + "\ta\ta\tN\t0\t_", "token index " + "9" * 25 + " is not"),
+        ("1\ta\ta\tN\t-" + "9" * 25 + "\t_", "head must be >= 0, got -" + "9" * 25),
+        ("-" + "9" * 25 + "\ta\ta\tN\t0\t_", "token index -" + "9" * 25 + " is not"),
     ])
     def test_integers_beyond_int64_keep_their_value(self, line, message):
         data = f"# century = 14\n{line}\n".encode()
@@ -580,6 +582,10 @@ class TestBulkReaderMatchesReference:
         issues = audit_corpus(data)
         expected = [message] if message else []
         assert [i.message[:len(message)] for i in issues] == expected
+
+    @pytest.mark.parametrize("chunk_lines", [1, 4096])
+    def test_text_with_a_lone_surrogate(self, chunk_lines):
+        self.check(["# century = 14\n1\ta\ud800\ta\tN\t0\t_\n"], chunk_lines)
 
     def test_trees_read_back_as_a_lazy_sequence(self):
         trees = parse_corpus(MINI)[0].trees

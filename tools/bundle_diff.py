@@ -18,6 +18,9 @@ Runs ``python -m asnkit.cli analyze`` from a ``git archive`` copy of
   ``--seed 300 --replicates 100``;
 * ``zipf-300-track``: the same, plus ``--track "MV planthead"``;
 * ``zipf-300-unweighted``: the same, plus ``--unweighted``;
+* ``padded-integers``: the ``zipf-300`` text with every INDEX and HEAD
+  zero-padded to three digits (``001``, ``000``), the same arguments, so
+  the reader takes its per-field integer path, not its table of numerals;
 * ``ingest-large``: ``zipf_corpus(0, (14, 15, 16, 17), sentences=1000,
   vocab=2500, planted_from=2, planted_sentences=40, adjacent=10,
   distant=10, tag=5)`` (about 2,000 nodes per century),
@@ -122,6 +125,17 @@ def interleaved_corpus(text: str) -> list[str]:
     return ["\n".join(files[0]), "\r\n".join(files[1])]
 
 
+def padded_corpus(text: str) -> str:
+    """``text`` with every INDEX and HEAD field zero-padded to three digits."""
+    lines = []
+    for line in text.split("\n"):
+        fields = line.split("\t")
+        if len(fields) == 6:
+            fields[0], fields[4] = fields[0].zfill(3), fields[4].zfill(3)
+        lines.append("\t".join(fields))
+    return "\n".join(lines)
+
+
 def corpora() -> dict[str, tuple[str | list[str], list[str]]]:
     """Case name -> (treebank text or texts, extra ``analyze`` arguments)."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -156,6 +170,7 @@ def corpora() -> dict[str, tuple[str | list[str], list[str]]]:
         "zipf-300": (zipf, zipf_args),
         "zipf-300-track": (zipf, [*zipf_args, "--track", "MV planthead"]),
         "zipf-300-unweighted": (zipf, [*zipf_args, "--unweighted"]),
+        "padded-integers": (padded_corpus(zipf), zipf_args),
         "ingest-large": (large, seed_0),
         "crosslink": (crosslink_corpus(), seed_0),
         "crosslink-large": (crosslink_corpus(chains=400, depth=6), seed_0),
