@@ -19,6 +19,14 @@ reaches.  Goodness of fit comes from a semi-parametric bootstrap; model
 comparison against exponential and lognormal alternatives uses a normalized
 (Vuong-style) likelihood-ratio test.
 
+The lognormal alternative is discretized over the cells [x - 1/2, x + 1/2]
+and truncated below xmin - 1/2, and fitted in natural parameters a =
+mu / sigma^2, b = 1 / (2 sigma^2) >= 0 by a few Newton steps with the
+analytic gradient and Hessian, every mass in log space.  It is the maximum
+over the closed family: b = 0 is the cell-integrated continuous power law
+with exponent 1 - a, the limit of lognormals with mu -> -inf, and on some
+tails the supremum lies there.
+
 One kernel fits many samples in lockstep: their candidates share one Newton
 solve and one KS evaluation.  Every zeta value is summed over rows of one
 fixed width, so it depends only on its own arguments, and a sample's fit
@@ -32,11 +40,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import erfc, ndtr
+from scipy.special import erf, erfc, erfcx
 
 __all__ = [
     "DegenerateDataError",
@@ -73,6 +81,25 @@ _MAX_TABLE = 1 << 20
 #: Work budget of one lockstep batch of bootstrap fits, in KS cells and
 #: Newton direct-sum terms (see :func:`_replicate_batches`).
 _BATCH_CELLS = 32_768
+
+#: Coefficients ``(-1)^n (2n + j)! / n!`` (row n = 0..11, column j = 0..4) of
+#: the asymptotic series in eps of ``int_0^inf u^j exp(-u - eps u^2) du``;
+#: for eps below ``_SERIES_EPS`` its truncation error is under 1e-15 relative.
+_SERIES = np.array(
+    [[(-1) ** n * factorial(2 * n + j) / factorial(n) for j in range(5)]
+     for n in range(12)]
+)
+_SERIES_EPS = 1e-3
+_SERIES_POWERS = np.arange(12.0)[:, None]
+_ORDERS = np.arange(5.0)[:, None]
+#: ``comb(j, i)``, and the power ``j - i`` of the shift it multiplies (5, a
+#: row of zeros, where i > j), for :func:`_shift_operator`.
+_BINOMIAL = np.array([[comb(j, i) for i in range(5)] for j in range(5)], dtype=np.float64)
+_LAGS = np.array([[j - i if i <= j else 5 for i in range(5)] for j in range(5)])
+
+#: Newton steps a lognormal fit may take before it stops with a warning;
+#: fits of the benchmark and test tails take at most 6.
+_LOGNORMAL_STEPS = 50
 
 
 class DegenerateDataError(ValueError):
@@ -123,17 +150,30 @@ def _em_tail(
 def _zeta_sums(
     s: np.ndarray, q: np.ndarray, derivatives: bool = False
 ) -> list[np.ndarray]:
-    """Hurwitz zeta of broadcast float arrays, with its first two s-derivatives
-    when ``derivatives`` is set (see :func:`_em_tail`).
+    """Hurwitz zeta of equal-shape float arrays, with its first two
+    s-derivatives when ``derivatives`` is set (see :func:`_em_tail`).
 
-    One direct sum of the terms ``(q+k)^-s`` below a fixed horizon, each
-    also weighted by ``-log(q+k)`` and ``log^2(q+k)`` for the derivatives,
-    plus the Euler-Maclaurin tail beyond it.  Every direct sum is a row
-    ``ceil(horizon)`` terms wide, the terms at or past the horizon masked to
-    zero, so the rounding of a value depends on its own (s, q) alone: for
+    One direct sum of the terms ``(q+k)^-s`` below a horizon of
+    ``max(_ZETA_HORIZON, 3 s)``, each also weighted by ``-log(q+k)`` and
+    ``log^2(q+k)`` for the derivatives, plus the Euler-Maclaurin tail beyond
+    it.  Every direct sum is a row ``ceil(horizon)`` terms wide, the terms at
+    or past the horizon masked to zero, and each value's horizon comes from
+    its own s, so its rounding depends on its own (s, q) alone: for
     ``s <= 12``, the whole fitting bracket, the horizon is fixed.
     """
-    horizon = max(_ZETA_HORIZON, 3.0 * float(s.max()))
+    if 3.0 * s.max() <= _ZETA_HORIZON:
+        return _zeta_rows(s, q, _ZETA_HORIZON, derivatives)
+    horizons = np.maximum(_ZETA_HORIZON, 3.0 * s)
+    sums = [np.empty(s.shape) for _ in range(3 if derivatives else 1)]
+    for horizon in np.unique(horizons):
+        rows = horizons == horizon
+        for total, part in zip(sums, _zeta_rows(s[rows], q[rows], horizon, derivatives)):
+            total[rows] = part
+    return sums
+
+
+def _zeta_rows(s, q, horizon: float, derivatives: bool) -> list[np.ndarray]:
+    """:func:`_zeta_sums` with one horizon for every value."""
     n_terms = np.maximum(0.0, np.ceil(horizon - q))
     _, sums = _em_tail(s, q + n_terms, derivatives)
     k = np.arange(np.ceil(horizon))
@@ -556,71 +596,297 @@ def bootstrap_pvalue(
     )
 
 
-def _lognormal_tail_loglik(tail: np.ndarray, xmin: float) -> np.ndarray:
-    """Per-point log-likelihood of the best discrete lognormal tail.
+def _normal_excess(z, first, edge=None, width=None) -> np.ndarray:
+    """Raw moments, rows j = 0..4, of Y = X - z for a standard normal X
+    conditioned on z < X < z + width, given ``first = E[Y]`` and ``edge =
+    phi(z + width) / P(z < X < z + width)`` (None for an infinite width).
+
+    Integrating ``y^j (z + y) phi(z + y)`` by parts gives
+    ``E[Y^(j+1)] = j E[Y^(j-1)] - z E[Y^j] - width^j edge``.
+    """
+    rows = np.empty((5,) + np.shape(first))
+    rows[0] = 1.0
+    rows[1] = first
+    for j in (1, 2, 3):
+        rows[j + 1] = j * rows[j - 1] - z * rows[j]
+        if edge is not None:
+            rows[j + 1] -= width**j * edge
+    return rows
+
+
+def _series_tail(k: np.ndarray, b: float):
+    """:func:`_half_line` where ``eps = b / k^2`` is small and k < 0: with
+    s = u / |k|, the integrals of ``u^j exp(-u - eps u^2)`` are series in
+    eps, exact at b = 0."""
+    rate = -k
+    sums = _SERIES.T @ (b / (rate * rate)) ** _SERIES_POWERS
+    return np.log(sums[0] / rate), sums / (sums[0] * rate**_ORDERS)
+
+
+def _normal_tail(k: np.ndarray, b: float):
+    """:func:`_half_line` for b > 0: with sigma = 1 / sqrt(2b) and z =
+    -k sigma, the distance of s = 0 above the mode in standard deviations,
+    the mass is ``sigma sqrt(pi/2) erfcx(z / sqrt 2)`` and s / sigma is the
+    normal excess over z."""
+    sigma = 1.0 / np.sqrt(2.0 * b)
+    z = -sigma * k
+    x = z / np.sqrt(2.0)
+    log_erfcx = np.log(erfcx(x))
+    deep = x < -26.0  # erfcx overflows; erfc(x) is 2 there
+    if deep.any():
+        log_erfcx[deep] = x[deep] ** 2 + np.log(erfc(x[deep]))
+    first = np.sqrt(2.0 / np.pi) * np.exp(-log_erfcx) - z
+    log_mass = np.log(sigma * np.sqrt(np.pi / 2.0)) + log_erfcx
+    return log_mass, _normal_excess(z, first) * sigma**_ORDERS
+
+
+def _half_line(k: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """``log int_0^inf exp(k s - b s^2) ds`` and the raw moments of s under
+    that weight, rows j = 0..4, elementwise; needs b > 0 or k < 0.
+
+    Far above the mode, where ``eps = b / k^2`` is below ``_SERIES_EPS``
+    (always at b = 0), they come from :func:`_series_tail`; elsewhere from
+    :func:`_normal_tail`.
+    """
+    series = (k < 0.0) & (k * k * _SERIES_EPS > b)
+    if series.all():
+        return _series_tail(k, b)
+    if not series.any():
+        return _normal_tail(k, b)
+    log_mass = np.empty(k.shape)
+    moments = np.empty((5,) + k.shape)
+    for part, tail in ((series, _series_tail), (~series, _normal_tail)):
+        log_mass[part], moments[:, part] = tail(k[part], b)
+    return log_mass, moments
+
+
+def _shift_operator(c: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """The (5, 5, N) array that takes raw moments of s, rows j = 0..4 of a
+    (5, N) array, to those of ``c + sign s`` by ``np.einsum("jin,in->jn")``:
+    ``comb(j, i) c^(j-i) sign^i``, and 0 where i > j."""
+    powers = np.zeros((6, c.size))
+    powers[:5] = c ** _ORDERS
+    return _BINOMIAL[:, :, None] * powers[_LAGS] * sign ** _ORDERS.T[:, :, None]
+
+
+class _Cells(NamedTuple):
+    """A tail's cells in t = log x: ``lower``, ``upper`` and ``width`` of
+    [log(v - 1/2), log(v + 1/2)] per distinct value v, and ``trunc`` =
+    log(xmin - 1/2); with the :func:`_shift_operator` arrays that take the
+    moments of s to those of width + s, of t = lower + s and of t = upper - s,
+    the last two with a last column for t = trunc + s (unused in the last)."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    width: np.ndarray
+    trunc: float
+    widen: np.ndarray
+    from_lower: np.ndarray
+    from_upper: np.ndarray
+
+    @classmethod
+    def of(cls, values: np.ndarray, xmin: float) -> _Cells:
+        lower, upper = np.log(values - 0.5), np.log(values + 0.5)
+        trunc = float(np.log(xmin - 0.5))
+        # The widths come from log1p: as differences of logs they would lose
+        # most of their digits on large values.
+        width = np.log1p(1.0 / (values - 0.5))
+        return cls(
+            lower, upper, width, trunc, _shift_operator(width),
+            _shift_operator(np.append(lower, trunc)),
+            _shift_operator(np.append(upper, trunc), -1.0),
+        )
+
+
+def _lognormal_cells(a: float, b: float, cells: _Cells):
+    """Per-cell log-likelihood of the weight ``exp(a t - b t^2)`` on t = log x,
+    over the cells and truncated to t > ``cells.trunc``, and the raw moments
+    of t, rows j = 0..4, over each cell and, in a last column, over the
+    truncated range.  Needs b > 0, or b = 0 and a < 0.
+
+    Every mass is a log.  A cell on one side of the mode is the difference
+    of two tails running away from it (below the mode, of t -> -t), taken
+    through ``log(-expm1(.))`` of their log ratio; a cell that holds the mode
+    is a difference of ``erf`` on either side of it.
+    """
+    lower, upper, width, trunc = cells[:4]
+    m = lower.size
+    mode = a / (2.0 * b) if b > 0.0 else -np.inf
+    flip = np.append(upper <= mode, False)
+    near = np.append(lower, trunc)  # the edge nearer the mode, oriented
+    slope = a - 2.0 * b * near
+    if flip.any():
+        near[flip] = -upper[flip[:m]]
+        slope[flip] = -a - 2.0 * b * near[flip]
+    log_mass, excess = _half_line(np.concatenate([slope, slope[:m] - 2.0 * b * width]), b)
+    log_near, log_far, log_trunc = log_mass[:m], log_mass[m + 1 :], log_mass[m]
+    log_ratio = width * (slope[:m] - b * width) + log_far - log_near
+    drop = -np.expm1(log_ratio)
+    edge = np.where(flip[:m], upper, lower)
+    per_value = (
+        a * (edge - trunc) - b * (edge * edge - trunc * trunc)
+        + log_near - log_trunc + np.log(drop)
+    )
+    local = excess[:, : m + 1]
+    local[:, :m] -= np.exp(log_ratio) * np.einsum(
+        "jin,in->jn", cells.widen, excess[:, m + 1 :])
+    local[:, :m] /= drop
+    holds = np.flatnonzero((lower < mode) & (mode < upper))
+    if holds.size:
+        sigma = 1.0 / np.sqrt(2.0 * b)
+        lo, hi = (lower[holds] - mode) / sigma, (upper[holds] - mode) / sigma
+        mass = 0.5 * (erf(hi / np.sqrt(2.0)) - erf(lo / np.sqrt(2.0)))
+        per_value[holds] = (
+            np.log(sigma * np.sqrt(2.0 * np.pi) * mass)
+            + b * (mode - trunc) ** 2 - log_trunc
+        )
+        phi_lo, phi_hi = np.exp(-0.5 * np.stack([lo, hi]) ** 2) / np.sqrt(2.0 * np.pi)
+        first = (phi_lo - phi_hi) / mass - lo
+        normal = _normal_excess(lo, first, phi_hi / mass, hi - lo)
+        local[:, holds] = normal * sigma**_ORDERS
+    shift = cells.from_lower
+    if flip.any():
+        shift = np.where(flip, cells.from_upper, shift)
+    return per_value, np.einsum("jin,in->jn", shift, local)
+
+
+class _LognormalFit(NamedTuple):
+    """Per-point log-likelihood of the best lognormal tail, at natural
+    parameters ``a = mu / sigma^2`` and ``b = 1 / (2 sigma^2)``."""
+
+    loglik: np.ndarray
+    a: float
+    b: float
+    steps: int
+
+
+def _gradient_hessian(moments: np.ndarray, weights: np.ndarray):
+    """Gradient and Hessian in (a, b) of the log-likelihood whose pieces
+    (cells, then the truncated range) have the raw moments of t in the
+    columns of ``moments`` and enter it with ``weights``: a piece's log-mass
+    has gradient (E[t], -E[t^2]) and Hessian the covariance of (t, -t^2)."""
+    sums = moments @ weights
+    # Weighted sums of E[t^i] E[t^j], i, j = 1, 2.
+    cross = np.einsum("in,jn,n->ij", moments[1:3], moments[1:3], weights)
+    grad = np.array([sums[1], -sums[2]])
+    hess = np.array([[sums[2] - cross[0, 0], cross[0, 1] - sums[3]],
+                     [cross[0, 1] - sums[3], sums[4] - cross[1, 1]]])
+    return grad, hess
+
+
+def _ascent_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """The Newton step ``-hess^-1 grad`` of a 2 x 2 symmetric Hessian, with
+    each negative curvature of ``-hess`` replaced by its magnitude, so the
+    step always climbs."""
+    (p, q), (_, r) = -hess
+    det = p * r - q * q
+    if p > 0.0 and det > 0.0:
+        return np.array([r * grad[0] - q * grad[1], p * grad[1] - q * grad[0]]) / det
+    curv, axes = np.linalg.eigh(-hess)
+    return axes @ ((axes.T @ grad) / np.maximum(np.abs(curv), 1e-300))
+
+
+def _lognormal_tail_loglik(tail: np.ndarray, xmin: float) -> _LognormalFit:
+    """The discrete lognormal tail of greatest likelihood, over the closed family.
 
     The continuous lognormal is discretized by integrating its density over
     ``[x - 0.5, x + 0.5]`` and renormalizing by the mass above
-    ``xmin - 0.5``; both parameters are then fitted numerically.  Masses of
-    cells above the median, and the renormalizing mass, are differences of
-    the survival function: there ``ndtr`` rounds to 1 and its differences
-    would cancel to 0.  Each distinct value's mass is computed once.
+    ``xmin - 0.5``.  In t = log x its weight is ``exp(a t - b t^2)``, and
+    the log-likelihood's gradient and Hessian in (a, b) are sums of the
+    first four moments of t over the cells and the truncated range.  The
+    family is closed at b = 0, a < 0: the cell-integrated continuous power
+    law ``((x - 1/2)^a - (x + 1/2)^a) / (xmin - 1/2)^a`` of exponent 1 - a,
+    which a lognormal approaches as mu -> -inf with mu / sigma^2 fixed.  At
+    b -> inf it closes with all the mass on one or two neighbouring cells;
+    that limit is the supremum only for a tail of two neighbouring values,
+    whose cells then hold the sample's proportions.
+
+    Damped Newton steps climb from the power-law limit, with a negative
+    curvature replaced by its magnitude.  They are projected onto b >= 0,
+    and on b = 0 a step that would not raise b moves a alone.  The
+    fit stops when the predicted gain of a step falls to 1e-14 of the
+    log-likelihood, the order of its rounding.
     """
-    logs = np.log(tail)
     values, inverse, counts = np.unique(tail, return_inverse=True, return_counts=True)
-    upper_edges = np.log(values + 0.5)
-    lower_edges = np.log(values - 0.5)
-    trunc_edge = np.log(xmin - 0.5) if xmin > 0.5 else -np.inf
+    if values.size == 2 and values[1] - values[0] == 1.0:
+        logger.debug("lognormal fit: two-cell limit at x = %g", values[0] + 0.5)
+        return _LognormalFit(np.log(counts / tail.size)[inverse], np.inf, np.inf, 0)
+    cells = _Cells.of(values, xmin)
+    weights = np.append(counts, -tail.size).astype(np.float64)
 
-    def per_value(params):
-        mu, log_sigma = params
-        sigma = np.exp(log_sigma)
-        upper = (upper_edges - mu) / sigma
-        lower = (lower_edges - mu) / sigma
-        mass = np.where(
-            lower > 0.0, ndtr(-lower) - ndtr(-upper), ndtr(upper) - ndtr(lower)
+    def climb(a, b):
+        per_value, moments = _lognormal_cells(a, b, cells)
+        return (counts @ per_value, per_value) + _gradient_hessian(moments, weights)
+
+    # The start is the power-law limit whose exponent fits t = log x as if
+    # it were continuous: t - trunc is then exponential with rate -a.
+    theta = np.array([-1.0 / (np.log(tail).mean() - cells.trunc), 0.0])
+    point = climb(*theta)
+    steps = 0
+    while True:
+        loglik, _, grad, hess = point
+        step = _ascent_step(grad, hess)
+        if theta[1] == 0.0 and step[1] <= 0.0:
+            step = np.array([grad[0] / max(abs(hess[0, 0]), 1e-300), 0.0])
+        if grad @ step <= 2e-14 * max(1.0, abs(loglik)):
+            stop = None
+            break
+        if steps == _LOGNORMAL_STEPS:
+            stop = "step cap reached"
+            break
+        scale = 1.0
+        while scale > 1e-12:
+            trial = theta + scale * step
+            trial[1] = max(trial[1], 0.0)
+            if trial[1] > 0.0 or trial[0] < 0.0:
+                candidate = climb(*trial)
+                if candidate[0] >= loglik:
+                    break
+            scale *= 0.5
+        else:
+            stop = "no step raises the likelihood"
+            break
+        theta, point = trial, candidate
+        steps += 1
+    a, b = map(float, theta)
+    # On b = 0 a gradient into b < 0 is the boundary's, not a residual.
+    norm = float(np.hypot(grad[0], grad[1] if b > 0.0 or grad[1] > 0.0 else 0.0))
+    if stop:
+        logger.warning(
+            "lognormal fit: %s after %d Newton steps, |gradient| %.3g",
+            stop, steps, norm,
         )
-        surv = ndtr((mu - trunc_edge) / sigma)
-        if surv <= 0.0 or np.any(mass <= 0.0):
-            return None
-        return np.log(mass) - np.log(surv)
-
-    def objective(params):
-        pv = per_value(params)
-        if pv is None:
-            return 1e12
-        return -(counts * pv).sum()
-
-    start = np.array([logs.mean(), np.log(logs.std() + 1e-3)])
-    result = minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": 5000},
-    )
-    best = per_value(result.x)
-    if best is None:
-        best = per_value(start)
-    if best is None:
-        raise ValueError(
-            "lognormal fit is infeasible: the discretised lognormal gives "
-            "zero mass to some tail value"
+    elif b > 0.0:
+        logger.debug(
+            "lognormal fit: interior optimum mu %.6g, sigma %.6g after %d Newton "
+            "steps, |gradient| %.3g", a / (2.0 * b), np.sqrt(0.5 / b), steps, norm,
         )
-    return best[inverse]
+    else:
+        logger.debug(
+            "lognormal fit: power-law limit, exponent %.6g after %d Newton steps, "
+            "|gradient| %.3g", 1.0 - a, steps, norm,
+        )
+    return _LognormalFit(point[1][inverse], a, b, steps)
 
 
 def lrt(data, fit: PowerLawFit, alternative: str = "exponential") -> LrtResult:
     """Vuong-normalized log-likelihood ratio of power law vs an alternative.
 
     Supported alternatives: ``exponential`` (discrete, closed-form MLE) and
-    ``lognormal`` (discretized, two-parameter numeric MLE).  Both are fitted
-    to the same tail ``x >= xmin`` as the power law.
+    ``lognormal`` (discretized, two-parameter MLE by Newton's method).  Both
+    are fitted to the same tail ``x >= xmin`` as the power law.  The
+    lognormal alternative is the maximum over the closed family: its
+    boundary b = 1 / (2 sigma^2) = 0 is the cell-integrated continuous power
+    law with exponent 1 - a, a = mu / sigma^2, which the lognormal approaches
+    as mu -> -inf, and on some tails the supremum lies there.  A tail of two
+    neighbouring values takes the other limit, sigma -> 0, where the two
+    cells hold the sample's proportions.
 
     Raises
     ------
     ValueError
-        On an unknown alternative, a tail smaller than 10 observations, or
-        a lognormal that gives some tail value zero discretised mass.
+        On an unknown alternative, a tail smaller than 10 observations, or a
+        tail of one value.
     """
     if alternative not in ("exponential", "lognormal"):
         raise ValueError(f"unknown alternative {alternative!r}")
@@ -628,18 +894,17 @@ def lrt(data, fit: PowerLawFit, alternative: str = "exponential") -> LrtResult:
     tail = x[x >= fit.xmin].astype(np.float64)
     if tail.size < 10:
         raise ValueError(f"tail too small for comparison: {tail.size} < 10")
+    if np.all(tail == tail[0]):
+        raise ValueError("tail is constant; comparison is undefined")
     xmin = float(fit.xmin)
 
     loglik_pl = -fit.alpha * np.log(tail) - np.log(hurwitz_zeta(fit.alpha, xmin))
     if alternative == "exponential":
         shifted = tail - xmin
-        mean_shift = shifted.mean()
-        if mean_shift == 0.0:
-            raise ValueError("tail is constant; comparison is undefined")
-        lam = np.log1p(1.0 / mean_shift)
+        lam = np.log1p(1.0 / shifted.mean())
         loglik_alt = np.log(-np.expm1(-lam)) - lam * shifted
     else:
-        loglik_alt = _lognormal_tail_loglik(tail, xmin)
+        loglik_alt = _lognormal_tail_loglik(tail, xmin).loglik
 
     diff = loglik_pl - loglik_alt
     ratio = float(diff.sum())

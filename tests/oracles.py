@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 from xml.sax.saxutils import escape, quoteattr
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from scipy import optimize, sparse, special
@@ -1171,3 +1172,111 @@ def reference_bootstrap(fit, data, replicates, seed):
     exceed = sum(f.ks >= fit.ks for f in kept)
     result = replace(fit, p_value=exceed / len(kept), replicates=len(kept), seed=seed)
     return result, fits
+
+
+# ---------------------------------------------------------------------------
+# Lognormal tails
+# ---------------------------------------------------------------------------
+
+# The lognormal fit asnkit ran before its Newton solve: Nelder-Mead on
+# (mu, log sigma) over linear-space ``ndtr`` masses.  Where the maximum is
+# interior it agrees with the Newton solve; where the family's supremum is
+# its power-law limit, the simplex stops where the masses underflow.
+
+
+def reference_lognormal_tail_loglik(tail: np.ndarray, xmin: float) -> np.ndarray:
+    """Per-point log-likelihood of the best discrete lognormal tail.
+
+    The continuous lognormal is discretized by integrating its density over
+    ``[x - 0.5, x + 0.5]`` and renormalizing by the mass above
+    ``xmin - 0.5``; both parameters are then fitted numerically.  Masses of
+    cells above the median, and the renormalizing mass, are differences of
+    the survival function: there ``ndtr`` rounds to 1 and its differences
+    would cancel to 0.  Each distinct value's mass is computed once.
+    """
+    logs = np.log(tail)
+    values, inverse, counts = np.unique(tail, return_inverse=True, return_counts=True)
+    upper_edges = np.log(values + 0.5)
+    lower_edges = np.log(values - 0.5)
+    trunc_edge = np.log(xmin - 0.5) if xmin > 0.5 else -np.inf
+
+    def per_value(params):
+        mu, log_sigma = params
+        sigma = np.exp(log_sigma)
+        upper = (upper_edges - mu) / sigma
+        lower = (lower_edges - mu) / sigma
+        mass = np.where(
+            lower > 0.0, special.ndtr(-lower) - special.ndtr(-upper), special.ndtr(upper) - special.ndtr(lower)
+        )
+        surv = special.ndtr((mu - trunc_edge) / sigma)
+        if surv <= 0.0 or np.any(mass <= 0.0):
+            return None
+        return np.log(mass) - np.log(surv)
+
+    def objective(params):
+        pv = per_value(params)
+        if pv is None:
+            return 1e12
+        return -(counts * pv).sum()
+
+    start = np.array([logs.mean(), np.log(logs.std() + 1e-3)])
+    result = optimize.minimize(
+        objective,
+        start,
+        method="Nelder-Mead",
+        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": 5000},
+    )
+    best = per_value(result.x)
+    if best is None:
+        best = per_value(start)
+    if best is None:
+        raise ValueError(
+            "lognormal fit is infeasible: the discretised lognormal gives "
+            "zero mass to some tail value"
+        )
+    return best[inverse]
+
+
+def mpmath_lognormal_loglik(tail, xmin, a, b, digits: int = 50) -> np.ndarray:
+    """Per-point log-likelihood of the discretised lognormal tail at natural
+    parameters ``a = mu / sigma^2``, ``b = 1 / (2 sigma^2) >= 0``, in
+    ``digits``-digit arithmetic.
+
+    A point x has the integral of ``exp(a t - b t^2)`` over
+    ``log(x - 1/2) < t < log(x + 1/2)``, over its integral above
+    ``log(xmin - 1/2)``.  For b > 0 each integral is a difference of
+    ``erfc``, taken on the side of the mode the cell lies on; for b = 0 it
+    is a difference of exponentials, a cell-integrated power law.
+    """
+    with mpmath.workdps(digits):
+        a, b, half = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(1) / 2
+
+        def integral(lo, hi):
+            if b == 0:
+                return ((mpmath.exp(a * hi) if hi < mpmath.inf else 0) - mpmath.exp(a * lo)) / a
+            root, mode = mpmath.sqrt(b), a / (2 * b)
+            scale = mpmath.sqrt(mpmath.pi / b) / 2 * mpmath.exp(b * mode * mode)
+            if hi <= mode:
+                return scale * (mpmath.erfc(root * (mode - hi)) - mpmath.erfc(root * (mode - lo)))
+            upper = mpmath.erfc(root * (hi - mode)) if hi < mpmath.inf else 0
+            return scale * (mpmath.erfc(root * (lo - mode)) - upper)
+
+        norm = mpmath.log(integral(mpmath.log(xmin - half), mpmath.inf))
+        per_value = {
+            v: float(mpmath.log(integral(mpmath.log(v - half), mpmath.log(v + half))) - norm)
+            for v in map(int, np.unique(tail))
+        }
+    return np.array([per_value[int(v)] for v in tail])
+
+
+def mpmath_cell_moments(lo, hi, a, b, digits: int = 30) -> list[float]:
+    """Raw moments E[t^j], j = 0..4, of the weight ``exp(a t - b t^2)`` on
+    ``lo < t < hi`` (``hi`` may be ``inf``), by mpmath quadrature."""
+    with mpmath.workdps(digits):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+        def integral(j):
+            return mpmath.quad(lambda t: t**j * mpmath.exp(a * t - b * t * t), [lo, hi])
+
+        mass = integral(0)
+        return [float(integral(j) / mass) for j in range(5)]

@@ -1,9 +1,13 @@
 """Discrete power-law fitting, bootstrap, likelihood ratios, and sampling."""
 
+import functools
+import importlib.util
 import logging
 import math
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,11 +16,16 @@ from scipy import special
 
 from asnkit import (
     DegenerateDataError,
+    MissingPolicy,
+    aggregate,
     bootstrap_pvalue,
     ccdf_rows,
+    degree_sequences,
+    filter_slice,
     fit_power_law,
     hurwitz_zeta,
     lrt,
+    parse_corpus,
     sample_discrete_powerlaw,
 )
 from asnkit import powerlaw
@@ -41,7 +50,10 @@ from oracles import (
     grid_ks_distances,
     jump_ks_oracle,
     ks_oracle,
+    mpmath_cell_moments,
+    mpmath_lognormal_loglik,
     reference_bootstrap,
+    reference_lognormal_tail_loglik,
     tail_candidates,
 )
 
@@ -97,6 +109,12 @@ class TestHurwitzZeta:
         alone = np.array([hurwitz_zeta(a, b) for a, b in zip(s, q)])
         np.testing.assert_array_equal(together, alone)
         np.testing.assert_array_equal(hurwitz_zeta(s[::-1], q[::-1]), alone[::-1])
+
+    def test_a_large_exponent_does_not_change_the_others(self):
+        # s = 16 needs a longer direct sum; the other values keep their own.
+        s, q = [2.5, 2.5, 2.5, 16.0], [5.0, 9.0, 20.0, 1.0]
+        np.testing.assert_array_equal(
+            hurwitz_zeta(s, q), [hurwitz_zeta(a, b) for a, b in zip(s, q)])
 
 
 class TestFitKernels:
@@ -512,20 +530,190 @@ class TestLrt:
         assert math.isfinite(result.log_likelihood_ratio)
         assert 0.0 <= result.p_value <= 1.0
 
-    def test_infeasible_lognormal_fit_raises_value_error(self):
-        # 10**9 sits ~45 sigma above the mean of 2,000 tens: its cell has no
-        # mass on the distribution side or the survival side, at the start
-        # and everywhere Nelder-Mead looks.
+    def test_far_outlier_keeps_finite_lognormal_mass(self):
+        # 10**9 sits ~45 sigma above the mean of 2,000 tens.  In log space
+        # its cell keeps its mass, and the supremum over the family is its
+        # power-law limit.
         data = [10] * 2000 + [10**9]
         fit = PowerLawFit(alpha=2.0, xmin=10, ks=0.5, n_tail=len(data))
-        with pytest.raises(ValueError, match="lognormal fit is infeasible"):
-            lrt(data, fit, "lognormal")
+        result = lrt(data, fit, "lognormal")
+        assert math.isfinite(result.log_likelihood_ratio)
+        tail = np.asarray(data, dtype=np.float64)
+        best = powerlaw._lognormal_tail_loglik(tail, 10.0)
+        assert best.b == 0.0
+        assert best.loglik.sum() == pytest.approx(-650.1488, abs=1e-4)
+        np.testing.assert_allclose(
+            best.loglik, mpmath_lognormal_loglik(tail, 10, best.a, best.b), rtol=1e-10)
+
+    @pytest.mark.parametrize("alternative", ["exponential", "lognormal"])
+    def test_constant_tail_is_refused(self, alternative):
+        data = [1] * 20 + [7] * 12
+        fit = PowerLawFit(alpha=2.0, xmin=5, ks=0.5, n_tail=12)
+        with pytest.raises(ValueError, match="tail is constant"):
+            lrt(data, fit, alternative)
 
     def test_unknown_alternative(self):
         data = sample_discrete_powerlaw(2.0, 1, 100, seed=1)
         fit = fit_power_law(data)
         with pytest.raises(ValueError, match="alternative"):
             lrt(data, fit, "weibull")
+
+
+_GEN_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py")
+gen = sys.modules[_GEN_SPEC.name] = importlib.util.module_from_spec(_GEN_SPEC)
+_GEN_SPEC.loader.exec_module(gen)
+
+
+@functools.cache
+def analyze_zipf_tails(seed):
+    """Century -> (total-degree tail, xmin) of the analyze-zipf benchmark
+    corpus of ``seed``, as ``asnkit analyze`` fits it."""
+    text, _ = gen.zipf_corpus(
+        seed, (14, 15, 16, 17), sentences=40, vocab=150, planted_from=2,
+        planted_sentences=15, adjacent=3, distant=3, exponent=0.6, tag=1)
+    tails = {}
+    for corpus_slice in parse_corpus(text):
+        kept, _ = filter_slice(corpus_slice, MissingPolicy.DROP_ADJACENT_TO_TARGET)
+        degrees = [d for d in degree_sequences(aggregate(kept.trees))["total"] if d > 0]
+        tails[corpus_slice.century] = fitted_tail(degrees)
+    return tails
+
+
+def fitted_tail(data):
+    """The tail ``lrt`` compares, and its xmin."""
+    x = np.asarray(data)
+    xmin = fit_power_law(x).xmin
+    return x[x >= xmin].astype(np.float64), float(xmin)
+
+
+#: Tails whose lognormal maximum is interior: the analyze-zipf corpora of
+#: seeds 0-5, fit-bootstrap's Zipf and sigma = 0.25 samples, and the sigma =
+#: 0.35 samples of criterion 7.
+INTERIOR_TAILS = {
+    **{f"analyze-zipf-{seed}-{century}":
+       (lambda seed=seed, century=century: analyze_zipf_tails(seed)[century])
+       for seed in range(6) for century in (14, 15, 16, 17)},
+    "fit-bootstrap-zipf": lambda: fitted_tail(
+        gen.zipf_degrees(0, sentences=800, vocab=1600, tag=2)),
+    **{f"fit-bootstrap-lognormal-{seed}": (lambda seed=seed: fitted_tail(
+        gen.lognormal_sample(seed, 2.5, 0.25, 5000, tag=4))) for seed in range(3)},
+    **{f"criterion-7-lognormal-{seed}":
+       (lambda seed=seed: fitted_tail(criterion_7_lognormal(seed))) for seed in range(20)},
+}
+
+
+def power_law_limit_tail():
+    """Analyze-zipf seed 904, century 16: its supremum is the power-law
+    limit, where Nelder-Mead stopped in underflow at -127.433."""
+    return analyze_zipf_tails(904)[16]
+
+
+class TestLognormalFit:
+    """The Newton solve against Nelder-Mead and a 50-digit mpmath oracle."""
+
+    @pytest.mark.parametrize("a, b", [
+        (-2.5, 0.0),     # the power-law limit: every tail from the series
+        (-3.0, 1e-4),    # near it: the series with b > 0
+        (-1.2, 0.16),    # mode below every cell
+        (20.6, 4.1),     # mode inside the cell of 12, cells on both sides
+        (60.0, 30.0),    # mode at 2.7, narrow: far cells deep in both tails
+    ])
+    def test_cells_match_mpmath(self, a, b):
+        values = np.array([2.0, 3.0, 5.0, 12.0, 13.0, 40.0, 1000.0])
+        per_value, moments = powerlaw._lognormal_cells(
+            a, b, powerlaw._Cells.of(values, 2.0))
+        np.testing.assert_allclose(
+            per_value, mpmath_lognormal_loglik(values, 2, a, b), rtol=1e-12)
+        edges = [(math.log(v - 0.5), math.log(v + 0.5)) for v in values]
+        for column, (lo, hi) in enumerate([*edges, (math.log(1.5), mpmath.inf)]):
+            exact = mpmath_cell_moments(lo, hi, a, b)
+            np.testing.assert_allclose(moments[:3, column], exact[:3], rtol=1e-9)
+            np.testing.assert_allclose(moments[3:, column], exact[3:], rtol=1e-6)
+
+    def test_ascent_step_climbs_where_the_likelihood_is_not_concave(self):
+        # The grouped log-likelihood is not concave everywhere: at this point
+        # of a four-value tail its Hessian has a positive eigenvalue.
+        values = np.array([2.0, 4.0, 5.0, 7.0])
+        counts = np.array([40, 33, 1, 20])
+        weights = np.append(counts, -counts.sum()).astype(np.float64)
+        _, moments = powerlaw._lognormal_cells(-4.66, 2.19, powerlaw._Cells.of(values, 2.0))
+        grad, hess = powerlaw._gradient_hessian(moments, weights)
+        curv, axes = np.linalg.eigh(-hess)
+        assert curv.min() < 0.0
+        step = powerlaw._ascent_step(grad, hess)
+        np.testing.assert_allclose(
+            step, axes @ ((axes.T @ grad) / np.abs(curv)), rtol=1e-12)
+        assert grad @ step > 0.0
+        # Where -hess is positive definite the step is the Newton step.
+        concave = np.array([[-3.0, 1.0], [1.0, -2.0]])
+        np.testing.assert_allclose(powerlaw._ascent_step(grad, concave),
+                                   np.linalg.solve(-concave, grad), rtol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(INTERIOR_TAILS))
+    def test_matches_nelder_mead_on_interior_tails(self, name):
+        tail, xmin = INTERIOR_TAILS[name]()
+        best = powerlaw._lognormal_tail_loglik(tail, xmin)
+        assert best.b > 0.0 and best.steps <= 25
+        reference = reference_lognormal_tail_loglik(tail, xmin)
+        assert best.loglik.sum() == pytest.approx(reference.sum(), abs=1e-8)
+
+    @pytest.mark.parametrize("name", [
+        "analyze-zipf-0-14", "fit-bootstrap-zipf", "fit-bootstrap-lognormal-0",
+        "criterion-7-lognormal-0", "power-law-limit"])
+    def test_is_the_maximum_under_mpmath(self, name):
+        tail, xmin = (power_law_limit_tail if name == "power-law-limit"
+                      else INTERIOR_TAILS[name])()
+        best = powerlaw._lognormal_tail_loglik(tail, xmin)
+        exact = mpmath_lognormal_loglik(tail, xmin, best.a, best.b)
+        np.testing.assert_allclose(best.loglik, exact, rtol=1e-10)
+        # No point of a small stencil in b >= 0 scores higher.
+        da, db = 1e-4 * max(1.0, abs(best.a)), 1e-4 * max(1e-3, best.b)
+        for i in (-1, 0, 1):
+            for j in (-1, 0, 1):
+                a, b = best.a + i * da, best.b + j * db
+                if (i or j) and b >= 0.0:
+                    assert (mpmath_lognormal_loglik(tail, xmin, a, b).sum()
+                            < exact.sum())
+
+    def test_power_law_limit_is_the_supremum(self):
+        tail, xmin = power_law_limit_tail()
+        best = powerlaw._lognormal_tail_loglik(tail, xmin)
+        assert best.b == 0.0 and best.a < 0.0
+        assert best.loglik.sum() == pytest.approx(-130.48322, abs=1e-5)
+        assert reference_lognormal_tail_loglik(tail, xmin).sum() == pytest.approx(
+            -127.433, abs=1e-3)
+
+    def test_two_neighbouring_values_take_the_two_cell_limit(self, caplog):
+        # The supremum is approached as sigma -> 0 with the mode on the cell
+        # edge at 1.5, where the two cells hold the sample's proportions.
+        tail = np.array([1.0] * 10 + [2.0] * 15)
+        with caplog.at_level(logging.WARNING, logger="asnkit.powerlaw"):
+            best = powerlaw._lognormal_tail_loglik(tail, 1.0)
+        assert not caplog.records
+        assert best.loglik.sum() == pytest.approx(
+            10 * math.log(0.4) + 15 * math.log(0.6), rel=1e-14)
+        for sigma in (0.1, 0.01):
+            a, b = math.log(1.5) / sigma**2, 0.5 / sigma**2
+            assert mpmath_lognormal_loglik(tail, 1, a, b).sum() < best.loglik.sum()
+
+    def test_each_fit_logs_its_optimum(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="asnkit.powerlaw"):
+            powerlaw._lognormal_tail_loglik(*INTERIOR_TAILS["analyze-zipf-0-14"]())
+            powerlaw._lognormal_tail_loglik(*power_law_limit_tail())
+        lines = [r.getMessage() for r in caplog.records]
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
+        assert lines[0].startswith("lognormal fit: interior optimum mu ")
+        assert lines[1].startswith("lognormal fit: power-law limit, exponent ")
+        assert all(" Newton steps, |gradient| " in line for line in lines)
+
+    def test_step_cap_is_logged_as_a_warning(self, monkeypatch, caplog):
+        monkeypatch.setattr(powerlaw, "_LOGNORMAL_STEPS", 2)
+        with caplog.at_level(logging.WARNING, logger="asnkit.powerlaw"):
+            best = powerlaw._lognormal_tail_loglik(*INTERIOR_TAILS["analyze-zipf-0-14"]())
+        assert best.steps == 2
+        assert [r.getMessage().split(",")[0] for r in caplog.records] == [
+            "lognormal fit: step cap reached after 2 Newton steps"]
 
 
 class TestCcdf:

@@ -21,6 +21,10 @@ Runs ``python -m asnkit.cli analyze`` from a ``git archive`` copy of
 * ``padded-integers``: the ``zipf-300`` text with every INDEX and HEAD
   zero-padded to three digits (``001``, ``000``), the same arguments, so
   the reader takes its per-field integer path, not its table of numerals;
+* ``zipf-904``: the analyze-zipf benchmark corpus of seed 904, the same
+  ``zipf_corpus`` arguments with seed 904 and centuries 14-17,
+  ``--seed 904 --replicates 100``; in century 16 the lognormal LRT's
+  supremum is the family's power-law limit;
 * ``ingest-large``: ``zipf_corpus(0, (14, 15, 16, 17), sentences=1000,
   vocab=2500, planted_from=2, planted_sentences=40, adjacent=10,
   distant=10, tag=5)`` (about 2,000 nodes per century),
@@ -147,6 +151,10 @@ def corpora() -> dict[str, tuple[str | list[str], list[str]]]:
         300, (13, 14, 15, 16), sentences=40, vocab=150, planted_from=2,
         planted_sentences=15, adjacent=3, distant=3, exponent=0.6, tag=1,
     )
+    zipf_904, _ = gen.zipf_corpus(
+        904, (14, 15, 16, 17), sentences=40, vocab=150, planted_from=2,
+        planted_sentences=15, adjacent=3, distant=3, exponent=0.6, tag=1,
+    )
     large, _ = gen.zipf_corpus(
         0, (14, 15, 16, 17), sentences=1000, vocab=2500, planted_from=2,
         planted_sentences=40, adjacent=10, distant=10, tag=5,
@@ -171,6 +179,7 @@ def corpora() -> dict[str, tuple[str | list[str], list[str]]]:
         "zipf-300-track": (zipf, [*zipf_args, "--track", "MV planthead"]),
         "zipf-300-unweighted": (zipf, [*zipf_args, "--unweighted"]),
         "padded-integers": (padded_corpus(zipf), zipf_args),
+        "zipf-904": (zipf_904, ["--seed", "904", "--replicates", "100"]),
         "ingest-large": (large, seed_0),
         "crosslink": (crosslink_corpus(), seed_0),
         "crosslink-large": (crosslink_corpus(chains=400, depth=6), seed_0),
