@@ -9,16 +9,19 @@ other node sits one step below the weighted mean of its in-neighbours,
 Pinned (in-weight 0) nodes contribute ``s(v) = 0`` rows to the square level
 system.  One rule picks the solver per direction from the strong components.
 An acyclic graph (no self-loop, every strong component a single node) is
-solved exactly by propagation in topological order.  A system in which
-every node is reachable from a pinned node is nonsingular, and sparse LU
-gives its unique solution; the nodes are eliminated in ascending degree
-order, hubs last, which on hub-dominated word networks costs less and
-fills less than SuperLU's own orderings.  Any other system is singular and
-gets the minimum-norm least-squares solution from sparse LSQR with
-iterative refinement.  Pinned levels are exactly 0 on the first two paths;
-levels are shifted so their minimum is exactly 0.  Backward levels apply
-the same construction to out-edges, measuring distance from the bottom of
-the hierarchy instead of the top.
+solved exactly by propagation in topological order.  Any other system gets
+its minimum-norm least-squares solution from one sparse LU factorization,
+with the nodes eliminated in ascending degree order, hubs last, which on
+hub-dominated word networks costs less and fills less than SuperLU's own
+orderings.  When every node is reachable from a pinned node the system is
+nonsingular and that is its unique solution.  Otherwise each closed class
+(a strong component that nothing outside it feeds) makes the system
+singular; one node of each is pinned for the factorization, and the
+solution is projected with the null vectors the same factor gives.  Pinned
+levels are exactly 0 on a nonsingular system; levels are shifted so their
+minimum is exactly 0.  Backward levels apply the same construction to
+out-edges, measuring distance from the bottom of the hierarchy instead of
+the top.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Mapping
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+# The first name is unused here; perfbench/tracing.py looks it up (ROADMAP item 3).
 from scipy.sparse.linalg import lsqr, splu
 
 from .network import Asn, NodeKey, _csv_table
@@ -67,8 +71,9 @@ class HierarchyLevels:
     ``forward`` and ``backward`` are float arrays aligned with ``asn.keys``.
     ``residual`` is the larger of the two directional solve residuals.  It
     is at numerical zero when the system is nonsingular (exact propagation,
-    or LU in hubs-last order); on a singular system, solved by minimum-norm
-    LSQR, it measures how far the equations are from holding.
+    or LU in hubs-last order); on a singular system, whose minimum-norm
+    least-squares solution the same LU projects, it measures how far the
+    equations are from holding.
     """
 
     forward: np.ndarray
@@ -133,8 +138,8 @@ def _propagate_exact(
 
 def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
     """Levels of one direction from one level system: exact propagation on
-    an acyclic graph, sparse LU on any other nonsingular system, and
-    minimum-norm LSQR on a singular one."""
+    an acyclic graph, and the minimum-norm least-squares solution by one
+    sparse LU factorization on any other."""
     src, dst, wgt = _edge_arrays(asn, direction, weighted)
     n = asn.node_count
     if n == 0:
@@ -145,24 +150,24 @@ def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
     matrix, b = _system_matrix(n, src, dst, wgt, w_in)
     # The matrix holds the reversed edges, which have the same strong
     # components.  Acyclic, self-loops included, exactly when every
-    # component is one node and no edge is a self-loop.  Nonsingular exactly
-    # when every node is reachable from a pinned one, that is when every
-    # component with no in-edge from another component is a pinned node.
+    # component is one node and no edge is a self-loop.  A closed class is
+    # a component with no in-edge from another one that is not a pinned
+    # node; the system is singular exactly when there is one.
     count, labels = connected_components(matrix, connection="strong")
     fed = np.zeros(count, dtype=bool)
     fed[labels[dst][labels[src] != labels[dst]]] = True
-    acyclic = count == n and not np.any(src == dst)
-    nonsingular = acyclic or bool(np.all(fed[labels] | (w_in == 0.0)))
     size = f"on {n} nodes, {src.size} edges"
-    if acyclic:
+    if count == n and not np.any(src == dst):
         logger.debug("%s levels: exact propagation %s", direction, size)
         levels = _propagate_exact(n, src, dst, wgt, w_in)
-    elif nonsingular:
-        levels, fill = _lu_hubs_last(matrix, b, src, dst)
-        logger.debug("%s levels: LU %s, fill %d", direction, size, fill)
     else:
-        logger.debug("%s levels: LSQR %s", direction, size)
-        levels = _lsqr_min_norm(matrix, b)
+        _, first = np.unique(labels, return_index=True)
+        anchors = first[~fed & (w_in[first] > 0.0)]
+        levels, fill = _lu_min_norm(matrix, b, anchors, src, dst)
+        logger.debug(
+            "%s levels: LU %s, %d closed classes, fill %d",
+            direction, size, anchors.size, fill,
+        )
 
     # Residual of the solve itself, before the min-to-zero shift (the shift
     # moves pinned rows off their s=0 target but does not change edge
@@ -171,26 +176,53 @@ def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
     return LevelSolution(levels=levels - levels.min(), residual=residual)
 
 
-def _lu_hubs_last(matrix, b, src, dst) -> tuple[np.ndarray, int]:
-    """Sparse LU solve of a nonsingular level system, nodes in ascending
-    degree order; returns the levels and the fill ``L.nnz + U.nnz``.
+def _lu_min_norm(matrix, b, anchors, src, dst) -> tuple[np.ndarray, int]:
+    """Minimum-norm least-squares levels of a level system, given one
+    anchor node per closed class, from one sparse LU factorization with the
+    nodes in ascending degree order; returns the levels and the fill
+    ``L.nnz + U.nnz``.
 
     Eliminating low-degree nodes first and the hubs last (Tinney & Walker,
     Proc. IEEE 55(11), 1967, scheme 1) gives a hub-dominated network less
     fill than SuperLU's minimum degree orderings, at the cost of one sort.
-    A symmetric permutation of the M-matrix is an M-matrix, so diagonal
-    pivots need no row exchange; a pinned row is an identity row, its L row
-    stays empty, and its level is exactly 0.
+    The anchors' rows become identity rows, so every node reaches a pinned
+    row and the matrix is a nonsingular M-matrix, as is any symmetric
+    permutation of it: diagonal pivots need no row exchange.  With no
+    anchor the system is nonsingular, its solution is the levels, and a
+    pinned row's level is exactly 0.
+
+    Otherwise the same factor gives the null vectors (Meyer, SIAM Rev.
+    17(3), 1975).  The right ones solve for the anchors' unit vectors: 1 on
+    a class, harmonic elsewhere.  The left ones are the classes' stationary
+    vectors, with disjoint supports.  ``b`` is projected onto the range and
+    solved; whatever the anchors' rows then hold only adds a right null
+    vector, and the solution is projected off them.
     """
-    n = b.size
+    n, k = b.size, anchors.size
     degree = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
     order = np.argsort(degree, kind="stable")
+    anchored = matrix.copy()
+    for row in anchors.tolist():  # every row stores its diagonal
+        cells = slice(anchored.indptr[row], anchored.indptr[row + 1])
+        anchored.data[cells] = anchored.indices[cells] == row
     lu = splu(
-        matrix[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
+        anchored[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
     )
-    levels = np.empty(n)
-    levels[order] = lu.solve(b[order])
-    return levels, lu.L.nnz + lu.U.nnz
+
+    def solve(rhs, trans="N"):
+        out = np.empty_like(rhs)
+        out[order] = lu.solve(rhs[order], trans=trans)
+        return out
+
+    fill = lu.L.nnz + lu.U.nnz
+    if not k:
+        return solve(b), fill
+    unit = np.zeros((n, k))
+    unit[anchors, np.arange(k)] = 1.0
+    null = solve(unit)
+    left = solve(unit - matrix.T @ unit, "T")
+    x = solve(b - left @ ((left.T @ b) / np.einsum("ij,ij->j", left, left)))
+    return x - null @ np.linalg.solve(null.T @ null, null.T @ x), fill
 
 
 def _system_matrix(n, src, dst, wgt, w_in):
@@ -210,50 +242,18 @@ def _system_matrix(n, src, dst, wgt, w_in):
     return matrix, b
 
 
-def _lsqr_solve(matrix, rhs, iter_lim) -> np.ndarray:
-    """One LSQR solve; logs its stop code and warns if it hit ``iter_lim``."""
-    x, istop, itn = lsqr(
-        matrix, rhs, atol=0.0, btol=0.0, conlim=0.0, iter_lim=iter_lim
-    )[:3]
-    logger.debug("LSQR stopped with istop=%d after %d iterations", istop, itn)
-    if istop == 7:
-        logger.warning(
-            "LSQR reached its iteration limit (%d iterations) before converging; "
-            "levels may be inaccurate",
-            itn,
-        )
-    return x
-
-
-def _lsqr_min_norm(matrix, b) -> np.ndarray:
-    """Minimum-norm least-squares levels via sparse LSQR with refinement."""
-    iter_lim = max(1000, 30 * matrix.shape[0])
-    x = _lsqr_solve(matrix, b, iter_lim)
-    # Iterative refinement drives the normal-equation residual toward zero;
-    # corrections from LSQR stay orthogonal to the null space, preserving
-    # the minimum-norm property.
-    for _ in range(3):
-        r = b - matrix @ x
-        grad = matrix.T @ r
-        if np.linalg.norm(grad) <= 1e-13 * max(1.0, np.linalg.norm(b)):
-            break
-        dx = _lsqr_solve(matrix, r, iter_lim)
-        if not np.any(dx):
-            break
-        x = x + dx
-    return x
-
-
 def forward_levels(asn: Asn, weighted: bool = True) -> LevelSolution:
     """Forward hierarchical levels: distance below the in-degree-0 heads.
 
     Levels are normalized so the minimum is exactly 0.  On an acyclic
     network the levels come from exact propagation and equal weighted
-    depths.  When every node is reachable from an in-degree-0 head they are
-    the unique solution, from sparse LU with the nodes in ascending degree
-    order, and heads sit at exactly 0; in both cases the returned residual
-    is at numerical zero.  Otherwise they are the minimum-norm least-squares
-    solution, from LSQR, and the heads need not sit at 0.
+    depths.  Otherwise they are the minimum-norm least-squares solution,
+    from one sparse LU factorization with the nodes in ascending degree
+    order.  When every node is reachable from an in-degree-0 head that is
+    the unique solution, the heads sit at exactly 0 and, as on an acyclic
+    network, the returned residual is at numerical zero.  When a closed
+    class (a strong component that nothing outside it feeds) makes the
+    system singular, the heads need not sit at 0.
     """
     return _solve_direction(asn, "forward", weighted)
 

@@ -796,10 +796,7 @@ def _lognormal_tail_loglik(tail: np.ndarray, xmin: float) -> _LognormalFit:
     first four moments of t over the cells and the truncated range.  The
     family is closed at b = 0, a < 0: the cell-integrated continuous power
     law ``((x - 1/2)^a - (x + 1/2)^a) / (xmin - 1/2)^a`` of exponent 1 - a,
-    which a lognormal approaches as mu -> -inf with mu / sigma^2 fixed.  At
-    b -> inf it closes with all the mass on one or two neighbouring cells;
-    that limit is the supremum only for a tail of two neighbouring values,
-    whose cells then hold the sample's proportions.
+    which a lognormal approaches as mu -> -inf with mu / sigma^2 fixed.
 
     Damped Newton steps climb from the power-law limit, with a negative
     curvature replaced by its magnitude.  They are projected onto b >= 0,
@@ -808,9 +805,6 @@ def _lognormal_tail_loglik(tail: np.ndarray, xmin: float) -> _LognormalFit:
     log-likelihood, the order of its rounding.
     """
     values, inverse, counts = np.unique(tail, return_inverse=True, return_counts=True)
-    if values.size == 2 and values[1] - values[0] == 1.0:
-        logger.debug("lognormal fit: two-cell limit at x = %g", values[0] + 0.5)
-        return _LognormalFit(np.log(counts / tail.size)[inverse], np.inf, np.inf, 0)
     cells = _Cells.of(values, xmin)
     weights = np.append(counts, -tail.size).astype(np.float64)
 
@@ -878,15 +872,15 @@ def lrt(data, fit: PowerLawFit, alternative: str = "exponential") -> LrtResult:
     lognormal alternative is the maximum over the closed family: its
     boundary b = 1 / (2 sigma^2) = 0 is the cell-integrated continuous power
     law with exponent 1 - a, a = mu / sigma^2, which the lognormal approaches
-    as mu -> -inf, and on some tails the supremum lies there.  A tail of two
-    neighbouring values takes the other limit, sigma -> 0, where the two
-    cells hold the sample's proportions.
+    as mu -> -inf, and on some tails the supremum lies there.
 
     Raises
     ------
     ValueError
         On an unknown alternative, a tail smaller than 10 observations, or a
-        tail of one value.
+        tail of fewer than three distinct values, where the lognormal's
+        sigma -> 0 limit would reproduce two neighbouring values'
+        proportions exactly.
     """
     if alternative not in ("exponential", "lognormal"):
         raise ValueError(f"unknown alternative {alternative!r}")
@@ -894,8 +888,11 @@ def lrt(data, fit: PowerLawFit, alternative: str = "exponential") -> LrtResult:
     tail = x[x >= fit.xmin].astype(np.float64)
     if tail.size < 10:
         raise ValueError(f"tail too small for comparison: {tail.size} < 10")
-    if np.all(tail == tail[0]):
-        raise ValueError("tail is constant; comparison is undefined")
+    distinct = np.unique(tail).size
+    if distinct < 3:
+        raise ValueError(
+            f"tail has {distinct} distinct value(s); comparison needs at least 3"
+        )
     xmin = float(fit.xmin)
 
     loglik_pl = -fit.alpha * np.log(tail) - np.log(hurwitz_zeta(fit.alpha, xmin))

@@ -1,8 +1,9 @@
 """Shared pytest hooks: the end-of-run acceptance scoreboard.
 
-Every test named ``test_criterion_NN_*`` (see ``test_acceptance.py``) feeds
-one line of the summary printed after the normal pytest output, so a full
-run ends with an explicit pass/fail verdict per shipped guarantee.
+Every test named ``test_criterion_NN_*`` in ``test_acceptance.py``, and no
+test of another file, feeds one line of the summary printed after the
+normal pytest output, so a full run ends with an explicit pass/fail verdict
+per shipped guarantee.
 """
 
 import re
@@ -20,7 +21,7 @@ CRITERIA = {
     10: "summarize matches brute-force BFS/triangle oracles",
 }
 
-_PATTERN = re.compile(r"test_criterion_(\d+)")
+_PATTERN = re.compile(r"(?:^|/)test_acceptance\.py::test_criterion_(\d+)_")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,6 +7,7 @@ code is checked against a genuinely separate route to the same numbers.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -17,7 +18,7 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from scipy import optimize, sparse, special
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import lsqr, splu
 
 from asnkit import (
     MISSING_LEMMAS,
@@ -40,6 +41,8 @@ from asnkit import (
     hurwitz_zeta,
     sample_discrete_powerlaw,
 )
+
+logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # Builders
@@ -878,6 +881,45 @@ def mmd_lu_levels(asn: Asn, weighted: bool = True, backward: bool = False):
     lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     levels = lu.solve(b)
     return levels - levels.min()
+
+
+# The sparse LSQR solve that singular level systems took before the direct
+# one: the reference for the minimum-norm levels of larger systems, where a
+# dense pseudoinverse costs too much.  Both functions take the level matrix
+# and right-hand side of ``asnkit.hierarchy._system_matrix``.
+
+def _lsqr_solve(matrix, rhs, iter_lim) -> np.ndarray:
+    """One LSQR solve; logs its stop code and warns if it hit ``iter_lim``."""
+    x, istop, itn = lsqr(
+        matrix, rhs, atol=0.0, btol=0.0, conlim=0.0, iter_lim=iter_lim
+    )[:3]
+    logger.debug("LSQR stopped with istop=%d after %d iterations", istop, itn)
+    if istop == 7:
+        logger.warning(
+            "LSQR reached its iteration limit (%d iterations) before converging; "
+            "levels may be inaccurate",
+            itn,
+        )
+    return x
+
+
+def _lsqr_min_norm(matrix, b) -> np.ndarray:
+    """Minimum-norm least-squares levels via sparse LSQR with refinement."""
+    iter_lim = max(1000, 30 * matrix.shape[0])
+    x = _lsqr_solve(matrix, b, iter_lim)
+    # Iterative refinement drives the normal-equation residual toward zero;
+    # corrections from LSQR stay orthogonal to the null space, preserving
+    # the minimum-norm property.
+    for _ in range(3):
+        r = b - matrix @ x
+        grad = matrix.T @ r
+        if np.linalg.norm(grad) <= 1e-13 * max(1.0, np.linalg.norm(b)):
+            break
+        dx = _lsqr_solve(matrix, r, iter_lim)
+        if not np.any(dx):
+            break
+        x = x + dx
+    return x
 
 
 def hierarchy_stats_oracle(asn: Asn, forward, weighted: bool = True):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import asnkit.cli
 from asnkit import demo_corpus_path
 from asnkit.cli import main
-from asnkit.synth import takeover_corpus
+from asnkit.synth import crosslink_corpus, demo_corpus, takeover_corpus
 from oracles import noisy_treebanks
 
 DEMO = demo_corpus_path()
@@ -188,6 +188,28 @@ class TestExitCodes:
         assert "powerlaw_14.json" in manifest["files"]
 
 
+    def test_refused_lrt_is_recorded_not_raised(self, tmp_path):
+        # every century's total degrees above xmin 1 are 1 and 2, a
+        # two-valued tail that both comparisons refuse
+        path = tmp_path / "crosslink.tb"
+        path.write_text(crosslink_corpus(), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("powerlaw", str(path), "--out", str(out),
+                   "--replicates", "100") == 0
+        error = "tail has 2 distinct value(s); comparison needs at least 3"
+        for c in (14, 15, 16, 17):
+            payload = json.loads((out / f"powerlaw_{c}.json").read_text())
+            assert payload["xmin"] == 1 and "p_value" in payload
+            assert payload["lrt"] == [
+                {"alternative": "exponential", "error": error},
+                {"alternative": "lognormal", "error": error}]
+
+
+def test_shipped_demo_corpus_is_the_generated_one():
+    with open(DEMO, "rb") as shipped:
+        assert shipped.read() == demo_corpus().encode("utf-8")
+
+
 class TestArtifacts:
     def test_build_writes_one_csv_per_century(self, tmp_path):
         out = tmp_path / "o"
@@ -218,7 +240,7 @@ class TestArtifacts:
     def test_hierarchy_stats_record_whether_heads_sit_at_0(self, tmp_path):
         # one two-token sentence per edge.  Century 14: the closed 2-cycle
         # a <-> b feeds d, so its minimum-norm levels go below the head h
-        # (singular, LSQR).  Century 15: h reaches the 2-cycle (LU).
+        # (singular).  Century 15: h reaches the 2-cycle (nonsingular).
         def century(c, edges):
             return f"# century = {c}\n" + "\n".join(
                 f"1\t{u}\t{u}\tN\t0\t_\n2\t{v}\t{v}\tN\t1\t_\n"

@@ -602,6 +602,13 @@ class TestBulkReaderMatchesReference:
         with pytest.raises(ValueError, match="'s1': token indices must be contiguous"):
             CorpusSlice(century=14, trees=(tree,))
 
+    def test_a_tree_of_another_century_is_refused(self):
+        token = Token(index=1, surface="a", lemma="a",
+                      role=GrammaticalRole.NOUN, head=0)
+        trees = (DependencyTree("s1", 14, (token,)), DependencyTree("s2", 15, (token,)))
+        with pytest.raises(ValueError, match="^tree 's2' has century 15, slice has 14$"):
+            CorpusSlice(century=14, trees=trees)
+
 
 class TestMissingPolicies:
     def _tree(self, with_adjacent_missing):

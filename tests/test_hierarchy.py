@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import lsqr
 
 import asnkit.hierarchy
 from asnkit import (
@@ -26,6 +25,7 @@ from asnkit import (
     validate_tree,
 )
 from oracles import (
+    _lsqr_min_norm,
     _record,
     dense_levels,
     depth_of_heads,
@@ -139,26 +139,6 @@ class TestLeastSquares:
         assert np.array_equal(both.backward, backward_levels(asn).levels)
         assert both.residual >= 0.0
 
-    def test_iteration_limit_is_logged_as_a_warning(self, monkeypatch, caplog):
-        # the closed 2-cycle x <-> y has no pinned ancestor, so the system is
-        # singular and goes to LSQR
-        asn = make_asn([("h", "a", 2), ("a", "b", 1), ("b", "c", 3),
-                        ("c", "a", 1), ("c", "d", 1), ("d", "b", 2),
-                        ("x", "y", 1), ("y", "x", 1)])
-        with caplog.at_level(logging.WARNING, logger="asnkit.hierarchy"):
-            forward_levels(asn)
-        assert not caplog.records
-
-        def starved(*args, **kwargs):
-            return lsqr(*args, **{**kwargs, "iter_lim": 2})
-
-        monkeypatch.setattr(asnkit.hierarchy, "lsqr", starved)
-        with caplog.at_level(logging.WARNING, logger="asnkit.hierarchy"):
-            forward_levels(asn)
-        assert caplog.records
-        assert all("iteration limit (2 iterations)" in r.getMessage()
-                   for r in caplog.records)
-
     def test_empty_network_has_no_levels(self):
         asn = make_asn([])
         both = hierarchy_levels(asn)
@@ -175,13 +155,16 @@ CYCLIC = {  # nonsingular: every node is reachable from a pinned head
                            ("b", "b", 1), ("b", "c", 3)],
 }
 
-SINGULAR = {  # forward: some node is not reachable from a pinned node
-    "closed-two-cycle": [("h", "c", 1), ("a", "b", 2), ("b", "a", 1),
-                         ("b", "c", 1)],
-    "self-loop-source": [("s", "s", 1), ("s", "a", 1), ("a", "b", 2),
-                         ("h", "b", 1)],
-    "no-pinned-node": [("a", "b", 1), ("b", "c", 1), ("c", "a", 1),
-                       ("c", "d", 1)],
+SINGULAR = {  # forward: some node is not reachable from a pinned node, and
+    # the number of closed classes that makes it so
+    "closed-two-cycle": (1, [("h", "c", 1), ("a", "b", 2), ("b", "a", 1),
+                             ("b", "c", 1)]),
+    "self-loop-source": (1, [("s", "s", 1), ("s", "a", 1), ("a", "b", 2),
+                             ("h", "b", 1)]),
+    "no-pinned-node": (1, [("a", "b", 1), ("b", "c", 1), ("c", "a", 1),
+                           ("c", "d", 1)]),
+    "two-closed-classes": (2, [("a", "b", 1), ("b", "a", 3), ("x", "x", 2),
+                               ("b", "c", 1), ("x", "c", 1), ("h", "c", 2)]),
 }
 
 
@@ -208,8 +191,8 @@ def factor_fills(monkeypatch):
 
 
 class TestSolverChoice:
-    """Acyclic graphs are propagated exactly, other nonsingular systems are
-    solved by sparse LU, and singular ones go to LSQR."""
+    """Acyclic graphs are propagated exactly; every other system is solved
+    by one sparse LU factorization, with one anchor per closed class."""
 
     @pytest.mark.parametrize("edges", CYCLIC.values(), ids=CYCLIC)
     def test_cyclic_graph_is_never_propagated(self, monkeypatch, edges):
@@ -221,9 +204,8 @@ class TestSolverChoice:
                 assert levels[asn.index[key]] == pytest.approx(level, abs=1e-8)
 
     @pytest.mark.parametrize("edges", CYCLIC.values(), ids=CYCLIC)
-    def test_nonsingular_cyclic_graph_never_calls_lsqr(self, monkeypatch, caplog,
-                                                       edges):
-        monkeypatch.setattr(asnkit.hierarchy, "lsqr", refuse)
+    def test_nonsingular_cyclic_graph_has_no_closed_class(self, monkeypatch, caplog,
+                                                          edges):
         fills = factor_fills(monkeypatch)
         asn = make_asn(edges)
         with caplog.at_level(logging.DEBUG, logger="asnkit.hierarchy"):
@@ -232,23 +214,35 @@ class TestSolverChoice:
         assert both.backward[asn.index[nkey("c")]] == 0.0
         size = f"{asn.node_count} nodes, {asn.edge_count} edges"
         assert [r.getMessage() for r in caplog.records] == [
-            f"forward levels: LU on {size}, fill {fills[0][1]}",
-            f"backward levels: LU on {size}, fill {fills[1][1]}"]
+            f"forward levels: LU on {size}, 0 closed classes, fill {fills[0][1]}",
+            f"backward levels: LU on {size}, 0 closed classes, fill {fills[1][1]}"]
+        for backward, levels in ((False, both.forward), (True, both.backward)):
+            for key, level in dense_levels(asn, backward=backward).items():
+                assert levels[asn.index[key]] == pytest.approx(level, abs=1e-8)
 
-    @pytest.mark.parametrize("edges", SINGULAR.values(), ids=SINGULAR)
-    def test_singular_graph_never_calls_splu(self, monkeypatch, edges):
-        monkeypatch.setattr(asnkit.hierarchy, "splu", refuse)
+    @pytest.mark.parametrize("closed, edges", SINGULAR.values(), ids=SINGULAR)
+    def test_singular_graph_anchors_each_closed_class(self, monkeypatch, caplog,
+                                                      closed, edges):
+        fills = factor_fills(monkeypatch)
         asn = make_asn(edges)
-        fwd = forward_levels(asn)
+        with caplog.at_level(logging.DEBUG, logger="asnkit.hierarchy"):
+            fwd = forward_levels(asn)
+        [(_nnz, fill)] = fills
+        assert [r.getMessage() for r in caplog.records] == [
+            f"forward levels: LU on {asn.node_count} nodes, {asn.edge_count} "
+            f"edges, {closed} closed classes, fill {fill}"]
         for key, level in dense_levels(asn).items():
             assert fwd.levels[asn.index[key]] == pytest.approx(level, abs=1e-8)
 
-    def test_criterion_3_graphs_reach_lu_and_lsqr(self, monkeypatch):
-        calls = Counter()
-        monkeypatch.setattr(asnkit.hierarchy, "splu",
-                            counting(calls, "LU", asnkit.hierarchy.splu))
-        monkeypatch.setattr(asnkit.hierarchy, "_lsqr_min_norm",
-                            counting(calls, "LSQR", asnkit.hierarchy._lsqr_min_norm))
+    def test_random_graphs_reach_both_kinds_of_lu_solve(self, monkeypatch):
+        closed = Counter()
+        solve = asnkit.hierarchy._lu_min_norm
+
+        def counted(matrix, b, anchors, src, dst):
+            closed[min(anchors.size, 1)] += 1
+            return solve(matrix, b, anchors, src, dst)
+
+        monkeypatch.setattr(asnkit.hierarchy, "_lu_min_norm", counted)
         rng = np.random.default_rng(913)  # the draws of criterion 3
         done = 0
         while done < 200:
@@ -256,10 +250,9 @@ class TestSolverChoice:
             if asn.edge_count:
                 done += 1
                 forward_levels(asn)
-        assert calls["LU"] >= 1 and calls["LSQR"] >= 1
+        assert closed[0] >= 1 and closed[1] >= 1
 
-    def test_acyclic_graph_never_calls_lsqr(self, monkeypatch):
-        monkeypatch.setattr(asnkit.hierarchy, "lsqr", refuse)
+    def test_acyclic_graph_is_never_factored(self, monkeypatch):
         monkeypatch.setattr(asnkit.hierarchy, "splu", refuse)
         asn = make_asn([("a", "b", 2), ("a", "c", 1), ("b", "c", 1),
                         ("b", "d", 1), ("c", "d", 3)], isolated=["lone"])
@@ -268,23 +261,27 @@ class TestSolverChoice:
         # b = 1, c = 1 + (0 + 1) / 2, d = 1 + (1 * b + 3 * c) / 4, exactly
         assert levels_by_lemma(asn, forward_levels(asn))["d"] == 2.375
 
-    def test_each_direction_logs_its_solver(self, caplog):
-        # a closed 2-cycle and a self-loop-only node: singular both ways
-        singular = [("a", "b", 2), ("b", "a", 1), ("b", "c", 1), ("d", "d", 1)]
+    def test_each_direction_logs_its_solver(self, monkeypatch, caplog):
+        # forward: the closed 2-cycle a <-> b and the self-loop-only node d;
+        # backward: c is pinned and feeds the 2-cycle, d is closed alone
+        singular = make_asn([("a", "b", 2), ("b", "a", 1), ("b", "c", 1),
+                             ("d", "d", 1)])
+        fills = factor_fills(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="asnkit.hierarchy"):
             hierarchy_levels(make_asn([("a", "b", 1), ("b", "c", 1)],
                                       isolated=["lone"]))
-            hierarchy_levels(make_asn(singular))
-        lines = [r.getMessage() for r in caplog.records
-                 if " levels: " in r.getMessage()]
-        assert lines == [
+            both = hierarchy_levels(singular)
+        assert [r.getMessage() for r in caplog.records] == [
             "forward levels: exact propagation on 4 nodes, 2 edges",
             "backward levels: exact propagation on 4 nodes, 2 edges",
-            "forward levels: LSQR on 4 nodes, 4 edges",
-            "backward levels: LSQR on 4 nodes, 4 edges",
+            f"forward levels: LU on 4 nodes, 4 edges, 2 closed classes, "
+            f"fill {fills[0][1]}",
+            f"backward levels: LU on 4 nodes, 4 edges, 1 closed classes, "
+            f"fill {fills[1][1]}",
         ]
-        assert any(r.getMessage().startswith("LSQR stopped with istop=")
-                   for r in caplog.records)
+        for backward, levels in ((False, both.forward), (True, both.backward)):
+            for key, level in dense_levels(singular, backward=backward).items():
+                assert levels[singular.index[key]] == pytest.approx(level, abs=1e-8)
 
 
 def nonsingular_cyclic_edges(rng, n):
@@ -302,7 +299,7 @@ def nonsingular_cyclic_edges(rng, n):
 
 
 class TestLuMatchesLsqr:
-    """The LU path gives the levels that minimum-norm LSQR gave it before."""
+    """The LU path gives the levels of minimum-norm LSQR, the oracle."""
 
     @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
     def test_seeded_nonsingular_cyclic_graphs(self, monkeypatch, weighted):
@@ -320,12 +317,63 @@ class TestLuMatchesLsqr:
             src, dst, wgt = asnkit.hierarchy._edge_arrays(asn, "forward", weighted)
             w_in = np.bincount(dst, weights=wgt, minlength=n)
             matrix, b = asnkit.hierarchy._system_matrix(n, src, dst, wgt, w_in)
-            lsqr_levels = asnkit.hierarchy._lsqr_min_norm(matrix, b)
+            lsqr_levels = _lsqr_min_norm(matrix, b)
             assert np.abs(fwd - (lsqr_levels - lsqr_levels.min())).max() <= 1e-9
             assert np.all(fwd[w_in == 0.0] == 0.0)
             if n <= 40:
                 for key, level in dense_levels(asn, weighted=weighted).items():
                     assert fwd[asn.index[key]] == pytest.approx(level, abs=1e-9)
+
+
+def singular_edges(rng, n):
+    """Random weighted digraph on n >= 4 lemmas with 1 to 3 closed classes,
+    rings of 1 to 5 nodes (a 1-ring is a self-loop) that no other node
+    feeds, 0 to 2 pinned heads, and every other node hearing from an
+    earlier one; returns the edges and the number of classes."""
+    order = [f"n{i}" for i in rng.permutation(n)]
+    sizes = rng.integers(1, min(5, n // 4) + 1, int(rng.integers(1, 4)))
+    edges, start = [], 0
+    for size in sizes.tolist():
+        ring = order[start:start + size]
+        edges += [(u, ring[(i + 1) % size], int(rng.integers(1, 6)))
+                  for i, u in enumerate(ring)]
+        start += size
+    fed = start + int(rng.integers(0, 3))  # nodes before this hear from no other
+    edges += [(order[int(rng.integers(0, i))], order[i], int(rng.integers(1, 6)))
+              for i in range(fed, n)]
+    for _ in range(n):  # extra edges, self-loops included, into fed nodes only
+        edges.append((order[int(rng.integers(0, n))],
+                      order[int(rng.integers(fed, n))], int(rng.integers(1, 6))))
+    return edges, sizes.size
+
+
+class TestMinNormMatchesOracles:
+    """On singular systems the anchored LU gives the minimum-norm levels of
+    LSQR and of the dense pseudoinverse, in both directions."""
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_seeded_singular_graphs(self, caplog, weighted):
+        rng = np.random.default_rng(2020)
+        for case in range(40):
+            n = int(rng.integers(4, 12 if case % 2 else 301))
+            edges, closed = singular_edges(rng, n)
+            asn = make_asn(edges, isolated=[f"n{i}" for i in range(n)])
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="asnkit.hierarchy"):
+                both = hierarchy_levels(asn, weighted=weighted)
+            assert f", {closed} closed classes, " in caplog.records[0].getMessage()
+            for direction, levels in (("forward", both.forward),
+                                      ("backward", both.backward)):
+                src, dst, wgt = asnkit.hierarchy._edge_arrays(asn, direction, weighted)
+                w_in = np.bincount(dst, weights=wgt, minlength=n)
+                matrix, b = asnkit.hierarchy._system_matrix(n, src, dst, wgt, w_in)
+                expected = _lsqr_min_norm(matrix, b)
+                assert np.abs(levels - (expected - expected.min())).max() <= 1e-9
+                if n <= 40:
+                    oracle = dense_levels(asn, weighted=weighted,
+                                          backward=direction == "backward")
+                    for key, level in oracle.items():
+                        assert levels[asn.index[key]] == pytest.approx(level, abs=1e-8)
 
 
 class TestHubsLastLu:

@@ -145,6 +145,19 @@ class TestAggregate:
                 Asn(century=14, keys=keys, frequency=[1, 1], src=src, dst=dst,
                     weight=[1, 1], rules=[0, 0], first_seen=[0, 1])
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"frequency": [1]}, "frequency and first_seen must align with keys"),
+        ({"first_seen": [0, 1, 2]}, "frequency and first_seen must align with keys"),
+        ({"dst": [1, 0]}, "src, dst, weight and rules must have equal lengths"),
+        ({"weight": []}, "src, dst, weight and rules must have equal lengths"),
+        ({"rules": [0, 0]}, "src, dst, weight and rules must have equal lengths"),
+    ], ids=["frequency", "first_seen", "dst", "weight", "rules"])
+    def test_record_rejects_misaligned_arrays(self, bad, message):
+        arrays = {"frequency": [1, 1], "src": [0], "dst": [1], "weight": [1],
+                  "rules": [0], "first_seen": [0, 1]}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Asn(century=14, keys=(nkey("a"), nkey("b")), **{**arrays, **bad})
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
     def test_random_tree_weight_matches_token_count(self, seed):

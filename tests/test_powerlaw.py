@@ -533,10 +533,11 @@ class TestLrt:
     def test_far_outlier_keeps_finite_lognormal_mass(self):
         # 10**9 sits ~45 sigma above the mean of 2,000 tens.  In log space
         # its cell keeps its mass, and the supremum over the family is its
-        # power-law limit.
+        # power-law limit.  ``lrt`` refuses a two-valued tail, so it is given
+        # one more value, an eleven.
         data = [10] * 2000 + [10**9]
-        fit = PowerLawFit(alpha=2.0, xmin=10, ks=0.5, n_tail=len(data))
-        result = lrt(data, fit, "lognormal")
+        fit = PowerLawFit(alpha=2.0, xmin=10, ks=0.5, n_tail=len(data) + 1)
+        result = lrt(data + [11], fit, "lognormal")
         assert math.isfinite(result.log_likelihood_ratio)
         tail = np.asarray(data, dtype=np.float64)
         best = powerlaw._lognormal_tail_loglik(tail, 10.0)
@@ -549,7 +550,18 @@ class TestLrt:
     def test_constant_tail_is_refused(self, alternative):
         data = [1] * 20 + [7] * 12
         fit = PowerLawFit(alpha=2.0, xmin=5, ks=0.5, n_tail=12)
-        with pytest.raises(ValueError, match="tail is constant"):
+        with pytest.raises(ValueError, match=r"tail has 1 distinct value\(s\)"):
+            lrt(data, fit, alternative)
+
+    @pytest.mark.parametrize("alternative", ["exponential", "lognormal"])
+    @pytest.mark.parametrize("low, high", [(1, 2), (3, 9)], ids=["neighbours", "apart"])
+    def test_two_valued_tail_is_refused(self, alternative, low, high):
+        # On two neighbouring values the lognormal's sigma -> 0 limit puts the
+        # sample's own proportions on the two cells, whatever they are.
+        data = [low] * 10 + [high] * 15
+        fit = PowerLawFit(alpha=2.0, xmin=low, ks=0.5, n_tail=25)
+        with pytest.raises(ValueError, match=(
+                r"^tail has 2 distinct value\(s\); comparison needs at least 3$")):
             lrt(data, fit, alternative)
 
     def test_unknown_alternative(self):
@@ -683,19 +695,6 @@ class TestLognormalFit:
         assert best.loglik.sum() == pytest.approx(-130.48322, abs=1e-5)
         assert reference_lognormal_tail_loglik(tail, xmin).sum() == pytest.approx(
             -127.433, abs=1e-3)
-
-    def test_two_neighbouring_values_take_the_two_cell_limit(self, caplog):
-        # The supremum is approached as sigma -> 0 with the mode on the cell
-        # edge at 1.5, where the two cells hold the sample's proportions.
-        tail = np.array([1.0] * 10 + [2.0] * 15)
-        with caplog.at_level(logging.WARNING, logger="asnkit.powerlaw"):
-            best = powerlaw._lognormal_tail_loglik(tail, 1.0)
-        assert not caplog.records
-        assert best.loglik.sum() == pytest.approx(
-            10 * math.log(0.4) + 15 * math.log(0.6), rel=1e-14)
-        for sigma in (0.1, 0.01):
-            a, b = math.log(1.5) / sigma**2, 0.5 / sigma**2
-            assert mpmath_lognormal_loglik(tail, 1, a, b).sum() < best.loglik.sum()
 
     def test_each_fit_logs_its_optimum(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="asnkit.powerlaw"):
