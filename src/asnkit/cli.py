@@ -156,6 +156,8 @@ class RunConfig:
             MissingPolicy.from_name(self.missing)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.degree not in _DEGREES:
             raise UsageError(f"degree must be in/out/total, got {self.degree!r}")
         if self.replicates < 100:
@@ -301,12 +303,9 @@ class _Century:
     def hierarchy(self) -> tuple[HierarchyStats | None, str | None]:
         """Hierarchy statistics, or ``None`` and the reason they are undefined."""
         try:
-            stats = hierarchy_stats(
-                self.asn, self.levels, weighted=not self.cfg.unweighted
-            )
+            return hierarchy_stats(self.asn, self.levels), None
         except ValueError as exc:
             return None, str(exc)
-        return stats, None
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +351,13 @@ def _stats(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
 
 
 def _hierarchy(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
-    weighted = not cfg.unweighted
     files = {}
     for r in records:
-        files[f"hierarchy_{r.century}.csv"] = level_csv(
-            r.asn,
-            r.levels,
-            metadata={"seed": cfg.seed, "century": r.century, "weighted": weighted},
-        )
+        meta = {"seed": cfg.seed, "century": r.century, "weighted": r.levels.weighted}
+        files[f"hierarchy_{r.century}.csv"] = level_csv(r.asn, r.levels, metadata=meta)
         payload = {
-            "century": r.century,
-            "seed": cfg.seed,
+            **meta,
             "conventions": _CONVENTIONS,
-            "weighted": weighted,
             # Singular systems get minimum-norm levels, which can lift the
             # heads off 0; this records whether that happened.
             "heads_at_0": bool(np.all(r.levels.forward[r.asn.in_weight() == 0] == 0.0)),

@@ -34,8 +34,7 @@ rules of a token line, pointer jumping over the heads (Wyllie, "The
 complexity of parallel computations", Cornell, 1979) the tree constraints
 and every depth, and :class:`_Verdicts` the missing-annotation policies.
 The reader, :func:`filter_slice` and ``asnkit validate`` run them over many
-sentences; :func:`tree_violations`, :func:`tree_depth` and
-:func:`filter_missing`, on one.
+sentences; :func:`tree_violations` and :func:`tree_depth`, on one.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ __all__ = [
     "CorpusSlice",
     "MissingPolicy",
     "FilterDecision",
-    "filter_missing",
     "filter_slice",
     "CorpusFormatError",
     "CorpusIssue",
@@ -307,18 +305,6 @@ class DependencyTree:
     doc_id: str = ""
     dialect: str | None = None
     target_lemma: str | None = None
-
-    @property
-    def root(self) -> Token:
-        return next(t for t in self.tokens if t.head == 0)
-
-    def children(self) -> dict[int, list[int]]:
-        """Map each token index to the indices of its direct dependents."""
-        out: dict[int, list[int]] = {t.index: [] for t in self.tokens}
-        for t in self.tokens:
-            if t.head != 0:
-                out[t.head].append(t.index)
-        return out
 
 
 def _check_numbering(tokens: Sequence[Token], sentence_id: str) -> None:
@@ -633,7 +619,7 @@ class _Verdicts:
     """A missing-annotation policy over every tree of some columns at once.
 
     Per tree, ``keep``: the policy keeps it; ``unjudged``: the policy cannot
-    judge it (and does not keep it).  :meth:`decision` words one verdict.
+    judge it (and does not keep it).  :meth:`decision` words one drop.
     ``policy`` is a member or its name; an unknown name is a ``ValueError``.
     """
 
@@ -667,47 +653,19 @@ class _Verdicts:
         return f"target lemma {target!r} does not occur, cannot judge adjacency"
 
     def decision(self, i: int) -> FilterDecision:
-        """Tree ``i``'s decision; a ``ValueError`` if it is unjudged."""
-        trees, missing = self.trees, int(self.missing[i])
+        """The decision that drops tree ``i``, which the policy does not keep;
+        a ``ValueError`` if it is unjudged."""
+        trees = self.trees
         if self.unjudged[i]:
             raise ValueError(
                 f"sentence {trees.sentence_id[i]!r}: {self.unjudged_reason(i)}")
-        if self.policy is MissingPolicy.KEEP_ALL:
-            return FilterDecision(True, "policy keeps every tree")
-        if not missing:
-            return FilterDecision(True, "no missing annotations")
         if self.policy is MissingPolicy.DROP_ANY:
-            return FilterDecision(False, f"tree contains {missing} missing annotation(s)")
-        if self.keep[i]:
-            return FilterDecision(True, "missing annotations do not touch the target")
+            return FilterDecision(
+                False, f"tree contains {int(self.missing[i])} missing annotation(s)")
         start = int(trees.offsets[i]) - 1
         m, t = (row - start for row in divmod(int(self.least[i]), self.rows))
         return FilterDecision(False, f"missing neighbor of target: token {m} is adjacent "
                                      f"to {trees.target[i]!r} at token {t}")
-
-
-def filter_missing(
-    tree: DependencyTree, policy: MissingPolicy | str
-) -> FilterDecision:
-    """Decide whether a tree survives the given missing-annotation policy.
-
-    ``drop-any`` drops every tree containing a missing token.  The default
-    pipeline policy ``drop-adjacent-to-target`` drops a tree only when a
-    missing token is the head of, or a direct dependent of, an occurrence of
-    the tree's target lemma — missing material elsewhere does not interfere
-    with identifying how the target is used; the reason names the least
-    (missing token, target token) pair.  ``keep-all`` never drops.
-    ``policy`` is a :class:`MissingPolicy` or its name.
-
-    Raises
-    ------
-    ValueError
-        On a policy name that is not a :class:`MissingPolicy` value.
-        Under ``drop-adjacent-to-target`` when the tree contains missing
-        tokens but carries no target lemma, or the target lemma does not
-        occur, so adjacency cannot be judged.
-    """
-    return _Verdicts(_TreeColumns.from_trees([tree]), policy).decision(0)
 
 
 def filter_slice(
@@ -715,14 +673,17 @@ def filter_slice(
 ) -> tuple[CorpusSlice, list[tuple[DependencyTree, FilterDecision]]]:
     """Apply a missing-annotation policy to every tree of a slice.
 
-    Returns the surviving slice and the list of dropped trees with the
-    decision that dropped them, as :func:`filter_missing` gives it; only
-    the dropped trees are built.
-
-    Raises
-    ------
-    ValueError
-        As :func:`filter_missing` does, for the first tree it raises for.
+    ``drop-any`` drops every tree containing a missing token.  The default
+    pipeline policy ``drop-adjacent-to-target`` drops a tree only when a
+    missing token is the head of, or a direct dependent of, an occurrence of
+    the tree's target lemma — missing material elsewhere does not interfere
+    with identifying how the target is used; the reason names the least
+    (missing token, target token) pair.  ``keep-all`` never drops.
+    ``policy`` is a :class:`MissingPolicy` or its name; an unknown name is
+    a ``ValueError``, and so is the first tree the adjacency policy cannot
+    judge (it has missing tokens and no target lemma, or the target lemma
+    does not occur).  Returns the surviving slice and the dropped trees,
+    each with the decision that dropped it; only those trees are built.
     """
     trees = corpus_slice.trees
     verdicts = _Verdicts(trees, policy)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hierarchy import HierarchyLevels, HierarchyStats, _level_order
+from .hierarchy import HierarchyLevels, HierarchyStats, _check_aligned, _level_order
 from .network import Asn, NodeKey
 
 __all__ = [
@@ -64,8 +64,10 @@ class EmergenceEvent:
 def _validate_slices(
     slices: Sequence[tuple[Asn, HierarchyLevels]]
 ) -> list[int]:
+    """The series' centuries, after the checks that every reader shares."""
     centuries: list[int] = []
-    for asn, _levels in slices:
+    for asn, levels in slices:
+        _check_aligned(asn, levels)
         if asn.century is None:
             raise ValueError("every network in a series needs a century")
         centuries.append(asn.century)
@@ -105,28 +107,17 @@ def track(
         points = []
         for i, (asn, levels) in enumerate(slices):
             node = asn.index.get(key)
-            if node is not None:
-                points.append(
-                    TrajectoryPoint(
-                        century=centuries[i],
-                        present=True,
-                        level=float(levels.forward[node]),
-                        level_rank=int(ranks[i][node]),
-                        frequency=int(asn.frequency[node]),
-                        is_head=bool(no_in[i][node]),
-                    )
+            absent = node is None
+            points.append(
+                TrajectoryPoint(
+                    century=centuries[i],
+                    present=not absent,
+                    level=None if absent else float(levels.forward[node]),
+                    level_rank=None if absent else int(ranks[i][node]),
+                    frequency=0 if absent else int(asn.frequency[node]),
+                    is_head=not absent and bool(no_in[i][node]),
                 )
-            else:
-                points.append(
-                    TrajectoryPoint(
-                        century=centuries[i],
-                        present=False,
-                        level=None,
-                        level_rank=None,
-                        frequency=0,
-                        is_head=False,
-                    )
-                )
+            )
         trajectories.append(HeadTrajectory(key=key, points=tuple(points)))
     return trajectories
 

@@ -21,7 +21,8 @@ solution is projected with the null vectors the same factor gives.  Pinned
 levels are exactly 0 on a nonsingular system; levels are shifted so their
 minimum is exactly 0.  Backward levels apply the same construction to
 out-edges, measuring distance from the bottom of the hierarchy instead of
-the top.
+the top.  Unweighted, every edge counts as 1; :class:`HierarchyLevels`
+records that ``weighted`` choice, and :func:`hierarchy_stats` follows it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Mapping
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-# The first name is unused here; perfbench/tracing.py looks it up (ROADMAP item 3).
+# The first name is unused here; perfbench/tracing.py looks it up (ROADMAP item 4).
 from scipy.sparse.linalg import lsqr, splu
 
 from .network import Asn, NodeKey, _csv_table
@@ -41,27 +42,13 @@ from .network import Asn, NodeKey, _csv_table
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "LevelSolution",
     "HierarchyLevels",
     "HierarchyStats",
-    "forward_levels",
-    "backward_levels",
     "hierarchy_levels",
     "hierarchy_stats",
     "influence_ranking",
     "level_csv",
 ]
-
-
-@dataclass(frozen=True)
-class LevelSolution:
-    """Levels for one direction plus the residual norm of the level system.
-
-    ``levels`` is a float array aligned with ``asn.keys``.
-    """
-
-    levels: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -73,12 +60,15 @@ class HierarchyLevels:
     is at numerical zero when the system is nonsingular (exact propagation,
     or LU in hubs-last order); on a singular system, whose minimum-norm
     least-squares solution the same LU projects, it measures how far the
-    equations are from holding.
+    equations are from holding.  ``weighted`` records whether the edges
+    counted with their weights or as 1 each; :func:`hierarchy_stats`
+    averages the edge differences the same way.
     """
 
     forward: np.ndarray
     backward: np.ndarray
     residual: float
+    weighted: bool
 
 
 @dataclass(frozen=True)
@@ -88,8 +78,9 @@ class HierarchyStats:
     For each edge (u -> v) the difference is ``h = s(v) - s(u)`` computed
     with forward levels.  The democracy coefficient is 1 minus the weighted
     mean of ``h``; the hierarchical incoherence is the weighted population
-    variance of ``h``.  A perfectly layered graph has democracy 0 and
-    incoherence 0; a two-node cycle has equal levels and hence democracy 1.
+    variance of ``h``, both weighted as the levels were.  A perfectly layered
+    graph has democracy 0 and incoherence 0; a two-node cycle has equal
+    levels and hence democracy 1.
     """
 
     democracy: float
@@ -136,14 +127,16 @@ def _propagate_exact(
     return np.array(levels)
 
 
-def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
-    """Levels of one direction from one level system: exact propagation on
-    an acyclic graph, and the minimum-norm least-squares solution by one
-    sparse LU factorization on any other."""
+def _solve_direction(
+    asn: Asn, direction: str, weighted: bool
+) -> tuple[np.ndarray, float]:
+    """Levels of one direction and the residual norm of their level system:
+    exact propagation on an acyclic graph, and the minimum-norm
+    least-squares solution by one sparse LU factorization on any other."""
     src, dst, wgt = _edge_arrays(asn, direction, weighted)
     n = asn.node_count
     if n == 0:
-        return LevelSolution(levels=np.zeros(0), residual=0.0)
+        return np.zeros(0), 0.0
 
     w_in = np.zeros(n)
     np.add.at(w_in, dst, wgt)
@@ -173,7 +166,7 @@ def _solve_direction(asn: Asn, direction: str, weighted: bool) -> LevelSolution:
     # moves pinned rows off their s=0 target but does not change edge
     # differences).
     residual = float(np.linalg.norm(matrix @ levels - b))
-    return LevelSolution(levels=levels - levels.min(), residual=residual)
+    return levels - levels.min(), residual
 
 
 def _lu_min_norm(matrix, b, anchors, src, dst) -> tuple[np.ndarray, int]:
@@ -242,67 +235,40 @@ def _system_matrix(n, src, dst, wgt, w_in):
     return matrix, b
 
 
-def forward_levels(asn: Asn, weighted: bool = True) -> LevelSolution:
-    """Forward hierarchical levels: distance below the in-degree-0 heads.
-
-    Levels are normalized so the minimum is exactly 0.  On an acyclic
-    network the levels come from exact propagation and equal weighted
-    depths.  Otherwise they are the minimum-norm least-squares solution,
-    from one sparse LU factorization with the nodes in ascending degree
-    order.  When every node is reachable from an in-degree-0 head that is
-    the unique solution, the heads sit at exactly 0 and, as on an acyclic
-    network, the returned residual is at numerical zero.  When a closed
-    class (a strong component that nothing outside it feeds) makes the
-    system singular, the heads need not sit at 0.
-    """
-    return _solve_direction(asn, "forward", weighted)
-
-
-def backward_levels(asn: Asn, weighted: bool = True) -> LevelSolution:
-    """Backward hierarchical levels: the same construction on reversed edges."""
-    return _solve_direction(asn, "backward", weighted)
-
-
 def hierarchy_levels(asn: Asn, weighted: bool = True) -> HierarchyLevels:
-    """Solve both directions and bundle them."""
-    fwd = forward_levels(asn, weighted=weighted)
-    bwd = backward_levels(asn, weighted=weighted)
+    """Forward and backward levels of a network, solved as the module
+    docstring describes; ``weighted=False`` counts every edge as 1."""
+    forward, fwd_residual = _solve_direction(asn, "forward", weighted)
+    backward, bwd_residual = _solve_direction(asn, "backward", weighted)
     return HierarchyLevels(
-        forward=fwd.levels,
-        backward=bwd.levels,
-        residual=max(fwd.residual, bwd.residual),
+        forward=forward,
+        backward=backward,
+        residual=max(fwd_residual, bwd_residual),
+        weighted=weighted,
     )
 
 
-def _forward_levels(asn: Asn, levels) -> np.ndarray:
-    """Forward levels aligned with ``asn.keys`` from any accepted form."""
-    if isinstance(levels, HierarchyLevels):
-        return levels.forward
-    if isinstance(levels, LevelSolution):
-        return levels.levels
-    if isinstance(levels, Mapping):
-        return np.array([levels[key] for key in asn.keys], dtype=np.float64)
-    return np.asarray(levels, dtype=np.float64)
+def _check_aligned(asn: Asn, levels: HierarchyLevels) -> None:
+    """A ``ValueError`` unless ``levels`` hold one level per node of ``asn``."""
+    size = levels.forward.size
+    if size != asn.node_count:
+        raise ValueError(f"levels hold {size} nodes, the network has {asn.node_count}")
 
 
-def hierarchy_stats(asn: Asn, levels, weighted: bool = True) -> HierarchyStats:
+def hierarchy_stats(asn: Asn, levels: HierarchyLevels) -> HierarchyStats:
     """Democracy coefficient and hierarchical incoherence of a network.
 
-    ``levels`` may be a :class:`HierarchyLevels`, a :class:`LevelSolution`,
-    an array aligned with ``asn.keys``, or a node -> level mapping; forward
-    levels are used.  Statistics are invariant to a uniform shift of the
-    levels.
-
-    Raises
-    ------
-    ValueError
-        On a network with no edges, where edge differences are undefined.
+    The forward levels are used, and the edge differences are averaged with
+    the edge weights when ``levels.weighted``, else with weight 1 each.
+    Statistics are invariant to a uniform shift of the levels.  Levels of
+    another network, or a network with no edges, are a ``ValueError``.
     """
+    _check_aligned(asn, levels)
     if not asn.edge_count:
         raise ValueError("hierarchy statistics are undefined on an edgeless network")
-    fwd = _forward_levels(asn, levels)
+    fwd = levels.forward
     h = fwd[asn.dst] - fwd[asn.src]
-    w = asn.weight.astype(np.float64) if weighted else np.ones(asn.edge_count)
+    _, _, w = _edge_arrays(asn, "forward", levels.weighted)
     total = w.sum()
     mean = float((w * h).sum() / total)
     incoherence = float((w * (h - mean) ** 2).sum() / total)
@@ -317,15 +283,18 @@ def _level_order(fwd: np.ndarray, out_w: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(fwd.size), -out_w, fwd))
 
 
-def influence_ranking(asn: Asn, levels) -> list[tuple[NodeKey, float, int]]:
+def influence_ranking(
+    asn: Asn, levels: HierarchyLevels
+) -> list[tuple[NodeKey, float, int]]:
     """Nodes sorted by forward level ascending: level 0 is the top.
 
     Ties are broken by total outgoing weight (descending), then by
     (role, lemma).  Returns (key, forward level, out-weight) triples, so the
-    1-based position in the list is a node's level rank.
+    1-based position in the list is a node's level rank.  Levels of another
+    network are a ``ValueError``.
     """
-    fwd = _forward_levels(asn, levels)
-    out_w = asn.out_weight()
+    _check_aligned(asn, levels)
+    fwd, out_w = levels.forward, asn.out_weight()
     order = _level_order(fwd, out_w)
     return [
         (asn.keys[i], f, w)
@@ -342,7 +311,9 @@ def level_csv(
     out_weight``; rows sorted by (role, lemma).  The forward level axis
     points downward from the heads, so plots typically invert it; the
     metadata comment carries ``axis=inverted`` to record that convention.
+    Levels of another network are a ``ValueError``.
     """
+    _check_aligned(asn, levels)
     meta = {"axis": "inverted", "levels": "min0"}
     if metadata:
         meta.update(metadata)

@@ -24,7 +24,6 @@ from asnkit import (
     detect_emergent_heads,
     depth_vs_diameter,
     fit_power_law,
-    forward_levels,
     hierarchy_levels,
     hierarchy_stats,
     parse_corpus,
@@ -93,7 +92,7 @@ def test_criterion_02_forward_levels_equal_depths_on_random_trees():
         heads = random_tree_heads(rng, n)
         tree = validate_tree(_noun_tokens(heads), sentence_id="t", century=14)
         asn = aggregate([tree])
-        levels = forward_levels(asn).levels
+        levels = hierarchy_levels(asn).forward
         for position in range(1, n + 1):
             depth, node = 0, heads[position - 1]
             while node != 0:
@@ -116,7 +115,7 @@ def test_criterion_03_solver_matches_dense_minimum_norm_oracle():
         if not asn.edge_count:
             continue
         done += 1
-        levels = forward_levels(asn).levels
+        levels = hierarchy_levels(asn).forward
         for key, expected in dense_levels(asn).items():
             assert abs(levels[asn.index[key]] - expected) <= 1e-8
     assert time.perf_counter() - start < 10.0

@@ -1,0 +1,31 @@
+"""The public namespace is the documented one."""
+
+import importlib
+import re
+from pathlib import Path
+
+import asnkit
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def documented_api() -> dict[str, list[str]]:
+    """Module -> names, in order, from README's "Public API" section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    modules: dict[str, list[str]] = {}
+    for line in section.splitlines():
+        heading = re.fullmatch(r"### `([\w.]+)`", line)
+        if heading:
+            names = modules.setdefault(heading.group(1), [])
+        elif line.startswith("- "):
+            names.append(re.match(r"- `(\w+)`: \S", line).group(1))
+    return modules
+
+
+def test_readme_lists_every_public_name_under_its_module():
+    modules = documented_api()
+    assert [name for names in modules.values() for name in names] == asnkit.__all__
+    for module, names in modules.items():
+        if module != "asnkit":  # the package adds its own names last
+            assert names == importlib.import_module(module).__all__, module

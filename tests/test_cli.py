@@ -151,6 +151,19 @@ class TestExitCodes:
         assert "ROLE lemma" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_fails_before_any_work(self, tmp_path, capsys, source):
+        out = tmp_path / "o"
+        if source == "flag":
+            options = ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -1\n", encoding="utf-8")
+            options = ["--config", str(cfg)]
+        assert run("analyze", DEMO, *options, "--out", str(out)) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_corpus_after_policy_is_one(self, tmp_path, capsys):
         text = ("# century = 14\n# target = kumt\n"
                 "1\t!\t!\t_\t2\t_\n2\tkumt\tkumt\tV\t0\t_\n")

@@ -16,6 +16,7 @@ from asnkit import (
     CorpusFormatError,
     CorpusSlice,
     DependencyTree,
+    FilterDecision,
     GrammaticalRole,
     MissingPolicy,
     Token,
@@ -25,7 +26,6 @@ from asnkit import (
     classify_phrase_rule,
     demo_corpus_path,
     depth_vs_diameter,
-    filter_missing,
     filter_slice,
     load_corpus,
     parse_corpus,
@@ -46,7 +46,6 @@ from oracles import (
     random_tree_heads,
     reference_aggregate,
     reference_audit,
-    reference_filter_missing,
     reference_filter_slice,
     reference_parse,
     reference_tree_violations,
@@ -187,8 +186,7 @@ class TestTreeViolations:
 class TestValidateAndDepth:
     def test_validate_returns_tree(self):
         tree = validate_tree(toks([2, 0, 2]), sentence_id="s1", century=14)
-        assert tree.root.index == 2
-        assert tree.children()[2] == [1, 3]
+        assert tree == DependencyTree("s1", 14, tuple(toks([2, 0, 2])))
 
     def test_violations_raise_with_sentence_id(self):
         with pytest.raises(TreeValidationError, match="s9"):
@@ -496,9 +494,17 @@ def _outcome(decide, *args):
         return str(exc)
 
 
+def filter_one(tree, policy):
+    """``filter_slice`` on a one-tree slice: ``None`` if the policy keeps the
+    tree, else the decision that drops it."""
+    kept, dropped = filter_slice(CorpusSlice(tree.century, [tree]), policy)
+    assert [*kept.trees, *(dropped_tree for dropped_tree, _ in dropped)] == [tree]
+    return dropped[0][1] if dropped else None
+
+
 def _check_filter(corpus_slice, policy, each_tree=True):
     """``filter_slice`` keeps, drops and raises as the per-tree reference,
-    and ``filter_missing`` decides each tree as it does."""
+    on the slice and on each of its trees alone."""
     want = _outcome(reference_filter_slice, corpus_slice, policy)
     got = _outcome(filter_slice, corpus_slice, policy)
     if isinstance(got, tuple):
@@ -508,8 +514,8 @@ def _check_filter(corpus_slice, policy, each_tree=True):
         got = (list(kept.trees), dropped)
     assert got == want
     for tree in corpus_slice.trees if each_tree else ():
-        assert (_outcome(filter_missing, tree, policy)
-                == _outcome(reference_filter_missing, tree, policy))
+        one = CorpusSlice(corpus_slice.century, [tree], corpus_slice.provenance)
+        _check_filter(one, policy, each_tree=False)
 
 
 class TestBulkReaderMatchesReference:
@@ -543,8 +549,8 @@ class TestBulkReaderMatchesReference:
             assert got.trees.depth.tolist() == [
                 depth_of_heads([t.head for t in tree.tokens]) for tree in trees
             ]
-            # filter_missing reads a tree, not the reader's columns, so one
-            # chunk size covers it.
+            # A one-tree slice holds columns built from the tree, not the
+            # reader's, so one chunk size covers it.
             for policy in MissingPolicy:
                 _check_filter(got, policy, each_tree=chunk_lines == 4096)
 
@@ -629,18 +635,18 @@ class TestMissingPolicies:
 
     def test_keep_all_keeps_everything(self):
         tree = self._tree(True)
-        decision = filter_missing(tree, MissingPolicy.KEEP_ALL)
-        assert decision.keep
+        assert filter_one(tree, MissingPolicy.KEEP_ALL) is None
 
     def test_drop_any_drops_on_any_missing(self):
         tree = self._tree(True)
-        assert not filter_missing(tree, MissingPolicy.DROP_ANY).keep
+        decision = filter_one(tree, MissingPolicy.DROP_ANY)
+        assert decision == FilterDecision(False, "tree contains 2 missing annotation(s)")
         clean = validate_tree(toks([0, 1]), sentence_id="c", century=14)
-        assert filter_missing(clean, MissingPolicy.DROP_ANY).keep
+        assert filter_one(clean, MissingPolicy.DROP_ANY) is None
 
     def test_drop_adjacent_drops_neighbor_of_target(self):
         tree = self._tree(True)
-        decision = filter_missing(tree, MissingPolicy.DROP_ADJACENT_TO_TARGET)
+        decision = filter_one(tree, MissingPolicy.DROP_ADJACENT_TO_TARGET)
         assert not decision.keep
         assert "adjacent" in decision.reason
 
@@ -658,8 +664,7 @@ class TestMissingPolicies:
         ]
         tree = validate_tree(tokens, sentence_id="s", century=14,
                              target_lemma="werden")
-        decision = filter_missing(tree, MissingPolicy.DROP_ADJACENT_TO_TARGET)
-        assert decision.keep
+        assert filter_one(tree, MissingPolicy.DROP_ADJACENT_TO_TARGET) is None
 
     def test_drop_adjacent_needs_target(self):
         tokens = [
@@ -670,7 +675,7 @@ class TestMissingPolicies:
         ]
         tree = validate_tree(tokens, sentence_id="s", century=14)
         with pytest.raises(ValueError, match="target"):
-            filter_missing(tree, MissingPolicy.DROP_ADJACENT_TO_TARGET)
+            filter_one(tree, MissingPolicy.DROP_ADJACENT_TO_TARGET)
 
     def test_policy_names_round_trip(self):
         for policy in MissingPolicy:
@@ -684,13 +689,12 @@ class TestMissingPolicies:
         corpus_slice = load_corpus([demo_corpus_path()])[0]
         for policy in MissingPolicy:
             for one in (tree, clean):
-                assert (filter_missing(one, policy.value)
-                        == filter_missing(one, policy))
+                assert filter_one(one, policy.value) == filter_one(one, policy)
             assert (filter_slice(corpus_slice, policy.value)
                     == filter_slice(corpus_slice, policy))
         for one in (tree, clean):
             with pytest.raises(ValueError, match="unknown missing policy 'adjacent'"):
-                filter_missing(one, "adjacent")
+                filter_one(one, "adjacent")
         with pytest.raises(ValueError, match="unknown missing policy 'adjacent'"):
             filter_slice(corpus_slice, "adjacent")
 

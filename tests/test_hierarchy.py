@@ -1,5 +1,6 @@
 """Hierarchical level solving and hierarchy statistics."""
 
+import dataclasses
 import logging
 import math
 from collections import Counter
@@ -14,8 +15,7 @@ from asnkit import (
     GrammaticalRole,
     Token,
     aggregate,
-    backward_levels,
-    forward_levels,
+    detect_emergent_heads,
     heads,
     hierarchy_levels,
     hierarchy_stats,
@@ -39,39 +39,38 @@ from oracles import (
 )
 
 
-def levels_by_lemma(asn, solution):
-    return {k.lemma: v for k, v in zip(asn.keys, solution.levels.tolist())}
+def levels_by_lemma(asn, levels):
+    return {k.lemma: v for k, v in zip(asn.keys, levels.tolist())}
 
 
 class TestExactPropagation:
     def test_chain(self):
         asn = make_asn([("a", "b", 1), ("b", "c", 1)])
-        fwd = forward_levels(asn)
-        assert levels_by_lemma(asn, fwd) == {"a": 0.0, "b": 1.0, "c": 2.0}
-        assert fwd.residual <= 1e-12
-        bwd = backward_levels(asn)
-        assert levels_by_lemma(asn, bwd) == {"a": 2.0, "b": 1.0, "c": 0.0}
+        both = hierarchy_levels(asn)
+        assert levels_by_lemma(asn, both.forward) == {"a": 0.0, "b": 1.0, "c": 2.0}
+        assert both.residual <= 1e-12
+        assert levels_by_lemma(asn, both.backward) == {"a": 2.0, "b": 1.0, "c": 0.0}
 
     def test_isolated_node_sits_at_zero(self):
         asn = make_asn([("a", "b", 1)], isolated=["lone"])
-        assert levels_by_lemma(asn, forward_levels(asn))["lone"] == 0.0
+        assert levels_by_lemma(asn, hierarchy_levels(asn).forward)["lone"] == 0.0
 
     def test_weighted_merge(self):
         # c hears from a (weight 3, level 0) and b (weight 1, level 1):
         # level(c) = 1 + (3*0 + 1*1)/4
         asn = make_asn([("a", "b", 1), ("a", "c", 3), ("b", "c", 1)])
-        fwd = levels_by_lemma(asn, forward_levels(asn))
+        fwd = levels_by_lemma(asn, hierarchy_levels(asn).forward)
         assert fwd["c"] == pytest.approx(1.25, abs=1e-12)
 
     def test_unweighted_flag_ignores_multiplicity(self):
         asn = make_asn([("a", "b", 1), ("a", "c", 3), ("b", "c", 1)])
-        fwd = levels_by_lemma(asn, forward_levels(asn, weighted=False))
+        fwd = levels_by_lemma(asn, hierarchy_levels(asn, weighted=False).forward)
         assert fwd["c"] == pytest.approx(1.5, abs=1e-12)
 
     def test_diamond(self):
         asn = make_asn([("a", "b", 2), ("a", "c", 1),
                         ("b", "d", 1), ("c", "d", 3)])
-        fwd = levels_by_lemma(asn, forward_levels(asn))
+        fwd = levels_by_lemma(asn, hierarchy_levels(asn).forward)
         assert fwd == {"a": 0.0, "b": 1.0, "c": 1.0, "d": 2.0}
 
     @given(st.integers(min_value=0, max_value=10_000),
@@ -87,8 +86,8 @@ class TestExactPropagation:
         ]
         tree = validate_tree(tokens, sentence_id="s", century=14)
         asn = aggregate([tree])
-        fwd = forward_levels(asn)
-        assert fwd.residual <= 1e-12
+        both = hierarchy_levels(asn)
+        assert both.residual <= 1e-12
         depth = {}
         for i, h in enumerate(heads_vec, start=1):
             node, d = i, 0
@@ -96,48 +95,50 @@ class TestExactPropagation:
                 node = heads_vec[node - 1]
                 d += 1
             depth[f"w{i}"] = d
-        assert levels_by_lemma(asn, fwd) == pytest.approx(depth, abs=1e-12)
+        assert levels_by_lemma(asn, both.forward) == pytest.approx(depth, abs=1e-12)
 
 
 class TestLeastSquares:
     def test_two_cycle_levels_tie(self):
         asn = make_asn([("a", "b", 1), ("b", "a", 1)])
-        fwd = forward_levels(asn)
-        by = levels_by_lemma(asn, fwd)
+        both = hierarchy_levels(asn)
+        by = levels_by_lemma(asn, both.forward)
         assert by["a"] == by["b"] == 0.0
-        # both equations miss by exactly 1, so the residual norm is sqrt(2)
-        assert fwd.residual == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        # in each direction both equations miss by exactly 1, so the
+        # residual norm is sqrt(2)
+        assert both.residual == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_matches_dense_pseudoinverse_on_random_digraphs(self):
         rng = np.random.default_rng(20260813)
         for _ in range(40):
             asn = random_asn(rng, int(rng.integers(2, 9)))
-            fwd = forward_levels(asn)
+            fwd = hierarchy_levels(asn).forward
             oracle = dense_levels(asn)
             for key, level in oracle.items():
-                assert fwd.levels[asn.index[key]] == pytest.approx(level, abs=1e-8)
+                assert fwd[asn.index[key]] == pytest.approx(level, abs=1e-8)
 
     def test_backward_is_forward_of_reversed(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             asn = random_asn(rng, int(rng.integers(2, 9)))
-            bwd = backward_levels(asn)
-            fwd_rev = forward_levels(reverse(asn))
-            assert np.array_equal(bwd.levels, fwd_rev.levels)
+            bwd = hierarchy_levels(asn).backward
+            fwd_rev = hierarchy_levels(reverse(asn)).forward
+            assert np.array_equal(bwd, fwd_rev)
 
     def test_levels_are_min_shifted_to_zero(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             asn = random_asn(rng, int(rng.integers(2, 9)))
-            values = forward_levels(asn).levels.tolist()
+            values = hierarchy_levels(asn).forward.tolist()
             assert min(values) == 0.0
 
-    def test_hierarchy_levels_bundles_both_directions(self):
-        asn = make_asn([("a", "b", 1), ("b", "c", 1)])
-        both = hierarchy_levels(asn)
-        assert np.array_equal(both.forward, forward_levels(asn).levels)
-        assert np.array_equal(both.backward, backward_levels(asn).levels)
-        assert both.residual >= 0.0
+    def test_levels_record_their_weighting(self):
+        asn = make_asn([("a", "b", 1), ("a", "c", 3), ("b", "c", 1)])
+        weighted = hierarchy_levels(asn)
+        unweighted = hierarchy_levels(asn, weighted=False)
+        assert weighted.weighted is True and unweighted.weighted is False
+        assert weighted.forward.tolist() == [0.0, 1.0, 1.25]
+        assert unweighted.forward.tolist() == [0.0, 1.0, 1.5]
 
     def test_empty_network_has_no_levels(self):
         asn = make_asn([])
@@ -226,13 +227,13 @@ class TestSolverChoice:
         fills = factor_fills(monkeypatch)
         asn = make_asn(edges)
         with caplog.at_level(logging.DEBUG, logger="asnkit.hierarchy"):
-            fwd = forward_levels(asn)
-        [(_nnz, fill)] = fills
-        assert [r.getMessage() for r in caplog.records] == [
+            fwd = hierarchy_levels(asn).forward
+        (_nnz, fill), *_backward = fills
+        assert caplog.records[0].getMessage() == (
             f"forward levels: LU on {asn.node_count} nodes, {asn.edge_count} "
-            f"edges, {closed} closed classes, fill {fill}"]
+            f"edges, {closed} closed classes, fill {fill}")
         for key, level in dense_levels(asn).items():
-            assert fwd.levels[asn.index[key]] == pytest.approx(level, abs=1e-8)
+            assert fwd[asn.index[key]] == pytest.approx(level, abs=1e-8)
 
     def test_random_graphs_reach_both_kinds_of_lu_solve(self, monkeypatch):
         closed = Counter()
@@ -249,7 +250,7 @@ class TestSolverChoice:
             asn = random_asn(rng, int(rng.integers(2, 9)))
             if asn.edge_count:
                 done += 1
-                forward_levels(asn)
+                hierarchy_levels(asn)
         assert closed[0] >= 1 and closed[1] >= 1
 
     def test_acyclic_graph_is_never_factored(self, monkeypatch):
@@ -259,7 +260,7 @@ class TestSolverChoice:
         both = hierarchy_levels(asn)
         assert both.residual <= 1e-12
         # b = 1, c = 1 + (0 + 1) / 2, d = 1 + (1 * b + 3 * c) / 4, exactly
-        assert levels_by_lemma(asn, forward_levels(asn))["d"] == 2.375
+        assert levels_by_lemma(asn, both.forward)["d"] == 2.375
 
     def test_each_direction_logs_its_solver(self, monkeypatch, caplog):
         # forward: the closed 2-cycle a <-> b and the self-loop-only node d;
@@ -311,8 +312,9 @@ class TestLuMatchesLsqr:
             n = int(rng.integers(3, 12 if case % 2 else 301))
             asn = make_asn(nonsingular_cyclic_edges(rng, n),
                            isolated=[f"n{i}" for i in range(n)])
-            fwd = forward_levels(asn, weighted=weighted).levels
-            assert calls["LU"] == case + 1
+            fwd = hierarchy_levels(asn, weighted=weighted).forward
+            # the 2-cycle makes both directions cyclic
+            assert calls["LU"] == 2 * (case + 1)
 
             src, dst, wgt = asnkit.hierarchy._edge_arrays(asn, "forward", weighted)
             w_in = np.bincount(dst, weights=wgt, minlength=n)
@@ -390,9 +392,10 @@ class TestHubsLastLu:
             # every node of the reversed network reaches a pinned sink, so
             # its backward direction takes the LU path too
             for net, backward in ((asn, False), (reverse(asn), True)):
-                solve = backward_levels if backward else forward_levels
-                levels = solve(net, weighted=weighted).levels
-                assert len(fills) == 2 * case + 1 + backward
+                both = hierarchy_levels(net, weighted=weighted)
+                levels = both.backward if backward else both.forward
+                # each solve factors both directions, both cyclic
+                assert len(fills) == 2 * (2 * case + 1 + backward)
                 expected = mmd_lu_levels(net, weighted=weighted, backward=backward)
                 assert np.abs(levels - expected).max() <= 1e-10
                 pinned = (net.out_weight() if backward else net.in_weight()) == 0
@@ -408,8 +411,8 @@ class TestHubsLastLu:
                        + [(leaf, "a", 1) for leaf in leaves] + [("z", "a", 1)])
         assert asn.node_count == n and asn.keys[0] == nkey("a")
         fills = factor_fills(monkeypatch)
-        levels = forward_levels(asn).levels
-        [(nnz, fill)] = fills
+        levels = hierarchy_levels(asn).forward
+        (nnz, fill), _backward = fills
         assert fill <= 2 * (nnz + n)
         # hub: s = 1 + (1998 (1 + s) + 0) / 1999, so s = 3997; leaves 3998
         assert levels[asn.index[nkey("z")]] == 0.0
@@ -446,22 +449,23 @@ class TestHierarchyStats:
             {("a", "b"): 1.0, ("b", "c"): 0.5, ("a", "c"): 1.5}, abs=1e-12
         )
 
-    def test_matches_loop_oracle_on_random_graphs(self):
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_matches_loop_oracle_on_random_graphs(self, weighted):
         rng = np.random.default_rng(99)
         for _ in range(25):
             asn = random_asn(rng, int(rng.integers(2, 9)))
             if not asn.edge_count:
                 continue
-            levels = hierarchy_levels(asn)
+            levels = hierarchy_levels(asn, weighted=weighted)
             stats = hierarchy_stats(asn, levels)
-            demo, inco = hierarchy_stats_oracle(asn, levels.forward)
+            demo, inco = hierarchy_stats_oracle(asn, levels.forward, weighted=weighted)
             assert stats.democracy == pytest.approx(demo, abs=1e-10)
             assert stats.incoherence == pytest.approx(inco, abs=1e-10)
 
-    def test_accepts_plain_mapping_and_is_shift_invariant(self):
+    def test_is_shift_invariant(self):
         asn = make_asn([("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
-        base = dict(zip(asn.keys, hierarchy_levels(asn).forward.tolist()))
-        shifted = {k: v + 17.5 for k, v in base.items()}
+        base = hierarchy_levels(asn)
+        shifted = dataclasses.replace(base, forward=base.forward + 17.5)
         one = hierarchy_stats(asn, base)
         other = hierarchy_stats(asn, shifted)
         assert other.democracy == pytest.approx(one.democracy, abs=1e-12)
@@ -469,9 +473,11 @@ class TestHierarchyStats:
 
     def test_weighted_flag_changes_the_averaging(self):
         asn = make_asn([("a", "b", 9), ("b", "c", 1), ("a", "c", 1)])
-        levels = {nkey("a"): 0.0, nkey("b"): 1.0, nkey("c"): 1.0}
-        weighted = hierarchy_stats(asn, levels, weighted=True)
-        unweighted = hierarchy_stats(asn, levels, weighted=False)
+        set_by_hand = np.array([0.0, 1.0, 1.0])  # a, b, c
+        levels = dataclasses.replace(hierarchy_levels(asn), forward=set_by_hand)
+        assert levels.weighted is True
+        weighted = hierarchy_stats(asn, levels)
+        unweighted = hierarchy_stats(asn, dataclasses.replace(levels, weighted=False))
         # weighted mean = (9*1 + 1*0 + 1*1)/11, unweighted = 2/3
         assert weighted.democracy == pytest.approx(1 - 10 / 11, abs=1e-12)
         assert unweighted.democracy == pytest.approx(1 - 2 / 3, abs=1e-12)
@@ -479,7 +485,34 @@ class TestHierarchyStats:
     def test_edgeless_network_rejected(self):
         asn = make_asn([], isolated=["a"])
         with pytest.raises(ValueError, match="edgeless"):
-            hierarchy_stats(asn, {nkey("a"): 0.0})
+            hierarchy_stats(asn, hierarchy_levels(asn))
+
+
+#: Every entry that reads a network together with its levels.
+LEVEL_READERS = {
+    "hierarchy_stats": hierarchy_stats,
+    "influence_ranking": influence_ranking,
+    "level_csv": level_csv,
+    "track": lambda asn, levels: track([nkey("a")], [(asn, levels)]),
+    "detect_emergent_heads": lambda asn, levels: detect_emergent_heads([(asn, levels)]),
+}
+
+
+class TestMisalignedLevels:
+    """Levels of another network are refused by every entry, naming both
+    sizes, instead of giving wrong numbers or a numpy error."""
+
+    @pytest.mark.parametrize("read", LEVEL_READERS.values(), ids=LEVEL_READERS)
+    def test_levels_of_another_network_are_refused(self, read):
+        three = make_asn([("a", "b", 1), ("b", "c", 1)], century=14)
+        seven = make_asn([("a", "b", 1), ("a", "c", 2), ("c", "d", 1), ("d", "e", 1),
+                          ("e", "c", 1), ("b", "f", 3), ("f", "g", 1)], century=14)
+        for asn, other in ((three, seven), (seven, three)):
+            read(asn, hierarchy_levels(asn))
+            with pytest.raises(ValueError, match=(
+                    f"^levels hold {other.node_count} nodes, "
+                    f"the network has {asn.node_count}$")):
+                read(asn, hierarchy_levels(other))
 
 
 class TestRankingAndHistogram:
