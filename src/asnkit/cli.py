@@ -261,10 +261,10 @@ def _load_filtered(cfg: RunConfig) -> tuple[list[CorpusSlice], list[str]]:
     drop_lines: list[str] = []
     for corpus_slice in slices:
         filtered, dropped = filter_slice(corpus_slice, cfg.policy)
-        for tree, decision in dropped:
+        for decision in dropped:
             drop_lines.append(
                 f"century {corpus_slice.century} sentence "
-                f"{tree.sentence_id!r}: {decision.reason}"
+                f"{decision.sentence_id!r}: {decision.reason}"
             )
         if not filtered.trees:
             raise ValueError(_left_empty(corpus_slice.century, cfg))

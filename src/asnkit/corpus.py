@@ -1,13 +1,13 @@
-"""Corpus model: grammatical roles, tokens, dependency trees, and treebank I/O.
+"""Corpus model: grammatical roles, treebank reading, and missing annotations.
 
 A corpus is a set of manually annotated sentences.  Every sentence is a
 dependency tree: one root token points to head 0, every other token points to
 exactly one head inside the sentence, and every token is reachable from the
-root.  Trees carry the century they were written in so that downstream
+root.  Sentences carry the century they were written in so that downstream
 aggregation can build one network per century.
 
-The on-disk format is a plain-text treebank: ``# key = value`` header lines
-set metadata for the sentences that follow, sentences are separated by blank
+The one way in is a plain-text treebank: ``# key = value`` header lines set
+metadata for the sentences that follow, sentences are separated by blank
 lines, and each token line has exactly six tab-separated columns::
 
     INDEX<TAB>SURFACE<TAB>LEMMA<TAB>ROLE<TAB>HEAD<TAB>RULE
@@ -24,9 +24,9 @@ lists them all.
 The reader works in bulk.  One regular expression finds the header, comment
 and blank lines of a source; the token lines between them are split and
 checked a few thousand at a time, column by column.  What the reader keeps
-are columns, not tokens: :attr:`CorpusSlice.trees` is a lazy
-``Sequence[DependencyTree]`` over them, with an O(1) ``len``, that builds a
-tree when it is indexed; :func:`asnkit.network.aggregate` reads the columns.
+are columns, not token objects: :attr:`CorpusSlice.trees` holds one column
+per sentence field and one per token field, which :func:`filter_slice` and
+:func:`asnkit.network.aggregate` read.
 
 Each corpus rule is one kernel over token columns, which also words its
 results: an ordered table of row masks in :func:`_read_chunk` decides the
@@ -34,14 +34,13 @@ rules of a token line, pointer jumping over the heads (Wyllie, "The
 complexity of parallel computations", Cornell, 1979) the tree constraints
 and every depth, and :class:`_Verdicts` the missing-annotation policies.
 The reader, :func:`filter_slice` and ``asnkit validate`` run them over many
-sentences; :func:`tree_violations` and :func:`tree_depth`, on one.
+sentences at once.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -55,14 +54,8 @@ __all__ = [
     "VERB_ROLES",
     "PHRASE_RULES",
     "MISSING_LEMMAS",
-    "classify_phrase_rule",
-    "Token",
     "TreeViolation",
     "TreeValidationError",
-    "tree_violations",
-    "validate_tree",
-    "DependencyTree",
-    "tree_depth",
     "CorpusSlice",
     "MissingPolicy",
     "FilterDecision",
@@ -72,7 +65,6 @@ __all__ = [
     "audit_corpus",
     "parse_corpus",
     "load_corpus",
-    "render_corpus",
 ]
 
 
@@ -155,66 +147,22 @@ PHRASE_RULES = ("NP", "VP", "PP", "OTHER")
 MISSING_LEMMAS = frozenset({"!", "unbekannt"})
 
 
-def classify_phrase_rule(head_role: GrammaticalRole) -> str:
-    """Classify the phrase a dependency belongs to from its head's role.
-
-    Nominal phrases are headed by a noun or a pronoun, verbal phrases by a
-    verb form, prepositional phrases by a preposition.  Every other head role
-    falls into the containment tag ``OTHER``.  Total function: never raises.
-    """
-    if head_role is GrammaticalRole.NOUN or head_role in PRONOUN_ROLES:
-        return "NP"
-    if head_role in VERB_ROLES:
-        return "VP"
-    if head_role is GrammaticalRole.PREPOSITION:
-        return "PP"
-    return "OTHER"
-
+#: The phrase a ``_`` RULE resolves to, by the role of its head: nominal
+#: phrases are headed by a noun or a pronoun, verbal phrases by a verb form,
+#: prepositional phrases by a preposition.  Any other head role, a head
+#: without a role, and no head (the root) give the containment tag ``OTHER``.
+_PHRASE_OF_HEAD = {
+    GrammaticalRole.NOUN: "NP",
+    **dict.fromkeys(PRONOUN_ROLES, "NP"),
+    **dict.fromkeys(VERB_ROLES, "VP"),
+    GrammaticalRole.PREPOSITION: "PP",
+}
 
 #: The rule index in ``PHRASE_RULES`` a ``_`` RULE resolves to, by the role
-#: index of the head; no head, or a head without a role, gives ``OTHER``.
+#: index of the head.
 _RULE_OF_ROLE = np.array([
-    PHRASE_RULES.index("OTHER" if role is None else classify_phrase_rule(role))
-    for role in _ROLE_OF_CODE
+    PHRASE_RULES.index(_PHRASE_OF_HEAD.get(role, "OTHER")) for role in _ROLE_OF_CODE
 ], dtype=np.int8)
-
-
-@dataclass(frozen=True)
-class Token:
-    """One annotated token of a sentence.
-
-    ``index`` is 1-based within the sentence; ``head`` is the index of the
-    token's head, with 0 reserved for the root.  ``role`` is ``None`` only
-    for tokens whose annotation is missing in the source (``missing=True``
-    and the lemma is a sentinel).
-    """
-
-    index: int
-    surface: str
-    lemma: str
-    role: GrammaticalRole | None
-    head: int
-    rule: str = "OTHER"
-    missing: bool = False
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"token index must be >= 1, got {self.index}")
-        if self.head < 0:
-            raise ValueError(f"token head must be >= 0, got {self.head}")
-        if self.head == self.index:
-            raise ValueError(f"token {self.index} cannot be its own head")
-        if self.rule not in PHRASE_RULES:
-            raise ValueError(f"invalid phrase rule {self.rule!r}")
-        if self.missing and self.lemma not in MISSING_LEMMAS:
-            raise ValueError(
-                f"missing token {self.index} must use a sentinel lemma, "
-                f"got {self.lemma!r}"
-            )
-        if self.role is None and not self.missing:
-            raise ValueError(
-                f"token {self.index} has no role but is not marked missing"
-            )
 
 
 @dataclass(frozen=True)
@@ -231,24 +179,13 @@ class TreeViolation:
 
 
 class TreeValidationError(ValueError):
-    """Raised when a token sequence does not form a valid dependency tree."""
+    """Raised when the heads of a sentence do not form a dependency tree."""
 
     def __init__(self, sentence_id: str, violations: Sequence[TreeViolation]):
         self.sentence_id = sentence_id
         self.violations = tuple(violations)
         details = "; ".join(str(v) for v in violations)
         super().__init__(f"sentence {sentence_id!r} is not a tree: {details}")
-
-
-def tree_violations(tokens: Sequence[Token]) -> list[TreeViolation]:
-    """Check the tree constraints and report every violation found.
-
-    The constraints: exactly one token has head 0; every head pointer stays
-    inside the sentence; no token is its own ancestor (head pointers are
-    acyclic, which together with single-headedness makes every token
-    reachable from the root).  Token indices are assumed contiguous 1..n.
-    """
-    return _violations([t.head for t in tokens])
 
 
 def _violations(heads: Sequence[int]) -> list[TreeViolation]:
@@ -291,67 +228,8 @@ def _violations(heads: Sequence[int]) -> list[TreeViolation]:
     return violations
 
 
-@dataclass(frozen=True)
-class DependencyTree:
-    """A validated dependency tree for one sentence.
-
-    Build instances through :func:`validate_tree`, which enforces the tree
-    constraints; direct construction skips them.
-    """
-
-    sentence_id: str
-    century: int
-    tokens: tuple[Token, ...]
-    doc_id: str = ""
-    dialect: str | None = None
-    target_lemma: str | None = None
-
-
-def _check_numbering(tokens: Sequence[Token], sentence_id: str) -> None:
-    """Raise ``ValueError`` unless the tokens are numbered 1..n, n >= 1."""
-    if not tokens:
-        raise ValueError(f"sentence {sentence_id!r} has no tokens")
-    if [t.index for t in tokens] != list(range(1, len(tokens) + 1)):
-        raise ValueError(
-            f"sentence {sentence_id!r}: token indices must be contiguous 1..n"
-        )
-
-
-def validate_tree(
-    tokens: Sequence[Token],
-    sentence_id: str,
-    century: int,
-    doc_id: str = "",
-    dialect: str | None = None,
-    target_lemma: str | None = None,
-) -> DependencyTree:
-    """Validate the tree constraints and assemble a :class:`DependencyTree`.
-
-    Raises
-    ------
-    ValueError
-        If token indices are not contiguous 1..n (caller contract).
-    TreeValidationError
-        If any tree constraint is violated; the exception carries the full
-        list of violations, each naming the constraint and offending token.
-    """
-    _check_numbering(tokens, sentence_id)
-    violations = tree_violations(tokens)
-    if violations:
-        raise TreeValidationError(sentence_id, violations)
-    return DependencyTree(
-        sentence_id, century, tuple(tokens), doc_id, dialect, target_lemma
-    )
-
-
-def tree_depth(tree: DependencyTree) -> int:
-    """Length in edges of the longest root-to-leaf path."""
-    return int(_TreeColumns.from_trees([tree]).depth[0])
-
-
-#: The role index of each role code, and of each role.
+#: The role index of each role code.
 _ROLE_INDEX = {code: k for k, code in enumerate(_ROLE_CODES)}
-_INDEX_OF_ROLE = {role: k for k, role in enumerate(_ROLE_OF_CODE)}
 _NO_ROLE = len(GrammaticalRole)
 
 #: Rule index of a RULE value; ``_``, resolved from the head's role, is last.
@@ -432,20 +310,19 @@ def _sentence_columns(
     return columns
 
 
-class _TreeColumns(_SequenceABC):
-    """Sentences as columns: the lazy ``Sequence[DependencyTree]`` of a slice.
+class _TreeColumns:
+    """The sentences of a slice as columns, in input order.
 
     Token ``k`` (from 0) of sentence ``i`` is row ``offsets[i] + k`` of the
     token columns; its index is ``k + 1``.  Per sentence: ``sentence_id``,
-    ``century``, ``doc_id``, ``dialect`` and ``target`` as in
-    :class:`DependencyTree` (Python objects), ``target_id`` (the target's id
-    in ``strings``, -1 for none) and ``depth`` (as :func:`tree_depth` gives
-    it).  Per token: ``head`` as in :class:`Token`, ``role`` (an index into
-    ``_ROLE_OF_CODE``), ``rule`` (into ``PHRASE_RULES``), ``missing``,
-    ``lemma`` and ``surface`` (ids into ``strings``, which columns read
-    together share) and ``line`` (the source line; 0 for trees built by
-    hand).  Indexing builds a :class:`DependencyTree`, slicing gives columns,
-    and equality is that of the sequences of trees.
+    ``century``, ``doc_id``, ``dialect`` and ``target`` (Python objects, as
+    the headers set them), ``target_id`` (the target's id in ``strings``, -1
+    for none) and ``depth`` (the length in edges of the longest
+    root-to-leaf path).  Per token: ``head`` (0 for the root), ``role`` (an
+    index into ``_ROLE_OF_CODE``), ``rule`` (into ``PHRASE_RULES``, a ``_``
+    RULE resolved), ``missing``, ``lemma`` and ``surface`` (ids into
+    ``strings``, which columns read together share) and ``line`` (the source
+    line).  ``len`` is the number of sentences; :meth:`take` selects some.
     """
 
     def __init__(self, strings: list[str], offsets: np.ndarray, **columns) -> None:
@@ -453,45 +330,6 @@ class _TreeColumns(_SequenceABC):
         self.offsets = offsets
         for name in _SENTENCE_COLUMNS + _TOKEN_COLUMNS:
             setattr(self, name, columns[name])
-
-    @classmethod
-    def from_trees(cls, trees: Iterable[DependencyTree]) -> "_TreeColumns":
-        """The columns of any trees whose tokens are numbered 1..n.
-
-        Raises
-        ------
-        ValueError
-            For a tree without tokens or with tokens numbered otherwise.
-        """
-        meta, tokens = [], []
-        for tree in trees:
-            _check_numbering(tree.tokens, tree.sentence_id)
-            meta.append((tree.sentence_id, tree.century, tree.doc_id, tree.dialect,
-                         tree.target_lemma))
-            tokens += [
-                (len(meta) - 1, t.head, _INDEX_OF_ROLE[t.role], _RULE_INDEX[t.rule],
-                 t.missing, t.lemma, t.surface)
-                for t in tree.tokens
-            ]
-        sentence, head, role, rule, missing, lemma, surface = (
-            list(zip(*tokens)) or [()] * 7
-        )
-        strings: list[str] = []
-        table: dict[str, int] = {}
-        offsets = _offsets(np.bincount(sentence, minlength=len(meta)))
-        head = np.array(head, dtype=np.int64)
-        depth = _tree_shape(head, offsets)[2]
-        return cls(
-            strings, offsets, **_sentence_columns(meta, strings, table),
-            depth=np.maximum.reduceat(depth, offsets[:-1]) if meta else depth,
-            head=head,
-            role=np.array(role, dtype=np.int8),
-            rule=np.array(rule, dtype=np.int8),
-            missing=np.array(missing, dtype=bool),
-            lemma=_intern(list(lemma), strings, table),
-            surface=_intern(list(surface), strings, table),
-            line=np.zeros(head.size, dtype=np.int32),
-        )
 
     @staticmethod
     def concat(parts: Sequence["_TreeColumns"]) -> "_TreeColumns":
@@ -526,60 +364,27 @@ class _TreeColumns(_SequenceABC):
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return self.take(np.arange(len(self))[key])
-        i = range(len(self))[key]
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        strings = self.strings
-        columns = (
-            getattr(self, name)[lo:hi].tolist()
-            for name in ("surface", "lemma", "role", "head", "rule", "missing")
-        )
-        tokens = tuple(
-            Token(k, strings[surface], strings[lemma], _ROLE_OF_CODE[role], head,
-                  PHRASE_RULES[rule], missing)
-            for k, surface, lemma, role, head, rule, missing
-            in zip(range(1, hi - lo + 1), *columns)
-        )
-        return DependencyTree(self.sentence_id[i], self.century[i], tokens,
-                              self.doc_id[i], self.dialect[i], self.target[i])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _SequenceABC):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
 
 @dataclass(frozen=True)
 class CorpusSlice:
-    """All validated trees of one century, in input order.
+    """All validated sentences of one century, in input order.
 
-    ``trees`` may be any sequence of trees; it is kept as a lazy sequence
-    over token columns, which :func:`filter_slice` and
-    :func:`asnkit.network.aggregate` read directly.
+    ``trees`` holds their columns as the reader produced them, which
+    :func:`filter_slice` and :func:`asnkit.network.aggregate` read; its
+    ``len`` is the number of sentences.
 
     Raises
     ------
     ValueError
-        If a tree is of another century, or its tokens are not numbered 1..n.
+        If a sentence is of another century.
     """
 
     century: int
-    trees: Sequence[DependencyTree]
+    trees: _TreeColumns
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         trees = self.trees
-        if not isinstance(trees, _TreeColumns):
-            trees = _TreeColumns.from_trees(trees)
-            object.__setattr__(self, "trees", trees)
         wrong = np.flatnonzero(trees.century != self.century)
         if wrong.size:
             i = wrong[0]
@@ -607,11 +412,10 @@ class MissingPolicy(enum.Enum):
             ) from None
 
 
-@dataclass(frozen=True)
-class FilterDecision:
-    """Keep/drop verdict for one tree under a missing-annotation policy."""
+class FilterDecision(NamedTuple):
+    """Why a missing-annotation policy dropped the sentence ``sentence_id``."""
 
-    keep: bool
+    sentence_id: str
     reason: str
 
 
@@ -660,36 +464,35 @@ class _Verdicts:
             raise ValueError(
                 f"sentence {trees.sentence_id[i]!r}: {self.unjudged_reason(i)}")
         if self.policy is MissingPolicy.DROP_ANY:
-            return FilterDecision(
-                False, f"tree contains {int(self.missing[i])} missing annotation(s)")
-        start = int(trees.offsets[i]) - 1
-        m, t = (row - start for row in divmod(int(self.least[i]), self.rows))
-        return FilterDecision(False, f"missing neighbor of target: token {m} is adjacent "
-                                     f"to {trees.target[i]!r} at token {t}")
+            reason = f"tree contains {int(self.missing[i])} missing annotation(s)"
+        else:
+            start = int(trees.offsets[i]) - 1
+            m, t = (row - start for row in divmod(int(self.least[i]), self.rows))
+            reason = (f"missing neighbor of target: token {m} is adjacent "
+                      f"to {trees.target[i]!r} at token {t}")
+        return FilterDecision(trees.sentence_id[i], reason)
 
 
 def filter_slice(
     corpus_slice: CorpusSlice, policy: MissingPolicy | str
-) -> tuple[CorpusSlice, list[tuple[DependencyTree, FilterDecision]]]:
-    """Apply a missing-annotation policy to every tree of a slice.
+) -> tuple[CorpusSlice, list[FilterDecision]]:
+    """Apply a missing-annotation policy to every sentence of a slice.
 
-    ``drop-any`` drops every tree containing a missing token.  The default
-    pipeline policy ``drop-adjacent-to-target`` drops a tree only when a
-    missing token is the head of, or a direct dependent of, an occurrence of
-    the tree's target lemma — missing material elsewhere does not interfere
-    with identifying how the target is used; the reason names the least
-    (missing token, target token) pair.  ``keep-all`` never drops.
-    ``policy`` is a :class:`MissingPolicy` or its name; an unknown name is
-    a ``ValueError``, and so is the first tree the adjacency policy cannot
-    judge (it has missing tokens and no target lemma, or the target lemma
-    does not occur).  Returns the surviving slice and the dropped trees,
-    each with the decision that dropped it; only those trees are built.
+    ``drop-any`` drops every sentence containing a missing token.  The
+    default pipeline policy ``drop-adjacent-to-target`` drops a sentence only
+    when a missing token is the head of, or a direct dependent of, an
+    occurrence of the sentence's target lemma — missing material elsewhere
+    does not interfere with identifying how the target is used; the reason
+    names the least (missing token, target token) pair.  ``keep-all`` never
+    drops.  ``policy`` is a :class:`MissingPolicy` or its name; an unknown
+    name is a ``ValueError``, and so is the first sentence the adjacency
+    policy cannot judge (it has missing tokens and no target lemma, or the
+    target lemma does not occur).  Returns the slice of the kept sentences
+    and a decision for each dropped one, both in input order.
     """
     trees = corpus_slice.trees
     verdicts = _Verdicts(trees, policy)
-    dropped = [
-        (trees[i], verdicts.decision(i)) for i in np.flatnonzero(~verdicts.keep).tolist()
-    ]
+    dropped = [verdicts.decision(i) for i in np.flatnonzero(~verdicts.keep).tolist()]
     kept = trees.take(np.flatnonzero(verdicts.keep)) if dropped else trees
     return CorpusSlice(corpus_slice.century, kept, corpus_slice.provenance), dropped
 
@@ -1042,12 +845,12 @@ def _in_order(
             problem = problems.get(i)
         if problem is not None:
             if good < i:
-                yield _Read(provenance, trees[good:i])
+                yield _Read(provenance, trees.take(np.arange(good, i)))
             yield problem
             good = i + 1
     if good < len(spans):
         whole = good == 0 and len(spans) == len(trees)
-        yield _Read(provenance, trees if whole else trees[good:len(spans)])
+        yield _Read(provenance, trees if whole else trees.take(np.arange(good, len(spans))))
 
 
 def _read_source(
@@ -1165,70 +968,3 @@ def load_corpus(paths: str | Path | Iterable[str | Path]) -> list[CorpusSlice]:
     if isinstance(paths, (str, Path)):
         paths = [paths]
     return _parse([(Path(p), str(Path(p))) for p in paths])
-
-
-def _header_line(tree: DependencyTree, key: str, value) -> str:
-    text = str(value)
-    if "\n" in text or text != text.strip():
-        raise ValueError(
-            f"sentence {tree.sentence_id!r}: header {key} = {text!r} cannot be "
-            "written: a header value ends at a newline and loses surrounding "
-            "whitespace"
-        )
-    return f"# {key} = {text}"
-
-
-def render_corpus(slices: Iterable[CorpusSlice]) -> str:
-    """Render slices back to the canonical treebank text.
-
-    The canonical form spells out every rule tag, renders missing roles as
-    ``_``, emits ``# sent_id`` before every sentence, and repeats the other
-    headers only when their value changes.  ``render_corpus`` after
-    :func:`parse_corpus` is byte-identical on canonical files.
-
-    Raises
-    ------
-    ValueError
-        For what the format cannot carry: a surface or lemma that is empty or
-        holds a tab or newline, a header value with a newline or surrounding
-        whitespace, or a dialect or target that is unset after a sentence
-        that set it (headers carry over and cannot be cleared).
-    """
-    lines: list[str] = []
-    prev: dict = {"century": None, "doc_id": "", "dialect": None, "target": None}
-    first = True
-    for corpus_slice in slices:
-        for tree in corpus_slice.trees:
-            if not first:
-                lines.append("")
-            first = False
-            current = {
-                "century": tree.century,
-                "doc_id": tree.doc_id,
-                "dialect": tree.dialect,
-                "target": tree.target_lemma,
-            }
-            for key in ("century", "doc_id", "dialect", "target"):
-                if current[key] == prev[key]:
-                    continue
-                if current[key] is None:
-                    raise ValueError(
-                        f"sentence {tree.sentence_id!r}: {key} cannot be unset "
-                        f"after a sentence with {key} = {prev[key]!r}"
-                    )
-                lines.append(_header_line(tree, key, current[key]))
-            prev = current
-            lines.append(_header_line(tree, "sent_id", tree.sentence_id))
-            for t in tree.tokens:
-                for name, text in (("surface", t.surface), ("lemma", t.lemma)):
-                    if not text or "\t" in text or "\n" in text:
-                        raise ValueError(
-                            f"sentence {tree.sentence_id!r}, token {t.index}: "
-                            f"{name} {text!r} cannot be written: it must be "
-                            "non-empty and hold no tab or newline"
-                        )
-                role = t.role.code if t.role is not None else "_"
-                lines.append(
-                    f"{t.index}\t{t.surface}\t{t.lemma}\t{role}\t{t.head}\t{t.rule}"
-                )
-    return "\n".join(lines) + "\n" if lines else ""

@@ -25,7 +25,7 @@ import logging
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -34,7 +34,6 @@ from .corpus import (
     _ROLE_CODES,
     _ROLES,
     PHRASE_RULES,
-    DependencyTree,
     GrammaticalRole,
     _TreeColumns,
 )
@@ -171,16 +170,13 @@ class Asn:
 _RULE_BITS = {rule: 1 << i for i, rule in enumerate(PHRASE_RULES)}
 
 
-def aggregate(
-    trees: Iterable[DependencyTree], century: int | None = None
-) -> Asn:
-    """Merge validated trees of one century into a single network.
+def aggregate(trees: _TreeColumns, century: int | None = None) -> Asn:
+    """Merge the validated trees of one century into a single network.
 
-    The result does not depend on tree order.  Node frequency counts token
-    occurrences; each head -> dependent pair adds one unit of edge weight and
-    records the dependent's rule tag.  The trees of a
-    :class:`~asnkit.corpus.CorpusSlice` are read from their token columns;
-    other trees are first converted to such columns.
+    ``trees`` are the token columns of a :class:`~asnkit.corpus.CorpusSlice`
+    (its ``trees``).  The result does not depend on tree order.  Node
+    frequency counts token occurrences; each head -> dependent pair adds one
+    unit of edge weight and records the dependent's rule tag.
 
     Raises
     ------
@@ -188,8 +184,6 @@ def aggregate(
         If the trees span more than one century, or disagree with an
         explicitly passed ``century``.
     """
-    if not isinstance(trees, _TreeColumns):
-        trees = _TreeColumns.from_trees(trees)
     if len(trees):
         if century is None:
             century = trees.century[0]

@@ -11,7 +11,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 import mpmath
@@ -26,17 +26,12 @@ from asnkit import (
     Asn,
     CorpusFormatError,
     CorpusIssue,
-    CorpusSlice,
     DegenerateDataError,
-    DependencyTree,
-    FilterDecision,
     GrammaticalRole,
     MissingPolicy,
     NodeKey,
-    Token,
     TreeValidationError,
     TreeViolation,
-    classify_phrase_rule,
     fit_power_law,
     hurwitz_zeta,
     sample_discrete_powerlaw,
@@ -126,6 +121,31 @@ def random_asn(rng: np.random.Generator, n: int, p: float = 0.35,
             if i != j and rng.random() < p:
                 edges.append((f"n{i}", f"n{j}", int(rng.integers(1, max_weight + 1))))
     return make_asn(edges, isolated=[f"n{i}" for i in range(n)])
+
+
+def treebank(rows, sent_id: str = "s", century: int = 14, **headers) -> str:
+    """Treebank text of one sentence, whose token ``k`` is row ``k - 1``.
+
+    A row is ``(lemma, role, head)`` or ``(lemma, role, head, rule)``:
+    ``role`` is a :class:`GrammaticalRole`, or ``None`` (written ``_``) for
+    a missing annotation, the surface repeats the lemma and the rule is
+    ``_`` unless given.  The ``century``, then each of ``headers``
+    (``doc_id``, ``dialect``, ``target``), then ``sent_id`` head the
+    sentence; headers hold for the sentences after it in the same text
+    until set again.  Join several to write a corpus.
+    """
+    lines = [f"# century = {century}", *(f"# {k} = {v}" for k, v in headers.items()),
+             f"# sent_id = {sent_id}"]
+    for index, (lemma, role, head, *rule) in enumerate(rows, start=1):
+        code = "_" if role is None else role.code
+        rule = rule[0] if rule else "_"
+        lines.append(f"{index}\t{lemma}\t{lemma}\t{code}\t{head}\t{rule}")
+    return "\n".join(lines) + "\n\n"
+
+
+def nouns(heads) -> list[tuple]:
+    """:func:`treebank` rows of nouns ``w1``, ``w2``, ... with these heads."""
+    return [(f"w{i}", GrammaticalRole.NOUN, head) for i, head in enumerate(heads, start=1)]
 
 
 def random_tree_heads(rng: np.random.Generator, n: int) -> list[int]:
@@ -315,8 +335,7 @@ def _ref_drafts(lines: list[str], provenance: str):
             raise CorpusFormatError(
                 provenance, line_no, f"unknown grammatical role code {role_s!r}"
             )
-        role = _REF_ROLES[role_s]
-        if role is None and not missing:
+        if role_s == "_" and not missing:
             raise CorpusFormatError(
                 provenance, line_no,
                 "ROLE '_' is only allowed for missing-annotation lemmas",
@@ -326,12 +345,52 @@ def _ref_drafts(lines: list[str], provenance: str):
                 provenance, line_no,
                 f"RULE must be one of {', '.join(PHRASE_RULES)} or '_', got {rule_s!r}",
             )
-        draft.rows.append((line_no, idx, surface, lemma, role, head, rule_s, missing))
+        draft.rows.append((line_no, idx, surface, lemma, role_s, head, rule_s, missing))
     if draft is not None:
         yield draft
 
 
-def _ref_tree(draft: _RefDraft, provenance: str) -> DependencyTree:
+class RefToken(NamedTuple):
+    """One token line as the reference reader keeps it; ``role`` is the
+    code as written (``_`` for a missing annotation)."""
+
+    line: int
+    index: int
+    surface: str
+    lemma: str
+    role: str
+    head: int
+    rule: str
+    missing: bool
+
+
+class RefTree(NamedTuple):
+    """One sentence as the reference reader keeps it."""
+
+    sentence_id: str
+    century: int
+    doc_id: str
+    dialect: str | None
+    target: str | None
+    tokens: tuple[RefToken, ...]
+
+
+class RefSlice(NamedTuple):
+    century: int
+    trees: list[RefTree]
+    provenance: tuple[str, ...]
+
+
+#: The phrase a ``_`` RULE resolves to, by its head's role code; any other
+#: head, a head without a role, and the root give ``OTHER``.
+_REF_PHRASE_OF_HEAD = {
+    **dict.fromkeys(["N", "PP", "PS", "DM", "RX", "RPO"], "NP"),
+    **dict.fromkeys(["V", "IV", "MV", "AX", "PCPR", "PCPS"], "VP"),
+    "PR": "PP",
+}
+
+
+def _ref_tree(draft: _RefDraft, provenance: str) -> RefTree:
     """Raw rows as an unchecked tree; self-heads are format errors."""
     rows = draft.rows
     tokens = []
@@ -341,27 +400,27 @@ def _ref_tree(draft: _RefDraft, provenance: str) -> DependencyTree:
                                     f"token {idx} points at itself as head")
         if rule == "_":
             head_role = rows[head - 1][4] if 0 < head <= len(rows) else None
-            rule = "OTHER" if head_role is None else classify_phrase_rule(head_role)
-        tokens.append(Token(idx, surface, lemma, role, head, rule, missing))
+            rule = _REF_PHRASE_OF_HEAD.get(head_role, "OTHER")
+        tokens.append(RefToken(line_no, idx, surface, lemma, role, head, rule, missing))
     meta = draft.meta
-    return DependencyTree(draft.sent_id, meta["century"], tuple(tokens),
-                          meta["doc_id"], meta["dialect"], meta["target"])
+    return RefTree(draft.sent_id, meta["century"], meta["doc_id"], meta["dialect"],
+                   meta["target"], tuple(tokens))
 
 
-def reference_tree_violations(tokens: Sequence[Token]) -> list[TreeViolation]:
-    """Check the tree constraints and report every violation found, by a
-    three-colour walk over the head chains: a second route to asnkit's
-    pointer-jumping kernel.
+def reference_tree_violations(heads: Sequence[int]) -> list[TreeViolation]:
+    """Check the tree constraints on the heads of tokens 1..n and report
+    every violation found, by a three-colour walk over the head chains: a
+    second route to asnkit's pointer-jumping kernel.
 
     The constraints: exactly one token has head 0; every head pointer stays
     inside the sentence; no token is its own ancestor (head pointers are
     acyclic, which together with single-headedness makes every token
-    reachable from the root).  Token indices are assumed contiguous 1..n.
+    reachable from the root).
     """
-    n = len(tokens)
+    n = len(heads)
     violations: list[TreeViolation] = []
 
-    roots = [t.index for t in tokens if t.head == 0]
+    roots = [index for index, head in enumerate(heads, start=1) if head == 0]
     if not roots:
         violations.append(
             TreeViolation("no root", None, "no token has head 0")
@@ -376,17 +435,17 @@ def reference_tree_violations(tokens: Sequence[Token]) -> list[TreeViolation]:
         )
 
     in_range = {}
-    for t in tokens:
-        if t.head > n:
+    for index, head in enumerate(heads, start=1):
+        if head > n:
             violations.append(
                 TreeViolation(
                     "head out of range",
-                    t.index,
-                    f"head {t.head} exceeds sentence length {n}",
+                    index,
+                    f"head {head} exceeds sentence length {n}",
                 )
             )
         else:
-            in_range[t.index] = t.head
+            in_range[index] = head
 
     # Walk head chains with the classic three-color scheme; chains either
     # terminate at head 0 (or an out-of-range pointer, reported above) or
@@ -414,10 +473,10 @@ def reference_tree_violations(tokens: Sequence[Token]) -> list[TreeViolation]:
     return violations
 
 
-def reference_filter_missing(tree: DependencyTree,
-                             policy: MissingPolicy) -> FilterDecision:
-    """Decide whether a tree survives the given missing-annotation policy,
-    token by token: a second route to asnkit's column kernel.
+def reference_filter_missing(tree: RefTree, policy: MissingPolicy) -> str | None:
+    """Why the given missing-annotation policy drops a tree, or ``None``
+    when it keeps the tree, token by token: a second route to asnkit's
+    column kernel.
 
     ``drop-any`` drops every tree containing a missing token.  The default
     pipeline policy ``drop-adjacent-to-target`` drops a tree only when a
@@ -433,38 +492,29 @@ def reference_filter_missing(tree: DependencyTree,
         occur, so adjacency cannot be judged.
     """
     missing = [t for t in tree.tokens if t.missing]
-    if policy is MissingPolicy.KEEP_ALL:
-        return FilterDecision(True, "policy keeps every tree")
+    if policy is MissingPolicy.KEEP_ALL or not missing:
+        return None
     if policy is MissingPolicy.DROP_ANY:
-        if missing:
-            return FilterDecision(
-                False, f"tree contains {len(missing)} missing annotation(s)"
-            )
-        return FilterDecision(True, "no missing annotations")
+        return f"tree contains {len(missing)} missing annotation(s)"
 
     # drop-adjacent-to-target
-    if not missing:
-        return FilterDecision(True, "no missing annotations")
-    if tree.target_lemma is None:
+    if tree.target is None:
         raise ValueError(
             f"sentence {tree.sentence_id!r}: policy "
             f"{policy.value!r} needs a target lemma to judge adjacency"
         )
-    targets = [t for t in tree.tokens if t.lemma == tree.target_lemma]
+    targets = [t for t in tree.tokens if t.lemma == tree.target]
     if not targets:
         raise ValueError(
             f"sentence {tree.sentence_id!r}: target lemma "
-            f"{tree.target_lemma!r} does not occur, cannot judge adjacency"
+            f"{tree.target!r} does not occur, cannot judge adjacency"
         )
     for m in missing:
         for t in targets:
             if m.head == t.index or t.head == m.index:
-                return FilterDecision(
-                    False,
-                    f"missing neighbor of target: token {m.index} is "
-                    f"adjacent to {tree.target_lemma!r} at token {t.index}",
-                )
-    return FilterDecision(True, "missing annotations do not touch the target")
+                return (f"missing neighbor of target: token {m.index} is "
+                        f"adjacent to {tree.target!r} at token {t.index}")
+    return None
 
 
 def reference_sentences(sources):
@@ -493,7 +543,7 @@ def reference_sentences(sources):
                     yield (exc, [CorpusIssue(provenance, exc.line, draft.sent_id,
                                              "malformed token", exc.message)])
                     continue
-                violations = reference_tree_violations(tree.tokens)
+                violations = reference_tree_violations([t.head for t in tree.tokens])
                 if violations:
                     yield (TreeValidationError(tree.sentence_id, violations), [
                         CorpusIssue(provenance, draft.first_line, draft.sent_id,
@@ -507,34 +557,69 @@ def reference_sentences(sources):
                                      exc.message)])
 
 
-def reference_parse(sources) -> list[CorpusSlice]:
-    """Trees grouped by century, as tuples of trees; the first problem raises."""
+def reference_parse(sources) -> list[RefSlice]:
+    """Trees grouped by century; the first problem raises."""
     by_century: dict = {}
     for item in reference_sentences(sources):
-        if not isinstance(item, DependencyTree):
+        if not isinstance(item, RefTree):
             raise item[0]
         by_century.setdefault(item.century, []).append(item)
     provenance = tuple(p for _, p in sources)
-    return [CorpusSlice(c, tuple(by_century[c]), provenance)
-            for c in sorted(by_century)]
+    return [RefSlice(c, by_century[c], provenance) for c in sorted(by_century)]
 
 
 def reference_audit(sources) -> list[CorpusIssue]:
     return [issue for item in reference_sentences(sources)
-            if not isinstance(item, DependencyTree) for issue in item[1]]
+            if not isinstance(item, RefTree) for issue in item[1]]
 
 
-def reference_filter_slice(corpus_slice, policy):
-    """Tree by tree through :func:`reference_filter_missing`: the kept trees
-    and the dropped ones with their decisions."""
+def reference_filter_slice(trees: Sequence[RefTree], policy):
+    """Tree by tree through :func:`reference_filter_missing`: the kept trees,
+    and a ``(sentence_id, reason)`` pair for each dropped one."""
     kept, dropped = [], []
-    for tree in corpus_slice.trees:
-        decision = reference_filter_missing(tree, policy)
-        if decision.keep:
+    for tree in trees:
+        reason = reference_filter_missing(tree, policy)
+        if reason is None:
             kept.append(tree)
         else:
-            dropped.append((tree, decision))
+            dropped.append((tree.sentence_id, reason))
     return kept, dropped
+
+
+#: The code of each role index in the token columns: the 19 codes, then ``_``.
+_COLUMN_ROLE_CODES = [role.value for role in GrammaticalRole] + ["_"]
+_SENTENCE_FIELDS = ("sentence_id", "century", "doc_id", "dialect", "target")
+
+
+def columns_of(trees) -> dict[str, list]:
+    """The columns of a :class:`~asnkit.CorpusSlice`'s ``trees`` as lists of
+    plain values, each sentence's token count and depth, and each token's
+    fields, with strings, roles and rules spelled out."""
+    strings = trees.strings
+    return {
+        **{name: getattr(trees, name).tolist() for name in _SENTENCE_FIELDS},
+        "length": np.diff(trees.offsets).tolist(),
+        "depth": trees.depth.tolist(),
+        "line": trees.line.tolist(),
+        "surface": [strings[i] for i in trees.surface.tolist()],
+        "lemma": [strings[i] for i in trees.lemma.tolist()],
+        "role": [_COLUMN_ROLE_CODES[r] for r in trees.role.tolist()],
+        "head": trees.head.tolist(),
+        "rule": [PHRASE_RULES[r] for r in trees.rule.tolist()],
+        "missing": trees.missing.tolist(),
+    }
+
+
+def reference_columns(trees: Sequence[RefTree]) -> dict[str, list]:
+    """What :func:`columns_of` gives for the slice of these trees."""
+    tokens = [t for tree in trees for t in tree.tokens]
+    return {
+        **{name: [getattr(tree, name) for tree in trees] for name in _SENTENCE_FIELDS},
+        "length": [len(tree.tokens) for tree in trees],
+        "depth": [depth_of_heads([t.head for t in tree.tokens]) for tree in trees],
+        **{name: [getattr(t, name) for t in tokens]
+           for name in ("line", "surface", "lemma", "role", "head", "rule", "missing")},
+    }
 
 
 #: What :func:`mutated_treebanks` can do to a valid treebank.
@@ -689,20 +774,21 @@ class RefAsn:
         return w
 
 
-def reference_aggregate(trees) -> RefAsn:
+def reference_aggregate(trees: Sequence[RefTree]) -> RefAsn:
     """Token by token, one dict entry per node and per edge."""
     asn = RefAsn(century=None)
     for tree in trees:
         asn.century = tree.century
         by_index = {t.index: t for t in tree.tokens}
         for token in tree.tokens:
-            key = NodeKey(token.lemma, token.role)
+            key = NodeKey(token.lemma, _REF_ROLES[token.role])
             asn.frequency[key] = asn.frequency.get(key, 0) + 1
         for token in tree.tokens:
             if token.head == 0:
                 continue
             head = by_index[token.head]
-            edge = (NodeKey(head.lemma, head.role), NodeKey(token.lemma, token.role))
+            edge = (NodeKey(head.lemma, _REF_ROLES[head.role]),
+                    NodeKey(token.lemma, _REF_ROLES[token.role]))
             data = asn.edges.setdefault(edge, RefEdge())
             data.weight += 1
             data.rules.add(token.rule)

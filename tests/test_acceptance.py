@@ -12,14 +12,12 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from asnkit import (
     GrammaticalRole,
     NodeKey,
-    Token,
-    TreeValidationError,
     aggregate,
+    audit_corpus,
     bootstrap_pvalue,
     detect_emergent_heads,
     depth_vs_diameter,
@@ -30,8 +28,6 @@ from asnkit import (
     sample_discrete_powerlaw,
     summarize,
     track,
-    tree_violations,
-    validate_tree,
 )
 from asnkit.cli import main as cli_main
 from asnkit.synth import crosslink_corpus, takeover_corpus
@@ -39,45 +35,46 @@ from oracles import (
     dense_levels,
     heads_form_tree,
     make_asn,
+    nouns,
     random_asn,
     random_tree_heads,
     summary_oracle,
+    treebank,
 )
 
 MOGEN = NodeKey(lemma="mogen", role=GrammaticalRole.MODAL_VERB)
 KONNEN = NodeKey(lemma="konnen", role=GrammaticalRole.MODAL_VERB)
 
 
-def _noun_tokens(heads):
-    """One noun token per head pointer, with unique lemmas w1, w2, ..."""
-    return [
-        Token(index=i + 1, surface=f"w{i + 1}", lemma=f"w{i + 1}",
-              role=GrammaticalRole.NOUN, head=head)
-        for i, head in enumerate(heads)
-    ]
+#: The kinds of issue a sentence whose heads form no tree is reported under.
+TREE_CONSTRAINTS = {"no root", "multiple roots", "head out of range", "head cycle"}
 
 
 def test_criterion_01_tree_validation_matches_enumeration_oracle():
-    """Validation accepts exactly the single-rooted, acyclic, fully reachable
+    """The reader accepts exactly the single-rooted, acyclic, fully reachable
     head vectors — checked exactly against a brute-force walk over every
     vector with entries 0..n+1 for n <= 4, out-of-range and self-pointing
-    heads included (< 1 s).
+    heads included, each a sentence of one treebank that is audited once;
+    a self-head is a malformed token, every other rejection a tree
+    constraint (< 1 s).
     """
     start = time.perf_counter()
-    for n in range(1, 5):
-        for heads in itertools.product(range(n + 2), repeat=n):
-            try:
-                tokens = _noun_tokens(heads)
-            except ValueError:
-                accepted = False  # self-pointing heads die at construction
-            else:
-                accepted = not tree_violations(tokens)
-                if accepted:
-                    validate_tree(tokens, sentence_id="s", century=14)
-                else:
-                    with pytest.raises(TreeValidationError):
-                        validate_tree(tokens, sentence_id="s", century=14)
-            assert accepted == heads_form_tree(list(heads))
+    vectors = [heads for n in range(1, 5)
+               for heads in itertools.product(range(n + 2), repeat=n)]
+    texts = [treebank(nouns(heads), sent_id=f"v{k}") for k, heads in enumerate(vectors)]
+    kinds = {}
+    for issue in audit_corpus("".join(texts)):
+        kinds.setdefault(issue.sentence_id, set()).add(issue.kind)
+    for k, heads in enumerate(vectors):
+        found = kinds.get(f"v{k}", set())
+        assert (not found) == heads_form_tree(list(heads))
+        if any(h == i for i, h in enumerate(heads, start=1)):
+            assert found == {"malformed token"}
+        else:
+            assert found <= TREE_CONSTRAINTS
+    accepted = [text for k, text in enumerate(texts) if f"v{k}" not in kinds]
+    (corpus_slice,) = parse_corpus("".join(accepted))
+    assert len(vectors) == 1440 and len(corpus_slice.trees) == len(accepted) == 76
     assert time.perf_counter() - start < 1.0
 
 
@@ -90,8 +87,8 @@ def test_criterion_02_forward_levels_equal_depths_on_random_trees():
     for _ in range(500):
         n = int(rng.integers(1, 51))
         heads = random_tree_heads(rng, n)
-        tree = validate_tree(_noun_tokens(heads), sentence_id="t", century=14)
-        asn = aggregate([tree])
+        (corpus_slice,) = parse_corpus(treebank(nouns(heads), sent_id="t"))
+        asn = aggregate(corpus_slice.trees)
         levels = hierarchy_levels(asn).forward
         for position in range(1, n + 1):
             depth, node = 0, heads[position - 1]

@@ -1,7 +1,11 @@
-"""Treebank parsing, tree validation, and missing-annotation policies."""
+"""Treebank parsing, tree validation, and missing-annotation policies.
+
+Every corpus here is treebank text, read by the reader production uses.
+"""
 
 import io
 import itertools
+import json
 from unittest import mock
 
 import numpy as np
@@ -15,41 +19,41 @@ from asnkit import (
     PHRASE_RULES,
     CorpusFormatError,
     CorpusSlice,
-    DependencyTree,
     FilterDecision,
     GrammaticalRole,
     MissingPolicy,
-    Token,
     TreeValidationError,
     aggregate,
     audit_corpus,
-    classify_phrase_rule,
     demo_corpus_path,
     depth_vs_diameter,
     filter_slice,
     load_corpus,
     parse_corpus,
-    render_corpus,
     summarize,
-    tree_depth,
-    tree_violations,
-    validate_tree,
 )
+from asnkit.cli import main as cli_main
 from oracles import (
     MUTATIONS,
+    columns_of,
     depth_of_heads,
     edge_map,
     frequency_map,
     heads_form_tree,
     mutated_treebanks,
     noisy_treebanks,
+    nouns,
     random_tree_heads,
     reference_aggregate,
     reference_audit,
+    reference_columns,
     reference_filter_slice,
     reference_parse,
     reference_tree_violations,
+    treebank,
 )
+
+R = GrammaticalRole
 
 ALL_CODES = [
     "AD", "AJ", "AR", "AX", "CJ", "DM", "IV", "MV", "N", "PK",
@@ -57,16 +61,15 @@ ALL_CODES = [
 ]
 
 
-def toks(heads, roles=None, lemmas=None):
-    """Quick token list: default nouns w1..wn, explicit head vector."""
-    out = []
-    for i, head in enumerate(heads, start=1):
-        role = roles[i - 1] if roles else GrammaticalRole.NOUN
-        lemma = lemmas[i - 1] if lemmas else f"w{i}"
-        out.append(
-            Token(index=i, surface=lemma, lemma=lemma, role=role, head=head)
-        )
-    return out
+def parsed(slices):
+    """Each slice's century, provenance and columns."""
+    return [(s.century, s.provenance, columns_of(s.trees)) for s in slices]
+
+
+def columns(text):
+    """The columns of the one slice ``text`` parses to."""
+    (corpus_slice,) = parse_corpus(text)
+    return columns_of(corpus_slice.trees)
 
 
 class TestRoles:
@@ -84,86 +87,135 @@ class TestRoles:
         assert sorted(r.code for r in GrammaticalRole) == sorted(ALL_CODES)
 
 
+def resolved(code):
+    """The rules of a root of role ``code`` (``_``: no role) and of a noun
+    under it, both written ``_``."""
+    role = None if code == "_" else R.from_code(code)
+    rows = [("!" if role is None else "h", role, 0), ("d", R.NOUN, 1)]
+    return tuple(columns(treebank(rows))["rule"])
+
+
 class TestPhraseRules:
+    """How the reader resolves a ``_`` RULE from the role of the head; the
+    root has no head and resolves to ``OTHER``."""
+
     def test_nominal_heads(self):
         for code in ("N", "PP", "PS", "DM", "RX", "RPO"):
-            assert classify_phrase_rule(GrammaticalRole.from_code(code)) == "NP"
+            assert resolved(code) == ("OTHER", "NP"), code
 
     def test_verbal_heads(self):
         for code in ("V", "IV", "MV", "AX", "PCPR", "PCPS"):
-            assert classify_phrase_rule(GrammaticalRole.from_code(code)) == "VP"
+            assert resolved(code) == ("OTHER", "VP"), code
 
     def test_prepositional_head(self):
-        assert classify_phrase_rule(GrammaticalRole.PREPOSITION) == "PP"
+        assert resolved("PR") == ("OTHER", "PP")
 
     def test_everything_else(self):
         for code in ("AD", "AJ", "AR", "CJ", "PK", "SC"):
-            assert classify_phrase_rule(GrammaticalRole.from_code(code)) == "OTHER"
+            assert resolved(code) == ("OTHER", "OTHER"), code
+
+    def test_a_head_without_a_role_resolves_other(self):
+        assert resolved("_") == ("OTHER", "OTHER")
+
+
+def token_error(line):
+    """What ``parse_corpus`` raises for a one-token sentence ``line``, and
+    what the audit lists for it."""
+    text = f"# century = 14\n# sent_id = s1\n{line}\n"
+    with pytest.raises(CorpusFormatError) as info:
+        parse_corpus(text, provenance="f.tb")
+    return str(info.value), [str(i) for i in audit_corpus(text, provenance="f.tb")]
 
 
 class TestToken:
+    """The rules one token line keeps on its own, read by the reader."""
+
     def test_basic_fields(self):
-        t = Token(index=2, surface="wirt", lemma="werden",
-                  role=GrammaticalRole.AUXILIARY, head=0, rule="VP")
-        assert t.head == 0 and t.rule == "VP" and not t.missing
+        got = columns("# century = 14\n1\ter\ter\tPP\t2\t_\n2\twirt\twerden\tAX\t0\tVP\n")
+        assert {k: got[k] for k in ("surface", "lemma", "role", "head", "rule",
+                                    "missing", "line")} == {
+            "surface": ["er", "wirt"], "lemma": ["er", "werden"], "role": ["PP", "AX"],
+            "head": [2, 0], "rule": ["VP", "VP"], "missing": [False, False],
+            "line": [2, 3],
+        }
 
     def test_self_head_rejected(self):
-        with pytest.raises(ValueError):
-            Token(index=1, surface="a", lemma="a",
-                  role=GrammaticalRole.NOUN, head=1)
+        assert token_error("1\ta\ta\tN\t1\t_") == (
+            "f.tb:3: token 1 points at itself as head",
+            ["f.tb:3: sentence 's1' malformed token: token 1 points at itself as head"])
+        # A self-head spoils only its sentence: the audit reads on.
+        text = ("# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n2\tb\tb\tN\t2\t_\n\n"
+                "# sent_id = s2\n1\tc\tc\tN\t0\t_\n2\td\td\tN\t0\t_\n")
+        assert [(i.line, i.sentence_id, i.kind) for i in audit_corpus(text)] == [
+            (4, "s1", "malformed token"), (7, "s2", "multiple roots")]
 
-    def test_roleless_token_must_be_missing(self):
-        with pytest.raises(ValueError):
-            Token(index=1, surface="a", lemma="a", role=None, head=0)
+    @pytest.mark.parametrize("lemma", ["a", "!!", "Unbekannt", "unbekannt "])
+    def test_roleless_token_must_be_missing(self, lemma):
+        message = "ROLE '_' is only allowed for missing-annotation lemmas"
+        assert token_error(f"1\t!\t{lemma}\t_\t0\t_") == (
+            f"f.tb:3: {message}", [f"f.tb:3: format error: {message}"])
 
     def test_missing_token_needs_sentinel_lemma(self):
-        with pytest.raises(ValueError):
-            Token(index=1, surface="a", lemma="a", role=None, head=0,
-                  missing=True)
-        t = Token(index=1, surface="!", lemma="!", role=None, head=0,
-                  missing=True)
-        assert t.missing and t.role is None
+        # ``missing`` follows the lemma alone, not the surface or the role.
+        got = columns("# century = 14\n1\t!\ta\tN\t0\t_\n2\tx\t!\tN\t1\t_\n"
+                      "3\tx\tunbekannt\t_\t1\t_\n")
+        assert got["missing"] == [False, True, True]
+        assert got["role"] == ["N", "N", "_"]
+        assert set(got["lemma"][1:]) == set(MISSING_LEMMAS) == {"!", "unbekannt"}
 
-    def test_bad_rule_rejected(self):
-        with pytest.raises(ValueError):
-            Token(index=1, surface="a", lemma="a",
-                  role=GrammaticalRole.NOUN, head=0, rule="XP")
+    @pytest.mark.parametrize("rule", ["XP", "np", "NP ", "", "__"])
+    def test_bad_rule_rejected(self, rule):
+        message = f"RULE must be one of NP, VP, PP, OTHER or '_', got {rule!r}"
+        assert token_error(f"1\ta\ta\tN\t0\t{rule}") == (
+            f"f.tb:3: {message}", [f"f.tb:3: format error: {message}"])
+
+
+def violations_of(heads):
+    """The violations ``parse_corpus`` raises for a sentence of nouns with
+    these heads, ``[]`` if it parses."""
+    try:
+        parse_corpus(treebank(nouns(heads)))
+    except TreeValidationError as exc:
+        return list(exc.violations)
+    return []
 
 
 class TestTreeViolations:
     def test_valid_chain(self):
-        assert tree_violations(toks([0, 1, 1])) == []
+        assert violations_of([0, 1, 1]) == []
 
     def test_multiple_roots(self):
-        found = tree_violations(toks([0, 0, 1]))
+        found = violations_of([0, 0, 1])
         assert [v.constraint for v in found] == ["multiple roots"]
         assert found[0].token_index == 2
 
     def test_rootless_cycle(self):
-        found = tree_violations(toks([2, 3, 2]))
+        found = violations_of([2, 3, 2])
         constraints = sorted(v.constraint for v in found)
         assert constraints == ["head cycle", "no root"]
         cycle = next(v for v in found if v.constraint == "head cycle")
         assert cycle.token_index == 2  # smallest index on the cycle
 
     def test_head_out_of_range(self):
-        found = tree_violations(toks([0, 5, 1]))
+        found = violations_of([0, 5, 1])
         assert [v.constraint for v in found] == ["head out of range"]
         assert found[0].token_index == 2
 
     def test_every_problem_reported_at_once(self):
-        found = tree_violations(toks([0, 0, 9, 5, 4]))
+        found = violations_of([0, 0, 9, 5, 4])
         constraints = sorted(v.constraint for v in found)
         assert constraints == ["head cycle", "head out of range",
                                "multiple roots"]
 
     def test_messages_match_the_reference_on_every_small_head_vector(self):
+        checked = 0
         for n in range(1, 5):
             for heads in itertools.product(range(n + 2), repeat=n):
-                # Self-heads are rejected at the Token level, not the tree level.
+                # A self-head is a malformed token, not a tree violation.
                 if all(h != i for i, h in enumerate(heads, start=1)):
-                    tokens = toks(heads)
-                    assert tree_violations(tokens) == reference_tree_violations(tokens)
+                    assert violations_of(heads) == reference_tree_violations(heads)
+                    checked += 1
+        assert checked == 700
 
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(0, 4))
     @settings(max_examples=150, deadline=None)
@@ -176,44 +228,51 @@ class TestTreeViolations:
             cycle, order = order[:length], order[length:]
             for k, token in enumerate(cycle):
                 heads[token - 1] = cycle[(k + 1) % len(cycle)]
-        # Self-heads are rejected at the Token level, not the tree level.
+        # A self-head is a malformed token, not a tree violation.
         heads = [0 if h == i + 1 else h for i, h in enumerate(heads)]
-        found = tree_violations(toks(heads))
-        assert found == reference_tree_violations(toks(heads))
+        found = violations_of(heads)
+        assert found == reference_tree_violations(heads)
         assert (found == []) == heads_form_tree(heads)
 
 
 class TestValidateAndDepth:
     def test_validate_returns_tree(self):
-        tree = validate_tree(toks([2, 0, 2]), sentence_id="s1", century=14)
-        assert tree == DependencyTree("s1", 14, tuple(toks([2, 0, 2])))
+        assert columns(treebank(nouns([2, 0, 2]), sent_id="s1")) == {
+            "sentence_id": ["s1"], "century": [14], "doc_id": [""],
+            "dialect": [None], "target": [None], "length": [3], "depth": [1],
+            "line": [3, 4, 5], "surface": ["w1", "w2", "w3"],
+            "lemma": ["w1", "w2", "w3"], "role": ["N", "N", "N"], "head": [2, 0, 2],
+            "rule": ["NP", "OTHER", "NP"], "missing": [False, False, False],
+        }
 
     def test_violations_raise_with_sentence_id(self):
         with pytest.raises(TreeValidationError, match="s9"):
-            validate_tree(toks([0, 0]), sentence_id="s9", century=14)
-
-    def test_non_contiguous_indices_rejected(self):
-        bad = toks([0, 1])
-        bad = [bad[0], Token(index=3, surface="x", lemma="x",
-                             role=GrammaticalRole.NOUN, head=1)]
-        with pytest.raises(ValueError, match="contiguous"):
-            validate_tree(bad, sentence_id="s1", century=14)
+            parse_corpus(treebank(nouns([0, 0]), sent_id="s9"))
 
     def test_flight_sentence_depth(self):
         # "I prefer the morning flight to Denver" — depth 3 via
         # prefer -> flight -> Denver -> to.
-        roles = [GrammaticalRole.from_code(c)
-                 for c in ("PP", "V", "AR", "N", "N", "PR", "N")]
+        roles = [R.from_code(c) for c in ("PP", "V", "AR", "N", "N", "PR", "N")]
         lemmas = ["I", "prefer", "the", "morning", "flight", "to", "Denver"]
-        tree = validate_tree(
-            toks([2, 0, 5, 5, 2, 7, 5], roles=roles, lemmas=lemmas),
-            sentence_id="flight", century=14,
-        )
-        assert tree_depth(tree) == 3
+        rows = list(zip(lemmas, roles, [2, 0, 5, 5, 2, 7, 5]))
+        assert columns(treebank(rows, sent_id="flight"))["depth"] == [3]
+
+    @pytest.mark.parametrize("indices, bad", [
+        ([2], 0), ([0, 1], 0), ([1, 3], 1), ([1, 1], 1), ([1, 2, 4, 3], 2),
+    ])
+    def test_non_contiguous_indices_rejected(self, indices, bad):
+        rows = [f"{k}\tw\tw\tN\t{0 if k == 1 else 1}\t_" for k in indices]
+        text = "# century = 14\n# sent_id = s1\n" + "\n".join(rows) + "\n"
+        message = (f"f.tb:{3 + bad}: token index {indices[bad]} is not contiguous "
+                   f"(expected {bad + 1})")
+        with pytest.raises(CorpusFormatError) as info:
+            parse_corpus(text, provenance="f.tb")
+        assert str(info.value) == message
+        assert [str(i) for i in audit_corpus(text, provenance="f.tb")] == [
+            message.replace(": token", ": format error: token", 1)]
 
     def test_single_token_tree_depth_zero(self):
-        tree = validate_tree(toks([0]), sentence_id="s1", century=14)
-        assert tree_depth(tree) == 0
+        assert columns(treebank(nouns([0])))["depth"] == [0]
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=1, max_value=30))
@@ -221,29 +280,22 @@ class TestValidateAndDepth:
     def test_random_trees_validate_and_match_oracle_depth(self, seed, n):
         rng = np.random.default_rng(seed)
         heads = random_tree_heads(rng, n)
-        tree = validate_tree(toks(heads), sentence_id="s", century=15)
-        assert tree_depth(tree) == depth_of_heads(heads)
+        assert columns(treebank(nouns(heads), century=15))["depth"] == [
+            depth_of_heads(heads)]
 
     def test_column_depths_match_the_oracle(self):
         rng = np.random.default_rng(12)
         heads = [random_tree_heads(rng, int(rng.integers(1, 40))) for _ in range(60)]
-        built = CorpusSlice(century=15, trees=tuple(
-            validate_tree(toks(h), sentence_id=f"s{i}", century=15)
-            for i, h in enumerate(heads)
-        ))
-        parsed = parse_corpus(render_corpus([built]))[0]
-        want = [depth_of_heads(h) for h in heads]
-        assert built.trees.depth.tolist() == parsed.trees.depth.tolist() == want
-        assert [tree_depth(t) for t in parsed.trees] == want
+        text = "".join(treebank(nouns(h), sent_id=f"s{i}", century=15)
+                       for i, h in enumerate(heads))
+        assert columns(text)["depth"] == [depth_of_heads(h) for h in heads]
 
     def test_a_long_chain_takes_many_jumping_rounds(self):
         chain = list(range(1500))  # token i + 1 hangs off token i
-        tree = validate_tree(toks(chain), sentence_id="chain", century=15)
-        assert tree_depth(tree) == depth_of_heads(chain) == 1499
-        (parsed,) = parse_corpus(render_corpus([CorpusSlice(15, (tree,))]))
-        assert parsed.trees.depth.tolist() == [1499]
-        summary = summarize(aggregate(parsed.trees))
-        (row,) = depth_vs_diameter([parsed], {15: summary})
+        (parsed_slice,) = parse_corpus(treebank(nouns(chain), sent_id="chain", century=15))
+        assert parsed_slice.trees.depth.tolist() == [depth_of_heads(chain)] == [1499]
+        summary = summarize(aggregate(parsed_slice.trees))
+        (row,) = depth_vs_diameter([parsed_slice], {15: summary})
         assert row["max_tree_depth"] == 1499
 
 
@@ -282,19 +334,17 @@ class TestParsing:
         assert len(slices) == 1
         s = slices[0]
         assert s.century == 14 and len(s.trees) == 2
-        assert s.trees[0].sentence_id == "first"
-        assert s.trees[1].sentence_id == "docA:1"
-        assert s.trees[0].target_lemma == "werden"
+        got = columns_of(s.trees)
+        assert got["sentence_id"] == ["first", "docA:1"]
+        assert got["target"] == ["werden", "werden"]
 
     def test_rules_resolved_from_head_role(self):
-        first, second = parse_corpus(MINI)[0].trees
         # er and geborn hang off the auxiliary -> VP; the root gets OTHER.
-        assert [t.rule for t in first.tokens] == ["VP", "OTHER", "VP"]
-        # explicit rule is kept verbatim; computed root rule is OTHER.
-        assert [t.rule for t in second.tokens] == ["NP", "OTHER"]
+        # In the second sentence the explicit rule is kept verbatim.
+        assert columns(MINI)["rule"] == ["VP", "OTHER", "VP", "NP", "OTHER"]
 
     def test_accepts_bytes_and_file_objects(self):
-        assert parse_corpus(MINI.encode()) == parse_corpus(io.StringIO(MINI))
+        assert parsed(parse_corpus(MINI.encode())) == parsed(parse_corpus(io.StringIO(MINI)))
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\x0c"])
     def test_only_newline_ends_a_line(self, separator, tmp_path):
@@ -303,8 +353,8 @@ class TestParsing:
         path = tmp_path / "t.tb"
         path.write_text(text, encoding="utf-8", newline="")
         loaded = load_corpus(path)
-        assert loaded[0].trees[0].tokens[0].lemma == lemma
-        assert parse_corpus(text.replace("\n", "\r\n")) == parse_corpus(text)
+        assert columns_of(loaded[0].trees)["lemma"] == [lemma]
+        assert parsed(parse_corpus(text.replace("\n", "\r\n"))) == parsed(parse_corpus(text))
 
     def test_centuries_sorted_ascending(self):
         text = MINI + "\n# century = 12\n1\tdaz\tdaz\tAR\t0\t_\n"
@@ -319,6 +369,13 @@ class TestParsing:
         text = "# century = 14\n1\ta\ta\tN\t0\t_\n# doc_id = x\n"
         with pytest.raises(CorpusFormatError, match="inside a sentence"):
             parse_corpus(text)
+
+    @pytest.mark.parametrize("value", [" a ", "a ", "a\t"])
+    def test_header_values_are_stripped(self, value):
+        text = (f"# century = 14\n# doc_id ={value}\n# sent_id = {value}\n"
+                "1\tx\tx\tN\t0\t_\n")
+        got = columns(text)
+        assert got["doc_id"] == ["a"] and got["sentence_id"] == ["a"]
 
     def test_unknown_header_key(self):
         with pytest.raises(CorpusFormatError, match="unknown header key"):
@@ -365,9 +422,8 @@ class TestParsing:
     def test_role_underscore_requires_missing_lemma(self):
         with pytest.raises(CorpusFormatError, match="missing-annotation"):
             parse_corpus("# century = 14\n1\ta\ta\t_\t0\t_\n")
-        slices = parse_corpus("# century = 14\n1\t!\t!\t_\t0\t_\n")
-        token = slices[0].trees[0].tokens[0]
-        assert token.missing and token.role is None
+        got = columns("# century = 14\n1\t!\t!\t_\t0\t_\n")
+        assert got["missing"] == [True] and got["role"] == ["_"]
 
     def test_unknown_role_code(self):
         with pytest.raises(CorpusFormatError, match="unknown grammatical role"):
@@ -410,8 +466,8 @@ class TestParsing:
     def test_leading_byte_order_mark_is_accepted(self, tmp_path):
         path = tmp_path / "bom.tb"
         path.write_bytes(b"\xef\xbb\xbf" + MINI.encode())
-        assert load_corpus(path)[0].trees == parse_corpus(MINI)[0].trees
-        assert parse_corpus("\ufeff" + MINI) == parse_corpus(MINI)
+        assert columns_of(load_corpus(path)[0].trees) == columns(MINI)
+        assert parsed(parse_corpus("\ufeff" + MINI)) == parsed(parse_corpus(MINI))
         assert audit_corpus(path.read_bytes()) == []
 
     def test_duplicate_across_files_names_its_line(self, tmp_path):
@@ -494,28 +550,33 @@ def _outcome(decide, *args):
         return str(exc)
 
 
-def filter_one(tree, policy):
-    """``filter_slice`` on a one-tree slice: ``None`` if the policy keeps the
-    tree, else the decision that drops it."""
-    kept, dropped = filter_slice(CorpusSlice(tree.century, [tree]), policy)
-    assert [*kept.trees, *(dropped_tree for dropped_tree, _ in dropped)] == [tree]
-    return dropped[0][1] if dropped else None
+def filter_one(text, policy):
+    """``filter_slice`` on the one-sentence slice of ``text``: ``None`` if
+    the policy keeps the sentence, else the decision that drops it."""
+    (corpus_slice,) = parse_corpus(text)
+    kept, dropped = filter_slice(corpus_slice, policy)
+    assert len(kept.trees) + len(dropped) == 1
+    return dropped[0] if dropped else None
 
 
-def _check_filter(corpus_slice, policy, each_tree=True):
-    """``filter_slice`` keeps, drops and raises as the per-tree reference,
-    on the slice and on each of its trees alone."""
-    want = _outcome(reference_filter_slice, corpus_slice, policy)
+def _check_filter(corpus_slice, ref_trees, policy, each_tree=True):
+    """``filter_slice`` keeps, drops and raises as the per-tree reference
+    does on the reference reader's trees, on the slice and on each of its
+    sentences alone."""
+    want = _outcome(reference_filter_slice, ref_trees, policy)
     got = _outcome(filter_slice, corpus_slice, policy)
     if isinstance(got, tuple):
         kept, dropped = got
         assert (kept.century, kept.provenance) == (
             corpus_slice.century, corpus_slice.provenance)
-        got = (list(kept.trees), dropped)
+        got = (columns_of(kept.trees), dropped)
+    if isinstance(want, tuple):
+        want = (reference_columns(want[0]), want[1])
     assert got == want
-    for tree in corpus_slice.trees if each_tree else ():
-        one = CorpusSlice(corpus_slice.century, [tree], corpus_slice.provenance)
-        _check_filter(one, policy, each_tree=False)
+    for i, tree in enumerate(ref_trees if each_tree else ()):
+        one = CorpusSlice(corpus_slice.century, corpus_slice.trees.take([i]),
+                          corpus_slice.provenance)
+        _check_filter(one, [tree], policy, each_tree=False)
 
 
 class TestBulkReaderMatchesReference:
@@ -534,25 +595,20 @@ class TestBulkReaderMatchesReference:
             want, want_error = None, exc
         assert (type(error), str(error)) == (type(want_error), str(want_error))
         assert issues == reference_audit(sources)
-        assert slices == want
+        assert (None if slices is None else parsed(slices)) == (None if want is None else [
+            (ref.century, ref.provenance, reference_columns(ref.trees)) for ref in want])
         for got, ref in zip(slices or (), want or ()):
-            trees = list(ref.trees)
-            asn, ref_asn = aggregate(got.trees), reference_aggregate(trees)
-            assert asn == aggregate(trees)
-            assert asn.first_seen.tolist() == aggregate(trees).first_seen.tolist()
+            asn, ref_asn = aggregate(got.trees), reference_aggregate(ref.trees)
             assert frequency_map(asn) == ref_asn.frequency
             seen = [asn.keys[i] for i in asn.first_seen.tolist()]
             assert seen == list(ref_asn.frequency)
             assert edge_map(asn) == {
                 edge: (data.weight, data.rules) for edge, data in ref_asn.edges.items()
             }
-            assert got.trees.depth.tolist() == [
-                depth_of_heads([t.head for t in tree.tokens]) for tree in trees
-            ]
-            # A one-tree slice holds columns built from the tree, not the
-            # reader's, so one chunk size covers it.
+            # The columns equal the reference's at every chunk size (checked
+            # above), so one chunk size covers the one-sentence slices.
             for policy in MissingPolicy:
-                _check_filter(got, policy, each_tree=chunk_lines == 4096)
+                _check_filter(got, ref.trees, policy, each_tree=chunk_lines == 4096)
 
     @pytest.mark.parametrize("chunk_lines", [1, 3, 4096])
     @pytest.mark.parametrize("mutation", (None, *MUTATIONS))
@@ -593,89 +649,55 @@ class TestBulkReaderMatchesReference:
     def test_text_with_a_lone_surrogate(self, chunk_lines):
         self.check(["# century = 14\n1\ta\ud800\ta\tN\t0\t_\n"], chunk_lines)
 
-    def test_trees_read_back_as_a_lazy_sequence(self):
+    def test_trees_are_columns_that_take_selects_from(self):
         trees = parse_corpus(MINI)[0].trees
-        assert len(trees) == 2 and trees == tuple(trees) == trees[:]
-        assert isinstance(trees[-1], DependencyTree) and trees[-1] == trees[1]
-        assert trees[::-1] == (trees[1], trees[0]) and hash(trees) == hash(tuple(trees))
-        with pytest.raises(IndexError):
-            trees[2]
-
-    def test_hand_built_trees_need_contiguous_indices(self):
-        token = Token(index=2, surface="a", lemma="a",
-                      role=GrammaticalRole.NOUN, head=0)
-        tree = DependencyTree("s1", 14, (token,))
-        with pytest.raises(ValueError, match="'s1': token indices must be contiguous"):
-            CorpusSlice(century=14, trees=(tree,))
+        assert len(trees) == 2
+        both, back = columns_of(trees), columns_of(trees.take([1, 0]))
+        assert back["sentence_id"] == ["docA:1", "first"]
+        assert back["lemma"] == both["lemma"][3:] + both["lemma"][:3]
+        assert back["line"] == both["line"][3:] + both["line"][:3]
+        assert len(trees.take([])) == 0
 
     def test_a_tree_of_another_century_is_refused(self):
-        token = Token(index=1, surface="a", lemma="a",
-                      role=GrammaticalRole.NOUN, head=0)
-        trees = (DependencyTree("s1", 14, (token,)), DependencyTree("s2", 15, (token,)))
+        text = treebank(nouns([0]), sent_id="s1") + treebank(nouns([0]), sent_id="s2",
+                                                             century=15)
+        _, fifteen = parse_corpus(text)
         with pytest.raises(ValueError, match="^tree 's2' has century 15, slice has 14$"):
-            CorpusSlice(century=14, trees=trees)
+            CorpusSlice(century=14, trees=fifteen.trees)
 
 
 class TestMissingPolicies:
-    def _tree(self, with_adjacent_missing):
-        rows = [
-            ("unbekannt", None, 2) if with_adjacent_missing else ("er", GrammaticalRole.PERSONAL_PRONOUN, 2),
-            ("werden", GrammaticalRole.AUXILIARY, 0),
-            ("!", None, 2),  # missing, but attached to the target's head slot
-        ]
-        # third token: attach far from target for the "distant" variant
-        tokens = []
-        for i, (lemma, role, head) in enumerate(rows, start=1):
-            tokens.append(
-                Token(index=i, surface=lemma, lemma=lemma, role=role,
-                      head=head, missing=role is None)
-            )
-        return validate_tree(tokens, sentence_id="s", century=14,
-                             target_lemma="werden")
+    def _text(self, with_adjacent_missing):
+        first = (("unbekannt", None, 2) if with_adjacent_missing
+                 else ("er", R.PERSONAL_PRONOUN, 2))
+        # The third token is missing and hangs off the target.
+        return treebank([first, ("werden", R.AUXILIARY, 0), ("!", None, 2)],
+                        target="werden")
 
     def test_keep_all_keeps_everything(self):
-        tree = self._tree(True)
-        assert filter_one(tree, MissingPolicy.KEEP_ALL) is None
+        assert filter_one(self._text(True), MissingPolicy.KEEP_ALL) is None
 
     def test_drop_any_drops_on_any_missing(self):
-        tree = self._tree(True)
-        decision = filter_one(tree, MissingPolicy.DROP_ANY)
-        assert decision == FilterDecision(False, "tree contains 2 missing annotation(s)")
-        clean = validate_tree(toks([0, 1]), sentence_id="c", century=14)
+        decision = filter_one(self._text(True), MissingPolicy.DROP_ANY)
+        assert decision == FilterDecision("s", "tree contains 2 missing annotation(s)")
+        clean = treebank(nouns([0, 1]), sent_id="c")
         assert filter_one(clean, MissingPolicy.DROP_ANY) is None
 
     def test_drop_adjacent_drops_neighbor_of_target(self):
-        tree = self._tree(True)
-        decision = filter_one(tree, MissingPolicy.DROP_ADJACENT_TO_TARGET)
-        assert not decision.keep
-        assert "adjacent" in decision.reason
+        decision = filter_one(self._text(True), MissingPolicy.DROP_ADJACENT_TO_TARGET)
+        assert decision == FilterDecision(
+            "s", "missing neighbor of target: token 1 is adjacent to 'werden' at token 2")
 
     def test_drop_adjacent_keeps_distant_missing(self):
         # missing token hangs off a full verb, nowhere near the target
-        tokens = [
-            Token(index=1, surface="er", lemma="er",
-                  role=GrammaticalRole.PERSONAL_PRONOUN, head=2),
-            Token(index=2, surface="wil", lemma="werden",
-                  role=GrammaticalRole.AUXILIARY, head=0),
-            Token(index=3, surface="sehen", lemma="sehen",
-                  role=GrammaticalRole.VERB, head=2),
-            Token(index=4, surface="!", lemma="!", role=None, head=3,
-                  missing=True),
-        ]
-        tree = validate_tree(tokens, sentence_id="s", century=14,
-                             target_lemma="werden")
-        assert filter_one(tree, MissingPolicy.DROP_ADJACENT_TO_TARGET) is None
+        text = treebank([("er", R.PERSONAL_PRONOUN, 2), ("werden", R.AUXILIARY, 0),
+                         ("sehen", R.VERB, 2), ("!", None, 3)], target="werden")
+        assert filter_one(text, MissingPolicy.DROP_ADJACENT_TO_TARGET) is None
 
     def test_drop_adjacent_needs_target(self):
-        tokens = [
-            Token(index=1, surface="!", lemma="!", role=None, head=2,
-                  missing=True),
-            Token(index=2, surface="kint", lemma="kint",
-                  role=GrammaticalRole.NOUN, head=0),
-        ]
-        tree = validate_tree(tokens, sentence_id="s", century=14)
+        text = treebank([("!", None, 2), ("kint", R.NOUN, 0)])
         with pytest.raises(ValueError, match="target"):
-            filter_one(tree, MissingPolicy.DROP_ADJACENT_TO_TARGET)
+            filter_one(text, MissingPolicy.DROP_ADJACENT_TO_TARGET)
 
     def test_policy_names_round_trip(self):
         for policy in MissingPolicy:
@@ -684,17 +706,20 @@ class TestMissingPolicies:
             MissingPolicy.from_name("drop-sometimes")
 
     def test_policy_names_are_accepted_and_unknown_names_raise(self):
-        tree = self._tree(True)
-        clean = validate_tree(toks([0, 1]), sentence_id="c", century=14)
+        texts = (self._text(True), treebank(nouns([0, 1]), sent_id="c"))
         corpus_slice = load_corpus([demo_corpus_path()])[0]
+
+        def outcome(policy):
+            kept, dropped = filter_slice(corpus_slice, policy)
+            return columns_of(kept.trees), dropped
+
         for policy in MissingPolicy:
-            for one in (tree, clean):
-                assert filter_one(one, policy.value) == filter_one(one, policy)
-            assert (filter_slice(corpus_slice, policy.value)
-                    == filter_slice(corpus_slice, policy))
-        for one in (tree, clean):
+            for text in texts:
+                assert filter_one(text, policy.value) == filter_one(text, policy)
+            assert outcome(policy.value) == outcome(policy)
+        for text in texts:
             with pytest.raises(ValueError, match="unknown missing policy 'adjacent'"):
-                filter_one(one, "adjacent")
+                filter_one(text, "adjacent")
         with pytest.raises(ValueError, match="unknown missing policy 'adjacent'"):
             filter_slice(corpus_slice, "adjacent")
 
@@ -711,41 +736,28 @@ class TestMissingPolicies:
              "sentence 'absent': target lemma 'zzz' does not occur"),
         ):
             (corpus_slice,) = parse_corpus(text)
+            (ref,) = reference_parse([(text, "<input>")])
             with pytest.raises(ValueError, match=message):
                 filter_slice(corpus_slice, policy)
-            _check_filter(corpus_slice, policy)
-            for other in (MissingPolicy.DROP_ANY, MissingPolicy.KEEP_ALL):
-                _check_filter(corpus_slice, other)
+            for each in MissingPolicy:
+                _check_filter(corpus_slice, ref.trees, each)
 
-    def test_filter_slice_reports_drops(self):
-        slices = load_corpus([demo_corpus_path()])
-        kept, dropped = filter_slice(slices[0],
-                                     MissingPolicy.DROP_ADJACENT_TO_TARGET)
-        assert len(kept.trees) + len(dropped) == len(slices[0].trees)
-        assert dropped, "demo corpus plants one adjacent-missing sentence"
-        for _tree, decision in dropped:
-            assert not decision.keep
-
-
-def _structure(slices):
-    """Slice contents minus provenance, which naturally differs on reparse."""
-    return [(s.century, s.trees) for s in slices]
-
-
-class TestRoundTrip:
-    def test_render_parse_fixed_point(self):
-        slices = load_corpus([demo_corpus_path()])
-        text = render_corpus(slices)
-        reparsed = parse_corpus(text)
-        assert _structure(reparsed) == _structure(slices)
-        assert render_corpus(reparsed) == text
-
-    def test_render_is_canonical_for_mini(self):
-        slices = parse_corpus(MINI)
-        text = render_corpus(slices)
-        assert _structure(parse_corpus(text)) == _structure(slices)
-        # canonical text is a fixed point even though MINI itself is not
-        assert render_corpus(parse_corpus(text)) == text
+    def test_filter_slice_reports_drops(self, tmp_path):
+        assert cli_main(["analyze", demo_corpus_path(), "--replicates", "100",
+                         "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        lines = []
+        for corpus_slice in load_corpus([demo_corpus_path()]):
+            kept, dropped = filter_slice(corpus_slice, MissingPolicy.DROP_ADJACENT_TO_TARGET)
+            ids = corpus_slice.trees.sentence_id.tolist()
+            gone = {d.sentence_id for d in dropped}
+            assert len(gone) == len(dropped), "demo sentence ids are unique"
+            assert [d.sentence_id for d in dropped] == [i for i in ids if i in gone]
+            assert kept.trees.sentence_id.tolist() == [i for i in ids if i not in gone]
+            lines += [f"century {corpus_slice.century} sentence {d.sentence_id!r}: "
+                      f"{d.reason}" for d in dropped]
+        assert lines, "demo corpus plants one adjacent-missing sentence a century"
+        assert manifest["dropped_sentences"] == lines
 
 
 # Any Unicode but what the format cannot carry: a tab or "\n" inside a
@@ -794,46 +806,17 @@ def treebanks(draw):
     return "\n".join(lines), expected
 
 
-class TestRoundTripProperty:
+class TestEveryField:
     @given(treebanks())
     @settings(max_examples=300, deadline=None)
-    def test_render_after_parse_keeps_every_field(self, case):
+    def test_parse_keeps_every_field(self, case):
         text, expected = case
-        slices = parse_corpus(text)
-        trees = [tree for s in slices for tree in s.trees]
-        assert [
-            ({"century": t.century, "doc_id": t.doc_id, "dialect": t.dialect,
-              "target": t.target_lemma, "sent_id": t.sentence_id},
-             [tok.lemma for tok in t.tokens])
-            for t in trees
-        ] == expected
-        rendered = render_corpus(slices)
-        assert _structure(parse_corpus(rendered)) == _structure(slices)
-        assert render_corpus(parse_corpus(rendered)) == rendered
-
-    @pytest.mark.parametrize("lemma", ["a\tb", "a\nb", "\n", ""])
-    def test_unwritable_lemma_is_rejected(self, lemma):
-        token = Token(index=1, surface="w", lemma=lemma,
-                      role=GrammaticalRole.NOUN, head=0)
-        tree = validate_tree([token], sentence_id="s1", century=14)
-        slices = [CorpusSlice(century=14, trees=(tree,))]
-        with pytest.raises(ValueError, match="token 1: lemma .* cannot be written"):
-            render_corpus(slices)
-
-    @pytest.mark.parametrize("doc_id", ["a\nb", " a", "a\u2028"])
-    def test_unwritable_header_value_is_rejected(self, doc_id):
-        tree = validate_tree(toks([0]), sentence_id="s1", century=14, doc_id=doc_id)
-        slices = [CorpusSlice(century=14, trees=(tree,))]
-        with pytest.raises(ValueError, match="header doc_id = .* cannot be written"):
-            render_corpus(slices)
-
-    def test_header_that_would_need_clearing_is_rejected(self):
-        # Grouping by century puts the 14th-century sentence, which set a
-        # dialect, before the 15th-century one that had none: the rendered
-        # file would hand that dialect on to it.
-        slices = parse_corpus(
-            "# century = 15\n# sent_id = a\n1\tx\tx\tN\t0\t_\n\n"
-            "# century = 14\n# dialect = bair\n# sent_id = b\n1\ty\ty\tN\t0\t_\n"
-        )
-        with pytest.raises(ValueError, match="'a': dialect cannot be unset"):
-            render_corpus(slices)
+        got = []
+        for corpus_slice in parse_corpus(text):
+            found = columns_of(corpus_slice.trees)
+            lemmas = iter(found["lemma"])
+            for i, length in enumerate(found["length"]):
+                meta = {key: found[key][i] for key in ("century", "doc_id", "dialect", "target")}
+                got.append((dict(meta, sent_id=found["sentence_id"][i]),
+                            [next(lemmas) for _ in range(length)]))
+        assert got == expected

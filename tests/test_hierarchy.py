@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import asnkit.hierarchy
 from asnkit import (
     GrammaticalRole,
-    Token,
     aggregate,
     detect_emergent_heads,
     heads,
@@ -21,8 +20,8 @@ from asnkit import (
     hierarchy_stats,
     influence_ranking,
     level_csv,
+    parse_corpus,
     track,
-    validate_tree,
 )
 from oracles import (
     _lsqr_min_norm,
@@ -33,9 +32,11 @@ from oracles import (
     make_asn,
     mmd_lu_levels,
     nkey,
+    nouns,
     random_asn,
     random_tree_heads,
     reverse,
+    treebank,
 )
 
 
@@ -79,13 +80,8 @@ class TestExactPropagation:
     def test_tree_levels_equal_depths(self, seed, n):
         rng = np.random.default_rng(seed)
         heads_vec = random_tree_heads(rng, n)
-        tokens = [
-            Token(index=i, surface=f"w{i}", lemma=f"w{i}",
-                  role=GrammaticalRole.NOUN, head=h)
-            for i, h in enumerate(heads_vec, start=1)
-        ]
-        tree = validate_tree(tokens, sentence_id="s", century=14)
-        asn = aggregate([tree])
+        (corpus_slice,) = parse_corpus(treebank(nouns(heads_vec)))
+        asn = aggregate(corpus_slice.trees)
         both = hierarchy_levels(asn)
         assert both.residual <= 1e-12
         depth = {}

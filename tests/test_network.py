@@ -18,7 +18,6 @@ from asnkit import (
     Asn,
     GrammaticalRole,
     NodeKey,
-    Token,
     aggregate,
     edge_csv,
     heads,
@@ -27,8 +26,8 @@ from asnkit import (
     parse_corpus,
     to_dot,
     to_graphml,
-    validate_tree,
 )
+from asnkit.corpus import _TreeColumns
 from oracles import (
     edge_map,
     frequency_map,
@@ -38,32 +37,31 @@ from oracles import (
     reference_aggregate,
     reference_edge_csv,
     reference_level_csv,
+    reference_parse,
     reference_to_dot,
     reference_to_graphml,
     reverse,
+    treebank,
 )
 
 R = GrammaticalRole
 
 
-def sentence(rows, sentence_id="s", century=14):
-    """rows: (lemma, role, head) triples."""
-    tokens = [
-        Token(index=i, surface=lemma, lemma=lemma, role=role, head=head)
-        for i, (lemma, role, head) in enumerate(rows, start=1)
-    ]
-    return validate_tree(tokens, sentence_id=sentence_id, century=century)
+def trees(*texts):
+    """The trees of the one slice the joined treebank ``texts`` parse to."""
+    (corpus_slice,) = parse_corpus("".join(texts))
+    return corpus_slice.trees
 
 
-DOG = sentence([("der", R.ARTICLE, 2), ("hunt", R.NOUN, 3),
-                ("louft", R.VERB, 0)], sentence_id="dog")
-MAN = sentence([("der", R.ARTICLE, 2), ("man", R.NOUN, 3),
-                ("louft", R.VERB, 0)], sentence_id="man")
+DOG = treebank([("der", R.ARTICLE, 2), ("hunt", R.NOUN, 3),
+                ("louft", R.VERB, 0)], sent_id="dog")
+MAN = treebank([("der", R.ARTICLE, 2), ("man", R.NOUN, 3),
+                ("louft", R.VERB, 0)], sent_id="man")
 
 
 class TestAggregate:
     def test_two_sentences_share_nodes_and_split_edges(self):
-        asn = aggregate([DOG, MAN])
+        asn = aggregate(trees(DOG, MAN))
         assert asn.century == 14
         assert asn.node_count == 4  # der, hunt, man, louft
         assert asn.edge_count == 4
@@ -78,48 +76,50 @@ class TestAggregate:
         assert asn.out_weight()[asn.index[v]] == 2
 
     def test_same_sentence_twice_doubles_weights(self):
-        twin = sentence([("der", R.ARTICLE, 2), ("hunt", R.NOUN, 3),
-                         ("louft", R.VERB, 0)], sentence_id="dog2")
-        asn = aggregate([DOG, twin])
+        twin = treebank([("der", R.ARTICLE, 2), ("hunt", R.NOUN, 3),
+                         ("louft", R.VERB, 0)], sent_id="dog2")
+        asn = aggregate(trees(DOG, twin))
         for weight, _rules in edge_map(asn).values():
             assert weight == 2
         assert frequency_map(asn)[nkey("louft", R.VERB)] == 2
 
     def test_repeated_lemma_inside_one_sentence_merges(self):
-        biter = sentence([("hunt", R.NOUN, 2), ("bizt", R.VERB, 0),
-                          ("hunt", R.NOUN, 2)], sentence_id="bite")
-        asn = aggregate([biter])
+        biter = treebank([("hunt", R.NOUN, 2), ("bizt", R.VERB, 0),
+                          ("hunt", R.NOUN, 2)], sent_id="bite")
+        asn = aggregate(trees(biter))
         assert asn.node_count == 2
         assert frequency_map(asn)[nkey("hunt", R.NOUN)] == 2
         assert edge_map(asn)[(nkey("bizt", R.VERB),
                               nkey("hunt", R.NOUN))][0] == 2
 
     def test_same_lemma_different_role_is_a_different_node(self):
-        wit = sentence([("wil", R.MODAL_VERB, 0), ("wil", R.NOUN, 1)],
-                       sentence_id="pun")
-        asn = aggregate([wit])
+        wit = treebank([("wil", R.MODAL_VERB, 0), ("wil", R.NOUN, 1)],
+                       sent_id="pun")
+        asn = aggregate(trees(wit))
         assert asn.node_count == 2
 
     def test_order_invariance(self):
-        assert aggregate([DOG, MAN]) == aggregate([MAN, DOG])
+        assert aggregate(trees(DOG, MAN)) == aggregate(trees(MAN, DOG))
 
     def test_weight_conservation(self):
-        trees = [DOG, MAN,
-                 sentence([("ez", R.PERSONAL_PRONOUN, 2),
-                           ("regent", R.VERB, 0)], sentence_id="rain")]
-        asn = aggregate(trees)
-        assert asn.total_weight() == sum(len(t.tokens) - 1 for t in trees)
+        rain = treebank([("ez", R.PERSONAL_PRONOUN, 2), ("regent", R.VERB, 0)],
+                        sent_id="rain")
+        asn = aggregate(trees(DOG, MAN, rain))
+        assert asn.total_weight() == 2 + 2 + 1  # one unit per non-root token
 
     def test_century_mismatch_rejected(self):
-        late = sentence([("daz", R.ARTICLE, 2), ("kint", R.NOUN, 0)],
-                        sentence_id="late", century=15)
+        late = treebank([("daz", R.ARTICLE, 2), ("kint", R.NOUN, 0)],
+                        sent_id="late", century=15)
+        fourteen, fifteen = parse_corpus(DOG + late)
+        # A slice holds one century; the columns of two slices joined do not.
+        mixed = _TreeColumns.concat([fourteen.trees, fifteen.trees])
         with pytest.raises(ValueError, match="centuries"):
-            aggregate([DOG, late])
+            aggregate(mixed)
         with pytest.raises(ValueError, match="centuries"):
-            aggregate([DOG], century=16)
+            aggregate(fourteen.trees, century=16)
 
     def test_empty_aggregate_keeps_explicit_century(self):
-        asn = aggregate([], century=14)
+        asn = aggregate(trees(DOG).take([]), century=14)
         assert asn.century == 14 and asn.node_count == 0
 
     def test_rule_tags_collected_on_edges(self):
@@ -133,7 +133,7 @@ class TestAggregate:
 
     def test_logs_one_debug_line_per_network(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="asnkit.network"):
-            aggregate([DOG, MAN])
+            aggregate(trees(DOG, MAN))
         assert [r.getMessage() for r in caplog.records] == [
             "century 14: 2 trees, 4 nodes, 4 edges, total weight 4"
         ]
@@ -163,15 +163,10 @@ class TestAggregate:
     def test_random_tree_weight_matches_token_count(self, seed):
         rng = np.random.default_rng(seed)
         heads_vec = random_tree_heads(rng, int(rng.integers(1, 20)))
-        tokens = [
-            Token(index=i, surface=f"w{i}", lemma=f"w{i % 5}",
-                  role=R.NOUN, head=h)
-            for i, h in enumerate(heads_vec, start=1)
-        ]
-        tree = validate_tree(tokens, sentence_id="s", century=14)
-        asn = aggregate([tree])
-        assert asn.total_weight() == len(tokens) - 1
-        assert sum(frequency_map(asn).values()) == len(tokens)
+        rows = [(f"w{i % 5}", R.NOUN, h) for i, h in enumerate(heads_vec, start=1)]
+        asn = aggregate(trees(treebank(rows)))
+        assert asn.total_weight() == len(rows) - 1
+        assert sum(frequency_map(asn).values()) == len(rows)
 
 
 class TestHeads:
@@ -199,7 +194,7 @@ class TestHeads:
 
 class TestSubnetworkAndReverse:
     def test_reverse_twice_is_identity(self):
-        asn = aggregate([DOG, MAN])
+        asn = aggregate(trees(DOG, MAN))
         assert reverse(reverse(asn)) == asn
 
     def test_reverse_swaps_weights(self):
@@ -211,7 +206,7 @@ class TestSubnetworkAndReverse:
 
 class TestExports:
     def test_edge_csv_parses_back(self):
-        asn = aggregate([DOG, MAN])
+        asn = aggregate(trees(DOG, MAN))
         text = edge_csv(asn, metadata={"seed": 0})
         lines = text.splitlines()
         assert lines[0] == "# seed=0"
@@ -226,14 +221,14 @@ class TestExports:
         assert rebuilt[("N", "man", "AR", "der")] == 1
 
     def test_edge_csv_quotes_awkward_lemmas(self):
-        tricky = sentence([('sa"ge', R.NOUN, 2), ("comma,lemma", R.VERB, 0)],
-                          sentence_id="q")
-        text = edge_csv(aggregate([tricky]))
+        tricky = treebank([('sa"ge', R.NOUN, 2), ("comma,lemma", R.VERB, 0)],
+                          sent_id="q")
+        text = edge_csv(aggregate(trees(tricky)))
         row = next(csv.reader(io.StringIO(text.splitlines()[-1])))
         assert row[1] == "comma,lemma" and row[3] == 'sa"ge'
 
     def test_dot_output_shape(self):
-        asn = aggregate([DOG])
+        asn = aggregate(trees(DOG))
         dot = to_dot(asn, metadata={"century": 14})
         assert dot.startswith("// century=14\n")
         assert "digraph asn {" in dot
@@ -241,7 +236,7 @@ class TestExports:
         assert dot.rstrip().endswith("}")
 
     def test_graphml_is_well_formed_and_complete(self):
-        asn = aggregate([DOG, MAN])
+        asn = aggregate(trees(DOG, MAN))
         doc = minidom.parseString(to_graphml(asn, metadata={"seed": 1}))
         nodes = doc.getElementsByTagName("node")
         edges = doc.getElementsByTagName("edge")
@@ -249,8 +244,8 @@ class TestExports:
         assert "seed=1" in to_graphml(asn, metadata={"seed": 1})
 
     def test_deterministic_output_order(self):
-        one = edge_csv(aggregate([DOG, MAN]))
-        other = edge_csv(aggregate([MAN, DOG]))
+        one = edge_csv(aggregate(trees(DOG, MAN)))
+        other = edge_csv(aggregate(trees(MAN, DOG)))
         assert one == other
 
 
@@ -282,15 +277,17 @@ ROLES = (R.NOUN, R.VERB, R.ARTICLE, None)
 
 @st.composite
 def treebanks(draw):
-    """A few valid trees of one century over a small pool of awkward lemmas.
+    """Treebank text of a few valid trees of one century over a small pool
+    of awkward lemmas.
 
     The small pools make self-loops (one lemma and role heading itself) and
     edges that collect several rules common; ``None`` roles give sentinel
-    tokens with missing annotation.
+    tokens with missing annotation, and a ``_`` rule is resolved by the
+    reader.
     """
     pool = draw(st.lists(st.text(AWKWARD, min_size=1, max_size=3),
                          min_size=1, max_size=4))
-    trees = []
+    texts = []
     for number in range(draw(st.integers(1, 5))):
         size = draw(st.integers(1, 7))
         parent = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, size)]
@@ -299,18 +296,16 @@ def treebanks(draw):
         for label in range(size):
             if parent[label] >= 0:
                 head_of[position[label]] = position[parent[label]] + 1
-        tokens = []
-        for index, head in enumerate(head_of, start=1):
+        rows = []
+        for head in head_of:
             role = draw(st.sampled_from(ROLES))
             if role is None:
                 lemma = draw(st.sampled_from(sorted(MISSING_LEMMAS)))
             else:
                 lemma = draw(st.sampled_from(pool))
-            tokens.append(Token(index=index, surface=lemma, lemma=lemma, role=role,
-                                head=head, rule=draw(st.sampled_from(PHRASE_RULES)),
-                                missing=role is None))
-        trees.append(validate_tree(tokens, sentence_id=f"s{number}", century=14))
-    return trees
+            rows.append((lemma, role, head, draw(st.sampled_from(("_",) + PHRASE_RULES))))
+        texts.append(treebank(rows, sent_id=f"s{number}"))
+    return "".join(texts)
 
 
 class TestArrayCoreMatchesReference:
@@ -318,9 +313,10 @@ class TestArrayCoreMatchesReference:
 
     @given(treebanks())
     @settings(max_examples=150, deadline=None)
-    def test_writers_and_weights_match(self, trees):
-        asn = aggregate(trees)
-        ref = reference_aggregate(trees)
+    def test_writers_and_weights_match(self, text):
+        asn = aggregate(trees(text))
+        (ref_slice,) = reference_parse([(text, "<input>")])
+        ref = reference_aggregate(ref_slice.trees)
         meta = {"century": 14, "seed": 3}
         assert edge_csv(asn, metadata=meta) == reference_edge_csv(ref, meta)
         assert to_dot(asn, metadata=meta) == reference_to_dot(ref, meta)
@@ -340,8 +336,8 @@ class TestArrayCoreMatchesReference:
         assert dict(zip(asn.keys, asn.out_weight().tolist())) == ref.out_weight()
 
     def test_edge_csv_row_survives_a_carriage_return(self):
-        tricky = sentence([("a\rb", R.NOUN, 2), ("c", R.NOUN, 0)], sentence_id="cr")
-        rows = list(csv.reader(io.StringIO(edge_csv(aggregate([tricky])), newline="")))
+        tricky = treebank([("a\rb", R.NOUN, 2), ("c", R.NOUN, 0)], sent_id="cr")
+        rows = list(csv.reader(io.StringIO(edge_csv(aggregate(trees(tricky))), newline="")))
         assert rows[1:] == [["N", "c", "N", "a\rb", "1"]]
 
 
@@ -349,10 +345,10 @@ class TestGraphmlRoundTrip:
     """GraphML keeps every lemma it writes, or refuses the lemma."""
 
     @given(treebanks())
-    @example([sentence([("a\rb", R.NOUN, 2), ("c", R.NOUN, 0)], sentence_id="cr")])
+    @example(treebank([("a\rb", R.NOUN, 2), ("c", R.NOUN, 0)], sent_id="cr"))
     @settings(max_examples=100, deadline=None)
-    def test_element_tree_reads_back_every_key_and_edge(self, trees):
-        asn = aggregate(trees)
+    def test_element_tree_reads_back_every_key_and_edge(self, text):
+        asn = aggregate(trees(text))
         graph = ElementTree.fromstring(to_graphml(asn)).find(f"{GRAPHML}graph")
         nodes = {}
         for node in graph.iter(f"{GRAPHML}node"):
@@ -367,7 +363,7 @@ class TestGraphmlRoundTrip:
 
     @pytest.mark.parametrize("char", ["\x0c", "\x00", "\ud800", "\ufffe"])
     def test_a_character_xml_cannot_carry_names_its_node(self, char):
-        tricky = sentence([(f"a{char}b", R.NOUN, 2), ("c", R.NOUN, 0)],
-                          sentence_id="ff")
+        tricky = treebank([(f"a{char}b", R.NOUN, 2), ("c", R.NOUN, 0)],
+                          sent_id="ff")
         with pytest.raises(ValueError, match=re.escape(repr(f"N a{char}b"))):
-            to_graphml(aggregate([tricky]))
+            to_graphml(aggregate(trees(tricky)))
