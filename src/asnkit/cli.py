@@ -61,7 +61,6 @@ from .network import (
     to_graphml,
 )
 from .powerlaw import (
-    DegenerateDataError,
     bootstrap_pvalue,
     ccdf_rows,
     fit_power_law,
@@ -390,7 +389,7 @@ def _powerlaw_payload(cfg: RunConfig, century: int, asn: Asn):
     }
     try:
         fit = fit_power_law(data)
-    except (ValueError, DegenerateDataError) as exc:
+    except ValueError as exc:  # DegenerateDataError is a ValueError
         payload["error"] = str(exc)
         return payload, None, data
     try:

@@ -375,6 +375,8 @@ class CorpusSlice:
 
     Raises
     ------
+    TypeError
+        If ``trees`` are not the columns of a parsed slice.
     ValueError
         If a sentence is of another century.
     """
@@ -385,6 +387,11 @@ class CorpusSlice:
 
     def __post_init__(self) -> None:
         trees = self.trees
+        if not isinstance(trees, _TreeColumns):
+            raise TypeError(
+                "trees must be the columns of a parsed slice (CorpusSlice.trees), "
+                f"got {type(trees).__name__}"
+            )
         wrong = np.flatnonzero(trees.century != self.century)
         if wrong.size:
             i = wrong[0]

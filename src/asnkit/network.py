@@ -170,30 +170,17 @@ class Asn:
 _RULE_BITS = {rule: 1 << i for i, rule in enumerate(PHRASE_RULES)}
 
 
-def aggregate(trees: _TreeColumns, century: int | None = None) -> Asn:
+def aggregate(trees: _TreeColumns) -> Asn:
     """Merge the validated trees of one century into a single network.
 
     ``trees`` are the token columns of a :class:`~asnkit.corpus.CorpusSlice`
-    (its ``trees``).  The result does not depend on tree order.  Node
-    frequency counts token occurrences; each head -> dependent pair adds one
-    unit of edge weight and records the dependent's rule tag.
-
-    Raises
-    ------
-    ValueError
-        If the trees span more than one century, or disagree with an
-        explicitly passed ``century``.
+    (its ``trees``), which holds one century; the network takes that
+    century, or ``None`` when there are no trees.  The result does not
+    depend on tree order.  Node frequency counts token occurrences; each
+    head -> dependent pair adds one unit of edge weight and records the
+    dependent's rule tag.
     """
-    if len(trees):
-        if century is None:
-            century = trees.century[0]
-        wrong = np.flatnonzero(trees.century != century)
-        if wrong.size:
-            i = wrong[0]
-            raise ValueError(
-                f"cannot aggregate across centuries: {trees.sentence_id[i]!r} "
-                f"has {trees.century[i]}, expected {century}"
-            )
+    century = trees.century[0] if len(trees) else None
     # A node is a (role, lemma) pair; its code packs the two string ids.
     width = len(trees.strings)
     codes, first, token_code = np.unique(

@@ -27,13 +27,15 @@ over the closed family: b = 0 is the cell-integrated continuous power law
 with exponent 1 - a, the limit of lognormals with mu -> -inf, and on some
 tails the supremum lies there.
 
-One kernel fits many samples in lockstep: their candidates share one Newton
-solve and one KS evaluation.  Every zeta value is summed over rows of one
-fixed width, so it depends only on its own arguments, and a sample's fit
-does not depend on the samples beside it.  ``fit_power_law`` is the
-one-sample case.  The bootstrap draws its replicates a small batch at a
-time, from one shared inverse-CDF table, and fits each batch at once; its
-results do not depend on the batch size.
+The layer's one domain is the fit bracket ``[ALPHA_LO, ALPHA_HI]`` = [1.01,
+6]: every exponent it fits, samples from or compares lies in it, and
+:class:`PowerLawFit` refuses any other.  One kernel fits many samples in
+lockstep: their candidates share one Newton solve and one KS evaluation.
+Every zeta value is summed over rows of one fixed width, so it depends only
+on its own arguments, and a sample's fit does not depend on the samples
+beside it.  ``fit_power_law`` is the one-sample case.  The bootstrap draws
+its replicates a small batch at a time, from one shared inverse-CDF table,
+and fits each batch at once; its results do not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -50,11 +52,9 @@ __all__ = [
     "DegenerateDataError",
     "PowerLawFit",
     "LrtResult",
-    "hurwitz_zeta",
     "fit_power_law",
     "bootstrap_pvalue",
     "lrt",
-    "sample_discrete_powerlaw",
     "ccdf_rows",
 ]
 
@@ -71,7 +71,7 @@ MIN_TAIL = 10
 
 #: Direct-summation horizon for the Hurwitz zeta; beyond it the
 #: Euler-Maclaurin expansion with Bernoulli terms up to B8 is accurate to
-#: ~1e-13 relative for the exponents used here.
+#: ~1e-13 relative for every exponent in ``[ALPHA_LO, ALPHA_HI]``.
 _ZETA_HORIZON = 36.0
 
 #: Largest inverse-CDF table of the sampler (8 MB); draws beyond it are
@@ -150,33 +150,19 @@ def _em_tail(
 def _zeta_sums(
     s: np.ndarray, q: np.ndarray, derivatives: bool = False
 ) -> list[np.ndarray]:
-    """Hurwitz zeta of equal-shape float arrays, with its first two
-    s-derivatives when ``derivatives`` is set (see :func:`_em_tail`).
+    """Hurwitz zeta ``sum_{k>=0} (q+k)^-s`` of equal-shape float arrays, s in
+    ``[ALPHA_LO, ALPHA_HI]`` and q > 0, with its first two s-derivatives
+    when ``derivatives`` is set (see :func:`_em_tail`).
 
-    One direct sum of the terms ``(q+k)^-s`` below a horizon of
-    ``max(_ZETA_HORIZON, 3 s)``, each also weighted by ``-log(q+k)`` and
-    ``log^2(q+k)`` for the derivatives, plus the Euler-Maclaurin tail beyond
-    it.  Every direct sum is a row ``ceil(horizon)`` terms wide, the terms at
-    or past the horizon masked to zero, and each value's horizon comes from
-    its own s, so its rounding depends on its own (s, q) alone: for
-    ``s <= 12``, the whole fitting bracket, the horizon is fixed.
+    One direct sum of the terms ``(q+k)^-s`` below ``_ZETA_HORIZON``, each
+    also weighted by ``-log(q+k)`` and ``log^2(q+k)`` for the derivatives,
+    plus the Euler-Maclaurin tail beyond it.  Every direct sum is a row
+    ``ceil(_ZETA_HORIZON)`` terms wide, the terms at or past the horizon
+    masked to zero, so its rounding depends on its own (s, q) alone.
     """
-    if 3.0 * s.max() <= _ZETA_HORIZON:
-        return _zeta_rows(s, q, _ZETA_HORIZON, derivatives)
-    horizons = np.maximum(_ZETA_HORIZON, 3.0 * s)
-    sums = [np.empty(s.shape) for _ in range(3 if derivatives else 1)]
-    for horizon in np.unique(horizons):
-        rows = horizons == horizon
-        for total, part in zip(sums, _zeta_rows(s[rows], q[rows], horizon, derivatives)):
-            total[rows] = part
-    return sums
-
-
-def _zeta_rows(s, q, horizon: float, derivatives: bool) -> list[np.ndarray]:
-    """:func:`_zeta_sums` with one horizon for every value."""
-    n_terms = np.maximum(0.0, np.ceil(horizon - q))
+    n_terms = np.maximum(0.0, np.ceil(_ZETA_HORIZON - q))
     _, sums = _em_tail(s, q + n_terms, derivatives)
-    k = np.arange(np.ceil(horizon))
+    k = np.arange(np.ceil(_ZETA_HORIZON))
     base = q[..., None] + k
     powers = base ** (-s[..., None])
     powers *= k < n_terms[..., None]
@@ -189,39 +175,14 @@ def _zeta_rows(s, q, horizon: float, derivatives: bool) -> list[np.ndarray]:
     return sums
 
 
-def hurwitz_zeta(s, q):
-    """Hurwitz zeta ``sum_{k>=0} (q+k)^-s``, elementwise over broadcast input.
-
-    Direct summation up to a fixed horizon plus an Euler-Maclaurin tail;
-    relative error is ~1e-13 for the exponent range used by the fitter and
-    stays below 1e-10 for s up to about 16.
-
-    Raises
-    ------
-    ValueError
-        Unless ``s > 1`` and ``q > 0`` everywhere.
-    """
-    s_in = np.asarray(s, dtype=np.float64)
-    q_in = np.asarray(q, dtype=np.float64)
-    if np.any(s_in <= 1.0):
-        raise ValueError("hurwitz_zeta requires s > 1")
-    if np.any(q_in <= 0.0):
-        raise ValueError("hurwitz_zeta requires q > 0")
-    scalar = s_in.ndim == 0 and q_in.ndim == 0
-    s_b, q_b = np.broadcast_arrays(np.atleast_1d(s_in), np.atleast_1d(q_in))
-    result = _zeta_sums(s_b.astype(np.float64), q_b.astype(np.float64))[0]
-    if scalar:
-        return float(result[0])
-    return result.reshape(np.broadcast_shapes(s_in.shape, q_in.shape))
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     """A fitted discrete power-law tail.
 
-    ``p_value`` is present only after :func:`bootstrap_pvalue`; it then
-    carries the number of bootstrap replicates that entered the estimate and
-    the seed that drove them.
+    ``alpha`` lies in the fit bracket ``[ALPHA_LO, ALPHA_HI]``, the one
+    domain of every zeta the layer evaluates.  ``p_value`` is present only
+    after :func:`bootstrap_pvalue`; it then carries the number of bootstrap
+    replicates that entered the estimate and the seed that drove them.
     """
 
     alpha: float
@@ -233,8 +194,10 @@ class PowerLawFit:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
+        if not ALPHA_LO <= self.alpha <= ALPHA_HI:
+            raise ValueError(
+                f"alpha must lie in [{ALPHA_LO}, {ALPHA_HI}], got {self.alpha}"
+            )
         if self.xmin < 1:
             raise ValueError(f"xmin must be >= 1, got {self.xmin}")
         if not 0.0 <= self.ks <= 1.0:
@@ -347,7 +310,7 @@ def _zeta_at_integers(alphas, which, values):
     """
     at = np.empty(values.size)
     after = np.empty(values.size)
-    horizon = int(np.ceil(max(_ZETA_HORIZON, 3.0 * float(alphas.max()))))
+    horizon = int(np.ceil(_ZETA_HORIZON))
     near = values < horizon
     far = ~near
     first, (total,) = _em_tail(alphas[which[far]], values[far].astype(np.float64))
@@ -895,7 +858,8 @@ def lrt(data, fit: PowerLawFit, alternative: str = "exponential") -> LrtResult:
         )
     xmin = float(fit.xmin)
 
-    loglik_pl = -fit.alpha * np.log(tail) - np.log(hurwitz_zeta(fit.alpha, xmin))
+    (z,) = _zeta_sums(np.array([fit.alpha]), np.array([xmin]))
+    loglik_pl = -fit.alpha * np.log(tail) - np.log(z[0])
     if alternative == "exponential":
         shifted = tail - xmin
         lam = np.log1p(1.0 / shifted.mean())
@@ -951,7 +915,7 @@ class _Sampler:
     def __init__(self, alpha: float, xmin: int) -> None:
         self.alpha = alpha
         self.xmin = xmin
-        self.z = hurwitz_zeta(alpha, float(xmin))
+        self.z = float(_zeta_sums(np.array([alpha]), np.array([float(xmin)]))[0][0])
         self.cdf = self._table(1024)
 
     def _table(self, length: int) -> np.ndarray:
@@ -971,30 +935,6 @@ class _Sampler:
         return draws
 
 
-def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, seed) -> np.ndarray:
-    """Draw from the discrete power law by exact inverse-CDF lookup.
-
-    ``seed`` may be an integer or a ``numpy.random.Generator``; equal seeds
-    give identical output.  The CDF table over consecutive integers grows
-    to cover the uniform draws, up to ``_MAX_TABLE`` entries; the rare draws
-    beyond it are inverted by bisection on the zeta function.
-
-    Raises
-    ------
-    ValueError
-        Unless ``alpha > 1``, ``xmin >= 1`` and ``size >= 1``.
-    """
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    xmin = int(xmin)
-    if xmin < 1:
-        raise ValueError(f"xmin must be >= 1, got {xmin}")
-    if size < 1:
-        raise ValueError(f"sample size must be >= 1, got {size}")
-    rng = np.random.default_rng(seed)
-    return _Sampler(alpha, xmin).draw(rng.random(size))
-
-
 def ccdf_rows(data, fit: PowerLawFit | None = None) -> list[dict]:
     """Empirical CCDF P(X >= x) at each distinct value, with model overlay.
 
@@ -1011,10 +951,11 @@ def ccdf_rows(data, fit: PowerLawFit | None = None) -> list[dict]:
     if fit is not None:
         sel = uniq >= fit.xmin
         if np.any(sel):
-            z = hurwitz_zeta(fit.alpha, float(fit.xmin))
+            # zeta at xmin, the normalization, then at each tail value.
+            q = np.append(fit.xmin, uniq[sel]).astype(np.float64)
+            (zetas,) = _zeta_sums(np.full(q.size, fit.alpha), q)
             scale = fit.n_tail / x.size
-            values = hurwitz_zeta(fit.alpha, uniq[sel].astype(np.float64))
-            for v, ccdf in zip(uniq[sel], np.atleast_1d(values) / z * scale):
+            for v, ccdf in zip(uniq[sel], zetas[1:] / zetas[0] * scale):
                 fitted[int(v)] = float(ccdf)
     return [
         {

@@ -33,9 +33,8 @@ from asnkit import (
     TreeValidationError,
     TreeViolation,
     fit_power_law,
-    hurwitz_zeta,
-    sample_discrete_powerlaw,
 )
+from asnkit.powerlaw import _Sampler
 
 logger = logging.getLogger(__name__)
 
@@ -1169,14 +1168,15 @@ def jump_ks_oracle(tail, alpha: float, xmin: int) -> float:
 
 # The power-law fitter asnkit shipped before its Newton solver and jump-point
 # KS: golden-section search on the likelihood and the KS distance over the
-# dense integer grid.  Kept as the reference the fast fitter must match.
+# dense integer grid.  Kept as the reference the fast fitter must match; its
+# zeta is ``scipy.special.zeta``, so it shares no zeta code with the fitter.
 
 #: Exponent bracket and golden-section tolerance of the reference fitter.
 GOLDEN_LO, GOLDEN_HI, GOLDEN_TOL = 1.01, 6.0, 1e-6
 
 
 def _tail_loglik(alphas, xmins, ntails, sumlogs):
-    return -ntails * np.log(hurwitz_zeta(alphas, xmins)) - alphas * sumlogs
+    return -ntails * np.log(special.zeta(alphas, xmins)) - alphas * sumlogs
 
 
 def golden_alphas(xmins, ntails, sumlogs):
@@ -1228,7 +1228,7 @@ def grid_ks_distances(uniq, counts, cand, alphas, ntails):
     mask = grid[None, :] >= xmins[:, None]
     powers *= mask
     cs = np.cumsum(powers, axis=1)
-    z_tail = hurwitz_zeta(alphas, np.full(m, float(hi_val + 1)))
+    z_tail = special.zeta(alphas, np.full(m, float(hi_val + 1)))
     cdf_fit = cs / (cs[:, -1] + z_tail)[:, None]
 
     start = (uniq[cand] - lo_val).astype(np.int64)
@@ -1254,6 +1254,12 @@ def grid_fit(data):
     best = int(np.argmin(distances))
     return (float(alphas[best]), int(uniq[cand[best]]), float(distances[best]),
             int(ntails[best]))
+
+
+def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, seed) -> np.ndarray:
+    """``size`` draws at ``alpha`` in the fit bracket from the sampler that
+    ``bootstrap_pvalue`` uses; ``seed`` is an integer or a Generator."""
+    return _Sampler(alpha, int(xmin)).draw(np.random.default_rng(seed).random(size))
 
 
 # The bootstrap asnkit ran before it fitted replicates in lockstep batches:

@@ -25,7 +25,6 @@ from asnkit import (
     hierarchy_levels,
     hierarchy_stats,
     parse_corpus,
-    sample_discrete_powerlaw,
     summarize,
     track,
 )
@@ -38,6 +37,7 @@ from oracles import (
     nouns,
     random_asn,
     random_tree_heads,
+    sample_discrete_powerlaw,
     summary_oracle,
     treebank,
 )

@@ -665,6 +665,11 @@ class TestBulkReaderMatchesReference:
         with pytest.raises(ValueError, match="^tree 's2' has century 15, slice has 14$"):
             CorpusSlice(century=14, trees=fifteen.trees)
 
+    def test_trees_that_are_not_a_slice_s_columns_are_refused(self):
+        with pytest.raises(TypeError, match=r"^trees must be the columns of a parsed "
+                           r"slice \(CorpusSlice\.trees\), got tuple$"):
+            CorpusSlice(century=14, trees=())
+
 
 class TestMissingPolicies:
     def _text(self, with_adjacent_missing):

@@ -27,7 +27,6 @@ from asnkit import (
     to_dot,
     to_graphml,
 )
-from asnkit.corpus import _TreeColumns
 from oracles import (
     edge_map,
     frequency_map,
@@ -107,20 +106,9 @@ class TestAggregate:
         asn = aggregate(trees(DOG, MAN, rain))
         assert asn.total_weight() == 2 + 2 + 1  # one unit per non-root token
 
-    def test_century_mismatch_rejected(self):
-        late = treebank([("daz", R.ARTICLE, 2), ("kint", R.NOUN, 0)],
-                        sent_id="late", century=15)
-        fourteen, fifteen = parse_corpus(DOG + late)
-        # A slice holds one century; the columns of two slices joined do not.
-        mixed = _TreeColumns.concat([fourteen.trees, fifteen.trees])
-        with pytest.raises(ValueError, match="centuries"):
-            aggregate(mixed)
-        with pytest.raises(ValueError, match="centuries"):
-            aggregate(fourteen.trees, century=16)
-
-    def test_empty_aggregate_keeps_explicit_century(self):
-        asn = aggregate(trees(DOG).take([]), century=14)
-        assert asn.century == 14 and asn.node_count == 0
+    def test_empty_columns_give_no_century(self):
+        asn = aggregate(trees(DOG).take([]))
+        assert asn.century is None and asn.node_count == 0
 
     def test_rule_tags_collected_on_edges(self):
         text = ("# century = 14\n"
