@@ -311,7 +311,8 @@ def level_csv(
     out_weight``; rows sorted by (role, lemma).  The forward level axis
     points downward from the heads, so plots typically invert it; the
     metadata comment carries ``axis=inverted`` to record that convention.
-    Levels of another network are a ``ValueError``.
+    Levels of another network, or a metadata key or value holding a line
+    break, are a ``ValueError``.
     """
     _check_aligned(asn, levels)
     meta = {"axis": "inverted", "levels": "min0"}

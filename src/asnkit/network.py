@@ -233,17 +233,35 @@ def heads(asn: Asn) -> list[NodeKey]:
     return [asn.keys[i] for i in found[np.lexsort((found, -out_w))].tolist()]
 
 
+#: Finds a line break, which would end a one-line comment early.
+_LINE_BREAK = re.compile(r"[\r\n]").search
+
+
 def _metadata_line(
     metadata: Mapping[str, object] | None,
     prefix: str,
     suffix: str = "",
     quote: Callable[[str], str] = str,
+    refuse: Callable[[str], re.Match | None] = _LINE_BREAK,
 ) -> str:
-    """``key=value`` pairs in key order as one comment line ("" if none)."""
+    """``key=value`` pairs in key order as one comment line ("" if none).
+
+    A pair in which ``refuse`` finds a match is a ``ValueError`` naming its
+    key, since it would break the comment and so the file it heads.
+    """
     if not metadata:
         return ""
-    body = " ".join(f"{k}={metadata[k]}" for k in sorted(metadata))
-    return f"{prefix}{quote(body)}{suffix}\n"
+    pairs = []
+    for k in sorted(metadata):
+        pair = f"{k}={metadata[k]}"
+        found = refuse(pair)
+        if found:
+            raise ValueError(
+                f"metadata {k!r} cannot be written in a comment line: "
+                f"{pair!r} holds {found.group()!r}"
+            )
+        pairs.append(pair)
+    return f"{prefix}{quote(' '.join(pairs))}{suffix}\n"
 
 
 #: Finds a character that forces a CSV cell into double quotes.
@@ -308,7 +326,8 @@ def edge_csv(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
 
     Columns: ``source_role,source_lemma,target_role,target_lemma,weight``;
     rows sorted by (source, target) node sort keys.  An optional metadata
-    mapping is recorded in a leading ``#`` comment line.
+    mapping is recorded in a leading ``#`` comment line; a key or value
+    holding a line break is a ``ValueError``.
     """
     roles = asn._role_codes
     lemmas = [k.lemma for k in asn.keys]
@@ -325,7 +344,11 @@ def _dot_quote(value: str) -> str:
 
 
 def to_dot(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
-    """Deterministic Graphviz DOT rendering with weights and frequencies."""
+    """Deterministic Graphviz DOT rendering with weights and frequencies.
+
+    An optional metadata mapping is recorded in a leading ``//`` comment
+    line; a key or value holding a line break is a ``ValueError``.
+    """
     names = [_dot_quote(label) for label in asn._labels]
     out = [_metadata_line(metadata, "// ")]
     out.append("digraph asn {\n")
@@ -341,8 +364,13 @@ def to_dot(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     return "".join(out)
 
 
-#: Finds a character that XML 1.0 cannot carry, not even as a reference.
-_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]").search
+#: A character that XML 1.0 cannot carry, not even as a reference.
+_NOT_XML_CHAR = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+_NOT_XML = re.compile(_NOT_XML_CHAR).search
+
+#: Finds what a one-line XML comment cannot hold: a line break, ``--`` or a
+#: character that XML 1.0 cannot carry.
+_NOT_IN_XML_COMMENT = re.compile(rf"[\r\n]|--|{_NOT_XML_CHAR}").search
 
 
 #: Escaped GraphML text of every rules mask: the set rules, sorted, comma-joined.
@@ -360,7 +388,9 @@ def to_graphml(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     ValueError
         Naming the first node whose lemma holds a character that XML 1.0
         cannot carry (a control character other than tab, newline and
-        carriage return, a lone surrogate, U+FFFE or U+FFFF).
+        carriage return, a lone surrogate, U+FFFE or U+FFFF), or the first
+        metadata key whose ``key=value`` text holds such a character, a
+        line break or ``--``, which would end the comment that records it.
     """
     # As character data; a raw ``\r`` would read back as a line end.
     lemmas = [escape(k.lemma).replace("\r", "&#13;") for k in asn.keys]
@@ -372,7 +402,7 @@ def to_graphml(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
         )
     ids = [quoteattr(label) for label in asn._labels]
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
-    out.append(_metadata_line(metadata, "<!-- ", " -->", escape))
+    out.append(_metadata_line(metadata, "<!-- ", " -->", escape, _NOT_IN_XML_COMMENT))
     out.append(
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
         '  <key id="d0" for="node" attr.name="lemma" attr.type="string"/>\n'

@@ -1,17 +1,19 @@
-"""Deterministic synthetic treebank generators.
+"""Deterministic synthetic treebank generators for the tests.
 
 These produce small, fully scripted corpora that exercise the pipeline
 end-to-end: a modal-verb takeover where one head replaces another while
-rank and frequency dissociate, a cross-linking corpus whose later slices
-share lemmas across sentences, and a richer combined demo corpus that ships
-with the package.  Everything is pure string construction; no randomness.
+rank and frequency dissociate, and a cross-linking corpus whose later slices
+share lemmas across sentences.  Everything is pure string construction; no
+randomness.  Only the standard library is imported, so
+``tools/bundle_diff.py`` reads these corpora without the test extras.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["takeover_corpus", "crosslink_corpus", "demo_corpus"]
+#: The four centuries both corpora span.
+CENTURIES = (14, 15, 16, 17)
 
 
 def _sentence(rows: Sequence[tuple[str, str, str, int]]) -> str:
@@ -90,11 +92,7 @@ def _full_verb_sentences() -> list[str]:
     return out
 
 
-def takeover_corpus(
-    centuries: Sequence[int] = (14, 15, 16, 17),
-    old_modal: str = "mogen",
-    new_modal: str = "konnen",
-) -> str:
+def takeover_corpus() -> str:
     """Corpus where one modal verb takes over headship from another.
 
     Every century shares an identical stable core (auxiliary and full-verb
@@ -103,124 +101,38 @@ def takeover_corpus(
     force at the third.  Rank and frequency therefore dissociate: the old
     modal's frequency collapses long before its rank leaves the top band.
     """
-    if len(centuries) != len(_OLD_MODAL_COUNTS):
-        raise ValueError(
-            f"takeover corpus is scripted for {len(_OLD_MODAL_COUNTS)} slices"
-        )
     blocks: list[str] = []
-    for pos, century in enumerate(centuries):
+    for pos, century in enumerate(CENTURIES):
         blocks.append(f"# century = {century}\n# doc_id = takeover{century}")
-        sentences = list(_auxiliary_sentences())
-        sentences += _full_verb_sentences()
-        for i in range(_OLD_MODAL_COUNTS[pos]):
-            sentences.append(_modal_sentence(old_modal, *_cycled(i)))
-        for i in range(_NEW_MODAL_COUNTS[pos]):
-            sentences.append(_modal_sentence(new_modal, *_cycled(i)))
-        blocks.append("\n\n".join(sentences))
-    return "\n\n".join(blocks) + "\n"
-
-
-def crosslink_corpus(
-    centuries: Sequence[int] = (14, 15, 16, 17),
-    link_from: int = 16,
-    chains: int = 5,
-    depth: int = 4,
-) -> str:
-    """Chain sentences that start sharing lemmas at ``link_from``.
-
-    Before ``link_from`` every sentence is a chain over its own vocabulary,
-    so network diameter equals the maximum tree depth.  From ``link_from``
-    onward each chain's leaf reuses the next chain's root lemma, welding the
-    chains into one long path whose diameter far exceeds any tree depth.
-    """
-    blocks: list[str] = []
-    for century in centuries:
-        blocks.append(f"# century = {century}\n# doc_id = chains{century}")
-        sentences = []
-        for c in range(chains):
-            rows = []
-            for j in range(depth + 1):
-                lemma = f"k{c}w{j}"
-                if century >= link_from and j == depth and c < chains - 1:
-                    lemma = f"k{c + 1}w0"
-                rows.append((lemma, lemma, "N", j))
-            sentences.append(_sentence(rows))
-        blocks.append("\n\n".join(sentences))
-    return "\n\n".join(blocks) + "\n"
-
-
-def _missing_sentences() -> list[str]:
-    """Target sentences with missing annotations, one adjacent, one not."""
-    adjacent = _sentence(
-        [
-            ("unbekannt", "unbekannt", "_", 2),
-            ("wirt", "werden", "AX", 0),
-            ("genant", "genant", "PCPS", 2),
-        ]
-    )
-    distant = _sentence(
-        [
-            ("er", "er", "PP", 2),
-            ("wirt", "werden", "AX", 0),
-            ("gelobt", "gelobt", "PCPS", 2),
-            ("!", "!", "_", 3),
-        ]
-    )
-    return [adjacent, distant]
-
-
-def _bulk_sentences(century: int) -> list[str]:
-    """Verb-rooted sentences that give each slice a spread of degrees."""
-    nouns = [f"dinc{i}" for i in range(10)]
-    out = []
-    rooted = ("geben", "nemen", "bringen")
-    for i in range(9):
-        verb = rooted[i % 3]
-        a = nouns[i]
-        b = nouns[(i + 1) % 10]
-        rows = [
-            ("der", "der", "AR", 2),
-            (a, a, "N", 3),
-            (verb, verb, "V", 0),
-            (b, b, "N", 3),
-        ]
-        # Later centuries add a prepositional extension, growing both the
-        # vocabulary reach and the typical path length.
-        if century >= 16:
-            c = nouns[(i + 2) % 10]
-            rows.append(("von", "von", "PR", 3))
-            rows.append((c, c, "N", 5))
-        out.append(_sentence(rows))
-    return out
-
-
-def demo_corpus(centuries: Sequence[int] = (14, 15, 16, 17)) -> str:
-    """The bundled demonstration corpus: takeover plus bulk plus missing.
-
-    Sentences carry the target lemma ``werden`` metadata so the default
-    missing-annotation policy has something to judge adjacency against.
-    """
-    blocks: list[str] = []
-    for pos, century in enumerate(centuries):
-        blocks.append(
-            f"# century = {century}\n"
-            f"# doc_id = demo{century}\n"
-            f"# dialect = obd\n"
-            f"# target = werden"
-        )
         sentences = list(_auxiliary_sentences())
         sentences += _full_verb_sentences()
         for i in range(_OLD_MODAL_COUNTS[pos]):
             sentences.append(_modal_sentence("mogen", *_cycled(i)))
         for i in range(_NEW_MODAL_COUNTS[pos]):
             sentences.append(_modal_sentence("konnen", *_cycled(i)))
-        sentences += _bulk_sentences(century)
-        sentences += _missing_sentences()
         blocks.append("\n\n".join(sentences))
     return "\n\n".join(blocks) + "\n"
 
 
-if __name__ == "__main__":  # pragma: no cover
-    import sys
+def crosslink_corpus(chains: int = 5, depth: int = 4) -> str:
+    """Chain sentences that start sharing lemmas in century 16.
 
-    sys.stdout.write(demo_corpus())
+    Before century 16 every sentence is a chain over its own vocabulary, so
+    network diameter equals the maximum tree depth.  From century 16 onward
+    each chain's leaf reuses the next chain's root lemma, welding the chains
+    into one long path whose diameter far exceeds any tree depth.
+    """
+    blocks: list[str] = []
+    for century in CENTURIES:
+        blocks.append(f"# century = {century}\n# doc_id = chains{century}")
+        sentences = []
+        for c in range(chains):
+            rows = []
+            for j in range(depth + 1):
+                lemma = f"k{c}w{j}"
+                if century >= 16 and j == depth and c < chains - 1:
+                    lemma = f"k{c + 1}w0"
+                rows.append((lemma, lemma, "N", j))
+            sentences.append(_sentence(rows))
+        blocks.append("\n\n".join(sentences))
+    return "\n\n".join(blocks) + "\n"

@@ -29,7 +29,7 @@ from asnkit import (
     track,
 )
 from asnkit.cli import main as cli_main
-from asnkit.synth import crosslink_corpus, takeover_corpus
+from corpora import crosslink_corpus, takeover_corpus
 from oracles import (
     dense_levels,
     heads_form_tree,

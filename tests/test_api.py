@@ -1,6 +1,7 @@
 """The public namespace is the documented one."""
 
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -29,3 +30,9 @@ def test_readme_lists_every_public_name_under_its_module():
     for module, names in modules.items():
         if module != "asnkit":  # the package adds its own names last
             assert names == importlib.import_module(module).__all__, module
+
+
+def test_the_package_holds_only_the_pipeline():
+    assert {m.name for m in pkgutil.iter_modules(asnkit.__path__)} == {
+        "cli", "corpus", "diachrony", "hierarchy", "network", "powerlaw", "stats"}
+    assert Path(asnkit.demo_corpus_path()).is_file()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import asnkit.cli
 from asnkit import demo_corpus_path
 from asnkit.cli import main
-from asnkit.synth import crosslink_corpus, demo_corpus, takeover_corpus
+from corpora import crosslink_corpus, takeover_corpus
 from oracles import noisy_treebanks
 
 DEMO = demo_corpus_path()
@@ -216,11 +216,6 @@ class TestExitCodes:
             assert payload["lrt"] == [
                 {"alternative": "exponential", "error": error},
                 {"alternative": "lognormal", "error": error}]
-
-
-def test_shipped_demo_corpus_is_the_generated_one():
-    with open(DEMO, "rb") as shipped:
-        assert shipped.read() == demo_corpus().encode("utf-8")
 
 
 class TestArtifacts:

@@ -15,7 +15,7 @@ from asnkit import (
     phase_space,
     track,
 )
-from asnkit.synth import takeover_corpus
+from corpora import takeover_corpus
 from oracles import make_asn, nkey
 
 MOGEN = NodeKey(lemma="mogen", role=GrammaticalRole.MODAL_VERB)

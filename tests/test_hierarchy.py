@@ -567,3 +567,8 @@ class TestLevelCsv:
                             "frequency,in_weight,out_weight")
         assert lines[2] == "N,a,0.0,1.0,1,0,2"
         assert lines[3] == "N,b,1.0,0.0,1,2,0"
+
+    def test_a_line_break_in_metadata_names_its_key(self):
+        asn = make_asn([("a", "b", 2)])
+        with pytest.raises(ValueError, match="'note'"):
+            level_csv(asn, hierarchy_levels(asn), metadata={"note": "a\nb"})

@@ -231,6 +231,22 @@ class TestExports:
         assert len(nodes) == 4 and len(edges) == 4
         assert "seed=1" in to_graphml(asn, metadata={"seed": 1})
 
+    @pytest.mark.parametrize("writer", [edge_csv, to_dot])
+    @pytest.mark.parametrize("value", ["a\nb", "a\rb"])
+    def test_a_line_break_in_metadata_names_its_key(self, writer, value):
+        with pytest.raises(ValueError, match="'note'"):
+            writer(aggregate(trees(DOG)), metadata={"seed": 0, "note": value})
+
+    @pytest.mark.parametrize("value", ["a--b", "a\x0cb", "a\nb", "\ud800"])
+    def test_graphml_refuses_metadata_its_comment_cannot_hold(self, value):
+        with pytest.raises(ValueError, match="'note'"):
+            to_graphml(aggregate(trees(DOG)), metadata={"note": value})
+
+    def test_graphml_comment_keeps_a_single_dash(self):
+        text = to_graphml(aggregate(trees(DOG)), metadata={"note": "a-b-"})
+        assert text.splitlines()[1] == "<!-- note=a-b- -->"
+        ElementTree.fromstring(text)
+
     def test_deterministic_output_order(self):
         one = edge_csv(aggregate(trees(DOG, MAN)))
         other = edge_csv(aggregate(trees(MAN, DOG)))

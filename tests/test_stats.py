@@ -11,7 +11,7 @@ from asnkit import (
     summarize,
 )
 from asnkit.stats import _DISTANCE_ROWS
-from asnkit.synth import crosslink_corpus
+from corpora import crosslink_corpus
 from oracles import make_asn, random_asn, summary_oracle
 
 

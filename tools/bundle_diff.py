@@ -9,7 +9,8 @@ Runs ``python -m asnkit.cli analyze`` from a ``git archive`` copy of
 <git-rev> and from the working tree on these cases:
 
 * ``demo``: the bundled demo corpus, ``--seed 0``;
-* ``takeover``: ``asnkit.synth.takeover_corpus()``, ``--seed 7 --replicates 100``;
+* ``takeover``: ``tests/corpora.py`` ``takeover_corpus()``,
+  ``--seed 7 --replicates 100``;
 * ``takeover-track``: the same, plus ``--track "MV konnen" --track "N man"``
   (without ``--track``, ``trajectories.csv`` is only a header);
 * ``zipf-300``: ``perfbench/gen.py`` ``zipf_corpus(300, (13, 14, 15, 16),
@@ -29,7 +30,7 @@ Runs ``python -m asnkit.cli analyze`` from a ``git archive`` copy of
   vocab=2500, planted_from=2, planted_sentences=40, adjacent=10,
   distant=10, tag=5)`` (about 2,000 nodes per century),
   ``--seed 0 --replicates 100``;
-* ``crosslink``: ``asnkit.synth.crosslink_corpus()``,
+* ``crosslink``: ``tests/corpora.py`` ``crosslink_corpus()``,
   ``--seed 0 --replicates 100``;
 * ``crosslink-large``: ``crosslink_corpus(chains=400, depth=6)``, the same
   arguments (about 2,800 nodes per century, all acyclic, diameter 2,400
@@ -141,11 +142,15 @@ def padded_corpus(text: str) -> str:
 
 
 def corpora() -> dict[str, tuple[str | list[str], list[str]]]:
-    """Case name -> (treebank text or texts, extra ``analyze`` arguments)."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    """Case name -> (treebank text or texts, extra ``analyze`` arguments).
+
+    The texts come from ``perfbench/gen.py``, ``tests/corpora.py`` and the
+    shipped demo corpus.
+    """
+    sys.path[:0] = [str(ROOT / d) for d in ("src", "perfbench", "tests")]
     import gen
     from asnkit import demo_corpus_path
-    from asnkit.synth import crosslink_corpus, takeover_corpus
+    from corpora import crosslink_corpus, takeover_corpus
 
     zipf, _ = gen.zipf_corpus(
         300, (13, 14, 15, 16), sentences=40, vocab=150, planted_from=2,
