@@ -251,8 +251,6 @@ def _meta(cfg: RunConfig, **extra) -> dict:
 
 def _load_filtered(cfg: RunConfig) -> tuple[list[CorpusSlice], list[str]]:
     """Load all inputs, apply the missing policy, and demand a usable corpus."""
-    if not cfg.inputs:
-        raise UsageError("no input files given")
     slices = load_corpus(cfg.inputs)
     if not slices:
         raise ValueError("empty corpus: no sentences found")
@@ -528,8 +526,6 @@ def _unwritable_lemmas(read: _Read, checked: set[int]) -> list[CorpusIssue]:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    if not cfg.inputs:
-        raise UsageError("no input files given")
     # The loading loop and missing policy of every other subcommand, run to the end.
     found = list(_sentences((Path(p), str(p)) for p in cfg.inputs))
     issues, checked, centuries, left = [], set(), set(), set()
@@ -635,15 +631,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "validate":
             return cmd_validate(cfg)
         return _run(args.command, cfg)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

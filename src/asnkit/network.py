@@ -14,9 +14,10 @@ its only builder.  Its invariants, which every later layer relies on:
 * ``src``, ``dst``, ``weight`` and ``rules`` describe each edge once, sorted
   by (src, dst), which is (source, target) key order;
 * bit ``i`` of an edge's ``rules`` mask is set when some token on that edge
-  carried the phrase rule ``PHRASE_RULES[i]``;
-* ``first_seen`` lists the node indices in the order the nodes first
-  appeared in the trees (the order floating-point sums over nodes follow).
+  carried the phrase rule ``PHRASE_RULES[i]``.
+
+The record holds nothing of the order of the trees it was built from, so
+the same trees in any order give an equal network.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class NodeKey:
         return (self.role_code, self.lemma)
 
 
-_ARRAYS = ("frequency", "src", "dst", "weight", "rules", "first_seen")
+_ARRAYS = ("frequency", "src", "dst", "weight", "rules")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +82,6 @@ class Asn:
     See the module docstring for the invariants of the arrays.  Nodes with
     no incident edges (single-token sentences) are still in ``keys``.
     ``century`` is ``None`` only for networks aggregated from no trees.
-    Equality compares the network, not ``first_seen``: aggregating the same
-    trees in another order gives an equal network.
     """
 
     century: int | None
@@ -92,7 +91,6 @@ class Asn:
     dst: np.ndarray
     weight: np.ndarray
     rules: np.ndarray
-    first_seen: np.ndarray
 
     def __post_init__(self) -> None:
         for name in _ARRAYS:
@@ -102,8 +100,8 @@ class Asn:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         n, m = len(self.keys), self.src.size
-        if self.frequency.size != n or self.first_seen.size != n:
-            raise ValueError("frequency and first_seen must align with keys")
+        if self.frequency.size != n:
+            raise ValueError("frequency must align with keys")
         if not self.dst.size == self.weight.size == self.rules.size == m:
             raise ValueError("src, dst, weight and rules must have equal lengths")
         packed = self.src * n + self.dst
@@ -122,7 +120,7 @@ class Asn:
             and self.keys == other.keys
             and all(
                 np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("frequency", "src", "dst", "weight", "rules")
+                for name in _ARRAYS
             )
         )
 
@@ -183,9 +181,8 @@ def aggregate(trees: _TreeColumns) -> Asn:
     century = trees.century[0] if len(trees) else None
     # A node is a (role, lemma) pair; its code packs the two string ids.
     width = len(trees.strings)
-    codes, first, token_code = np.unique(
-        trees.role.astype(np.int64) * width + trees.lemma,
-        return_index=True, return_inverse=True,
+    codes, token_code = np.unique(
+        trees.role.astype(np.int64) * width + trees.lemma, return_inverse=True
     )
     # Python's sort, not numpy's: numpy "U" arrays drop trailing NULs.
     distinct = [
@@ -212,7 +209,6 @@ def aggregate(trees: _TreeColumns) -> Asn:
         dst=dst,
         weight=weight,
         rules=rules,
-        first_seen=rank[np.argsort(first)],
     )
     logger.debug(
         "century %s: %d trees, %d nodes, %d edges, total weight %d",

@@ -13,12 +13,14 @@ distances inside the largest component from breadth-first
 ``shortest_path`` runs over fixed blocks of source rows (so memory stays
 bounded on large networks), and each node's triangle count from the row
 sums of ``A * (A @ A)``.  Distances, path-length sums and triangle counts
-are integers, so the float results equal the textbook definitions to the
-last bit.
+are integers, and the per-node clustering ratios are summed exactly
+(``math.fsum``), so a summary depends on the network alone: not on the
+order of the sentences it was aggregated from, nor on the Python version.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -76,13 +78,12 @@ def _projection(asn: Asn) -> sparse.csr_matrix:
     return adjacency
 
 
-def _clustering(asn: Asn, adjacency: sparse.csr_matrix) -> float:
+def _clustering(adjacency: sparse.csr_matrix) -> float:
     """Mean local clustering, every node counted (zero below degree 2).
 
     ``t`` is twice the node's triangle count.  The per-node ratios are
-    Python floats summed in the order the nodes were first seen, as
-    networkx's ``average_clustering`` sums them over a graph built in that
-    order, so the mean is the same to the bit.
+    summed exactly (``math.fsum``), so the mean is the same for any node
+    order and on every Python version.
     """
     degrees = np.diff(adjacency.indptr).tolist()
     twice_triangles = np.asarray(
@@ -92,7 +93,7 @@ def _clustering(asn: Asn, adjacency: sparse.csr_matrix) -> float:
         0 if t == 0 else t / (d * (d - 1))
         for d, t in zip(degrees, twice_triangles)
     ]
-    return sum(local[i] for i in asn.first_seen.tolist()) / len(local)
+    return math.fsum(local) / len(local)
 
 
 def _largest_component(adjacency: sparse.csr_matrix) -> tuple[int, np.ndarray]:
@@ -150,7 +151,7 @@ def summarize(asn: Asn) -> NetworkSummary:
         node_count=n,
         edge_count=e,
         average_degree=2.0 * e / n,
-        clustering=_clustering(asn, adjacency),
+        clustering=_clustering(adjacency),
         average_path_length=average_path_length,
         diameter=diameter,
         component_count=component_count,

@@ -49,7 +49,7 @@ def nkey(lemma: str, role: GrammaticalRole | None = GrammaticalRole.NOUN) -> Nod
 
 def _record(century, frequency: dict, edges: dict) -> Asn:
     """The array record of a node -> frequency and edge -> (weight, rules)
-    dict pair; ``frequency`` insertion order is the order nodes were seen."""
+    dict pair."""
     keys = sorted(frequency, key=lambda k: k.sort_key)
     index = {k: i for i, k in enumerate(keys)}
     pairs = sorted(edges, key=lambda e: (index[e[0]], index[e[1]]))
@@ -64,7 +64,6 @@ def _record(century, frequency: dict, edges: dict) -> Asn:
             sum(1 << i for i, r in enumerate(PHRASE_RULES) if r in edges[e][1])
             for e in pairs
         ],
-        first_seen=[index[k] for k in frequency],
     )
 
 
@@ -106,9 +105,7 @@ def edge_map(asn: Asn) -> dict[tuple[NodeKey, NodeKey], tuple[int, set]]:
 def reverse(asn: Asn) -> Asn:
     """The same network with every edge direction flipped."""
     edges = {(v, u): data for (u, v), data in edge_map(asn).items()}
-    frequency = frequency_map(asn)
-    seen = [asn.keys[int(i)] for i in asn.first_seen]
-    return _record(asn.century, {k: frequency[k] for k in seen}, edges)
+    return _record(asn.century, frequency_map(asn), edges)
 
 
 def random_asn(rng: np.random.Generator, n: int, p: float = 0.35,
@@ -145,6 +142,34 @@ def treebank(rows, sent_id: str = "s", century: int = 14, **headers) -> str:
 def nouns(heads) -> list[tuple]:
     """:func:`treebank` rows of nouns ``w1``, ``w2``, ... with these heads."""
     return [(f"w{i}", GrammaticalRole.NOUN, head) for i, head in enumerate(heads, start=1)]
+
+
+def shuffled_treebank(text: str, seed: int, files: int = 1) -> list[str]:
+    """The sentences of ``text`` shuffled within each document and dealt
+    over ``files`` files in turn.
+
+    ``text`` is a treebank like the demo corpus: blank-line separated
+    blocks, each either a ``#`` header block naming a ``doc_id`` or a
+    sentence with no ``sent_id`` of its own.  Each file repeats the header
+    block of every document it holds a sentence of, and each sentence
+    takes its original generated id, ``<doc_id>:<position>``, as its
+    ``sent_id``, so the ids stay unique across the files.
+    """
+    rng = np.random.default_rng(seed)
+    parts: list[list[str]] = [[] for _ in range(files)]
+    documents: dict[str, list[str]] = {}
+    for block in text.strip("\n").split("\n\n"):
+        if block.startswith("#"):
+            doc = re.search(r"^# doc_id = (.*)$", block, re.M).group(1)
+            sentences = documents.setdefault(block, [])
+        else:
+            sentences.append(f"# sent_id = {doc}:{len(sentences) + 1}\n{block}")
+    for headers, sentences in documents.items():
+        order = rng.permutation(len(sentences)).tolist()
+        for part, share in zip(parts, (order[i::files] for i in range(files))):
+            if share:
+                part += [headers, *(sentences[j] for j in share)]
+    return ["\n\n".join(part) + "\n" for part in parts]
 
 
 def random_tree_heads(rng: np.random.Generator, n: int) -> list[int]:
@@ -1028,32 +1053,42 @@ def hierarchy_stats_oracle(asn: Asn, forward, weighted: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def summary_oracle(asn: Asn):
-    """Brute-force undirected statistics: BFS distances, triangle counting."""
-    nodes = sorted(asn.keys, key=lambda k: k.sort_key)
-    adjacency = {k: set() for k in nodes}
+def _undirected(asn: Asn) -> dict[NodeKey, set[NodeKey]]:
+    """Each node's neighbours in the undirected simple projection."""
+    adjacency = {k: set() for k in sorted(asn.keys, key=lambda k: k.sort_key)}
     for u, v in edge_map(asn):
         if u != v:
             adjacency[u].add(v)
             adjacency[v].add(u)
-    edge_count = sum(len(neigh) for neigh in adjacency.values()) // 2
-    n = len(nodes)
-    average_degree = 2.0 * edge_count / n
+    return adjacency
 
-    clustering_total = 0.0
-    for node in nodes:
-        neigh = sorted(adjacency[node], key=lambda k: k.sort_key)
+
+def local_clustering(asn: Asn) -> list[float]:
+    """Each node's local clustering by counting the links among its
+    neighbours, in key order (zero below degree 2)."""
+    adjacency = _undirected(asn)
+    ratios = []
+    for neighbours in adjacency.values():
+        neigh = sorted(neighbours, key=lambda k: k.sort_key)
         k = len(neigh)
-        if k < 2:
-            continue
         links = sum(
             1
             for a in range(k)
             for b in range(a + 1, k)
             if neigh[b] in adjacency[neigh[a]]
         )
-        clustering_total += 2.0 * links / (k * (k - 1))
-    clustering = clustering_total / n
+        ratios.append(2.0 * links / (k * (k - 1)) if k >= 2 else 0.0)
+    return ratios
+
+
+def summary_oracle(asn: Asn):
+    """Brute-force undirected statistics: BFS distances, triangle counting."""
+    adjacency = _undirected(asn)
+    nodes = list(adjacency)
+    edge_count = sum(len(neigh) for neigh in adjacency.values()) // 2
+    n = len(nodes)
+    average_degree = 2.0 * edge_count / n
+    clustering = math.fsum(local_clustering(asn)) / n
 
     seen: set[NodeKey] = set()
     components: list[set[NodeKey]] = []

@@ -16,7 +16,7 @@ import asnkit.cli
 from asnkit import demo_corpus_path
 from asnkit.cli import main
 from corpora import crosslink_corpus, takeover_corpus
-from oracles import noisy_treebanks
+from oracles import noisy_treebanks, shuffled_treebank
 
 DEMO = demo_corpus_path()
 
@@ -109,6 +109,14 @@ class TestExitCodes:
     def test_missing_file_is_two(self, tmp_path):
         assert run("build", str(tmp_path / "nope.tb"),
                    "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("command", ["build", "validate"])
+    def test_no_input_file_is_two(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(command)
+        assert exit_info.value.code == 2
+        assert "the following arguments are required: TREEBANK" in (
+            capsys.readouterr().err)
 
     def test_unknown_config_key_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -377,6 +385,31 @@ class TestDeterminismAndConfig:
         assert files_one == files_two
         for name in files_one:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+    def test_sentence_order_and_files_change_only_the_manifest(self, tmp_path):
+        # The demo's sentences shuffled within each century and dealt over
+        # two files: only the inputs and the order of the drops differ.
+        parts = []
+        for i, text in enumerate(shuffled_treebank(
+                Path(DEMO).read_text(encoding="utf-8"), seed=2, files=2)):
+            parts.append(tmp_path / f"part{i}.tb")
+            parts[-1].write_text(text, encoding="utf-8")
+        args = ("--seed", "0", "--replicates", "100")
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert run("analyze", DEMO, *args, "--out", str(one)) == 0
+        assert run("analyze", *map(str, parts), *args, "--out", str(two)) == 0
+        names = sorted(p.name for p in one.iterdir())
+        assert sorted(p.name for p in two.iterdir()) == names
+        for name in names:
+            if name != "manifest.json":
+                assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        manifests = []
+        for out in (one, two):
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["config"]["inputs"]
+            manifest["dropped_sentences"].sort()
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
 
     def test_analyze_manifest_lists_the_bundle(self, takeover_file, tmp_path):
         out = tmp_path / "o"

@@ -600,8 +600,6 @@ class TestBulkReaderMatchesReference:
         for got, ref in zip(slices or (), want or ()):
             asn, ref_asn = aggregate(got.trees), reference_aggregate(ref.trees)
             assert frequency_map(asn) == ref_asn.frequency
-            seen = [asn.keys[i] for i in asn.first_seen.tolist()]
-            assert seen == list(ref_asn.frequency)
             assert edge_map(asn) == {
                 edge: (data.weight, data.rules) for edge, data in ref_asn.edges.items()
             }

@@ -131,18 +131,17 @@ class TestAggregate:
         for src, dst in (([1, 0], [0, 1]), ([0, 0], [1, 1])):
             with pytest.raises(ValueError, match="sorted"):
                 Asn(century=14, keys=keys, frequency=[1, 1], src=src, dst=dst,
-                    weight=[1, 1], rules=[0, 0], first_seen=[0, 1])
+                    weight=[1, 1], rules=[0, 0])
 
     @pytest.mark.parametrize("bad, message", [
-        ({"frequency": [1]}, "frequency and first_seen must align with keys"),
-        ({"first_seen": [0, 1, 2]}, "frequency and first_seen must align with keys"),
+        ({"frequency": [1]}, "frequency must align with keys"),
         ({"dst": [1, 0]}, "src, dst, weight and rules must have equal lengths"),
         ({"weight": []}, "src, dst, weight and rules must have equal lengths"),
         ({"rules": [0, 0]}, "src, dst, weight and rules must have equal lengths"),
-    ], ids=["frequency", "first_seen", "dst", "weight", "rules"])
+    ], ids=["frequency", "dst", "weight", "rules"])
     def test_record_rejects_misaligned_arrays(self, bad, message):
         arrays = {"frequency": [1, 1], "src": [0], "dst": [1], "weight": [1],
-                  "rules": [0], "first_seen": [0, 1]}
+                  "rules": [0]}
         with pytest.raises(ValueError, match=f"^{message}$"):
             Asn(century=14, keys=(nkey("a"), nkey("b")), **{**arrays, **bad})
 
@@ -332,7 +331,6 @@ class TestArrayCoreMatchesReference:
             ref, forward, backward, meta
         )
         assert frequency_map(asn) == ref.frequency
-        assert [asn.keys[i] for i in asn.first_seen.tolist()] == list(ref.frequency)
         assert edge_map(asn) == {
             edge: (data.weight, data.rules) for edge, data in ref.edges.items()
         }

@@ -1,18 +1,28 @@
 """Topology summaries, degree sequences, and depth-versus-diameter tables."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from asnkit import (
     aggregate,
     degree_sequences,
+    demo_corpus_path,
     depth_vs_diameter,
     parse_corpus,
     summarize,
 )
 from asnkit.stats import _DISTANCE_ROWS
 from corpora import crosslink_corpus
-from oracles import make_asn, random_asn, summary_oracle
+from oracles import (
+    local_clustering,
+    make_asn,
+    random_asn,
+    shuffled_treebank,
+    summary_oracle,
+)
 
 
 class TestSummarize:
@@ -103,6 +113,14 @@ class TestSummarize:
             assert s.average_path_length == pytest.approx(
                 expected["average_path_length"], abs=1e-12)
 
+    def test_clustering_is_summed_exactly(self):
+        # The mean of the brute-force ratios, summed without rounding error,
+        # so it is the same for any node order and on any Python version.
+        rng = np.random.default_rng(1025)
+        for _ in range(400):
+            asn = random_asn(rng, int(rng.integers(1, 41)), p=0.18)
+            ratios = local_clustering(asn)
+            assert summarize(asn).clustering == math.fsum(ratios) / len(ratios)
 
     def test_path_longer_than_two_distance_blocks(self):
         # the largest component is a path whose distances span three
@@ -136,6 +154,20 @@ class TestSummarize:
             for field in ("clustering", "average_path_length", "lcc_fraction"):
                 assert getattr(s, field) == pytest.approx(
                     expected[field], abs=1e-12), field
+
+
+class TestSentenceOrder:
+    """A century's network and summary depend on its sentences alone."""
+
+    def test_shuffled_demo_gives_equal_networks_and_summaries(self):
+        text = Path(demo_corpus_path()).read_text(encoding="utf-8")
+        want = [aggregate(s.trees) for s in parse_corpus(text)]
+        want_summaries = [summarize(asn) for asn in want]
+        for seed in range(20):
+            (shuffled,) = shuffled_treebank(text, seed)
+            got = [aggregate(s.trees) for s in parse_corpus(shuffled)]
+            assert got == want, seed
+            assert [summarize(asn) for asn in got] == want_summaries, seed
 
 
 class TestDegreeSequences:
