@@ -28,19 +28,14 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
-    _ROLES,
     CorpusFormatError,
     CorpusSlice,
+    GrammaticalRole,
     MissingPolicy,
-    CorpusIssue,
-    _Problem,
-    _Read,
-    _Verdicts,
-    _read_text,
-    _sentences,
-    _unknown_role,
+    audit_corpus,
     filter_slice,
     load_corpus,
+    read_text,
 )
 from .diachrony import detect_emergent_heads, phase_space, track
 from .hierarchy import (
@@ -51,11 +46,10 @@ from .hierarchy import (
     level_csv,
 )
 from .network import (
-    _NOT_XML,
     Asn,
     NodeKey,
-    _csv_table,
     aggregate,
+    csv_table,
     edge_csv,
     to_dot,
     to_graphml,
@@ -173,10 +167,6 @@ class RunConfig:
             _parse_node_key(text)
 
     @property
-    def policy(self) -> MissingPolicy:
-        return MissingPolicy.from_name(self.missing)
-
-    @property
     def p_threshold(self) -> float:
         return 0.1 if self.strict else 0.01
 
@@ -189,7 +179,7 @@ def _parse_config_file(path: str) -> dict:
     """Parse ``key = value`` configuration text; unknown keys are rejected."""
     values: dict = {}
     try:
-        lines = _read_text(Path(path), path).split("\n")
+        lines = read_text(Path(path), path).split("\n")
     except CorpusFormatError as exc:
         raise UsageError(str(exc)) from None
     for line_no, raw in enumerate(lines, start=1):
@@ -231,9 +221,11 @@ def _parse_node_key(text: str) -> NodeKey:
             f"node keys are written 'ROLE lemma', got {text!r}"
         )
     role_code, lemma = parts
-    if role_code not in _ROLES:
-        raise UsageError(_unknown_role(role_code))
-    return NodeKey(lemma=lemma, role=_ROLES[role_code])
+    try:
+        role = None if role_code == "_" else GrammaticalRole.from_code(role_code)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return NodeKey(lemma=lemma, role=role)
 
 
 def _write(path: Path, text: str) -> None:
@@ -257,21 +249,17 @@ def _load_filtered(cfg: RunConfig) -> tuple[list[CorpusSlice], list[str]]:
     kept: list[CorpusSlice] = []
     drop_lines: list[str] = []
     for corpus_slice in slices:
-        filtered, dropped = filter_slice(corpus_slice, cfg.policy)
+        filtered, dropped = filter_slice(corpus_slice, cfg.missing)
         for decision in dropped:
             drop_lines.append(
                 f"century {corpus_slice.century} sentence "
                 f"{decision.sentence_id!r}: {decision.reason}"
             )
         if not filtered.trees:
-            raise ValueError(_left_empty(corpus_slice.century, cfg))
+            raise ValueError(f"empty corpus: century {corpus_slice.century} has no "
+                             f"sentences left under policy {cfg.missing!r}")
         kept.append(filtered)
     return kept, drop_lines
-
-
-def _left_empty(century: int, cfg: RunConfig) -> str:
-    return (f"empty corpus: century {century} has no sentences left under "
-            f"policy {cfg.missing!r}")
 
 
 class _Century:
@@ -341,7 +329,7 @@ def _stats(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
         [r.slice for r in records], {r.century: r.summary for r in records}
     )
     header = "century,max_tree_depth,diameter,average_path_length"
-    files["depth_vs_diameter.csv"] = _csv_table(
+    files["depth_vs_diameter.csv"] = csv_table(
         header, [[row[name] for row in rows] for name in header.split(",")], _meta(cfg)
     )
     return files
@@ -425,7 +413,7 @@ def _powerlaw(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
             continue
         rows = ccdf_rows(data, fit)
         header = "x,empirical_ccdf,fitted_ccdf"
-        files[f"ccdf_{r.century}.csv"] = _csv_table(
+        files[f"ccdf_{r.century}.csv"] = csv_table(
             header,
             [[row[name] for row in rows] for name in header.split(",")],
             _meta(cfg, century=r.century),
@@ -438,7 +426,7 @@ def _diachrony(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
     levels = [(r.asn, r.levels) for r in records]
 
     points = phase_space([(r.century, r.hierarchy[0]) for r in records])
-    files["phase_space.csv"] = _csv_table(
+    files["phase_space.csv"] = csv_table(
         "century,democracy,incoherence", list(zip(*points)), _meta(cfg)
     )
 
@@ -469,7 +457,7 @@ def _diachrony(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
         for t in track(keys, levels)
         for p in t.points
     ]
-    files["trajectories.csv"] = _csv_table(
+    files["trajectories.csv"] = csv_table(
         "role,lemma,century,present,forward_level,level_rank,frequency,is_head",
         list(zip(*rows)),
         _meta(cfg),
@@ -501,54 +489,9 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _unwritable_lemmas(read: _Read, checked: set[int]) -> list[CorpusIssue]:
-    """An issue for each lemma GraphML cannot carry, at its first token;
-    ``checked`` holds the string ids already looked at."""
-    trees = read.trees
-    ids = [i for i in np.unique(trees.lemma).tolist() if i not in checked]
-    checked.update(ids)
-    if not _NOT_XML("\n".join(trees.strings[i] for i in ids)):
-        return []
-    issues = []
-    for i in ids:
-        lemma = trees.strings[i]
-        found = _NOT_XML(lemma)
-        if found:
-            row = int(np.argmax(trees.lemma == i))
-            sentence = int(np.searchsorted(trees.offsets, row, side="right")) - 1
-            issues.append(CorpusIssue(
-                read.provenance, int(trees.line[row]), trees.sentence_id[sentence],
-                "unwritable lemma",
-                f"lemma {lemma!r} holds {found.group()!r}, which GraphML (XML 1.0) "
-                "cannot carry",
-            ))
-    return sorted(issues, key=lambda issue: issue.line)
-
-
 def cmd_validate(cfg: RunConfig) -> int:
-    # The loading loop and missing policy of every other subcommand, run to the end.
-    found = list(_sentences((Path(p), str(p)) for p in cfg.inputs))
-    issues, checked, centuries, left = [], set(), set(), set()
-    for item in found:
-        if isinstance(item, _Problem):
-            issues += item.issues
-            continue
-        trees, verdicts = item.trees, _Verdicts(item.trees, cfg.policy)
-        issues += [
-            CorpusIssue(item.provenance, int(trees.line[trees.offsets[i]]),
-                        trees.sentence_id[i], "missing policy",
-                        verdicts.unjudged_reason(i))
-            for i in np.flatnonzero(verdicts.unjudged).tolist()
-        ]
-        centuries.update(trees.century.tolist())
-        left.update(trees.century[verdicts.keep | verdicts.unjudged].tolist())
-        if "graphml" in cfg.formats:
-            kept = trees.take(np.flatnonzero(verdicts.keep))
-            issues += _unwritable_lemmas(item._replace(trees=kept), checked)
-    issues = [str(issue) for issue in issues]
-    if not found:
-        issues.append("empty corpus: no sentences found")
-    issues += [_left_empty(c, cfg) for c in sorted(centuries - left)]
+    issues = audit_corpus(((Path(p), p) for p in cfg.inputs), cfg.missing,
+                          graphml="graphml" in cfg.formats)
     for issue in issues:
         print(issue)
     if issues:

@@ -16,10 +16,11 @@ lines, and each token line has exactly six tab-separated columns::
 Missing annotations in the sources are marked by the sentinel lemmas ``!`` or
 ``unbekannt``; only such tokens may carry ``_`` in the ROLE column.
 
-One reader serves :func:`parse_corpus`, :func:`load_corpus`,
-:func:`audit_corpus` and ``asnkit validate``: one decode step, then one
-sentence loop over all sources.  Parsing raises its first problem; an audit
-lists them all.
+One reader serves :func:`parse_corpus`, :func:`load_corpus` and
+:func:`audit_corpus`, which ``asnkit validate`` runs: one decode step,
+:func:`read_text`, then one sentence loop over all sources.  Parsing raises
+its first problem; an audit lists them all and, given a missing policy, also
+what the pipeline refuses after reading.
 
 The reader works in bulk.  One regular expression finds the header, comment
 and blank lines of a source; the token lines between them are split and
@@ -33,7 +34,7 @@ results: an ordered table of row masks in :func:`_read_chunk` decides the
 rules of a token line, pointer jumping over the heads (Wyllie, "The
 complexity of parallel computations", Cornell, 1979) the tree constraints
 and every depth, and :class:`_Verdicts` the missing-annotation policies.
-The reader, :func:`filter_slice` and ``asnkit validate`` run them over many
+The reader, :func:`filter_slice` and :func:`audit_corpus` run them over many
 sentences at once.
 """
 
@@ -63,6 +64,7 @@ __all__ = [
     "CorpusFormatError",
     "CorpusIssue",
     "audit_corpus",
+    "read_text",
     "parse_corpus",
     "load_corpus",
 ]
@@ -115,6 +117,11 @@ _ROLES = dict(zip(_ROLE_CODES, _ROLE_OF_CODE))
 
 def _unknown_role(code: str) -> str:
     return f"unknown grammatical role code {code!r}"
+
+
+#: A character that XML 1.0 cannot carry, not even as a reference.
+_NOT_XML_CHAR = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+_NOT_XML = re.compile(_NOT_XML_CHAR).search
 
 
 #: Pronoun roles; together with nouns they head nominal phrases.
@@ -383,7 +390,6 @@ class CorpusSlice:
 
     century: int
     trees: _TreeColumns
-    provenance: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         trees = self.trees
@@ -501,7 +507,7 @@ def filter_slice(
     verdicts = _Verdicts(trees, policy)
     dropped = [verdicts.decision(i) for i in np.flatnonzero(~verdicts.keep).tolist()]
     kept = trees.take(np.flatnonzero(verdicts.keep)) if dropped else trees
-    return CorpusSlice(corpus_slice.century, kept, corpus_slice.provenance), dropped
+    return CorpusSlice(corpus_slice.century, kept), dropped
 
 
 class CorpusFormatError(ValueError):
@@ -516,15 +522,18 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class CorpusIssue:
-    """One problem found while auditing a treebank file."""
+    """One problem found while auditing treebank files; an issue of the
+    whole corpus has no ``provenance`` and no ``line``."""
 
-    provenance: str
-    line: int
+    provenance: str | None
+    line: int | None
     sentence_id: str | None
     kind: str
     message: str
 
     def __str__(self) -> str:
+        if self.provenance is None:
+            return f"{self.kind}: {self.message}"
         sent = f" sentence {self.sentence_id!r}" if self.sentence_id else ""
         return f"{self.provenance}:{self.line}:{sent} {self.kind}: {self.message}"
 
@@ -532,8 +541,9 @@ class CorpusIssue:
 _HEADER_KEYS = ("century", "doc_id", "dialect", "target", "sent_id")
 
 
-def _read_text(source: str | bytes | TextIO | Path, provenance: str) -> str:
-    """Decode a file (a ``Path``), bytes or text: the one decode step.
+def read_text(source: str | bytes | TextIO | Path, provenance: str) -> str:
+    """Decode a file (a ``Path``), bytes or text: the one decode step of
+    treebanks and of ``asnkit`` configuration files.
 
     Bytes are UTF-8 and a leading BOM is dropped; bytes that are not UTF-8
     raise :class:`CorpusFormatError` at their line.  Only ``"\\n"`` ends a
@@ -561,27 +571,17 @@ def _read_text(source: str | bytes | TextIO | Path, provenance: str) -> str:
     return data[:-1] if data.endswith("\r") else data
 
 
+#: An integer field as the format writes it; ``int`` alone would also take a
+#: ``+`` sign, spaces, underscores and non-ASCII digits.
 _INTEGER = re.compile(r"-?[0-9]+")
-
-
-def _integer(text: str, field: str, provenance: str, line_no: int) -> int:
-    """An ASCII ``-?[0-9]+`` field as an int.
-
-    ``int`` alone would also take a sign, spaces, underscores and non-ASCII
-    digits, none of which the format has.
-    """
-    if not _INTEGER.fullmatch(text):
-        raise CorpusFormatError(
-            provenance, line_no, f"{field} must be an integer, got {text!r}"
-        )
-    return int(text)
 
 
 class _Span(NamedTuple):
     """A sentence as the line scan finds it: its id, the headers in force
-    there, its first line, and the ``(start, end, first line, line count)``
+    there, its first line, the ``(start, end, first line, line count)``
     runs of its token lines in the text (``## `` lines split a sentence into
-    runs).  The first five fields are the sentence's metadata."""
+    runs), and whether its id is generated.  The first five fields are the
+    sentence's metadata."""
 
     sent_id: str
     century: int
@@ -590,6 +590,7 @@ class _Span(NamedTuple):
     target: str | None
     first_line: int
     runs: list[tuple[int, int, int, int]]
+    generated: bool
 
 
 #: The line break before a line that holds no token: a ``## `` comment
@@ -600,18 +601,18 @@ _NOT_TOKENS = re.compile(r"\n(?:(## .*)|(#.*)|[^\S\n]*$)", re.MULTILINE)
 
 
 def _scan(
-    text: str, provenance: str
+    text: str, provenance: str, counter: dict[str, int]
 ) -> tuple[list[_Span], CorpusFormatError | None, bool]:
     """The sentences of a source's text, up to its first header or layout
     error; and that error, and whether the last sentence is cut short by it.
 
     ``text`` is the source's text after a ``"\\n"`` that the lines are
-    numbered from.  Every non-token line costs a step here; token lines are
-    only counted.
+    numbered from.  A sentence without a ``sent_id`` header is its
+    document's next in ``counter``, which counts on from source to source.
+    Every non-token line costs a step here; token lines are only counted.
     """
     meta: dict = {"century": None, "doc_id": "", "dialect": None, "target": None}
     pending_sent_id: str | None = None
-    auto_counter: dict[str, int] = {}
     spans: list[_Span] = []
     runs = None  # the token-line runs of the open sentence
     pos, line_no = 1, 1
@@ -625,15 +626,15 @@ def _scan(
                             provenance, line_no,
                             "sentence begins before any '# century = ...' header",
                         )
-                    if pending_sent_id is None:
-                        doc = meta["doc_id"]
-                        auto_counter[doc] = auto_counter.get(doc, 0) + 1
-                        sent_id = f"{doc}:{auto_counter[doc]}"
+                    doc, generated = meta["doc_id"], pending_sent_id is None
+                    if generated:
+                        counter[doc] = counter.get(doc, 0) + 1
+                        sent_id = f"{doc}:{counter[doc]}"
                     else:
                         sent_id, pending_sent_id = pending_sent_id, None
                     runs = []
-                    spans.append(_Span(sent_id, meta["century"], meta["doc_id"],
-                                       meta["dialect"], meta["target"], line_no, runs))
+                    spans.append(_Span(sent_id, meta["century"], doc, meta["dialect"],
+                                       meta["target"], line_no, runs, generated))
                 count = text.count("\n", pos, start - 1) + 1
                 runs.append((pos, start - 1, line_no, count))
                 line_no += count
@@ -660,7 +661,12 @@ def _scan(
                         f"unknown header key {key!r} (allowed: {allowed})",
                     )
                 if key == "century":
-                    meta["century"] = _integer(value, "century", provenance, line_no)
+                    if not _INTEGER.fullmatch(value):
+                        raise CorpusFormatError(
+                            provenance, line_no,
+                            f"century must be an integer, got {value!r}",
+                        )
+                    meta["century"] = int(value)
                 elif key == "sent_id":
                     pending_sent_id = value
                 else:
@@ -861,16 +867,17 @@ def _in_order(
 
 
 def _read_source(
-    text: str, provenance: str, number: int, seen: dict,
+    text: str, provenance: str, number: int, seen: dict, counter: dict[str, int],
     strings: list[str], table: dict[str, int],
 ) -> Iterator[_Read | _Problem]:
     """Every sentence and problem of one source, in reading order.
 
     A sentence's problems surface where it ends; a line that cannot be read
-    ends the source, and the sentence holding it is not reported.
+    ends the source, and the sentence holding it is not reported.  The
+    sentences after it take no generated id from ``counter``.
     """
     text = "\n" + text
-    spans, error, cut = _scan(text, provenance)
+    spans, error, cut = _scan(text, provenance, counter)
     sizes = [sum(run[3] for run in span.runs) for span in spans]
     done = 0
     while done < len(spans):
@@ -886,6 +893,9 @@ def _read_source(
         yield from _in_order(trees, problems, spans[done:done + whole], provenance,
                              number, seen)
         if line_error is not None:
+            for span in spans[done + len(trees) + 1:]:
+                if span.generated:
+                    counter[span.doc_id] -= 1
             error = line_error
             break
         done = stop
@@ -899,25 +909,22 @@ def _sentences(
     """The one sentence loop: every check of every sentence of every source.
 
     ``sources`` holds (source, provenance) pairs, read through
-    :func:`_read_text`.  Sentence ids are unique per document across all
-    sources.  A line that cannot be read ends its source, since the rest
-    cannot be interpreted reliably; a bad sentence does not hide the next.
-    All sources share one string table.
+    :func:`read_text`.  Sentence ids are unique per document across all
+    sources, and generated ids number on across them.  A line that cannot
+    be read ends its source; a bad sentence does not hide the next.  All
+    sources share one string table.
     """
     seen: dict[tuple[str, str], tuple[int, str, int]] = {}
+    counter: dict[str, int] = {}  # the generated ids each document has taken
     strings = sorted(MISSING_LEMMAS)  # so that a lemma id below 2 is missing
     table = {s: i for i, s in enumerate(strings)}
     for number, (source, provenance) in enumerate(sources):
         try:
-            text = _read_text(source, provenance)
+            text = read_text(source, provenance)
         except CorpusFormatError as exc:
             yield _format_problem(exc)
             continue
-        yield from _read_source(text, provenance, number, seen, strings, table)
-
-
-def _issues(found: Iterable[_Read | _Problem]) -> list[CorpusIssue]:
-    return [i for item in found if isinstance(item, _Problem) for i in item.issues]
+        yield from _read_source(text, provenance, number, seen, counter, strings, table)
 
 
 def _parse(sources: Sequence[tuple[object, str]]) -> list[CorpusSlice]:
@@ -930,10 +937,8 @@ def _parse(sources: Sequence[tuple[object, str]]) -> list[CorpusSlice]:
     if not parts:
         return []
     trees = _TreeColumns.concat(parts)
-    provenance = tuple(p for _, p in sources)
     return [
-        CorpusSlice(century=c, trees=trees.take(np.flatnonzero(trees.century == c)),
-                    provenance=provenance)
+        CorpusSlice(century=c, trees=trees.take(np.flatnonzero(trees.century == c)))
         for c in sorted(set(trees.century.tolist()))
     ]
 
@@ -958,16 +963,66 @@ def parse_corpus(
     return _parse([(source, provenance)])
 
 
-def audit_corpus(
-    source: str | bytes | TextIO, provenance: str = "<input>"
-) -> list[CorpusIssue]:
-    """Collect every problem in a treebank instead of stopping at the first.
+def _unwritable_lemmas(read: _Read, checked: set[int]) -> list[CorpusIssue]:
+    """An issue at the first token of each lemma GraphML cannot carry, in
+    line order; ``checked`` holds the string ids already looked at."""
+    trees = read.trees
+    lemmas, first = np.unique(trees.lemma, return_index=True)
+    fresh = [(row, trees.strings[i])
+             for i, row in zip(lemmas.tolist(), first.tolist()) if i not in checked]
+    checked.update(lemmas.tolist())
+    sentence = _sentence_of(trees.offsets)
+    return [
+        CorpusIssue(read.provenance, int(trees.line[row]), trees.sentence_id[sentence[row]],
+                    "unwritable lemma", f"lemma {lemma!r} holds {found.group()!r}, "
+                    "which GraphML (XML 1.0) cannot carry")
+        for row, lemma in sorted(fresh) if (found := _NOT_XML(lemma))
+    ]
 
-    Structural line errors end the audit of the offending file (the rest
-    cannot be interpreted reliably), but sentence-level tree violations are
-    collected per sentence so one bad sentence does not hide the next.
+
+def audit_corpus(
+    sources: Iterable[tuple[str | bytes | TextIO | Path, str]],
+    policy: MissingPolicy | str | None = None,
+    graphml: bool = False,
+) -> list[CorpusIssue]:
+    """Every problem of the (source, provenance) pairs ``sources``, where
+    :func:`parse_corpus` and :func:`load_corpus` raise the first.
+
+    A line that cannot be read ends the audit of its source, since the rest
+    cannot be interpreted reliably; a bad sentence does not hide the next.
+    With a missing ``policy`` the audit is the whole pipeline's, as ``asnkit
+    validate`` prints it: after each run of readable sentences, those the
+    policy cannot judge and, if ``graphml``, each lemma GraphML cannot carry
+    in those it keeps; at the end, an empty corpus and each century the
+    policy leaves empty.
     """
-    return _issues(_sentences([(source, provenance)]))
+    issues, checked, centuries, left = [], set(), set(), set()
+    for item in _sentences(sources):
+        if isinstance(item, _Problem):
+            issues += item.issues
+        elif policy is not None:
+            trees, verdicts = item.trees, _Verdicts(item.trees, policy)
+            issues += [
+                CorpusIssue(item.provenance, int(trees.line[trees.offsets[i]]),
+                            trees.sentence_id[i], "missing policy",
+                            verdicts.unjudged_reason(i))
+                for i in np.flatnonzero(verdicts.unjudged).tolist()
+            ]
+            centuries.update(trees.century.tolist())
+            left.update(trees.century[verdicts.keep | verdicts.unjudged].tolist())
+            if graphml:
+                kept = trees.take(np.flatnonzero(verdicts.keep))
+                issues += _unwritable_lemmas(item._replace(trees=kept), checked)
+    if policy is None:
+        return issues
+    if not issues and not centuries:  # not even a bad sentence
+        issues.append(CorpusIssue(None, None, None, "empty corpus", "no sentences found"))
+    policy = MissingPolicy.from_name(policy)
+    return issues + [
+        CorpusIssue(None, None, None, "empty corpus",
+                    f"century {c} has no sentences left under policy {policy.value!r}")
+        for c in sorted(centuries - left)
+    ]
 
 
 def load_corpus(paths: str | Path | Iterable[str | Path]) -> list[CorpusSlice]:

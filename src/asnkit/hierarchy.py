@@ -37,7 +37,7 @@ from scipy.sparse.csgraph import connected_components
 # The first name is unused here; perfbench/tracing.py looks it up (ROADMAP item 4).
 from scipy.sparse.linalg import lsqr, splu
 
-from .network import Asn, NodeKey, _csv_table
+from .network import Asn, NodeKey, csv_table
 
 logger = logging.getLogger(__name__)
 
@@ -318,7 +318,7 @@ def level_csv(
     meta = {"axis": "inverted", "levels": "min0"}
     if metadata:
         meta.update(metadata)
-    return _csv_table(
+    return csv_table(
         "role,lemma,forward_level,backward_level,frequency,in_weight,out_weight",
         [
             asn._role_codes,

@@ -32,6 +32,8 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 
 from .corpus import (
+    _NOT_XML,
+    _NOT_XML_CHAR,
     _ROLE_CODES,
     _ROLES,
     PHRASE_RULES,
@@ -46,6 +48,7 @@ __all__ = [
     "Asn",
     "aggregate",
     "heads",
+    "csv_table",
     "edge_csv",
     "to_dot",
     "to_graphml",
@@ -289,16 +292,18 @@ class _At(NamedTuple):
     at: Sequence[int]
 
 
-def _csv_table(
+def csv_table(
     header: str,
     columns: Sequence[Sequence | _At],
     metadata: Mapping[str, object] | None = None,
 ) -> str:
-    """A CSV table: the metadata comment line, ``header``, then the rows.
+    """The one writer of CSV tables: the metadata comment line (a line break
+    in it is a ``ValueError``), ``header``, then the rows.
 
     ``columns`` lists the table left to right, one value per row, as Python
-    scalars.  The table is formatted by column: the values of an :class:`_At`
-    column are formatted once, however many rows or columns gather them.
+    scalars (``str``, ``float``, ``int``, ``bool`` or ``None``).  The table
+    is formatted by column: the values of an :class:`_At` column are
+    formatted once, however many rows or columns gather them.
     """
     formatted: dict[int, list[str]] = {}  # id(values) -> cells
     cells = []
@@ -328,7 +333,7 @@ def edge_csv(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     roles = asn._role_codes
     lemmas = [k.lemma for k in asn.keys]
     src, dst, weight = _edge_columns(asn)
-    return _csv_table(
+    return csv_table(
         "source_role,source_lemma,target_role,target_lemma,weight",
         [_At(roles, src), _At(lemmas, src), _At(roles, dst), _At(lemmas, dst), weight],
         metadata,
@@ -359,10 +364,6 @@ def to_dot(asn: Asn, metadata: Mapping[str, object] | None = None) -> str:
     out.append("}\n")
     return "".join(out)
 
-
-#: A character that XML 1.0 cannot carry, not even as a reference.
-_NOT_XML_CHAR = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
-_NOT_XML = re.compile(_NOT_XML_CHAR).search
 
 #: Finds what a one-line XML comment cannot hold: a line break, ``--`` or a
 #: character that XML 1.0 cannot carry.

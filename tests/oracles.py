@@ -283,11 +283,14 @@ def _ref_integer(text: str, name: str, provenance: str, line_no: int) -> int:
     return int(text)
 
 
-def _ref_drafts(lines: list[str], provenance: str):
-    """Yield raw sentences with resolved metadata; structural errors raise."""
+def _ref_drafts(lines: list[str], provenance: str, auto_counter: dict[str, int]):
+    """Yield raw sentences with resolved metadata; structural errors raise.
+
+    A sentence without a ``sent_id`` takes its document's next number in
+    ``auto_counter``, which counts on from file to file.
+    """
     meta: dict = {"century": None, "doc_id": "", "dialect": None, "target": None}
     pending_sent_id = None
-    auto_counter: dict[str, int] = {}
     draft = None
     for line_no, line in enumerate(lines, start=1):
         if line.startswith("## "):
@@ -402,7 +405,6 @@ class RefTree(NamedTuple):
 class RefSlice(NamedTuple):
     century: int
     trees: list[RefTree]
-    provenance: tuple[str, ...]
 
 
 #: The phrase a ``_`` RULE resolves to, by its head's role code; any other
@@ -545,9 +547,11 @@ def reference_sentences(sources):
     """Every tree, or ``(error, issues)`` problem, of (bytes, provenance)
     sources in reading order, one line and one sentence at a time."""
     seen: dict = {}
+    auto_counter: dict[str, int] = {}
     for number, (source, provenance) in enumerate(sources):
         try:
-            for draft in _ref_drafts(_ref_lines(source, provenance), provenance):
+            lines = _ref_lines(source, provenance)
+            for draft in _ref_drafts(lines, provenance, auto_counter):
                 key = (draft.meta["doc_id"], draft.sent_id)
                 if key in seen:
                     number0, provenance0, line0 = seen[key]
@@ -588,8 +592,7 @@ def reference_parse(sources) -> list[RefSlice]:
         if not isinstance(item, RefTree):
             raise item[0]
         by_century.setdefault(item.century, []).append(item)
-    provenance = tuple(p for _, p in sources)
-    return [RefSlice(c, by_century[c], provenance) for c in sorted(by_century)]
+    return [RefSlice(c, by_century[c]) for c in sorted(by_century)]
 
 
 def reference_audit(sources) -> list[CorpusIssue]:

@@ -63,7 +63,7 @@ def test_criterion_01_tree_validation_matches_enumeration_oracle():
                for heads in itertools.product(range(n + 2), repeat=n)]
     texts = [treebank(nouns(heads), sent_id=f"v{k}") for k, heads in enumerate(vectors)]
     kinds = {}
-    for issue in audit_corpus("".join(texts)):
+    for issue in audit_corpus([("".join(texts), "<input>")]):
         kinds.setdefault(issue.sentence_id, set()).add(issue.kind)
     for k, heads in enumerate(vectors):
         found = kinds.get(f"v{k}", set())

@@ -1,5 +1,6 @@
 """The public namespace is the documented one."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import asnkit
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def documented_api() -> dict[str, list[str]]:
@@ -36,3 +38,16 @@ def test_the_package_holds_only_the_pipeline():
     assert {m.name for m in pkgutil.iter_modules(asnkit.__path__)} == {
         "cli", "corpus", "diachrony", "hierarchy", "network", "powerlaw", "stats"}
     assert Path(asnkit.demo_corpus_path()).is_file()
+
+
+def test_the_cli_imports_only_public_names():
+    tree = ast.parse((ROOT / "src" / "asnkit" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "asnkit")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

@@ -25,6 +25,22 @@ def run(*argv):
     return main(list(argv))
 
 
+def split_demo(tmp_path):
+    """The demo corpus dealt in order over two files, neither holding a
+    ``# sent_id`` line: the first holds century 14's header and the first
+    half of its sentences, the second repeats the header and holds the rest.
+    """
+    c14, later = Path(DEMO).read_text(encoding="utf-8").split("# century = 15", 1)
+    header, *sentences = c14.strip("\n").split("\n\n")
+    half = len(sentences) // 2
+    parts = [tmp_path / "part1.tb", tmp_path / "part2.tb"]
+    parts[0].write_text("\n\n".join([header, *sentences[:half]]) + "\n",
+                        encoding="utf-8")
+    parts[1].write_text("\n\n".join([header, *sentences[half:]])
+                        + "\n\n# century = 15" + later, encoding="utf-8")
+    return [str(part) for part in parts]
+
+
 @pytest.fixture()
 def takeover_file(tmp_path):
     path = tmp_path / "takeover.tb"
@@ -152,6 +168,22 @@ class TestExitCodes:
         assert run("diachrony", DEMO, "--track", "nounspace",
                    "--out", str(tmp_path / "o")) == 2
         assert "ROLE lemma" in capsys.readouterr().err
+
+    def test_track_keys_take_role_codes_and_the_missing_role(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("diachrony", DEMO, "--track", "_ !", "--out", str(out)) == 0
+        rows = (out / "trajectories.csv").read_text(encoding="utf-8").split("\n")
+        assert "_,!,14,1,2.0,37,1,0" in rows
+        assert run("diachrony", DEMO, "--track", "XX a", "--out", str(out)) == 2
+        assert "unknown grammatical role code 'XX'" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\nreplicates = \xff\n")
+        assert run("build", DEMO, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: not UTF-8: byte 0xff (invalid start byte)\n")
 
     def test_bad_track_key_fails_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -386,14 +418,10 @@ class TestDeterminismAndConfig:
         for name in files_one:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
-    def test_sentence_order_and_files_change_only_the_manifest(self, tmp_path):
-        # The demo's sentences shuffled within each century and dealt over
-        # two files: only the inputs and the order of the drops differ.
-        parts = []
-        for i, text in enumerate(shuffled_treebank(
-                Path(DEMO).read_text(encoding="utf-8"), seed=2, files=2)):
-            parts.append(tmp_path / f"part{i}.tb")
-            parts[-1].write_text(text, encoding="utf-8")
+    @staticmethod
+    def analyze_demo_and(tmp_path, parts):
+        """The manifests of ``analyze`` on the demo and on ``parts``, without
+        ``config.inputs``, after checking every other file is byte-identical."""
         args = ("--seed", "0", "--replicates", "100")
         one, two = tmp_path / "one", tmp_path / "two"
         assert run("analyze", DEMO, *args, "--out", str(one)) == 0
@@ -407,8 +435,27 @@ class TestDeterminismAndConfig:
         for out in (one, two):
             manifest = json.loads((out / "manifest.json").read_text())
             del manifest["config"]["inputs"]
-            manifest["dropped_sentences"].sort()
             manifests.append(manifest)
+        return manifests
+
+    def test_sentence_order_and_files_change_only_the_manifest(self, tmp_path):
+        # The demo's sentences shuffled within each century and dealt over
+        # two files: only the inputs and the order of the drops differ.
+        parts = []
+        for i, text in enumerate(shuffled_treebank(
+                Path(DEMO).read_text(encoding="utf-8"), seed=2, files=2)):
+            parts.append(tmp_path / f"part{i}.tb")
+            parts[-1].write_text(text, encoding="utf-8")
+        manifests = self.analyze_demo_and(tmp_path, parts)
+        for manifest in manifests:
+            manifest["dropped_sentences"].sort()
+        assert manifests[0] == manifests[1]
+
+    def test_a_document_continues_in_the_next_file_without_ids(self, tmp_path, capsys):
+        parts = split_demo(tmp_path)
+        assert run("validate", *parts) == 0
+        assert capsys.readouterr().out == "OK: 2 file(s) valid\n"
+        manifests = self.analyze_demo_and(tmp_path, parts)
         assert manifests[0] == manifests[1]
 
     def test_analyze_manifest_lists_the_bundle(self, takeover_file, tmp_path):

@@ -62,8 +62,8 @@ ALL_CODES = [
 
 
 def parsed(slices):
-    """Each slice's century, provenance and columns."""
-    return [(s.century, s.provenance, columns_of(s.trees)) for s in slices]
+    """Each slice's century and columns."""
+    return [(s.century, columns_of(s.trees)) for s in slices]
 
 
 def columns(text):
@@ -124,7 +124,7 @@ def token_error(line):
     text = f"# century = 14\n# sent_id = s1\n{line}\n"
     with pytest.raises(CorpusFormatError) as info:
         parse_corpus(text, provenance="f.tb")
-    return str(info.value), [str(i) for i in audit_corpus(text, provenance="f.tb")]
+    return str(info.value), [str(i) for i in audit_corpus([(text, "f.tb")])]
 
 
 class TestToken:
@@ -146,7 +146,8 @@ class TestToken:
         # A self-head spoils only its sentence: the audit reads on.
         text = ("# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n2\tb\tb\tN\t2\t_\n\n"
                 "# sent_id = s2\n1\tc\tc\tN\t0\t_\n2\td\td\tN\t0\t_\n")
-        assert [(i.line, i.sentence_id, i.kind) for i in audit_corpus(text)] == [
+        issues = audit_corpus([(text, "f.tb")])
+        assert [(i.line, i.sentence_id, i.kind) for i in issues] == [
             (4, "s1", "malformed token"), (7, "s2", "multiple roots")]
 
     @pytest.mark.parametrize("lemma", ["a", "!!", "Unbekannt", "unbekannt "])
@@ -268,7 +269,7 @@ class TestValidateAndDepth:
         with pytest.raises(CorpusFormatError) as info:
             parse_corpus(text, provenance="f.tb")
         assert str(info.value) == message
-        assert [str(i) for i in audit_corpus(text, provenance="f.tb")] == [
+        assert [str(i) for i in audit_corpus([(text, "f.tb")])] == [
             message.replace(": token", ": format error: token", 1)]
 
     def test_single_token_tree_depth_zero(self):
@@ -415,7 +416,7 @@ class TestParsing:
         with pytest.raises(CorpusFormatError) as info:
             parse_corpus(text, provenance="f.tb")
         assert str(info.value) == f"f.tb:2: {message}"
-        assert [str(i) for i in audit_corpus(text, provenance="f.tb")] == [
+        assert [str(i) for i in audit_corpus([(text, "f.tb")])] == [
             f"f.tb:2: format error: {message}"
         ]
 
@@ -468,7 +469,7 @@ class TestParsing:
         path.write_bytes(b"\xef\xbb\xbf" + MINI.encode())
         assert columns_of(load_corpus(path)[0].trees) == columns(MINI)
         assert parsed(parse_corpus("\ufeff" + MINI)) == parsed(parse_corpus(MINI))
-        assert audit_corpus(path.read_bytes()) == []
+        assert audit_corpus([(path.read_bytes(), "<input>")]) == []
 
     def test_duplicate_across_files_names_its_line(self, tmp_path):
         block = "# century = 14\n# sent_id = s1\n1\ta\ta\tN\t0\t_\n"
@@ -483,9 +484,35 @@ class TestParsing:
         )
 
 
+    def test_generated_ids_number_on_across_files(self, tmp_path):
+        block = "# century = 14\n1\ta\ta\tN\t0\t_\n"
+        first, second = tmp_path / "d1.tb", tmp_path / "d2.tb"
+        first.write_text(block, encoding="utf-8")
+        second.write_text(block, encoding="utf-8")
+        (corpus_slice,) = load_corpus([first, second])
+        assert corpus_slice.trees.sentence_id.tolist() == [":1", ":2"]
+        # An explicit id equal to a generated one is still a duplicate.
+        second.write_text(block + "\n# sent_id = :1\n1\ta\ta\tN\t0\t_\n",
+                          encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus([first, second])
+        assert str(exc.value) == (
+            f"{second}:5: duplicate sentence id ':1' in document '' "
+            f"(also in {first})"
+        )
+
+    def test_sentences_after_a_bad_line_take_no_generated_id(self):
+        # The second sentence holds the bad line; the third is never read.
+        bad = "# century = 14\n1\ta\ta\tN\t0\t_\n\n1\ta\n\n1\ta\ta\tN\t0\t_\n"
+        roots = "# century = 14\n1\ta\ta\tN\t0\t_\n2\tb\tb\tN\t0\t_\n"
+        issues = audit_corpus([(bad, "d1.tb"), (roots, "d2.tb")])
+        assert [(i.provenance, i.sentence_id, i.kind) for i in issues] == [
+            ("d1.tb", None, "format error"), ("d2.tb", ":3", "multiple roots")]
+
+
 class TestAudit:
     def test_clean_corpus_has_no_issues(self):
-        assert audit_corpus(MINI) == []
+        assert audit_corpus([(MINI, "<input>")]) == []
 
     def test_collects_tree_violations_without_stopping(self):
         text = (
@@ -496,19 +523,19 @@ class TestAudit:
             "\n"
             "1\te\te\tN\t0\t_\n"  # fine
         )
-        issues = audit_corpus(text)
+        issues = audit_corpus([(text, "<input>")])
         assert len(issues) == 3
         assert {"multiple roots", "head cycle", "no root"} == {
             i.kind for i in issues
         }
 
     def test_structural_error_ends_audit(self):
-        issues = audit_corpus("# century = 14\n1\ta\ta\tN\t0\n")
+        issues = audit_corpus([("# century = 14\n1\ta\ta\tN\t0\n", "<input>")])
         assert len(issues) == 1
         assert issues[0].kind == "format error"
 
     def test_bytes_that_are_not_utf8_are_an_issue(self):
-        issues = audit_corpus(b"# century = 14\n\xff\n", provenance="f.tb")
+        issues = audit_corpus([(b"# century = 14\n\xff\n", "f.tb")])
         assert [str(i) for i in issues] == [
             "f.tb:2: format error: not UTF-8: byte 0xff (invalid start byte)"
         ]
@@ -528,14 +555,14 @@ class TestAuditAgreesWithParse:
             parsed = False
         else:
             parsed = True
-        assert (audit_corpus(data) == []) == parsed
+        assert (audit_corpus([(data, "<input>")]) == []) == parsed
 
 
 def _bulk_read(sources, chunk_lines):
     """Slices (or the error), and audit issues, of the columnar reader, reading
     ``chunk_lines`` token lines at a time."""
     with mock.patch.object(asnkit.corpus, "_CHUNK_LINES", chunk_lines):
-        issues = asnkit.corpus._issues(asnkit.corpus._sentences(sources))
+        issues = audit_corpus(sources)
         try:
             return asnkit.corpus._parse(sources), None, issues
         except (CorpusFormatError, TreeValidationError) as exc:
@@ -567,15 +594,13 @@ def _check_filter(corpus_slice, ref_trees, policy, each_tree=True):
     got = _outcome(filter_slice, corpus_slice, policy)
     if isinstance(got, tuple):
         kept, dropped = got
-        assert (kept.century, kept.provenance) == (
-            corpus_slice.century, corpus_slice.provenance)
+        assert kept.century == corpus_slice.century
         got = (columns_of(kept.trees), dropped)
     if isinstance(want, tuple):
         want = (reference_columns(want[0]), want[1])
     assert got == want
     for i, tree in enumerate(ref_trees if each_tree else ()):
-        one = CorpusSlice(corpus_slice.century, corpus_slice.trees.take([i]),
-                          corpus_slice.provenance)
+        one = CorpusSlice(corpus_slice.century, corpus_slice.trees.take([i]))
         _check_filter(one, [tree], policy, each_tree=False)
 
 
@@ -596,7 +621,7 @@ class TestBulkReaderMatchesReference:
         assert (type(error), str(error)) == (type(want_error), str(want_error))
         assert issues == reference_audit(sources)
         assert (None if slices is None else parsed(slices)) == (None if want is None else [
-            (ref.century, ref.provenance, reference_columns(ref.trees)) for ref in want])
+            (ref.century, reference_columns(ref.trees)) for ref in want])
         for got, ref in zip(slices or (), want or ()):
             asn, ref_asn = aggregate(got.trees), reference_aggregate(ref.trees)
             assert frequency_map(asn) == ref_asn.frequency
@@ -639,7 +664,7 @@ class TestBulkReaderMatchesReference:
     def test_integers_beyond_int64_keep_their_value(self, line, message):
         data = f"# century = 14\n{line}\n".encode()
         self.check([data], 4096)
-        issues = audit_corpus(data)
+        issues = audit_corpus([(data, "<input>")])
         expected = [message] if message else []
         assert [i.message[:len(message)] for i in issues] == expected
 

@@ -233,7 +233,6 @@ class TestDepthVsDiameter:
     def test_empty_slice_rejected(self):
         slices, summaries = self._inputs(crosslink_corpus())
         s14 = slices[0]
-        hollow = type(s14)(century=14, trees=s14.trees.take([]),
-                           provenance=s14.provenance)
+        hollow = type(s14)(century=14, trees=s14.trees.take([]))
         with pytest.raises(ValueError, match="empty"):
             depth_vs_diameter([hollow], summaries)
