@@ -25,9 +25,11 @@ what the pipeline refuses after reading.
 The reader works in bulk.  One regular expression finds the header, comment
 and blank lines of a source; the token lines between them are split and
 checked a few thousand at a time, column by column.  What the reader keeps
-are columns, not token objects: :attr:`CorpusSlice.trees` holds one column
-per sentence field and one per token field, which :func:`filter_slice` and
-:func:`asnkit.network.aggregate` read.
+are columns, not token objects: :attr:`CorpusSlice.trees` holds the
+sentence and token fields that :func:`filter_slice`,
+:func:`asnkit.network.aggregate` and the summary read, and no other.  The
+SURFACE column is checked but not kept, and ``# dialect`` headers are
+accepted but not kept.
 
 Each corpus rule is one kernel over token columns, which also words its
 results: an ordered table of row masks in :func:`_read_chunk` decides the
@@ -243,10 +245,8 @@ _NO_ROLE = len(GrammaticalRole)
 _RULE_INDEX = {rule: k for k, rule in enumerate((*PHRASE_RULES, "_"))}
 _RESOLVE = len(PHRASE_RULES)
 
-_SENTENCE_COLUMNS = (
-    "sentence_id", "century", "doc_id", "dialect", "target", "target_id", "depth",
-)
-_TOKEN_COLUMNS = ("head", "role", "rule", "missing", "lemma", "surface", "line")
+_SENTENCE_COLUMNS = ("sentence_id", "century", "target_id", "depth")
+_TOKEN_COLUMNS = ("head", "role", "rule", "missing", "lemma", "line")
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -303,33 +303,33 @@ def _intern(column: list[str], strings: list[str], table: dict[str, int]) -> np.
 
 
 def _sentence_columns(
-    meta: Sequence[tuple], strings: list[str], table: dict[str, int]
+    spans: Sequence[_Span], strings: list[str], table: dict[str, int]
 ) -> dict[str, np.ndarray]:
-    """The per-sentence columns but ``depth``, from one ``(sentence_id,
-    century, doc_id, dialect, target)`` tuple a sentence."""
-    columns = dict(zip(_SENTENCE_COLUMNS, (
-        np.fromiter(values, dtype=object, count=len(meta))
-        for values in (list(zip(*meta)) or [()] * 5)
-    )))
-    known = np.array([t is not None for t in columns["target"]], dtype=bool)
-    columns["target_id"] = np.full(len(meta), -1, dtype=np.int32)
-    columns["target_id"][known] = _intern(list(columns["target"][known]), strings, table)
-    return columns
+    """The per-sentence columns but ``depth``, from the sentences' spans."""
+    known = [i for i, span in enumerate(spans) if span.target is not None]
+    target_id = np.full(len(spans), -1, dtype=np.int32)
+    target_id[known] = _intern([spans[i].target for i in known], strings, table)
+    return {
+        "sentence_id": np.fromiter((s.sent_id for s in spans), object, len(spans)),
+        "century": np.fromiter((s.century for s in spans), object, len(spans)),
+        "target_id": target_id,
+    }
 
 
 class _TreeColumns:
     """The sentences of a slice as columns, in input order.
 
     Token ``k`` (from 0) of sentence ``i`` is row ``offsets[i] + k`` of the
-    token columns; its index is ``k + 1``.  Per sentence: ``sentence_id``,
-    ``century``, ``doc_id``, ``dialect`` and ``target`` (Python objects, as
-    the headers set them), ``target_id`` (the target's id in ``strings``, -1
-    for none) and ``depth`` (the length in edges of the longest
-    root-to-leaf path).  Per token: ``head`` (0 for the root), ``role`` (an
-    index into ``_ROLE_OF_CODE``), ``rule`` (into ``PHRASE_RULES``, a ``_``
-    RULE resolved), ``missing``, ``lemma`` and ``surface`` (ids into
-    ``strings``, which columns read together share) and ``line`` (the source
-    line).  ``len`` is the number of sentences; :meth:`take` selects some.
+    token columns; its index is ``k + 1``.  Per sentence: ``sentence_id``
+    and ``century`` (Python objects, as the headers set them),
+    ``target_id`` (the target lemma's id in ``strings``, -1 for none) and
+    ``depth`` (the length in edges of the longest root-to-leaf path).  Per
+    token: ``head`` (0 for the root), ``role`` (an index into
+    ``_ROLE_OF_CODE``), ``rule`` (into ``PHRASE_RULES``, a ``_`` RULE
+    resolved), ``missing``, ``lemma`` (an id into ``strings``, which columns
+    read together share) and ``line`` (the source line).  These are the
+    fields some stage reads; the reader keeps no other.  ``len`` is the
+    number of sentences; :meth:`take` selects some.
     """
 
     def __init__(self, strings: list[str], offsets: np.ndarray, **columns) -> None:
@@ -463,8 +463,13 @@ class _Verdicts:
             np.minimum.at(self.least, sentence[keys // rows], keys)
             self.keep = (self.least == rows * rows) & ~self.unjudged
 
+    def target(self, i: int) -> str | None:
+        """The target lemma of tree ``i``, if it has one."""
+        found = int(self.trees.target_id[i])
+        return None if found < 0 else self.trees.strings[found]
+
     def unjudged_reason(self, i: int) -> str:
-        target = self.trees.target[i]
+        target = self.target(i)
         if target is None:
             return f"policy {self.policy.value!r} needs a target lemma to judge adjacency"
         return f"target lemma {target!r} does not occur, cannot judge adjacency"
@@ -482,7 +487,7 @@ class _Verdicts:
             start = int(trees.offsets[i]) - 1
             m, t = (row - start for row in divmod(int(self.least[i]), self.rows))
             reason = (f"missing neighbor of target: token {m} is adjacent "
-                      f"to {trees.target[i]!r} at token {t}")
+                      f"to {self.target(i)!r} at token {t}")
         return FilterDecision(trees.sentence_id[i], reason)
 
 
@@ -578,15 +583,13 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 class _Span(NamedTuple):
     """A sentence as the line scan finds it: its id, the headers in force
-    there, its first line, the ``(start, end, first line, line count)``
-    runs of its token lines in the text (``## `` lines split a sentence into
-    runs), and whether its id is generated.  The first five fields are the
-    sentence's metadata."""
+    there that the reader keeps, its first line, the ``(start, end, first
+    line, line count)`` runs of its token lines in the text (``## `` lines
+    split a sentence into runs), and whether its id is generated."""
 
     sent_id: str
     century: int
     doc_id: str
-    dialect: str | None
     target: str | None
     first_line: int
     runs: list[tuple[int, int, int, int]]
@@ -611,7 +614,7 @@ def _scan(
     document's next in ``counter``, which counts on from source to source.
     Every non-token line costs a step here; token lines are only counted.
     """
-    meta: dict = {"century": None, "doc_id": "", "dialect": None, "target": None}
+    meta: dict = {"century": None, "doc_id": "", "target": None}
     pending_sent_id: str | None = None
     spans: list[_Span] = []
     runs = None  # the token-line runs of the open sentence
@@ -633,8 +636,8 @@ def _scan(
                     else:
                         sent_id, pending_sent_id = pending_sent_id, None
                     runs = []
-                    spans.append(_Span(sent_id, meta["century"], doc, meta["dialect"],
-                                       meta["target"], line_no, runs, generated))
+                    spans.append(_Span(sent_id, meta["century"], doc, meta["target"],
+                                       line_no, runs, generated))
                 count = text.count("\n", pos, start - 1) + 1
                 runs.append((pos, start - 1, line_no, count))
                 line_no += count
@@ -669,7 +672,7 @@ def _scan(
                     meta["century"] = int(value)
                 elif key == "sent_id":
                     pending_sent_id = value
-                else:
+                elif key != "dialect":  # accepted, not kept
                     meta[key] = value
             elif comment is None:
                 runs = None
@@ -754,7 +757,6 @@ def _read_chunk(
     head, not_head = _integers(head_s)
     position = np.arange(m) - offsets[sentence[:m]] + 1
     lemma = _intern(lemma_s, strings, table)
-    surface = _intern(surface_s, strings, table)
     missing = lemma < len(MISSING_LEMMAS)  # the sentinels come first
     empty = table.get("", -1)  # the id of an empty field, if there is one
     role = np.fromiter(map(_ROLE_INDEX.get, role_s, repeat(-1)), np.int8, m)
@@ -768,7 +770,7 @@ def _read_chunk(
         (head < 0, lambda r: f"head must be >= 0, got {int(head_s[r])}"),
         (index != position, lambda r: (f"token index {int(idx_s[r])} is not "
                                        f"contiguous (expected {position[r]})")),
-        ((surface == empty) | (lemma == empty),
+        ((np.fromiter(map(len, surface_s), np.int64, m) == 0) | (lemma == empty),
          lambda r: "SURFACE and LEMMA must be non-empty"),
         (role < 0, lambda r: _unknown_role(role_s[r])),
         ((role == _NO_ROLE) & ~missing,
@@ -784,18 +786,17 @@ def _read_chunk(
         kept = int(sentence[bad])
     n = int(offsets[kept])
     offsets, spans, sentence = offsets[:kept + 1], spans[:kept], sentence[:n]
-    head, index, role, rule, lemma, surface, missing = (
-        a[:n] for a in (head, index, role, rule, lemma, surface, missing))
+    head, index, role, rule, lemma, missing = (
+        a[:n] for a in (head, index, role, rule, lemma, missing))
 
     parent, top, depth = _tree_shape(head, offsets)
     head_role = np.where(parent != np.arange(n), role[parent], _NO_ROLE)
     rule = np.where(rule == _RESOLVE, _RULE_OF_ROLE[head_role], rule)
     starts = offsets[:-1]
     trees = _TreeColumns(
-        strings, offsets, **_sentence_columns([s[:5] for s in spans], strings, table),
+        strings, offsets, **_sentence_columns(spans, strings, table),
         depth=np.maximum.reduceat(depth, starts),
-        head=head, role=role, rule=rule, missing=missing, lemma=lemma, surface=surface,
-        line=line[:n],
+        head=head, role=role, rule=rule, missing=missing, lemma=lemma, line=line[:n],
     )
 
     self_head = head == index

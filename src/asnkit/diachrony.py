@@ -1,10 +1,12 @@
 """Century-by-century evolution of the top of the syntactic hierarchy.
 
-Per-century networks are compared through level ranks: position 1 is the
-node with the smallest forward level (the top of the hierarchy), ties broken
-by outgoing weight and then (role, lemma).  Trajectories expose the rank and
-frequency history of chosen nodes; emergence detection flags nodes that jump
-into the top band after having been absent or far below it.
+Per-century networks are compared through level ranks, which
+:func:`~asnkit.hierarchy.hierarchy_levels` solves with the levels
+(``HierarchyLevels.rank``): position 1 is the node with the smallest forward
+level (the top of the hierarchy), ties broken by outgoing weight and then
+(role, lemma).  Trajectories expose the rank and frequency history of chosen
+nodes; emergence detection flags nodes that jump into the top band after
+having been absent or far below it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hierarchy import HierarchyLevels, HierarchyStats, _check_aligned, _level_order
+from .hierarchy import HierarchyLevels, HierarchyStats, _check_aligned
 from .network import Asn, NodeKey
 
 __all__ = [
@@ -79,15 +81,6 @@ def _validate_slices(
     return centuries
 
 
-def _level_ranks(asn: Asn, levels: HierarchyLevels) -> np.ndarray:
-    """1-based level rank of every node, aligned with ``asn.keys``."""
-    ranks = np.empty(asn.node_count, dtype=np.int64)
-    ranks[_level_order(levels.forward, asn.out_weight())] = np.arange(
-        1, asn.node_count + 1
-    )
-    return ranks
-
-
 def track(
     keys: Iterable[NodeKey], slices: Sequence[tuple[Asn, HierarchyLevels]]
 ) -> list[HeadTrajectory]:
@@ -99,7 +92,6 @@ def track(
     ``present=False`` and frequency 0, keeping trajectories aligned.
     """
     centuries = _validate_slices(slices)
-    ranks = [_level_ranks(asn, levels) for asn, levels in slices]
     no_in = [asn.in_weight() == 0 for asn, _levels in slices]
 
     trajectories = []
@@ -113,7 +105,7 @@ def track(
                     century=centuries[i],
                     present=not absent,
                     level=None if absent else float(levels.forward[node]),
-                    level_rank=None if absent else int(ranks[i][node]),
+                    level_rank=None if absent else int(levels.rank[node]),
                     frequency=0 if absent else int(asn.frequency[node]),
                     is_head=not absent and bool(no_in[i][node]),
                 )
@@ -142,7 +134,7 @@ def detect_emergent_heads(
     if min_gain < 0:
         raise ValueError(f"min_gain must be >= 0, got {min_gain}")
     centuries = _validate_slices(slices)
-    ranks = [_level_ranks(asn, levels) for asn, levels in slices]
+    ranks = [levels.rank for _asn, levels in slices]
 
     events = []
     flagged: set[NodeKey] = set()

@@ -62,13 +62,18 @@ class HierarchyLevels:
     least-squares solution the same LU projects, it measures how far the
     equations are from holding.  ``weighted`` records whether the edges
     counted with their weights or as 1 each; :func:`hierarchy_stats`
-    averages the edge differences the same way.
+    averages the edge differences the same way.  ``rank`` is each node's
+    1-based level rank, aligned with ``asn.keys``: forward level ascending,
+    then total outgoing weight descending, then node index, which is
+    (role, lemma) order; the out-weight sums edge weights even when
+    ``weighted`` is false.
     """
 
     forward: np.ndarray
     backward: np.ndarray
     residual: float
     weighted: bool
+    rank: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -237,14 +242,19 @@ def _system_matrix(n, src, dst, wgt, w_in):
 
 def hierarchy_levels(asn: Asn, weighted: bool = True) -> HierarchyLevels:
     """Forward and backward levels of a network, solved as the module
-    docstring describes; ``weighted=False`` counts every edge as 1."""
+    docstring describes, and the level ranks; ``weighted=False`` counts
+    every edge as 1 in the levels."""
     forward, fwd_residual = _solve_direction(asn, "forward", weighted)
     backward, bwd_residual = _solve_direction(asn, "backward", weighted)
+    n = asn.node_count
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), -asn.out_weight(), forward))] = np.arange(1, n + 1)
     return HierarchyLevels(
         forward=forward,
         backward=backward,
         residual=max(fwd_residual, bwd_residual),
         weighted=weighted,
+        rank=rank,
     )
 
 
@@ -275,18 +285,10 @@ def hierarchy_stats(asn: Asn, levels: HierarchyLevels) -> HierarchyStats:
     return HierarchyStats(democracy=1.0 - mean, incoherence=incoherence)
 
 
-def _level_order(fwd: np.ndarray, out_w: np.ndarray) -> np.ndarray:
-    """Node indices by forward level ascending, then out-weight descending,
-    then index, which is (role, lemma) order: position ``r`` holds the node
-    of level rank ``r + 1``.
-    """
-    return np.lexsort((np.arange(fwd.size), -out_w, fwd))
-
-
 def influence_ranking(
     asn: Asn, levels: HierarchyLevels
 ) -> list[tuple[NodeKey, float, int]]:
-    """Nodes sorted by forward level ascending: level 0 is the top.
+    """Nodes in level-rank order (``levels.rank``): level 0 is the top.
 
     Ties are broken by total outgoing weight (descending), then by
     (role, lemma).  Returns (key, forward level, out-weight) triples, so the
@@ -295,7 +297,7 @@ def influence_ranking(
     """
     _check_aligned(asn, levels)
     fwd, out_w = levels.forward, asn.out_weight()
-    order = _level_order(fwd, out_w)
+    order = np.argsort(levels.rank)
     return [
         (asn.keys[i], f, w)
         for i, f, w in zip(order.tolist(), fwd[order].tolist(), out_w[order].tolist())

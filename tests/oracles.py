@@ -615,20 +615,19 @@ def reference_filter_slice(trees: Sequence[RefTree], policy):
 
 #: The code of each role index in the token columns: the 19 codes, then ``_``.
 _COLUMN_ROLE_CODES = [role.value for role in GrammaticalRole] + ["_"]
-_SENTENCE_FIELDS = ("sentence_id", "century", "doc_id", "dialect", "target")
-
-
 def columns_of(trees) -> dict[str, list]:
     """The columns of a :class:`~asnkit.CorpusSlice`'s ``trees`` as lists of
     plain values, each sentence's token count and depth, and each token's
-    fields, with strings, roles and rules spelled out."""
+    fields, with strings (the target lemma read through ``target_id``),
+    roles and rules spelled out."""
     strings = trees.strings
     return {
-        **{name: getattr(trees, name).tolist() for name in _SENTENCE_FIELDS},
+        "sentence_id": trees.sentence_id.tolist(),
+        "century": trees.century.tolist(),
+        "target": [None if i < 0 else strings[i] for i in trees.target_id.tolist()],
         "length": np.diff(trees.offsets).tolist(),
         "depth": trees.depth.tolist(),
         "line": trees.line.tolist(),
-        "surface": [strings[i] for i in trees.surface.tolist()],
         "lemma": [strings[i] for i in trees.lemma.tolist()],
         "role": [_COLUMN_ROLE_CODES[r] for r in trees.role.tolist()],
         "head": trees.head.tolist(),
@@ -641,11 +640,12 @@ def reference_columns(trees: Sequence[RefTree]) -> dict[str, list]:
     """What :func:`columns_of` gives for the slice of these trees."""
     tokens = [t for tree in trees for t in tree.tokens]
     return {
-        **{name: [getattr(tree, name) for tree in trees] for name in _SENTENCE_FIELDS},
+        **{name: [getattr(tree, name) for tree in trees]
+           for name in ("sentence_id", "century", "target")},
         "length": [len(tree.tokens) for tree in trees],
         "depth": [depth_of_heads([t.head for t in tree.tokens]) for tree in trees],
         **{name: [getattr(t, name) for t in tokens]
-           for name in ("line", "surface", "lemma", "role", "head", "rule", "missing")},
+           for name in ("line", "lemma", "role", "head", "rule", "missing")},
     }
 
 

@@ -599,3 +599,18 @@ class TestValidateAgreesWithBuild:
                 built = run(command, *paths, *options,
                             "--out", str(Path(work) / "o")) == 0
                 assert validated == built, command
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "# century = 14\n# target = t\n1\tt\tt\tN\t0\t_\n2\t!\t!\t_\t1\t_\n",
+    ], ids=["no-sentences", "century-emptied-by-policy"])
+    def test_empty_corpus_error_is_a_line_validate_prints(self, tmp_path, capsys, text):
+        # The pipeline stops at the first empty-corpus fault, which validate
+        # lists among all of them, in the same words.
+        path = tmp_path / "c.tb"
+        path.write_text(text, encoding="utf-8")
+        assert run("validate", str(path)) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert run("analyze", str(path), "--out", str(tmp_path / "o")) == 1
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: ") and error.removeprefix("error: ") in printed

@@ -132,12 +132,20 @@ class TestToken:
 
     def test_basic_fields(self):
         got = columns("# century = 14\n1\ter\ter\tPP\t2\t_\n2\twirt\twerden\tAX\t0\tVP\n")
-        assert {k: got[k] for k in ("surface", "lemma", "role", "head", "rule",
-                                    "missing", "line")} == {
-            "surface": ["er", "wirt"], "lemma": ["er", "werden"], "role": ["PP", "AX"],
+        assert {k: got[k] for k in ("lemma", "role", "head", "rule", "missing",
+                                    "line")} == {
+            "lemma": ["er", "werden"], "role": ["PP", "AX"],
             "head": [2, 0], "rule": ["VP", "VP"], "missing": [False, False],
             "line": [2, 3],
         }
+
+    def test_surface_forms_are_not_kept(self):
+        # SURFACE is checked, but no stage reads it, so only lemmas (and
+        # target lemmas) enter the shared string table.
+        (corpus_slice,) = parse_corpus("# century = 14\n1\ter\ter\tPP\t2\t_\n"
+                                       "2\twirt\twerden\tAX\t0\tVP\n")
+        assert "werden" in corpus_slice.trees.strings
+        assert "wirt" not in corpus_slice.trees.strings
 
     def test_self_head_rejected(self):
         assert token_error("1\ta\ta\tN\t1\t_") == (
@@ -239,9 +247,8 @@ class TestTreeViolations:
 class TestValidateAndDepth:
     def test_validate_returns_tree(self):
         assert columns(treebank(nouns([2, 0, 2]), sent_id="s1")) == {
-            "sentence_id": ["s1"], "century": [14], "doc_id": [""],
-            "dialect": [None], "target": [None], "length": [3], "depth": [1],
-            "line": [3, 4, 5], "surface": ["w1", "w2", "w3"],
+            "sentence_id": ["s1"], "century": [14], "target": [None],
+            "length": [3], "depth": [1], "line": [3, 4, 5],
             "lemma": ["w1", "w2", "w3"], "role": ["N", "N", "N"], "head": [2, 0, 2],
             "rule": ["NP", "OTHER", "NP"], "missing": [False, False, False],
         }
@@ -373,10 +380,11 @@ class TestParsing:
 
     @pytest.mark.parametrize("value", [" a ", "a ", "a\t"])
     def test_header_values_are_stripped(self, value):
+        # The doc_id shows in the generated id of the second sentence.
         text = (f"# century = 14\n# doc_id ={value}\n# sent_id = {value}\n"
-                "1\tx\tx\tN\t0\t_\n")
+                "1\tx\tx\tN\t0\t_\n\n1\ty\ty\tN\t0\t_\n")
         got = columns(text)
-        assert got["doc_id"] == ["a"] and got["sentence_id"] == ["a"]
+        assert got["sentence_id"] == ["a", "a:1"]
 
     def test_unknown_header_key(self):
         with pytest.raises(CorpusFormatError, match="unknown header key"):
@@ -801,7 +809,7 @@ _HEADER_VALUES = st.text(
 @st.composite
 def treebanks(draw):
     """Treebank text with arbitrary lemmas and header values, and the
-    (headers, lemmas) each sentence should parse to, in file order.
+    (kept headers, lemmas) each sentence should parse to, in file order.
 
     Centuries never decrease, so parsing keeps the sentences in file order.
     """
@@ -830,7 +838,8 @@ def treebanks(draw):
             rule = draw(st.sampled_from(("_",) + PHRASE_RULES))
             lines.append(f"{index}\t{surface}\t{lemma}\t{role}\t{head}\t{rule}")
         lines.append("")
-        expected.append((dict(meta, sent_id=sent_id), lemmas))
+        kept = {key: meta[key] for key in ("century", "target")}
+        expected.append((dict(kept, sent_id=sent_id), lemmas))
     return "\n".join(lines), expected
 
 
@@ -844,7 +853,7 @@ class TestEveryField:
             found = columns_of(corpus_slice.trees)
             lemmas = iter(found["lemma"])
             for i, length in enumerate(found["length"]):
-                meta = {key: found[key][i] for key in ("century", "doc_id", "dialect", "target")}
+                meta = {key: found[key][i] for key in ("century", "target")}
                 got.append((dict(meta, sent_id=found["sentence_id"][i]),
                             [next(lemmas) for _ in range(length)]))
         assert got == expected

@@ -11,6 +11,7 @@ from asnkit import (
     detect_emergent_heads,
     hierarchy_levels,
     hierarchy_stats,
+    influence_ranking,
     parse_corpus,
     phase_space,
     track,
@@ -78,6 +79,24 @@ class TestTakeoverScenario:
                 assert p.frequency == 0 and not p.is_head
             else:
                 assert p.level == 0.0 and p.is_head
+
+    def test_every_rank_is_the_solved_level_rank(self):
+        # influence_ranking, track and detect_emergent_heads report the ranks
+        # hierarchy_levels solves with the levels, and rank nothing again.
+        rank = {asn.century: dict(zip(asn.keys, levels.rank.tolist()))
+                for asn, levels in self.PAIRS}
+        for asn, levels in self.PAIRS:
+            ranked = [rank[asn.century][key] for key, _, _ in influence_ranking(asn, levels)]
+            assert ranked == list(range(1, asn.node_count + 1))
+        keys = sorted({key for ranks in rank.values() for key in ranks},
+                      key=lambda key: key.sort_key)
+        for trajectory in track(keys, self.PAIRS):
+            for point in trajectory.points:
+                assert point.level_rank == rank[point.century].get(trajectory.key)
+        events = detect_emergent_heads(self.PAIRS)
+        assert events
+        for event in events:
+            assert event.new_rank == rank[event.century][event.key]
 
     def test_relabelled_centuries_shift_events_only(self):
         events = detect_emergent_heads(self.PAIRS)
