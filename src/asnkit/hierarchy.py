@@ -23,6 +23,8 @@ minimum is exactly 0.  Backward levels apply the same construction to
 out-edges, measuring distance from the bottom of the hierarchy instead of
 the top.  Unweighted, every edge counts as 1; :class:`HierarchyLevels`
 records that ``weighted`` choice, and :func:`hierarchy_stats` follows it.
+Each node's level rank is solved with the levels: forward level ascending,
+then out-weight descending, then (role, lemma).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from scipy.sparse.csgraph import connected_components
 # The first name is unused here; perfbench/tracing.py looks it up (ROADMAP item 4).
 from scipy.sparse.linalg import lsqr, splu
 
-from .network import Asn, NodeKey, csv_table
+from .network import Asn, csv_table
 
 logger = logging.getLogger(__name__)
 
@@ -46,12 +48,11 @@ __all__ = [
     "HierarchyStats",
     "hierarchy_levels",
     "hierarchy_stats",
-    "influence_ranking",
     "level_csv",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierarchyLevels:
     """Forward and backward levels of one network.
 
@@ -66,7 +67,10 @@ class HierarchyLevels:
     1-based level rank, aligned with ``asn.keys``: forward level ascending,
     then total outgoing weight descending, then node index, which is
     (role, lemma) order; the out-weight sums edge weights even when
-    ``weighted`` is false.
+    ``weighted`` is false.  It is the paper's level ranking, the one
+    ``track`` and ``detect_emergent_heads`` report; ``np.argsort(rank)``
+    lists the nodes in rank order.  Levels are equal (``==``) when every
+    field is, the arrays element by element.
     """
 
     forward: np.ndarray
@@ -74,6 +78,18 @@ class HierarchyLevels:
     residual: float
     weighted: bool
     rank: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HierarchyLevels):
+            return NotImplemented
+        return (
+            self.weighted == other.weighted
+            and self.residual == other.residual
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("forward", "backward", "rank")
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -283,25 +299,6 @@ def hierarchy_stats(asn: Asn, levels: HierarchyLevels) -> HierarchyStats:
     mean = float((w * h).sum() / total)
     incoherence = float((w * (h - mean) ** 2).sum() / total)
     return HierarchyStats(democracy=1.0 - mean, incoherence=incoherence)
-
-
-def influence_ranking(
-    asn: Asn, levels: HierarchyLevels
-) -> list[tuple[NodeKey, float, int]]:
-    """Nodes in level-rank order (``levels.rank``): level 0 is the top.
-
-    Ties are broken by total outgoing weight (descending), then by
-    (role, lemma).  Returns (key, forward level, out-weight) triples, so the
-    1-based position in the list is a node's level rank.  Levels of another
-    network are a ``ValueError``.
-    """
-    _check_aligned(asn, levels)
-    fwd, out_w = levels.forward, asn.out_weight()
-    order = np.argsort(levels.rank)
-    return [
-        (asn.keys[i], f, w)
-        for i, f, w in zip(order.tolist(), fwd[order].tolist(), out_w[order].tolist())
-    ]
 
 
 def level_csv(

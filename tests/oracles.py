@@ -11,6 +11,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
@@ -976,6 +977,43 @@ def dense_levels(asn: Asn, weighted: bool = True, backward: bool = False):
     levels = np.linalg.pinv(matrix) @ b
     levels -= levels.min() if n else 0.0
     return {k: float(levels[i]) for k, i in index.items()}
+
+
+def exact_levels(asn: Asn, weighted: bool = True) -> list[Fraction]:
+    """Forward levels of a nonsingular level system, in exact arithmetic.
+
+    Each non-pinned row is scaled by its in-weight, which leaves integer
+    coefficients: ``w_in(v) s(v) - sum_u w(u, v) s(u) = w_in(v)``.  A pinned
+    row is ``s(v) = 0``.  Gauss-Jordan elimination in ``Fraction`` solves
+    the system.  Returns levels aligned with ``asn.keys``, shifted so the
+    minimum is 0; a singular system is a ``ValueError``.
+    """
+    n = asn.node_count
+    w = asn.weight.tolist() if weighted else [1] * asn.edge_count
+    w_in = [0] * n
+    for v, weight in zip(asn.dst.tolist(), w):
+        w_in[v] += weight
+    rows = [{v: Fraction(w_in[v] or 1)} for v in range(n)]
+    rhs = [Fraction(total) for total in w_in]
+    for u, v, weight in zip(asn.src.tolist(), asn.dst.tolist(), w):
+        rows[v][u] = rows[v].get(u, 0) - weight
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r].get(col)), None)
+        if pivot is None:
+            raise ValueError(f"the level system is singular at column {col}")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        scale = rows[col][col]
+        rows[col] = {k: c / scale for k, c in rows[col].items() if c}
+        rhs[col] /= scale
+        for r in range(n):
+            factor = rows[r].get(col)
+            if r != col and factor:
+                for k, c in rows[col].items():
+                    rows[r][k] = rows[r].get(k, 0) - factor * c
+                rhs[r] -= factor * rhs[col]
+    low = min(rhs, default=0)
+    return [level - low for level in rhs]
 
 
 def mmd_lu_levels(asn: Asn, weighted: bool = True, backward: bool = False):

@@ -34,6 +34,16 @@ def test_readme_lists_every_public_name_under_its_module():
             assert names == importlib.import_module(module).__all__, module
 
 
+def test_the_readme_python_examples_run(capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:  # one namespace: the second block reads `slices`
+        exec(block.replace('"corpus.tb"', repr(asnkit.demo_corpus_path())), namespace)
+    assert "entered the top 10 at century" in capsys.readouterr().out
+
+
 def test_the_package_holds_only_the_pipeline():
     assert {m.name for m in pkgutil.iter_modules(asnkit.__path__)} == {
         "cli", "corpus", "diachrony", "hierarchy", "network", "powerlaw", "stats"}

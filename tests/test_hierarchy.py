@@ -18,7 +18,6 @@ from asnkit import (
     heads,
     hierarchy_levels,
     hierarchy_stats,
-    influence_ranking,
     level_csv,
     parse_corpus,
     track,
@@ -28,6 +27,7 @@ from oracles import (
     _record,
     dense_levels,
     depth_of_heads,
+    exact_levels,
     hierarchy_stats_oracle,
     make_asn,
     mmd_lu_levels,
@@ -323,6 +323,34 @@ class TestLuMatchesLsqr:
                     assert fwd[asn.index[key]] == pytest.approx(level, abs=1e-9)
 
 
+class TestExactLevels:
+    """Float levels agree with exact rational ones, and the level ranks order
+    every pair of nodes whose exact levels differ as those levels do."""
+
+    def test_seeded_nonsingular_cyclic_graphs(self):
+        rng = np.random.default_rng(2028)
+        for _ in range(12):
+            n = int(rng.integers(3, 31))
+            asn = make_asn(nonsingular_cyclic_edges(rng, n),
+                           isolated=[f"n{i}" for i in range(n)])
+            for weighted in (True, False):
+                levels = hierarchy_levels(asn, weighted=weighted)
+                exact = exact_levels(asn, weighted=weighted)
+                tolerance = 1e-12 * max(1.0, float(max(exact)))
+                for level, truth in zip(levels.forward.tolist(), exact):
+                    assert abs(level - float(truth)) <= tolerance
+                rank = levels.rank.tolist()
+                for i in range(n):  # exact ties are left to the tie-break
+                    for j in range(n):
+                        if exact[i] < exact[j]:
+                            assert rank[i] < rank[j]
+
+    def test_a_singular_system_is_refused(self):
+        asn = make_asn([("a", "b", 1), ("b", "a", 2)])
+        with pytest.raises(ValueError, match="singular"):
+            exact_levels(asn)
+
+
 def singular_edges(rng, n):
     """Random weighted digraph on n >= 4 lemmas with 1 to 3 closed classes,
     rings of 1 to 5 nodes (a 1-ring is a self-loop) that no other node
@@ -487,7 +515,6 @@ class TestHierarchyStats:
 #: Every entry that reads a network together with its levels.
 LEVEL_READERS = {
     "hierarchy_stats": hierarchy_stats,
-    "influence_ranking": influence_ranking,
     "level_csv": level_csv,
     "track": lambda asn, levels: track([nkey("a")], [(asn, levels)]),
     "detect_emergent_heads": lambda asn, levels: detect_emergent_heads([(asn, levels)]),
@@ -511,15 +538,29 @@ class TestMisalignedLevels:
                 read(asn, hierarchy_levels(other))
 
 
+class TestLevelsEquality:
+    """Levels compare by content, as a network does."""
+
+    def test_equal_exactly_when_every_field_is(self):
+        asn = make_asn([("a", "b", 3), ("b", "c", 1), ("c", "b", 2)])
+        other = make_asn([("a", "b", 3), ("b", "c", 1), ("c", "b", 1)])
+        levels = hierarchy_levels(asn)
+        assert levels == hierarchy_levels(asn)
+        assert levels != hierarchy_levels(asn, weighted=False)
+        assert levels != hierarchy_levels(other)
+        assert levels != dataclasses.replace(levels, rank=levels.rank[::-1])
+
+
 class TestRankingAndHistogram:
     def test_ranking_orders_by_level_then_out_weight_then_name(self):
         asn = make_asn([("a", "x", 5), ("b", "y", 1), ("b", "z", 1),
                         ("c", "w", 2)])
-        ranked = influence_ranking(asn, hierarchy_levels(asn))
-        lemmas = [k.lemma for k, _level, _w in ranked]
+        levels = hierarchy_levels(asn)
+        order = np.argsort(levels.rank)
+        lemmas = [asn.keys[i].lemma for i in order]
         # heads first (level 0): a (out 5), b and c tie at 2 -> lexicographic
         assert lemmas[:3] == ["a", "b", "c"]
-        assert all(level == 0.0 for _k, level, _w in ranked[:3])
+        assert all(level == 0.0 for level in levels.forward[order[:3]])
         assert set(lemmas[3:]) == {"w", "x", "y", "z"}
 
     def test_level_zero_band_is_ordered_by_out_weight_on_a_cyclic_graph(self):
@@ -543,8 +584,9 @@ class TestRankingAndHistogram:
         levels = hierarchy_levels(asn)
         assert [levels.forward[asn.index[k]] for k, _ in heads] == [0.0] * 5
 
-        ranked = influence_ranking(asn, levels)
-        assert [(k, level, w) for k, level, w in ranked[:5]] == [
+        order = np.argsort(levels.rank)[:5].tolist()
+        out_weight = asn.out_weight()
+        assert [(asn.keys[i], levels.forward[i], out_weight[i]) for i in order] == [
             (k, 0.0, out) for k, out in heads]
         trajectories = track([k for k, _ in heads], [(asn, levels)])
         assert [(t.points[0].level, t.points[0].level_rank, t.points[0].is_head)
@@ -552,8 +594,8 @@ class TestRankingAndHistogram:
 
     def test_rank_one_is_a_head_on_acyclic_graphs(self):
         asn = make_asn([("a", "b", 3), ("b", "c", 1)])
-        ranked = influence_ranking(asn, hierarchy_levels(asn))
-        assert ranked[0][0] in set(heads(asn))
+        first = np.argsort(hierarchy_levels(asn).rank)[0]
+        assert asn.keys[first] in set(heads(asn))
 
 
 class TestLevelCsv:
