@@ -351,11 +351,7 @@ def _hierarchy(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
         if stats is None:
             payload["error"] = error
         else:
-            payload.update(
-                democracy=stats.democracy,
-                incoherence=stats.incoherence,
-                residual=r.levels.residual,
-            )
+            payload.update(dataclasses.asdict(stats), residual=r.levels.residual)
         files[f"hierarchy_stats_{r.century}.json"] = _json_text(payload)
     return files
 
@@ -383,18 +379,9 @@ def _powerlaw_payload(cfg: RunConfig, century: int, asn: Asn):
     except RuntimeError as exc:  # too many degenerate replicates
         payload["error"] = str(exc)
         return payload, None, data
-    payload.update(
-        {
-            "alpha": fit.alpha,
-            "xmin": fit.xmin,
-            "ks": fit.ks,
-            "n_tail": fit.n_tail,
-            "p_value": fit.p_value,
-            "replicates": fit.replicates,
-            "consistent_with_power_law": fit.p_value > cfg.p_threshold,
-            "lrt": [],
-        }
-    )
+    # The fit's seed is ``cfg.seed``, which the payload already holds.
+    payload.update(dataclasses.asdict(fit),
+                   consistent_with_power_law=fit.p_value > cfg.p_threshold, lrt=[])
     for alternative in ("exponential", "lognormal"):
         try:
             result = lrt(data, fit, alternative)

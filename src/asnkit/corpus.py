@@ -16,11 +16,11 @@ lines, and each token line has exactly six tab-separated columns::
 Missing annotations in the sources are marked by the sentinel lemmas ``!`` or
 ``unbekannt``; only such tokens may carry ``_`` in the ROLE column.
 
-One reader serves :func:`parse_corpus`, :func:`load_corpus` and
-:func:`audit_corpus`, which ``asnkit validate`` runs: one decode step,
-:func:`read_text`, then one sentence loop over all sources.  Parsing raises
-its first problem; an audit lists them all and, given a missing policy, also
-what the pipeline refuses after reading.
+One reader serves :func:`load_corpus`, which the pipeline reads its files
+with, and :func:`audit_corpus`, which ``asnkit validate`` runs: one decode
+step, :func:`read_text`, then one sentence loop over all sources.  Loading
+raises the first problem; an audit lists them all and, given a missing
+policy, also what the pipeline refuses after reading.
 
 The reader works in bulk.  One regular expression finds the header, comment
 and blank lines of a source; the token lines between them are split and
@@ -47,7 +47,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,7 +67,6 @@ __all__ = [
     "CorpusIssue",
     "audit_corpus",
     "read_text",
-    "parse_corpus",
     "load_corpus",
 ]
 
@@ -546,8 +545,8 @@ class CorpusIssue:
 _HEADER_KEYS = ("century", "doc_id", "dialect", "target", "sent_id")
 
 
-def read_text(source: str | bytes | TextIO | Path, provenance: str) -> str:
-    """Decode a file (a ``Path``), bytes or text: the one decode step of
+def read_text(source: str | bytes | Path, provenance: str) -> str:
+    """Decode a file (a ``Path``), bytes or a string: the one decode step of
     treebanks and of ``asnkit`` configuration files.
 
     Bytes are UTF-8 and a leading BOM is dropped; bytes that are not UTF-8
@@ -556,12 +555,7 @@ def read_text(source: str | bytes | TextIO | Path, provenance: str) -> str:
     or a form feed stays inside its field, where ``str.splitlines`` would
     break.
     """
-    if isinstance(source, Path):
-        data = source.read_bytes()
-    elif isinstance(source, (str, bytes)):
-        data = source
-    else:
-        data = source.read()
+    data = source.read_bytes() if isinstance(source, Path) else source
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8-sig")
@@ -905,7 +899,7 @@ def _read_source(
 
 
 def _sentences(
-    sources: Iterable[tuple[str | bytes | TextIO | Path, str]]
+    sources: Iterable[tuple[str | bytes | Path, str]]
 ) -> Iterator[_Read | _Problem]:
     """The one sentence loop: every check of every sentence of every source.
 
@@ -928,7 +922,7 @@ def _sentences(
         yield from _read_source(text, provenance, number, seen, counter, strings, table)
 
 
-def _parse(sources: Sequence[tuple[object, str]]) -> list[CorpusSlice]:
+def _parse(sources: Sequence[tuple[str | bytes | Path, str]]) -> list[CorpusSlice]:
     """Trees of every source grouped by century; the first problem raises."""
     parts = []
     for item in _sentences(sources):
@@ -942,26 +936,6 @@ def _parse(sources: Sequence[tuple[object, str]]) -> list[CorpusSlice]:
         CorpusSlice(century=c, trees=trees.take(np.flatnonzero(trees.century == c)))
         for c in sorted(set(trees.century.tolist()))
     ]
-
-
-def parse_corpus(
-    source: str | bytes | TextIO, provenance: str = "<input>"
-) -> list[CorpusSlice]:
-    """Parse a treebank into validated trees grouped by century.
-
-    Returns one :class:`CorpusSlice` per century, in ascending century
-    order; input order is preserved within each slice.
-
-    Raises
-    ------
-    CorpusFormatError
-        On malformed lines, bytes that are not UTF-8, unknown role codes or
-        header keys, and duplicate sentence ids within a document (all with
-        source line numbers).
-    TreeValidationError
-        When a sentence violates the tree constraints.
-    """
-    return _parse([(source, provenance)])
 
 
 def _unwritable_lemmas(read: _Read, checked: set[int]) -> list[CorpusIssue]:
@@ -982,12 +956,13 @@ def _unwritable_lemmas(read: _Read, checked: set[int]) -> list[CorpusIssue]:
 
 
 def audit_corpus(
-    sources: Iterable[tuple[str | bytes | TextIO | Path, str]],
+    sources: Iterable[tuple[str | bytes | Path, str]],
     policy: MissingPolicy | str | None = None,
     graphml: bool = False,
 ) -> list[CorpusIssue]:
     """Every problem of the (source, provenance) pairs ``sources``, where
-    :func:`parse_corpus` and :func:`load_corpus` raise the first.
+    :func:`load_corpus` raises the first; a source is a file (a ``Path``),
+    bytes or a string, as :func:`read_text` takes it.
 
     A line that cannot be read ends the audit of its source, since the rest
     cannot be interpreted reliably; a bad sentence does not hide the next.

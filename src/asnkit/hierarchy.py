@@ -30,7 +30,7 @@ then out-weight descending, then (role, lemma).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -54,9 +54,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class HierarchyLevels:
-    """Forward and backward levels of one network.
+    """Forward and backward levels of one network, ``network``.
 
-    ``forward`` and ``backward`` are float arrays aligned with ``asn.keys``.
+    ``forward`` and ``backward`` are float arrays aligned with its ``keys``.
     ``residual`` is the larger of the two directional solve residuals.  It
     is at numerical zero when the system is nonsingular (exact propagation,
     or LU in hubs-last order); on a singular system, whose minimum-norm
@@ -70,9 +70,12 @@ class HierarchyLevels:
     ``weighted`` is false.  It is the paper's level ranking, the one
     ``track`` and ``detect_emergent_heads`` report; ``np.argsort(rank)``
     lists the nodes in rank order.  Levels are equal (``==``) when every
-    field is, the arrays element by element.
+    field is, the arrays element by element.  The readers of levels refuse
+    them with a network other than ``network``, unless that one has the
+    same ``keys``, ``src``, ``dst`` and ``weight``, all the levels depend on.
     """
 
+    network: Asn = field(repr=False)
     forward: np.ndarray
     backward: np.ndarray
     residual: float
@@ -83,7 +86,8 @@ class HierarchyLevels:
         if not isinstance(other, HierarchyLevels):
             return NotImplemented
         return (
-            self.weighted == other.weighted
+            self.network == other.network
+            and self.weighted == other.weighted
             and self.residual == other.residual
             and all(
                 np.array_equal(getattr(self, name), getattr(other, name))
@@ -266,6 +270,7 @@ def hierarchy_levels(asn: Asn, weighted: bool = True) -> HierarchyLevels:
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((np.arange(n), -asn.out_weight(), forward))] = np.arange(1, n + 1)
     return HierarchyLevels(
+        network=asn,
         forward=forward,
         backward=backward,
         residual=max(fwd_residual, bwd_residual),
@@ -275,10 +280,17 @@ def hierarchy_levels(asn: Asn, weighted: bool = True) -> HierarchyLevels:
 
 
 def _check_aligned(asn: Asn, levels: HierarchyLevels) -> None:
-    """A ``ValueError`` unless ``levels`` hold one level per node of ``asn``."""
+    """A ``ValueError`` unless ``levels`` are those of ``asn``: they hold one
+    level per node, and were solved on ``asn`` or on a network with its
+    nodes and weighted edges."""
     size = levels.forward.size
     if size != asn.node_count:
         raise ValueError(f"levels hold {size} nodes, the network has {asn.node_count}")
+    solved = levels.network
+    if solved is not asn and not (solved.keys == asn.keys and all(
+            np.array_equal(getattr(solved, name), getattr(asn, name))
+            for name in ("src", "dst", "weight"))):
+        raise ValueError(f"levels are of another network of {size} nodes")
 
 
 def hierarchy_stats(asn: Asn, levels: HierarchyLevels) -> HierarchyStats:

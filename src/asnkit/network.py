@@ -47,7 +47,6 @@ __all__ = [
     "NodeKey",
     "Asn",
     "aggregate",
-    "heads",
     "csv_table",
     "edge_csv",
     "to_dot",
@@ -218,18 +217,6 @@ def aggregate(trees: _TreeColumns) -> Asn:
         century, len(trees), asn.node_count, asn.edge_count, asn.total_weight(),
     )
     return asn
-
-
-def heads(asn: Asn) -> list[NodeKey]:
-    """Nodes with no in-neighbours, the top of the syntactic hierarchy.
-
-    Sorted by total outgoing weight (descending), ties broken by
-    (role, lemma).  A node whose only incoming edge is a self-loop has an
-    in-neighbour (itself) and is therefore not a head.
-    """
-    found = np.flatnonzero(asn.in_weight() == 0)
-    out_w = asn.out_weight()[found]
-    return [asn.keys[i] for i in found[np.lexsort((found, -out_w))].tolist()]
 
 
 #: Finds a line break, which would end a one-line comment early.

@@ -27,6 +27,7 @@ from asnkit import (
     Asn,
     CorpusFormatError,
     CorpusIssue,
+    CorpusSlice,
     DegenerateDataError,
     GrammaticalRole,
     MissingPolicy,
@@ -35,6 +36,7 @@ from asnkit import (
     TreeViolation,
     fit_power_law,
 )
+from asnkit.corpus import _parse
 from asnkit.powerlaw import _Sampler
 
 logger = logging.getLogger(__name__)
@@ -118,6 +120,12 @@ def random_asn(rng: np.random.Generator, n: int, p: float = 0.35,
             if i != j and rng.random() < p:
                 edges.append((f"n{i}", f"n{j}", int(rng.integers(1, max_weight + 1))))
     return make_asn(edges, isolated=[f"n{i}" for i in range(n)])
+
+
+def parse_corpus(text: str | bytes, provenance: str = "<input>") -> list[CorpusSlice]:
+    """The slices of one treebank text, read as :func:`asnkit.load_corpus`
+    reads a file: one per century, ascending; the first problem raises."""
+    return _parse([(text, provenance)])
 
 
 def treebank(rows, sent_id: str = "s", century: int = 14, **headers) -> str:

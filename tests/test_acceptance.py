@@ -24,7 +24,6 @@ from asnkit import (
     fit_power_law,
     hierarchy_levels,
     hierarchy_stats,
-    parse_corpus,
     summarize,
     track,
 )
@@ -35,6 +34,7 @@ from oracles import (
     heads_form_tree,
     make_asn,
     nouns,
+    parse_corpus,
     random_asn,
     random_tree_heads,
     sample_discrete_powerlaw,

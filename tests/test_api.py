@@ -61,3 +61,69 @@ def test_the_cli_imports_only_public_names():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+#: Scopes whose names shadow the module's: functions, lambdas, comprehensions.
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_SCOPES = (ast.FunctionDef, ast.Lambda, *_COMPREHENSIONS)
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes inside ``scope``, and each nested scope, but not its inside."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _own_nodes(child)
+
+
+def _bound(scope: ast.AST) -> set[str]:
+    """The names a function, lambda or comprehension binds for itself."""
+    names = set()
+    if not isinstance(scope, _COMPREHENSIONS):
+        args = scope.args
+        names |= {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a}
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def _module_reads(tree: ast.Module) -> set[str]:
+    """The names read in ``tree`` where they resolve to a module-level
+    binding: not a parameter or local of an enclosing scope, not a type
+    annotation, and not inside the module-level definition of that name."""
+    reads: set[str] = set()
+
+    def visit(node: ast.AST, local: frozenset, owner: str | None) -> None:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in local and node.id != owner:
+                reads.add(node.id)
+        if isinstance(node, _SCOPES):
+            local = local | _bound(node)
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, local, owner)
+
+    for statement in tree.body:
+        visit(statement, frozenset(), getattr(statement, "name", None))
+    return reads
+
+
+def test_every_public_name_is_read_by_the_pipeline():
+    """A public name that no pipeline module reads is one only tests use."""
+    read = set()
+    for path in sorted((ROOT / "src" / "asnkit").glob("*.py")):
+        module = importlib.import_module(
+            "asnkit" if path.stem == "__init__" else f"asnkit.{path.stem}")
+        read |= {name for name in _module_reads(ast.parse(path.read_text(encoding="utf-8")))
+                 if name in asnkit.__all__
+                 and getattr(module, name, None) is getattr(asnkit, name)}
+    unread = [name for name in asnkit.__all__
+              if name not in read and name != "demo_corpus_path"]
+    assert unread == []

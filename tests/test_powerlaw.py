@@ -24,7 +24,6 @@ from asnkit import (
     filter_slice,
     fit_power_law,
     lrt,
-    parse_corpus,
 )
 from asnkit import powerlaw
 from asnkit.powerlaw import (
@@ -51,6 +50,7 @@ from oracles import (
     ks_oracle,
     mpmath_cell_moments,
     mpmath_lognormal_loglik,
+    parse_corpus,
     reference_bootstrap,
     reference_lognormal_tail_loglik,
     sample_discrete_powerlaw,

@@ -11,7 +11,6 @@ from asnkit import (
     degree_sequences,
     demo_corpus_path,
     depth_vs_diameter,
-    parse_corpus,
     summarize,
 )
 from asnkit.stats import _DISTANCE_ROWS
@@ -19,6 +18,7 @@ from corpora import crosslink_corpus
 from oracles import (
     local_clustering,
     make_asn,
+    parse_corpus,
     random_asn,
     shuffled_treebank,
     summary_oracle,
