@@ -37,7 +37,7 @@ from .corpus import (
     load_corpus,
     read_text,
 )
-from .diachrony import detect_emergent_heads, phase_space, track
+from .diachrony import detect_emergent_heads, track
 from .hierarchy import (
     HierarchyLevels,
     HierarchyStats,
@@ -60,7 +60,7 @@ from .powerlaw import (
     fit_power_law,
     lrt,
 )
-from .stats import NetworkSummary, degree_sequences, depth_vs_diameter, summarize
+from .stats import NetworkSummary, degree_sequences, summarize
 
 __all__ = ["RunConfig", "UsageError", "build_parser", "main"]
 
@@ -325,12 +325,11 @@ def _stats(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
                 "summary": dataclasses.asdict(r.summary),
             }
         )
-    rows = depth_vs_diameter(
-        [r.slice for r in records], {r.century: r.summary for r in records}
-    )
-    header = "century,max_tree_depth,diameter,average_path_length"
+    rows = [(r.century, int(r.slice.trees.depth.max()), r.summary.diameter,
+             r.summary.average_path_length) for r in records]
     files["depth_vs_diameter.csv"] = csv_table(
-        header, [[row[name] for row in rows] for name in header.split(",")], _meta(cfg)
+        "century,max_tree_depth,diameter,average_path_length", list(zip(*rows)),
+        _meta(cfg),
     )
     return files
 
@@ -412,7 +411,8 @@ def _diachrony(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
     files = {}
     levels = [(r.asn, r.levels) for r in records]
 
-    points = phase_space([(r.century, r.hierarchy[0]) for r in records])
+    points = [(r.century, None, None) if (s := r.hierarchy[0]) is None
+              else (r.century, s.democracy, s.incoherence) for r in records]
     files["phase_space.csv"] = csv_table(
         "century,democracy,incoherence", list(zip(*points)), _meta(cfg)
     )

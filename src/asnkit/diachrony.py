@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hierarchy import HierarchyLevels, HierarchyStats, _check_aligned
+from .hierarchy import HierarchyLevels, _check_aligned
 from .network import Asn, NodeKey
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "EmergenceEvent",
     "track",
     "detect_emergent_heads",
-    "phase_space",
 ]
 
 
@@ -158,27 +157,3 @@ def detect_emergent_heads(
                 flagged.add(key)
     events.sort(key=lambda e: (e.century, e.new_rank, e.key.sort_key))
     return events
-
-
-def phase_space(
-    series: Sequence[tuple[int, HierarchyStats | None]]
-) -> list[tuple[int, float | None, float | None]]:
-    """(century, democracy, incoherence) points for (century, stats) pairs.
-
-    A century without hierarchy statistics (an edgeless network) yields
-    ``(century, None, None)``.
-
-    Raises
-    ------
-    ValueError
-        When the centuries are not strictly increasing.
-    """
-    centuries = [century for century, _stats in series]
-    if any(b <= a for a, b in zip(centuries, centuries[1:])):
-        raise ValueError(f"centuries must be strictly increasing, got {centuries}")
-    return [
-        (century, None, None)
-        if stats is None
-        else (century, stats.democracy, stats.incoherence)
-        for century, stats in series
-    ]

@@ -442,13 +442,13 @@ def fit_power_law(data) -> PowerLawFit:
     Raises
     ------
     ValueError
-        On fewer than 10 observations or non-positive/non-integer data.
+        On fewer than ``MIN_TAIL`` observations or non-positive/non-integer data.
     DegenerateDataError
         When all observations are equal.
     """
     x = _as_positive_ints(data)
-    if x.size < 10:
-        raise ValueError(f"too few observations: {x.size} < 10")
+    if x.size < MIN_TAIL:
+        raise ValueError(f"too few observations: {x.size} < {MIN_TAIL}")
     fits = _fit_rows(np.sort(x)[None, :])
     if fits.n_tail[0] == 0:
         raise DegenerateDataError("degenerate data: all observations are equal")
@@ -522,7 +522,7 @@ def bootstrap_pvalue(
     ------
     ValueError
         If ``replicates < 100``, no seed is provided, or the data hold
-        fewer than 10 observations.
+        fewer than ``MIN_TAIL`` observations.
     RuntimeError
         If more than 10% of replicates are degenerate.
     """
@@ -531,8 +531,8 @@ def bootstrap_pvalue(
     if seed is None:
         raise ValueError("bootstrap_pvalue requires an explicit seed")
     x = _as_positive_ints(data)
-    if x.size < 10:
-        raise ValueError(f"too few observations: {x.size} < 10")
+    if x.size < MIN_TAIL:
+        raise ValueError(f"too few observations: {x.size} < {MIN_TAIL}")
 
     exceed = kept = batches = 0
     for rows in _replicate_batches(fit, x, replicates, seed):
@@ -840,17 +840,17 @@ def lrt(data, fit: PowerLawFit, alternative: str = "exponential") -> LrtResult:
     Raises
     ------
     ValueError
-        On an unknown alternative, a tail smaller than 10 observations, or a
-        tail of fewer than three distinct values, where the lognormal's
-        sigma -> 0 limit would reproduce two neighbouring values'
-        proportions exactly.
+        On an unknown alternative, a tail smaller than ``MIN_TAIL``
+        observations, or a tail of fewer than three distinct values, where
+        the lognormal's sigma -> 0 limit would reproduce two neighbouring
+        values' proportions exactly.
     """
     if alternative not in ("exponential", "lognormal"):
         raise ValueError(f"unknown alternative {alternative!r}")
     x = _as_positive_ints(data)
     tail = x[x >= fit.xmin].astype(np.float64)
-    if tail.size < 10:
-        raise ValueError(f"tail too small for comparison: {tail.size} < 10")
+    if tail.size < MIN_TAIL:
+        raise ValueError(f"tail too small for comparison: {tail.size} < {MIN_TAIL}")
     distinct = np.unique(tail).size
     if distinct < 3:
         raise ValueError(
@@ -943,8 +943,6 @@ def ccdf_rows(data, fit: PowerLawFit | None = None) -> list[dict]:
     directly comparable on one plot.
     """
     x = _as_positive_ints(data)
-    if x.size == 0:
-        return []
     uniq, counts = np.unique(x, return_counts=True)
     cum_ge = counts[::-1].cumsum()[::-1]
     fitted: dict[int, float] = {}

@@ -22,20 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .corpus import CorpusSlice
 from .network import Asn
 
 __all__ = [
     "NetworkSummary",
     "summarize",
     "degree_sequences",
-    "depth_vs_diameter",
 ]
 
 #: Source rows per ``shortest_path`` call; a block holds this many rows of
@@ -173,42 +170,3 @@ def degree_sequences(asn: Asn) -> dict[str, list[int]]:
         "out": np.sort(out_deg).tolist(),
         "total": np.sort(in_deg + out_deg).tolist(),
     }
-
-
-def depth_vs_diameter(
-    slices: Sequence[CorpusSlice], summaries: Mapping[int, NetworkSummary]
-) -> list[dict[str, object]]:
-    """Per-century comparison of tree depth with network path metrics.
-
-    For each slice, reports the maximum dependency-tree depth next to the
-    diameter and average path length of its century's summary (as
-    :func:`summarize` returns it).  A diameter exceeding the maximum tree
-    depth signals paths that no single sentence contains, i.e. lemma
-    sharing across sentences.
-
-    Raises
-    ------
-    ValueError
-        If a slice is empty or its century has no summary.
-    """
-    rows: list[dict[str, object]] = []
-    for corpus_slice in slices:
-        if not corpus_slice.trees:
-            raise ValueError(
-                f"century {corpus_slice.century}: empty slice has no tree depth"
-            )
-        summary = summaries.get(corpus_slice.century)
-        if summary is None:
-            raise ValueError(
-                f"slice century {corpus_slice.century} has no network summary"
-            )
-        rows.append(
-            {
-                "century": corpus_slice.century,
-                "max_tree_depth": int(corpus_slice.trees.depth.max()),
-                "diameter": summary.diameter,
-                "average_path_length": summary.average_path_length,
-            }
-        )
-    rows.sort(key=lambda r: r["century"])
-    return rows

@@ -20,7 +20,6 @@ from asnkit import (
     audit_corpus,
     bootstrap_pvalue,
     detect_emergent_heads,
-    depth_vs_diameter,
     fit_power_law,
     hierarchy_levels,
     hierarchy_stats,
@@ -157,16 +156,16 @@ def test_criterion_05_crosslinks_lift_diameter_past_tree_depth():
     """
     start = time.perf_counter()
     slices = parse_corpus(crosslink_corpus())
-    summaries = {s.century: summarize(aggregate(s.trees)) for s in slices}
-    rows = depth_vs_diameter(slices, summaries)
-    assert [row["century"] for row in rows] == [14, 15, 16, 17]
-    for row in rows:
-        if row["century"] < 16:  # before any cross-links exist
-            assert row["diameter"] <= row["max_tree_depth"]
-            assert row["average_path_length"] <= row["max_tree_depth"]
+    assert [s.century for s in slices] == [14, 15, 16, 17]
+    for s in slices:
+        depth = int(s.trees.depth.max())
+        summary = summarize(aggregate(s.trees))
+        if s.century < 16:  # before any cross-links exist
+            assert summary.diameter <= depth
+            assert summary.average_path_length <= depth
         else:
-            assert row["diameter"] > row["max_tree_depth"]
-            assert row["average_path_length"] > row["max_tree_depth"]
+            assert summary.diameter > depth
+            assert summary.average_path_length > depth
     assert time.perf_counter() - start < 10.0
 
 

@@ -13,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import asnkit.cli
-from asnkit import demo_corpus_path
+from asnkit import aggregate, demo_corpus_path, summarize
 from asnkit.cli import main
 from corpora import crosslink_corpus, takeover_corpus
-from oracles import noisy_treebanks, shuffled_treebank
+from oracles import noisy_treebanks, parse_corpus, shuffled_treebank
 
 DEMO = demo_corpus_path()
 
@@ -185,6 +185,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {cfg}:2: not UTF-8: byte 0xff (invalid start byte)\n")
 
+    def test_config_line_without_equals_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed 1\n", encoding="utf-8")
+        assert run("build", DEMO, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: expected 'key = value'\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--band", "0"], "band must be >= 1 and min-gain >= 0"),
+        (["--formats", "csv,xml"],
+         "unknown format 'xml' (choose from csv, dot, graphml)"),
+    ], ids=["band", "formats"])
+    def test_bad_band_or_format_is_two(self, tmp_path, capsys, flags, message):
+        assert run("analyze", DEMO, *flags, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_track_key_fails_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run("analyze", DEMO, "--track", "nounspace", "--out", str(out)) == 2
@@ -285,6 +301,30 @@ class TestArtifacts:
         assert 0.0 <= stats["incoherence"]
         assert stats["weighted"] is True
 
+    def test_crosslinks_lift_diameter_past_tree_depth(self, tmp_path):
+        # every tree is 4 deep; from century 16 on, shared lemmas chain the
+        # trees into paths that no single sentence holds
+        path = tmp_path / "crosslink.tb"
+        path.write_text(crosslink_corpus(), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("stats", str(path), "--out", str(out)) == 0
+        lines = (out / "depth_vs_diameter.csv").read_text().splitlines()
+        assert lines[1] == "century,max_tree_depth,diameter,average_path_length"
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(row[0]) for row in rows] == [14, 15, 16, 17]
+        summaries = {s.century: summarize(aggregate(s.trees))
+                     for s in parse_corpus(crosslink_corpus())}
+        for century, depth, diameter, path_length in rows:
+            summary = summaries[int(century)]
+            assert int(diameter) == summary.diameter
+            assert float(path_length) == summary.average_path_length
+            assert int(depth) == 4
+            if int(century) < 16:
+                assert summary.diameter == 4
+            else:
+                assert summary.diameter > 4
+                assert summary.average_path_length > 4
+
     def test_hierarchy_stats_record_whether_heads_sit_at_0(self, tmp_path):
         # one two-token sentence per edge.  Century 14: the closed 2-cycle
         # a <-> b feeds d, so its minimum-norm levels go below the head h
@@ -354,6 +394,21 @@ class TestArtifacts:
             assert "phase_space.csv" in manifest["files"]
             stats = json.loads((out / "hierarchy_stats_14.json").read_text())
             assert "edgeless" in stats["error"]
+
+    def test_phase_points_of_a_chain_and_a_2_cycle(self, tmp_path):
+        # century 14: the chain a -> b -> c, democracy and incoherence 0;
+        # century 15: a <-> b from two sentences, democracy 1
+        text = ("# century = 14\n"
+                "1\ta\ta\tN\t0\t_\n2\tb\tb\tN\t1\t_\n3\tc\tc\tN\t2\t_\n\n"
+                "# century = 15\n1\ta\ta\tN\t0\t_\n2\tb\tb\tN\t1\t_\n\n"
+                "1\tb\tb\tN\t0\t_\n2\ta\ta\tN\t1\t_\n")
+        path = tmp_path / "phase.tb"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("diachrony", str(path), "--out", str(out)) == 0
+        rows = (out / "phase_space.csv").read_text().splitlines()
+        assert rows[1:] == ["century,democracy,incoherence",
+                            "14,0.0,0.0", "15,1.0,0.0"]
 
     def test_unweighted_flag_changes_hierarchy_output(self, tmp_path):
         text = ("# century = 14\n"

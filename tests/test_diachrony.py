@@ -1,4 +1,4 @@
-"""Cross-century tracking, emergence detection, and phase-space series."""
+"""Cross-century tracking and emergence detection."""
 
 from dataclasses import replace
 
@@ -10,8 +10,6 @@ from asnkit import (
     aggregate,
     detect_emergent_heads,
     hierarchy_levels,
-    hierarchy_stats,
-    phase_space,
     track,
 )
 from corpora import takeover_corpus
@@ -200,26 +198,3 @@ class TestTrackAlignment:
         trajectories = track([nkey("a"), nkey("b"), nkey("c")], pairs)
         ranks = {t.key.lemma: t.points[0].level_rank for t in trajectories}
         assert ranks == {"a": 1, "b": 2, "c": 3}
-
-
-class TestPhaseSpace:
-    def _point(self, asn, century):
-        return century, hierarchy_stats(asn, hierarchy_levels(asn))
-
-    def test_points_in_series_order(self):
-        layered = make_asn([("a", "b", 1), ("b", "c", 1)])
-        loopy = make_asn([("a", "b", 1), ("b", "a", 1)])
-        points = phase_space([self._point(layered, 14), self._point(loopy, 15)])
-        assert points[0] == (14, 0.0, 0.0)
-        assert points[1] == (15, 1.0, 0.0)
-
-    def test_missing_hierarchy_gives_empty_point(self):
-        asn = make_asn([("a", "b", 1)])
-        points = phase_space([(14, None), self._point(asn, 15)])
-        assert points[0] == (14, None, None)
-        assert points[1] == (15, 0.0, 0.0)
-
-    def test_series_orders_strictly(self):
-        asn = make_asn([("a", "b", 1)])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            phase_space([self._point(asn, 15), self._point(asn, 15)])

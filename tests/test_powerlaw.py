@@ -236,6 +236,15 @@ class TestFit:
         with pytest.raises(ValueError, match=r"^alpha must lie in \[1\.01, 6\.0\], got "):
             PowerLawFit(alpha=alpha, xmin=1, ks=0.1, n_tail=10)
 
+    @pytest.mark.parametrize("field, message", [
+        ({"ks": 1.5}, r"^ks must lie in \[0, 1\], got 1\.5$"),
+        ({"n_tail": 0}, r"^n_tail must be >= 1, got 0$"),
+        ({"p_value": 2.0}, r"^p_value must lie in \[0, 1\], got 2\.0$"),
+    ], ids=["ks", "n_tail", "p_value"])
+    def test_a_field_out_of_range_is_refused(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            PowerLawFit(**{"alpha": 2.0, "xmin": 1, "ks": 0.1, "n_tail": 10, **field})
+
 
 def rounded_lognormal(mean, sigma, size, seed):
     raw = np.random.default_rng(seed).lognormal(mean=mean, sigma=sigma, size=size)
@@ -392,6 +401,10 @@ class TestBootstrap:
         one = bootstrap_pvalue(self.FIT, self.DATA, replicates=120, seed=9)
         two = bootstrap_pvalue(self.FIT, self.DATA, replicates=120, seed=10)
         assert one.p_value != two.p_value
+
+    def test_too_few_observations(self):
+        with pytest.raises(ValueError, match=r"^too few observations: 3 < 10$"):
+            bootstrap_pvalue(self.FIT, [1, 2, 3], replicates=100, seed=9)
 
     def test_true_power_law_is_not_rejected(self):
         out = bootstrap_pvalue(self.FIT, self.DATA, replicates=120, seed=9)
@@ -562,6 +575,13 @@ class TestLrt:
         data = [1] * 20 + [7] * 12
         fit = PowerLawFit(alpha=2.0, xmin=5, ks=0.5, n_tail=12)
         with pytest.raises(ValueError, match=r"tail has 1 distinct value\(s\)"):
+            lrt(data, fit, alternative)
+
+    @pytest.mark.parametrize("alternative", ["exponential", "lognormal"])
+    def test_short_tail_is_refused(self, alternative):
+        data = [1] * 20 + list(range(5, 13))
+        fit = PowerLawFit(alpha=2.0, xmin=5, ks=0.5, n_tail=8)
+        with pytest.raises(ValueError, match=r"^tail too small for comparison: 8 < 10$"):
             lrt(data, fit, alternative)
 
     @pytest.mark.parametrize("alternative", ["exponential", "lognormal"])
@@ -756,3 +776,7 @@ class TestCcdf:
     def test_works_without_a_fit(self):
         rows = ccdf_rows([1, 1, 2, 3], None)
         assert [r["fitted_ccdf"] for r in rows] == [None, None, None]
+
+    def test_empty_data_gives_no_rows(self):
+        fit = PowerLawFit(alpha=2.0, xmin=1, ks=0.1, n_tail=10)
+        assert ccdf_rows([]) == ccdf_rows([], fit) == []

@@ -1,4 +1,4 @@
-"""Topology summaries, degree sequences, and depth-versus-diameter tables."""
+"""Topology summaries and degree sequences."""
 
 import math
 from pathlib import Path
@@ -10,11 +10,9 @@ from asnkit import (
     aggregate,
     degree_sequences,
     demo_corpus_path,
-    depth_vs_diameter,
     summarize,
 )
 from asnkit.stats import _DISTANCE_ROWS
-from corpora import crosslink_corpus
 from oracles import (
     local_clustering,
     make_asn,
@@ -190,49 +188,3 @@ class TestDegreeSequences:
             seqs = degree_sequences(asn)
             assert sum(seqs["in"]) == sum(seqs["out"]) == asn.edge_count
             assert sum(seqs["total"]) == 2 * asn.edge_count
-
-
-class TestDepthVsDiameter:
-    @staticmethod
-    def _inputs(text):
-        slices = parse_corpus(text)
-        return slices, {s.century: summarize(aggregate(s.trees)) for s in slices}
-
-    def test_rows_sorted_by_century_with_expected_columns(self):
-        slices, summaries = self._inputs(crosslink_corpus())
-        rows = depth_vs_diameter(slices[::-1], summaries)
-        assert [r["century"] for r in rows] == [14, 15, 16, 17]
-        assert set(rows[0]) == {
-            "century", "max_tree_depth", "diameter", "average_path_length"
-        }
-
-    def test_crosslinking_sends_diameter_past_tree_depth(self):
-        rows = depth_vs_diameter(*self._inputs(crosslink_corpus()))
-        by_century = {r["century"]: r for r in rows}
-        for century in (14, 15):
-            row = by_century[century]
-            assert row["diameter"] == row["max_tree_depth"] == 4
-        for century in (16, 17):
-            row = by_century[century]
-            assert row["max_tree_depth"] == 4
-            assert row["diameter"] > row["max_tree_depth"]
-            assert row["average_path_length"] > row["max_tree_depth"]
-
-    def test_rows_carry_the_given_summaries(self):
-        slices, summaries = self._inputs(crosslink_corpus())
-        for row in depth_vs_diameter(slices, summaries):
-            summary = summaries[row["century"]]
-            assert row["diameter"] == summary.diameter
-            assert row["average_path_length"] == summary.average_path_length
-
-    def test_century_mismatch_rejected(self):
-        slices, summaries = self._inputs(crosslink_corpus())
-        with pytest.raises(ValueError, match="century"):
-            depth_vs_diameter(slices[:1], {15: summaries[15]})
-
-    def test_empty_slice_rejected(self):
-        slices, summaries = self._inputs(crosslink_corpus())
-        s14 = slices[0]
-        hollow = type(s14)(century=14, trees=s14.trees.take([]))
-        with pytest.raises(ValueError, match="empty"):
-            depth_vs_diameter([hollow], summaries)
