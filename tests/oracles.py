@@ -19,6 +19,7 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from scipy import optimize, sparse, special
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import lsqr, splu
 
 from asnkit import (
@@ -1128,6 +1129,34 @@ def local_clustering(asn: Asn) -> list[float]:
         )
         ratios.append(2.0 * links / (k * (k - 1)) if k >= 2 else 0.0)
     return ratios
+
+
+def reference_path_lengths(component: sparse.csr_matrix) -> tuple[int, int]:
+    """Sum of all pairwise hop distances in a connected graph, and the largest.
+
+    Breadth-first ``csgraph.shortest_path`` runs over blocks of 256 source
+    rows of float64 distances, so memory stays bounded on large graphs; this
+    was ``stats._path_lengths`` before the bit-parallel search replaced it.
+    """
+    m = component.shape[0]
+    total = 0
+    diameter = 0
+    for start in range(0, m, 256):
+        block = csgraph.shortest_path(
+            component,
+            unweighted=True,
+            directed=False,
+            indices=np.arange(start, min(start + 256, m)),
+        ).astype(np.int64)
+        total += int(block.sum())
+        diameter = max(diameter, int(block.max()))
+    return total, diameter
+
+
+def reference_twice_triangles(adjacency: sparse.csr_matrix) -> np.ndarray:
+    """Twice each node's triangle count: the row sums of ``A * (A @ A)`` for a
+    symmetric 0/1 adjacency ``A`` with an empty diagonal."""
+    return np.asarray(adjacency.multiply(adjacency @ adjacency).sum(axis=1)).ravel()
 
 
 def summary_oracle(asn: Asn):

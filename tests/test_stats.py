@@ -12,15 +12,37 @@ from asnkit import (
     demo_corpus_path,
     summarize,
 )
-from asnkit.stats import _DISTANCE_ROWS
+from asnkit.stats import (
+    _BATCH,
+    _largest_component,
+    _path_lengths,
+    _projection,
+    _triangles,
+)
 from oracles import (
     local_clustering,
     make_asn,
     parse_corpus,
     random_asn,
+    reference_path_lengths,
+    reference_twice_triangles,
     shuffled_treebank,
     summary_oracle,
 )
+
+
+def sparse_asn(rng: np.random.Generator, n: int, arcs: int, hubs: int = 0):
+    """Network on lemmas n0..n{n-1} with ``arcs`` uniform random arcs (self-loops
+    and 2-cycles allowed), plus ``hubs`` nodes each pointing at a random third
+    of the nodes; nodes left without an arc stay as isolated nodes."""
+    src = [rng.integers(0, n, arcs)]
+    dst = [rng.integers(0, n, arcs)]
+    for hub in rng.choice(n, hubs, replace=False):
+        src.append(np.full(n // 3, hub))
+        dst.append(rng.choice(n, n // 3, replace=False))
+    arcs = zip(np.concatenate(src).tolist(), np.concatenate(dst).tolist())
+    return make_asn([(f"n{u}", f"n{v}", 1) for u, v in arcs],
+                    isolated=[f"n{i}" for i in range(n)])
 
 
 class TestSummarize:
@@ -120,11 +142,12 @@ class TestSummarize:
             ratios = local_clustering(asn)
             assert summarize(asn).clustering == math.fsum(ratios) / len(ratios)
 
-    def test_path_longer_than_two_distance_blocks(self):
-        # the largest component is a path whose distances span three
-        # shortest-path blocks; a self-loop and a 2-cycle sit on it, and a
-        # second component and two isolated nodes sit beside it
-        m = 2 * _DISTANCE_ROWS + 7
+    def test_path_longer_than_two_source_batches(self):
+        # the largest component is a path whose sources fill two search
+        # batches and 70 more, so the last batch crosses a 64-bit word
+        # boundary; a self-loop and a 2-cycle sit on it, and a second
+        # component and two isolated nodes sit beside it
+        m = 2 * _BATCH + 70
         path = [(f"p{i}", f"p{i + 1}", 1) for i in range(m - 1)]
         extras = [("p1", "p0", 3), ("p5", "p5", 2), ("x", "y", 1), ("y", "z", 1)]
         s = summarize(make_asn(path + extras, isolated=["i1", "i2"]))
@@ -152,6 +175,64 @@ class TestSummarize:
             for field in ("clustering", "average_path_length", "lcc_fraction"):
                 assert getattr(s, field) == pytest.approx(
                     expected[field], abs=1e-12), field
+
+
+class TestKernelsAgainstReferences:
+    """The bit-parallel search and the oriented triangle counts give exactly
+    the block-wise ``shortest_path`` distances and the ``A * (A @ A)`` row
+    sums they replaced."""
+
+    @staticmethod
+    def check_kernels(asn):
+        """Check both kernels against their references on ``asn``; return its
+        projection, component count and largest component's size."""
+        adjacency = _projection(asn)
+        assert np.array_equal(2 * _triangles(adjacency),
+                              reference_twice_triangles(adjacency))
+        count, lcc = _largest_component(adjacency)
+        component = adjacency[lcc][:, lcc]
+        assert _path_lengths(component) == reference_path_lengths(component)
+        return adjacency, count, lcc.size
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_graphs_spanning_several_batches(self, seed):
+        rng = np.random.default_rng([20261020, seed])
+        n = int(rng.integers(600, 1501))
+        asn = sparse_asn(rng, n, arcs=int(n * rng.uniform(1.5, 3.0)))
+        _, _, m = self.check_kernels(asn)
+        assert m > _BATCH and m % 64  # several batches, a partial last word
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hub_heavy_graphs(self, seed):
+        rng = np.random.default_rng([20261021, seed])
+        n = int(rng.integers(600, 1501))
+        asn = sparse_asn(rng, n, arcs=n, hubs=int(rng.integers(2, 7)))
+        adjacency, _, m = self.check_kernels(asn)
+        degrees = np.diff(adjacency.indptr)
+        assert m > _BATCH and degrees.max() > 10 * np.median(degrees)
+
+    def test_two_node_largest_component(self):
+        asn = make_asn([("a", "b", 1), ("b", "a", 2), ("a", "a", 1),
+                        ("x", "y", 1)], isolated=["z"])
+        adjacency, count, m = self.check_kernels(asn)
+        assert (count, m) == (3, 2)
+        assert _path_lengths(adjacency[:2][:, :2]) == (2, 1)
+        assert not _triangles(adjacency).any()
+
+    def test_disconnected_graph(self):
+        # forty random clusters of 2-40 nodes, no arc between two of them,
+        # and ten isolated nodes
+        rng = np.random.default_rng(20261022)
+        arcs = []
+        for cluster in range(40):
+            size = int(rng.integers(2, 41))
+            src, dst = rng.integers(0, size, (2, 2 * size))
+            arcs += [(f"c{cluster}.{u}", f"c{cluster}.{v}", 1)
+                     for u, v in zip(src.tolist(), dst.tolist())]
+        asn = make_asn(arcs, isolated=[f"i{k}" for k in range(10)])
+        adjacency, count, m = self.check_kernels(asn)
+        assert count > 40 and 2 < m < 0.1 * asn.node_count
+        assert _triangles(adjacency).any()
 
 
 class TestSentenceOrder:
