@@ -36,6 +36,15 @@ on its own arguments, and a sample's fit does not depend on the samples
 beside it.  ``fit_power_law`` is the one-sample case.  The bootstrap draws
 its replicates a small batch at a time, from one shared inverse-CDF table,
 and fits each batch at once; its results do not depend on the batch size.
+
+A bootstrap replicate counts only by whether its KS distance is ``>=`` the
+observed one, so the bootstrap's KS scan is staged: it runs in lockstep
+rounds over the first 16 cells of every live candidate, then 8 times as
+many, and stops once that comparison is decided.  A candidate is settled by
+one gap ``>=`` the observed distance; a replicate falls below once one of
+its candidates is scanned in full with every gap under it.  Each gap is the
+float the full scan computes, so every decision, ties included, is the full
+scan's and the p-value is bit-identical.  ``fit_power_law`` scans in full.
 """
 
 from __future__ import annotations
@@ -81,6 +90,11 @@ _MAX_TABLE = 1 << 20
 #: Work budget of one lockstep batch of bootstrap fits, in KS cells and
 #: Newton direct-sum terms (see :func:`_replicate_batches`).
 _BATCH_CELLS = 32_768
+
+#: Cells per candidate in the first round of the bootstrap's KS scan, and the
+#: factor by which each later round widens it (see :func:`_ks_distances`).
+_KS_FIRST_CELLS = 16
+_KS_GROWTH = 8
 
 #: Coefficients ``(-1)^n (2n + j)! / n!`` (row n = 0..11, column j = 0..4) of
 #: the asymptotic series in eps of ``int_0^inf u^j exp(-u - eps u^2) du``;
@@ -262,7 +276,8 @@ def _mle_alphas(xmins, ntails, sumlogs):
     A candidate whose score does not change sign over the bracket is pinned
     at the end where its likelihood peaks.  The score rises with alpha, so
     the sign at the starting point, the continuous-data MLE, names the one
-    end that can pin it, and only that end is scored.  The others run
+    end that can pin it, and only that end is scored, once per distinct
+    (end, xmin) pair among the candidates.  The others run
     safeguarded Newton steps on the score in lockstep from the start: a step
     that would leave the bracket of the root is replaced by bisection, and a
     candidate stops once its step is below ``ALPHA_TOL``.
@@ -273,10 +288,13 @@ def _mle_alphas(xmins, ntails, sumlogs):
     alphas = np.clip(start, ALPHA_LO, ALPHA_HI)
     g, slope = _score(alphas, xmins, mean_logs)
     rising = g >= 0.0
-    ends = np.where(rising, ALPHA_LO, ALPHA_HI)
-    g_end, _ = _score(ends, xmins, mean_logs)
+    # zeta'/zeta at a bracket end depends on (end, xmin) alone: once per pair.
+    pairs, pair = np.unique(np.where(rising, xmins, -xmins), return_inverse=True)
+    ends = np.where(pairs > 0.0, ALPHA_LO, ALPHA_HI)
+    z, dz, _ = _zeta_sums(ends, np.abs(pairs), derivatives=True)
+    g_end = (dz / z)[pair] + mean_logs
     pinned = np.where(rising, g_end >= 0.0, g_end <= 0.0)
-    alphas[pinned] = ends[pinned]
+    alphas[pinned] = ends[pair[pinned]]
     lo = np.full(m, ALPHA_LO)
     hi = np.full(m, ALPHA_HI)
     active = np.flatnonzero(~pinned)
@@ -296,45 +314,51 @@ def _mle_alphas(xmins, ntails, sumlogs):
     return alphas
 
 
-def _zeta_at_integers(alphas, which, values):
+def _near_table(alphas):
+    """``zeta(alpha, v)`` for v = 1 .. horizon, row i for ``alphas[i]``: a
+    reverse cumulative sum of ``k^-alpha`` over the integers below the
+    summation horizon, which ends in the Euler-Maclaurin value at it.  The
+    sum runs along each row alone, so a row does not depend on the others.
+    """
+    horizon = int(np.ceil(_ZETA_HORIZON))
+    k = np.arange(1, horizon, dtype=np.float64)
+    column = alphas[:, None]
+    _, (beyond,) = _em_tail(column, np.float64(horizon))
+    suffix = np.cumsum((k**-column)[:, ::-1], axis=1)[:, ::-1]
+    return np.concatenate([suffix + beyond, beyond], axis=1)
+
+
+def _zeta_at_integers(alphas, which, values, table):
     """``zeta(alpha, v)`` and ``zeta(alpha, v + 1)`` with ``alpha =
     alphas[which[i]]`` and ``v = values[i]``, for integer values >= 1.
 
-    Values below the summation horizon read both from a per-exponent reverse
-    cumulative sum of ``k^-alpha`` over the integers up to it, which ends in
-    the Euler-Maclaurin value at the horizon.  Values above use the
-    expansion at v and subtract its first term ``v^-alpha`` for v + 1, so
-    either way each value costs one evaluation.  Every value is computed
-    the same way whatever else is in the batch, because the reverse sum
-    runs from the horizon down.
+    Values below the summation horizon read both from ``table``, the
+    :func:`_near_table` of ``alphas``.  Values above use the expansion at v
+    and subtract its first term ``v^-alpha`` for v + 1, so either way each
+    value costs one evaluation.  Every value is computed the same way
+    whatever else is in the batch, because the reverse sum runs from the
+    horizon down.
     """
     at = np.empty(values.size)
     after = np.empty(values.size)
-    horizon = int(np.ceil(_ZETA_HORIZON))
-    near = values < horizon
+    near = values < int(np.ceil(_ZETA_HORIZON))
     far = ~near
     first, (total,) = _em_tail(alphas[which[far]], values[far].astype(np.float64))
     at[far] = total
     after[far] = total - first
-    if np.any(near):
-        k = np.arange(1, horizon, dtype=np.float64)
-        column = alphas[:, None]
-        _, (beyond,) = _em_tail(column, np.float64(horizon))
-        suffix = np.cumsum((k**-column)[:, ::-1], axis=1)[:, ::-1]
-        suffix = np.concatenate([suffix + beyond, beyond], axis=1)
-        rows, cols = which[near], values[near]
-        at[near] = suffix[rows, cols - 1]
-        after[near] = suffix[rows, cols]
+    rows, cols = which[near], values[near]
+    at[near] = table[rows, cols - 1]
+    after[near] = table[rows, cols]
     return at, after
 
 
-def _ks_distances(uniq, ntails, cand, ends, alphas):
+def _ks_distances(uniq, ntails, cand, ends, alphas, threshold=None, cells=None):
     """KS distance between empirical and fitted tail CDFs per candidate.
 
     ``uniq`` and ``ntails`` are flat tables of distinct values and their
     tail counts, in which the slot after every sample's largest value holds
     0.  Candidate i has xmin ``uniq[cand[i]]``, and its tail runs to slot
-    ``ends[i] - 1``.
+    ``ends[i] - 1``; the candidates of one sample share their ``ends``.
 
     Between consecutive observed values u_j < u_{j+1} the empirical CDF is
     flat and the fitted one rises, so the supremum over the integers is
@@ -344,24 +368,69 @@ def _ks_distances(uniq, ntails, cand, ends, alphas):
     above u_j, which keeps the far tail free of cancellation.  Each
     candidate's cells (its tail values) are laid end to end, and its
     distance is their maximum.  Cell j needs zeta at u_j + 1 and at u_{j+1},
-    which is the next cell's zeta at u_j, and the first cell's zeta at u_j
-    is the candidate's normalization, so one zeta evaluation per cell
-    serves all three.
+    which is the next cell's zeta at u_j, so one zeta evaluation per cell
+    serves both; the candidate's normalization is its first cell's.
+
+    With no ``threshold`` every cell is scanned in one round.  With one,
+    the scan decides only whether each sample's least distance is ``>=
+    threshold``, in lockstep rounds: the first ``_KS_FIRST_CELLS`` cells of
+    every live candidate, then ``_KS_GROWTH`` times as many per round.  A
+    candidate is settled once one of its gaps is ``>= threshold``.  A
+    sample is decided below once one of its candidates has every cell
+    scanned and every gap below the threshold; its other candidates are
+    then dropped.  A gap is computed from the same floats in any round, so
+    every decision is the full pass's ``>=``, ties included.  Each
+    candidate's value is the largest gap scanned: its distance when it was
+    scanned in full, a lower bound otherwise, and a sample's least value
+    lies on the same side of the threshold as its least distance.
+    ``cells``, when given, gains the cells scanned and the cells of a full
+    pass.
     """
     lengths = ends - cand
-    first = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(cand.size), lengths)
-    slot = np.repeat(cand - first, lengths) + np.arange(owner.size)
-    above = ntails[slot + 1] / ntails[cand].astype(np.float64)[owner]
-    inner = np.flatnonzero(uniq[slot + 1])  # every cell but a tail's largest value
-    at, after = _zeta_at_integers(alphas, owner, uniq[slot])
-    norm = at[first][owner]
-    # Distance at u_j, then at u_{j+1} - 1.
-    gap = np.abs(after / norm - above)
-    gap[inner] = np.maximum(
-        gap[inner], np.abs(at[inner + 1] / norm[inner] - above[inner])
-    )
-    return np.maximum.reduceat(gap, first)
+    table = _near_table(alphas)
+    norm = np.empty(cand.size)
+    tail_size = ntails[cand].astype(np.float64)
+    best = np.zeros(cand.size)
+    done = np.zeros(cand.size, dtype=np.int64)
+    below = np.zeros(uniq.size, dtype=bool)  # samples decided below, at their ends
+    if threshold is None:
+        threshold, width = np.inf, int(lengths.max(initial=0))
+    else:
+        width = _KS_FIRST_CELLS
+    live = np.arange(cand.size)
+    scanned = 0
+    while live.size:
+        start, length = done[live], lengths[live]
+        stop = np.minimum(width, length)
+        # One value past a chunk gives its last cell's zeta at u_{j+1}.
+        count = np.minimum(stop + 1, length) - start
+        first = np.cumsum(count) - count
+        owner = np.repeat(live, count)
+        slot = np.repeat(cand[live] + start - first, count) + np.arange(owner.size)
+        at, after = _zeta_at_integers(alphas, owner, uniq[slot], table)
+        fresh = start == 0  # every candidate in the first round, none later
+        norm[live[fresh]] = at[first[fresh]]
+        above = ntails[slot + 1] / tail_size[owner]
+        fitted = norm[owner]
+        # Distance at u_j, then at u_{j+1} - 1 for all but a chunk's last value.
+        gap = np.abs(after / fitted - above)
+        inner = np.ones(owner.size, dtype=bool)
+        inner[first + count - 1] = False
+        inner = np.flatnonzero(inner)
+        gap[inner] = np.maximum(
+            gap[inner], np.abs(at[inner + 1] / fitted[inner] - above[inner])
+        )
+        best[live] = np.maximum(best[live], np.maximum.reduceat(gap, first))
+        done[live] = stop
+        scanned += int((stop - start).sum())
+        settled = best[live] >= threshold
+        below[ends[live[~settled & (stop == length)]]] = True
+        live = live[~settled & ~below[ends[live]]]
+        width *= _KS_GROWTH
+    if cells is not None:
+        cells[0] += scanned
+        cells[1] += int(lengths.sum())
+    return best
 
 
 class _RowFits(NamedTuple):
@@ -373,7 +442,7 @@ class _RowFits(NamedTuple):
     n_tail: np.ndarray
 
 
-def _fit_rows(rows: np.ndarray) -> _RowFits:
+def _fit_rows(rows: np.ndarray, threshold=None, cells=None) -> _RowFits:
     """Fit every row of ``rows``, a (B, n) array of sorted samples, in lockstep.
 
     Row r's distinct values fill row r of zero-padded (B, width) tables, so
@@ -381,6 +450,12 @@ def _fit_rows(rows: np.ndarray) -> _RowFits:
     the values a fit of that row alone would.  The candidates of all rows
     then go through one Newton solve and one KS evaluation, and each row
     keeps its candidate of smallest KS distance (ties to the smallest xmin).
+
+    With a ``threshold`` the KS scan stops once each row's comparison with
+    it is decided (see :func:`_ks_distances`, which also fills ``cells``):
+    ``ks`` is then ``>= threshold`` exactly where the row's KS distance is,
+    but only a lower bound on it, and the other fields belong to the
+    candidate of least bound.
     """
     b, n = rows.shape
     new = np.empty(rows.shape, dtype=bool)
@@ -415,7 +490,7 @@ def _fit_rows(rows: np.ndarray) -> _RowFits:
     owner = cand // width
     alphas = _mle_alphas(uniq[cand].astype(np.float64), ntails[cand], sumlogs[cand])
     distances = _ks_distances(
-        uniq, ntails, cand, owner * width + distinct[owner], alphas
+        uniq, ntails, cand, owner * width + distinct[owner], alphas, threshold, cells
     )
 
     # Each row keeps its first candidate of least distance.
@@ -518,11 +593,20 @@ def bootstrap_pvalue(
     the others in its batch, so identical seed and inputs give a
     bit-identical p-value whatever the batch size.
 
+    A replicate counts only by whether its KS distance, the least over its
+    candidates, is ``>= fit.ks``, so its KS scan runs in rounds of 16, then
+    8 times more cells per candidate, and stops once that is decided: a
+    candidate is settled by one gap ``>= fit.ks``, and the replicate falls
+    below once one candidate is scanned in full with every gap under it.
+    The gaps are the floats a full scan computes, so every decision, ties
+    included, and the p-value are bit-identical to the full scan's.
+
     Raises
     ------
     ValueError
-        If ``replicates < 100``, no seed is provided, or the data hold
-        fewer than ``MIN_TAIL`` observations.
+        If ``replicates < 100``, no seed is provided, the data hold fewer
+        than ``MIN_TAIL`` observations, or ``fit`` is not a fit of ``data``
+        (its ``n_tail`` is not the number of observations >= its xmin).
     RuntimeError
         If more than 10% of replicates are degenerate.
     """
@@ -533,10 +617,17 @@ def bootstrap_pvalue(
     x = _as_positive_ints(data)
     if x.size < MIN_TAIL:
         raise ValueError(f"too few observations: {x.size} < {MIN_TAIL}")
+    tail = int(np.count_nonzero(x >= fit.xmin))
+    if tail != fit.n_tail:
+        raise ValueError(
+            f"fit is not of this data: n_tail {fit.n_tail} at xmin {fit.xmin}, "
+            f"but the data hold {tail} observations >= {fit.xmin}"
+        )
 
     exceed = kept = batches = 0
+    cells = [0, 0]  # KS cells scanned, and those of a full scan
     for rows in _replicate_batches(fit, x, replicates, seed):
-        fits = _fit_rows(rows)
+        fits = _fit_rows(rows, fit.ks, cells)
         fitted = fits.n_tail > 0
         kept += int(np.count_nonzero(fitted))
         exceed += int(np.count_nonzero(fits.ks[fitted] >= fit.ks))
@@ -547,8 +638,8 @@ def bootstrap_pvalue(
             "discarded %d of %d degenerate replicates", discarded, replicates
         )
     logger.debug(
-        "bootstrap: %d replicates kept, %d discarded, %d batches",
-        kept, discarded, batches,
+        "bootstrap: %d replicates kept, %d discarded, %d batches, "
+        "%d of %d KS cells evaluated", kept, discarded, batches, *cells,
     )
     if discarded > 0.1 * replicates:
         raise RuntimeError(

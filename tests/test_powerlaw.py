@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import logging
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -36,6 +37,7 @@ from asnkit.powerlaw import (
     _fit_rows,
     _ks_distances,
     _mle_alphas,
+    _near_table,
     _replicate_batches,
     _zeta_at_integers,
     _zeta_sums,
@@ -134,7 +136,7 @@ class TestFitKernels:
         values = np.unique(np.geomspace(36, 1e6, 300).astype(np.int64))
         which = np.repeat(np.arange(alphas.size), values.size)
         grid = np.tile(values, alphas.size)
-        at, after = _zeta_at_integers(alphas, which, grid)
+        at, after = _zeta_at_integers(alphas, which, grid, _near_table(alphas))
         q = grid.astype(np.float64)
         np.testing.assert_array_equal(at, _zeta_sums(alphas[which], q)[0])
         np.testing.assert_allclose(
@@ -145,7 +147,7 @@ class TestFitKernels:
         values = np.arange(1, 41)
         which = np.repeat(np.arange(3), values.size)
         grid = np.tile(values, 3)
-        at, after = _zeta_at_integers(alphas, which, grid)
+        at, after = _zeta_at_integers(alphas, which, grid, _near_table(alphas))
         q = grid.astype(np.float64)
         np.testing.assert_allclose(at, _zeta_sums(alphas[which], q)[0], rtol=1e-13)
         np.testing.assert_allclose(after, _zeta_sums(alphas[which], q + 1.0)[0],
@@ -259,6 +261,14 @@ GRID_SAMPLES = {
 }
 
 
+def ks_kernel_tables(uniq, counts, cand):
+    """One sample's flat tables as ``_ks_distances`` reads them, with a 0
+    slot after the largest value, and its candidates' ends."""
+    table = np.append(uniq, 0)
+    tails = np.append(counts[::-1].cumsum()[::-1], 0)
+    return table, tails, np.full(cand.size, uniq.size)
+
+
 class TestMatchesGridFitter:
     """The Newton/jump-point fitter against golden-section search and the
     dense-grid KS it replaced (``oracles.grid_fit``)."""
@@ -296,10 +306,7 @@ class TestMatchesGridFitter:
     def test_ks_kernel_matches_grid_on_every_candidate(self, name):
         uniq, counts, cand, ntails, sumlogs = tail_candidates(GRID_SAMPLES[name]())
         alphas = golden_alphas(uniq[cand].astype(np.float64), ntails, sumlogs)
-        # The kernel reads flat tables with a 0 slot after the largest value.
-        table = np.append(uniq, 0)
-        tails = np.append(counts[::-1].cumsum()[::-1], 0)
-        ends = np.full(cand.size, uniq.size)
+        table, tails, ends = ks_kernel_tables(uniq, counts, cand)
         assert _ks_distances(table, tails, cand, ends, alphas) == pytest.approx(
             grid_ks_distances(uniq, counts, cand, alphas, ntails), abs=1e-9)
 
@@ -405,6 +412,18 @@ class TestBootstrap:
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match=r"^too few observations: 3 < 10$"):
             bootstrap_pvalue(self.FIT, [1, 2, 3], replicates=100, seed=9)
+
+    def test_fit_of_other_data_is_refused(self):
+        # More tail observations than the data hold, then a tail count that
+        # merely differs: the first used to stop in numpy's binomial, the
+        # second to draw from a tail fraction of other data.
+        fit = self.FIT
+        for data in (self.DATA[:20], self.DATA + [fit.xmin]):
+            tail = sum(v >= fit.xmin for v in data)
+            with pytest.raises(ValueError, match=(
+                rf"^fit is not of this data: n_tail {fit.n_tail} at xmin {fit.xmin}, "
+                rf"but the data hold {tail} observations >= {fit.xmin}$")):
+                bootstrap_pvalue(fit, data, replicates=100, seed=9)
 
     def test_true_power_law_is_not_rejected(self):
         out = bootstrap_pvalue(self.FIT, self.DATA, replicates=120, seed=9)
@@ -609,18 +628,28 @@ _GEN_SPEC.loader.exec_module(gen)
 
 
 @functools.cache
-def analyze_zipf_tails(seed):
-    """Century -> (total-degree tail, xmin) of the analyze-zipf benchmark
-    corpus of ``seed``, as ``asnkit analyze`` fits it."""
+def analyze_zipf_degrees(seed):
+    """Century -> degree variable -> the nonzero degrees that ``asnkit
+    analyze`` fits, on the analyze-zipf benchmark corpus of ``seed``."""
     text, _ = gen.zipf_corpus(
         seed, (14, 15, 16, 17), sentences=40, vocab=150, planted_from=2,
         planted_sentences=15, adjacent=3, distant=3, exponent=0.6, tag=1)
-    tails = {}
+    degrees = {}
     for corpus_slice in parse_corpus(text):
         kept, _ = filter_slice(corpus_slice, MissingPolicy.DROP_ADJACENT_TO_TARGET)
-        degrees = [d for d in degree_sequences(aggregate(kept.trees))["total"] if d > 0]
-        tails[corpus_slice.century] = fitted_tail(degrees)
-    return tails
+        degrees[corpus_slice.century] = {
+            variable: [d for d in sequence if d > 0]
+            for variable, sequence in degree_sequences(aggregate(kept.trees)).items()
+        }
+    return degrees
+
+
+@functools.cache
+def analyze_zipf_tails(seed):
+    """Century -> (total-degree tail, xmin) of the analyze-zipf benchmark
+    corpus of ``seed``, as ``asnkit analyze`` fits it."""
+    return {century: fitted_tail(degrees["total"])
+            for century, degrees in analyze_zipf_degrees(seed).items()}
 
 
 def fitted_tail(data):
@@ -650,6 +679,160 @@ def power_law_limit_tail():
     """Analyze-zipf seed 904, century 16: its supremum is the power-law
     limit, where Nelder-Mead stopped in underflow at -127.433."""
     return analyze_zipf_tails(904)[16]
+
+
+#: Samples the staged KS scan must decide as the full scan does: the
+#: analyze-zipf corpus of seed 0 under all three degree variables, the three
+#: fit-bootstrap samples of seed 0, and total degrees of a Zipf slice the
+#: size of an ingest-large century (2,022 nodes).
+STAGED_SAMPLES = {
+    **{f"analyze-zipf-{century}-{variable}":
+       (lambda century=century, variable=variable:
+        analyze_zipf_degrees(0)[century][variable])
+       for century in (14, 15, 16, 17) for variable in ("in", "out", "total")},
+    "fit-bootstrap-zipf": lambda: gen.zipf_degrees(0, sentences=800, vocab=1600, tag=2),
+    "fit-bootstrap-powerlaw": lambda: gen.powerlaw_sample(0, 2.5, 1, 5000, tag=3),
+    "fit-bootstrap-lognormal": lambda: gen.lognormal_sample(0, 2.5, 0.25, 5000, tag=4),
+    "ingest-large-sized": lambda: gen.zipf_degrees(0, sentences=1000, vocab=2500, tag=5),
+}
+
+
+def staged_batches(name):
+    """The sample, its fit, and its bootstrap's batches of 100 replicates
+    (seed 0), each with its full-scan fits."""
+    data = STAGED_SAMPLES[name]()
+    fit = fit_power_law(data)
+    batches = [(rows, _fit_rows(rows)) for rows in
+               _replicate_batches(fit, np.asarray(data, dtype=np.int64), 100, 0)]
+    return data, fit, batches
+
+
+class TestStagedScan:
+    """The bootstrap's staged KS scan, which stops once a replicate's
+    comparison with the observed distance is decided, against the full scan
+    of ``_fit_rows`` with no threshold."""
+
+    @pytest.mark.parametrize("name", sorted(STAGED_SAMPLES))
+    def test_decisions_and_p_value_equal_the_full_scan(self, name):
+        data, fit, batches = staged_batches(name)
+        exceed = kept = 0
+        cells = [0, 0]
+        for rows, full in batches:
+            staged = _fit_rows(rows, fit.ks, cells)
+            fitted = full.n_tail > 0
+            np.testing.assert_array_equal(staged.n_tail > 0, fitted)
+            np.testing.assert_array_equal(
+                staged.ks[fitted] >= fit.ks, full.ks[fitted] >= fit.ks)
+            # Each candidate's value is a largest gap over some of its cells.
+            assert np.all(staged.ks[fitted] <= full.ks[fitted])
+            kept += int(np.count_nonzero(fitted))
+            exceed += int(np.count_nonzero(full.ks[fitted] >= fit.ks))
+        assert cells[0] <= cells[1]
+        assert bootstrap_pvalue(fit, data, 100, 0).p_value == exceed / kept
+
+    @pytest.mark.parametrize("name", sorted(STAGED_SAMPLES))
+    def test_a_replicates_own_distance_is_decided_exactly(self, name):
+        # Thresholds at a replicate's KS distance and one float either side:
+        # the replicate itself is >= at its distance and below past it, and
+        # every other row of the batch decides as the full scan does.
+        _, _, batches = staged_batches(name)
+        rows, full = batches[0]
+        fitted = full.n_tail > 0
+        for r in np.flatnonzero(fitted)[:6]:
+            tail = rows[r][rows[r] >= full.xmin[r]]
+            assert set(np.unique(tail % 2)) == {0, 1}
+            for threshold in (np.nextafter(full.ks[r], -np.inf), full.ks[r],
+                              np.nextafter(full.ks[r], np.inf)):
+                staged = _fit_rows(rows, threshold)
+                np.testing.assert_array_equal(
+                    staged.ks[fitted] >= threshold, full.ks[fitted] >= threshold)
+
+    @staticmethod
+    def one_sample_kernels(name, count=8):
+        """``_ks_distances``'s arguments for each of the first ``count``
+        replicates of the sample's bootstrap that have candidates, each alone
+        in its tables, and the full-scan distances of its candidates."""
+        _, _, batches = staged_batches(name)
+        kernels = []
+        for row in np.concatenate([rows for rows, _ in batches]):
+            uniq, counts, cand, ntails, sumlogs = tail_candidates(row)
+            if cand.size == 0:
+                continue
+            table, tails, ends = ks_kernel_tables(uniq, counts, cand)
+            alphas = _mle_alphas(uniq[cand].astype(np.float64), ntails, sumlogs)
+            full = _ks_distances(table, tails, cand, ends, alphas)
+            kernels.append((table, tails, cand, ends, alphas, full))
+            if len(kernels) == count:
+                break
+        return kernels
+
+    @pytest.mark.parametrize("first, growth", [(16, 8), (1, 2)])
+    @pytest.mark.parametrize("name", sorted(STAGED_SAMPLES))
+    def test_a_candidate_scanned_in_rounds_reaches_its_full_distance(
+            self, name, first, growth, monkeypatch):
+        # Alone in its sample and with no threshold to reach, a candidate is
+        # scanned to its end; its gaps, chunk ends included, are the full
+        # scan's.  Rounds of 1, 2, 4, ... cells put a chunk end at every
+        # power of two.
+        monkeypatch.setattr(powerlaw, "_KS_FIRST_CELLS", first)
+        monkeypatch.setattr(powerlaw, "_KS_GROWTH", growth)
+        for table, tails, cand, ends, alphas, full in self.one_sample_kernels(name):
+            alone = [_ks_distances(table, tails, cand[i : i + 1], ends[i : i + 1],
+                                   alphas[i : i + 1], np.inf)[0]
+                     for i in range(cand.size)]
+            np.testing.assert_array_equal(alone, full)
+
+    @pytest.mark.parametrize("first, growth", [(16, 8), (1, 2)])
+    @pytest.mark.parametrize("name", sorted(STAGED_SAMPLES))
+    def test_each_candidate_bounds_and_decides_at_every_distance(
+            self, name, first, growth, monkeypatch):
+        # At each candidate's distance, and one float either side of the
+        # least: no value exceeds its distance; a sample whose distance is >=
+        # the threshold has every candidate settled, and one below it has a
+        # candidate scanned to its distance.
+        monkeypatch.setattr(powerlaw, "_KS_FIRST_CELLS", first)
+        monkeypatch.setattr(powerlaw, "_KS_GROWTH", growth)
+        for table, tails, cand, ends, alphas, full in self.one_sample_kernels(name):
+            least = full.min()
+            for threshold in {*full, np.nextafter(least, -np.inf),
+                              np.nextafter(least, np.inf)}:
+                staged = _ks_distances(table, tails, cand, ends, alphas, threshold)
+                assert np.all(staged <= full)
+                if least >= threshold:
+                    assert np.all(staged >= threshold)
+                else:
+                    assert np.any((staged == full) & (full < threshold))
+
+    def test_a_gap_equal_to_the_threshold_settles_its_candidate(self):
+        # Ten each of 1..200, with candidates at xmin 1 and 199.  At the
+        # second's distance, reached at its last cell in the first round, that
+        # candidate is settled, so the first is scanned on to its own smaller
+        # distance rather than dropped with a partial bound.
+        values = np.arange(1, 201)
+        cand = np.array([0, 198])
+        table, tails, ends = ks_kernel_tables(values, np.full(values.size, 10), cand)
+        alphas = np.array([ALPHA_LO, ALPHA_HI])
+        full = _ks_distances(table, tails, cand, ends, alphas)
+        assert full[0] < full[1]
+        staged = _ks_distances(table, tails, cand, ends, alphas, full[1])
+        np.testing.assert_array_equal(staged, full)
+
+    def test_debug_line_counts_the_cells_evaluated(self, caplog):
+        data, fit, batches = staged_batches("fit-bootstrap-zipf")
+        full_cells = [0, 0]
+        for rows, _ in batches:
+            _fit_rows(rows, None, full_cells)
+        # With no threshold every cell is evaluated.
+        assert full_cells[0] == full_cells[1]
+        with caplog.at_level(logging.DEBUG, logger="asnkit.powerlaw"):
+            bootstrap_pvalue(fit, data, 100, 0)
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line.startswith(
+            f"bootstrap: 100 replicates kept, 0 discarded, {len(batches)} batches, ")
+        evaluated, total = map(int, re.search(
+            r", (\d+) of (\d+) KS cells evaluated$", line).groups())
+        assert total == full_cells[1]
+        assert 0 < evaluated < total
 
 
 class TestLognormalFit:

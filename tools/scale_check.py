@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""``asnkit analyze`` at paper scale: time, memory and exact topology.
+"""``asnkit analyze`` at paper scale: time, memory, exact topology and p-value.
 
 Usage::
 
@@ -21,7 +21,12 @@ the run's wall time and peak RSS.  It then checks
 * the first century's path-length sum and diameter against the block-wise
   ``csgraph.shortest_path`` reference of ``tests/oracles.py``, and its
   per-node triangle counts against the reference ``A * (A @ A)`` row sums,
-  each exactly, both from the kernels and as written in ``summary_11.json``.
+  each exactly, both from the kernels and as written in ``summary_11.json``;
+* the first century's power-law fit and bootstrap p-value as written in
+  ``powerlaw_11.json`` against ``fit_power_law`` and the per-replicate
+  ``reference_bootstrap`` of ``tests/oracles.py`` (total degree, seed 0,
+  100 replicates), exactly: at this scale the bootstrap's staged KS scan
+  stops earliest, and its p-value must still be the full scan's.
 
 Exits 1 on any failed check, or when ``analyze`` takes longer than
 ``CEILING_S``.  ``analyze_bundle`` holds one century's all-pairs distances,
@@ -48,17 +53,25 @@ CENTURIES = tuple(range(11, 18))
 #: peak RSS).  Raising it to let a slower change pass defeats the check.
 CEILING_S = 80.0
 
+#: Bootstrap replicates of the ``analyze`` run and of the reference.
+REPLICATES = 100
 
-def topology_failures(treebank: Path, summary: dict) -> list[str]:
-    """The first century's kernels and written summary against the references."""
-    import numpy as np
+
+def first_century(treebank: Path):
+    """The first century's network as ``analyze`` builds it, under the
+    default missing policy."""
     from asnkit import aggregate, filter_slice, load_corpus
+
+    kept, _ = filter_slice(load_corpus(treebank)[0], "drop-adjacent-to-target")
+    return aggregate(kept.trees)
+
+
+def topology_failures(asn, summary: dict) -> list[str]:
+    """The kernels and written summary against the references."""
+    import numpy as np
     from asnkit.stats import _largest_component, _path_lengths, _projection, _triangles
     from oracles import reference_path_lengths, reference_twice_triangles
 
-    # the century as ``analyze`` builds it, under the default missing policy
-    kept, _ = filter_slice(load_corpus(treebank)[0], "drop-adjacent-to-target")
-    asn = aggregate(kept.trees)
     adjacency = _projection(asn)
     _, lcc = _largest_component(adjacency)
     m = lcc.size
@@ -87,6 +100,24 @@ def topology_failures(treebank: Path, summary: dict) -> list[str]:
     return failures
 
 
+def pvalue_failures(asn, written: dict) -> list[str]:
+    """The written fit and p-value against the per-replicate reference."""
+    from asnkit import degree_sequences, fit_power_law
+    from oracles import reference_bootstrap
+
+    # ``analyze``'s defaults: total degree, zeros dropped, seed 0
+    data = [d for d in degree_sequences(asn)["total"] if d > 0]
+    start = time.perf_counter()
+    expected, _ = reference_bootstrap(fit_power_law(data), data, REPLICATES, 0)
+    print(f"reference bootstrap: {time.perf_counter() - start:.1f} s; xmin "
+          f"{expected.xmin}, n_tail {expected.n_tail}, p {expected.p_value}")
+    return [
+        f"powerlaw {key} {written.get(key)!r} != {getattr(expected, key)!r}"
+        for key in ("alpha", "xmin", "ks", "n_tail", "p_value", "replicates")
+        if written.get(key) != getattr(expected, key)
+    ]
+
+
 def main() -> int:
     sys.path[:0] = [str(ROOT / d) for d in ("src", "perfbench", "tests")]
     import checks
@@ -107,21 +138,24 @@ def main() -> int:
         start = time.perf_counter()
         subprocess.run(
             [sys.executable, "-m", "asnkit.cli", "analyze", str(treebank),
-             "--out", str(out), "--replicates", "100"],
+             "--out", str(out), "--replicates", str(REPLICATES)],
             env=env, check=True, stdout=subprocess.DEVNULL,
         )
         wall = time.perf_counter() - start
         peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-        print(f"analyze --replicates 100: {wall:.1f} s wall, {peak:.0f} MB peak RSS "
+        print(f"analyze --replicates {REPLICATES}: {wall:.1f} s wall, {peak:.0f} MB peak RSS "
               f"(ceiling {CEILING_S:.0f} s)")
 
         failures = [] if wall <= CEILING_S else [
             f"analyze took {wall:.1f} s, above the {CEILING_S:.0f} s ceiling"]
         failures += checks.analyze_bundle(out, [vars(t) for t in tallies])
-        summary = json.loads(
-            (out / f"summary_{CENTURIES[0]}.json").read_text(encoding="utf-8"))
-        failures += [f"century {CENTURIES[0]}: {f}"
-                     for f in topology_failures(treebank, summary["summary"])]
+        century = CENTURIES[0]
+        summary, powerlaw = (
+            json.loads((out / f"{name}_{century}.json").read_text(encoding="utf-8"))
+            for name in ("summary", "powerlaw"))
+        asn = first_century(treebank)
+        failures += [f"century {century}: {f}" for f in
+                     topology_failures(asn, summary["summary"]) + pvalue_failures(asn, powerlaw)]
     for failure in failures:
         print(f"FAIL {failure}")
     print("scale check:", "FAILED" if failures else "passed")
