@@ -36,6 +36,9 @@ on its own arguments, and a sample's fit does not depend on the samples
 beside it.  ``fit_power_law`` is the one-sample case.  The bootstrap draws
 its replicates a small batch at a time, from one shared inverse-CDF table,
 and fits each batch at once; its results do not depend on the batch size.
+A guide table over that CDF (Chen & Asau, AIIE Trans. 6, 1974) answers most
+draws with one lookup; only uniforms that fall in a bucket holding a CDF
+step are binary-searched, and every draw is the integer the search gives.
 
 A bootstrap replicate counts only by whether its KS distance is ``>=`` the
 observed one, so the bootstrap's KS scan is staged: it runs in lockstep
@@ -86,6 +89,13 @@ _ZETA_HORIZON = 36.0
 #: Largest inverse-CDF table of the sampler (8 MB); draws beyond it are
 #: inverted by bisection on the zeta function.
 _MAX_TABLE = 1 << 20
+
+#: Buckets of the sampler's guide table over [0, 1): a power of two, so a
+#: uniform's bucket is exact (see :class:`_Sampler`).  A draw of fewer
+#: uniforms than ``_GUIDE_DRAWS`` searches the table directly: below about
+#: 500 the guide's fixed cost per call exceeds the search it saves.
+_GUIDE = 1 << 14
+_GUIDE_DRAWS = 512
 
 #: Work budget of one lockstep batch of bootstrap fits, in KS cells and
 #: Newton direct-sum terms (see :func:`_replicate_batches`).
@@ -1001,25 +1011,47 @@ class _Sampler:
     with the same values as a shorter one and the draws do not depend on
     how far it has grown.  Draws beyond the cap are inverted on the zeta
     function.
+
+    A guide table (Chen & Asau, 1974) holds the table's insertion point of
+    every bucket edge ``j / _GUIDE``.  A uniform's bucket is ``floor(u *
+    _GUIDE)``, exact since ``_GUIDE`` is a power of two, and
+    ``searchsorted`` is monotone, so where a bucket's two edges share an
+    insertion point every uniform in it has that one: it is read off the
+    guide.  Only uniforms in a bucket holding a CDF step are searched, and
+    each draw is the integer a search of every uniform returns.  The guide
+    is built by the first draw of at least ``_GUIDE_DRAWS`` uniforms after
+    the table last grew; smaller draws search the whole table.
     """
 
     def __init__(self, alpha: float, xmin: int) -> None:
         self.alpha = alpha
         self.xmin = xmin
         self.z = float(_zeta_sums(np.array([alpha]), np.array([float(xmin)]))[0][0])
-        self.cdf = self._table(1024)
+        self._grow(1024)
 
-    def _table(self, length: int) -> np.ndarray:
+    def _grow(self, length: int) -> None:
         cdf = np.arange(self.xmin, self.xmin + length, dtype=np.float64)
         np.power(cdf, -self.alpha, out=cdf)
         cdf /= self.z
-        return np.cumsum(cdf, out=cdf)
+        self.cdf = np.cumsum(cdf, out=cdf)
+        self.guide = None
 
     def draw(self, u: np.ndarray) -> np.ndarray:
-        while self.cdf[-1] < u.max() and self.cdf.size < _MAX_TABLE:
-            self.cdf = self._table(2 * self.cdf.size)
+        while self.cdf[-1] < u.max(initial=0.0) and self.cdf.size < _MAX_TABLE:
+            self._grow(2 * self.cdf.size)
         end = self.xmin + self.cdf.size
-        draws = self.xmin + np.searchsorted(self.cdf, u, side="right")
+        if u.size < _GUIDE_DRAWS:
+            draws = np.searchsorted(self.cdf, u, side="right")
+        else:
+            if self.guide is None:
+                grid = np.arange(_GUIDE + 1) / _GUIDE
+                edges = np.searchsorted(self.cdf, grid, side="right")
+                self.guide, self.stepped = edges[:-1], edges[1:] != edges[:-1]
+            bucket = (u * _GUIDE).astype(np.intp)
+            draws = self.guide[bucket]
+            search = np.flatnonzero(self.stepped[bucket])
+            draws[search] = np.searchsorted(self.cdf, u[search], side="right")
+        draws += self.xmin
         beyond = np.flatnonzero(draws >= end)
         if beyond.size:
             draws[beyond] = _invert_beyond(self.alpha, self.z, u[beyond], end - 1)

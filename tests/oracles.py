@@ -38,7 +38,7 @@ from asnkit import (
     fit_power_law,
 )
 from asnkit.corpus import _parse
-from asnkit.powerlaw import _Sampler
+from asnkit.powerlaw import _MAX_TABLE, _invert_beyond, _zeta_sums
 
 logger = logging.getLogger(__name__)
 
@@ -1369,10 +1369,38 @@ def grid_fit(data):
             int(ntails[best]))
 
 
+# The draw asnkit's sampler made before its guide table: a binary search of
+# every uniform in the doubling cumulative-sum table.
+
+
+def reference_draws(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray:
+    """The inverse CDF of the discrete power law at each uniform of ``u``.
+
+    The table of ``cumsum(k^-alpha) / zeta(alpha, xmin)`` over k = xmin,
+    xmin + 1, ... starts at 1,024 entries and doubles while it ends below
+    ``max(u)``, up to ``_MAX_TABLE``; each draw is xmin plus the number of
+    entries <= u.  Draws at or past the table's end are inverted on the
+    zeta function by asnkit's ``_invert_beyond``.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    z = float(_zeta_sums(np.array([alpha]), np.array([float(xmin)]))[0][0])
+    length = 1024
+    while True:
+        cdf = np.cumsum(np.power(np.arange(xmin, xmin + length, dtype=np.float64), -alpha) / z)
+        if cdf[-1] >= u.max(initial=0.0) or length >= _MAX_TABLE:
+            break
+        length *= 2
+    draws = xmin + np.searchsorted(cdf, u, side="right")
+    beyond = np.flatnonzero(draws >= xmin + length)
+    if beyond.size:
+        draws[beyond] = _invert_beyond(alpha, z, u[beyond], xmin + length - 1)
+    return draws
+
+
 def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, seed) -> np.ndarray:
-    """``size`` draws at ``alpha`` in the fit bracket from the sampler that
-    ``bootstrap_pvalue`` uses; ``seed`` is an integer or a Generator."""
-    return _Sampler(alpha, int(xmin)).draw(np.random.default_rng(seed).random(size))
+    """``size`` draws at ``alpha`` in the fit bracket by :func:`reference_draws`;
+    ``seed`` is an integer or a Generator."""
+    return reference_draws(alpha, int(xmin), np.random.default_rng(seed).random(size))
 
 
 # The bootstrap asnkit ran before it fitted replicates in lockstep batches:

@@ -28,12 +28,15 @@ from asnkit import (
 )
 from asnkit import powerlaw
 from asnkit.powerlaw import (
+    _GUIDE,
+    _GUIDE_DRAWS,
     _MAX_TABLE,
     ALPHA_HI,
     ALPHA_LO,
     ALPHA_TOL,
     LrtResult,
     PowerLawFit,
+    _Sampler,
     _fit_rows,
     _ks_distances,
     _mle_alphas,
@@ -54,6 +57,7 @@ from oracles import (
     mpmath_lognormal_loglik,
     parse_corpus,
     reference_bootstrap,
+    reference_draws,
     reference_lognormal_tail_loglik,
     sample_discrete_powerlaw,
     tail_candidates,
@@ -325,20 +329,26 @@ class TestMatchesGridFitter:
             jump_ks_oracle(tail, fit.alpha, fit.xmin), abs=1e-9)
 
 
+def sampler_draws(alpha, xmin, size, seed):
+    """``size`` draws of the bootstrap's sampler; ``seed`` is an integer or a
+    Generator."""
+    return _Sampler(alpha, xmin).draw(np.random.default_rng(seed).random(size))
+
+
 class TestSampler:
     def test_deterministic_for_a_seed(self):
-        one = sample_discrete_powerlaw(2.5, 1, 1000, seed=77)
-        two = sample_discrete_powerlaw(2.5, 1, 1000, seed=77)
+        one = sampler_draws(2.5, 1, 1000, seed=77)
+        two = sampler_draws(2.5, 1, 1000, seed=77)
         assert np.array_equal(one, two)
-        three = sample_discrete_powerlaw(2.5, 1, 1000, seed=78)
+        three = sampler_draws(2.5, 1, 1000, seed=78)
         assert not np.array_equal(one, three)
 
     def test_respects_xmin(self):
-        xs = sample_discrete_powerlaw(3.0, 5, 50_000, seed=2)
+        xs = sampler_draws(3.0, 5, 50_000, seed=2)
         assert xs.min() == 5
 
     def test_head_probabilities_match_the_model(self):
-        xs = sample_discrete_powerlaw(2.5, 1, 200_000, seed=1)
+        xs = sampler_draws(2.5, 1, 200_000, seed=1)
         z = special.zeta(2.5, 1)
         for x in (1, 2, 3):
             expected = x ** -2.5 / z
@@ -348,7 +358,7 @@ class TestSampler:
 
     def test_accepts_a_generator(self):
         rng = np.random.default_rng(5)
-        xs = sample_discrete_powerlaw(2.0, 2, 100, seed=rng)
+        xs = sampler_draws(2.0, 2, 100, seed=rng)
         assert xs.shape == (100,) and xs.min() >= 2
 
     def test_heavy_tail_table_memory_is_bounded(self):
@@ -356,7 +366,7 @@ class TestSampler:
         # entries (8 MB) and the draws beyond it are bisected.
         tracemalloc.start()
         try:
-            sample_discrete_powerlaw(1.5, 1, 5000, seed=1)
+            sampler_draws(1.5, 1, 5000, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -366,7 +376,7 @@ class TestSampler:
                              [(1.5, 1, 5000, 1), (1.3, 1, 5000, 0), (1.5, 3, 20_000, 2)])
     def test_draws_beyond_the_table_invert_the_zeta(self, alpha, xmin, size, seed):
         u = np.random.default_rng(seed).random(size)
-        draws = sample_discrete_powerlaw(alpha, xmin, size, seed=seed)
+        draws = sampler_draws(alpha, xmin, size, seed=seed)
         beyond = draws >= xmin + _MAX_TABLE
         assert np.count_nonzero(beyond) >= 5
         # Each is the smallest x with zeta(alpha, x + 1) <= (1 - u) zeta(alpha, xmin).
@@ -374,6 +384,13 @@ class TestSampler:
         x = draws[beyond].astype(np.float64)
         assert np.all(special.zeta(alpha, x + 1.0) <= target)
         assert np.all(special.zeta(alpha, x) > target)
+
+    def test_zero_uniforms_give_no_draws(self):
+        sampler = _Sampler(2.5, 3)
+        draws = sampler.draw(np.empty(0))
+        assert draws.dtype == np.int64 and draws.shape == (0,)
+        u = np.random.default_rng(0).random(100)
+        assert np.array_equal(sampler.draw(u), reference_draws(2.5, 3, u))
 
     def test_fresh_seed_coverage(self):
         # On seeds 1000-1299, 2000-2299 and 3000-3299, 89-92% of the fits
@@ -388,6 +405,60 @@ class TestSampler:
             fit = fit_power_law(sample_discrete_powerlaw(2.5, 1, 5000, seed=seed))
             hits += abs(fit.alpha - 2.5) <= 2.0 * (fit.alpha - 1.0) / math.sqrt(fit.n_tail)
         assert hits / len(seeds) >= 0.83
+
+
+class TestGuideTable:
+    """``_Sampler.draw`` reads most draws off its guide table; each must be
+    the integer the plain binary search of ``reference_draws`` returns."""
+
+    @pytest.mark.parametrize("xmin", [1, 4, 13, 200])
+    @pytest.mark.parametrize("alpha", [1.3, 1.5, 2.089, 2.5, 6.0])
+    def test_seeded_uniforms(self, alpha, xmin):
+        u = np.random.default_rng(xmin).random(20_000)
+        sampler = _Sampler(alpha, xmin)
+        for part in (u, u[:100]):
+            draws = sampler.draw(part)
+            assert draws.dtype == np.int64
+            assert np.array_equal(draws, reference_draws(alpha, xmin, part))
+        if alpha < 2:  # some draws lie beyond the table and are bisected
+            assert np.any(sampler.draw(u) >= xmin + _MAX_TABLE)
+
+    @pytest.mark.parametrize("alpha, xmin", [(1.5, 1), (2.5, 1), (2.5, 13), (6.0, 1)])
+    def test_bucket_edges_and_table_entries(self, alpha, xmin):
+        # Every bucket edge j / _GUIDE and its neighbours on either side, and
+        # every table entry below 1 with its neighbours: where a bucket or a
+        # search could be off by one.
+        sampler = _Sampler(alpha, xmin)
+        edges = np.arange(_GUIDE) / _GUIDE
+        steps = sampler.cdf[sampler.cdf < 1.0]
+        u = np.concatenate([
+            edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+            steps, np.nextafter(steps, 1.0), np.nextafter(steps, 0.0),
+            [np.nextafter(1.0, 0.0)],
+        ])
+        u = u[u < 1.0]
+        assert np.array_equal(sampler.draw(u), reference_draws(alpha, xmin, u))
+        # The table entries again, in rising draws too small for the guide,
+        # so a fresh sampler's table grows as the reference's does.
+        near = np.concatenate([steps, np.nextafter(steps, 1.0), np.nextafter(steps, 0.0)])
+        near = np.sort(near[near < 1.0])
+        sampler = _Sampler(alpha, xmin)
+        for part in np.array_split(near, -(-near.size // (_GUIDE_DRAWS - 1))):
+            assert np.array_equal(sampler.draw(part), reference_draws(alpha, xmin, part))
+
+    def test_successive_calls_grow_the_table(self):
+        # Draws too small for the guide search the table directly; each
+        # larger one after a growth builds the guide of the grown table.
+        sampler = _Sampler(2.089, 4)
+        rng = np.random.default_rng(3)
+        sizes = []
+        for top in (0.5, 0.999, 0.99999, np.nextafter(1.0, 0.0)):
+            for size in (_GUIDE_DRAWS - 1, _GUIDE_DRAWS, 5_000, 100):
+                u = np.append(rng.random(size - 1) * top, top)
+                assert np.array_equal(sampler.draw(u), reference_draws(2.089, 4, u))
+            sizes.append(sampler.cdf.size)
+        assert sizes == sorted(set(sizes)) and sizes[0] == 1024 and sizes[-1] == _MAX_TABLE
+        assert sampler.guide.size == _GUIDE
 
 
 class TestBootstrap:

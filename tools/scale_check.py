@@ -26,7 +26,9 @@ the run's wall time and peak RSS.  It then checks
   ``powerlaw_11.json`` against ``fit_power_law`` and the per-replicate
   ``reference_bootstrap`` of ``tests/oracles.py`` (total degree, seed 0,
   100 replicates), exactly: at this scale the bootstrap's staged KS scan
-  stops earliest, and its p-value must still be the full scan's.
+  stops earliest, and its p-value must still be the full scan's.  The
+  reference draws its replicates by the plain binary search of
+  ``reference_draws``, not by the sampler's guide table.
 
 Exits 1 on any failed check, or when ``analyze`` takes longer than
 ``CEILING_S``.  ``analyze_bundle`` holds one century's all-pairs distances,
