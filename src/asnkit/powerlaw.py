@@ -33,21 +33,15 @@ The layer's one domain is the fit bracket ``[ALPHA_LO, ALPHA_HI]`` = [1.01,
 lockstep: their candidates share one Newton solve and one KS evaluation.
 Every zeta value is summed over rows of one fixed width, so it depends only
 on its own arguments, and a sample's fit does not depend on the samples
-beside it.  ``fit_power_law`` is the one-sample case.  The bootstrap draws
-its replicates a small batch at a time, from one shared inverse-CDF table,
-and fits each batch at once; its results do not depend on the batch size.
-A guide table over that CDF (Chen & Asau, AIIE Trans. 6, 1974) answers most
-draws with one lookup; only uniforms that fall in a bucket holding a CDF
-step are binary-searched, and every draw is the integer the search gives.
+beside it.  ``fit_power_law`` is the one-sample case.
 
-A bootstrap replicate counts only by whether its KS distance is ``>=`` the
-observed one, so the bootstrap's KS scan is staged: it runs in lockstep
-rounds over the first 16 cells of every live candidate, then 8 times as
-many, and stops once that comparison is decided.  A candidate is settled by
-one gap ``>=`` the observed distance; a replicate falls below once one of
-its candidates is scanned in full with every gap under it.  Each gap is the
-float the full scan computes, so every decision, ties included, is the full
-scan's and the p-value is bit-identical.  ``fit_power_law`` scans in full.
+The bootstrap fits its replicates in batches of one size, fixed from the
+observed sample before any is drawn (see :func:`_replicate_batches`).  A
+batch takes one draw from a shared inverse-CDF table, read through a guide
+table (see :class:`_Sampler`), and one sort; its results do not depend on
+the batch size.  A replicate counts only by whether its KS distance is
+``>=`` the observed one, so its KS scan stops once that is decided (see
+:func:`_ks_distances`), and the p-value is the full scan's bit for bit.
 """
 
 from __future__ import annotations
@@ -91,11 +85,8 @@ _ZETA_HORIZON = 36.0
 _MAX_TABLE = 1 << 20
 
 #: Buckets of the sampler's guide table over [0, 1): a power of two, so a
-#: uniform's bucket is exact (see :class:`_Sampler`).  A draw of fewer
-#: uniforms than ``_GUIDE_DRAWS`` searches the table directly: below about
-#: 500 the guide's fixed cost per call exceeds the search it saves.
+#: uniform's bucket is exact (see :class:`_Sampler`).
 _GUIDE = 1 << 14
-_GUIDE_DRAWS = 512
 
 #: Work budget of one lockstep batch of bootstrap fits, in KS cells and
 #: Newton direct-sum terms (see :func:`_replicate_batches`).
@@ -389,7 +380,8 @@ def _ks_distances(uniq, ntails, cand, ends, alphas, threshold=None, cells=None):
     sample is decided below once one of its candidates has every cell
     scanned and every gap below the threshold; its other candidates are
     then dropped.  A gap is computed from the same floats in any round, so
-    every decision is the full pass's ``>=``, ties included.  Each
+    every decision is the full pass's ``>=``, ties included, and a
+    bootstrap p-value is the full pass's bit for bit.  Each
     candidate's value is the largest gap scanned: its distance when it was
     scanned in full, a lower bound otherwise, and a sample's least value
     lies on the same side of the threshold as its least distance.
@@ -548,40 +540,37 @@ def fit_power_law(data) -> PowerLawFit:
 def _replicate_batches(fit: PowerLawFit, x: np.ndarray, replicates: int, seed: int):
     """The bootstrap's synthetic samples, sorted, as (B, n) arrays.
 
-    Replicate i draws from its own ``SeedSequence(seed).spawn`` child, and
-    all of them share one inverse-CDF table.  A replicate with U distinct
-    values and C candidate xmins counts U (U + 1) / 2 cells, a bound on its
-    candidate-by-tail-value pairs of the KS pass, plus C rows of
-    ``_ZETA_HORIZON`` direct-sum terms for each Newton step; a batch takes
-    replicates while they fit in ``_BATCH_CELLS``.
+    Replicate i draws from its own ``SeedSequence(seed).spawn`` child, in
+    order, its tail size k, its n - k points resampled from below xmin and
+    its k tail uniforms.  Every batch but the last holds B replicates, B
+    fixed once from the observed sample's U distinct values: U (U + 1) / 2
+    cells, a bound on the candidate-by-tail-value pairs of a KS pass, plus U
+    rows of ``_ZETA_HORIZON`` direct-sum terms per Newton step, fit B times
+    in ``_BATCH_CELLS`` (and B >= 1).  A batch's uniforms go through one
+    draw of the shared sampler into each row's last k cells, and the batch
+    is sorted once.
     """
     n = x.size
     below = x[x < fit.xmin]
     p_tail = fit.n_tail / n
     sampler = _Sampler(fit.alpha, fit.xmin)
-    batch: list[np.ndarray] = []
-    cells = 0
-    for child in np.random.SeedSequence(seed).spawn(replicates):
-        rng = np.random.Generator(np.random.PCG64(child))
-        k = int(rng.binomial(n, p_tail))
-        parts = []
-        if n - k > 0:
-            parts.append(rng.choice(below, size=n - k, replace=True))
-        if k > 0:
-            parts.append(sampler.draw(rng.random(k)))
-        row = np.sort(np.concatenate(parts))
-        new = row[1:] != row[:-1]
-        distinct = 1 + int(np.count_nonzero(new))
-        # Candidates: the distinct values up to row[-MIN_TAIL], but the largest.
-        candidates = 1 + int(np.count_nonzero(new[: n - MIN_TAIL]))
-        candidates -= int(row[n - MIN_TAIL] == row[-1])
-        cost = distinct * (distinct + 1) // 2 + candidates * int(_ZETA_HORIZON)
-        if batch and cells + cost > _BATCH_CELLS:
-            yield np.stack(batch)
-            batch, cells = [], 0
-        batch.append(row)
-        cells += cost
-    yield np.stack(batch)
+    distinct = np.unique(x).size
+    cost = distinct * (distinct + 1) // 2 + distinct * int(np.ceil(_ZETA_HORIZON))
+    size = max(1, _BATCH_CELLS // cost)
+    children = np.random.SeedSequence(seed).spawn(replicates)
+    for first in range(0, replicates, size):
+        batch = children[first : first + size]
+        rows = np.empty((len(batch), n), dtype=np.int64)
+        uniforms = []
+        for row, child in zip(rows, batch):
+            rng = np.random.Generator(np.random.PCG64(child))
+            k = int(rng.binomial(n, p_tail))
+            row[: n - k] = rng.choice(below, size=n - k, replace=True)
+            uniforms.append(rng.random(k))
+        tails = np.array([u.size for u in uniforms])
+        rows[np.arange(n) >= n - tails[:, None]] = sampler.draw(np.concatenate(uniforms))
+        rows.sort(axis=1)
+        yield rows
 
 
 def bootstrap_pvalue(
@@ -596,20 +585,14 @@ def bootstrap_pvalue(
     at least as large as the observed one.  A replicate whose values are all
     equal is degenerate and discarded.
 
-    Replicates are drawn a small batch at a time and each batch is fitted
-    in lockstep, through the kernel :func:`fit_power_law` runs on one
-    sample.  Every replicate derives its generator from
-    ``SeedSequence(seed).spawn``, and a replicate's fit does not depend on
-    the others in its batch, so identical seed and inputs give a
-    bit-identical p-value whatever the batch size.
-
-    A replicate counts only by whether its KS distance, the least over its
-    candidates, is ``>= fit.ks``, so its KS scan runs in rounds of 16, then
-    8 times more cells per candidate, and stops once that is decided: a
-    candidate is settled by one gap ``>= fit.ks``, and the replicate falls
-    below once one candidate is scanned in full with every gap under it.
-    The gaps are the floats a full scan computes, so every decision, ties
-    included, and the p-value are bit-identical to the full scan's.
+    Replicates are drawn in batches (see :func:`_replicate_batches`), and
+    each batch is fitted in lockstep, through the kernel
+    :func:`fit_power_law` runs on one sample.  Every replicate derives its
+    generator from ``SeedSequence(seed).spawn``, and a replicate's fit does
+    not depend on the others in its batch, so identical seed and inputs give
+    a bit-identical p-value whatever the batch size.  The KS scan stops once
+    each replicate's comparison with ``fit.ks`` is decided (see
+    :func:`_ks_distances`).
 
     Raises
     ------
@@ -713,14 +696,11 @@ def _half_line(k: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
     :func:`_normal_tail`.
     """
     series = (k < 0.0) & (k * k * _SERIES_EPS > b)
-    if series.all():
-        return _series_tail(k, b)
-    if not series.any():
-        return _normal_tail(k, b)
     log_mass = np.empty(k.shape)
     moments = np.empty((5,) + k.shape)
     for part, tail in ((series, _series_tail), (~series, _normal_tail)):
-        log_mass[part], moments[:, part] = tail(k[part], b)
+        if part.any():
+            log_mass[part], moments[:, part] = tail(k[part], b)
     return log_mass, moments
 
 
@@ -1006,21 +986,23 @@ class _Sampler:
     """Inverse-CDF draws from one discrete power law.
 
     The CDF table over consecutive integers from xmin starts at 1,024
-    entries and doubles whenever a batch of uniforms reaches past it, up to
+    entries and doubles whenever a draw's uniforms reach past it, up to
     ``_MAX_TABLE``.  ``np.cumsum`` adds in order, so a longer table starts
-    with the same values as a shorter one and the draws do not depend on
-    how far it has grown.  Draws beyond the cap are inverted on the zeta
-    function.
+    with the same values as a shorter one.  The table keeps only its rising
+    prefix, up to the first index of its largest sum: past it the terms are
+    lost in rounding, and the table grows no further.  A uniform at or past
+    the last entry is inverted on the zeta function from there, so the
+    draws do not depend on how far the table has grown or on which other
+    uniforms share a draw.
 
-    A guide table (Chen & Asau, 1974) holds the table's insertion point of
-    every bucket edge ``j / _GUIDE``.  A uniform's bucket is ``floor(u *
-    _GUIDE)``, exact since ``_GUIDE`` is a power of two, and
+    A guide table (Chen & Asau, AIIE Trans. 6, 1974) holds the table's
+    insertion point of every bucket edge ``j / _GUIDE``.  A uniform's bucket
+    is ``floor(u * _GUIDE)``, exact since ``_GUIDE`` is a power of two, and
     ``searchsorted`` is monotone, so where a bucket's two edges share an
     insertion point every uniform in it has that one: it is read off the
     guide.  Only uniforms in a bucket holding a CDF step are searched, and
     each draw is the integer a search of every uniform returns.  The guide
-    is built by the first draw of at least ``_GUIDE_DRAWS`` uniforms after
-    the table last grew; smaller draws search the whole table.
+    is built by the first draw after the table last grew.
     """
 
     def __init__(self, alpha: float, xmin: int) -> None:
@@ -1033,25 +1015,25 @@ class _Sampler:
         cdf = np.arange(self.xmin, self.xmin + length, dtype=np.float64)
         np.power(cdf, -self.alpha, out=cdf)
         cdf /= self.z
-        self.cdf = np.cumsum(cdf, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        top = int(np.argmax(cdf)) + 1
+        self.cdf = cdf[:top]
+        self.can_grow = top == length < _MAX_TABLE
         self.guide = None
 
     def draw(self, u: np.ndarray) -> np.ndarray:
-        while self.cdf[-1] < u.max(initial=0.0) and self.cdf.size < _MAX_TABLE:
+        while self.can_grow and self.cdf[-1] < u.max(initial=0.0):
             self._grow(2 * self.cdf.size)
-        end = self.xmin + self.cdf.size
-        if u.size < _GUIDE_DRAWS:
-            draws = np.searchsorted(self.cdf, u, side="right")
-        else:
-            if self.guide is None:
-                grid = np.arange(_GUIDE + 1) / _GUIDE
-                edges = np.searchsorted(self.cdf, grid, side="right")
-                self.guide, self.stepped = edges[:-1], edges[1:] != edges[:-1]
-            bucket = (u * _GUIDE).astype(np.intp)
-            draws = self.guide[bucket]
-            search = np.flatnonzero(self.stepped[bucket])
-            draws[search] = np.searchsorted(self.cdf, u[search], side="right")
+        if self.guide is None:
+            grid = np.arange(_GUIDE + 1) / _GUIDE
+            edges = np.searchsorted(self.cdf, grid, side="right")
+            self.guide, self.stepped = edges[:-1], edges[1:] != edges[:-1]
+        bucket = (u * _GUIDE).astype(np.intp)
+        draws = self.guide[bucket]
+        search = np.flatnonzero(self.stepped[bucket])
+        draws[search] = np.searchsorted(self.cdf, u[search], side="right")
         draws += self.xmin
+        end = self.xmin + self.cdf.size
         beyond = np.flatnonzero(draws >= end)
         if beyond.size:
             draws[beyond] = _invert_beyond(self.alpha, self.z, u[beyond], end - 1)

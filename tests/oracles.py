@@ -1378,7 +1378,9 @@ def reference_draws(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray:
 
     The table of ``cumsum(k^-alpha) / zeta(alpha, xmin)`` over k = xmin,
     xmin + 1, ... starts at 1,024 entries and doubles while it ends below
-    ``max(u)``, up to ``_MAX_TABLE``; each draw is xmin plus the number of
+    ``max(u)``, up to ``_MAX_TABLE``.  It stops early, cut after its last
+    rising entry, once two neighbouring sums are equal: the terms past that
+    point no longer change the sum.  Each draw is xmin plus the number of
     entries <= u.  Draws at or past the table's end are inverted on the
     zeta function by asnkit's ``_invert_beyond``.
     """
@@ -1387,13 +1389,17 @@ def reference_draws(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray:
     length = 1024
     while True:
         cdf = np.cumsum(np.power(np.arange(xmin, xmin + length, dtype=np.float64), -alpha) / z)
+        flat = np.flatnonzero(cdf[1:] == cdf[:-1])
+        if flat.size:
+            cdf = cdf[: flat[0] + 1]
+            break
         if cdf[-1] >= u.max(initial=0.0) or length >= _MAX_TABLE:
             break
         length *= 2
     draws = xmin + np.searchsorted(cdf, u, side="right")
-    beyond = np.flatnonzero(draws >= xmin + length)
+    beyond = np.flatnonzero(draws >= xmin + cdf.size)
     if beyond.size:
-        draws[beyond] = _invert_beyond(alpha, z, u[beyond], xmin + length - 1)
+        draws[beyond] = _invert_beyond(alpha, z, u[beyond], xmin + cdf.size - 1)
     return draws
 
 

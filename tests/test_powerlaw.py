@@ -29,7 +29,6 @@ from asnkit import (
 from asnkit import powerlaw
 from asnkit.powerlaw import (
     _GUIDE,
-    _GUIDE_DRAWS,
     _MAX_TABLE,
     ALPHA_HI,
     ALPHA_LO,
@@ -438,27 +437,50 @@ class TestGuideTable:
         ])
         u = u[u < 1.0]
         assert np.array_equal(sampler.draw(u), reference_draws(alpha, xmin, u))
-        # The table entries again, in rising draws too small for the guide,
-        # so a fresh sampler's table grows as the reference's does.
+        # The table entries again, in rising draws of at most 511, so a fresh
+        # sampler's table grows one draw at a time.
         near = np.concatenate([steps, np.nextafter(steps, 1.0), np.nextafter(steps, 0.0)])
         near = np.sort(near[near < 1.0])
         sampler = _Sampler(alpha, xmin)
-        for part in np.array_split(near, -(-near.size // (_GUIDE_DRAWS - 1))):
+        for part in np.array_split(near, -(-near.size // 511)):
             assert np.array_equal(sampler.draw(part), reference_draws(alpha, xmin, part))
 
     def test_successive_calls_grow_the_table(self):
-        # Draws too small for the guide search the table directly; each
-        # larger one after a growth builds the guide of the grown table.
+        # The first draw after a growth builds the guide of the grown table.
         sampler = _Sampler(2.089, 4)
         rng = np.random.default_rng(3)
         sizes = []
         for top in (0.5, 0.999, 0.99999, np.nextafter(1.0, 0.0)):
-            for size in (_GUIDE_DRAWS - 1, _GUIDE_DRAWS, 5_000, 100):
+            for size in (511, 512, 5_000, 100):
                 u = np.append(rng.random(size - 1) * top, top)
                 assert np.array_equal(sampler.draw(u), reference_draws(2.089, 4, u))
             sizes.append(sampler.cdf.size)
         assert sizes == sorted(set(sizes)) and sizes[0] == 1024 and sizes[-1] == _MAX_TABLE
         assert sampler.guide.size == _GUIDE
+
+    def test_the_table_stops_where_its_sums_stop_rising(self):
+        # At alpha 6 the sums stop rising in rounding at entry 510, at
+        # 1 - 4.0e-15.  That entry, the float above it and 1 - 1e-16 are
+        # inverted from there: each draw is the smallest x with
+        # zeta(6, x + 1) <= (1 - u) zeta(6, 1), from a fresh sampler, after
+        # other draws, and among other uniforms, and the table stays put.
+        saturated = _Sampler(6.0, 1).cdf[-1]
+        assert saturated == pytest.approx(1.0 - 4.0e-15, abs=1e-16)
+        u = np.array([saturated, np.nextafter(saturated, 1.0), 1.0 - 1e-16])
+        expected = [547, 551, 1121]
+        target = (1.0 - u) * special.zeta(6.0, 1.0)
+        assert np.all(special.zeta(6.0, np.array(expected) + 1.0) <= target)
+        assert np.all(special.zeta(6.0, np.array(expected, dtype=float)) > target)
+        assert reference_draws(6.0, 1, u).tolist() == expected
+        assert _Sampler(6.0, 1).draw(u).tolist() == expected
+
+        sampler = _Sampler(6.0, 1)
+        others = np.random.default_rng(6).random(5_000)
+        assert np.array_equal(sampler.draw(others), reference_draws(6.0, 1, others))
+        assert sampler.draw(u).tolist() == expected
+        batch = sampler.draw(np.concatenate([others[:100], u, others[100:]]))
+        assert batch[100:103].tolist() == expected
+        assert sampler.cdf.size == 510
 
 
 class TestBootstrap:
@@ -522,6 +544,13 @@ def criterion_7_lognormal(seed):
 #: 30 ones and 4 twos: 12 of 200 replicates (6%) come out all equal.
 SOME_DEGENERATE = [1] * 30 + [2] * 4
 
+#: 90 points from 1 to 5 and a tail of 10 from 20: under seed 707, replicate
+#: 89 of 100 draws no tail point.
+TEN_IN_THE_TAIL = [
+    *np.random.default_rng(0).integers(1, 6, size=90).tolist(),
+    *sample_discrete_powerlaw(2.0, 20, 10, seed=0).tolist(),
+]
+
 #: (sample, replicates, seed) pairs the batched bootstrap must reproduce.
 REFERENCE_CASES = {
     "zipf-shaped": (lambda: tail_with_noise(2.1, 4, 600, 900), 100, 0),
@@ -534,6 +563,8 @@ REFERENCE_CASES = {
        for s in range(3)},
     "heavy-tail": (lambda: sample_discrete_powerlaw(1.5, 1, 2000, seed=0), 100, 0),
     "some-degenerate": (lambda: SOME_DEGENERATE, 200, 0),
+    "no-below-xmin": (lambda: sample_discrete_powerlaw(2.5, 5, 800, seed=0), 100, 0),
+    "tail-size-zero": (lambda: TEN_IN_THE_TAIL, 100, 707),
 }
 
 
@@ -559,6 +590,27 @@ class TestBatchedBootstrap:
         assert batched == [
             None if f is None else (f.alpha, f.xmin, f.ks, f.n_tail) for f in reference
         ]
+
+    def test_the_edge_cases_reach_their_edges(self):
+        # No observed point lies below the fit's xmin, so no replicate
+        # resamples any; and some replicate draws a tail of size 0.
+        data = REFERENCE_CASES["no-below-xmin"][0]()
+        assert fit_power_law(data).xmin == min(data)
+        fit = fit_power_law(TEN_IN_THE_TAIL)
+        assert fit.n_tail == 10
+        samples = bootstrap_samples(fit, TEN_IN_THE_TAIL, 100, 707)
+        assert [i for i, sample in enumerate(samples) if sample.max() < fit.xmin] == [89]
+
+    @pytest.mark.parametrize("name", ["zipf-shaped", "lognormal-shaped", "tail-size-zero"])
+    def test_batches_have_one_size_but_the_last(self, name):
+        make, replicates, _ = REFERENCE_CASES[name]
+        data = np.asarray(make(), dtype=np.int64)
+        fit = fit_power_law(data)
+        sizes = [[rows.shape[0] for rows in _replicate_batches(fit, data, replicates, seed)]
+                 for seed in (0, 1)]
+        assert sizes[0] == sizes[1]
+        assert sum(sizes[0]) == replicates
+        assert len(set(sizes[0][:-1])) <= 1 and sizes[0][-1] <= sizes[0][0]
 
     def test_a_fit_does_not_depend_on_its_batch(self):
         # Samples with different smallest values need direct zeta sums of
