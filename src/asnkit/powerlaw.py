@@ -31,9 +31,10 @@ The layer's one domain is the fit bracket ``[ALPHA_LO, ALPHA_HI]`` = [1.01,
 6]: every exponent it fits, samples from or compares lies in it, and
 :class:`PowerLawFit` refuses any other.  One kernel fits many samples in
 lockstep: their candidates share one Newton solve and one KS evaluation.
-Every zeta value is summed over rows of one fixed width, so it depends only
-on its own arguments, and a sample's fit does not depend on the samples
-beside it.  ``fit_power_law`` is the one-sample case.
+Every zeta value below the summation horizon is summed over a row of one
+fixed width, and one at or past it is its tail expansion alone, so it
+depends only on its own arguments, and a sample's fit does not depend on
+the samples beside it.  ``fit_power_law`` is the one-sample case.
 
 The bootstrap fits its replicates in batches of one size, fixed from the
 observed sample before any is drawn (see :func:`_replicate_batches`).  A
@@ -80,6 +81,13 @@ MIN_TAIL = 10
 #: ~1e-13 relative for every exponent in ``[ALPHA_LO, ALPHA_HI]``.
 _ZETA_HORIZON = 36.0
 
+#: The offsets k of the direct sum's terms ``(q+k)^-s`` (see :func:`_zeta_sums`).
+_TERMS = np.arange(np.ceil(_ZETA_HORIZON))
+
+#: Shifts j of the factors ``s + j`` of the Euler-Maclaurin terms (see
+#: :func:`_em_tail`).
+_EM_SHIFTS = np.arange(7.0)
+
 #: Largest inverse-CDF table of the sampler (8 MB); draws beyond it are
 #: inverted by bisection on the zeta function.
 _MAX_TABLE = 1 << 20
@@ -89,7 +97,8 @@ _MAX_TABLE = 1 << 20
 _GUIDE = 1 << 14
 
 #: Work budget of one lockstep batch of bootstrap fits, in KS cells and
-#: Newton direct-sum terms (see :func:`_replicate_batches`).
+#: Newton direct-sum terms, both counted by an upper bound (see
+#: :func:`_replicate_batches`).
 _BATCH_CELLS = 32_768
 
 #: Cells per candidate in the first round of the bootstrap's KS scan, and the
@@ -131,17 +140,23 @@ def _em_tail(
     """
     inv = 1.0 / a
     a_pow = a ** (-s)
-    head = a * a_pow / (s - 1.0)
-    total = head + 0.5 * a_pow
+    less = s - 1.0
+    half = 0.5 * a_pow
+    head = a * a_pow / less
+    total = head + half
     term = s * a_pow * inv
-    bernoulli = []
+    if derivatives:
+        bernoulli = np.empty((4,) + np.shape(total))
     for step, denom in enumerate((12.0, -720.0, 30240.0, -1209600.0)):
         if step:
-            term = term * (s + (2 * step - 1)) * (s + 2 * step) * inv * inv
+            term *= s + (2 * step - 1)
+            term *= s + 2 * step
+            term *= inv
+            term *= inv
         part = term / denom
-        total = total + part
+        total += part
         if derivatives:
-            bernoulli.append(part)
+            bernoulli[step] = part
     if not derivatives:
         return a_pow, [total]
 
@@ -150,15 +165,19 @@ def _em_tail(
     # c is a / (s-1) for the head, constant for the half term, and
     # const * s (s+1) ... (s+2 step) for the Bernoulli terms.
     log_a = np.log(a)
-    head_rate = -1.0 / (s - 1.0) - log_a
-    first = head * head_rate - 0.5 * a_pow * log_a
-    second = head * (head_rate**2 + 1.0 / (s - 1.0) ** 2) + 0.5 * a_pow * log_a**2
-    recip = 1.0 / (s + np.arange(7.0).reshape((7,) + (1,) * np.ndim(s)))
-    rates = np.cumsum(recip, axis=0)[::2] - log_a
-    bends = -np.cumsum(recip * recip, axis=0)[::2]
-    bernoulli = np.stack(bernoulli)
-    first = first + (bernoulli * rates).sum(axis=0)
-    second = second + (bernoulli * (rates * rates + bends)).sum(axis=0)
+    head_rate = -1.0 / less - log_a
+    first = head * head_rate - half * log_a
+    second = head * (head_rate**2 + 1.0 / less**2) + half * log_a**2
+    recip = s + _EM_SHIFTS.reshape((7,) + (1,) * np.ndim(s))
+    np.divide(1.0, recip, out=recip)
+    rates = np.cumsum(recip, axis=0)[::2]
+    rates -= log_a
+    bends = np.cumsum(np.square(recip, out=recip), axis=0)[::2]
+    first += (bernoulli * rates).sum(axis=0)
+    rates *= rates
+    rates -= bends
+    bernoulli *= rates
+    second += bernoulli.sum(axis=0)
     return a_pow, [total, first, second]
 
 
@@ -173,20 +192,23 @@ def _zeta_sums(
     also weighted by ``-log(q+k)`` and ``log^2(q+k)`` for the derivatives,
     plus the Euler-Maclaurin tail beyond it.  Every direct sum is a row
     ``ceil(_ZETA_HORIZON)`` terms wide, the terms at or past the horizon
-    masked to zero, so its rounding depends on its own (s, q) alone.
+    masked to zero, so its rounding depends on its own (s, q) alone.  Only
+    values with q below the horizon get a row: one at or past it has no
+    terms and is its tail alone, as the row of zeros would leave it.
     """
     n_terms = np.maximum(0.0, np.ceil(_ZETA_HORIZON - q))
     _, sums = _em_tail(s, q + n_terms, derivatives)
-    k = np.arange(np.ceil(_ZETA_HORIZON))
-    base = q[..., None] + k
-    powers = base ** (-s[..., None])
-    powers *= k < n_terms[..., None]
-    sums[0] = powers.sum(axis=-1) + sums[0]
+    near = n_terms > 0.0
+    n_terms = n_terms[near][:, None]
+    base = q[near][:, None] + _TERMS
+    powers = base ** -s[near][:, None]
+    powers *= _TERMS < n_terms
+    sums[0][near] += powers.sum(axis=-1)
     if derivatives:
         neg_logs = np.negative(np.log(base, out=base), out=base)
         for d in (1, 2):
             powers *= neg_logs
-            sums[d] = sums[d] + powers.sum(axis=-1)
+            sums[d][near] += powers.sum(axis=-1)
     return sums
 
 
@@ -255,15 +277,16 @@ def _as_positive_ints(data) -> np.ndarray:
     return x
 
 
-def _score(alphas, xmins, mean_logs):
-    """Score of the tail log-likelihood per observation, and its slope.
+def _score(sums, mean_logs):
+    """Score of the tail log-likelihood per observation, and its slope, from
+    the zeta sums ``(z, dz, d2z)`` of :func:`_zeta_sums` at the candidates.
 
     The log-likelihood ``-n log zeta(alpha, xmin) - alpha sum(log x)`` has
     derivative ``-n * g`` with ``g = zeta'/zeta + mean(log x)``.  g rises
     strictly with alpha (its slope is the variance of log k under the fitted
     law), so the likelihood is strictly concave and g has at most one root.
     """
-    z, dz, d2z = _zeta_sums(alphas, xmins, derivatives=True)
+    z, dz, d2z = sums
     ratio = dz / z
     return ratio + mean_logs, d2z / z - ratio * ratio
 
@@ -277,41 +300,50 @@ def _mle_alphas(xmins, ntails, sumlogs):
     A candidate whose score does not change sign over the bracket is pinned
     at the end where its likelihood peaks.  The score rises with alpha, so
     the sign at the starting point, the continuous-data MLE, names the one
-    end that can pin it, and only that end is scored, once per distinct
-    (end, xmin) pair among the candidates.  The others run
-    safeguarded Newton steps on the score in lockstep from the start: a step
-    that would leave the bracket of the root is replaced by bisection, and a
-    candidate stops once its step is below ``ALPHA_TOL``.
+    end that can pin it.  The starting points and both bracket ends of
+    every distinct xmin are scored in one :func:`_zeta_sums` call.  The
+    others run safeguarded Newton steps on the score in lockstep from the
+    start: a step that would leave the bracket of the root is replaced by
+    bisection, and a candidate stops once its step is below ``ALPHA_TOL``.
     """
     m = xmins.size
     mean_logs = sumlogs / ntails
     start = 1.0 + ntails / (sumlogs - ntails * np.log(xmins - 0.5))
     alphas = np.clip(start, ALPHA_LO, ALPHA_HI)
-    g, slope = _score(alphas, xmins, mean_logs)
+    # zeta'/zeta at a bracket end depends on (end, xmin) alone: both ends are
+    # scored once per distinct xmin, in the starting points' call.
+    distinct, pair = np.unique(xmins, return_inverse=True)
+    ends = np.repeat([ALPHA_LO, ALPHA_HI], distinct.size)
+    sums = _zeta_sums(
+        np.concatenate([alphas, ends]), np.concatenate([xmins, distinct, distinct]),
+        derivatives=True,
+    )
+    g, slope = _score([d[:m] for d in sums], mean_logs)
+    low_end, high_end = (sums[1][m:] / sums[0][m:]).reshape(2, -1)
     rising = g >= 0.0
-    # zeta'/zeta at a bracket end depends on (end, xmin) alone: once per pair.
-    pairs, pair = np.unique(np.where(rising, xmins, -xmins), return_inverse=True)
-    ends = np.where(pairs > 0.0, ALPHA_LO, ALPHA_HI)
-    z, dz, _ = _zeta_sums(ends, np.abs(pairs), derivatives=True)
-    g_end = (dz / z)[pair] + mean_logs
+    g_end = np.where(rising, low_end[pair], high_end[pair]) + mean_logs
     pinned = np.where(rising, g_end >= 0.0, g_end <= 0.0)
-    alphas[pinned] = ends[pair[pinned]]
-    lo = np.full(m, ALPHA_LO)
-    hi = np.full(m, ALPHA_HI)
+    alphas[pinned] = np.where(rising[pinned], ALPHA_LO, ALPHA_HI)
     active = np.flatnonzero(~pinned)
     g, slope = g[active], slope[active]
+    lo = np.full(active.size, ALPHA_LO)
+    hi = np.full(active.size, ALPHA_HI)
     while active.size:
         current = alphas[active]
         below = g < 0.0
-        lo[active] = np.where(below, current, lo[active])
-        hi[active] = np.where(below, hi[active], current)
+        lo = np.where(below, current, lo)
+        hi = np.where(below, hi, current)
         step = current - g / slope
-        inside = (step > lo[active]) & (step < hi[active])
-        step = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
+        inside = (step > lo) & (step < hi)
+        step = np.where(inside, step, 0.5 * (lo + hi))
         alphas[active] = step
-        active = active[np.abs(step - current) >= ALPHA_TOL]
+        moving = np.abs(step - current) >= ALPHA_TOL
+        active, lo, hi = active[moving], lo[moving], hi[moving]
         if active.size:
-            g, slope = _score(alphas[active], xmins[active], mean_logs[active])
+            g, slope = _score(
+                _zeta_sums(alphas[active], xmins[active], derivatives=True),
+                mean_logs[active],
+            )
     return alphas
 
 
@@ -370,7 +402,10 @@ def _ks_distances(uniq, ntails, cand, ends, alphas, threshold=None, cells=None):
     candidate's cells (its tail values) are laid end to end, and its
     distance is their maximum.  Cell j needs zeta at u_j + 1 and at u_{j+1},
     which is the next cell's zeta at u_j, so one zeta evaluation per cell
-    serves both; the candidate's normalization is its first cell's.
+    serves both; the candidate's normalization is its first cell's.  Values
+    below the summation horizon are read from a :func:`_near_table`; a
+    candidate's values are at least its xmin, so only the rows of
+    candidates whose xmin lies below the horizon are built.
 
     With no ``threshold`` every cell is scanned in one round.  With one,
     the scan decides only whether each sample's least distance is ``>=
@@ -389,7 +424,9 @@ def _ks_distances(uniq, ntails, cand, ends, alphas, threshold=None, cells=None):
     pass.
     """
     lengths = ends - cand
-    table = _near_table(alphas)
+    near = uniq[cand] < int(np.ceil(_ZETA_HORIZON))
+    table = np.empty((cand.size, _TERMS.size))
+    table[near] = _near_table(alphas[near])
     norm = np.empty(cand.size)
     tail_size = ntails[cand].astype(np.float64)
     best = np.zeros(cand.size)
@@ -545,10 +582,11 @@ def _replicate_batches(fit: PowerLawFit, x: np.ndarray, replicates: int, seed: i
     its k tail uniforms.  Every batch but the last holds B replicates, B
     fixed once from the observed sample's U distinct values: U (U + 1) / 2
     cells, a bound on the candidate-by-tail-value pairs of a KS pass, plus U
-    rows of ``_ZETA_HORIZON`` direct-sum terms per Newton step, fit B times
-    in ``_BATCH_CELLS`` (and B >= 1).  A batch's uniforms go through one
-    draw of the shared sampler into each row's last k cells, and the batch
-    is sorted once.
+    rows of ``_ZETA_HORIZON`` direct-sum terms per Newton step, a bound too
+    since a candidate whose xmin lies at or past the horizon sums none, fit
+    B times in ``_BATCH_CELLS`` (and B >= 1).  A batch's uniforms go through
+    one draw of the shared sampler into each row's last k cells, and the
+    batch is sorted once.
     """
     n = x.size
     below = x[x < fit.xmin]
@@ -565,7 +603,8 @@ def _replicate_batches(fit: PowerLawFit, x: np.ndarray, replicates: int, seed: i
         for row, child in zip(rows, batch):
             rng = np.random.Generator(np.random.PCG64(child))
             k = int(rng.binomial(n, p_tail))
-            row[: n - k] = rng.choice(below, size=n - k, replace=True)
+            # What rng.choice(below, n - k) draws, without its call overhead.
+            row[: n - k] = below[rng.integers(0, below.size, size=n - k)]
             uniforms.append(rng.random(k))
         tails = np.array([u.size for u in uniforms])
         rows[np.arange(n) >= n - tails[:, None]] = sampler.draw(np.concatenate(uniforms))
@@ -995,14 +1034,17 @@ class _Sampler:
     draws do not depend on how far the table has grown or on which other
     uniforms share a draw.
 
-    A guide table (Chen & Asau, AIIE Trans. 6, 1974) holds the table's
-    insertion point of every bucket edge ``j / _GUIDE``.  A uniform's bucket
-    is ``floor(u * _GUIDE)``, exact since ``_GUIDE`` is a power of two, and
+    A guide table (Chen & Asau, AIIE Trans. 6, 1974) has one entry per
+    bucket ``[j / _GUIDE, (j + 1) / _GUIDE)``.  A uniform's bucket is
+    ``floor(u * _GUIDE)``, exact since ``_GUIDE`` is a power of two, and
     ``searchsorted`` is monotone, so where a bucket's two edges share an
-    insertion point every uniform in it has that one: it is read off the
-    guide.  Only uniforms in a bucket holding a CDF step are searched, and
-    each draw is the integer a search of every uniform returns.  The guide
-    is built by the first draw after the table last grew.
+    insertion point inside the table every uniform in it has that one: the
+    guide holds the draw itself, xmin plus that insertion point.  It holds
+    -1 for a bucket holding a CDF step or reaching past the table's last
+    entry.  A draw reads every uniform's entry with one gather; only the
+    -1s are searched, and only they can lie beyond the table.  Each draw is
+    the integer a search of every uniform returns.  The guide is built by
+    the first draw after the table last grew.
     """
 
     def __init__(self, alpha: float, xmin: int) -> None:
@@ -1024,19 +1066,21 @@ class _Sampler:
     def draw(self, u: np.ndarray) -> np.ndarray:
         while self.can_grow and self.cdf[-1] < u.max(initial=0.0):
             self._grow(2 * self.cdf.size)
+        size = self.cdf.size
         if self.guide is None:
             grid = np.arange(_GUIDE + 1) / _GUIDE
             edges = np.searchsorted(self.cdf, grid, side="right")
-            self.guide, self.stepped = edges[:-1], edges[1:] != edges[:-1]
-        bucket = (u * _GUIDE).astype(np.intp)
-        draws = self.guide[bucket]
-        search = np.flatnonzero(self.stepped[bucket])
-        draws[search] = np.searchsorted(self.cdf, u[search], side="right")
-        draws += self.xmin
-        end = self.xmin + self.cdf.size
-        beyond = np.flatnonzero(draws >= end)
+            searched = (edges[1:] != edges[:-1]) | (edges[:-1] == size)
+            self.guide = np.where(searched, -1, edges[:-1] + self.xmin)
+        draws = self.guide[(u * _GUIDE).astype(np.intp)]
+        search = np.flatnonzero(draws < 0)
+        found = np.searchsorted(self.cdf, u[search], side="right")
+        beyond = np.flatnonzero(found == size)
+        found += self.xmin
         if beyond.size:
-            draws[beyond] = _invert_beyond(self.alpha, self.z, u[beyond], end - 1)
+            found[beyond] = _invert_beyond(
+                self.alpha, self.z, u[search[beyond]], self.xmin + size - 1)
+        draws[search] = found
         return draws
 
 

@@ -38,7 +38,15 @@ from asnkit import (
     fit_power_law,
 )
 from asnkit.corpus import _parse
-from asnkit.powerlaw import _MAX_TABLE, _invert_beyond, _zeta_sums
+from asnkit.powerlaw import (
+    _MAX_TABLE,
+    _ZETA_HORIZON,
+    ALPHA_HI,
+    ALPHA_LO,
+    ALPHA_TOL,
+    _invert_beyond,
+    _zeta_sums,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -1367,6 +1375,141 @@ def grid_fit(data):
     best = int(np.argmin(distances))
     return (float(alphas[best]), int(uniq[cand[best]]), float(distances[best]),
             int(ntails[best]))
+
+
+# The fit kernel's zeta sums and Newton solve before they skipped work past
+# the summation horizon: every direct sum a full row of masked terms, the
+# start and the one bracket end that can pin a candidate scored in two
+# summations.  asnkit's kernels must equal these bit for bit.
+
+
+def reference_em_tail(
+    s: np.ndarray, a: np.ndarray, derivatives: bool = False
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Euler-Maclaurin estimate of sum_{k>=0} (a+k)^-s for large a.
+
+    Returns ``a^-s``, the first term of the sum, and ``[value]``, or
+    ``[value, d/ds, d2/ds2]`` with ``derivatives``.
+    """
+    inv = 1.0 / a
+    a_pow = a ** (-s)
+    head = a * a_pow / (s - 1.0)
+    total = head + 0.5 * a_pow
+    term = s * a_pow * inv
+    bernoulli = []
+    for step, denom in enumerate((12.0, -720.0, 30240.0, -1209600.0)):
+        if step:
+            term = term * (s + (2 * step - 1)) * (s + 2 * step) * inv * inv
+        part = term / denom
+        total = total + part
+        if derivatives:
+            bernoulli.append(part)
+    if not derivatives:
+        return a_pow, [total]
+
+    # Every term is c(s) * a^-(s+j), so its first s-derivative is the term
+    # times r = (log c)' - log a and its second the term times r^2 + (log c)''.
+    # c is a / (s-1) for the head, constant for the half term, and
+    # const * s (s+1) ... (s+2 step) for the Bernoulli terms.
+    log_a = np.log(a)
+    head_rate = -1.0 / (s - 1.0) - log_a
+    first = head * head_rate - 0.5 * a_pow * log_a
+    second = head * (head_rate**2 + 1.0 / (s - 1.0) ** 2) + 0.5 * a_pow * log_a**2
+    recip = 1.0 / (s + np.arange(7.0).reshape((7,) + (1,) * np.ndim(s)))
+    rates = np.cumsum(recip, axis=0)[::2] - log_a
+    bends = -np.cumsum(recip * recip, axis=0)[::2]
+    bernoulli = np.stack(bernoulli)
+    first = first + (bernoulli * rates).sum(axis=0)
+    second = second + (bernoulli * (rates * rates + bends)).sum(axis=0)
+    return a_pow, [total, first, second]
+
+
+def reference_zeta_sums(
+    s: np.ndarray, q: np.ndarray, derivatives: bool = False
+) -> list[np.ndarray]:
+    """Hurwitz zeta ``sum_{k>=0} (q+k)^-s`` of equal-shape float arrays, s in
+    ``[ALPHA_LO, ALPHA_HI]`` and q > 0, with its first two s-derivatives
+    when ``derivatives`` is set (see :func:`reference_em_tail`).
+
+    One direct sum of the terms ``(q+k)^-s`` below ``_ZETA_HORIZON``, each
+    also weighted by ``-log(q+k)`` and ``log^2(q+k)`` for the derivatives,
+    plus the Euler-Maclaurin tail beyond it.  Every direct sum is a row
+    ``ceil(_ZETA_HORIZON)`` terms wide, the terms at or past the horizon
+    masked to zero, so its rounding depends on its own (s, q) alone.
+    """
+    n_terms = np.maximum(0.0, np.ceil(_ZETA_HORIZON - q))
+    _, sums = reference_em_tail(s, q + n_terms, derivatives)
+    k = np.arange(np.ceil(_ZETA_HORIZON))
+    base = q[..., None] + k
+    powers = base ** (-s[..., None])
+    powers *= k < n_terms[..., None]
+    sums[0] = powers.sum(axis=-1) + sums[0]
+    if derivatives:
+        neg_logs = np.negative(np.log(base, out=base), out=base)
+        for d in (1, 2):
+            powers *= neg_logs
+            sums[d] = sums[d] + powers.sum(axis=-1)
+    return sums
+
+
+def _reference_score(alphas, xmins, mean_logs):
+    """Score of the tail log-likelihood per observation, and its slope.
+
+    The log-likelihood ``-n log zeta(alpha, xmin) - alpha sum(log x)`` has
+    derivative ``-n * g`` with ``g = zeta'/zeta + mean(log x)``.  g rises
+    strictly with alpha (its slope is the variance of log k under the fitted
+    law), so the likelihood is strictly concave and g has at most one root.
+    """
+    z, dz, d2z = reference_zeta_sums(alphas, xmins, derivatives=True)
+    ratio = dz / z
+    return ratio + mean_logs, d2z / z - ratio * ratio
+
+
+def reference_mle_alphas(xmins, ntails, sumlogs):
+    """Per-candidate MLE exponents in ``[ALPHA_LO, ALPHA_HI]``.
+
+    Every zeta sum depends only on its own candidate, so a candidate's
+    exponent does not depend on the others solved with it.
+
+    A candidate whose score does not change sign over the bracket is pinned
+    at the end where its likelihood peaks.  The score rises with alpha, so
+    the sign at the starting point, the continuous-data MLE, names the one
+    end that can pin it, and only that end is scored, once per distinct
+    (end, xmin) pair among the candidates.  The others run
+    safeguarded Newton steps on the score in lockstep from the start: a step
+    that would leave the bracket of the root is replaced by bisection, and a
+    candidate stops once its step is below ``ALPHA_TOL``.
+    """
+    m = xmins.size
+    mean_logs = sumlogs / ntails
+    start = 1.0 + ntails / (sumlogs - ntails * np.log(xmins - 0.5))
+    alphas = np.clip(start, ALPHA_LO, ALPHA_HI)
+    g, slope = _reference_score(alphas, xmins, mean_logs)
+    rising = g >= 0.0
+    # zeta'/zeta at a bracket end depends on (end, xmin) alone: once per pair.
+    pairs, pair = np.unique(np.where(rising, xmins, -xmins), return_inverse=True)
+    ends = np.where(pairs > 0.0, ALPHA_LO, ALPHA_HI)
+    z, dz, _ = reference_zeta_sums(ends, np.abs(pairs), derivatives=True)
+    g_end = (dz / z)[pair] + mean_logs
+    pinned = np.where(rising, g_end >= 0.0, g_end <= 0.0)
+    alphas[pinned] = ends[pair[pinned]]
+    lo = np.full(m, ALPHA_LO)
+    hi = np.full(m, ALPHA_HI)
+    active = np.flatnonzero(~pinned)
+    g, slope = g[active], slope[active]
+    while active.size:
+        current = alphas[active]
+        below = g < 0.0
+        lo[active] = np.where(below, current, lo[active])
+        hi[active] = np.where(below, hi[active], current)
+        step = current - g / slope
+        inside = (step > lo[active]) & (step < hi[active])
+        step = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
+        alphas[active] = step
+        active = active[np.abs(step - current) >= ALPHA_TOL]
+        if active.size:
+            g, slope = _reference_score(alphas[active], xmins[active], mean_logs[active])
+    return alphas
 
 
 # The draw asnkit's sampler made before its guide table: a binary search of

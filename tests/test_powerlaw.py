@@ -35,7 +35,9 @@ from asnkit.powerlaw import (
     ALPHA_TOL,
     LrtResult,
     PowerLawFit,
+    _ZETA_HORIZON,
     _Sampler,
+    _em_tail,
     _fit_rows,
     _ks_distances,
     _mle_alphas,
@@ -57,7 +59,10 @@ from oracles import (
     parse_corpus,
     reference_bootstrap,
     reference_draws,
+    reference_em_tail,
     reference_lognormal_tail_loglik,
+    reference_mle_alphas,
+    reference_zeta_sums,
     sample_discrete_powerlaw,
     tail_candidates,
 )
@@ -328,6 +333,74 @@ class TestMatchesGridFitter:
             jump_ks_oracle(tail, fit.alpha, fit.xmin), abs=1e-9)
 
 
+#: Exponents across the fit bracket, both ends included.
+KERNEL_S = np.linspace(ALPHA_LO, ALPHA_HI, 41)
+
+#: Arguments q of the zeta from 0.1 to 1e6, integer and not, on either side
+#: of the summation horizon and on it.
+KERNEL_Q = np.unique(np.concatenate([
+    [0.1, 0.5, 0.999, 35.0, 35.5, 36.0, 37.0, 1e6],
+    np.arange(1.0, 80.0), np.arange(1.0, 80.0) + 0.25,
+    np.geomspace(0.1, 1e6, 120), np.unique(np.geomspace(1.0, 1e6, 120).round()),
+]))
+
+
+class TestKernelsMatchTheReference:
+    """The zeta sums and the Newton solve against the kernels of
+    ``tests/oracles.py`` that summed every row in full, bit for bit."""
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    def test_zeta_sums(self, derivatives):
+        s, q = np.meshgrid(KERNEL_S, KERNEL_Q)
+        for shape in (s.shape, (s.size,)):
+            self.assert_same(
+                _zeta_sums(s.reshape(shape), q.reshape(shape), derivatives),
+                reference_zeta_sums(s.reshape(shape), q.reshape(shape), derivatives))
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    def test_em_tail(self, derivatives):
+        s, a = np.meshgrid(KERNEL_S, KERNEL_Q[KERNEL_Q >= _ZETA_HORIZON])
+        for shape in (s.shape, (s.size,)):
+            (first, sums), (ref_first, ref_sums) = (
+                tail(s.reshape(shape), a.reshape(shape), derivatives)
+                for tail in (_em_tail, reference_em_tail))
+            assert np.array_equal(first, ref_first)
+            self.assert_same(sums, ref_sums)
+        # A column of exponents against one argument, as the near table asks.
+        column, horizon = KERNEL_S[:, None], np.float64(np.ceil(_ZETA_HORIZON))
+        self.assert_same(_em_tail(column, horizon, derivatives)[1],
+                         reference_em_tail(column, horizon, derivatives)[1])
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    def test_a_value_at_or_past_the_horizon_is_its_tail_alone(self, derivatives):
+        s, q = np.meshgrid(KERNEL_S, KERNEL_Q[KERNEL_Q >= _ZETA_HORIZON])
+        assert q.min() == _ZETA_HORIZON
+        self.assert_same(_zeta_sums(s, q, derivatives), _em_tail(s, q, derivatives)[1])
+
+    @pytest.mark.parametrize("name", ["fit-bootstrap-zipf", "fit-bootstrap-powerlaw",
+                                      "fit-bootstrap-lognormal", "ingest-large-sized"])
+    def test_mle_alphas_on_bootstrap_candidates(self, name):
+        # Every candidate of the first batches of seeded replicates, solved
+        # in lockstep, and two pinned at the bracket ends.
+        _, _, batches = staged_batches(name)
+        parts = [tail_candidates(row) for rows, _ in batches for row in rows[:25]]
+        xmins = np.concatenate(
+            [uniq[cand] for uniq, _, cand, _, _ in parts] + [[1, 13]]).astype(np.float64)
+        ntails = np.concatenate([part[3] for part in parts] + [[10, 2353]])
+        sumlogs = np.concatenate(
+            [part[4] for part in parts] + [[1500.0, 2353 * math.log(13.5)]])
+        alphas = _mle_alphas(xmins, ntails, sumlogs)
+        assert np.array_equal(alphas, reference_mle_alphas(xmins, ntails, sumlogs))
+        assert alphas[-2:].tolist() == [ALPHA_LO, ALPHA_HI]
+        assert np.count_nonzero((alphas > ALPHA_LO) & (alphas < ALPHA_HI)) > 100
+
+
 def sampler_draws(alpha, xmin, size, seed):
     """``size`` draws of the bootstrap's sampler; ``seed`` is an integer or a
     Generator."""
@@ -481,6 +554,36 @@ class TestGuideTable:
         batch = sampler.draw(np.concatenate([others[:100], u, others[100:]]))
         assert batch[100:103].tolist() == expected
         assert sampler.cdf.size == 510
+
+    @pytest.mark.parametrize("alpha", [6.0, 1.5])
+    def test_one_draw_mixes_every_kind_of_uniform(self, alpha):
+        # Uniforms read off the guide, uniforms in buckets holding a table
+        # step, and uniforms at or past the table's last entry, shuffled
+        # into one draw of a fresh sampler.
+        grown = _Sampler(alpha, 1)
+        grown.draw(np.array([np.nextafter(1.0, 0.0)]))
+        last = grown.cdf[-1]
+        steps = grown.cdf[grown.cdf < last][:: max(1, grown.cdf.size // 2000)]
+        rng = np.random.default_rng(35)
+        u = np.concatenate([
+            rng.random(3000) * last,
+            steps, np.nextafter(steps, 1.0), np.nextafter(steps, 0.0),
+            [last, np.nextafter(last, 1.0), np.nextafter(1.0, 0.0)],
+            last + rng.random(20) * (1.0 - last),
+        ])
+        u = rng.permutation(u[u < 1.0])
+        sampler = _Sampler(alpha, 1)
+        draws = sampler.draw(u)
+        assert np.array_equal(draws, reference_draws(alpha, 1, u))
+        assert np.array_equal(sampler.cdf, grown.cdf)
+        bucket = (u * _GUIDE).astype(np.intp)
+        edges = np.searchsorted(sampler.cdf, np.arange(_GUIDE + 1) / _GUIDE, side="right")
+        stepped = edges[bucket + 1] != edges[bucket]
+        beyond = u >= last
+        assert np.count_nonzero(~stepped & ~beyond) > 1000
+        assert np.count_nonzero(stepped & ~beyond) > 100
+        assert np.count_nonzero(beyond) >= 20
+        assert np.all(draws[beyond] > sampler.cdf.size)
 
 
 class TestBootstrap:

@@ -25,10 +25,12 @@ the run's wall time and peak RSS.  It then checks
 * the first century's power-law fit and bootstrap p-value as written in
   ``powerlaw_11.json`` against ``fit_power_law`` and the per-replicate
   ``reference_bootstrap`` of ``tests/oracles.py`` (total degree, seed 0,
-  100 replicates), exactly: at this scale the bootstrap's staged KS scan
-  stops earliest, and its p-value must still be the full scan's.  The
-  reference draws its replicates by the plain binary search of
-  ``reference_draws``, not by the sampler's guide table.
+  100 replicates), exactly, and the same fit and p-value of its in- and
+  out-degrees from ``bootstrap_pvalue`` against the reference: at this
+  scale the bootstrap's staged KS scan stops earliest, most candidates lie
+  past the zeta's summation horizon, and every p-value must still be the
+  full scan's.  The reference draws its replicates by the plain binary
+  search of ``reference_draws``, not by the sampler's guide table.
 
 Exits 1 on any failed check, or when ``analyze`` takes longer than
 ``CEILING_S``.  ``analyze_bundle`` holds one century's all-pairs distances,
@@ -103,21 +105,32 @@ def topology_failures(asn, summary: dict) -> list[str]:
 
 
 def pvalue_failures(asn, written: dict) -> list[str]:
-    """The written fit and p-value against the per-replicate reference."""
-    from asnkit import degree_sequences, fit_power_law
+    """The written total-degree fit and p-value, and the in- and out-degree
+    ones from ``bootstrap_pvalue``, against the per-replicate reference."""
+    from asnkit import bootstrap_pvalue, degree_sequences, fit_power_law
     from oracles import reference_bootstrap
 
-    # ``analyze``'s defaults: total degree, zeros dropped, seed 0
-    data = [d for d in degree_sequences(asn)["total"] if d > 0]
-    start = time.perf_counter()
-    expected, _ = reference_bootstrap(fit_power_law(data), data, REPLICATES, 0)
-    print(f"reference bootstrap: {time.perf_counter() - start:.1f} s; xmin "
-          f"{expected.xmin}, n_tail {expected.n_tail}, p {expected.p_value}")
-    return [
-        f"powerlaw {key} {written.get(key)!r} != {getattr(expected, key)!r}"
-        for key in ("alpha", "xmin", "ks", "n_tail", "p_value", "replicates")
-        if written.get(key) != getattr(expected, key)
-    ]
+    failures = []
+    for variable, sequence in degree_sequences(asn).items():
+        # ``analyze``'s defaults: zeros dropped, seed 0
+        data = [d for d in sequence if d > 0]
+        fit = fit_power_law(data)
+        start = time.perf_counter()
+        expected, _ = reference_bootstrap(fit, data, REPLICATES, 0)
+        print(f"reference bootstrap, {variable} degree: "
+              f"{time.perf_counter() - start:.1f} s; xmin {expected.xmin}, "
+              f"n_tail {expected.n_tail}, p {expected.p_value}")
+        if variable == "total":
+            got = written
+        else:
+            got = vars(bootstrap_pvalue(fit, data, REPLICATES, 0))
+        failures += [
+            f"powerlaw {variable} degree {key} {got.get(key)!r} != "
+            f"{getattr(expected, key)!r}"
+            for key in ("alpha", "xmin", "ks", "n_tail", "p_value", "replicates")
+            if got.get(key) != getattr(expected, key)
+        ]
+    return failures
 
 
 def main() -> int:
