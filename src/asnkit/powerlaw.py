@@ -1088,8 +1088,8 @@ def ccdf_rows(data, fit: PowerLawFit | None = None) -> list[dict]:
     """Empirical CCDF P(X >= x) at each distinct value, with model overlay.
 
     When a fit is given, rows at ``x >= xmin`` also carry the fitted tail
-    CCDF scaled by the tail fraction ``n_tail / n`` so both curves are
-    directly comparable on one plot.
+    CCDF scaled by the data's own share of observations at or above ``xmin``
+    (``n_tail / n`` for a fit of the same data): the empirical CCDF at xmin.
     """
     x = _as_positive_ints(data)
     uniq, counts = np.unique(x, return_counts=True)
@@ -1101,7 +1101,7 @@ def ccdf_rows(data, fit: PowerLawFit | None = None) -> list[dict]:
             # zeta at xmin, the normalization, then at each tail value.
             q = np.append(fit.xmin, uniq[sel]).astype(np.float64)
             (zetas,) = _zeta_sums(np.full(q.size, fit.alpha), q)
-            scale = fit.n_tail / x.size
+            scale = cum_ge[sel][0] / x.size
             for v, ccdf in zip(uniq[sel], zetas[1:] / zetas[0] * scale):
                 fitted[int(v)] = float(ccdf)
     return [

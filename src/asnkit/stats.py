@@ -11,14 +11,16 @@ The projection is one symmetric 0/1 CSR matrix ``A`` over the nodes in
 ``connected_components``.  The distances inside the largest component come
 from a bit-parallel breadth-first search that walks 512 sources at once, one
 bit per source in each node's row of ``uint64`` words (Then et al., "The More
-the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014).
+the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014); each
+level's newly reached bits are counted with ``np.bitwise_count``.
 A node's triangles are the edges among its neighbours, each edge oriented from
 lower to higher (degree, index) rank and so counted once; no node then has
 more than sqrt(2 |E|) out-neighbours (Chiba & Nishizeki, "Arboricity and
-subgraph listing algorithms", SIAM J. Comput. 14(1), 1985).  Distances, path-length sums and triangle counts are
-integers, and the per-node clustering ratios are summed exactly
-(``math.fsum``), so a summary depends on the network alone: not on the order
-of the sentences it was aggregated from, nor on the Python version.
+subgraph listing algorithms", SIAM J. Comput. 14(1), 1985).  Distances,
+path-length sums and triangle counts are integers, and the per-node
+clustering ratios are summed exactly (``math.fsum``), so a summary depends on
+the network alone: not on the order of the sentences it was aggregated from,
+nor on the Python version.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ __all__ = [
 #: Sources per breadth-first batch, packed as up to 8 ``uint64`` words per
 #: node.
 _BATCH = 512
-
-#: Set bits of each byte value.  numpy's own popcount ufunc needs numpy 2.0,
-#: above the declared floor of 1.24.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -80,11 +78,6 @@ def _projection(asn: Asn) -> sparse.csr_matrix:
     )
     adjacency.data[:] = 1
     return adjacency
-
-
-def _popcount(words: np.ndarray) -> int:
-    """Number of set bits in a C-contiguous array of ``uint64`` words."""
-    return int(np.bincount(words.view(np.uint8).ravel(), minlength=256) @ _POPCOUNT)
 
 
 def _triangles(adjacency: sparse.csr_matrix) -> np.ndarray:
@@ -147,7 +140,8 @@ def _path_lengths(component: sparse.csr_matrix) -> tuple[int, int]:
     Breadth-first search from up to ``_BATCH`` sources at once: bit ``k`` of
     a node's row is set once the batch's ``k``-th source reaches it, and one
     level ORs the frontier rows of each node's neighbours.  The nodes a
-    source reaches first at level ``l`` lie ``l`` hops from it.
+    source reaches first at level ``l`` lie ``l`` hops from it, so each
+    level adds ``l`` times the frontier's set bits (``np.bitwise_count``).
     """
     m = component.shape[0]
     indices = component.indices
@@ -168,7 +162,7 @@ def _path_lengths(component: sparse.csr_matrix) -> tuple[int, int]:
             level += 1
             reached = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
             frontier = reached & ~seen
-            count = _popcount(frontier)
+            count = int(np.bitwise_count(frontier).sum())
             if count == 0:
                 break
             total += level * count

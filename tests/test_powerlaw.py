@@ -1182,6 +1182,17 @@ class TestCcdf:
         anchor = rows[fit.xmin]["fitted_ccdf"]
         assert anchor == pytest.approx(fit.n_tail / len(data), rel=1e-12)
 
+    def test_fit_of_other_data_is_anchored_at_this_data_tail(self):
+        # 300 tail points in the fit against 100 observations here, so the
+        # fit's own tail share n_tail / n would be 3.
+        fit = fit_power_law(tail_with_noise())
+        data = tail_with_noise(n_tail=60, n_noise=40, seeds=(5, 6))
+        assert fit.n_tail > len(data)
+        rows = {r["x"]: r for r in ccdf_rows(data, fit)}
+        fitted = [r["fitted_ccdf"] for r in rows.values() if r["fitted_ccdf"] is not None]
+        assert fitted and all(f <= 1.0 for f in fitted)
+        assert rows[fit.xmin]["fitted_ccdf"] == rows[fit.xmin]["empirical_ccdf"]
+
     def test_works_without_a_fit(self):
         rows = ccdf_rows([1, 1, 2, 3], None)
         assert [r["fitted_ccdf"] for r in rows] == [None, None, None]

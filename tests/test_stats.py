@@ -211,6 +211,20 @@ class TestKernelsAgainstReferences:
         degrees = np.diff(adjacency.indptr)
         assert m > _BATCH and degrees.max() > 10 * np.median(degrees)
 
+    def test_component_filling_whole_batches(self):
+        # a random tree on 2 * _BATCH nodes plus random chords, so the last
+        # batch is full and ends on a whole 64-bit word; a second component
+        # and isolated nodes sit beside it
+        rng = np.random.default_rng(20261023)
+        m = 2 * _BATCH
+        parent = (rng.random(m - 1) * np.arange(1, m)).astype(np.int64)
+        src = np.concatenate([np.arange(1, m), rng.integers(0, m, m // 2)])
+        dst = np.concatenate([parent, rng.integers(0, m, m // 2)])
+        arcs = [(f"n{u}", f"n{v}", 1) for u, v in zip(src.tolist(), dst.tolist())]
+        arcs += [("x", "y", 1), ("y", "z", 1)]
+        _, count, size = self.check_kernels(make_asn(arcs, isolated=["i1", "i2"]))
+        assert (count, size) == (4, m)
+
     def test_two_node_largest_component(self):
         asn = make_asn([("a", "b", 1), ("b", "a", 2), ("a", "a", 1),
                         ("x", "y", 1)], isolated=["z"])

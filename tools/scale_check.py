@@ -53,7 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CENTURIES = tuple(range(11, 18))
 
-#: About five times the 12-16 s the run took on a 2-CPU x86-64 VM (228 MB
+#: Six to eight times the 10-13 s the run took on a 2-CPU x86-64 VM (226 MB
 #: peak RSS).  Raising it to let a slower change pass defeats the check.
 CEILING_S = 80.0
 
