@@ -96,10 +96,9 @@ _MAX_TABLE = 1 << 20
 #: uniform's bucket is exact (see :class:`_Sampler`).
 _GUIDE = 1 << 14
 
-#: Work budget of one lockstep batch of bootstrap fits, in KS cells and
-#: Newton direct-sum terms, both counted by an upper bound (see
-#: :func:`_replicate_batches`).
-_BATCH_CELLS = 32_768
+#: Work budget of one lockstep batch of bootstrap fits, in Newton direct-sum
+#: terms (see :func:`_replicate_batches`).
+_BATCH_TERMS = 32_768
 
 #: Cells per candidate in the first round of the bootstrap's KS scan, and the
 #: factor by which each later round widens it (see :func:`_ks_distances`).
@@ -580,21 +579,20 @@ def _replicate_batches(fit: PowerLawFit, x: np.ndarray, replicates: int, seed: i
     Replicate i draws from its own ``SeedSequence(seed).spawn`` child, in
     order, its tail size k, its n - k points resampled from below xmin and
     its k tail uniforms.  Every batch but the last holds B replicates, B
-    fixed once from the observed sample's U distinct values: U (U + 1) / 2
-    cells, a bound on the candidate-by-tail-value pairs of a KS pass, plus U
-    rows of ``_ZETA_HORIZON`` direct-sum terms per Newton step, a bound too
-    since a candidate whose xmin lies at or past the horizon sums none, fit
-    B times in ``_BATCH_CELLS`` (and B >= 1).  A batch's uniforms go through
-    one draw of the shared sampler into each row's last k cells, and the
-    batch is sorted once.
+    fixed once from the observed sample's U distinct values: each replicate
+    is charged a Newton step's direct sums, ``_TERMS.size`` terms for each
+    of U candidates (one whose xmin lies at or past the horizon sums none),
+    and B replicates fit in ``_BATCH_TERMS`` (B >= 1).  A batch whose
+    replicates all scan every KS cell scans B U (U + 1) / 2 cells, about
+    455 U, and one replicate's for U >= 910, where B is 1.  A batch's
+    uniforms go through one draw of the shared sampler into each row's last
+    k cells, and the batch is sorted once.
     """
     n = x.size
     below = x[x < fit.xmin]
     p_tail = fit.n_tail / n
     sampler = _Sampler(fit.alpha, fit.xmin)
-    distinct = np.unique(x).size
-    cost = distinct * (distinct + 1) // 2 + distinct * int(np.ceil(_ZETA_HORIZON))
-    size = max(1, _BATCH_CELLS // cost)
+    size = max(1, _BATCH_TERMS // (np.unique(x).size * _TERMS.size))
     children = np.random.SeedSequence(seed).spawn(replicates)
     for first in range(0, replicates, size):
         batch = children[first : first + size]
@@ -656,7 +654,7 @@ def bootstrap_pvalue(
             f"but the data hold {tail} observations >= {fit.xmin}"
         )
 
-    exceed = kept = batches = 0
+    exceed = kept = batches = size = 0
     cells = [0, 0]  # KS cells scanned, and those of a full scan
     for rows in _replicate_batches(fit, x, replicates, seed):
         fits = _fit_rows(rows, fit.ks, cells)
@@ -664,14 +662,15 @@ def bootstrap_pvalue(
         kept += int(np.count_nonzero(fitted))
         exceed += int(np.count_nonzero(fits.ks[fitted] >= fit.ks))
         batches += 1
+        size = max(size, rows.shape[0])  # the first batch is the largest
     discarded = replicates - kept
     if discarded:
         logger.warning(
             "discarded %d of %d degenerate replicates", discarded, replicates
         )
     logger.debug(
-        "bootstrap: %d replicates kept, %d discarded, %d batches, "
-        "%d of %d KS cells evaluated", kept, discarded, batches, *cells,
+        "bootstrap: %d replicates kept, %d discarded, %d batches of %d, "
+        "%d of %d KS cells evaluated", kept, discarded, batches, size, *cells,
     )
     if discarded > 0.1 * replicates:
         raise RuntimeError(

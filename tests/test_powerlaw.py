@@ -28,6 +28,7 @@ from asnkit import (
 )
 from asnkit import powerlaw
 from asnkit.powerlaw import (
+    _BATCH_TERMS,
     _GUIDE,
     _MAX_TABLE,
     ALPHA_HI,
@@ -36,6 +37,7 @@ from asnkit.powerlaw import (
     LrtResult,
     PowerLawFit,
     _ZETA_HORIZON,
+    _TERMS,
     _Sampler,
     _em_tail,
     _fit_rows,
@@ -745,11 +747,38 @@ class TestBatchedBootstrap:
         data = tail_with_noise(2.1, 4, 600, 900)
         fit = fit_power_law(data)
         default = bootstrap_pvalue(fit, data, replicates=100, seed=3)
-        monkeypatch.setattr(powerlaw, "_BATCH_CELLS", 1)
+        monkeypatch.setattr(powerlaw, "_BATCH_TERMS", 1)
         with caplog.at_level(logging.DEBUG, logger="asnkit.powerlaw"):
             single = bootstrap_pvalue(fit, data, replicates=100, seed=3)
         assert single == default
         assert "100 replicates kept, 0 discarded, 100 batches" in caplog.text
+
+    @staticmethod
+    def wide_sample():
+        """A heavy-tailed sample of 166 distinct values, its fit, and the
+        batches of its bootstrap's 100 replicates."""
+        data = np.asarray(sample_discrete_powerlaw(1.6, 1, 2000, seed=0), dtype=np.int64)
+        fit = fit_power_law(data)
+        return data, list(_replicate_batches(fit, data, 100, 0))
+
+    def test_wide_samples_share_batches(self):
+        # The batch budget counts each distinct value's direct-sum row.
+        data, batches = self.wide_sample()
+        u = np.unique(data).size
+        assert u >= 160
+        size = _BATCH_TERMS // (_TERMS.size * u)
+        assert size > 1
+        assert [rows.shape[0] for rows in batches[:-1]] == [size] * (len(batches) - 1)
+        assert sum(rows.shape[0] for rows in batches) == 100
+
+    def test_wide_batches_fit_as_rows_alone(self):
+        _, batches = self.wide_sample()
+        for rows in batches:
+            batched = _fit_rows(rows)
+            alone = [_fit_rows(rows[i : i + 1]) for i in range(rows.shape[0])]
+            for field in range(4):
+                assert np.array_equal(
+                    batched[field], np.concatenate([fits[field] for fits in alone]))
 
     def test_degenerate_replicates_log_one_warning(self, caplog):
         fit = fit_power_law(SOME_DEGENERATE)
@@ -1054,7 +1083,8 @@ class TestStagedScan:
             bootstrap_pvalue(fit, data, 100, 0)
         (line,) = [r.getMessage() for r in caplog.records]
         assert line.startswith(
-            f"bootstrap: 100 replicates kept, 0 discarded, {len(batches)} batches, ")
+            f"bootstrap: 100 replicates kept, 0 discarded, {len(batches)} batches "
+            f"of {batches[0][0].shape[0]}, ")
         evaluated, total = map(int, re.search(
             r", (\d+) of (\d+) KS cells evaluated$", line).groups())
         assert total == full_cells[1]
