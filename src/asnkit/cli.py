@@ -1,12 +1,14 @@
 """Command-line interface for the aggregated-syntactic-network toolkit.
 
 Subcommands cover the whole pipeline: ``validate`` audits treebank files,
-``build``/``export`` construct and serialize per-century networks,
+``export`` constructs and serializes per-century networks,
 ``stats``/``hierarchy``/``powerlaw`` compute per-century reports,
 ``diachrony`` compares centuries, and ``analyze`` runs everything into one
 output bundle with a manifest.  Every subcommand but ``validate`` is a
 selection of stages from one table, so ``analyze`` writes exactly the files
-of the others.  All outputs are deterministic: rerunning a command with the
+of the others.  Each file is written as soon as its stage makes it, and
+``analyze`` writes ``manifest.json`` last, so a bundle without a manifest is
+incomplete.  All outputs are deterministic: rerunning a command with the
 same inputs, configuration, and seed writes byte-identical files.
 
 Exit codes: 0 success, 1 domain failure (invalid trees, empty corpus),
@@ -20,9 +22,9 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -241,12 +243,13 @@ def _meta(cfg: RunConfig, **extra) -> dict:
     return {"seed": cfg.seed, "tool": f"asnkit-{__version__}", **extra}
 
 
-def _load_filtered(cfg: RunConfig) -> tuple[list[CorpusSlice], list[str]]:
-    """Load all inputs, apply the missing policy, and demand a usable corpus."""
+def _load_filtered(cfg: RunConfig) -> tuple[list[_Century], list[str]]:
+    """Load all inputs, apply the missing policy, and demand a usable corpus;
+    returns each century's record and the drop lines."""
     slices = load_corpus(cfg.inputs)
     if not slices:
         raise ValueError("empty corpus: no sentences found")
-    kept: list[CorpusSlice] = []
+    records: list[_Century] = []
     drop_lines: list[str] = []
     for corpus_slice in slices:
         filtered, dropped = filter_slice(corpus_slice, cfg.missing)
@@ -258,22 +261,24 @@ def _load_filtered(cfg: RunConfig) -> tuple[list[CorpusSlice], list[str]]:
         if not filtered.trees:
             raise ValueError(f"empty corpus: century {corpus_slice.century} has no "
                              f"sentences left under policy {cfg.missing!r}")
-        kept.append(filtered)
-    return kept, drop_lines
+        records.append(_Century(cfg, filtered))
+    return records, drop_lines
 
 
 class _Century:
-    """One century's slice and network, with its results computed on demand.
+    """One century's network and deepest tree, with its results computed on
+    demand.  It keeps only what a stage reads, not the slice's token columns,
+    so they can be freed once the network is built.
 
     Each result is computed at most once, and only if a selected stage reads
-    it: ``diachrony`` never runs ``summarize``, ``build`` runs nothing but
+    it: ``diachrony`` never runs ``summarize``, ``export`` runs nothing but
     the aggregation.
     """
 
     def __init__(self, cfg: RunConfig, corpus_slice: CorpusSlice) -> None:
         self.cfg = cfg
-        self.slice = corpus_slice
         self.century = corpus_slice.century
+        self.max_depth = int(corpus_slice.trees.depth.max())
         self.asn = aggregate(corpus_slice.trees)
 
     @cached_property
@@ -295,27 +300,22 @@ class _Century:
 
 # ---------------------------------------------------------------------------
 # Stages: each maps the run config and the century records to
-# ``{filename: text}``.
+# ``(filename, text)`` pairs, yielded one file at a time.
 # ---------------------------------------------------------------------------
 
 
-def _networks(
-    cfg: RunConfig, records: Sequence[_Century], formats: Sequence[str] | None = None
-) -> dict[str, str]:
-    """``asn_<c>.<fmt>`` for every format, ``cfg.formats`` by default."""
+def _networks(cfg: RunConfig, records: Sequence[_Century]) -> Iterator[tuple[str, str]]:
+    """``asn_<c>.<fmt>`` for every format of ``cfg.formats``, each once."""
     writers = {"csv": edge_csv, "dot": to_dot, "graphml": to_graphml}
-    files = {}
     for r in records:
         meta = _meta(cfg, century=r.century)
-        for fmt in cfg.formats if formats is None else formats:
-            files[f"asn_{r.century}.{fmt}"] = writers[fmt](r.asn, metadata=meta)
-    return files
+        for fmt in dict.fromkeys(cfg.formats):
+            yield f"asn_{r.century}.{fmt}", writers[fmt](r.asn, metadata=meta)
 
 
-def _stats(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
-    files = {}
+def _stats(cfg: RunConfig, records: Sequence[_Century]) -> Iterator[tuple[str, str]]:
     for r in records:
-        files[f"summary_{r.century}.json"] = _json_text(
+        yield f"summary_{r.century}.json", _json_text(
             {
                 "century": r.century,
                 "seed": cfg.seed,
@@ -325,20 +325,18 @@ def _stats(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
                 "summary": dataclasses.asdict(r.summary),
             }
         )
-    rows = [(r.century, int(r.slice.trees.depth.max()), r.summary.diameter,
+    rows = [(r.century, r.max_depth, r.summary.diameter,
              r.summary.average_path_length) for r in records]
-    files["depth_vs_diameter.csv"] = csv_table(
+    yield "depth_vs_diameter.csv", csv_table(
         "century,max_tree_depth,diameter,average_path_length", list(zip(*rows)),
         _meta(cfg),
     )
-    return files
 
 
-def _hierarchy(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
-    files = {}
+def _hierarchy(cfg: RunConfig, records: Sequence[_Century]) -> Iterator[tuple[str, str]]:
     for r in records:
         meta = {"seed": cfg.seed, "century": r.century, "weighted": r.levels.weighted}
-        files[f"hierarchy_{r.century}.csv"] = level_csv(r.asn, r.levels, metadata=meta)
+        yield f"hierarchy_{r.century}.csv", level_csv(r.asn, r.levels, metadata=meta)
         payload = {
             **meta,
             "conventions": _CONVENTIONS,
@@ -351,8 +349,7 @@ def _hierarchy(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
             payload["error"] = error
         else:
             payload.update(dataclasses.asdict(stats), residual=r.levels.residual)
-        files[f"hierarchy_stats_{r.century}.json"] = _json_text(payload)
-    return files
+        yield f"hierarchy_stats_{r.century}.json", _json_text(payload)
 
 
 def _powerlaw_payload(cfg: RunConfig, century: int, asn: Asn):
@@ -390,35 +387,32 @@ def _powerlaw_payload(cfg: RunConfig, century: int, asn: Asn):
     return payload, fit, data
 
 
-def _powerlaw(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
-    files = {}
+def _powerlaw(cfg: RunConfig, records: Sequence[_Century]) -> Iterator[tuple[str, str]]:
     for r in records:
         payload, fit, data = _powerlaw_payload(cfg, r.century, r.asn)
-        files[f"powerlaw_{r.century}.json"] = _json_text(payload)
+        yield f"powerlaw_{r.century}.json", _json_text(payload)
         if not data:
             continue
         rows = ccdf_rows(data, fit)
         header = "x,empirical_ccdf,fitted_ccdf"
-        files[f"ccdf_{r.century}.csv"] = csv_table(
+        yield f"ccdf_{r.century}.csv", csv_table(
             header,
             [[row[name] for row in rows] for name in header.split(",")],
             _meta(cfg, century=r.century),
         )
-    return files
 
 
-def _diachrony(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
-    files = {}
+def _diachrony(cfg: RunConfig, records: Sequence[_Century]) -> Iterator[tuple[str, str]]:
     levels = [(r.asn, r.levels) for r in records]
 
     points = [(r.century, None, None) if (s := r.hierarchy[0]) is None
               else (r.century, s.democracy, s.incoherence) for r in records]
-    files["phase_space.csv"] = csv_table(
+    yield "phase_space.csv", csv_table(
         "century,democracy,incoherence", list(zip(*points)), _meta(cfg)
     )
 
     events = detect_emergent_heads(levels, band=cfg.band, min_gain=cfg.min_gain)
-    files["emergent_heads.json"] = _json_text(
+    yield "emergent_heads.json", _json_text(
         {
             "seed": cfg.seed,
             "band": cfg.band,
@@ -444,21 +438,17 @@ def _diachrony(cfg: RunConfig, records: Sequence[_Century]) -> dict[str, str]:
         for t in track(keys, levels)
         for p in t.points
     ]
-    files["trajectories.csv"] = csv_table(
+    yield "trajectories.csv", csv_table(
         "role,lemma,century,present,forward_level,level_rank,frequency,is_head",
         list(zip(*rows)),
         _meta(cfg),
     )
-    return files
 
 
-#: Subcommand -> (help text, stages).  ``analyze`` runs every stage and adds
-#: a manifest of what they wrote.
+#: Subcommand -> (help text, stages).  ``_run`` writes each file as its stage
+#: yields it; ``analyze`` runs every stage, then writes a manifest of what
+#: they wrote.
 _COMMANDS = {
-    "build": (
-        "aggregate per-century networks to CSV edge lists",
-        (partial(_networks, formats=("csv",)),),
-    ),
     "export": ("serialize per-century networks (csv/dot/graphml)", (_networks,)),
     "stats": ("topology summaries and depth-vs-diameter table", (_stats,)),
     "hierarchy": ("hierarchical levels and hierarchy statistics", (_hierarchy,)),
@@ -490,12 +480,11 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def _run(command: str, cfg: RunConfig) -> int:
     """Run ``command``'s stages over every century and write their files."""
-    slices, drop_lines = _load_filtered(cfg)
-    records = [_Century(cfg, s) for s in slices]
+    records, drop_lines = _load_filtered(cfg)
     out = Path(cfg.out)
     written: list[str] = []
     for stage in _COMMANDS[command][1]:
-        for name, text in stage(cfg, records).items():
+        for name, text in stage(cfg, records):
             _write(out / name, text)
             written.append(name)
             if command != "analyze":

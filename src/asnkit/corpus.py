@@ -1005,4 +1005,4 @@ def load_corpus(paths: str | Path | Iterable[str | Path]) -> list[CorpusSlice]:
     """Parse one or more treebank files and merge their slices by century."""
     if isinstance(paths, (str, Path)):
         paths = [paths]
-    return _parse([(Path(p), str(Path(p))) for p in paths])
+    return _parse([(Path(p), str(p)) for p in paths])

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, determinism, configuration."""
 
 import csv
+import gc
 import io
 import json
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import asnkit.cli
-from asnkit import aggregate, demo_corpus_path, summarize
+from asnkit import aggregate, demo_corpus_path, summarize, to_dot
 from asnkit.cli import main
 from corpora import crosslink_corpus, takeover_corpus
 from oracles import noisy_treebanks, parse_corpus, shuffled_treebank
@@ -82,7 +84,7 @@ class TestExitCodes:
             f"{bad}:2: format error: not UTF-8: byte 0xff (invalid start byte)"
         )
         assert "multiple roots" in out[1] and out[2] == "FAIL: 2 issue(s) found"
-        assert run("build", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert run("export", str(bad), "--out", str(tmp_path / "o")) == 1
         assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
 
     def test_validate_names_a_lemma_graphml_cannot_carry(self, tmp_path, capsys):
@@ -119,14 +121,14 @@ class TestExitCodes:
     def test_domain_error_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.tb"
         bad.write_text("1\ta\ta\tN\t0\t_\n", encoding="utf-8")
-        assert run("build", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert run("export", str(bad), "--out", str(tmp_path / "o")) == 1
         assert "century" in capsys.readouterr().err
 
     def test_missing_file_is_two(self, tmp_path):
-        assert run("build", str(tmp_path / "nope.tb"),
+        assert run("export", str(tmp_path / "nope.tb"),
                    "--out", str(tmp_path / "o")) == 2
 
-    @pytest.mark.parametrize("command", ["build", "validate"])
+    @pytest.mark.parametrize("command", ["export", "validate"])
     def test_no_input_file_is_two(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
             run(command)
@@ -134,10 +136,26 @@ class TestExitCodes:
         assert "the following arguments are required: TREEBANK" in (
             capsys.readouterr().err)
 
+    def test_build_is_not_a_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("build", DEMO, "--out", str(tmp_path / "o"))
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'build'" in capsys.readouterr().err
+
+    def test_an_input_is_named_as_typed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.tb").write_text("# century = 14\n1\ta\ta\tN\t0\t_\n"
+                                  "2\tb\tb\tXX\t1\t_\n", encoding="utf-8")
+        assert run("validate", "./bad.tb") == 1
+        assert capsys.readouterr().out.startswith(
+            "./bad.tb:3: format error: unknown grammatical role code 'XX'")
+        assert run("export", "./bad.tb") == 1
+        assert capsys.readouterr().err.startswith("error: ./bad.tb:3: ")
+
     def test_unknown_config_key_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n", encoding="utf-8")
-        assert run("build", DEMO, "--config", str(cfg),
+        assert run("export", DEMO, "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         assert "unknown config key" in capsys.readouterr().err
 
@@ -145,7 +163,7 @@ class TestExitCodes:
     def test_bad_config_value_is_two(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = bogus\n", encoding="utf-8")
-        assert run("build", DEMO, "--config", str(cfg),
+        assert run("export", DEMO, "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         assert "'bogus'" in capsys.readouterr().err
 
@@ -153,7 +171,7 @@ class TestExitCodes:
     def test_bad_config_value_names_file_and_line(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# run settings\n{key} = maybe\n", encoding="utf-8")
-        assert run("build", DEMO, "--config", str(cfg),
+        assert run("export", DEMO, "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}:2: ")
@@ -180,7 +198,7 @@ class TestExitCodes:
     def test_config_file_that_is_not_utf8_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed = 1\nreplicates = \xff\n")
-        assert run("build", DEMO, "--config", str(cfg),
+        assert run("export", DEMO, "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err == (
             f"error: {cfg}:2: not UTF-8: byte 0xff (invalid start byte)\n")
@@ -188,7 +206,7 @@ class TestExitCodes:
     def test_config_line_without_equals_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed 1\n", encoding="utf-8")
-        assert run("build", DEMO, "--config", str(cfg),
+        assert run("export", DEMO, "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err == f"error: {cfg}:1: expected 'key = value'\n"
 
@@ -225,7 +243,7 @@ class TestExitCodes:
                 "1\t!\t!\t_\t2\t_\n2\tkumt\tkumt\tV\t0\t_\n")
         path = tmp_path / "tiny.tb"
         path.write_text(text, encoding="utf-8")
-        assert run("build", str(path), "--missing", "drop-any",
+        assert run("export", str(path), "--missing", "drop-any",
                    "--out", str(tmp_path / "o")) == 1
         assert "empty corpus" in capsys.readouterr().err
 
@@ -275,9 +293,9 @@ class TestExitCodes:
 
 
 class TestArtifacts:
-    def test_build_writes_one_csv_per_century(self, tmp_path):
+    def test_export_csv_writes_one_csv_per_century(self, tmp_path):
         out = tmp_path / "o"
-        assert run("build", DEMO, "--out", str(out)) == 0
+        assert run("export", DEMO, "--formats", "csv", "--out", str(out)) == 0
         names = sorted(p.name for p in out.iterdir())
         assert names == ["asn_14.csv", "asn_15.csv", "asn_16.csv",
                          "asn_17.csv"]
@@ -460,6 +478,55 @@ class TestArtifacts:
         assert sorted({row[1] for row in rows}) == sorted(lemmas)
 
 
+class TestStreaming:
+    """Each file is written as soon as its stage makes it, and a century
+    record keeps no token columns."""
+
+    @staticmethod
+    def at_first_dot(tmp_path, monkeypatch):
+        """Run ``analyze`` on the demo; when ``to_dot`` is first called, say
+        whether that century's CSV is on disk and how many of the token
+        columns ``aggregate`` received are alive after a collection."""
+        out = tmp_path / "o"
+        received, seen = [], {}
+
+        def remember(trees):
+            received.append(weakref.ref(trees))
+            return aggregate(trees)
+
+        def first_dot(asn, metadata):
+            if not seen:
+                gc.collect()
+                seen["csv"] = (out / f"asn_{metadata['century']}.csv").exists()
+                seen["alive"] = sum(ref() is not None for ref in received)
+            return to_dot(asn, metadata=metadata)
+
+        monkeypatch.setattr(asnkit.cli, "aggregate", remember)
+        monkeypatch.setattr(asnkit.cli, "to_dot", first_dot)
+        assert run("analyze", DEMO, "--replicates", "100", "--out", str(out)) == 0
+        assert len(received) == 4
+        return seen
+
+    def test_a_file_is_on_disk_before_the_next_is_made(self, tmp_path,
+                                                      monkeypatch):
+        assert self.at_first_dot(tmp_path, monkeypatch)["csv"] is True
+
+    def test_no_token_columns_outlive_the_records(self, tmp_path, monkeypatch):
+        assert self.at_first_dot(tmp_path, monkeypatch)["alive"] == 0
+
+    def test_a_repeated_format_is_written_and_listed_once(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("export", DEMO, "--formats", "csv,csv", "--out", str(out)) == 0
+        names = [f"asn_{c}.csv" for c in (14, 15, 16, 17)]
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in names]
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert run("analyze", DEMO, "--formats", "csv,csv", "--replicates", "100",
+                   "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [name for name in manifest["files"] if name.startswith("asn_")] == names
+
+
 class TestDeterminismAndConfig:
     def test_analyze_twice_is_byte_identical(self, takeover_file, tmp_path):
         args = ("analyze", takeover_file, "--seed", "5",
@@ -530,7 +597,7 @@ class TestDeterminismAndConfig:
         args = ("--replicates", "100", "--track", "MV konnen")
         bundle, parts = tmp_path / "bundle", tmp_path / "parts"
         assert run("analyze", takeover_file, "--out", str(bundle), *args) == 0
-        for command in ("build", "export", "stats", "hierarchy", "powerlaw",
+        for command in ("export", "stats", "hierarchy", "powerlaw",
                         "diachrony"):
             assert run(command, takeover_file, "--out", str(parts), *args) == 0
         expected = sorted(p.name for p in bundle.iterdir()
@@ -614,10 +681,10 @@ class TestEveryOption:
         assert self.resolve(tmp_path, f"{name} = {other}", flags) == from_flag
 
 
-class TestValidateAgreesWithBuild:
-    """``validate`` passes exactly the inputs ``build`` and ``export`` accept,
-    for the formats they write, under ``keep-all`` and the default missing
-    policy."""
+class TestValidateAgreesWithExport:
+    """``validate`` passes exactly the inputs ``export`` accepts, for the
+    formats it writes (CSV alone and all three), under ``keep-all`` and the
+    default missing policy."""
 
     @given(noisy_treebanks(), noisy_treebanks(),
            st.sampled_from([("--missing", "keep-all"), ()]))
@@ -643,17 +710,18 @@ class TestValidateAgreesWithBuild:
     # The default policy drops every sentence of a century.
     @example(b"# century = 14\n# target = t\n1\tt\tt\tN\t0\t_\n2\t!\t!\t_\t1\t_\n",
              b"", ())
-    def test_validate_exits_zero_exactly_when_build_does(self, first, second, policy):
+    def test_validate_exits_zero_exactly_when_export_does(self, first, second,
+                                                          policy):
         with tempfile.TemporaryDirectory() as work:
             paths = [str(Path(work) / "d1.tb"), str(Path(work) / "d2.tb")]
             for path, data in zip(paths, (first, second)):
                 Path(path).write_bytes(data)
-            for command, formats in (("build", "csv"), ("export", "csv,dot,graphml")):
+            for formats in ("csv", "csv,dot,graphml"):
                 options = [*policy, "--formats", formats]
                 validated = run("validate", *paths, *options) == 0
-                built = run(command, *paths, *options,
-                            "--out", str(Path(work) / "o")) == 0
-                assert validated == built, command
+                exported = run("export", *paths, *options,
+                               "--out", str(Path(work) / "o")) == 0
+                assert validated == exported, formats
 
     @pytest.mark.parametrize("text", [
         "",

@@ -53,8 +53,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CENTURIES = tuple(range(11, 18))
 
-#: Six to eight times the 10-13 s the run took on a 2-CPU x86-64 VM (226 MB
-#: peak RSS).  Raising it to let a slower change pass defeats the check.
+#: Eight to ten times the 8-10 s the run took on a 2-CPU x86-64 VM (152-155
+#: MB peak RSS).  Raising it to let a slower change pass defeats the check.
 CEILING_S = 80.0
 
 #: Bootstrap replicates of the ``analyze`` run and of the reference.
