@@ -178,7 +178,8 @@ _OPTIONS = {f.name: f for f in dataclasses.fields(RunConfig) if f.metadata}
 
 
 def _parse_config_file(path: str) -> dict:
-    """Parse ``key = value`` configuration text; unknown keys are rejected."""
+    """Parse ``key = value`` configuration text; unknown keys are rejected.
+    A repeated key's last line wins, but a repeatable flag's lines add up."""
     values: dict = {}
     try:
         lines = read_text(Path(path), path).split("\n")
@@ -200,9 +201,12 @@ def _parse_config_file(path: str) -> dict:
                 f"(allowed: {allowed})"
             )
         try:
-            values[key] = _OPTIONS[key].metadata["parse"](value)
+            parsed = _OPTIONS[key].metadata["parse"](value)
         except ValueError as exc:
             raise UsageError(f"{path}:{line_no}: {exc}") from None
+        if _OPTIONS[key].metadata["flag"].get("action") == "append":
+            parsed = values.get(key, ()) + parsed
+        values[key] = parsed
     return values
 
 

@@ -100,10 +100,9 @@ _GUIDE = 1 << 14
 #: terms (see :func:`_replicate_batches`).
 _BATCH_TERMS = 32_768
 
-#: Cells per candidate in the first round of the bootstrap's KS scan, and the
-#: factor by which each later round widens it (see :func:`_ks_distances`).
+#: Cells per candidate in the first round of the bootstrap's KS scan (see
+#: :func:`_ks_distances`).
 _KS_FIRST_CELLS = 16
-_KS_GROWTH = 8
 
 #: Coefficients ``(-1)^n (2n + j)! / n!`` (row n = 0..11, column j = 0..4) of
 #: the asymptotic series in eps of ``int_0^inf u^j exp(-u - eps u^2) du``;
@@ -408,8 +407,8 @@ def _ks_distances(uniq, ntails, cand, ends, alphas, threshold=None, cells=None):
 
     With no ``threshold`` every cell is scanned in one round.  With one,
     the scan decides only whether each sample's least distance is ``>=
-    threshold``, in lockstep rounds: the first ``_KS_FIRST_CELLS`` cells of
-    every live candidate, then ``_KS_GROWTH`` times as many per round.  A
+    threshold``, in at most two rounds: the first ``_KS_FIRST_CELLS`` cells
+    of every candidate, then the rest of each candidate still live.  A
     candidate is settled once one of its gaps is ``>= threshold``.  A
     sample is decided below once one of its candidates has every cell
     scanned and every gap below the threshold; its other candidates are
@@ -464,7 +463,7 @@ def _ks_distances(uniq, ntails, cand, ends, alphas, threshold=None, cells=None):
         settled = best[live] >= threshold
         below[ends[live[~settled & (stop == length)]]] = True
         live = live[~settled & ~below[ends[live]]]
-        width *= _KS_GROWTH
+        width = int(length.max())  # the rest of every candidate still live
     if cells is not None:
         cells[0] += scanned
         cells[1] += int(lengths.sum())

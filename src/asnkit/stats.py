@@ -9,9 +9,9 @@ Degree sequences, by contrast, describe the directed simple graph.
 The projection is one symmetric 0/1 CSR matrix ``A`` over the nodes in
 ``asn.keys`` order.  Components come from ``scipy.sparse.csgraph``'s
 ``connected_components``.  The distances inside the largest component come
-from a bit-parallel breadth-first search that walks 512 sources at once, one
-bit per source in each node's row of ``uint64`` words (Then et al., "The More
-the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014); each
+from a bit-parallel breadth-first search that walks 64 sources at once, one
+bit per source in each node's ``uint64`` word (Then et al., "The More the
+Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014); each
 level's newly reached bits are counted with ``np.bitwise_count``.
 A node's triangles are the edges among its neighbours, each edge oriented from
 lower to higher (degree, index) rank and so counted once; no node then has
@@ -25,6 +25,7 @@ nor on the Python version.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,9 +41,8 @@ __all__ = [
     "degree_sequences",
 ]
 
-#: Sources per breadth-first batch, packed as up to 8 ``uint64`` words per
-#: node.
-_BATCH = 512
+#: Sources per breadth-first batch, one bit each of a node's ``uint64`` word.
+_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,8 @@ def _path_lengths(component: sparse.csr_matrix) -> tuple[int, int]:
     """Sum of all pairwise hop distances and the largest one.
 
     Breadth-first search from up to ``_BATCH`` sources at once: bit ``k`` of
-    a node's row is set once the batch's ``k``-th source reaches it, and one
-    level ORs the frontier rows of each node's neighbours.  The nodes a
+    a node's word is set once the batch's ``k``-th source reaches it, and one
+    level ORs the frontier words of each node's neighbours.  The nodes a
     source reaches first at level ``l`` lie ``l`` hops from it, so each
     level adds ``l`` times the frontier's set bits (``np.bitwise_count``).
     """
@@ -153,21 +153,17 @@ def _path_lengths(component: sparse.csr_matrix) -> tuple[int, int]:
     diameter = 0
     for first in range(0, m, _BATCH):
         sources = np.arange(first, min(first + _BATCH, m))
-        bits = sources - first
-        seen = np.zeros((m, (bits.size + 63) // 64), dtype=np.uint64)
-        seen[sources, bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
+        seen = np.zeros(m, dtype=np.uint64)
+        seen[sources] = np.uint64(1) << (sources - first).astype(np.uint64)
         frontier = seen
-        level = 0
-        while True:
-            level += 1
-            reached = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
-            frontier = reached & ~seen
+        for level in itertools.count(1):
+            frontier = np.bitwise_or.reduceat(frontier[indices], starts) & ~seen
             count = int(np.bitwise_count(frontier).sum())
             if count == 0:
                 break
             total += level * count
-            diameter = max(diameter, level)
             seen |= frontier
+        diameter = max(diameter, level - 1)
     return total, diameter
 
 

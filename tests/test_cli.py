@@ -680,6 +680,14 @@ class TestEveryOption:
         assert from_other != from_flag
         assert self.resolve(tmp_path, f"{name} = {other}", flags) == from_flag
 
+    def test_repeated_track_lines_extend_the_list(self, tmp_path):
+        # Like repeated --track flags; any other repeated key keeps its last
+        # value, as a repeated flag does.
+        _, flags, _ = OPTION_SAMPLES["track"]
+        lines = "track = N man\ntrack = V louft"
+        assert self.resolve(tmp_path, lines) == self.resolve(tmp_path, flags=flags)
+        assert self.resolve(tmp_path, "seed = 3\nseed = 11").seed == 11
+
 
 class TestValidateAgreesWithExport:
     """``validate`` passes exactly the inputs ``export`` accepts, for the

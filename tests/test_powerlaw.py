@@ -1003,10 +1003,12 @@ class TestStagedScan:
                     staged.ks[fitted] >= threshold, full.ks[fitted] >= threshold)
 
     @staticmethod
+    @functools.cache
     def one_sample_kernels(name, count=8):
         """``_ks_distances``'s arguments for each of the first ``count``
         replicates of the sample's bootstrap that have candidates, each alone
-        in its tables, and the full-scan distances of its candidates."""
+        in its tables, and the full-scan distances of its candidates; built
+        once per sample for every first-round width."""
         _, _, batches = staged_batches(name)
         kernels = []
         for row in np.concatenate([rows for rows, _ in batches]):
@@ -1021,32 +1023,30 @@ class TestStagedScan:
                 break
         return kernels
 
-    @pytest.mark.parametrize("first, growth", [(16, 8), (1, 2)])
+    @pytest.mark.parametrize("first", [1 << k for k in range(8)])
     @pytest.mark.parametrize("name", sorted(STAGED_SAMPLES))
     def test_a_candidate_scanned_in_rounds_reaches_its_full_distance(
-            self, name, first, growth, monkeypatch):
+            self, name, first, monkeypatch):
         # Alone in its sample and with no threshold to reach, a candidate is
         # scanned to its end; its gaps, chunk ends included, are the full
-        # scan's.  Rounds of 1, 2, 4, ... cells put a chunk end at every
-        # power of two.
+        # scan's.  First rounds of 1, 2, 4, ..., 128 cells put a chunk end at
+        # every power of two up to 128.
         monkeypatch.setattr(powerlaw, "_KS_FIRST_CELLS", first)
-        monkeypatch.setattr(powerlaw, "_KS_GROWTH", growth)
         for table, tails, cand, ends, alphas, full in self.one_sample_kernels(name):
             alone = [_ks_distances(table, tails, cand[i : i + 1], ends[i : i + 1],
                                    alphas[i : i + 1], np.inf)[0]
                      for i in range(cand.size)]
             np.testing.assert_array_equal(alone, full)
 
-    @pytest.mark.parametrize("first, growth", [(16, 8), (1, 2)])
+    @pytest.mark.parametrize("first", [1 << k for k in range(8)])
     @pytest.mark.parametrize("name", sorted(STAGED_SAMPLES))
     def test_each_candidate_bounds_and_decides_at_every_distance(
-            self, name, first, growth, monkeypatch):
+            self, name, first, monkeypatch):
         # At each candidate's distance, and one float either side of the
         # least: no value exceeds its distance; a sample whose distance is >=
         # the threshold has every candidate settled, and one below it has a
         # candidate scanned to its distance.
         monkeypatch.setattr(powerlaw, "_KS_FIRST_CELLS", first)
-        monkeypatch.setattr(powerlaw, "_KS_GROWTH", growth)
         for table, tails, cand, ends, alphas, full in self.one_sample_kernels(name):
             least = full.min()
             for threshold in {*full, np.nextafter(least, -np.inf),

@@ -144,8 +144,8 @@ class TestSummarize:
 
     def test_path_longer_than_two_source_batches(self):
         # the largest component is a path whose sources fill two search
-        # batches and 70 more, so the last batch crosses a 64-bit word
-        # boundary; a self-loop and a 2-cycle sit on it, and a second
+        # batches and 70 more, so a third batch is full and a fourth holds
+        # 6 sources; a self-loop and a 2-cycle sit on it, and a second
         # component and two isolated nodes sit beside it
         m = 2 * _BATCH + 70
         path = [(f"p{i}", f"p{i + 1}", 1) for i in range(m - 1)]
@@ -200,7 +200,7 @@ class TestKernelsAgainstReferences:
         n = int(rng.integers(600, 1501))
         asn = sparse_asn(rng, n, arcs=int(n * rng.uniform(1.5, 3.0)))
         _, _, m = self.check_kernels(asn)
-        assert m > _BATCH and m % 64  # several batches, a partial last word
+        assert m > _BATCH and m % _BATCH  # several batches, a partial last one
 
     @pytest.mark.parametrize("seed", range(3))
     def test_hub_heavy_graphs(self, seed):
@@ -211,12 +211,13 @@ class TestKernelsAgainstReferences:
         degrees = np.diff(adjacency.indptr)
         assert m > _BATCH and degrees.max() > 10 * np.median(degrees)
 
-    def test_component_filling_whole_batches(self):
-        # a random tree on 2 * _BATCH nodes plus random chords, so the last
-        # batch is full and ends on a whole 64-bit word; a second component
-        # and isolated nodes sit beside it
+    @pytest.mark.parametrize("m", [_BATCH - 1, _BATCH, _BATCH + 1,
+                                   2 * _BATCH, 2 * _BATCH + 1])
+    def test_component_filling_whole_batches(self, m):
+        # a random tree on m nodes plus random chords, so the last batch is
+        # one source short of full, full, or a single source; a second
+        # component and isolated nodes sit beside it
         rng = np.random.default_rng(20261023)
-        m = 2 * _BATCH
         parent = (rng.random(m - 1) * np.arange(1, m)).astype(np.int64)
         src = np.concatenate([np.arange(1, m), rng.integers(0, m, m // 2)])
         dst = np.concatenate([parent, rng.integers(0, m, m // 2)])
